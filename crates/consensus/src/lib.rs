@@ -5,13 +5,14 @@
 //! The paper's architecture (Section IV) coordinates its service replicas
 //! with a *reconfigurable* MinBFT protocol under the hybrid failure model
 //! (at most `f = (N - 1 - k)/2` compromised or crashed nodes, relying on a
-//! tamperproof USIG service per node), and runs the global system controller
-//! on a crash-tolerant Raft cluster. The paper's testbed runs these protocols
-//! on 13 physical servers; this reproduction substitutes a deterministic
-//! discrete-event network simulation (see DESIGN.md) that exercises the same
-//! protocol logic: quorum certificates, non-equivocation through USIG
-//! counters, view changes, checkpoints, state transfer and the JOIN/EVICT
-//! reconfiguration used by the system controller.
+//! tamperproof USIG service per node), and replicates the global system
+//! controller with a crash-tolerant consensus protocol (not reproduced: the
+//! system controller here is a single process). The paper's testbed runs
+//! these protocols on 13 physical servers; this reproduction substitutes a
+//! deterministic discrete-event network simulation (see DESIGN.md) that
+//! exercises the same protocol logic: quorum certificates, non-equivocation
+//! through USIG counters, view changes, checkpoints, state transfer and the
+//! JOIN/EVICT reconfiguration used by the system controller.
 //!
 //! Modules:
 //!
@@ -44,8 +45,6 @@
 //! * [`metrics`] — windowed data-plane metrics (request-rate counters,
 //!   log-scale latency histograms) and the client retry budget; the
 //!   observation side of the `core::controlplane::autotune` feedback loop.
-//! * [`raft`] — a Raft cluster (leader election and log replication) used as
-//!   the crash-tolerant substrate of the system controller.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -54,7 +53,6 @@ pub mod crypto;
 pub mod metrics;
 pub mod minbft;
 pub mod net;
-pub mod raft;
 pub mod sharded;
 pub mod socket;
 pub mod threaded;
@@ -71,7 +69,6 @@ pub use minbft::{
     MinBftConfigError, ThroughputReport, CLIENT_ID_BASE,
 };
 pub use net::{NetworkConfig, NetworkConfigError, SimNetwork};
-pub use raft::{RaftCluster, RaftConfig};
 pub use sharded::{
     run_sharded_service, shard_seed, KeyPartitioner, ShardRouter, ShardedServiceConfig,
     ShardedServiceReport, ShardedSimConfig, ShardedSimService,

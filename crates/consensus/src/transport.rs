@@ -1,6 +1,6 @@
 //! Pluggable message transports for the consensus layer.
 //!
-//! The protocol code (MinBFT replicas, Raft members) is written against the
+//! The protocol code (MinBFT replicas) is written against the
 //! [`Transport`] trait: a sender-side interface for point-to-point and
 //! broadcast delivery of protocol messages. Two implementations exist:
 //!

@@ -12,9 +12,9 @@
 //!   ([`tolerance_consensus::minbft::ControlMessage`]), so recovery and
 //!   reconfiguration act on real replica threads at wall-clock speed.
 //!
-//! The simnet executor wraps the simulated cluster in its own actuator to
-//! add fault-schedule bookkeeping (restart-vs-rebuild choice, recovery
-//! latency accounting); see `crate::simnet::executor`.
+//! The simnet group executor wraps the simulated cluster in its own
+//! actuator to add fault-schedule bookkeeping (restart-vs-rebuild choice,
+//! recovery latency accounting); see `crate::simnet::group`.
 
 use tolerance_consensus::{MinBftCluster, NodeId, ThreadedCluster};
 

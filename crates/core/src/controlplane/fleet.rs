@@ -8,14 +8,17 @@
 //! the *deciding* belief — so an intrusion burst in shard A cannot starve
 //! recovery in shard B beyond the shared budget, and a deferred request
 //! (lost the priority sort, or refused by the actuator) genuinely re-fires
-//! on the next tick through [`NodeController::notify_deferred`], exactly
-//! like the single-cluster [`ControlPlane`](super::ControlPlane).
+//! on the next tick through [`NodeController::notify_deferred`].
 //!
 //! The global level likewise runs **one** [`SystemController`] per fleet:
 //! it sees the concatenated belief report of every shard, evicts
 //! non-reporting (crashed) replicas wherever they live, and allocates
 //! JOIN spares to the *neediest* shard — the one with the fewest healthy
 //! replicas — subject to per-shard and fleet-wide membership bounds.
+//!
+//! This is the only implementation of the two control laws: the
+//! single-cluster [`ControlPlane`](super::ControlPlane) that steers the
+//! live service is its one-shard view.
 
 use crate::controller::{NodeController, SystemController};
 use crate::controlplane::actuator::ClusterActuator;
@@ -172,22 +175,40 @@ impl FleetControlPlane {
         self.controllers.remove(&(shard, node));
     }
 
-    /// One control time-step across the whole fleet.
+    /// Total recoveries requested across all node controllers so far.
+    pub fn total_recoveries(&self) -> u64 {
+        self.controllers.values().map(|c| c.recoveries()).sum()
+    }
+
+    /// The system controller, if one runs.
+    pub fn system(&self) -> Option<&SystemController> {
+        self.system.as_ref()
+    }
+
+    /// One control time-step across the whole fleet
+    /// ([`super::ControlPlane::tick`] is this at one shard).
     ///
-    /// `observations[s]` lists shard `s`'s membership in membership order
-    /// with each node's IDS input; `actuators[s]` is that shard's actuation
-    /// surface. The two slices must have the same length (one entry per
-    /// shard).
+    /// `observations[s]` lists shard `s`'s membership **in membership
+    /// order** with each node's IDS input (the system controller's eviction
+    /// decision indexes into the concatenation, and the deterministic
+    /// simnet path replays `rng` draws in this order); `actuators[s]` is
+    /// that shard's actuation surface. The two slices must have the same
+    /// length (one entry per shard).
     ///
     /// # Panics
     ///
     /// Panics when the slice lengths disagree.
-    pub fn tick<R: Rng + ?Sized>(
+    pub fn tick<'a, O, A, R>(
         &mut self,
-        observations: &[Vec<(NodeId, NodeReport<'_>)>],
-        actuators: &mut [&mut dyn ClusterActuator],
+        observations: &[O],
+        actuators: &mut [&mut A],
         rng: &mut R,
-    ) -> FleetTickReport {
+    ) -> FleetTickReport
+    where
+        O: AsRef<[(NodeId, NodeReport<'a>)]>,
+        A: ClusterActuator + ?Sized,
+        R: Rng + ?Sized,
+    {
         assert_eq!(
             observations.len(),
             actuators.len(),
@@ -199,6 +220,7 @@ impl FleetControlPlane {
         // their deciding beliefs.
         let mut requests: Vec<(usize, NodeId, f64)> = Vec::new();
         for (shard, shard_observations) in observations.iter().enumerate() {
+            let shard_observations = shard_observations.as_ref();
             let mut beliefs: Vec<(NodeId, Option<f64>)> =
                 Vec::with_capacity(shard_observations.len());
             for &(id, observation) in shard_observations {
@@ -218,14 +240,19 @@ impl FleetControlPlane {
                     .expect("controller exists");
                 beliefs.push((id, Some(controller.belief())));
                 if action == NodeAction::Recover {
+                    // Priority by the *deciding* belief: `belief()` was
+                    // already reset to the attack prior when the decision
+                    // fired, which would make every requester tie and
+                    // degrade the k-slot priority to node-id order.
                     requests.push((shard, id, controller.last_request_belief()));
                 }
             }
             report.beliefs.push(beliefs);
         }
         // Global budget: highest deciding beliefs first, fleet-wide; at
-        // most k recoveries actuate per tick, refusals do not consume a
-        // slot, and everything else is deferred (re-fires next tick).
+        // most k recoveries actuate per tick (Proposition 1), refusals do
+        // not consume a slot (one un-actuatable node cannot starve the
+        // others), and everything else is deferred (re-fires next tick).
         requests.sort_by(|a, b| {
             b.2.partial_cmp(&a.2)
                 .unwrap_or(std::cmp::Ordering::Equal)

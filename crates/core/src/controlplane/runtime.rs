@@ -1,25 +1,22 @@
 //! The transport-agnostic control runtime: one `tick` for both clusters.
 //!
-//! A [`ControlPlane`] owns the per-replica [`NodeController`]s and the
-//! optional [`SystemController`], and advances both control levels by one
-//! time-step per [`ControlPlane::tick`]: belief updates from the IDS
+//! A [`ControlPlane`] advances both control levels of one MinBFT group by
+//! one time-step per [`ControlPlane::tick`]: belief updates from the IDS
 //! observation channel, the k-parallel-recovery constraint of
 //! Proposition 1, crash eviction and the Algorithm-2 replication decision —
-//! all actuated through a pluggable [`ClusterActuator`]. The simnet
-//! executor calls the same `tick` (deterministic, against the simulated
-//! cluster) as the live controlled scenarios (wall-clock, against the
-//! threaded cluster), which is exactly the paper's claim that one control
-//! architecture steers the real service.
+//! all actuated through a pluggable [`ClusterActuator`]. It is the
+//! one-shard view of the [`FleetControlPlane`], which holds the only
+//! implementation of both laws, so the live controlled scenarios
+//! (wall-clock, threaded cluster) and the simnet harnesses (deterministic,
+//! simulated clusters) run the same code — the paper's claim that one
+//! control architecture steers the real service.
 
 use crate::controller::{NodeController, SystemController};
 use crate::controlplane::actuator::ClusterActuator;
+use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
 use crate::error::Result;
-use crate::node_model::{NodeAction, NodeModel, NodeParameters};
-use crate::observation::ObservationModel;
-use crate::recovery::ThresholdStrategy;
-use crate::replication::{ReplicationConfig, ReplicationProblem};
+use crate::node_model::NodeModel;
 use rand::Rng;
-use std::collections::BTreeMap;
 use tolerance_consensus::NodeId;
 
 /// Configuration of a [`ControlPlane`].
@@ -63,6 +60,25 @@ impl Default for ControlPlaneConfig {
     }
 }
 
+impl ControlPlaneConfig {
+    /// The one-shard fleet this configuration describes: the fleet-wide
+    /// spare budget is the group's own membership bound.
+    fn one_shard_fleet(&self) -> FleetConfig {
+        FleetConfig {
+            recovery_threshold: self.recovery_threshold,
+            delta_r: self.delta_r,
+            parallel_recoveries: self.parallel_recoveries,
+            system_controller: self.system_controller,
+            min_replicas_per_shard: self.min_replicas,
+            max_replicas_per_shard: self.max_replicas,
+            max_total_replicas: self.max_replicas,
+            fault_threshold: self.fault_threshold,
+            availability_target: self.availability_target,
+            node_survival_probability: self.node_survival_probability,
+        }
+    }
+}
+
 /// One node's observation input for a control tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeReport<'a> {
@@ -99,14 +115,12 @@ pub struct TickReport {
     pub estimated_healthy: Option<usize>,
 }
 
-/// The two-level control runtime (see the module docs).
+/// The two-level control runtime of one group: shard 0 of a one-shard
+/// [`FleetControlPlane`] (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     config: ControlPlaneConfig,
-    node_model: NodeModel,
-    strategy: ThresholdStrategy,
-    controllers: BTreeMap<NodeId, NodeController>,
-    system: Option<SystemController>,
+    fleet: FleetControlPlane,
 }
 
 impl ControlPlane {
@@ -117,9 +131,8 @@ impl ControlPlane {
     ///
     /// Propagates model-construction and LP failures.
     pub fn new(config: ControlPlaneConfig) -> Result<Self> {
-        let alert_model = ObservationModel::paper_default();
-        let node_model = NodeModel::new(NodeParameters::default(), alert_model)?;
-        Self::with_model(config, node_model)
+        let fleet = FleetControlPlane::new(config.one_shard_fleet())?;
+        Ok(ControlPlane { config, fleet })
     }
 
     /// Builds a control plane over an explicit node model (e.g. one whose
@@ -129,26 +142,8 @@ impl ControlPlane {
     ///
     /// Propagates strategy-construction and LP failures.
     pub fn with_model(config: ControlPlaneConfig, node_model: NodeModel) -> Result<Self> {
-        let strategy = ThresholdStrategy::new(vec![config.recovery_threshold], config.delta_r)?;
-        let system = if config.system_controller {
-            let strategy = ReplicationProblem::new(ReplicationConfig {
-                s_max: config.max_replicas,
-                fault_threshold: config.fault_threshold.max(1),
-                availability_target: config.availability_target,
-                node_survival_probability: config.node_survival_probability,
-            })?
-            .solve()?;
-            Some(SystemController::new(strategy))
-        } else {
-            None
-        };
-        Ok(ControlPlane {
-            config,
-            node_model,
-            strategy,
-            controllers: BTreeMap::new(),
-            system,
-        })
+        let fleet = FleetControlPlane::with_model(config.one_shard_fleet(), node_model)?;
+        Ok(ControlPlane { config, fleet })
     }
 
     /// The configuration in force.
@@ -158,124 +153,50 @@ impl ControlPlane {
 
     /// The node controller of `node`, creating it on first access.
     pub fn controller(&mut self, node: NodeId) -> &mut NodeController {
-        let node_model = &self.node_model;
-        let strategy = &self.strategy;
-        self.controllers
-            .entry(node)
-            .or_insert_with(|| NodeController::new(node_model.clone(), strategy.clone()))
+        self.fleet.controller(0, node)
     }
 
     /// Read-only view of a node's controller, if it exists.
     pub fn controller_of(&self, node: NodeId) -> Option<&NodeController> {
-        self.controllers.get(&node)
+        self.fleet.controller_of(0, node)
     }
 
     /// Drops the controller of an evicted node.
     pub fn forget(&mut self, node: NodeId) {
-        self.controllers.remove(&node);
+        self.fleet.forget(0, node);
     }
 
     /// Total recoveries requested across all node controllers so far.
     pub fn total_recoveries(&self) -> u64 {
-        self.controllers.values().map(|c| c.recoveries()).sum()
+        self.fleet.total_recoveries()
     }
 
     /// The system controller, if one runs.
     pub fn system(&self) -> Option<&SystemController> {
-        self.system.as_ref()
+        self.fleet.system()
     }
 
-    /// One control time-step across both levels.
+    /// One control time-step across both levels
+    /// ([`FleetControlPlane::tick`] at one shard).
     ///
     /// `observations` lists the current membership **in membership order**
-    /// with each node's IDS input; ordering matters because the system
-    /// controller's eviction decision indexes into it, and because the
-    /// deterministic simnet path replays `rng` draws in this order.
+    /// with each node's IDS input.
     pub fn tick<A: ClusterActuator + ?Sized, R: Rng + ?Sized>(
         &mut self,
         observations: &[(NodeId, NodeReport<'_>)],
         actuator: &mut A,
         rng: &mut R,
     ) -> TickReport {
-        let mut report = TickReport::default();
-        let mut requests: Vec<(NodeId, f64)> = Vec::new();
-        for &(id, observation) in observations {
-            let action = match observation {
-                NodeReport::Silent => {
-                    report.beliefs.push((id, None));
-                    continue;
-                }
-                NodeReport::Sample(alerts) => self.controller(id).observe_and_decide(alerts),
-                NodeReport::Events(events) => self.controller(id).observe_events(events),
-            };
-            let controller = self.controllers.get(&id).expect("controller exists");
-            let belief = controller.belief();
-            report.beliefs.push((id, Some(belief)));
-            if action == NodeAction::Recover {
-                // Priority by the *deciding* belief: `belief()` was already
-                // reset to the attack prior when the decision fired, which
-                // would make every requester tie and degrade the k-slot
-                // priority to node-id order.
-                requests.push((id, controller.last_request_belief()));
-            }
+        let tick = self.fleet.tick(&[observations], &mut [actuator], rng);
+        let node = |(_, id): (usize, NodeId)| id;
+        TickReport {
+            beliefs: tick.beliefs.into_iter().next().unwrap_or_default(),
+            requested: tick.requested.into_iter().map(node).collect(),
+            recovered: tick.recovered.into_iter().map(node).collect(),
+            evicted: tick.evicted.into_iter().map(node).collect(),
+            joined: tick.joined.map(node),
+            estimated_healthy: tick.estimated_healthy,
         }
-        // Highest beliefs first; at most k recoveries actuate per tick
-        // (Proposition 1). Requests beyond k — and requests the actuator
-        // refused (e.g. no state donor) — are *deferred*: the controller's
-        // deciding belief is restored so the request re-fires on the next
-        // tick instead of waiting for the belief to re-climb or Δ_R to
-        // elapse.
-        requests.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        report.requested = requests.iter().map(|&(id, _)| id).collect();
-        let slots = self.config.parallel_recoveries.max(1);
-        for (id, _) in requests {
-            // A refusal does not consume a slot: the next request in
-            // priority order still gets its chance, so one un-actuatable
-            // node (e.g. no frontier donor) cannot starve the others.
-            if report.recovered.len() < slots && actuator.recover(id) {
-                if let Some(controller) = self.controllers.get_mut(&id) {
-                    controller.notify_recovered();
-                }
-                report.recovered.push(id);
-            } else if let Some(controller) = self.controllers.get_mut(&id) {
-                controller.notify_deferred();
-            }
-        }
-        // Global control level: evict non-reporters, maybe grow. The
-        // report vector (and the index base of the eviction decision) is
-        // `report.beliefs` in observation order.
-        if let Some(system) = &mut self.system {
-            let reports: Vec<Option<f64>> =
-                report.beliefs.iter().map(|&(_, belief)| belief).collect();
-            let decision = system.decide(&reports, rng);
-            report.estimated_healthy = Some(decision.estimated_healthy);
-            let mut evict: Vec<NodeId> = decision
-                .evict
-                .iter()
-                .filter_map(|&index| observations.get(index).map(|&(id, _)| id))
-                .collect();
-            evict.sort_unstable();
-            for id in evict {
-                if actuator.contains(id)
-                    && actuator.replica_count() > self.config.min_replicas
-                    && actuator.evict(id)
-                {
-                    self.controllers.remove(&id);
-                    report.evicted.push(id);
-                }
-            }
-            if decision.add_node && actuator.replica_count() < self.config.max_replicas {
-                if let Some(id) = actuator.join() {
-                    self.controller(id);
-                    report.joined = Some(id);
-                }
-            }
-        }
-        report
     }
 }
 

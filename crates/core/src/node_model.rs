@@ -13,9 +13,12 @@ use rand::Rng;
 use tolerance_markov::chain::MarkovChain;
 
 /// The hidden state of a node (Fig. 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum NodeState {
     /// The replica is healthy.
+    #[default]
     Healthy,
     /// The replica is compromised by the attacker.
     Compromised,

@@ -1,96 +1,34 @@
-//! The deterministic executor: drives the full two-level stack through a
-//! fault schedule.
+//! The single-group harness: one MinBFT group, both control levels, one
+//! closed-loop client driver.
 //!
 //! One run wires together the three layers of the reproduction:
 //!
 //! * a [`MinBftCluster`] over the discrete-event network (consensus layer),
-//! * one [`NodeController`] per replica with the BTR threshold strategy of
-//!   Theorem 1 (local control level), fed by alert samples from the paper's
-//!   observation model, and
-//! * optionally the [`SystemController`] of Algorithm 2 (global control
-//!   level), which evicts crashed replicas and grows the membership.
+//! * one [`crate::controller::NodeController`] per replica with the BTR
+//!   threshold strategy of Theorem 1 (local control level), fed by alert
+//!   samples from the paper's observation model, and
+//! * optionally the [`crate::controller::SystemController`] of Algorithm 2
+//!   (global control level), which evicts crashed replicas and grows the
+//!   membership.
 //!
-//! The executor applies the schedule's fault events step by step, runs the
-//! invariant oracles after every step, and records a [`TraceRecord`] per
-//! step. Everything — schedule generation, alert sampling, network jitter,
-//! controller decisions — is derived from the schedule's seed, so the same
-//! `(seed, config)` pair produces a byte-identical trace on every run,
-//! regardless of how many runs execute in parallel around it.
+//! What the group does under its schedule is the shared group executor
+//! ([`crate::simnet::group`]); this module adds only what is particular to
+//! the single-group run: the primary `Write` client plus its burst pool,
+//! the one-shard [`ControlPlane`] (the same runtime the live threaded
+//! scenarios drive), and the settle probe. Schedule generation, alert
+//! sampling, network jitter and controller decisions all derive from the
+//! schedule's seed, so the same `(seed, config)` pair produces a
+//! byte-identical trace on every run, whatever runs in parallel around it.
 
-use crate::controlplane::{ClusterActuator, ControlPlane, ControlPlaneConfig, NodeReport};
+use crate::controlplane::{ControlPlane, ControlPlaneConfig};
 use crate::error::Result;
 use crate::metrics::MetricReport;
-use crate::node_model::{NodeModel, NodeParameters, NodeState};
-use crate::observation::ObservationModel;
 use crate::runtime::AsMetricReport;
-use crate::simnet::adversary;
-use crate::simnet::oracle::{InvariantChecker, InvariantKind, Violation};
-use crate::simnet::schedule::{FaultEvent, FaultSchedule, ScheduleConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::simnet::group::{self, Group, IdsChannel, PlaneNote, SimnetOutcome, TraceRecord};
+use crate::simnet::oracle::{InvariantKind, Violation};
+use crate::simnet::schedule::{FaultSchedule, ScheduleConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use tolerance_consensus::minbft::{MinBftCluster, Operation};
-use tolerance_consensus::{ByzantineMode, NodeId};
-
-/// The per-step snapshot that makes up the run's event trace. Two runs are
-/// considered identical exactly when their serialized traces are identical;
-/// the simulated clock is recorded via its IEEE-754 bits so the comparison
-/// is exact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceRecord {
-    /// The step this record closes.
-    pub step: u32,
-    /// `f64::to_bits` of the simulated time after the step.
-    pub time_bits: u64,
-    /// Membership after the step.
-    pub membership: Vec<NodeId>,
-    /// Total commit records so far.
-    pub commits: u64,
-    /// View changes so far.
-    pub view_changes: u64,
-    /// Completed client requests so far.
-    pub completed: u64,
-    /// Messages handed to the network so far.
-    pub net_sent: u64,
-    /// Replicas currently marked faulty by the schedule.
-    pub faulty: Vec<NodeId>,
-}
-
-/// Aggregate outcome of a run (the scenario-facing summary).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimnetOutcome {
-    /// Steps actually executed (less than the horizon when a violation
-    /// stopped the run early).
-    pub steps: u64,
-    /// Client requests issued.
-    pub issued: u64,
-    /// Client requests completed.
-    pub completed: u64,
-    /// Replica recoveries performed (controller-driven and scheduled).
-    pub recoveries: u64,
-    /// Mean steps from compromise to recovery (0 when no compromise).
-    pub mean_recovery_steps: f64,
-    /// Distinct sequence numbers committed.
-    pub committed_sequences: u64,
-    /// Completed / issued.
-    pub availability: f64,
-}
-
-impl AsMetricReport for SimnetOutcome {
-    fn metric_report(&self) -> MetricReport {
-        MetricReport {
-            availability: self.availability,
-            time_to_recovery: self.mean_recovery_steps,
-            recovery_frequency: if self.steps == 0 {
-                0.0
-            } else {
-                self.recoveries as f64 / self.steps as f64
-            },
-            steps: self.steps,
-        }
-    }
-}
 
 /// The result of executing one schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,32 +47,6 @@ impl AsMetricReport for RunReport {
     }
 }
 
-/// Per-replica supervision state maintained by the harness (the ground
-/// truth of the fault schedule; the belief-tracking controllers live in the
-/// shared [`ControlPlane`]). Shared with the multi-shard harness
-/// (`crate::simnet::sharded`), which keeps one supervisor map per shard.
-pub(crate) struct Supervisor {
-    pub(crate) state: NodeState,
-    pub(crate) compromised_at: Option<u32>,
-    pub(crate) schedule_crashed: bool,
-    /// IDS-signature degradation of the current compromise: `0.0` samples
-    /// the full compromised alert distribution, larger values mix it toward
-    /// healthy (protocol-aware attackers are quieter, see
-    /// [`crate::simnet::adversary::attacker_ids_lambda`]).
-    pub(crate) ids_lambda: f64,
-}
-
-impl Supervisor {
-    pub(crate) fn new() -> Self {
-        Supervisor {
-            state: NodeState::Healthy,
-            compromised_at: None,
-            schedule_crashed: false,
-            ids_lambda: 0.0,
-        }
-    }
-}
-
 /// Executes `schedule` against a freshly built stack configured by `config`.
 ///
 /// # Errors
@@ -146,117 +58,23 @@ pub fn run_schedule(schedule: &FaultSchedule, config: &ScheduleConfig) -> Result
     SimHarness::new(schedule, config)?.run()
 }
 
-/// The harness-side actuator: the shared [`ControlPlane`] actuates through
-/// this view, which adds the fault-schedule bookkeeping (restart-vs-rebuild
-/// choice, recovery-latency accounting, supervisor lifecycle) on top of the
-/// simulated cluster. The multi-shard harness wraps one per shard.
-pub(crate) struct HarnessActuator<'a> {
-    pub(crate) cluster: &'a mut MinBftCluster,
-    pub(crate) supervisors: &'a mut BTreeMap<NodeId, Supervisor>,
-    pub(crate) added_stack: &'a mut Vec<NodeId>,
-    pub(crate) recoveries: &'a mut u64,
-    pub(crate) recovery_delays: &'a mut Vec<u32>,
-    pub(crate) step: u32,
-}
-
-impl HarnessActuator<'_> {
-    pub(crate) fn recover_node(&mut self, node: NodeId) -> bool {
-        if !self.cluster.membership().contains(&node) {
-            return false;
-        }
-        // Fail-stop crashes restart with their state intact; everything
-        // else (compromise, Byzantine behaviour, BTR refresh) is the full
-        // rebuild + state transfer.
-        let crashed_only = self
-            .supervisors
-            .get(&node)
-            .map(|s| s.schedule_crashed && s.state == NodeState::Crashed)
-            .unwrap_or(false);
-        let recovered = if crashed_only {
-            self.cluster.restart_replica(node);
-            true
-        } else {
-            self.cluster.recover_replica(node)
-        };
-        if !recovered {
-            // Deferred: no state donor existed. The supervisor stays marked
-            // (compromised/crashed), so the next BTR tick or schedule event
-            // retries and the recovery-bound oracle keeps watching.
-            return false;
-        }
-        *self.recoveries += 1;
-        if let Some(supervisor) = self.supervisors.get_mut(&node) {
-            supervisor.state = NodeState::Healthy;
-            supervisor.schedule_crashed = false;
-            supervisor.ids_lambda = 0.0;
-            if let Some(at) = supervisor.compromised_at.take() {
-                self.recovery_delays.push(self.step.saturating_sub(at));
-            }
-        }
-        true
-    }
-}
-
-impl ClusterActuator for HarnessActuator<'_> {
-    fn replica_count(&self) -> usize {
-        self.cluster.num_replicas()
-    }
-
-    fn contains(&self, node: NodeId) -> bool {
-        self.cluster.membership().contains(&node)
-    }
-
-    fn recover(&mut self, node: NodeId) -> bool {
-        self.recover_node(node)
-    }
-
-    fn join(&mut self) -> Option<NodeId> {
-        let id = self.cluster.add_replica();
-        self.supervisors.insert(id, Supervisor::new());
-        self.added_stack.push(id);
-        Some(id)
-    }
-
-    fn evict(&mut self, node: NodeId) -> bool {
-        if !self.cluster.membership().contains(&node) {
-            return false;
-        }
-        self.cluster.evict_replica(node);
-        self.supervisors.remove(&node);
-        self.added_stack.retain(|&n| n != node);
-        true
-    }
-}
-
 struct SimHarness<'a> {
     schedule: &'a FaultSchedule,
     config: &'a ScheduleConfig,
     cluster: MinBftCluster,
-    supervisors: BTreeMap<NodeId, Supervisor>,
+    /// The group executor; `group.clients[0]` is the primary closed-loop
+    /// client, the rest the burst pool.
+    group: Group,
     controlplane: ControlPlane,
-    alert_model: ObservationModel,
-    /// Per-λ degraded alert models (see [`adversary::degraded_model_table`]).
-    degraded_models: Vec<(u64, ObservationModel)>,
-    rng: StdRng,
-    checker: InvariantChecker,
-    clients: Vec<NodeId>,
-    /// Step at which each client's currently outstanding request was
-    /// submitted (entries are pruned once the request completes) — the
-    /// bookkeeping of the liveness-after-GST oracle.
-    outstanding_since: BTreeMap<NodeId, u32>,
-    pending_bursts: u32,
-    added_stack: Vec<NodeId>,
-    issued: u64,
-    recoveries: u64,
-    recovery_delays: Vec<u32>,
-    trace: Vec<TraceRecord>,
+    ids: IdsChannel,
+    /// Whether `SIMNET_DEBUG` diagnostics print (read once, here).
+    debug: bool,
 }
 
 impl<'a> SimHarness<'a> {
     fn new(schedule: &'a FaultSchedule, config: &'a ScheduleConfig) -> Result<Self> {
-        let cluster = MinBftCluster::new(config.minbft_config(schedule.seed));
-        let alert_model = ObservationModel::paper_default();
-        let node_model = NodeModel::new(NodeParameters::default(), alert_model.clone())?;
+        let mut cluster = MinBftCluster::new(config.minbft_config(schedule.seed));
+        let (ids, node_model) = IdsChannel::new(schedule.seed)?;
         let controlplane = ControlPlane::with_model(
             ControlPlaneConfig {
                 recovery_threshold: config.recovery_threshold,
@@ -271,329 +89,81 @@ impl<'a> SimHarness<'a> {
             },
             node_model,
         )?;
-        let degraded_models = adversary::degraded_model_table(&alert_model)?;
-        let mut harness = SimHarness {
+        let clients = (0..4).map(|_| cluster.add_client()).collect();
+        Ok(SimHarness {
             schedule,
             config,
+            group: Group::new(config.initial_replicas, clients),
             cluster,
-            supervisors: BTreeMap::new(),
             controlplane,
-            alert_model,
-            degraded_models,
-            rng: StdRng::seed_from_u64(schedule.seed ^ 0x51e7_c0de_0bad_cafe),
-            checker: InvariantChecker::new(),
-            clients: Vec::new(),
-            outstanding_since: BTreeMap::new(),
-            pending_bursts: 0,
-            added_stack: Vec::new(),
-            issued: 0,
-            recoveries: 0,
-            recovery_delays: Vec::new(),
-            trace: Vec::new(),
-        };
-        for id in 0..config.initial_replicas as NodeId {
-            harness.supervisors.insert(id, Supervisor::new());
-        }
-        // One primary closed-loop client plus a small pool for bursts.
-        for _ in 0..4 {
-            let id = harness.cluster.add_client();
-            harness.clients.push(id);
-        }
-        Ok(harness)
+            ids,
+            debug: std::env::var_os("SIMNET_DEBUG").is_some(),
+        })
     }
 
-    fn submit(&mut self, client: NodeId, operation: Operation, step: u32) {
-        let request = self.cluster.submit(client, operation);
-        self.checker.record_submission(request.digest());
-        self.issued += 1;
-        // Clients submit at most one request at a time, so per-client
-        // tracking of the submission step is exact.
-        self.outstanding_since.insert(client, step);
-    }
-
-    fn recover_node(&mut self, node: NodeId, step: u32) {
-        let mut actuator = HarnessActuator {
-            cluster: &mut self.cluster,
-            supervisors: &mut self.supervisors,
-            added_stack: &mut self.added_stack,
-            recoveries: &mut self.recoveries,
-            recovery_delays: &mut self.recovery_delays,
-            step,
-        };
-        if actuator.recover_node(node) {
-            // Schedule-driven recoveries reset the node controller too
-            // (tick-driven ones are reset inside `ControlPlane::tick`; the
-            // reset is idempotent).
-            self.controlplane.controller(node).notify_recovered();
+    /// Hands the control-plane effects of the step's scheduled events to
+    /// the plane (tick-driven recoveries are reset inside the tick; the
+    /// reset is idempotent).
+    fn drain_plane_notes(&mut self) {
+        for note in self.group.plane_notes.drain(..) {
+            match note {
+                PlaneNote::Recovered(node) => {
+                    self.controlplane.controller(node).notify_recovered();
+                }
+                PlaneNote::Forget(node) => self.controlplane.forget(node),
+            }
         }
     }
 
-    fn apply_event(&mut self, event: &FaultEvent, step: u32) -> Result<()> {
-        match event {
-            FaultEvent::Partition { group_a, group_b } => {
-                self.cluster.partition_network(group_a, group_b);
-            }
-            FaultEvent::Heal => self.cluster.heal_network(),
-            FaultEvent::LossStorm { loss_rate } => {
-                // Storms perturb the *ambient* profile of the step (the
-                // asynchronous profile before GST), and RestoreNetwork
-                // restores it, so a storm never ends the pre-GST phase.
-                let mut network = self.config.ambient_network(step);
-                network.loss_rate = network.loss_rate.max(*loss_rate);
-                self.cluster.set_network_config(network.clamped());
-            }
-            FaultEvent::DelayStorm { latency, jitter } => {
-                let mut network = self.config.ambient_network(step);
-                network.latency = network.latency.max(*latency);
-                network.jitter = network.jitter.max(*jitter);
-                self.cluster.set_network_config(network.clamped());
-            }
-            FaultEvent::RestoreNetwork => {
-                self.cluster
-                    .set_network_config(self.config.ambient_network(step));
-            }
-            FaultEvent::CrashReplica { node } => {
-                if self.cluster.membership().contains(node) {
-                    self.cluster.crash_replica(*node);
-                    if let Some(supervisor) = self.supervisors.get_mut(node) {
-                        supervisor.schedule_crashed = true;
-                        supervisor.state = NodeState::Crashed;
-                    }
-                }
-            }
-            FaultEvent::RecoverReplica { node } => self.recover_node(*node, step),
-            FaultEvent::ByzantineFlip { node, mode } => {
-                if self.cluster.membership().contains(node) && !self.cluster.is_crashed(*node) {
-                    self.cluster.set_byzantine(*node, *mode);
-                    // A flipped replica perturbs the IDS observation stream
-                    // too (with a heavily degraded signature) — it is
-                    // misbehaving, not invisible.
-                    if let Some(supervisor) = self.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = adversary::BYZANTINE_FLIP_IDS_LAMBDA;
-                    }
-                }
-            }
-            FaultEvent::IntrusionBurst { node, mode } => {
-                if self.cluster.membership().contains(node) && !self.cluster.is_crashed(*node) {
-                    self.cluster.set_byzantine(*node, *mode);
-                    if let Some(supervisor) = self.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        // A full compromise has the loudest signature.
-                        supervisor.ids_lambda = 0.0;
-                    }
-                }
-            }
-            FaultEvent::AdoptAttacker { node, attacker } => {
-                if self.cluster.membership().contains(node) && !self.cluster.is_crashed(*node) {
-                    self.cluster.set_attacker(*node, Some(*attacker));
-                    if let Some(supervisor) = self.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = adversary::attacker_ids_lambda(*attacker);
-                    }
-                }
-            }
-            FaultEvent::AddReplica => {
-                if self.cluster.num_replicas() < self.config.max_replicas {
-                    let id = self.cluster.add_replica();
-                    self.supervisors.insert(id, Supervisor::new());
-                    self.added_stack.push(id);
-                }
-            }
-            FaultEvent::EvictReplica { node } => {
-                let target = node.or_else(|| self.added_stack.pop());
-                if let Some(target) = target {
-                    if self.cluster.membership().contains(&target)
-                        && self.cluster.num_replicas() > 3
-                    {
-                        self.cluster.evict_replica(target);
-                        self.supervisors.remove(&target);
-                        self.controlplane.forget(target);
-                    }
-                }
-            }
-            FaultEvent::ClientBurst { requests } => {
-                self.pending_bursts += requests;
-            }
-            FaultEvent::InjectDoubleCommit { node } => {
-                self.cluster.inject_double_commit(*node);
-            }
-        }
-        Ok(())
-    }
-
-    /// One control tick of both levels, delegated to the shared
-    /// [`ControlPlane`] — the *same* runtime the live threaded scenarios
-    /// drive. The harness contributes the deterministic IDS sampling (one
-    /// weighted-alert draw per reporting replica, in membership order) and
-    /// the ground-truth crash/compromise state; the plane contributes
-    /// belief tracking, the k-parallel-recovery constraint and the
-    /// Algorithm-2 replication decision, actuated through
-    /// [`HarnessActuator`].
+    /// One control tick of both levels: the group contributes the
+    /// deterministic IDS sampling and the ground-truth crash/compromise
+    /// state, the plane belief tracking, the k-parallel-recovery constraint
+    /// and the Algorithm-2 replication decision, actuated through
+    /// [`group::HarnessActuator`].
     fn control_tick(&mut self, step: u32) {
-        let membership: Vec<NodeId> = self.cluster.membership().to_vec();
-        let mut observations: Vec<(NodeId, NodeReport<'_>)> = Vec::with_capacity(membership.len());
-        for &id in &membership {
-            let report = match self.supervisors.get(&id) {
-                None => NodeReport::Silent,
-                Some(supervisor) if supervisor.schedule_crashed => NodeReport::Silent,
-                Some(supervisor) => {
-                    let sample_state = match supervisor.state {
-                        NodeState::Compromised => NodeState::Compromised,
-                        _ => NodeState::Healthy,
-                    };
-                    // Protocol-aware attackers sample from a degraded
-                    // compromise signature (the λ set by their event). The
-                    // model choice never changes how many RNG draws happen,
-                    // so schedules that never set a λ keep byte-identical
-                    // traces.
-                    let model = adversary::degraded_model(
-                        &self.degraded_models,
-                        &self.alert_model,
-                        supervisor.ids_lambda,
-                    );
-                    NodeReport::Sample(model.sample(sample_state, &mut self.rng))
-                }
-            };
-            observations.push((id, report));
-        }
-        let mut actuator = HarnessActuator {
-            cluster: &mut self.cluster,
-            supervisors: &mut self.supervisors,
-            added_stack: &mut self.added_stack,
-            recoveries: &mut self.recoveries,
-            recovery_delays: &mut self.recovery_delays,
-            step,
-        };
+        let observations = self.group.observations(&self.cluster, &mut self.ids);
+        let mut actuator = self.group.actuator(&mut self.cluster, step);
         self.controlplane
-            .tick(&observations, &mut actuator, &mut self.rng);
+            .tick(&observations, &mut actuator, &mut self.ids.rng);
     }
 
     fn drive_clients(&mut self, step: u32) {
-        let primary = self.clients[0];
+        let primary = self.group.clients[0];
         if !self.cluster.has_outstanding_request(primary) {
-            self.submit(primary, Operation::Write(u64::from(step) + 1), step);
+            let operation = Operation::Write(u64::from(step) + 1);
+            self.group
+                .submit(&mut self.cluster, primary, operation, step);
         }
-        let burst_pool: Vec<NodeId> = self.clients[1..].to_vec();
-        for client in burst_pool {
-            if self.pending_bursts == 0 {
+        for index in 1..self.group.clients.len() {
+            if self.group.pending_bursts == 0 {
                 break;
             }
+            let client = self.group.clients[index];
             if !self.cluster.has_outstanding_request(client) {
-                self.pending_bursts -= 1;
-                self.submit(
-                    client,
-                    Operation::Write(
-                        0x1000_0000 + u64::from(step) * 16 + u64::from(self.pending_bursts),
-                    ),
-                    step,
-                );
+                self.group.pending_bursts -= 1;
+                let value =
+                    0x1000_0000 + u64::from(step) * 16 + u64::from(self.group.pending_bursts);
+                self.group
+                    .submit(&mut self.cluster, client, Operation::Write(value), step);
             }
         }
     }
 
-    fn completed_total(&self) -> u64 {
-        self.clients
-            .iter()
-            .map(|&c| self.cluster.completed_requests(c))
-            .sum()
+    fn check_oracles(&mut self, step: u32) -> Option<Violation> {
+        let replicas = self.config.initial_replicas;
+        self.group
+            .check_safety(self.config, replicas, &self.cluster, step)
+            .or_else(|| {
+                self.group
+                    .check_gst_liveness(self.config, &self.cluster, step)
+            })
     }
 
-    fn check_invariants(&mut self, step: u32) -> Option<Violation> {
-        if let Some(violation) = self.checker.check_logs(&self.cluster, step) {
-            return Some(violation);
-        }
-        if let Some(violation) = self.checker.check_network(&self.cluster, step) {
-            return Some(violation);
-        }
-        // Recovery bound: Δ_R steps of BTR slack plus the queueing delay of
-        // the k-parallel-recovery constraint.
-        let bound = self.config.delta_r + self.config.initial_replicas as u32 + 1;
-        for (&id, supervisor) in &self.supervisors {
-            if let Some(at) = supervisor.compromised_at {
-                if step.saturating_sub(at) > bound {
-                    return Some(Violation {
-                        kind: InvariantKind::RecoveryBound,
-                        step,
-                        detail: format!(
-                            "replica {id} compromised at step {at} still unrecovered at step \
-                             {step} (bound {bound})"
-                        ),
-                    });
-                }
-            }
-        }
-        // Liveness after GST: under partial synchrony, every request
-        // submitted before the network stabilized must complete within the
-        // bounded post-GST window.
-        let cluster = &self.cluster;
-        self.outstanding_since
-            .retain(|&client, _| cluster.has_outstanding_request(client));
-        if let Some(gst) = self.config.gst {
-            if step >= gst && step - gst > self.config.post_gst_liveness_steps {
-                for (&client, &since) in &self.outstanding_since {
-                    if since < gst {
-                        return Some(Violation {
-                            kind: InvariantKind::LivenessAfterGst,
-                            step,
-                            detail: format!(
-                                "client {client}'s request from step {since} (before GST at \
-                                 step {gst}) still uncommitted {} steps after stabilization \
-                                 (bound {})",
-                                step - gst,
-                                self.config.post_gst_liveness_steps
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn push_trace(&mut self, step: u32) {
-        let faulty: Vec<NodeId> = self
-            .supervisors
-            .iter()
-            .filter(|(_, s)| s.schedule_crashed || s.state != NodeState::Healthy)
-            .map(|(&id, _)| id)
-            .collect();
-        self.trace.push(TraceRecord {
-            step,
-            time_bits: self.cluster.now().to_bits(),
-            membership: self.cluster.membership().to_vec(),
-            commits: self.cluster.commit_trace().len() as u64,
-            view_changes: self.cluster.view_changes(),
-            completed: self.completed_total(),
-            net_sent: self.cluster.network_stats().sent,
-            faulty,
-        });
-    }
-
-    /// Re-triggers state transfer for replicas whose transfer was lost to a
-    /// storm or partition and for replicas whose log lags behind (in-flight
-    /// quorums they missed cannot be replayed; recovery is how the
-    /// architecture catches such replicas up, cf. the BTR constraint).
-    fn catch_up_stragglers(&mut self) {
-        let members: Vec<NodeId> = self.cluster.membership().to_vec();
-        let longest = members
-            .iter()
-            .filter_map(|&id| self.cluster.executed_len(id))
-            .max()
-            .unwrap_or(0);
-        for id in members {
-            let lagging = self
-                .cluster
-                .executed_len(id)
-                .map(|len| len + 2 < longest)
-                .unwrap_or(false);
-            if self.cluster.needs_state(id) || lagging {
-                self.cluster.recover_replica(id);
-            }
-        }
+    /// Runs the cluster for one settle window and nudges stragglers.
+    fn settle_round(&mut self) {
+        let window = group::settle_window(self.config);
+        self.cluster.run_until(self.cluster.now() + window);
+        group::catch_up_stragglers(&mut self.cluster);
     }
 
     /// The settle phase: heal everything, recover every still-marked
@@ -601,63 +171,19 @@ impl<'a> SimHarness<'a> {
     /// complete and the logs must be consistent). This is the operational
     /// form of the eventual-service-liveness guarantee.
     fn settle(&mut self) -> Option<Violation> {
-        self.cluster.heal_network();
-        self.cluster.set_network_config(self.config.network);
-        let members: Vec<NodeId> = self.cluster.membership().to_vec();
-        for id in members {
-            let marked = self
-                .supervisors
-                .get(&id)
-                .map(|s| s.schedule_crashed || s.state != NodeState::Healthy)
-                .unwrap_or(false);
-            if marked
-                || self.cluster.byzantine_mode(id) != Some(ByzantineMode::Correct)
-                || self.cluster.is_crashed(id)
-            {
-                self.recover_node(id, self.config.horizon);
-            }
-        }
-        let settle_window = 5.0_f64.max(self.config.step_duration * 4.0);
+        self.group
+            .heal_and_recover_marked(self.config, &mut self.cluster);
         for round in 0..10 {
-            self.cluster.run_until(self.cluster.now() + settle_window);
-            self.catch_up_stragglers();
-            if std::env::var_os("SIMNET_DEBUG").is_some() {
-                for &id in &self.cluster.membership().to_vec() {
-                    eprintln!(
-                        "  settle round {round} replica {id}: view {:?} leader {:?} len {} \
-                         crashed {} needs_state {} byz {:?}",
-                        self.cluster.replica_view(id),
-                        self.cluster.leader_of(id),
-                        self.cluster.executed_len(id).unwrap_or(0),
-                        self.cluster.is_crashed(id),
-                        self.cluster.needs_state(id),
-                        self.cluster.byzantine_mode(id),
-                    );
-                }
-                for &id in &self.cluster.membership().to_vec() {
-                    eprintln!("    {}", self.cluster.debug_replica(id));
-                }
-                let outstanding: Vec<_> = self
-                    .clients
-                    .iter()
-                    .filter(|&&c| self.cluster.has_outstanding_request(c))
-                    .collect();
-                eprintln!("  settle round {round}: outstanding {outstanding:?}");
+            self.settle_round();
+            if self.debug {
+                let label = format!("settle round {round}");
+                self.group.debug_dump(&label, &self.cluster, None);
             }
-            let outstanding = self
-                .clients
-                .iter()
-                .any(|&c| self.cluster.has_outstanding_request(c));
-            if !outstanding && round > 0 {
+            if self.group.outstanding(&self.cluster).is_empty() && round > 0 {
                 break;
             }
         }
-        let outstanding: Vec<NodeId> = self
-            .clients
-            .iter()
-            .copied()
-            .filter(|&c| self.cluster.has_outstanding_request(c))
-            .collect();
+        let outstanding = self.group.outstanding(&self.cluster);
         if !outstanding.is_empty() {
             return Some(Violation {
                 kind: InvariantKind::Liveness,
@@ -669,11 +195,12 @@ impl<'a> SimHarness<'a> {
             });
         }
         // Probe: a fresh request must complete now that faults are ≤ f.
-        let primary = self.clients[0];
-        self.submit(primary, Operation::Write(0xdead_beef), self.config.horizon);
+        let primary = self.group.clients[0];
+        let probe = Operation::Write(0xdead_beef);
+        self.group
+            .submit(&mut self.cluster, primary, probe, self.config.horizon);
         for _ in 0..10 {
-            self.cluster.run_until(self.cluster.now() + settle_window);
-            self.catch_up_stragglers();
+            self.settle_round();
             if !self.cluster.has_outstanding_request(primary) {
                 break;
             }
@@ -685,7 +212,7 @@ impl<'a> SimHarness<'a> {
                 detail: "the settle-phase probe request never completed".into(),
             });
         }
-        if let Some(violation) = self.check_invariants(self.config.horizon) {
+        if let Some(violation) = self.check_oracles(self.config.horizon) {
             return Some(violation);
         }
         if !self.cluster.logs_are_consistent() {
@@ -700,7 +227,6 @@ impl<'a> SimHarness<'a> {
 
     fn run(mut self) -> Result<RunReport> {
         let mut violation: Option<Violation> = None;
-        let mut events = self.schedule.events.iter().peekable();
         let mut steps_run: u64 = 0;
         // A GST schedule starts in the asynchronous phase.
         self.cluster
@@ -708,85 +234,41 @@ impl<'a> SimHarness<'a> {
         for step in 0..self.config.horizon {
             steps_run = u64::from(step) + 1;
             if self.config.gst == Some(step) {
-                // Global stabilization: partitions heal and the bounded
-                // delay profile holds from here on (the generator draws no
-                // network faults past this step).
-                self.cluster.heal_network();
-                self.cluster.set_network_config(self.config.network);
+                // Global stabilization (the generator draws no network
+                // faults past this step).
+                group::restore_network(self.config, &mut self.cluster);
             }
-            while let Some(fault) = events.peek() {
-                if fault.step > step {
-                    break;
-                }
-                let fault = events.next().expect("peeked");
-                self.apply_event(&fault.event, step)?;
-            }
+            self.group.apply_due_events(
+                self.config,
+                &self.schedule.events,
+                &mut self.cluster,
+                step,
+            );
+            self.drain_plane_notes();
             self.control_tick(step);
             self.drive_clients(step);
             self.cluster
                 .run_until(f64::from(step + 1) * self.config.step_duration);
-            violation = self.check_invariants(step);
-            if std::env::var_os("SIMNET_DEBUG").is_some() {
-                let members: Vec<NodeId> = self.cluster.membership().to_vec();
-                for &id in &members {
-                    let log = self.cluster.executed_log(id).unwrap_or(&[]);
-                    let tail: Vec<u64> = log.iter().rev().take(3).map(|d| d.0 % 1000).collect();
-                    eprintln!(
-                        "  step {step} replica {id}: len {} tail {:?} crashed {} needs_state {}",
-                        self.cluster.executed_len(id).unwrap_or(0),
-                        tail,
-                        self.cluster.is_crashed(id),
-                        self.cluster.needs_state(id),
-                    );
-                }
-                if violation.is_some() {
-                    for r in self.cluster.commit_trace() {
-                        eprintln!(
-                            "  commit: replica {} view {} seq {} digest {}",
-                            r.replica,
-                            r.view,
-                            r.sequence,
-                            r.digest.0 % 100000
-                        );
-                    }
-                }
+            violation = self.check_oracles(step);
+            if self.debug {
+                let label = format!("step {step}");
+                self.group
+                    .debug_dump(&label, &self.cluster, violation.as_ref());
             }
-            self.push_trace(step);
+            let record = self.group.trace_record(&self.cluster, step);
+            self.group.trace.push(record);
             if violation.is_some() {
                 break;
             }
         }
         if violation.is_none() {
             violation = self.settle();
-            self.push_trace(self.config.horizon);
+            let record = self.group.trace_record(&self.cluster, self.config.horizon);
+            self.group.trace.push(record);
         }
-        let completed = self.completed_total();
-        let mean_recovery_steps = if self.recovery_delays.is_empty() {
-            0.0
-        } else {
-            self.recovery_delays
-                .iter()
-                .map(|&d| f64::from(d))
-                .sum::<f64>()
-                / self.recovery_delays.len() as f64
-        };
         Ok(RunReport {
-            outcome: SimnetOutcome {
-                // The steps actually executed (a violation stops the run
-                // early, and the recovery-frequency metric divides by this).
-                steps: steps_run,
-                issued: self.issued,
-                completed,
-                recoveries: self.recoveries,
-                mean_recovery_steps,
-                committed_sequences: InvariantChecker::committed_sequences(&self.cluster),
-                availability: if self.issued == 0 {
-                    1.0
-                } else {
-                    completed as f64 / self.issued as f64
-                },
-            },
-            trace: self.trace,
+            outcome: group::outcome(steps_run, &[(&self.cluster, &self.group)]),
+            trace: self.group.trace,
             violation,
         })
     }

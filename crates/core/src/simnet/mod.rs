@@ -11,34 +11,40 @@
 //!
 //! 1. [`schedule`] — [`FaultSchedule::generate`] draws a schedule from a
 //!    seed and a [`ScheduleConfig`] (same seed → same schedule).
-//! 2. [`executor`] — [`run_schedule`] executes it against a freshly built
-//!    stack and records a byte-exact [`TraceRecord`] stream (same seed →
-//!    byte-identical trace, regardless of surrounding parallelism).
-//! 3. [`oracle`] — agreement, validity, recovery-bound, network-accounting
-//!    and (in the settle phase) liveness checks.
-//! 4. [`shrink`] — on violation, greedy drop-one-event minimization emits a
-//!    replayable [`Counterexample`] (seed + schedule JSON).
-//! 5. [`scenario`] — [`register_simnet_scenarios`] plugs the harness into
+//! 2. [`group`] — the **group executor**: everything one MinBFT group does
+//!    under its schedule (fault application, supervisor bookkeeping, IDS
+//!    sampling, the per-group [`oracle`] checks, byte-exact
+//!    [`TraceRecord`]s, settle-phase recoveries, outcome aggregation).
+//! 3. Two **drivers** over it, differing only in the client workload, the
+//!    control plane ticked and the fleet-only layers:
+//!    * [`executor`] — [`run_schedule`]: one group, the primary `Write`
+//!      client plus burst pool, the one-shard
+//!      [`ControlPlane`](crate::controlplane::ControlPlane);
+//!    * [`sharded`] — [`run_sharded_schedule`]: S groups behind a key
+//!      router from split RNG streams of one seed, routed `Put` pools or
+//!      the open-loop trace [`workload`], the fleet control plane with its
+//!      global recovery budget, cross-shard MultiPut chaos, data-plane
+//!      autotune, and the routing and atomicity oracles. Shards free-run
+//!      between deterministic fleet barriers on the worker pool; the
+//!      report is byte-identical for every worker count.
+//! 4. [`oracle`] — agreement, validity, recovery-bound, network-accounting
+//!    and (in the settle phase) liveness checks; routing for fleets.
+//! 5. [`shrink`] — on violation, one greedy drop-one-event search
+//!    minimizes either kind of schedule and emits a replayable
+//!    [`Counterexample`] / [`ShardedCounterexample`] (seed + schedule
+//!    JSON).
+//! 6. [`scenario`] — [`register_simnet_scenarios`] plugs the harness into
 //!    the PR-1 [`ScenarioRegistry`](crate::runtime::ScenarioRegistry), so
-//!    experiment sweeps treat fault intensity like any other grid axis.
-//! 6. [`sharded`] — the fleet-scale simulation engine: per-shard chaos
-//!    from split RNG streams of one seed, each shard an event-driven
-//!    sub-executor free-running between deterministic fleet barriers on
-//!    the persistent worker pool, the fleet control plane with its global
-//!    recovery budget, cross-shard MultiPut chaos, and the routing and
-//!    atomicity oracles on top of the per-shard suite (`sharded/*` and
-//!    `fleet/scale-*` scenarios, [`ShardedCounterexample`] shrinking).
-//!    Traces are byte-identical across engines and worker counts.
+//!    experiment sweeps treat fault intensity like any other grid axis
+//!    (`simnet/*`, `sharded/*` and `fleet/scale-*` scenarios).
 //! 7. [`adversary`] — the adversary zoo: protocol-aware attacker replicas
 //!    ([`FaultEvent::AdoptAttacker`]) crossed with network conditions
 //!    including partial synchrony (GST schedules with the
 //!    liveness-after-GST oracle), registered as the `adversary/*` matrix.
-//! 8. [`workload`] — seeded open-loop trace workloads (diurnal arrival
-//!    rate, Zipf key popularity, bounded backlog — no trace files) for
-//!    the fleet engine's client drivers.
 
 pub mod adversary;
 pub mod executor;
+pub mod group;
 pub mod oracle;
 pub mod scenario;
 pub mod schedule;
@@ -50,7 +56,8 @@ pub use adversary::{
     adversary_config, adversary_matrix, adversary_sharded_config, attacker_ids_lambda,
     register_adversary_scenarios, NetworkCondition, BYZANTINE_FLIP_IDS_LAMBDA,
 };
-pub use executor::{run_schedule, RunReport, SimnetOutcome, TraceRecord};
+pub use executor::{run_schedule, RunReport};
+pub use group::{SimnetOutcome, TraceRecord};
 pub use oracle::{InvariantChecker, InvariantKind, RoutingChecker, Violation};
 pub use scenario::{register_simnet_scenarios, SimnetScenario};
 pub use schedule::{
@@ -59,10 +66,9 @@ pub use schedule::{
 pub use sharded::{
     find_sharded_counterexample, fleet_scale_config, load_swing_config,
     register_fleet_scale_scenarios, register_sharded_scenarios, run_sharded_schedule,
-    run_sharded_schedule_with, sharded_chaos_4_config, sharded_fleet_controlled_config,
-    sharded_multiput_config, shrink_sharded_schedule, AutotuneTickRecord, FleetEngine,
-    ShardedCounterexample, ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
-    ShardedSimnetScenario,
+    run_sharded_schedule_on, sharded_chaos_4_config, sharded_fleet_controlled_config,
+    sharded_multiput_config, shrink_sharded_schedule, AutotuneTickRecord, ShardedCounterexample,
+    ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig, ShardedSimnetScenario,
 };
 pub use shrink::{find_counterexample, shrink_schedule, Counterexample};
 pub use workload::{TraceWorkload, TraceWorkloadConfig};

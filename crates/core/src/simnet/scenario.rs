@@ -66,31 +66,23 @@ fn chaos_config(intensity: f64) -> ScheduleConfig {
 /// * `simnet/chaos-heavy` — dense faults (≈4 events per 5 steps),
 /// * `simnet/partition-churn` — partitions and membership churn only.
 pub fn register_simnet_scenarios(registry: &mut ScenarioRegistry) {
-    registry.register("simnet/chaos-light", || {
-        Ok(Box::new(SimnetScenario::new(
-            "simnet/chaos-light",
-            chaos_config(0.2),
-        )))
-    });
-    registry.register("simnet/chaos-heavy", || {
-        Ok(Box::new(SimnetScenario::new(
-            "simnet/chaos-heavy",
-            chaos_config(0.8),
-        )))
-    });
-    registry.register("simnet/partition-churn", || {
-        Ok(Box::new(SimnetScenario::new(
-            "simnet/partition-churn",
-            ScheduleConfig {
-                intensity: 0.6,
-                enabled: vec![
-                    FaultKind::Partition,
-                    FaultKind::AddReplica,
-                    FaultKind::EvictReplica,
-                    FaultKind::ClientBurst,
-                ],
-                ..ScheduleConfig::default()
-            },
-        )))
-    });
+    let partition_churn = ScheduleConfig {
+        intensity: 0.6,
+        enabled: vec![
+            FaultKind::Partition,
+            FaultKind::AddReplica,
+            FaultKind::EvictReplica,
+            FaultKind::ClientBurst,
+        ],
+        ..ScheduleConfig::default()
+    };
+    for (name, config) in [
+        ("simnet/chaos-light", chaos_config(0.2)),
+        ("simnet/chaos-heavy", chaos_config(0.8)),
+        ("simnet/partition-churn", partition_churn),
+    ] {
+        registry.register(name, move || {
+            Ok(Box::new(SimnetScenario::new(name, config.clone())))
+        });
+    }
 }

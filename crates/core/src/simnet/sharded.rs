@@ -1,5 +1,5 @@
-//! The fleet-scale simulation engine: deterministic chaos over many MinBFT
-//! groups behind a key router, scheduled event-driven per shard.
+//! The fleet harness: deterministic chaos over many MinBFT groups behind a
+//! key router, scheduled event-driven per shard.
 //!
 //! One fleet run wires together:
 //!
@@ -24,12 +24,15 @@
 //!   network accounting, settle-phase liveness) **plus** the fleet-level
 //!   [`RoutingChecker`] and an **atomicity** check over every MultiPut.
 //!
-//! # The event-driven scheduler
+//! # One group executor, scheduled per shard
 //!
-//! Each shard is an independent **sub-executor**: its own cluster, RNG
-//! stream, fault-schedule cursor, oracle state and trace buffer. Shards
-//! free-run on the persistent [`WorkerPool`] and synchronize only at
-//! deterministic **barrier points**:
+//! What a single group does under its schedule is the shared group
+//! executor ([`crate::simnet::group`]), the same code the single-group
+//! harness runs. This module adds the fleet-only layers (routing,
+//! MultiPut, the fleet control plane, autotune) and the schedule: each
+//! shard is an independent **sub-executor** (own cluster, `Group`,
+//! client driver and trace buffer) that free-runs on the persistent
+//! [`WorkerPool`] and synchronizes only at deterministic **barriers**:
 //!
 //! ```text
 //!   barrier step b (every `fleet_tick_interval` steps)
@@ -48,46 +51,37 @@
 //! **Determinism contract.** Every phase either runs serially in shard
 //! index order or touches exclusively per-shard state, and buffered
 //! cross-shard effects are drained shard-major at the next barrier — so
-//! which worker ran which shard is invisible. The trace is byte-identical
-//! across 1/2/4/8 workers, and with `fleet_tick_interval = 1` (the
-//! default) the barrier cadence reproduces the original lockstep executor
-//! *exactly*: same RNG draws, same submission order, same violation and
-//! step, byte-identical trace. [`FleetEngine::Lockstep`] is literally the
-//! engine pinned to one worker — one implementation, two schedules.
+//! which worker ran which shard is invisible. There is one code path: the
+//! worker count ([`run_sharded_schedule_on`]) only decides how many shards
+//! advance concurrently inside a parallel phase (one worker runs them
+//! inline), and the whole report is identical for every count. The trace
+//! depends on `fleet_tick_interval` (configuration), never on the workers.
 //!
 //! On violation, [`find_sharded_counterexample`] shrinks the fleet's
-//! schedules by greedy drop-one-event search across all shards and
-//! packages a replayable [`ShardedCounterexample`] (seed + per-shard
-//! schedules + config as JSON). Same seed → byte-identical trace,
-//! regardless of surrounding parallelism.
+//! schedules with the shared greedy drop-one-event search and packages a
+//! replayable [`ShardedCounterexample`] (seed + per-shard schedules +
+//! config as JSON).
 
 use crate::controlplane::autotune::{
     Admission, AutotuneConfig, AutotuneController, AutotuneDecision, AutotuneObservation,
 };
 use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
-use crate::controlplane::{ClusterActuator, NodeReport};
 use crate::error::{CoreError, Result};
 use crate::metrics::MetricReport;
-use crate::node_model::{NodeModel, NodeParameters, NodeState};
-use crate::observation::ObservationModel;
 use crate::runtime::{AsMetricReport, MetricScenario, Scenario, ScenarioRegistry, WorkerPool};
-use crate::simnet::adversary;
-use crate::simnet::executor::{HarnessActuator, SimnetOutcome, Supervisor, TraceRecord};
-use crate::simnet::oracle::{InvariantChecker, InvariantKind, RoutingChecker, Violation};
-use crate::simnet::schedule::{FaultEvent, FaultSchedule, ScheduleConfig, ScheduledFault};
-use crate::simnet::shrink::decode;
+use crate::simnet::group::{self, Group, IdsChannel, PlaneNote, SimnetOutcome, TraceRecord};
+use crate::simnet::oracle::{InvariantKind, RoutingChecker, Violation};
+use crate::simnet::schedule::{FaultSchedule, ScheduleConfig, ScheduledFault};
+use crate::simnet::shrink::{self, decode};
 use crate::simnet::workload::{TraceWorkload, TraceWorkloadConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
 use tolerance_consensus::crypto::Digest;
 use tolerance_consensus::metrics::LatencyHistogram;
 use tolerance_consensus::minbft::{MinBftCluster, Operation};
 use tolerance_consensus::sharded::{
     shard_seed, KeyPartitioner, ShardedSimConfig, ShardedSimService,
 };
-use tolerance_consensus::{ByzantineMode, NodeId};
+use tolerance_consensus::NodeId;
 
 /// Configuration of a multi-shard run: the per-shard chaos/cluster knobs
 /// plus the fleet-level routing and MultiPut workload.
@@ -109,10 +103,10 @@ pub struct ShardedScheduleConfig {
     pub multi_put_keys: usize,
     /// Steps between fleet barriers: the fleet controller ticks and the
     /// cross-shard MultiPut rounds advance only at barrier steps, and
-    /// shards free-run in between. `1` (the default) is the original
-    /// lockstep cadence; larger windows trade control-plane reaction time
-    /// for per-shard parallelism. Part of the *configuration* — the trace
-    /// depends on it, never on the engine or worker count.
+    /// shards free-run in between. `1` (the default) ticks the fleet every
+    /// step; larger windows trade control-plane reaction time for
+    /// per-shard parallelism. Part of the *configuration* — the trace
+    /// depends on it, never on the worker count.
     pub fleet_tick_interval: u32,
     /// Open-loop trace workload; `None` keeps the closed-loop driver (one
     /// keyed request per shard per step plus burst backlog).
@@ -163,41 +157,6 @@ impl ShardedScheduleConfig {
     }
 }
 
-/// How [`run_sharded_schedule_with`] schedules the fleet's shards. The
-/// engine choice changes wall-clock time only — the trace is identical for
-/// every variant (the determinism suite in `tests/fleet.rs` pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetEngine {
-    /// Every shard stepped serially on the calling thread (the original
-    /// executor; equivalent to `EventDriven` with one worker).
-    Lockstep,
-    /// Shards free-run between barriers on the persistent [`WorkerPool`]
-    /// (`None` = one worker per available CPU).
-    EventDriven {
-        /// Scheduler worker count; `None` picks the available parallelism.
-        workers: Option<usize>,
-    },
-}
-
-impl Default for FleetEngine {
-    fn default() -> Self {
-        FleetEngine::EventDriven { workers: None }
-    }
-}
-
-impl FleetEngine {
-    /// The number of concurrent shard sub-executors this engine uses.
-    pub fn workers(self) -> usize {
-        match self {
-            FleetEngine::Lockstep => 1,
-            FleetEngine::EventDriven { workers: Some(n) } => n.max(1),
-            FleetEngine::EventDriven { workers: None } => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
 /// The fleet's chaos input: one per-shard schedule drawn from each shard's
 /// split stream of the fleet seed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -243,14 +202,14 @@ pub struct ShardedRunReport {
     /// Fleet-wide aggregate outcome.
     pub outcome: SimnetOutcome,
     /// Per-shard event traces (`trace[shard][step]`), byte-identical for
-    /// identical `(seed, config)` pairs — regardless of engine or workers.
+    /// identical `(seed, config)` pairs — regardless of the worker count.
     pub trace: Vec<Vec<TraceRecord>>,
     /// MultiPut transactions launched / fully committed.
     pub multi_puts: (u64, u64),
     /// Per-shard autotune decision traces (`autotune[shard][tick]`); empty
     /// vectors when [`ShardedScheduleConfig::autotune`] is off. Part of the
     /// report's equality, so the determinism suite pins AIMD decisions
-    /// across engines and worker counts.
+    /// across worker counts.
     pub autotune: Vec<Vec<AutotuneTickRecord>>,
     /// The first invariant violation, if any (the run stops there).
     pub violation: Option<Violation>,
@@ -263,7 +222,7 @@ impl AsMetricReport for ShardedRunReport {
 }
 
 /// Executes `schedule` against a freshly built fleet configured by
-/// `config`, on the default engine (event-driven, one worker per CPU).
+/// `config`, with one scheduler worker per available CPU.
 ///
 /// # Errors
 ///
@@ -274,21 +233,23 @@ pub fn run_sharded_schedule(
     schedule: &ShardedFaultSchedule,
     config: &ShardedScheduleConfig,
 ) -> Result<ShardedRunReport> {
-    run_sharded_schedule_with(schedule, config, FleetEngine::default())
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    run_sharded_schedule_on(schedule, config, workers)
 }
 
-/// Executes `schedule` on an explicit [`FleetEngine`]. Every engine
-/// produces the identical report — choose by wall-clock needs only.
+/// Executes `schedule` with at most `workers` shards advancing
+/// concurrently. Every worker count produces the identical report —
+/// choose by wall-clock needs only (the determinism suite forces the grid).
 ///
 /// # Errors
 ///
 /// Propagates model-construction and LP failures.
-pub fn run_sharded_schedule_with(
+pub fn run_sharded_schedule_on(
     schedule: &ShardedFaultSchedule,
     config: &ShardedScheduleConfig,
-    engine: FleetEngine,
+    workers: usize,
 ) -> Result<ShardedRunReport> {
-    ShardedHarness::new(schedule, config)?.run(engine.workers())
+    ShardedHarness::new(schedule, config, workers.max(1))?.run()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -334,53 +295,25 @@ struct MultiPutTx {
     ops: Vec<(Operation, usize, NodeId, OpState)>,
 }
 
-/// A control-plane side effect raised inside a parallel per-shard phase,
-/// buffered and drained shard-major at the next barrier (the
-/// [`FleetControlPlane`] must only ever be touched serially).
-enum PlaneNote {
-    /// A replica recovered on schedule; its controller resets.
-    Recovered(NodeId),
-    /// A replica was evicted; its controller is dropped.
-    Forget(NodeId),
-}
-
-/// One shard's sub-executor state: everything a shard mutates while
-/// free-running between barriers lives here (or in its
-/// [`MinBftCluster`]) — nothing else, which is what makes the parallel
-/// phases deterministic.
+/// One shard's sub-executor state: the shared group executor plus the
+/// fleet-only driver state. Everything a shard mutates while free-running
+/// between barriers lives here (or in its [`MinBftCluster`]) — nothing
+/// else, which is what makes the parallel phases deterministic.
 struct ShardState {
-    supervisors: BTreeMap<NodeId, Supervisor>,
-    checker: InvariantChecker,
-    added_stack: Vec<NodeId>,
-    recoveries: u64,
-    recovery_delays: Vec<u32>,
-    pending_bursts: u32,
+    /// The group executor; `group.clients` is the general pool plus every
+    /// transaction client created on this shard.
+    group: Group,
     owned_keys: Vec<u32>,
     /// The shard's general routed client pool (fixed at construction; the
     /// free-client scan runs over it in pool order).
     pool: Vec<NodeId>,
-    /// Every client whose completions this shard contributes (general pool
-    /// plus transaction clients created on it).
-    clients: Vec<NodeId>,
-    /// Step at which each client's currently outstanding request was
-    /// submitted (pruned on completion) — the per-shard bookkeeping of the
-    /// liveness-after-GST oracle.
-    outstanding_since: BTreeMap<NodeId, u32>,
-    /// Cursor into the shard's fault schedule (events are step-sorted).
-    cursor: usize,
     /// Routed submissions made inside a parallel phase; merged into the
     /// fleet [`RoutingChecker`] shard-major at the next barrier.
     routing_pending: Vec<Digest>,
-    /// Control-plane effects raised inside a parallel phase.
-    plane_notes: Vec<PlaneNote>,
     /// The earliest local oracle violation of the current free-run window:
-    /// `(step, kind-rank, violation)` with rank 0 = pre-barrier oracles
-    /// (logs / network / recovery bound) and rank 1 = GST liveness.
+    /// `(step, kind-rank, violation)` with rank 0 = safety oracles (logs /
+    /// network / recovery bound) and rank 1 = GST liveness.
     window_violation: Option<(u32, u8, Violation)>,
-    /// Requests this shard issued from parallel phases.
-    issued: u64,
-    /// The shard's slice of the fleet trace.
-    trace: Vec<TraceRecord>,
     /// The seeded open-loop workload generator, when configured.
     workload: Option<TraceWorkload>,
     /// The shard's data-plane autotune controller, when configured.
@@ -402,38 +335,32 @@ struct ShardedHarness<'a> {
     service: ShardedSimService,
     states: Vec<ShardState>,
     plane: FleetControlPlane,
-    alert_model: ObservationModel,
-    /// Per-λ degraded alert models (see [`adversary::degraded_model_table`]).
-    degraded_models: Vec<(u64, ObservationModel)>,
-    rng: StdRng,
+    ids: IdsChannel,
     routing: RoutingChecker,
     transactions: Vec<MultiPutTx>,
     next_tx: u64,
-    /// Requests issued from serial (barrier/settle) phases; the fleet
-    /// total adds every shard's own counter.
-    issued: u64,
-    /// The step currently executing (the horizon during the settle phase);
-    /// serial submission helpers stamp `outstanding_since` with it.
-    current_step: u32,
+    /// How many shards advance concurrently inside a parallel phase.
+    workers: usize,
+    /// Whether `SIMNET_DEBUG` diagnostics print (read once, here).
+    debug: bool,
 }
 
 impl<'a> ShardedHarness<'a> {
-    fn new(schedule: &'a ShardedFaultSchedule, config: &'a ShardedScheduleConfig) -> Result<Self> {
+    fn new(
+        schedule: &'a ShardedFaultSchedule,
+        config: &'a ShardedScheduleConfig,
+        workers: usize,
+    ) -> Result<Self> {
         let service = ShardedSimService::new(&ShardedSimConfig {
             shards: config.shards.max(1),
             cluster: config.base.minbft_config(schedule.seed),
             clients_per_shard: 4,
         });
-        let alert_model = ObservationModel::paper_default();
-        let node_model = NodeModel::new(NodeParameters::default(), alert_model.clone())?;
+        let (ids, node_model) = IdsChannel::new(schedule.seed)?;
         let plane = FleetControlPlane::with_model(config.fleet_config(), node_model)?;
         let partitioner = *service.partitioner();
         let states: Vec<ShardState> = (0..service.num_shards())
             .map(|shard| {
-                let mut supervisors = BTreeMap::new();
-                for id in 0..config.base.initial_replicas as NodeId {
-                    supervisors.insert(id, Supervisor::new());
-                }
                 let owned_keys = partitioner.owned_keys(shard, config.key_space.max(1));
                 let workload = config.workload.as_ref().map(|workload_config| {
                     TraceWorkload::new(
@@ -442,23 +369,13 @@ impl<'a> ShardedHarness<'a> {
                         workload_config,
                     )
                 });
+                let pool = service.pool_clients(shard).to_vec();
                 ShardState {
-                    supervisors,
-                    checker: InvariantChecker::new(),
-                    added_stack: Vec::new(),
-                    recoveries: 0,
-                    recovery_delays: Vec::new(),
-                    pending_bursts: 0,
+                    group: Group::new(config.base.initial_replicas, pool.clone()),
                     owned_keys,
-                    pool: service.pool_clients(shard).to_vec(),
-                    clients: service.pool_clients(shard).to_vec(),
-                    outstanding_since: BTreeMap::new(),
-                    cursor: 0,
+                    pool,
                     routing_pending: Vec::new(),
-                    plane_notes: Vec::new(),
                     window_violation: None,
-                    issued: 0,
-                    trace: Vec::new(),
                     workload,
                     tuner: config.autotune.as_ref().map(AutotuneController::new),
                     admission: Admission::Accept,
@@ -468,251 +385,64 @@ impl<'a> ShardedHarness<'a> {
                 }
             })
             .collect();
-        let degraded_models = adversary::degraded_model_table(&alert_model)?;
         Ok(ShardedHarness {
             schedule,
             config,
             service,
             states,
             plane,
-            alert_model,
-            degraded_models,
-            rng: StdRng::seed_from_u64(schedule.seed ^ 0x51e7_c0de_0bad_cafe),
+            ids,
             routing: RoutingChecker::new(),
             transactions: Vec::new(),
             next_tx: 1,
-            issued: 0,
-            current_step: 0,
+            workers,
+            debug: std::env::var_os("SIMNET_DEBUG").is_some(),
         })
     }
 
     /// Runs `f(shard, cluster, state)` for every shard — inline in shard
-    /// index order when `workers <= 1` (the lockstep schedule), otherwise
-    /// across the persistent [`WorkerPool`]. Every parallel phase of the
-    /// engine and of the settle drain goes through here, so the lockstep
-    /// and event-driven paths are one implementation.
-    fn for_each_shard<F>(
-        service: &mut ShardedSimService,
-        states: &mut [ShardState],
-        workers: usize,
-        f: F,
-    ) where
+    /// index order with one worker, otherwise across the persistent
+    /// [`WorkerPool`]. Every parallel phase of the run and of the settle
+    /// drain goes through here.
+    fn for_each_shard<F>(&mut self, f: F)
+    where
         F: Fn(usize, &mut MinBftCluster, &mut ShardState) + Sync,
     {
-        let mut shards: Vec<(&mut MinBftCluster, &mut ShardState)> = service
+        let mut shards: Vec<(&mut MinBftCluster, &mut ShardState)> = self
+            .service
             .shards_mut()
             .iter_mut()
-            .zip(states.iter_mut())
+            .zip(self.states.iter_mut())
             .collect();
-        if workers <= 1 || shards.len() <= 1 {
+        if self.workers <= 1 || shards.len() <= 1 {
             for (shard, pair) in shards.iter_mut().enumerate() {
                 f(shard, pair.0, pair.1);
             }
         } else {
-            WorkerPool::global().for_each_mut(&mut shards, workers, |shard, pair| {
+            WorkerPool::global().for_each_mut(&mut shards, self.workers, |shard, pair| {
                 f(shard, pair.0, pair.1);
             });
         }
     }
 
-    /// Records a routed submission in the owning shard's validity oracle
-    /// and the fleet routing oracle (serial phases only).
-    fn record(&mut self, shard: usize, digest: Digest) {
-        self.states[shard].checker.record_submission(digest);
-        self.routing.record_submission(digest, shard);
-        self.issued += 1;
-    }
-
-    /// Submits an operation on a freshly created dedicated client of the
-    /// owning shard and returns `(shard, client)` (serial phases only).
-    fn submit_dedicated(&mut self, operation: Operation) -> (usize, NodeId) {
+    /// Submits an operation at `step` on a freshly created dedicated client
+    /// of the owning shard and returns `(shard, client)` (serial phases
+    /// only).
+    fn submit_dedicated(&mut self, operation: Operation, step: u32) -> (usize, NodeId) {
         let key = operation.key().expect("transaction operations are keyed");
         let shard = self.service.owner(key);
         let client = self.service.add_client(shard);
-        self.states[shard].clients.push(client);
-        let request = self.service.submit_on(shard, client, operation);
-        if std::env::var_os("SIMNET_DEBUG").is_some() {
-            eprintln!(
-                "  submit(tx) shard {shard} client {client} id {} op {:?} digest {}",
-                request.id,
-                request.operation,
-                request.digest().0 % 100_000
-            );
-        }
-        self.record(shard, request.digest());
-        self.states[shard]
-            .outstanding_since
-            .insert(client, self.current_step);
+        let group = &mut self.states[shard].group;
+        group.clients.push(client);
+        let digest = group.submit(self.service.shard_mut(shard), client, operation, step);
+        self.routing.record_submission(digest, shard);
         (shard, client)
     }
 
-    /// Recovery of one shard's node through the shared actuator; returns
-    /// whether the node actually recovered. Safe in parallel phases — the
-    /// caller is responsible for the control-plane notification (directly
-    /// when serial, via a [`PlaneNote`] otherwise).
-    fn recover_node_local(
-        cluster: &mut MinBftCluster,
-        state: &mut ShardState,
-        node: NodeId,
-        step: u32,
-    ) -> bool {
-        let mut actuator = HarnessActuator {
-            cluster,
-            supervisors: &mut state.supervisors,
-            added_stack: &mut state.added_stack,
-            recoveries: &mut state.recoveries,
-            recovery_delays: &mut state.recovery_delays,
-            step,
-        };
-        actuator.recover_node(node)
-    }
-
-    /// Serial-phase recovery: actuate and notify the control plane.
-    fn recover_shard_node(&mut self, shard: usize, node: NodeId, step: u32) {
-        let state = &mut self.states[shard];
-        let cluster = &mut self.service.shards_mut()[shard];
-        if Self::recover_node_local(cluster, state, node, step) {
-            self.plane.controller(shard, node).notify_recovered();
-        }
-    }
-
-    /// Applies one scheduled fault to one shard's sub-executor.
-    /// Control-plane effects are buffered as [`PlaneNote`]s.
-    fn apply_shard_event(
-        config: &ShardedScheduleConfig,
-        cluster: &mut MinBftCluster,
-        state: &mut ShardState,
-        event: &FaultEvent,
-        step: u32,
-    ) {
-        // Storms perturb the *ambient* profile of the step (the asynchronous
-        // profile before GST) and RestoreNetwork restores it, mirroring the
-        // single-group executor.
-        let ambient_network = config.base.ambient_network(step);
-        let max_replicas = config.base.max_replicas;
-        match event {
-            FaultEvent::Partition { group_a, group_b } => {
-                cluster.partition_network(group_a, group_b);
-            }
-            FaultEvent::Heal => cluster.heal_network(),
-            FaultEvent::LossStorm { loss_rate } => {
-                let mut network = ambient_network;
-                network.loss_rate = network.loss_rate.max(*loss_rate);
-                cluster.set_network_config(network.clamped());
-            }
-            FaultEvent::DelayStorm { latency, jitter } => {
-                let mut network = ambient_network;
-                network.latency = network.latency.max(*latency);
-                network.jitter = network.jitter.max(*jitter);
-                cluster.set_network_config(network.clamped());
-            }
-            FaultEvent::RestoreNetwork => {
-                cluster.set_network_config(ambient_network);
-            }
-            FaultEvent::CrashReplica { node } => {
-                if cluster.membership().contains(node) {
-                    cluster.crash_replica(*node);
-                    if let Some(supervisor) = state.supervisors.get_mut(node) {
-                        supervisor.schedule_crashed = true;
-                        supervisor.state = NodeState::Crashed;
-                    }
-                }
-            }
-            FaultEvent::RecoverReplica { node } => {
-                if Self::recover_node_local(cluster, state, *node, step) {
-                    state.plane_notes.push(PlaneNote::Recovered(*node));
-                }
-            }
-            FaultEvent::ByzantineFlip { node, mode } => {
-                if cluster.membership().contains(node) && !cluster.is_crashed(*node) {
-                    cluster.set_byzantine(*node, *mode);
-                    // The flip perturbs the IDS observation stream too,
-                    // with a heavily degraded signature.
-                    if let Some(supervisor) = state.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = adversary::BYZANTINE_FLIP_IDS_LAMBDA;
-                    }
-                }
-            }
-            FaultEvent::IntrusionBurst { node, mode } => {
-                if cluster.membership().contains(node) && !cluster.is_crashed(*node) {
-                    cluster.set_byzantine(*node, *mode);
-                    if let Some(supervisor) = state.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = 0.0;
-                    }
-                }
-            }
-            FaultEvent::AdoptAttacker { node, attacker } => {
-                if cluster.membership().contains(node) && !cluster.is_crashed(*node) {
-                    cluster.set_attacker(*node, Some(*attacker));
-                    if let Some(supervisor) = state.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = adversary::attacker_ids_lambda(*attacker);
-                    }
-                }
-            }
-            FaultEvent::AddReplica => {
-                if cluster.num_replicas() < max_replicas {
-                    let id = cluster.add_replica();
-                    state.supervisors.insert(id, Supervisor::new());
-                    state.added_stack.push(id);
-                }
-            }
-            FaultEvent::EvictReplica { node } => {
-                let target = node.or_else(|| state.added_stack.pop());
-                if let Some(target) = target {
-                    if cluster.membership().contains(&target) && cluster.num_replicas() > 3 {
-                        cluster.evict_replica(target);
-                        state.supervisors.remove(&target);
-                        state.checker.forget_replica(target);
-                        state.plane_notes.push(PlaneNote::Forget(target));
-                    }
-                }
-            }
-            FaultEvent::ClientBurst { requests } => {
-                state.pending_bursts += requests;
-            }
-            FaultEvent::InjectDoubleCommit { node } => {
-                cluster.inject_double_commit(*node);
-            }
-        }
-    }
-
-    /// Applies every fault event of this shard due at `step`, advancing
-    /// the shard's schedule cursor.
-    fn apply_due_events(
-        config: &ShardedScheduleConfig,
-        events: &[ScheduledFault],
-        cluster: &mut MinBftCluster,
-        state: &mut ShardState,
-        step: u32,
-    ) {
-        while let Some(fault) = events.get(state.cursor) {
-            if fault.step > step {
-                break;
-            }
-            state.cursor += 1;
-            Self::apply_shard_event(config, cluster, state, &fault.event, step);
-        }
-    }
-
-    /// Global stabilization of one shard: partitions heal and the
-    /// bounded-delay profile holds from here on.
-    fn restore_gst(config: &ShardedScheduleConfig, cluster: &mut MinBftCluster) {
-        cluster.heal_network();
-        cluster.set_network_config(config.base.network);
-    }
-
-    /// Drains the plane notes buffered by the parallel phases, shard-major
-    /// — the same order the lockstep loop raised them in.
+    /// Drains the plane notes buffered by the parallel phases, shard-major.
     fn drain_plane_notes(&mut self) {
-        for shard in 0..self.states.len() {
-            let notes = std::mem::take(&mut self.states[shard].plane_notes);
-            for note in notes {
+        for (shard, state) in self.states.iter_mut().enumerate() {
+            for note in state.group.plane_notes.drain(..) {
                 match note {
                     PlaneNote::Recovered(node) => {
                         self.plane.controller(shard, node).notify_recovered();
@@ -724,8 +454,7 @@ impl<'a> ShardedHarness<'a> {
     }
 
     /// Merges the routed-submission records buffered by the parallel
-    /// phases into the fleet routing oracle, shard-major — the same global
-    /// sequence the lockstep loop produced.
+    /// phases into the fleet routing oracle, shard-major.
     fn merge_routing_records(&mut self) {
         for (shard, state) in self.states.iter_mut().enumerate() {
             for digest in state.routing_pending.drain(..) {
@@ -734,57 +463,26 @@ impl<'a> ShardedHarness<'a> {
         }
     }
 
-    /// One fleet control tick: per-shard IDS observations (one weighted
-    /// draw per reporting replica, shard-major in membership order) through
-    /// the shared [`FleetControlPlane`].
+    /// One fleet control tick: per-shard IDS observations (shard-major, one
+    /// draw per reporting replica) through the [`FleetControlPlane`].
     fn control_tick(&mut self, step: u32) {
-        let mut observations: Vec<Vec<(NodeId, NodeReport<'_>)>> = Vec::new();
-        for shard in 0..self.service.num_shards() {
-            let membership: Vec<NodeId> = self.service.shard(shard).membership().to_vec();
-            let mut shard_observations = Vec::with_capacity(membership.len());
-            for id in membership {
-                let report = match self.states[shard].supervisors.get(&id) {
-                    None => NodeReport::Silent,
-                    Some(supervisor) if supervisor.schedule_crashed => NodeReport::Silent,
-                    Some(supervisor) => {
-                        let sample_state = match supervisor.state {
-                            NodeState::Compromised => NodeState::Compromised,
-                            _ => NodeState::Healthy,
-                        };
-                        // Per-variant degraded compromise signatures; the
-                        // model choice never changes the RNG draw count.
-                        let model = adversary::degraded_model(
-                            &self.degraded_models,
-                            &self.alert_model,
-                            supervisor.ids_lambda,
-                        );
-                        NodeReport::Sample(model.sample(sample_state, &mut self.rng))
-                    }
-                };
-                shard_observations.push((id, report));
-            }
-            observations.push(shard_observations);
-        }
-        let mut storage: Vec<HarnessActuator<'_>> = self
+        let mut shards: Vec<(&mut MinBftCluster, &mut ShardState)> = self
             .service
             .shards_mut()
             .iter_mut()
             .zip(self.states.iter_mut())
-            .map(|(cluster, state)| HarnessActuator {
-                cluster,
-                supervisors: &mut state.supervisors,
-                added_stack: &mut state.added_stack,
-                recoveries: &mut state.recoveries,
-                recovery_delays: &mut state.recovery_delays,
-                step,
-            })
             .collect();
-        let mut actuators: Vec<&mut dyn ClusterActuator> = storage
+        let observations: Vec<_> = shards
+            .iter()
+            .map(|(cluster, state)| state.group.observations(cluster, &mut self.ids))
+            .collect();
+        let mut storage: Vec<_> = shards
             .iter_mut()
-            .map(|actuator| actuator as &mut dyn ClusterActuator)
+            .map(|(cluster, state)| state.group.actuator(cluster, step))
             .collect();
+        let mut actuators: Vec<_> = storage.iter_mut().collect();
         self.plane
-            .tick(&observations, &mut actuators, &mut self.rng);
+            .tick(&observations, &mut actuators, &mut self.ids.rng);
     }
 
     /// Submits a keyed operation on the first free pool client of this
@@ -793,7 +491,6 @@ impl<'a> ShardedHarness<'a> {
     /// concurrency law caps how many pool clients may hold an outstanding
     /// request at once.
     fn submit_shard_put(
-        shard: usize,
         cluster: &mut MinBftCluster,
         state: &mut ShardState,
         operation: Operation,
@@ -809,19 +506,8 @@ impl<'a> ShardedHarness<'a> {
         else {
             return false;
         };
-        let request = cluster.submit(client, operation);
-        if std::env::var_os("SIMNET_DEBUG").is_some() {
-            eprintln!(
-                "  submit shard {shard} client {client} id {} op {:?} digest {}",
-                request.id,
-                request.operation,
-                request.digest().0 % 100_000
-            );
-        }
-        state.checker.record_submission(request.digest());
-        state.routing_pending.push(request.digest());
-        state.issued += 1;
-        state.outstanding_since.insert(client, step);
+        let digest = state.group.submit(cluster, client, operation, step);
+        state.routing_pending.push(digest);
         true
     }
 
@@ -868,12 +554,7 @@ impl<'a> ShardedHarness<'a> {
     /// [`TraceWorkload`] when configured. The autotune tick (when
     /// configured) runs first, so a window's decision governs the window's
     /// own demand.
-    fn drive_shard_clients(
-        shard: usize,
-        cluster: &mut MinBftCluster,
-        state: &mut ShardState,
-        step: u32,
-    ) {
+    fn drive_shard_clients(cluster: &mut MinBftCluster, state: &mut ShardState, step: u32) {
         Self::autotune_tick(cluster, state, step);
         if let Some(mut workload) = state.workload.take() {
             // Open loop: the offered arrivals (plus any deferred demand and
@@ -881,7 +562,9 @@ impl<'a> ShardedHarness<'a> {
             // the rest queues up to the backlog cap and beyond it is shed.
             // Backpressure intervenes first: `Delay` defers the whole
             // step's demand to the backlog, `Shed` drops it outright.
-            let mut demand = workload.arrivals(step).saturating_add(state.pending_bursts);
+            let mut demand = workload
+                .arrivals(step)
+                .saturating_add(state.group.pending_bursts);
             match state.admission {
                 Admission::Shed => demand = 0,
                 Admission::Delay => {}
@@ -889,63 +572,47 @@ impl<'a> ShardedHarness<'a> {
                     while demand > 0 {
                         let key = workload.draw_key();
                         let value = 0x2000_0000 + u64::from(step) * 64 + u64::from(demand);
-                        if !Self::submit_shard_put(
-                            shard,
-                            cluster,
-                            state,
-                            Operation::Put { key, value },
-                            step,
-                        ) {
+                        let operation = Operation::Put { key, value };
+                        if !Self::submit_shard_put(cluster, state, operation, step) {
                             break;
                         }
                         demand -= 1;
                     }
                 }
             }
-            state.pending_bursts = demand.min(workload.backlog_cap());
+            state.group.pending_bursts = demand.min(workload.backlog_cap());
             state.workload = Some(workload);
             return;
         }
         match state.admission {
             Admission::Shed => {
-                state.pending_bursts = 0;
+                state.group.pending_bursts = 0;
                 return;
             }
             Admission::Delay => return,
             Admission::Accept => {}
         }
         let key = state.owned_keys[step as usize % state.owned_keys.len()];
-        let submitted = Self::submit_shard_put(
-            shard,
-            cluster,
-            state,
-            Operation::Put {
-                key,
-                value: u64::from(step) + 1,
-            },
-            step,
-        );
-        let mut bursts = state.pending_bursts;
-        if !submitted {
+        let operation = Operation::Put {
+            key,
+            value: u64::from(step) + 1,
+        };
+        if !Self::submit_shard_put(cluster, state, operation, step) {
             return;
         }
+        let mut bursts = state.group.pending_bursts;
         while bursts > 0 {
             let key = state.owned_keys[(step as usize + bursts as usize) % state.owned_keys.len()];
-            if !Self::submit_shard_put(
-                shard,
-                cluster,
-                state,
-                Operation::Put {
-                    key,
-                    value: 0x1000_0000 + u64::from(step) * 16 + u64::from(bursts),
-                },
-                step,
-            ) {
+            let operation = Operation::Put {
+                key,
+                value: 0x1000_0000 + u64::from(step) * 16 + u64::from(bursts),
+            };
+            if !Self::submit_shard_put(cluster, state, operation, step) {
                 break;
             }
             bursts -= 1;
         }
-        state.pending_bursts = bursts;
+        state.group.pending_bursts = bursts;
     }
 
     /// The keys of transaction `tx`: a fresh, transaction-private range
@@ -972,7 +639,7 @@ impl<'a> ShardedHarness<'a> {
         keys
     }
 
-    fn launch_multi_put(&mut self) {
+    fn launch_multi_put(&mut self, step: u32) {
         let tx = self.next_tx;
         self.next_tx += 1;
         let keys = Self::tx_keys(self.service.partitioner(), tx, self.config.multi_put_keys);
@@ -991,7 +658,7 @@ impl<'a> ShardedHarness<'a> {
             .iter()
             .map(|&(key, value)| {
                 let op = Operation::TxReserve { tx, key, value };
-                let (shard, client) = self.submit_dedicated(op);
+                let (shard, client) = self.submit_dedicated(op, step);
                 (op, shard, client, OpState::InFlight)
             })
             .collect();
@@ -1013,7 +680,7 @@ impl<'a> ShardedHarness<'a> {
             && step > 0
             && step.is_multiple_of(self.config.multi_put_interval)
         {
-            self.launch_multi_put();
+            self.launch_multi_put(step);
         }
         for index in 0..self.transactions.len() {
             // Completion: a dedicated client with no outstanding request
@@ -1053,7 +720,7 @@ impl<'a> ShardedHarness<'a> {
                         .iter()
                         .map(|&(key, _)| {
                             let op = Operation::TxCommit { tx, key };
-                            let (shard, client) = self.submit_dedicated(op);
+                            let (shard, client) = self.submit_dedicated(op, step);
                             (op, shard, client, OpState::InFlight)
                         })
                         .collect();
@@ -1072,20 +739,6 @@ impl<'a> ShardedHarness<'a> {
         }
     }
 
-    fn completed_total(&self) -> u64 {
-        self.states
-            .iter()
-            .enumerate()
-            .map(|(shard, state)| {
-                state
-                    .clients
-                    .iter()
-                    .map(|&c| self.service.shard(shard).completed_requests(c))
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
     fn shard_violation(shard: usize, violation: Violation) -> Violation {
         Violation {
             detail: format!("shard {shard}: {}", violation.detail),
@@ -1093,165 +746,79 @@ impl<'a> ShardedHarness<'a> {
         }
     }
 
-    /// The pre-barrier oracles of one shard: log agreement/validity,
-    /// network accounting, and the fleet-wide recovery bound.
-    fn check_shard_pre(
-        config: &ShardedScheduleConfig,
-        shard: usize,
-        cluster: &MinBftCluster,
-        state: &mut ShardState,
-        step: u32,
-    ) -> Option<Violation> {
-        // The recovery bound gains the fleet-wide queueing slack of the
-        // *global* k budget: every shard's compromises compete for the
-        // same slots.
-        let bound = config.base.delta_r + (config.shards * config.base.initial_replicas) as u32 + 1;
-        if let Some(violation) = state.checker.check_logs(cluster, step) {
-            return Some(Self::shard_violation(shard, violation));
-        }
-        if let Some(violation) = state.checker.check_network(cluster, step) {
-            return Some(Self::shard_violation(shard, violation));
-        }
-        for (&id, supervisor) in &state.supervisors {
-            if let Some(at) = supervisor.compromised_at {
-                if step.saturating_sub(at) > bound {
-                    return Some(Violation {
-                        kind: InvariantKind::RecoveryBound,
-                        step,
-                        detail: format!(
-                            "shard {shard}: replica {id} compromised at step {at} still \
-                             unrecovered at step {step} (bound {bound})"
-                        ),
-                    });
-                }
-            }
-        }
-        None
+    /// The recovery bound's replica count: every shard's compromises
+    /// compete for the same *global* k budget.
+    fn fleet_replicas(config: &ShardedScheduleConfig) -> usize {
+        config.shards * config.base.initial_replicas
     }
 
-    /// The liveness-after-GST oracle of one shard: every request submitted
-    /// before stabilization must complete within the bounded window.
-    /// Prunes completed requests from the shard's bookkeeping either way.
-    fn check_shard_gst(
-        config: &ShardedScheduleConfig,
-        shard: usize,
-        cluster: &MinBftCluster,
-        state: &mut ShardState,
-        step: u32,
-    ) -> Option<Violation> {
-        state
-            .outstanding_since
-            .retain(|&client, _| cluster.has_outstanding_request(client));
-        if let Some(gst) = config.base.gst {
-            if step >= gst && step - gst > config.base.post_gst_liveness_steps {
-                for (&client, &since) in &state.outstanding_since {
-                    if since < gst {
-                        return Some(Violation {
-                            kind: InvariantKind::LivenessAfterGst,
-                            step,
-                            detail: format!(
-                                "shard {shard}: client {client}'s request from step {since} \
-                                 (before GST at step {gst}) still uncommitted {} steps after \
-                                 stabilization (bound {})",
-                                step - gst,
-                                config.base.post_gst_liveness_steps
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// The full oracle pass in lockstep order — shard-major, pre-barrier
-    /// oracles, then routing, then GST liveness per shard. Used at
-    /// single-step barriers and at the end of the settle phase (the
-    /// free-run windows use the same per-shard checks locally and
-    /// [`ShardedHarness::resolve_window`] canonically).
+    /// The full oracle pass — shard-major: the group's safety oracles,
+    /// then routing, then GST liveness. Used at single-step barriers and at
+    /// the end of the settle phase (the free-run windows use the same
+    /// per-group checks locally and [`ShardedHarness::resolve_window`]
+    /// canonically).
     fn check_invariants(&mut self, step: u32) -> Option<Violation> {
+        let base = &self.config.base;
+        let replicas = Self::fleet_replicas(self.config);
         for shard in 0..self.service.num_shards() {
             let cluster = self.service.shard(shard);
-            let state = &mut self.states[shard];
-            if let Some(violation) = Self::check_shard_pre(self.config, shard, cluster, state, step)
-            {
-                return Some(violation);
-            }
-            if let Some(violation) = self.routing.check_shard(shard, cluster, step) {
-                return Some(violation);
-            }
-            if let Some(violation) = Self::check_shard_gst(self.config, shard, cluster, state, step)
-            {
-                return Some(violation);
+            let group = &mut self.states[shard].group;
+            let violation = group
+                .check_safety(base, replicas, cluster, step)
+                .map(|v| Self::shard_violation(shard, v))
+                .or_else(|| self.routing.check_shard(shard, cluster, step))
+                .or_else(|| {
+                    group
+                        .check_gst_liveness(base, cluster, step)
+                        .map(|v| Self::shard_violation(shard, v))
+                });
+            if violation.is_some() {
+                return violation;
             }
         }
         None
-    }
-
-    /// One shard's trace record at `step`.
-    fn shard_trace_record(cluster: &MinBftCluster, state: &ShardState, step: u32) -> TraceRecord {
-        let faulty: Vec<NodeId> = state
-            .supervisors
-            .iter()
-            .filter(|(_, s)| s.schedule_crashed || s.state != NodeState::Healthy)
-            .map(|(&id, _)| id)
-            .collect();
-        let completed: u64 = state
-            .clients
-            .iter()
-            .map(|&c| cluster.completed_requests(c))
-            .sum();
-        TraceRecord {
-            step,
-            time_bits: cluster.now().to_bits(),
-            membership: cluster.membership().to_vec(),
-            commits: cluster.commit_trace().len() as u64,
-            view_changes: cluster.view_changes(),
-            completed,
-            net_sent: cluster.network_stats().sent,
-            faulty,
-        }
     }
 
     /// Free-runs one shard's sub-executor through `window` (`start..end`).
     /// The barrier step `start` has already had its events and client
     /// driving applied in the barrier phases; later steps apply their own.
-    /// With `local_checks`, the per-shard oracles run each step and the
+    /// With `local_checks`, the per-group oracles run each step and the
     /// shard stops at its earliest violation (recorded for canonical
     /// resolution at the barrier); without (single-step windows), the
-    /// barrier runs the full lockstep oracle pass instead.
+    /// barrier runs the full oracle pass instead.
     fn shard_window(
         config: &ShardedScheduleConfig,
         events: &[ScheduledFault],
-        shard: usize,
         cluster: &mut MinBftCluster,
         state: &mut ShardState,
         window: std::ops::Range<u32>,
         local_checks: bool,
     ) {
+        let base = &config.base;
         let start = window.start;
         for step in window {
             if step != start {
-                if config.base.gst == Some(step) {
-                    Self::restore_gst(config, cluster);
+                if base.gst == Some(step) {
+                    group::restore_network(base, cluster);
                 }
-                Self::apply_due_events(config, events, cluster, state, step);
-                Self::drive_shard_clients(shard, cluster, state, step);
+                state.group.apply_due_events(base, events, cluster, step);
+                Self::drive_shard_clients(cluster, state, step);
             }
-            cluster.run_until(f64::from(step + 1) * config.base.step_duration);
+            cluster.run_until(f64::from(step + 1) * base.step_duration);
             if local_checks {
-                if let Some(violation) = Self::check_shard_pre(config, shard, cluster, state, step)
-                {
-                    state.window_violation = Some((step, 0, violation));
-                } else if let Some(violation) =
-                    Self::check_shard_gst(config, shard, cluster, state, step)
-                {
-                    state.window_violation = Some((step, 1, violation));
-                }
+                let replicas = Self::fleet_replicas(config);
+                let group = &mut state.group;
+                state.window_violation = group
+                    .check_safety(base, replicas, cluster, step)
+                    .map(|v| (step, 0, v))
+                    .or_else(|| {
+                        group
+                            .check_gst_liveness(base, cluster, step)
+                            .map(|v| (step, 1, v))
+                    });
             }
-            state
-                .trace
-                .push(Self::shard_trace_record(cluster, state, step));
+            let record = state.group.trace_record(cluster, step);
+            state.group.trace.push(record);
             if state.window_violation.is_some() {
                 break;
             }
@@ -1263,21 +830,16 @@ impl<'a> ShardedHarness<'a> {
     /// no shard violated locally, the routing oracle runs shard-major at
     /// the window's last step. Returns the violation and its step.
     fn resolve_window(&mut self, window_end: u32) -> Option<(u32, Violation)> {
-        let mut best: Option<(u32, u8, usize)> = None;
-        for (shard, state) in self.states.iter().enumerate() {
-            if let Some((step, rank, _)) = &state.window_violation {
-                let key = (*step, *rank, shard);
-                if best.map(|b| key < b).unwrap_or(true) {
-                    best = Some(key);
-                }
-            }
-        }
-        if let Some((step, _, shard)) = best {
+        let best = self.states.iter().enumerate().filter_map(|(shard, state)| {
+            let (step, rank, _) = state.window_violation.as_ref()?;
+            Some((*step, *rank, shard))
+        });
+        if let Some((step, _, shard)) = best.min() {
             let (_, _, violation) = self.states[shard]
                 .window_violation
                 .take()
                 .expect("the canonical candidate exists");
-            return Some((step, violation));
+            return Some((step, Self::shard_violation(shard, violation)));
         }
         let step = window_end.saturating_sub(1);
         for shard in 0..self.service.num_shards() {
@@ -1289,32 +851,12 @@ impl<'a> ShardedHarness<'a> {
         None
     }
 
-    /// Per-shard state-transfer nudge: replicas that fell behind or flag
-    /// `needs_state` are re-driven through recovery.
-    fn catch_up_shard(cluster: &mut MinBftCluster) {
-        let members: Vec<NodeId> = cluster.membership().to_vec();
-        let longest = members
-            .iter()
-            .filter_map(|&id| cluster.executed_len(id))
-            .max()
-            .unwrap_or(0);
-        for id in members {
-            let lagging = cluster
-                .executed_len(id)
-                .map(|len| len + 2 < longest)
-                .unwrap_or(false);
-            if cluster.needs_state(id) || lagging {
-                cluster.recover_replica(id);
-            }
-        }
-    }
-
     fn any_outstanding(&self) -> bool {
         self.states.iter().enumerate().any(|(shard, state)| {
-            state
-                .clients
-                .iter()
-                .any(|&c| self.service.shard(shard).has_outstanding_request(c))
+            !state
+                .group
+                .outstanding(self.service.shard(shard))
+                .is_empty()
         })
     }
 
@@ -1324,49 +866,32 @@ impl<'a> ShardedHarness<'a> {
             .fold(0.0, f64::max)
     }
 
+    /// Runs every shard to a barrier-computed common deadline one settle
+    /// window ahead and nudges its stragglers.
+    fn settle_round(&mut self) {
+        let target = self.fleet_now() + group::settle_window(&self.config.base);
+        self.for_each_shard(move |_, cluster, _| {
+            cluster.run_until(target);
+            group::catch_up_stragglers(cluster);
+        });
+    }
+
     /// The settle phase: heal every shard, recover every still-marked
     /// replica, drain outstanding requests, **roll forward** interrupted
     /// MultiPut commit rounds, probe each shard, and run the atomicity
-    /// check over every transaction. The drain rounds run per-shard on the
-    /// worker pool (each to a barrier-computed common deadline); every
-    /// oracle decision stays serial.
-    fn settle(&mut self, workers: usize) -> Option<Violation> {
-        Self::for_each_shard(&mut self.service, &mut self.states, workers, {
-            let config = self.config;
-            move |_, cluster, _| {
-                cluster.heal_network();
-                cluster.set_network_config(config.base.network);
-            }
+    /// check over every transaction. The heal and the drain rounds run
+    /// per-shard on the worker pool; every oracle decision stays serial.
+    fn settle(&mut self) -> Option<Violation> {
+        let base = &self.config.base;
+        let horizon = base.horizon;
+        self.for_each_shard(move |_, cluster, state| {
+            state.group.heal_and_recover_marked(base, cluster);
         });
-        for shard in 0..self.service.num_shards() {
-            let members: Vec<NodeId> = self.service.shard(shard).membership().to_vec();
-            for id in members {
-                let marked = self.states[shard]
-                    .supervisors
-                    .get(&id)
-                    .map(|s| s.schedule_crashed || s.state != NodeState::Healthy)
-                    .unwrap_or(false);
-                let cluster = self.service.shard(shard);
-                if marked
-                    || cluster.byzantine_mode(id) != Some(ByzantineMode::Correct)
-                    || cluster.is_crashed(id)
-                {
-                    self.recover_shard_node(shard, id, self.config.base.horizon);
-                }
-            }
-        }
-        let settle_window = 5.0_f64.max(self.config.base.step_duration * 4.0);
         for round in 0..10 {
-            let target = self.fleet_now() + settle_window;
-            Self::for_each_shard(
-                &mut self.service,
-                &mut self.states,
-                workers,
-                move |_, cluster, _| {
-                    cluster.run_until(target);
-                    Self::catch_up_shard(cluster);
-                },
-            );
+            self.settle_round();
+            if self.debug {
+                self.debug_dump(&format!("settle round {round}"), None);
+            }
             if !self.any_outstanding() && round > 0 {
                 break;
             }
@@ -1389,35 +914,20 @@ impl<'a> ShardedHarness<'a> {
             .collect();
         for (tx, pairs) in &roll_forward {
             for &(key, _) in pairs {
-                self.submit_dedicated(Operation::TxCommit { tx: *tx, key });
+                self.submit_dedicated(Operation::TxCommit { tx: *tx, key }, horizon);
             }
         }
         // Probe every shard: a fresh routed request must complete.
         for shard in 0..self.service.num_shards() {
             let key = self.states[shard].owned_keys[0];
-            let client = self.service.add_client(shard);
-            self.states[shard].clients.push(client);
-            let request = self.service.submit_on(
-                shard,
-                client,
-                Operation::Put {
-                    key,
-                    value: 0xdead_beef,
-                },
-            );
-            self.record(shard, request.digest());
+            let probe = Operation::Put {
+                key,
+                value: 0xdead_beef,
+            };
+            self.submit_dedicated(probe, horizon);
         }
         for _ in 0..10 {
-            let target = self.fleet_now() + settle_window;
-            Self::for_each_shard(
-                &mut self.service,
-                &mut self.states,
-                workers,
-                move |_, cluster, _| {
-                    cluster.run_until(target);
-                    Self::catch_up_shard(cluster);
-                },
-            );
+            self.settle_round();
             if !self.any_outstanding() {
                 break;
             }
@@ -1459,7 +969,7 @@ impl<'a> ShardedHarness<'a> {
                 }
             }
         }
-        if let Some(violation) = self.check_invariants(self.config.base.horizon) {
+        if let Some(violation) = self.check_invariants(horizon) {
             return Some(violation);
         }
         if !self.service.logs_are_consistent() {
@@ -1472,56 +982,25 @@ impl<'a> ShardedHarness<'a> {
         None
     }
 
-    /// `SIMNET_DEBUG` diagnostics: per-shard replica state and, on a
-    /// violation, the full commit traces.
-    fn debug_dump(&self, step: u32, violation: Option<&Violation>) {
-        for shard in 0..self.service.num_shards() {
-            let cluster = self.service.shard(shard);
-            for &id in &cluster.membership().to_vec() {
-                eprintln!(
-                    "  step {step} shard {shard} replica {id}: len {} start {:?} crashed {} \
-                     needs_state {}",
-                    cluster.executed_len(id).unwrap_or(0),
-                    cluster.executed_log_start(id),
-                    cluster.is_crashed(id),
-                    cluster.needs_state(id),
-                );
-            }
-            if violation.is_some() {
-                for &id in &cluster.membership().to_vec() {
-                    eprintln!("    {}", cluster.debug_replica(id));
-                    if let (Some(log), Some(start)) =
-                        (cluster.executed_log(id), cluster.executed_log_start(id))
-                    {
-                        let tail: Vec<(u64, u64)> = log
-                            .iter()
-                            .enumerate()
-                            .map(|(i, d)| (start + i as u64, d.0 % 100_000))
-                            .collect();
-                        eprintln!("    shard {shard} replica {id} log: {tail:?}");
-                    }
-                }
-                for r in cluster.commit_trace() {
-                    eprintln!(
-                        "  shard {shard} commit: replica {} view {} seq {} digest {}",
-                        r.replica,
-                        r.view,
-                        r.sequence,
-                        r.digest.0 % 100_000
-                    );
-                }
-            }
+    /// The group executor's `SIMNET_DEBUG` dump, once per shard.
+    fn debug_dump(&self, label: &str, violation: Option<&Violation>) {
+        for (shard, state) in self.states.iter().enumerate() {
+            let label = format!("{label} shard {shard}");
+            state
+                .group
+                .debug_dump(&label, self.service.shard(shard), violation);
         }
     }
 
-    /// Executes the schedule on `workers` concurrent shard sub-executors.
-    /// The result is a pure function of `(seed, config)` — never of
-    /// `workers` (see the module docs for the barrier/phase structure).
-    fn run(mut self, workers: usize) -> Result<ShardedRunReport> {
-        let tick = self.config.fleet_tick_interval.max(1);
-        let horizon = self.config.base.horizon;
+    /// Executes the schedule. The result is a pure function of
+    /// `(seed, config)` — never of the worker count (see the module docs
+    /// for the barrier/phase structure).
+    fn run(mut self) -> Result<ShardedRunReport> {
+        let (config, schedule) = (self.config, self.schedule);
+        let tick = config.fleet_tick_interval.max(1);
+        let horizon = config.base.horizon;
         // A GST schedule starts every shard in the asynchronous phase.
-        let initial_network = self.config.base.ambient_network(0);
+        let initial_network = config.base.ambient_network(0);
         for shard in 0..self.service.num_shards() {
             self.service
                 .shard_mut(shard)
@@ -1532,75 +1011,42 @@ impl<'a> ShardedHarness<'a> {
         let mut step = 0u32;
         while step < horizon {
             let window_end = (step + tick).min(horizon);
-            self.current_step = step;
             // Phase A — per shard: GST restore and due fault events, with
             // control-plane effects buffered.
-            {
-                let config = self.config;
-                let schedule = self.schedule;
-                Self::for_each_shard(
-                    &mut self.service,
-                    &mut self.states,
-                    workers,
-                    move |shard, cluster, state| {
-                        if config.base.gst == Some(step) {
-                            Self::restore_gst(config, cluster);
-                        }
-                        Self::apply_due_events(
-                            config,
-                            &schedule.shards[shard].events,
-                            cluster,
-                            state,
-                            step,
-                        );
-                    },
-                );
-            }
+            self.for_each_shard(move |shard, cluster, state| {
+                if config.base.gst == Some(step) {
+                    group::restore_network(&config.base, cluster);
+                }
+                let events = &schedule.shards[shard].events;
+                state
+                    .group
+                    .apply_due_events(&config.base, events, cluster, step);
+            });
             // Phase B — serial: control-plane note drain + fleet tick.
             self.drain_plane_notes();
             self.control_tick(step);
             // Phase C — per shard: routed client driving.
-            Self::for_each_shard(
-                &mut self.service,
-                &mut self.states,
-                workers,
-                move |shard, cluster, state| {
-                    Self::drive_shard_clients(shard, cluster, state, step);
-                },
-            );
+            self.for_each_shard(move |_, cluster, state| {
+                Self::drive_shard_clients(cluster, state, step);
+            });
             // Phase D — serial: routing-record merge + MultiPut rounds.
             self.merge_routing_records();
             self.step_multi_puts(step);
             // Phase E — per shard: free-run the window.
             let local_checks = window_end - step > 1;
-            {
-                let config = self.config;
-                let schedule = self.schedule;
-                Self::for_each_shard(
-                    &mut self.service,
-                    &mut self.states,
-                    workers,
-                    move |shard, cluster, state| {
-                        Self::shard_window(
-                            config,
-                            &schedule.shards[shard].events,
-                            shard,
-                            cluster,
-                            state,
-                            step..window_end,
-                            local_checks,
-                        );
-                    },
-                );
-            }
+            self.for_each_shard(move |shard, cluster, state| {
+                let events = &schedule.shards[shard].events;
+                let window = step..window_end;
+                Self::shard_window(config, events, cluster, state, window, local_checks);
+            });
             self.merge_routing_records();
             // Phase F — serial: violation resolution.
             let resolved = if local_checks {
                 self.resolve_window(window_end)
             } else {
                 let found = self.check_invariants(step);
-                if std::env::var_os("SIMNET_DEBUG").is_some() {
-                    self.debug_dump(step, found.as_ref());
+                if self.debug {
+                    self.debug_dump(&format!("step {step}"), found.as_ref());
                 }
                 found.map(|v| (step, v))
             };
@@ -1617,34 +1063,19 @@ impl<'a> ShardedHarness<'a> {
             step = window_end;
         }
         if violation.is_none() {
-            self.current_step = horizon;
-            self.drain_plane_notes();
-            violation = self.settle(workers);
-            for shard in 0..self.service.num_shards() {
-                let record = Self::shard_trace_record(
-                    self.service.shard(shard),
-                    &self.states[shard],
-                    horizon,
-                );
-                self.states[shard].trace.push(record);
+            violation = self.settle();
+            for (shard, state) in self.states.iter_mut().enumerate() {
+                let record = state.group.trace_record(self.service.shard(shard), horizon);
+                state.group.trace.push(record);
             }
         }
-        let completed = self.completed_total();
-        let issued = self.issued + self.states.iter().map(|s| s.issued).sum::<u64>();
-        let recoveries: u64 = self.states.iter().map(|s| s.recoveries).sum();
-        let delays: Vec<u32> = self
+        let groups: Vec<(&MinBftCluster, &Group)> = self
             .states
             .iter()
-            .flat_map(|s| s.recovery_delays.iter().copied())
+            .enumerate()
+            .map(|(shard, state)| (self.service.shard(shard), &state.group))
             .collect();
-        let mean_recovery_steps = if delays.is_empty() {
-            0.0
-        } else {
-            delays.iter().map(|&d| f64::from(d)).sum::<f64>() / delays.len() as f64
-        };
-        let committed_sequences: u64 = (0..self.service.num_shards())
-            .map(|shard| InvariantChecker::committed_sequences(self.service.shard(shard)))
-            .sum();
+        let outcome = group::outcome(steps_run, &groups);
         let launched = self.transactions.len() as u64;
         let committed_txs = self
             .transactions
@@ -1654,23 +1085,11 @@ impl<'a> ShardedHarness<'a> {
         let mut trace = Vec::with_capacity(self.states.len());
         let mut autotune = Vec::with_capacity(self.states.len());
         for state in self.states {
-            trace.push(state.trace);
+            trace.push(state.group.trace);
             autotune.push(state.decisions);
         }
         Ok(ShardedRunReport {
-            outcome: SimnetOutcome {
-                steps: steps_run,
-                issued,
-                completed,
-                recoveries,
-                mean_recovery_steps,
-                committed_sequences,
-                availability: if issued == 0 {
-                    1.0
-                } else {
-                    completed as f64 / issued as f64
-                },
-            },
+            outcome,
             trace,
             multi_puts: (launched, committed_txs),
             autotune,
@@ -1679,9 +1098,8 @@ impl<'a> ShardedHarness<'a> {
     }
 }
 
-/// Greedy drop-one-event minimization across the whole fleet: repeatedly
-/// try removing a single event from any shard's schedule and keep the
-/// removal whenever the same invariant kind still breaks.
+/// Greedy drop-one-event minimization across the whole fleet (the shared
+/// `shrink_greedy` search over every shard's schedule).
 ///
 /// # Errors
 ///
@@ -1691,29 +1109,14 @@ pub fn shrink_sharded_schedule(
     config: &ShardedScheduleConfig,
     violation: &Violation,
 ) -> Result<(ShardedFaultSchedule, Violation)> {
-    let mut current = schedule.clone();
-    let mut current_violation = violation.clone();
-    let mut improved = true;
-    while improved {
-        improved = false;
-        for shard in 0..current.shards.len() {
-            let mut index = 0;
-            while index < current.shards[shard].events.len() {
-                let mut candidate = current.clone();
-                candidate.shards[shard].events.remove(index);
-                let report = run_sharded_schedule(&candidate, config)?;
-                match report.violation {
-                    Some(v) if v.kind == current_violation.kind => {
-                        current = candidate;
-                        current_violation = v;
-                        improved = true;
-                    }
-                    _ => index += 1,
-                }
-            }
-        }
-    }
-    Ok((current, current_violation))
+    let mut minimal = schedule.clone();
+    let violation = shrink::shrink_greedy(
+        &mut minimal,
+        violation,
+        |fleet| &mut fleet.shards,
+        |candidate| Ok(run_sharded_schedule(candidate, config)?.violation),
+    )?;
+    Ok((minimal, violation))
 }
 
 /// A minimal, replayable description of a fleet-level invariant violation.
@@ -1736,8 +1139,7 @@ impl ShardedCounterexample {
     ///
     /// Propagates serializer failures.
     pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| CoreError::Solver(format!("serialize sharded counterexample: {e}")))
+        shrink::document_to_json(self)
     }
 
     /// Parses a counterexample from JSON (the inverse of
@@ -1751,56 +1153,14 @@ impl ShardedCounterexample {
     /// Fails on malformed JSON or a document that does not describe a
     /// sharded counterexample.
     pub fn from_json(json: &str) -> Result<Self> {
-        let value = serde_json::parse_value(json)
-            .map_err(|e| CoreError::Solver(format!("parse sharded counterexample: {e}")))?;
-        let config_value = decode::field(&value, "config")?;
-        let defaults = ShardedScheduleConfig::default();
-        let config = ShardedScheduleConfig {
-            shards: decode::as_usize(decode::field(config_value, "shards")?)?,
-            base: decode::config(decode::field(config_value, "base")?)?,
-            key_space: u32::try_from(decode::as_u64(decode::field(config_value, "key_space")?)?)
-                .map_err(|_| decode::error("key_space out of u32 range"))?,
-            multi_put_interval: u32::try_from(decode::as_u64(decode::field(
-                config_value,
-                "multi_put_interval",
-            )?)?)
-            .map_err(|_| decode::error("multi_put_interval out of u32 range"))?,
-            multi_put_keys: decode::as_usize(decode::field(config_value, "multi_put_keys")?)?,
-            fleet_tick_interval: match decode::opt_field(config_value, "fleet_tick_interval") {
-                Some(v) => u32::try_from(decode::as_u64(v)?)
-                    .map_err(|_| decode::error("fleet_tick_interval out of u32 range"))?,
-                None => defaults.fleet_tick_interval,
-            },
-            workload: match decode::opt_field(config_value, "workload") {
-                Some(Value::Null) | None => None,
-                Some(v) => Some(decode_workload(v)?),
-            },
-            autotune: match decode::opt_field(config_value, "autotune") {
-                Some(Value::Null) | None => None,
-                Some(v) => Some(decode_autotune(v)?),
-            },
-        };
-        let schedule_value = decode::field(&value, "schedule")?;
-        let schedule = ShardedFaultSchedule {
-            seed: decode::as_u64(decode::field(schedule_value, "seed")?)?,
-            shards: decode::as_array(decode::field(schedule_value, "shards")?)?
-                .iter()
-                .map(decode::schedule)
-                .collect::<Result<Vec<_>>>()?,
-        };
-        let decoded = ShardedCounterexample {
-            seed: decode::as_u64(decode::field(&value, "seed")?)?,
+        let (seed, config, schedule, violation) =
+            decode::document(json, decode_config, decode_schedule, |s| s.seed)?;
+        Ok(ShardedCounterexample {
+            seed,
             config,
             schedule,
-            violation: decode::violation(decode::field(&value, "violation")?)?,
-        };
-        if decoded.seed != decoded.schedule.seed {
-            return Err(decode::error(format!(
-                "seed {} disagrees with schedule seed {}",
-                decoded.seed, decoded.schedule.seed
-            )));
-        }
-        Ok(decoded)
+            violation,
+        })
     }
 
     /// Re-executes the stored schedules and returns the violation the
@@ -1814,80 +1174,75 @@ impl ShardedCounterexample {
     }
 }
 
+fn decode_schedule(value: &Value) -> Result<ShardedFaultSchedule> {
+    Ok(ShardedFaultSchedule {
+        seed: decode::as_u64(decode::field(value, "seed")?)?,
+        shards: decode::as_array(decode::field(value, "shards")?)?
+            .iter()
+            .map(decode::schedule)
+            .collect::<Result<Vec<_>>>()?,
+    })
+}
+
+fn decode_config(value: &Value) -> Result<ShardedScheduleConfig> {
+    use decode::{as_u32, as_usize, field, nullable, opt_field, or_default};
+    let d = ShardedScheduleConfig::default();
+    Ok(ShardedScheduleConfig {
+        shards: as_usize(field(value, "shards")?)?,
+        base: decode::config(field(value, "base")?)?,
+        key_space: as_u32(field(value, "key_space")?)?,
+        multi_put_interval: as_u32(field(value, "multi_put_interval")?)?,
+        multi_put_keys: as_usize(field(value, "multi_put_keys")?)?,
+        fleet_tick_interval: or_default(
+            value,
+            "fleet_tick_interval",
+            as_u32,
+            d.fleet_tick_interval,
+        )?,
+        workload: nullable(opt_field(value, "workload"), decode_workload)?,
+        autotune: nullable(opt_field(value, "autotune"), decode_autotune)?,
+    })
+}
+
 /// Decodes a [`TraceWorkloadConfig`] object (absent fields decode to their
 /// defaults).
 fn decode_workload(value: &Value) -> Result<TraceWorkloadConfig> {
-    let defaults = TraceWorkloadConfig::default();
+    use decode::{as_f64, as_u32, or_default};
+    let d = TraceWorkloadConfig::default();
     Ok(TraceWorkloadConfig {
-        base_rate: match decode::opt_field(value, "base_rate") {
-            Some(v) => decode::as_f64(v)?,
-            None => defaults.base_rate,
-        },
-        diurnal_period: match decode::opt_field(value, "diurnal_period") {
-            Some(v) => u32::try_from(decode::as_u64(v)?)
-                .map_err(|_| decode::error("diurnal_period out of u32 range"))?,
-            None => defaults.diurnal_period,
-        },
-        diurnal_amplitude: match decode::opt_field(value, "diurnal_amplitude") {
-            Some(v) => decode::as_f64(v)?,
-            None => defaults.diurnal_amplitude,
-        },
-        zipf_exponent: match decode::opt_field(value, "zipf_exponent") {
-            Some(v) => decode::as_f64(v)?,
-            None => defaults.zipf_exponent,
-        },
-        backlog_cap: match decode::opt_field(value, "backlog_cap") {
-            Some(v) => u32::try_from(decode::as_u64(v)?)
-                .map_err(|_| decode::error("backlog_cap out of u32 range"))?,
-            None => defaults.backlog_cap,
-        },
+        base_rate: or_default(value, "base_rate", as_f64, d.base_rate)?,
+        diurnal_period: or_default(value, "diurnal_period", as_u32, d.diurnal_period)?,
+        diurnal_amplitude: or_default(value, "diurnal_amplitude", as_f64, d.diurnal_amplitude)?,
+        zipf_exponent: or_default(value, "zipf_exponent", as_f64, d.zipf_exponent)?,
+        backlog_cap: or_default(value, "backlog_cap", as_u32, d.backlog_cap)?,
     })
 }
 
 /// Decodes an [`AutotuneConfig`] object (absent fields decode to their
 /// defaults; the controller sanitizes on construction either way).
 fn decode_autotune(value: &Value) -> Result<AutotuneConfig> {
-    let defaults = AutotuneConfig::default();
-    let f64_field = |name: &str, fallback: f64| -> Result<f64> {
-        match decode::opt_field(value, name) {
-            Some(v) => decode::as_f64(v),
-            None => Ok(fallback),
-        }
-    };
-    let usize_field = |name: &str, fallback: usize| -> Result<usize> {
-        match decode::opt_field(value, name) {
-            Some(v) => decode::as_usize(v),
-            None => Ok(fallback),
-        }
-    };
-    let u64_field = |name: &str, fallback: u64| -> Result<u64> {
-        match decode::opt_field(value, name) {
-            Some(v) => decode::as_u64(v),
-            None => Ok(fallback),
-        }
-    };
+    use decode::{as_f64, as_u32, as_u64, as_usize, or_default};
+    let d = AutotuneConfig::default();
+    let float = |name, default| or_default(value, name, as_f64, default);
+    let count = |name, default| or_default(value, name, as_usize, default);
     Ok(AutotuneConfig {
-        p99_target: f64_field("p99_target", defaults.p99_target)?,
-        initial_batch: usize_field("initial_batch", defaults.initial_batch)?,
-        min_batch: usize_field("min_batch", defaults.min_batch)?,
-        max_batch: usize_field("max_batch", defaults.max_batch)?,
-        batch_step: usize_field("batch_step", defaults.batch_step)?,
-        initial_concurrency: usize_field("initial_concurrency", defaults.initial_concurrency)?,
-        min_concurrency: usize_field("min_concurrency", defaults.min_concurrency)?,
-        max_concurrency: usize_field("max_concurrency", defaults.max_concurrency)?,
-        concurrency_step: usize_field("concurrency_step", defaults.concurrency_step)?,
-        decrease_factor: f64_field("decrease_factor", defaults.decrease_factor)?,
-        delay_watermark: u64_field("delay_watermark", defaults.delay_watermark)?,
-        shed_watermark: u64_field("shed_watermark", defaults.shed_watermark)?,
-        base_batch_delay: f64_field("base_batch_delay", defaults.base_batch_delay)?,
-        processing_time: f64_field("processing_time", defaults.processing_time)?,
-        signature_time: f64_field("signature_time", defaults.signature_time)?,
-        window_steps: match decode::opt_field(value, "window_steps") {
-            Some(v) => u32::try_from(decode::as_u64(v)?)
-                .map_err(|_| decode::error("window_steps out of u32 range"))?,
-            None => defaults.window_steps,
-        },
-        window_seconds: f64_field("window_seconds", defaults.window_seconds)?,
+        p99_target: float("p99_target", d.p99_target)?,
+        initial_batch: count("initial_batch", d.initial_batch)?,
+        min_batch: count("min_batch", d.min_batch)?,
+        max_batch: count("max_batch", d.max_batch)?,
+        batch_step: count("batch_step", d.batch_step)?,
+        initial_concurrency: count("initial_concurrency", d.initial_concurrency)?,
+        min_concurrency: count("min_concurrency", d.min_concurrency)?,
+        max_concurrency: count("max_concurrency", d.max_concurrency)?,
+        concurrency_step: count("concurrency_step", d.concurrency_step)?,
+        decrease_factor: float("decrease_factor", d.decrease_factor)?,
+        delay_watermark: or_default(value, "delay_watermark", as_u64, d.delay_watermark)?,
+        shed_watermark: or_default(value, "shed_watermark", as_u64, d.shed_watermark)?,
+        base_batch_delay: float("base_batch_delay", d.base_batch_delay)?,
+        processing_time: float("processing_time", d.processing_time)?,
+        signature_time: float("signature_time", d.signature_time)?,
+        window_steps: or_default(value, "window_steps", as_u32, d.window_steps)?,
+        window_seconds: float("window_seconds", d.window_seconds)?,
     })
 }
 
@@ -1901,16 +1256,15 @@ pub fn find_sharded_counterexample(
     schedule: &ShardedFaultSchedule,
     config: &ShardedScheduleConfig,
 ) -> Result<Option<ShardedCounterexample>> {
-    let report = run_sharded_schedule(schedule, config)?;
-    let Some(violation) = report.violation else {
+    let Some(violation) = run_sharded_schedule(schedule, config)?.violation else {
         return Ok(None);
     };
-    let (minimal, minimal_violation) = shrink_sharded_schedule(schedule, config, &violation)?;
+    let (schedule, violation) = shrink_sharded_schedule(schedule, config, &violation)?;
     Ok(Some(ShardedCounterexample {
         seed: schedule.seed,
         config: config.clone(),
-        schedule: minimal,
-        violation: minimal_violation,
+        schedule,
+        violation,
     }))
 }
 
@@ -2105,30 +1459,20 @@ pub fn register_fleet_scale_scenarios(registry: &mut ScenarioRegistry) {
 /// registry ships. The larger `fleet/scale-*` family is registered
 /// separately by [`register_fleet_scale_scenarios`].
 pub fn register_sharded_scenarios(registry: &mut ScenarioRegistry) {
-    registry.register("sharded/chaos-2", || {
-        Ok(Box::new(ShardedSimnetScenario::new(
-            "sharded/chaos-2",
-            ShardedScheduleConfig::default(),
-        )) as Box<dyn MetricScenario>)
-    });
-    registry.register("sharded/chaos-4", || {
-        Ok(Box::new(ShardedSimnetScenario::new(
-            "sharded/chaos-4",
-            sharded_chaos_4_config(),
-        )) as Box<dyn MetricScenario>)
-    });
-    registry.register("sharded/multiput", || {
-        Ok(Box::new(ShardedSimnetScenario::new(
-            "sharded/multiput",
-            sharded_multiput_config(),
-        )) as Box<dyn MetricScenario>)
-    });
-    registry.register("sharded/fleet-controlled", || {
-        Ok(Box::new(ShardedSimnetScenario::new(
+    for (name, config) in [
+        ("sharded/chaos-2", ShardedScheduleConfig::default()),
+        ("sharded/chaos-4", sharded_chaos_4_config()),
+        ("sharded/multiput", sharded_multiput_config()),
+        (
             "sharded/fleet-controlled",
             sharded_fleet_controlled_config(),
-        )) as Box<dyn MetricScenario>)
-    });
+        ),
+    ] {
+        registry.register(name, move || {
+            let scenario = ShardedSimnetScenario::new(name, config.clone());
+            Ok(Box::new(scenario) as Box<dyn MetricScenario>)
+        });
+    }
 }
 
 #[cfg(test)]
@@ -2183,29 +1527,26 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The inline (one-worker) run against the pooled runs: whole report
+    /// and trace bytes must be identical.
+    fn assert_worker_invariant(config: &ShardedScheduleConfig, seed: u64) {
+        let schedule = ShardedFaultSchedule::generate(seed, config);
+        let inline = run_sharded_schedule_on(&schedule, config, 1).unwrap();
+        for workers in [2usize, 4, 8] {
+            let pooled = run_sharded_schedule_on(&schedule, config, workers).unwrap();
+            assert_eq!(
+                serde_json::to_string(&inline.trace).unwrap(),
+                serde_json::to_string(&pooled.trace).unwrap(),
+                "seed {seed} workers {workers}"
+            );
+            assert_eq!(inline, pooled, "seed {seed} workers {workers}");
+        }
+    }
+
     #[test]
-    fn every_engine_produces_the_identical_report() {
-        let config = quick_config();
+    fn every_worker_count_produces_the_identical_report() {
         for seed in [7u64, 11] {
-            let schedule = ShardedFaultSchedule::generate(seed, &config);
-            let lockstep =
-                run_sharded_schedule_with(&schedule, &config, FleetEngine::Lockstep).unwrap();
-            for workers in [1usize, 2, 4, 8] {
-                let event_driven = run_sharded_schedule_with(
-                    &schedule,
-                    &config,
-                    FleetEngine::EventDriven {
-                        workers: Some(workers),
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    serde_json::to_string(&lockstep.trace).unwrap(),
-                    serde_json::to_string(&event_driven.trace).unwrap(),
-                    "seed {seed} workers {workers}"
-                );
-                assert_eq!(lockstep, event_driven, "seed {seed} workers {workers}");
-            }
+            assert_worker_invariant(&quick_config(), seed);
         }
     }
 
@@ -2223,20 +1564,7 @@ mod tests {
             workload: Some(TraceWorkloadConfig::default()),
             ..ShardedScheduleConfig::default()
         };
-        let schedule = ShardedFaultSchedule::generate(9, &config);
-        let baseline =
-            run_sharded_schedule_with(&schedule, &config, FleetEngine::Lockstep).unwrap();
-        for workers in [2usize, 4, 8] {
-            let run = run_sharded_schedule_with(
-                &schedule,
-                &config,
-                FleetEngine::EventDriven {
-                    workers: Some(workers),
-                },
-            )
-            .unwrap();
-            assert_eq!(baseline, run, "workers {workers}");
-        }
+        assert_worker_invariant(&config, 9);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`Counterexample`] that serializes to JSON — reproducing a failure is
 //! one `Counterexample::from_json(..).replay()` away.
 
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::simnet::executor::run_schedule;
 use crate::simnet::oracle::Violation;
 use crate::simnet::schedule::{FaultSchedule, ScheduleConfig};
@@ -26,6 +26,12 @@ pub struct Counterexample {
     pub violation: Violation,
 }
 
+/// Renders a counterexample document (either kind) as pretty JSON.
+pub(crate) fn document_to_json<T: Serialize>(document: &T) -> Result<String> {
+    serde_json::to_string_pretty(document)
+        .map_err(|e| CoreError::Solver(format!("serialize counterexample: {e}")))
+}
+
 impl Counterexample {
     /// Serializes the counterexample to pretty JSON.
     ///
@@ -33,8 +39,7 @@ impl Counterexample {
     ///
     /// Propagates serializer failures.
     pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| crate::error::CoreError::Solver(format!("serialize counterexample: {e}")))
+        document_to_json(self)
     }
 
     /// Parses a counterexample from JSON (the inverse of
@@ -45,9 +50,14 @@ impl Counterexample {
     /// Fails on malformed JSON or a document that does not describe a
     /// counterexample.
     pub fn from_json(json: &str) -> Result<Self> {
-        let value = serde_json::parse_value(json)
-            .map_err(|e| crate::error::CoreError::Solver(format!("parse counterexample: {e}")))?;
-        decode::counterexample(&value)
+        let (seed, config, schedule, violation) =
+            decode::document(json, decode::config, decode::schedule, |s| s.seed)?;
+        Ok(Counterexample {
+            seed,
+            config,
+            schedule,
+            violation,
+        })
     }
 
     /// Re-executes the stored schedule and returns the violation the replay
@@ -59,6 +69,43 @@ impl Counterexample {
     pub fn replay(&self) -> Result<Option<Violation>> {
         Ok(run_schedule(&self.schedule, &self.config)?.violation)
     }
+}
+
+/// The greedy drop-one-event search behind both shrinkers: repeatedly try
+/// removing a single event from any of the schedule's `groups` and keep
+/// the removal whenever `run` still breaks the same invariant kind as
+/// `violation`. Shrinks `schedule` in place and returns the violation the
+/// minimal schedule produces.
+pub(crate) fn shrink_greedy<S>(
+    schedule: &mut S,
+    violation: &Violation,
+    groups: fn(&mut S) -> &mut [FaultSchedule],
+    run: impl Fn(&S) -> Result<Option<Violation>>,
+) -> Result<Violation> {
+    let mut current = violation.clone();
+    let mut improved = true;
+    while improved {
+        improved = false;
+        for group in 0..groups(schedule).len() {
+            let mut index = 0;
+            while index < groups(schedule)[group].events.len() {
+                let removed = groups(schedule)[group].events.remove(index);
+                match run(schedule)? {
+                    Some(v) if v.kind == current.kind => {
+                        // Do not advance: the next event shifted into
+                        // `index`.
+                        current = v;
+                        improved = true;
+                    }
+                    _ => {
+                        groups(schedule)[group].events.insert(index, removed);
+                        index += 1;
+                    }
+                }
+            }
+        }
+    }
+    Ok(current)
 }
 
 /// Greedy drop-one-event minimization: returns the smallest schedule (under
@@ -73,28 +120,11 @@ pub fn shrink_schedule(
     config: &ScheduleConfig,
     violation: &Violation,
 ) -> Result<(FaultSchedule, Violation)> {
-    let mut current = schedule.clone();
-    let mut current_violation = violation.clone();
-    let mut improved = true;
-    while improved {
-        improved = false;
-        let mut index = 0;
-        while index < current.events.len() {
-            let mut candidate = current.clone();
-            candidate.events.remove(index);
-            let report = run_schedule(&candidate, config)?;
-            match report.violation {
-                Some(v) if v.kind == current_violation.kind => {
-                    current = candidate;
-                    current_violation = v;
-                    improved = true;
-                    // Do not advance: the next event shifted into `index`.
-                }
-                _ => index += 1,
-            }
-        }
-    }
-    Ok((current, current_violation))
+    let mut minimal = schedule.clone();
+    let violation = shrink_greedy(&mut minimal, violation, std::slice::from_mut, |candidate| {
+        Ok(run_schedule(candidate, config)?.violation)
+    })?;
+    Ok((minimal, violation))
 }
 
 /// Hand-written decoder for the counterexample JSON document. The vendored
@@ -103,7 +133,6 @@ pub fn shrink_schedule(
 /// encoding conventions (structs → objects, unit enum variants → strings,
 /// data-carrying variants → single-key objects, `Option::None` → null).
 pub(crate) mod decode {
-    use super::Counterexample;
     use crate::error::{CoreError, Result};
     use crate::simnet::oracle::{InvariantKind, Violation};
     use crate::simnet::schedule::{
@@ -127,14 +156,33 @@ pub(crate) mod decode {
             .ok_or_else(|| error(format!("missing field `{name}`")))
     }
 
-    /// Optional field lookup for knobs added after counterexamples were
-    /// first emitted: absent fields decode to their [`ScheduleConfig`]
-    /// default, so archived documents stay replayable.
     pub(crate) fn opt_field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
         let Value::Object(entries) = value else {
             return None;
         };
         entries.iter().find(|(key, _)| key == name).map(|(_, v)| v)
+    }
+
+    /// A knob added after counterexamples were first emitted: an absent
+    /// field decodes to `default`, so archived documents stay replayable.
+    pub(crate) fn or_default<T>(
+        value: &Value,
+        name: &str,
+        decode: fn(&Value) -> Result<T>,
+        default: T,
+    ) -> Result<T> {
+        opt_field(value, name).map_or(Ok(default), decode)
+    }
+
+    /// An `Option` field: absent or `null` is `None`.
+    pub(crate) fn nullable<T>(
+        value: Option<&Value>,
+        decode: impl Fn(&Value) -> Result<T>,
+    ) -> Result<Option<T>> {
+        match value {
+            Some(Value::Null) | None => Ok(None),
+            Some(v) => decode(v).map(Some),
+        }
     }
 
     pub(crate) fn as_u64(value: &Value) -> Result<u64> {
@@ -145,7 +193,7 @@ pub(crate) mod decode {
         }
     }
 
-    fn as_u32(value: &Value) -> Result<u32> {
+    pub(crate) fn as_u32(value: &Value) -> Result<u32> {
         u32::try_from(as_u64(value)?).map_err(|_| error("integer out of u32 range"))
     }
 
@@ -273,10 +321,7 @@ pub(crate) mod decode {
                 attacker: attacker_kind(field(body, "attacker")?)?,
             },
             "EvictReplica" => FaultEvent::EvictReplica {
-                node: match field(body, "node")? {
-                    Value::Null => None,
-                    v => Some(as_u32(v)?),
-                },
+                node: nullable(Some(field(body, "node")?), as_u32)?,
             },
             "ClientBurst" => FaultEvent::ClientBurst {
                 requests: as_u32(field(body, "requests")?)?,
@@ -318,36 +363,24 @@ pub(crate) mod decode {
         Ok(config)
     }
 
+    fn attackers(value: &Value) -> Result<Vec<AttackerKind>> {
+        as_array(value)?.iter().map(attacker_kind).collect()
+    }
+
     pub(crate) fn config(value: &Value) -> Result<ScheduleConfig> {
-        let defaults = ScheduleConfig::default();
+        let d = ScheduleConfig::default();
         Ok(ScheduleConfig {
-            checkpoint_period: match opt_field(value, "checkpoint_period") {
-                Some(v) => as_u64(v)?,
-                None => defaults.checkpoint_period,
-            },
-            batch_size: match opt_field(value, "batch_size") {
-                Some(v) => as_usize(v)?,
-                None => defaults.batch_size,
-            },
-            pipeline_window: match opt_field(value, "pipeline_window") {
-                Some(v) => as_usize(v)?,
-                None => defaults.pipeline_window,
-            },
-            gst: match opt_field(value, "gst") {
-                Some(Value::Null) | None => None,
-                Some(v) => Some(as_u32(v)?),
-            },
-            post_gst_liveness_steps: match opt_field(value, "post_gst_liveness_steps") {
-                Some(v) => as_u32(v)?,
-                None => defaults.post_gst_liveness_steps,
-            },
-            attackers: match opt_field(value, "attackers") {
-                Some(v) => as_array(v)?
-                    .iter()
-                    .map(attacker_kind)
-                    .collect::<Result<Vec<_>>>()?,
-                None => defaults.attackers,
-            },
+            checkpoint_period: or_default(value, "checkpoint_period", as_u64, d.checkpoint_period)?,
+            batch_size: or_default(value, "batch_size", as_usize, d.batch_size)?,
+            pipeline_window: or_default(value, "pipeline_window", as_usize, d.pipeline_window)?,
+            gst: nullable(opt_field(value, "gst"), as_u32)?,
+            post_gst_liveness_steps: or_default(
+                value,
+                "post_gst_liveness_steps",
+                as_u32,
+                d.post_gst_liveness_steps,
+            )?,
+            attackers: or_default(value, "attackers", attackers, d.attackers)?,
             initial_replicas: as_usize(field(value, "initial_replicas")?)?,
             max_replicas: as_usize(field(value, "max_replicas")?)?,
             parallel_recoveries: as_usize(field(value, "parallel_recoveries")?)?,
@@ -362,10 +395,10 @@ pub(crate) mod decode {
                 .iter()
                 .map(fault_kind)
                 .collect::<Result<Vec<_>>>()?,
-            inject_double_commit_at: match field(value, "inject_double_commit_at")? {
-                Value::Null => None,
-                v => Some(as_u32(v)?),
-            },
+            inject_double_commit_at: nullable(
+                Some(field(value, "inject_double_commit_at")?),
+                as_u32,
+            )?,
         })
     }
 
@@ -388,23 +421,33 @@ pub(crate) mod decode {
         })
     }
 
-    pub(super) fn counterexample(value: &Value) -> Result<Counterexample> {
-        let decoded = Counterexample {
-            seed: as_u64(field(value, "seed")?)?,
-            config: config(field(value, "config")?)?,
-            schedule: schedule(field(value, "schedule")?)?,
-            violation: violation(field(value, "violation")?)?,
-        };
-        // The top-level seed is informational but must agree with the
-        // schedule's (which is what the replay actually uses); a hand-edited
-        // mismatch would silently replay a different run.
-        if decoded.seed != decoded.schedule.seed {
+    /// Parses a counterexample document — `{seed, config, schedule,
+    /// violation}` — decoding the configuration and schedule with the
+    /// given decoders. The top-level seed is informational but must agree
+    /// with the schedule's (which is what the replay actually uses); a
+    /// hand-edited mismatch would silently replay a different run.
+    pub(crate) fn document<C, S>(
+        json: &str,
+        config: fn(&Value) -> Result<C>,
+        schedule: fn(&Value) -> Result<S>,
+        schedule_seed: fn(&S) -> u64,
+    ) -> Result<(u64, C, S, Violation)> {
+        let value = serde_json::parse_value(json)
+            .map_err(|e| CoreError::Solver(format!("parse counterexample: {e}")))?;
+        let seed = as_u64(field(&value, "seed")?)?;
+        let schedule = schedule(field(&value, "schedule")?)?;
+        if seed != schedule_seed(&schedule) {
             return Err(error(format!(
-                "seed {} disagrees with schedule seed {}",
-                decoded.seed, decoded.schedule.seed
+                "seed {seed} disagrees with schedule seed {}",
+                schedule_seed(&schedule)
             )));
         }
-        Ok(decoded)
+        Ok((
+            seed,
+            config(field(&value, "config")?)?,
+            schedule,
+            violation(field(&value, "violation")?)?,
+        ))
     }
 }
 
@@ -418,15 +461,14 @@ pub fn find_counterexample(
     schedule: &FaultSchedule,
     config: &ScheduleConfig,
 ) -> Result<Option<Counterexample>> {
-    let report = run_schedule(schedule, config)?;
-    let Some(violation) = report.violation else {
+    let Some(violation) = run_schedule(schedule, config)?.violation else {
         return Ok(None);
     };
-    let (minimal, minimal_violation) = shrink_schedule(schedule, config, &violation)?;
+    let (schedule, violation) = shrink_schedule(schedule, config, &violation)?;
     Ok(Some(Counterexample {
         seed: schedule.seed,
         config: config.clone(),
-        schedule: minimal,
-        violation: minimal_violation,
+        schedule,
+        violation,
     }))
 }

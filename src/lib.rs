@@ -10,8 +10,8 @@
 //! * [`pomdp`] — finite POMDP/MDP/CMDP models, belief updates,
 //!   exact solvers (incremental pruning, value iteration) and the
 //!   constrained-MDP occupation-measure LP.
-//! * [`consensus`] — a discrete-event network simulator, the
-//!   reconfigurable MinBFT protocol, and Raft.
+//! * [`consensus`] — a discrete-event network simulator and the
+//!   reconfigurable MinBFT protocol.
 //! * [`core`] — the paper's contribution: the node-recovery POMDP
 //!   (Problem 1), the replication CMDP (Problem 2), Algorithms 1–2,
 //!   node/system controllers, the baseline strategies, and the unified

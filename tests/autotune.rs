@@ -12,7 +12,9 @@
 //! - the release-only 300-seed chaos sweep of the tuned
 //!   `dataplane/load-swing` scenario under the full fleet oracle suite
 //!   (the CI `autotune-smoke` job; violations publish replayable
-//!   counterexamples to `simnet-counterexamples/`).
+//!   counterexamples to `target/simnet-counterexamples/`).
+
+mod common;
 
 use std::collections::HashMap;
 
@@ -25,8 +27,7 @@ use tolerance::consensus::{
 };
 use tolerance::core::controlplane::autotune::{AutotuneConfig, AutotuneController, AutotuneLoop};
 use tolerance::core::simnet::{
-    find_sharded_counterexample, load_swing_config, run_sharded_schedule, ShardedCounterexample,
-    ShardedFaultSchedule,
+    find_sharded_counterexample, load_swing_config, run_sharded_schedule, ShardedFaultSchedule,
 };
 
 const STORM_CLIENTS: usize = 6;
@@ -312,14 +313,6 @@ fn live_autotune_loop_drives_the_threaded_plane_end_to_end() {
     );
 }
 
-fn publish_counterexample(name: &str, counterexample: &ShardedCounterexample) {
-    let dir = std::path::Path::new("simnet-counterexamples");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let json = counterexample.to_json().expect("serializable");
-        let _ = std::fs::write(dir.join(format!("{name}.json")), json);
-    }
-}
-
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -337,7 +330,10 @@ fn tuned_load_swing_sweep_passes_the_full_oracle_suite() {
         let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
         if let Some(violation) = &report.violation {
             if let Ok(Some(counterexample)) = find_sharded_counterexample(&schedule, &config) {
-                publish_counterexample(&format!("load-swing-seed{seed}"), &counterexample);
+                common::publish_counterexample(
+                    &format!("load-swing-seed{seed}"),
+                    &counterexample.to_json().expect("serializable"),
+                );
             }
             panic!("dataplane/load-swing seed {seed}: {violation}");
         }

@@ -1,61 +1,59 @@
-//! Acceptance tests of the fleet-scale simulation engine: the determinism
-//! contract (byte-identical traces across 1/2/4/8 scheduler workers, and
-//! lockstep == event-driven on every pinned counterexample), plus the
-//! release-only fleet smoke — a 64-shard × 6-replica sweep under the full
-//! oracle suite and a 256-shard completion check.
+//! Acceptance tests of the fleet harness's scheduler: the determinism
+//! contract (byte-identical reports across 1/2/4/8 scheduler workers, on
+//! the default and windowed configurations, the pinned fleet
+//! counterexample and the lifted archived single-group counterexamples),
+//! plus the release-only fleet smoke — a 64-shard × 6-replica sweep under
+//! the full oracle suite and a 256-shard completion check.
 //!
 //! The release-only tests double as the CI `fleet-smoke` job: any emitted
-//! counterexample is written to `simnet-counterexamples/` and uploaded as a
-//! workflow artifact.
+//! counterexample is written to `target/simnet-counterexamples/` and
+//! uploaded as a workflow artifact.
+
+mod common;
 
 use tolerance::consensus::sharded::shard_seed;
 use tolerance::core::simnet::oracle::{InvariantKind, Violation};
 use tolerance::core::simnet::{
     find_sharded_counterexample, fleet_scale_config, load_swing_config, run_sharded_schedule,
-    run_sharded_schedule_with, Counterexample, FaultEvent, FaultSchedule, FleetEngine,
-    ScheduledFault, ShardedCounterexample, ShardedFaultSchedule, ShardedRunReport,
-    ShardedScheduleConfig,
+    run_sharded_schedule_on, Counterexample, FaultEvent, FaultSchedule, ScheduledFault,
+    ShardedCounterexample, ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
 };
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
-/// Lockstep baseline plus the event-driven engine at every worker count;
-/// asserts every report (trace bytes included) is identical.
-fn assert_engine_invariant(
+/// Runs the schedule at every worker count of the grid and asserts every
+/// report (trace bytes included) is identical to the one-worker run.
+fn assert_worker_invariant(
     name: &str,
     schedule: &ShardedFaultSchedule,
     config: &ShardedScheduleConfig,
 ) -> ShardedRunReport {
-    let lockstep = run_sharded_schedule_with(schedule, config, FleetEngine::Lockstep)
-        .expect("harness constructs");
-    let baseline_json = serde_json::to_string(&lockstep.trace).expect("serializable");
+    let mut baseline: Option<(ShardedRunReport, String)> = None;
     for workers in WORKER_GRID {
-        let event_driven = run_sharded_schedule_with(
-            schedule,
-            config,
-            FleetEngine::EventDriven {
-                workers: Some(workers),
-            },
-        )
-        .expect("harness constructs");
-        let json = serde_json::to_string(&event_driven.trace).expect("serializable");
-        assert_eq!(
-            baseline_json, json,
-            "{name}: event-driven trace with {workers} workers diverged from lockstep"
-        );
-        assert_eq!(lockstep, event_driven, "{name}: {workers} workers");
+        let report =
+            run_sharded_schedule_on(schedule, config, workers).expect("harness constructs");
+        let json = serde_json::to_string(&report.trace).expect("serializable");
+        match &baseline {
+            None => baseline = Some((report, json)),
+            Some((first, first_json)) => {
+                assert_eq!(
+                    first_json, &json,
+                    "{name}: the trace with {workers} workers diverged from one worker"
+                );
+                assert_eq!(first, &report, "{name}: {workers} workers");
+            }
+        }
     }
-    lockstep
+    baseline.expect("the grid is non-empty").0
 }
 
 #[test]
 fn event_driven_replay_is_byte_identical_across_worker_grid() {
-    // The lockstep-cadence configurations: `fleet_tick_interval = 1`, so
-    // the engine must reproduce the original executor exactly.
+    // The every-step cadence: `fleet_tick_interval = 1`.
     let config = ShardedScheduleConfig::default();
     for seed in 0..4u64 {
         let schedule = ShardedFaultSchedule::generate(seed, &config);
-        assert_engine_invariant(&format!("default seed {seed}"), &schedule, &config);
+        assert_worker_invariant(&format!("default seed {seed}"), &schedule, &config);
     }
 }
 
@@ -66,7 +64,7 @@ fn windowed_fleet_scale_replay_is_byte_identical_across_worker_grid() {
     let config = fleet_scale_config(16);
     for seed in 0..2u64 {
         let schedule = ShardedFaultSchedule::generate(seed, &config);
-        let report = assert_engine_invariant(&format!("scale-16 seed {seed}"), &schedule, &config);
+        let report = assert_worker_invariant(&format!("scale-16 seed {seed}"), &schedule, &config);
         assert!(
             report.violation.is_none(),
             "scale-16 seed {seed}: {:?}",
@@ -78,8 +76,8 @@ fn windowed_fleet_scale_replay_is_byte_identical_across_worker_grid() {
 
 /// Lifts a single-group counterexample into a one-shard fleet: same base
 /// configuration, the archived schedule as shard 0's schedule, no MultiPut
-/// driver. The engines must agree on the *whole report* — violation, step
-/// and trace bytes — not merely both fail.
+/// driver. The worker grid must agree on the *whole report* — violation,
+/// step and trace bytes — not merely both fail.
 fn lift_single_group(
     counterexample: &Counterexample,
 ) -> (ShardedFaultSchedule, ShardedScheduleConfig) {
@@ -101,34 +99,22 @@ fn lift_single_group(
 }
 
 #[test]
-fn lockstep_and_event_driven_agree_on_archived_counterexamples() {
-    let dir = std::path::Path::new("simnet-counterexamples");
-    let mut checked = 0;
-    for name in [
-        "expected-double-commit.json",
-        "expected-liveness-after-gst.json",
-        "adversary-lying-donor-gst-seed19.json",
-    ] {
-        let json =
-            std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"));
-        let counterexample =
-            Counterexample::from_json(&json).unwrap_or_else(|e| panic!("decode {name}: {e}"));
-        let (schedule, config) = lift_single_group(&counterexample);
+fn worker_grid_agrees_on_the_lifted_archived_counterexamples() {
+    for name in common::ARCHIVED_COUNTEREXAMPLES {
+        let (schedule, config) = lift_single_group(&common::archived_counterexample(name));
         // Lifting changes the client driving (routed pool clients instead
         // of the single-group harness's), so the archived violation need
-        // not reproduce — the contract under test is that every engine
-        // produces the identical report, violating or green.
-        assert_engine_invariant(name, &schedule, &config);
-        checked += 1;
+        // not reproduce — the contract under test is that every worker
+        // count produces the identical report, violating or green.
+        assert_worker_invariant(name, &schedule, &config);
     }
-    assert_eq!(checked, 3);
 }
 
 #[test]
-fn lockstep_and_event_driven_agree_on_the_pinned_fleet_counterexample() {
+fn worker_grid_agrees_on_the_pinned_fleet_counterexample() {
     // The shrunk state-transfer/backlog counterexample pinned in
-    // tests/sharded.rs (fleet seed 3): both engines must replay the exact
-    // scripted schedule to the same green report.
+    // tests/sharded.rs (fleet seed 3): every worker count must replay the
+    // exact scripted schedule to the same green report.
     let config = ShardedScheduleConfig::default();
     let schedule = ShardedFaultSchedule {
         seed: 3,
@@ -151,7 +137,7 @@ fn lockstep_and_event_driven_agree_on_the_pinned_fleet_counterexample() {
             FaultSchedule::scripted(shard_seed(3, 1), Vec::new()),
         ],
     };
-    let report = assert_engine_invariant("pinned fleet seed 3", &schedule, &config);
+    let report = assert_worker_invariant("pinned fleet seed 3", &schedule, &config);
     assert!(
         report.violation.is_none(),
         "the pinned counterexample regressed: {:?}",
@@ -170,7 +156,7 @@ fn autotuned_load_swing_replay_is_byte_identical_across_worker_grid() {
     for seed in 0..2u64 {
         let schedule = ShardedFaultSchedule::generate(seed, &config);
         let report =
-            assert_engine_invariant(&format!("load-swing seed {seed}"), &schedule, &config);
+            assert_worker_invariant(&format!("load-swing seed {seed}"), &schedule, &config);
         assert!(
             report.violation.is_none(),
             "load-swing seed {seed}: {:?}",
@@ -221,32 +207,26 @@ fn aimd_decisions_replay_exactly_from_a_counterexample_document() {
     assert_eq!(original, replayed);
 }
 
-fn publish_counterexample(name: &str, counterexample: &ShardedCounterexample) {
-    let dir = std::path::Path::new("simnet-counterexamples");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let json = counterexample.to_json().expect("serializable");
-        let _ = std::fs::write(dir.join(format!("{name}.json")), json);
-    }
-}
-
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "release-only fleet smoke (CI fleet-smoke job)"
 )]
 fn fleet_smoke_64_shards_passes_the_full_oracle_suite() {
-    // The CI fleet smoke: a 64-shard × 6-replica event-driven sweep under
+    // The CI fleet smoke: a 64-shard × 6-replica sweep under
     // the full oracle suite (per-shard agreement/validity/recovery-bound/
     // network accounting, fleet routing, settle liveness and MultiPut
     // atomicity). Violations shrink and publish like the sharded sweep.
     let config = fleet_scale_config(64);
     for seed in 0..3u64 {
         let schedule = ShardedFaultSchedule::generate(seed, &config);
-        let report = run_sharded_schedule_with(&schedule, &config, FleetEngine::default())
-            .expect("harness constructs");
+        let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
         if let Some(violation) = &report.violation {
             if let Ok(Some(counterexample)) = find_sharded_counterexample(&schedule, &config) {
-                publish_counterexample(&format!("fleet-scale-64-seed{seed}"), &counterexample);
+                common::publish_counterexample(
+                    &format!("fleet-scale-64-seed{seed}"),
+                    &counterexample.to_json().expect("serializable"),
+                );
             }
             panic!("fleet/scale-64 seed {seed}: {violation}");
         }
@@ -269,8 +249,7 @@ fn fleet_smoke_64_shards_passes_the_full_oracle_suite() {
 fn fleet_scale_256_completes_under_the_full_oracle_suite() {
     let config = fleet_scale_config(256);
     let schedule = ShardedFaultSchedule::generate(0, &config);
-    let report = run_sharded_schedule_with(&schedule, &config, FleetEngine::default())
-        .expect("harness constructs");
+    let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
     assert!(
         report.violation.is_none(),
         "fleet/scale-256: {:?}",

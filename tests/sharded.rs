@@ -5,8 +5,10 @@
 //! sharded service smoke.
 //!
 //! This suite doubles as the CI `shard-smoke` job: any emitted
-//! counterexample is written to `simnet-counterexamples/` and uploaded as
+//! counterexample is written to `target/simnet-counterexamples/` and uploaded as
 //! a workflow artifact.
+
+mod common;
 
 use tolerance::consensus::minbft::{MinBftConfig, Operation};
 use tolerance::consensus::sharded::{shard_seed, ShardedSimConfig, ShardedSimService};
@@ -15,7 +17,7 @@ use tolerance::core::runtime::Runner;
 use tolerance::core::simnet::{
     find_sharded_counterexample, run_sharded_schedule, sharded_chaos_4_config,
     sharded_fleet_controlled_config, FaultEvent, FaultSchedule, ScheduledFault,
-    ShardedCounterexample, ShardedFaultSchedule, ShardedScheduleConfig, ShardedSimnetScenario,
+    ShardedFaultSchedule, ShardedScheduleConfig, ShardedSimnetScenario,
 };
 
 /// The three fleet configurations of the sweep — the *same* configuration
@@ -31,14 +33,6 @@ fn sweep_configs() -> Vec<(&'static str, ShardedScheduleConfig)> {
             sharded_fleet_controlled_config(),
         ),
     ]
-}
-
-fn publish_counterexample(name: &str, counterexample: &ShardedCounterexample) {
-    let dir = std::path::Path::new("simnet-counterexamples");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let json = counterexample.to_json().expect("serializable");
-        let _ = std::fs::write(dir.join(format!("{name}.json")), json);
-    }
 }
 
 #[test]
@@ -57,7 +51,10 @@ fn sharded_chaos_sweep_passes_all_oracles_across_300_runs() {
             let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
             if let Some(violation) = &report.violation {
                 if let Ok(Some(counterexample)) = find_sharded_counterexample(&schedule, &config) {
-                    publish_counterexample(&format!("{name}-seed{seed}"), &counterexample);
+                    common::publish_counterexample(
+                        &format!("{name}-seed{seed}"),
+                        &counterexample.to_json().expect("serializable"),
+                    );
                 }
                 panic!("{name} seed {seed}: {violation}");
             }

@@ -1,108 +1,30 @@
 //! Acceptance tests of the deterministic fault-injection harness (simnet):
 //! a bounded randomized-schedule suite over the full two-level stack, the
-//! byte-identical-replay guarantee across thread counts, the
-//! double-commit-detection + shrinking pipeline, and Raft under the shared
-//! partition API.
+//! byte-identical-replay guarantee across thread counts, and the
+//! double-commit-detection + shrinking pipeline.
 //!
 //! This suite doubles as the CI `simnet-smoke` job: any emitted
-//! counterexample is written to `simnet-counterexamples/` and uploaded as a
-//! workflow artifact.
+//! counterexample is written to `target/simnet-counterexamples/` and
+//! uploaded as a workflow artifact.
 
+mod common;
+
+use common::{publish_counterexample, smoke_configs};
 use std::collections::BTreeSet;
-use tolerance::consensus::{AttackerKind, ByzantineMode, RaftCluster, RaftConfig};
+use tolerance::consensus::{AttackerKind, ByzantineMode};
 use tolerance::core::controlplane::scenario::sim_intrusion_burst_config;
 use tolerance::core::runtime::{Runner, Scenario};
 use tolerance::core::simnet::{
     adversary_config, adversary_matrix, adversary_sharded_config, find_counterexample,
     find_sharded_counterexample, run_schedule, run_sharded_schedule, Counterexample, FaultEvent,
     FaultKind, FaultSchedule, InvariantKind, NetworkCondition, ScheduleConfig, ScheduledFault,
-    ShardedCounterexample, ShardedFaultSchedule, SimnetScenario,
+    ShardedFaultSchedule, SimnetScenario,
 };
 use tolerance::emulation::builtin_registry;
 
 /// The fixed seed set of the smoke suite (the CI job runs exactly this).
 fn smoke_seeds() -> Vec<u64> {
     (0..18).collect()
-}
-
-fn smoke_configs() -> Vec<(&'static str, ScheduleConfig)> {
-    vec![
-        (
-            "light",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.2,
-                ..ScheduleConfig::default()
-            },
-        ),
-        (
-            "heavy",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.8,
-                ..ScheduleConfig::default()
-            },
-        ),
-        (
-            "full-stack",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.5,
-                system_controller: true,
-                ..ScheduleConfig::default()
-            },
-        ),
-        (
-            // The data-plane configuration: leader batching plus an
-            // aggressive checkpoint period, so recovery and view changes
-            // run from *truncated* logs (state transfer from the stable
-            // checkpoint, no re-execution of compacted requests) under the
-            // same chaos schedules and oracles.
-            "gc-batch",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.5,
-                checkpoint_period: 8,
-                batch_size: 4,
-                ..ScheduleConfig::default()
-            },
-        ),
-        (
-            // The PR-6 pipelined data plane: a watermark window above 1
-            // keeps several uncommitted sequences in flight, so view
-            // changes, recoveries and state transfers triggered by the
-            // chaos schedule must cope with multiple concurrently proposed
-            // batches (and the aggressive checkpoint period keeps those
-            // interacting with compaction).
-            "pipelined",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.5,
-                checkpoint_period: 8,
-                batch_size: 4,
-                pipeline_window: 4,
-                ..ScheduleConfig::default()
-            },
-        ),
-    ]
-}
-
-/// Writes a counterexample where the CI job picks it up as an artifact.
-fn publish_counterexample(name: &str, counterexample: &Counterexample) {
-    let dir = std::path::Path::new("simnet-counterexamples");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let json = counterexample.to_json().expect("serializable");
-        let _ = std::fs::write(dir.join(format!("{name}.json")), json);
-    }
-}
-
-/// The sharded twin of [`publish_counterexample`].
-fn publish_sharded_counterexample(name: &str, counterexample: &ShardedCounterexample) {
-    let dir = std::path::Path::new("simnet-counterexamples");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let json = counterexample.to_json().expect("serializable");
-        let _ = std::fs::write(dir.join(format!("{name}.json")), json);
-    }
 }
 
 #[test]
@@ -122,7 +44,10 @@ fn randomized_schedules_pass_all_invariant_oracles() {
                 // Shrink and publish before failing, so CI uploads the
                 // replayable counterexample.
                 if let Ok(Some(counterexample)) = find_counterexample(&schedule, &config) {
-                    publish_counterexample(&format!("{name}-seed{seed}"), &counterexample);
+                    publish_counterexample(
+                        &format!("{name}-seed{seed}"),
+                        &counterexample.to_json().expect("serializable"),
+                    );
                 }
                 panic!("{name} seed {seed}: {violation}");
             }
@@ -202,10 +127,9 @@ fn injected_double_commit_is_caught_shrunk_and_replayable() {
         .events
         .iter()
         .any(|e| e.event.kind() == FaultKind::InjectDoubleCommit));
-    publish_counterexample("expected-double-commit", &counterexample);
-
     // One command to reproduce: JSON → Counterexample → replay.
     let json = counterexample.to_json().expect("serializes");
+    publish_counterexample("expected-double-commit", &json);
     let restored = Counterexample::from_json(&json).expect("parses back");
     assert_eq!(restored, counterexample);
     let replayed = restored
@@ -408,49 +332,6 @@ fn pinned_reconfiguration_split_brain_counterexample_cannot_regress() {
 }
 
 #[test]
-fn raft_survives_partition_and_crash_chaos() {
-    // The shared partition/storm API on the crash-tolerant substrate: a
-    // scripted chaos schedule against Raft, with committed-log consistency
-    // as the agreement oracle.
-    for seed in 0..6 {
-        let mut raft = RaftCluster::new(RaftConfig {
-            members: 5,
-            seed,
-            ..RaftConfig::default()
-        });
-        raft.run_until(2.0);
-        assert!(raft.propose("op-1"));
-        raft.run_until(3.0);
-
-        // Partition a minority, keep proposing, heal, crash one member,
-        // restart it.
-        raft.partition_network(&[0, 1], &[2, 3, 4]);
-        raft.run_until(5.0);
-        raft.propose("op-2");
-        raft.run_until(7.0);
-        raft.heal_network();
-        raft.run_until(9.0);
-        raft.crash(2);
-        raft.propose("op-3");
-        raft.run_until(12.0);
-        raft.restart(2);
-        raft.run_until(16.0);
-
-        assert!(
-            raft.committed_logs_consistent(),
-            "seed {seed}: committed logs diverged"
-        );
-        let leader = raft.leader().expect("a leader after healing");
-        assert!(
-            !raft.committed_log(leader).is_empty(),
-            "seed {seed}: nothing committed"
-        );
-        assert!(!raft.is_crashed(2));
-        assert_eq!(raft.members(), &[0, 1, 2, 3, 4]);
-    }
-}
-
-#[test]
 fn adversary_matrix_sweep_passes_all_oracles_across_300_runs() {
     // The PR-7 acceptance sweep: every attacker variant of the zoo × every
     // network condition (sync / partial synchrony with GST / storms), 20
@@ -477,7 +358,7 @@ fn adversary_matrix_sweep_passes_all_oracles_across_300_runs() {
                             attacker.name(),
                             condition.name()
                         ),
-                        &counterexample,
+                        &counterexample.to_json().expect("serializable"),
                     );
                 }
                 panic!(
@@ -519,13 +400,13 @@ fn sharded_adversary_cells_pass_the_routing_and_atomicity_oracles() {
             let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
             if let Some(violation) = &report.violation {
                 if let Ok(Some(counterexample)) = find_sharded_counterexample(&schedule, &config) {
-                    publish_sharded_counterexample(
+                    publish_counterexample(
                         &format!(
                             "adversary-sharded-{}-{}-seed{seed}",
                             attacker.name(),
                             condition.name()
                         ),
-                        &counterexample,
+                        &counterexample.to_json().expect("serializable"),
                     );
                 }
                 panic!(
@@ -686,9 +567,8 @@ fn pre_gst_crash_majority_triggers_the_liveness_after_gst_oracle() {
         .events
         .iter()
         .all(|fault| matches!(fault.event, FaultEvent::CrashReplica { .. })));
-    publish_counterexample("expected-liveness-after-gst", &counterexample);
-
     let json = counterexample.to_json().expect("serializes");
+    publish_counterexample("expected-liveness-after-gst", &json);
     let restored = Counterexample::from_json(&json).expect("parses back");
     assert_eq!(restored, counterexample);
     let replayed = restored
