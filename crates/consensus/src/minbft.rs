@@ -779,12 +779,16 @@ impl StepOutput {
         from: NodeId,
         members: &[NodeId],
     ) {
-        for message in self.broadcast {
-            transport.broadcast(from, members, &message);
+        if self.is_empty() {
+            return;
         }
-        for (dest, message) in self.outgoing {
-            transport.send(from, dest, message);
-        }
+        let broadcasts = self.broadcast.into_iter().map(|m| (from, m)).collect();
+        let unicasts = self
+            .outgoing
+            .into_iter()
+            .map(|(to, m)| (from, to, m))
+            .collect();
+        transport.send_batch(members, broadcasts, unicasts);
     }
 }
 

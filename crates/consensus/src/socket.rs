@@ -12,19 +12,29 @@
 //! Architecture (per process):
 //!
 //! * **Listener thread** — accepts inbound connections and spawns one
-//!   *reader thread* per connection. Readers decode length-prefixed frames
-//!   ([`crate::wire`]) and deliver them to the local node mailboxes; the
-//!   first malformed frame drops the connection (counted, never a panic).
-//! * **Per-peer writer threads** — each remote peer added via
-//!   [`SocketTransport::add_peer`] gets a bounded outbound queue and a
-//!   writer thread that owns the outbound `TcpStream`. A full queue drops
-//!   the message (backpressure surfaces as loss, exactly like the other
+//!   *reader thread* per connection. A reader issues one `read` into a
+//!   reusable [`FrameBuffer`] and delivers every complete frame it holds to
+//!   the local node mailboxes; the first malformed frame drops the
+//!   connection (counted, never a panic).
+//! * **Per-address writer threads** — every remote *address* added via
+//!   [`SocketTransport::add_peer`] gets one bounded outbound queue, one
+//!   writer thread and one `TcpStream`, shared by all node ids that live
+//!   there (16 client ids on one hub are one connection). A writer
+//!   coalesces whatever is queued into one `write`. A full queue drops the
+//!   message (backpressure surfaces as loss, exactly like the other
 //!   transports); a broken connection is re-dialed on the next send
 //!   (reconnect-on-drop), so a restarted peer becomes reachable again
-//!   without any bookkeeping by the protocol layer.
+//!   without any bookkeeping by the protocol layer — and is greeted by
+//!   fresh traffic, because a failed dial discards what was queued.
 //! * **Local mailboxes** — nodes living in this process (replica threads,
 //!   client driver pools) register bounded in-process mailboxes, exactly
 //!   like the threaded transport; a send to a local node skips TCP.
+//!
+//! Cost scales with steps and connections, not messages:
+//! [`Transport::send_batch`] encodes a broadcast once, groups a step's
+//! frames per connection and hands each connection one queue item (one
+//! wake-up, one `write`). A bare [`Transport::send`] is a batch of one and
+//! goes out at once — nothing waits for a flush.
 //!
 //! The peer directory is live: [`SocketTransport::add_peer`] /
 //! [`SocketTransport::remove_peer`] register and unregister peers while
@@ -35,13 +45,13 @@ use crate::minbft::{ControlMessage, Message, ProtocolParams, Replica};
 use crate::net::Delivery;
 use crate::threaded::{replica_main, ReplicaSnapshot, ThreadedServiceConfig};
 use crate::transport::{Transport, TransportStats, WallClock};
-use crate::wire::{decode_frame_body, encode_frame, frame_body_len};
+use crate::wire::{encode_frame, FrameBuffer, FRAME_HEADER_LEN};
 use crate::NodeId;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -52,18 +62,30 @@ use std::time::{Duration, Instant};
 /// under any protocol timeout.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
 
+/// How often an I/O thread blocked on its queue or its socket looks at the
+/// shutdown flag: the bound on how long a thread outlives its transport.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
+
+/// A writer stops draining its queue into the pending `write` once it holds
+/// this many bytes.
+const COALESCE_BYTES: usize = 64 * 1024;
+
 /// Traffic and robustness counters of a [`SocketTransport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SocketStats {
     /// Messages handed to the transport.
     pub sent: u64,
-    /// Messages dropped: unknown recipient, full outbound queue, or full
-    /// local mailbox.
+    /// Messages dropped: unknown recipient, full outbound queue, full
+    /// local mailbox, or queued for a peer that could not be written to.
     pub dropped: u64,
     /// Inbound connections dropped because a frame failed to decode.
     pub decode_errors: u64,
     /// Outbound re-dials after a broken or refused connection.
     pub reconnects: u64,
+    /// `write`s completed by writer threads (each carried ≥ 1 frame).
+    pub writes: u64,
+    /// `read` calls that returned bytes to reader threads.
+    pub reads: u64,
 }
 
 #[derive(Debug, Default)]
@@ -72,20 +94,33 @@ struct Counters {
     dropped: AtomicU64,
     decode_errors: AtomicU64,
     reconnects: AtomicU64,
+    writes: AtomicU64,
+    reads: AtomicU64,
 }
 
-/// One remote peer: the bounded queue its writer thread drains.
-struct PeerQueue {
-    queue: SyncSender<Vec<u8>>,
-    thread: JoinHandle<()>,
+/// Whole frames bound for one connection, back to back: the unit a writer
+/// queue carries.
+#[derive(Default)]
+struct Chunk {
+    bytes: Vec<u8>,
+    frames: u64,
 }
+
+/// One outbound connection, shared by every node id at `addr`. Dropping the
+/// last reference disconnects the queue, which ends the writer thread.
+struct PeerConn {
+    addr: SocketAddr,
+    queue: SyncSender<Chunk>,
+}
+
+type Mailboxes = HashMap<NodeId, SyncSender<Delivery<Message>>>;
 
 /// State shared between the hub, its handles, and the I/O threads.
 struct Shared {
     /// Local in-process mailboxes (replica threads, client pools).
-    locals: RwLock<HashMap<NodeId, SyncSender<Delivery<Message>>>>,
-    /// Remote peers, keyed by node id.
-    peers: RwLock<HashMap<NodeId, PeerQueue>>,
+    locals: RwLock<Mailboxes>,
+    /// Remote peers: node id → the connection to its address.
+    peers: RwLock<HashMap<NodeId, Arc<PeerConn>>>,
     counters: Counters,
     start: Instant,
     capacity: usize,
@@ -97,22 +132,21 @@ impl Shared {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Delivers a decoded message to a local mailbox (drop-counted).
-    fn deliver_local(&self, from: NodeId, to: NodeId, message: Message) {
-        let locals = self.locals.read().expect("locals lock");
-        let Some(sender) = locals.get(&to) else {
-            drop(locals);
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
+    fn count_dropped(&self, messages: u64) {
+        self.counters.dropped.fetch_add(messages, Ordering::Relaxed);
+    }
+
+    /// Delivers a message to a local mailbox (drop-counted).
+    fn deliver(&self, locals: &Mailboxes, from: NodeId, to: NodeId, message: Message) {
         let delivery = Delivery {
             time: self.now(),
             from,
             to,
             message,
         };
-        if sender.try_send(delivery).is_err() {
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+        match locals.get(&to) {
+            Some(mailbox) if mailbox.try_send(delivery).is_ok() => {}
+            _ => self.count_dropped(1),
         }
     }
 }
@@ -168,11 +202,7 @@ impl SocketTransport {
     ///
     /// Panics if the node is already registered.
     pub fn register(&mut self, node: NodeId) -> Receiver<Delivery<Message>> {
-        let (sender, receiver) = sync_channel(self.shared.capacity);
-        let mut locals = self.shared.locals.write().expect("locals lock");
-        let previous = locals.insert(node, sender);
-        assert!(previous.is_none(), "node {node} registered twice");
-        receiver
+        self.register_shared(&[node])
     }
 
     /// Registers several local nodes onto one shared mailbox (a client
@@ -197,36 +227,33 @@ impl SocketTransport {
         locals.remove(&node).is_some()
     }
 
-    /// Adds (or re-addresses) a remote peer: spawns a writer thread with a
-    /// bounded outbound queue that dials `addr` lazily and re-dials after
-    /// drops. Live — existing handles reach the peer immediately. The
+    /// Adds (or re-addresses) a remote peer. The first node id at `addr`
+    /// spawns a writer thread with a bounded outbound queue that dials
+    /// lazily and re-dials after drops; further ids at the same address
+    /// share it. Live — existing handles reach the peer immediately. The
     /// JOIN hook across processes.
     pub fn add_peer(&mut self, node: NodeId, addr: SocketAddr) {
-        let (queue, rx) = sync_channel::<Vec<u8>>(self.shared.capacity);
-        let writer_shared = Arc::clone(&self.shared);
-        let thread = std::thread::spawn(move || writer_loop(addr, rx, writer_shared));
         let mut peers = self.shared.peers.write().expect("peers lock");
-        if let Some(previous) = peers.insert(node, PeerQueue { queue, thread }) {
-            // Dropping the queue disconnects the old writer's receiver; the
-            // thread exits on its next poll. Detach rather than join (the
-            // lock is held).
-            drop(previous.queue);
-            drop(previous.thread);
-        }
+        let conn = match peers.values().find(|conn| conn.addr == addr) {
+            Some(conn) => Arc::clone(conn),
+            None => {
+                let (queue, rx) = sync_channel(self.shared.capacity);
+                let writer_shared = Arc::clone(&self.shared);
+                // Detached: the writer ends when its queue disconnects (the
+                // last node id at `addr` removed, or the transport dropped).
+                std::thread::spawn(move || writer_loop(addr, rx, writer_shared));
+                Arc::new(PeerConn { addr, queue })
+            }
+        };
+        peers.insert(node, conn);
     }
 
-    /// Removes a remote peer; its writer thread drains and exits. The EVICT
-    /// hook across processes. Returns whether the peer existed.
+    /// Removes a remote peer; the writer thread of its address drains and
+    /// exits once no other node id lives there. The EVICT hook across
+    /// processes. Returns whether the peer existed.
     pub fn remove_peer(&mut self, node: NodeId) -> bool {
         let mut peers = self.shared.peers.write().expect("peers lock");
-        match peers.remove(&node) {
-            Some(peer) => {
-                drop(peer.queue);
-                drop(peer.thread);
-                true
-            }
-            None => false,
-        }
+        peers.remove(&node).is_some()
     }
 
     /// A clonable sender handle (implements [`Transport`] + [`WallClock`]).
@@ -238,27 +265,21 @@ impl SocketTransport {
 
     /// Traffic and robustness counters.
     pub fn stats(&self) -> SocketStats {
+        let counters = &self.shared.counters;
         SocketStats {
-            sent: self.shared.counters.sent.load(Ordering::Relaxed),
-            dropped: self.shared.counters.dropped.load(Ordering::Relaxed),
-            decode_errors: self.shared.counters.decode_errors.load(Ordering::Relaxed),
-            reconnects: self.shared.counters.reconnects.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The `sent`/`dropped` counters in the shape the threaded service
-    /// reports use.
-    pub fn transport_stats(&self) -> TransportStats {
-        let stats = self.stats();
-        TransportStats {
-            sent: stats.sent,
-            dropped: stats.dropped,
+            sent: counters.sent.load(Ordering::Relaxed),
+            dropped: counters.dropped.load(Ordering::Relaxed),
+            decode_errors: counters.decode_errors.load(Ordering::Relaxed),
+            reconnects: counters.reconnects.load(Ordering::Relaxed),
+            writes: counters.writes.load(Ordering::Relaxed),
+            reads: counters.reads.load(Ordering::Relaxed),
         }
     }
 }
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
+        // Readers and writers see the flag within `SHUTDOWN_POLL`.
         self.shared.shutdown.store(true, Ordering::Relaxed);
         // Wake the accept loop so it observes the flag: connect once to our
         // own listener (errors are irrelevant — the thread also exits if
@@ -285,55 +306,56 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Reads length-prefixed frames off one inbound connection until EOF, an
-/// I/O error, or the first malformed frame (which is counted and drops the
-/// connection — a misbehaving peer cannot make us panic or allocate
-/// unboundedly, see [`crate::wire`]).
+/// Reads one inbound connection until EOF, an I/O error, the transport's
+/// shutdown, or the first malformed frame (which is counted and drops the
+/// connection — a misbehaving peer cannot make us panic or allocate beyond
+/// the bytes it actually sent, see [`FrameBuffer`]).
 fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
-    let mut prefix = [0u8; 4];
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        if stream.read_exact(&mut prefix).is_err() {
-            return; // EOF or broken connection: peer went away.
-        }
-        let body_len = match frame_body_len(prefix) {
-            Ok(len) => len,
-            Err(_) => {
-                shared
-                    .counters
-                    .decode_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
+    // A blocked `read` must not outlive the transport: time out and look at
+    // the flag. The frame buffer keeps partial frames across timeouts.
+    let _ = stream.set_read_timeout(Some(SHUTDOWN_POLL));
+    let mut frames = FrameBuffer::new();
+    while !shared.shutdown.load(Ordering::Relaxed) {
+        match frames.read_from(&mut stream) {
+            Ok(0) => return, // EOF: peer went away.
+            Ok(_) => shared.counters.reads.fetch_add(1, Ordering::Relaxed),
+            Err(error)
+                if matches!(
+                    error.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                continue
             }
+            Err(_) => return,
         };
-        let mut body = vec![0u8; body_len];
-        if stream.read_exact(&mut body).is_err() {
-            return;
-        }
-        match decode_frame_body(&body) {
-            Ok((from, to, message)) => shared.deliver_local(from, to, message),
-            Err(_) => {
-                shared
-                    .counters
-                    .decode_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
+        let locals = shared.locals.read().expect("locals lock");
+        loop {
+            match frames.next_frame() {
+                Ok(Some((from, to, message))) => shared.deliver(&locals, from, to, message),
+                Ok(None) => break,
+                Err(_) => {
+                    shared
+                        .counters
+                        .decode_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
             }
         }
     }
 }
 
-/// Owns one peer's outbound connection: drains the bounded queue, dialing
-/// (and after failures re-dialing) the peer as needed. Exits when the queue
-/// disconnects (peer removed / transport dropped).
-fn writer_loop(addr: SocketAddr, queue: Receiver<Vec<u8>>, shared: Arc<Shared>) {
+/// Owns the outbound connection to one address: drains the bounded queue,
+/// coalescing what is queued into one `write`, dialing (and after failures
+/// re-dialing) the peer as needed. Exits when the queue disconnects (last
+/// peer at the address removed / transport dropped).
+fn writer_loop(addr: SocketAddr, queue: Receiver<Chunk>, shared: Arc<Shared>) {
     let mut stream: Option<TcpStream> = None;
     let mut ever_connected = false;
     loop {
-        let frame = match queue.recv_timeout(Duration::from_millis(100)) {
-            Ok(frame) => frame,
+        let mut chunk = match queue.recv_timeout(SHUTDOWN_POLL) {
+            Ok(chunk) => chunk,
             Err(RecvTimeoutError::Timeout) => {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return;
@@ -342,9 +364,13 @@ fn writer_loop(addr: SocketAddr, queue: Receiver<Vec<u8>>, shared: Arc<Shared>) 
             }
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        // One reconnect attempt per frame: a frame that cannot be written
-        // is dropped (loss, like every transport here), but the connection
-        // is re-established for the ones that follow.
+        while chunk.bytes.len() < COALESCE_BYTES {
+            let Ok(next) = queue.try_recv() else { break };
+            chunk.bytes.extend_from_slice(&next.bytes);
+            chunk.frames += next.frames;
+        }
+        // One dial attempt per write. Frames that cannot be written are
+        // dropped (loss, like every transport here).
         if stream.is_none() {
             match TcpStream::connect(addr) {
                 Ok(fresh) => {
@@ -356,17 +382,23 @@ fn writer_loop(addr: SocketAddr, queue: Receiver<Vec<u8>>, shared: Arc<Shared>) 
                     stream = Some(fresh);
                 }
                 Err(_) => {
-                    shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                    // The peer is down: everything queued behind this chunk
+                    // is as undeliverable, and must not greet the peer as
+                    // stale traffic when it comes back.
+                    let stale: u64 = queue.try_iter().map(|chunk| chunk.frames).sum();
+                    shared.count_dropped(chunk.frames + stale);
                     std::thread::sleep(RECONNECT_BACKOFF);
                     continue;
                 }
             }
         }
         if let Some(connection) = stream.as_mut() {
-            if connection.write_all(&frame).is_err() {
-                // Broken pipe: drop this frame, re-dial on the next one.
+            if connection.write_all(&chunk.bytes).is_ok() {
+                shared.counters.writes.fetch_add(1, Ordering::Relaxed);
+            } else {
+                // Broken pipe: drop these frames, re-dial on the next.
                 stream = None;
-                shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                shared.count_dropped(chunk.frames);
             }
         }
     }
@@ -386,34 +418,64 @@ impl WallClock for SocketHandle {
 
 impl Transport<Message> for SocketHandle {
     fn send(&mut self, from: NodeId, to: NodeId, message: Message) {
-        self.shared.counters.sent.fetch_add(1, Ordering::Relaxed);
-        // Local nodes (same process) skip TCP entirely.
-        {
-            let locals = self.shared.locals.read().expect("locals lock");
-            if let Some(sender) = locals.get(&to) {
-                let delivery = Delivery {
-                    time: self.shared.now(),
-                    from,
-                    to,
-                    message,
-                };
-                if sender.try_send(delivery).is_err() {
-                    self.shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
+        self.send_batch(&[], Vec::new(), vec![(from, to, message)]);
+    }
+
+    fn broadcast(&mut self, from: NodeId, recipients: &[NodeId], message: &Message) {
+        self.send_batch(recipients, vec![(from, message.clone())], Vec::new());
+    }
+
+    /// One queue push — one writer wake-up, one `write` — per connection,
+    /// all of them before this returns.
+    fn send_batch(
+        &mut self,
+        recipients: &[NodeId],
+        broadcasts: Vec<(NodeId, Message)>,
+        unicasts: Vec<(NodeId, NodeId, Message)>,
+    ) {
+        let shared = &*self.shared;
+        let locals = shared.locals.read().expect("locals lock");
+        let peers = shared.peers.read().expect("peers lock");
+        // The batch's frames, grouped by the connection they leave on.
+        let mut pending: Vec<(&PeerConn, Chunk)> = Vec::new();
+        // Routes one message: into a local mailbox (same process, no TCP),
+        // or appended to the chunk of `to`'s connection. `frame` caches the
+        // encoding across the recipients of one broadcast — only the `to`
+        // field differs.
+        let mut route = |from, to, message: &Message, frame: &mut Option<Vec<u8>>| {
+            shared.counters.sent.fetch_add(1, Ordering::Relaxed);
+            if locals.contains_key(&to) {
+                return shared.deliver(&locals, from, to, message.clone());
+            }
+            let Some(conn) = peers.get(&to) else {
+                return shared.count_dropped(1);
+            };
+            let known = pending.iter().position(|(c, _)| c.addr == conn.addr);
+            let index = known.unwrap_or_else(|| {
+                pending.push((conn, Chunk::default()));
+                pending.len() - 1
+            });
+            let chunk = &mut pending[index].1;
+            let frame = frame.get_or_insert_with(|| encode_frame(from, to, message));
+            let at = chunk.bytes.len();
+            chunk.bytes.extend_from_slice(frame);
+            chunk.bytes[at + FRAME_HEADER_LEN - 4..][..4].copy_from_slice(&to.to_le_bytes());
+            chunk.frames += 1;
+        };
+        for (from, message) in &broadcasts {
+            let mut frame = None;
+            for &to in recipients.iter().filter(|&to| to != from) {
+                route(*from, to, message, &mut frame);
             }
         }
-        let frame = encode_frame(from, to, &message);
-        let peers = self.shared.peers.read().expect("peers lock");
-        let Some(peer) = peers.get(&to) else {
-            drop(peers);
-            self.shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        match peer.queue.try_send(frame) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
+        for (from, to, message) in &unicasts {
+            route(*from, *to, message, &mut None);
+        }
+        for (conn, chunk) in pending {
+            let frames = chunk.frames;
+            if conn.queue.try_send(chunk).is_err() {
+                // Full (or disconnected) queue: backpressure surfaces as loss.
+                shared.count_dropped(frames);
             }
         }
     }
@@ -558,19 +620,19 @@ impl SocketReplicaNode {
     }
 }
 
-/// Runs the full service — replicas and clients — inside this process, but
-/// with every replica behind its own [`SocketTransport`], so all protocol
-/// traffic pays wire encoding plus real loopback TCP. The socket
-/// counterpart of [`crate::threaded::run_threaded_service`], measured by
-/// the throughput bench as the socket-vs-channel axis.
-///
-/// # Panics
-///
-/// Panics when a listener cannot bind or a replica thread dies.
-pub fn run_socket_service(
+/// Assembles a socket service on loopback, all in this process: one
+/// [`SocketReplicaNode`] per replica (own listener, own ephemeral port), the
+/// client population on one more transport (the hub), every replica dialing
+/// every other replica and (once per client id) the hub, the hub dialing
+/// every replica — so every protocol message crosses a real TCP socket.
+fn loopback_mesh(
     config: &ThreadedServiceConfig,
-) -> crate::threaded::ThreadedServiceReport {
-    use crate::threaded::{snapshots_consistent, ClientDriver, MembershipView};
+) -> (
+    Vec<SocketReplicaNode>,
+    SocketTransport,
+    crate::threaded::ClientDriver<SocketHandle>,
+) {
+    use crate::threaded::{ClientDriver, MembershipView};
     use crate::workload::OpStream;
 
     let membership: Vec<NodeId> = (0..config.replicas as NodeId).collect();
@@ -605,6 +667,38 @@ pub fn run_socket_service(
         hub.add_peer(j as NodeId, addr);
     }
 
+    let streams: Vec<OpStream> = (0..config.clients)
+        .map(|i| {
+            OpStream::new(
+                config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                config.key_space,
+                config.write_ratio,
+            )
+        })
+        .collect();
+    let driver = ClientDriver::over_transport(
+        hub.handle(),
+        mailbox,
+        MembershipView::fixed(membership),
+        streams,
+        config.request_timeout,
+    );
+    (nodes, hub, driver)
+}
+
+/// Runs the full service — replicas and clients — inside this process, but
+/// with every replica behind its own [`SocketTransport`], so all protocol
+/// traffic pays wire encoding plus real loopback TCP. The socket
+/// counterpart of [`crate::threaded::run_threaded_service`], measured by
+/// the throughput bench as the socket-vs-channel axis.
+///
+/// # Panics
+///
+/// Panics when a listener cannot bind or a replica thread dies.
+pub fn run_socket_service(
+    config: &ThreadedServiceConfig,
+) -> crate::threaded::ThreadedServiceReport {
+    let (nodes, hub, mut driver) = loopback_mesh(config);
     let stops: Vec<Arc<AtomicBool>> = nodes.iter().map(SocketReplicaNode::stop_flag).collect();
     let workers: Vec<JoinHandle<(ReplicaSnapshot, SocketStats)>> = nodes
         .into_iter()
@@ -616,22 +710,6 @@ pub fn run_socket_service(
         })
         .collect();
 
-    let streams: Vec<OpStream> = (0..config.clients)
-        .map(|i| {
-            OpStream::new(
-                config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                config.key_space,
-                config.write_ratio,
-            )
-        })
-        .collect();
-    let mut driver = ClientDriver::over_transport(
-        hub.handle(),
-        mailbox,
-        MembershipView::fixed(membership),
-        streams,
-        config.request_timeout,
-    );
     let start = Instant::now();
     driver.run_for(config.duration);
     let duration = start.elapsed().as_secs_f64();
@@ -661,7 +739,7 @@ pub fn run_socket_service(
         duration,
         requests_per_second: report.completed as f64 / duration.max(1e-9),
         mean_latency: report.mean_latency(),
-        consistent: snapshots_consistent(&snapshots),
+        consistent: crate::threaded::snapshots_consistent(&snapshots),
         max_retained_log: snapshots
             .iter()
             .map(|s| s.executed.len())
@@ -675,8 +753,8 @@ pub fn run_socket_service(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::{snapshots_consistent, ClientDriver, MembershipView};
-    use crate::workload::OpStream;
+    use crate::threaded::snapshots_consistent;
+    use std::io::Read;
 
     fn loopback(capacity: usize) -> SocketTransport {
         SocketTransport::bind("127.0.0.1:0", capacity).expect("bind loopback")
@@ -765,22 +843,51 @@ mod tests {
         assert_eq!(stats.decode_errors, 2);
     }
 
+    /// Polls `condition` for up to five seconds.
+    fn eventually(mut condition: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline {
+            if condition() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        condition()
+    }
+
     #[test]
-    fn writers_reconnect_after_the_peer_restarts() {
-        let mut sender = loopback(8);
+    fn writers_reconnect_after_the_peer_restarts_and_greet_it_with_fresh_traffic() {
+        let mut sender = loopback(4096);
         // First incarnation of the peer.
         let mut first = loopback(8);
         let rx1 = first.register(1);
         let addr = first.local_addr();
         sender.add_peer(1, addr);
         let mut handle = sender.handle();
-        handle.send(0, 1, Message::StateRequest { epoch: 1 });
+        handle.send(0, 1, Message::StateRequest { epoch: 0 });
         assert!(rx1.recv_timeout(Duration::from_secs(5)).is_ok());
         let port = addr.port();
         drop(first); // peer process "crashes"
 
-        // Sends while the peer is down are dropped, not wedged.
-        handle.send(0, 1, Message::StateRequest { epoch: 2 });
+        // Sends while the peer is down are dropped, not wedged. One probe
+        // at a time, each written or dropped before the next, until the
+        // writer has noticed: from then on its queue is empty and every
+        // frame meets a refused dial.
+        let resolved = |stats: SocketStats| stats.writes + stats.dropped;
+        assert!(eventually(|| {
+            let before = resolved(sender.stats());
+            handle.send(0, 1, Message::StateRequest { epoch: 0 });
+            eventually(|| resolved(sender.stats()) > before) && sender.stats().dropped > 0
+        }));
+        let noticed = sender.stats().dropped;
+        for epoch in 1..=200 {
+            handle.send(0, 1, Message::StateRequest { epoch });
+        }
+        assert!(
+            eventually(|| sender.stats().dropped == noticed + 200),
+            "a refused dial discards everything queued: {:?}",
+            sender.stats()
+        );
 
         // Peer restarts on the same port (retry briefly: the OS may lag
         // releasing it).
@@ -796,17 +903,161 @@ mod tests {
         }
         let mut second = second.expect("rebind the port");
         let rx2 = second.register(1);
-        // Keep sending until the writer re-dials successfully.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut delivered = false;
-        while Instant::now() < deadline {
-            handle.send(0, 1, Message::StateRequest { epoch: 3 });
-            if rx2.recv_timeout(Duration::from_millis(100)).is_ok() {
-                delivered = true;
-                break;
-            }
+        // Keep sending until the writer re-dials successfully: the first
+        // frame the restarted peer sees was sent after its restart.
+        let mut first_seen = None;
+        assert!(eventually(|| {
+            handle.send(0, 1, Message::StateRequest { epoch: 1_000 });
+            first_seen = rx2.recv_timeout(Duration::from_millis(100)).ok();
+            first_seen.is_some()
+        }));
+        let first_seen = first_seen.expect("writer reconnected to the restarted peer");
+        assert_eq!(first_seen.message, Message::StateRequest { epoch: 1_000 });
+        assert_eq!(sender.stats().reconnects, 1);
+    }
+
+    /// Reads exactly `frames` frames of `len` bytes each off a raw stream.
+    fn read_frames(stream: &mut TcpStream, frames: usize, len: usize) -> Vec<Vec<u8>> {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut bytes = vec![0u8; frames * len];
+        stream.read_exact(&mut bytes).expect("frames arrive");
+        bytes.chunks(len).map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn node_ids_at_one_address_share_a_connection_that_closes_with_the_last() {
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind raw peer");
+        let elsewhere = TcpListener::bind("127.0.0.1:0").expect("bind raw peer");
+        let addr = peer.local_addr().expect("addr");
+        let mut sender = loopback(8);
+        sender.add_peer(1, addr);
+        sender.add_peer(2, addr);
+        let mut handle = sender.handle();
+        let message = Message::StateRequest { epoch: 4 };
+        handle.send(0, 1, message.clone());
+        handle.send(0, 2, message.clone());
+        let (mut stream, _) = peer.accept().expect("one inbound connection");
+        let len = encode_frame(0, 1, &message).len();
+        let frames = read_frames(&mut stream, 2, len);
+        assert_eq!(frames[0], encode_frame(0, 1, &message));
+        assert_eq!(frames[1], encode_frame(0, 2, &message));
+
+        // Re-addressing one id leaves the connection to the other alone...
+        sender.add_peer(1, elsewhere.local_addr().expect("addr"));
+        handle.send(0, 2, message.clone());
+        assert_eq!(
+            read_frames(&mut stream, 1, len)[0],
+            encode_frame(0, 2, &message)
+        );
+        // ...and removing the last id at the address closes it.
+        assert!(sender.remove_peer(2));
+        let mut buf = [0u8; 1];
+        assert_eq!(stream.read(&mut buf).expect("EOF, not a timeout"), 0);
+        peer.set_nonblocking(true).expect("nonblocking");
+        assert!(peer.accept().is_err(), "both ids used one connection");
+    }
+
+    #[test]
+    fn a_step_of_replies_to_one_address_is_one_write() {
+        let mut sender = loopback(64);
+        let mut hub = loopback(64);
+        let clients: Vec<NodeId> = (10_000..10_016).collect();
+        let rx = hub.register_shared(&clients);
+        for &client in &clients {
+            sender.add_peer(client, hub.local_addr());
         }
-        assert!(delivered, "writer reconnected to the restarted peer");
+        let replies = clients
+            .iter()
+            .map(|&client| {
+                let reply = Message::Reply {
+                    request_id: u64::from(client),
+                    value: 1,
+                    sequence: 2,
+                };
+                (0, client, reply)
+            })
+            .collect();
+        sender.handle().send_batch(&[], Vec::new(), replies);
+        for &client in &clients {
+            let delivery = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
+            assert_eq!((delivery.from, delivery.to), (0, client), "in send order");
+        }
+        // (The counter trails the `write` it counts.)
+        assert!(eventually(|| sender.stats().writes == 1));
+        let stats = sender.stats();
+        assert_eq!((stats.sent, stats.dropped), (16, 0));
+        assert!(hub.stats().reads >= 1);
+    }
+
+    #[test]
+    fn a_broadcast_is_encoded_once_and_patched_per_recipient() {
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind raw peer");
+        let mut sender = loopback(8);
+        for node in 1..=3 {
+            sender.add_peer(node, peer.local_addr().expect("addr"));
+        }
+        let message = Message::Checkpoint {
+            sequence: 100,
+            log_len: 230,
+            state_digest: crate::crypto::Digest(0x77),
+        };
+        sender.handle().broadcast(2, &[0, 1, 2, 3], &message);
+        let (mut stream, _) = peer.accept().expect("inbound connection");
+        let len = encode_frame(2, 1, &message).len();
+        // Node 0 is unknown (dropped), node 2 is the sender (skipped): two
+        // frames, byte-identical except for the four `to` bytes.
+        let frames = read_frames(&mut stream, 2, len);
+        assert_eq!(frames[0], encode_frame(2, 1, &message));
+        assert_eq!(frames[1], encode_frame(2, 3, &message));
+        assert_eq!(frames[0][..8], frames[1][..8]);
+        assert_eq!(frames[0][12..], frames[1][12..]);
+        let stats = sender.stats();
+        assert_eq!((stats.sent, stats.dropped), (3, 1));
+        assert!(eventually(|| sender.stats().writes == 1));
+    }
+
+    #[test]
+    fn readers_die_with_the_transport() {
+        let hub = loopback(8);
+        let mut idle = TcpStream::connect(hub.local_addr()).expect("connect");
+        // The reader thread exists and has nothing unread when the
+        // transport goes.
+        idle.write_all(&[0u8; 2]).expect("half a prefix");
+        assert!(eventually(|| hub.stats().reads == 1));
+        drop(hub);
+        idle.set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("timeout");
+        let mut buf = [0u8; 1];
+        assert_eq!(idle.read(&mut buf).expect("EOF within a second"), 0);
+    }
+
+    #[test]
+    fn a_half_frame_peer_delays_nobody() {
+        let mut hub = loopback(8);
+        let rx = hub.register(1);
+        // The slow loris: announces the largest acceptable frame, sends ten
+        // bytes of it, and stays connected (what that costs in memory is
+        // `wire::tests::an_announced_length_alone_allocates_nothing`).
+        let mut loris = TcpStream::connect(hub.local_addr()).expect("connect");
+        loris
+            .write_all(&(crate::wire::MAX_FRAME_LEN as u32).to_le_bytes())
+            .expect("prefix");
+        loris.write_all(&[0u8; 10]).expect("ten bytes");
+        assert!(eventually(|| hub.stats().reads >= 1));
+
+        let mut sender = loopback(8);
+        sender.add_peer(1, hub.local_addr());
+        let started = Instant::now();
+        sender
+            .handle()
+            .send(0, 1, Message::StateRequest { epoch: 3 });
+        let delivery = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
+        assert_eq!(delivery.message, Message::StateRequest { epoch: 3 });
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(hub.stats().decode_errors, 0, "incomplete, not malformed");
+        drop(loris);
     }
 
     #[test]
@@ -843,56 +1094,12 @@ mod tests {
             request_timeout: 2.0,
             ..Default::default()
         };
-        let membership: Vec<NodeId> = (0..4).collect();
-        let mut nodes: Vec<SocketReplicaNode> = membership
-            .iter()
-            .map(|&id| {
-                SocketReplicaNode::bind(id, membership.clone(), "127.0.0.1:0", &config)
-                    .expect("bind replica")
-            })
-            .collect();
-        let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.local_addr()).collect();
-
-        // Client pool on its own transport.
-        let mut client_hub = loopback(config.channel_capacity);
-        let client_ids: Vec<NodeId> = (0..config.clients)
-            .map(|i| crate::minbft::CLIENT_ID_BASE + i as NodeId)
-            .collect();
-        let client_mailbox = client_hub.register_shared(&client_ids);
-        let client_addr = client_hub.local_addr();
-
-        // Full mesh: every replica dials every other replica and the client
-        // hub; the client hub dials every replica.
-        for (i, node) in nodes.iter_mut().enumerate() {
-            for (j, &addr) in addrs.iter().enumerate() {
-                if i != j {
-                    node.add_peer(j as NodeId, addr);
-                }
-            }
-            for &client in &client_ids {
-                node.add_peer(client, client_addr);
-            }
-        }
-        for (j, &addr) in addrs.iter().enumerate() {
-            client_hub.add_peer(j as NodeId, addr);
-        }
-
+        let (nodes, _hub, mut driver) = loopback_mesh(&config);
         let stops: Vec<Arc<AtomicBool>> = nodes.iter().map(|n| n.stop_flag()).collect();
         let handles: Vec<JoinHandle<ReplicaSnapshot>> = nodes
             .into_iter()
             .map(|mut node| std::thread::spawn(move || node.run()))
             .collect();
-
-        let streams: Vec<OpStream> = (0..config.clients)
-            .map(|i| OpStream::new(config.seed ^ i as u64, config.key_space, config.write_ratio))
-            .collect();
-        let mut driver = ClientDriver::over_transport(
-            client_hub.handle(),
-            client_mailbox,
-            MembershipView::fixed(membership.clone()),
-            streams,
-            config.request_timeout,
-        );
         driver.run_for(config.duration);
         assert!(driver.drain(10.0), "every in-flight request completed");
         let report = driver.report();

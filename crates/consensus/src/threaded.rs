@@ -163,6 +163,12 @@ struct Worker {
     control: std::sync::mpsc::SyncSender<ControlMessage>,
 }
 
+/// Replies one [`ClientDriver`] pump takes from its mailbox before it sends
+/// what they produced: enough that a step's worth of replies (one per
+/// client per replica) leaves as one batch, bounded so a resubmission never
+/// waits behind an unbounded backlog.
+const PUMP_REPLIES: usize = 64;
+
 /// Seconds between re-announcements while a replica awaits its state
 /// transfer: the `StateRequest` rides the droppable data plane, so a
 /// recovering (or rebuilding) replica repeats it until a transfer lands —
@@ -652,7 +658,9 @@ struct DriverClient {
 }
 
 impl DriverClient {
-    fn submit<T: Transport<Message>>(&mut self, transport: &mut T, members: &[NodeId], now: f64) {
+    /// Starts the client's next request and queues its broadcast on
+    /// `outbox` (sent by the driver's next [`Transport::send_batch`]).
+    fn submit(&mut self, now: f64, outbox: &mut Vec<(NodeId, Message)>) {
         let request = Request {
             client: self.id,
             id: self.next_request_id,
@@ -660,7 +668,7 @@ impl DriverClient {
         };
         self.next_request_id += 1;
         self.outstanding = Some((request, HashMap::new(), now));
-        transport.broadcast(self.id, members, &Message::Request(request));
+        outbox.push((self.id, Message::Request(request)));
     }
 }
 
@@ -854,17 +862,16 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
     /// immediately and retransmitting stalled ones.
     pub fn run_for(&mut self, duration: f64) {
         let start = Instant::now();
-        {
-            let cap = self.concurrency_cap();
-            let members = self.membership.current();
-            let now = self.transport.now();
-            for &id in &self.client_order {
-                let client = self.clients.get_mut(&id).expect("registered client");
-                if client.outstanding.is_none() && client.index < cap {
-                    client.submit(&mut self.transport, &members, now);
-                }
+        let cap = self.concurrency_cap();
+        let now = self.transport.now();
+        let mut outbox = Vec::new();
+        for &id in &self.client_order {
+            let client = self.clients.get_mut(&id).expect("registered client");
+            if client.outstanding.is_none() && client.index < cap {
+                client.submit(now, &mut outbox);
             }
         }
+        self.send_requests(outbox);
         while start.elapsed().as_secs_f64() < duration {
             self.pump(true);
         }
@@ -885,54 +892,29 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
         self.clients.values().all(|c| c.outstanding.is_none())
     }
 
-    /// One mailbox pump: processes a reply (completing and, in closed-loop
-    /// mode, resubmitting) or handles the retransmission timers on a quiet
-    /// interval.
+    /// Broadcasts the queued requests to the current membership as one
+    /// batch.
+    fn send_requests(&mut self, outbox: Vec<(NodeId, Message)>) {
+        if !outbox.is_empty() {
+            let members = self.membership.current();
+            self.transport.send_batch(&members, outbox, Vec::new());
+        }
+    }
+
+    /// One mailbox pump: processes the replies already waiting (completing
+    /// and, in closed-loop mode, resubmitting) or handles the
+    /// retransmission timers on a quiet interval, then sends everything
+    /// that produced as one batch.
     fn pump(&mut self, resubmit: bool) {
+        let mut outbox = Vec::new();
         match self.mailbox.recv_timeout(Duration::from_millis(2)) {
-            Ok(delivery) => {
-                // Keep the mailbox-depth gauge accurate: replies drained
-                // from the shared client mailbox leave the in-flight count.
-                self.transport.note_received();
-                if let Message::Reply {
-                    request_id, value, ..
-                } = delivery.message
-                {
-                    // Read the quorum parameter only when a reply actually
-                    // needs it: this is the client hot loop, and the
-                    // membership lock also contends with reconfiguration.
-                    let f = self.membership.fault_threshold();
-                    let now = self.transport.now();
-                    if let Some(client) = self.clients.get_mut(&delivery.to) {
-                        let completed = match &mut client.outstanding {
-                            Some((request, votes, started)) if request.id == request_id => {
-                                votes.entry(value).or_default().insert(delivery.from);
-                                let quorum = votes.values().any(|v| v.len() > f);
-                                quorum.then_some((*started, request.digest()))
-                            }
-                            _ => None,
-                        };
-                        if let Some((started, digest)) = completed {
-                            client.completed += 1;
-                            client.latencies.push(now - started);
-                            client.completed_digests.push(digest);
-                            client.outstanding = None;
-                            if let Some(budget) = client.retry_budget.as_mut() {
-                                budget.on_success();
-                            }
-                            if let Some(tuning) = self.tuning.as_ref() {
-                                tuning.observe_latency(now - started);
-                            }
-                            let cap = self
-                                .tuning
-                                .as_ref()
-                                .map_or(usize::MAX, |tuning| tuning.concurrency());
-                            if resubmit && client.index < cap {
-                                let members = self.membership.current();
-                                client.submit(&mut self.transport, &members, now);
-                            }
-                        }
-                    }
+            Ok(first) => {
+                self.on_delivery(first, resubmit, &mut outbox);
+                for _ in 1..PUMP_REPLIES {
+                    let Ok(delivery) = self.mailbox.try_recv() else {
+                        break;
+                    };
+                    self.on_delivery(delivery, resubmit, &mut outbox);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -943,7 +925,6 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
                 // instead of amplifying the overload that dropped the
                 // original.
                 let now = self.transport.now();
-                let members = self.membership.current();
                 let cap = self.concurrency_cap();
                 for client in self.clients.values_mut() {
                     if let Some((request, _, started)) = &mut client.outstanding {
@@ -957,11 +938,7 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
                                 if let Some(tuning) = self.tuning.as_ref() {
                                     tuning.note_retransmission();
                                 }
-                                self.transport.broadcast(
-                                    client.id,
-                                    &members,
-                                    &Message::Request(*request),
-                                );
+                                outbox.push((client.id, Message::Request(*request)));
                             } else if let Some(tuning) = self.tuning.as_ref() {
                                 tuning.note_suppressed();
                             }
@@ -969,11 +946,66 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
                     } else if resubmit && client.index < cap {
                         // An idle client inside the (possibly raised)
                         // concurrency cap picks work back up.
-                        client.submit(&mut self.transport, &members, now);
+                        client.submit(now, &mut outbox);
                     }
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {}
+        }
+        self.send_requests(outbox);
+    }
+
+    /// Counts one delivered reply towards its client's quorum; a completed
+    /// request is recorded and, in closed-loop mode, replaced on `outbox`.
+    fn on_delivery(
+        &mut self,
+        delivery: crate::net::Delivery<Message>,
+        resubmit: bool,
+        outbox: &mut Vec<(NodeId, Message)>,
+    ) {
+        // Keep the mailbox-depth gauge accurate: replies drained from the
+        // shared client mailbox leave the in-flight count.
+        self.transport.note_received();
+        let Message::Reply {
+            request_id, value, ..
+        } = delivery.message
+        else {
+            return;
+        };
+        // Read the quorum parameter only when a reply actually needs it:
+        // this is the client hot loop, and the membership lock also
+        // contends with reconfiguration.
+        let f = self.membership.fault_threshold();
+        let now = self.transport.now();
+        let Some(client) = self.clients.get_mut(&delivery.to) else {
+            return;
+        };
+        let completed = match &mut client.outstanding {
+            Some((request, votes, started)) if request.id == request_id => {
+                votes.entry(value).or_default().insert(delivery.from);
+                let quorum = votes.values().any(|v| v.len() > f);
+                quorum.then_some((*started, request.digest()))
+            }
+            _ => None,
+        };
+        if let Some((started, digest)) = completed {
+            client.completed += 1;
+            client.latencies.push(now - started);
+            client.completed_digests.push(digest);
+            client.outstanding = None;
+            if let Some(budget) = client.retry_budget.as_mut() {
+                budget.on_success();
+            }
+            if let Some(tuning) = self.tuning.as_ref() {
+                tuning.observe_latency(now - started);
+            }
+            let cap = self
+                .tuning
+                .as_ref()
+                .map_or(usize::MAX, |tuning| tuning.concurrency());
+            if resubmit && client.index < cap {
+                client.submit(now, outbox);
+            }
         }
     }
 

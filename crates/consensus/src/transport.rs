@@ -51,6 +51,28 @@ pub trait Transport<M> {
         }
     }
 
+    /// Sends everything one step produced: each `(from, message)` of
+    /// `broadcasts` to every node of `recipients` except `from`, then each
+    /// `(from, to, message)` of `unicasts`. The default is exactly that
+    /// loop over [`Transport::broadcast`] and [`Transport::send`]; a
+    /// transport whose cost is per hand-off rather than per message (the
+    /// socket plane) overrides it to pay once per connection.
+    fn send_batch(
+        &mut self,
+        recipients: &[NodeId],
+        broadcasts: Vec<(NodeId, M)>,
+        unicasts: Vec<(NodeId, NodeId, M)>,
+    ) where
+        M: Clone,
+    {
+        for (from, message) in broadcasts {
+            self.broadcast(from, recipients, &message);
+        }
+        for (from, to, message) in unicasts {
+            self.send(from, to, message);
+        }
+    }
+
     /// Receiver-side hook: the event loop calls this after draining one
     /// delivery from its mailbox, letting transports that track queue depth
     /// (the autotune backpressure gauge) decrement their in-flight count.

@@ -352,6 +352,91 @@ pub fn decode_frame_body(body: &[u8]) -> Result<(NodeId, NodeId, Message), WireE
     Ok((from, to, message))
 }
 
+/// Bytes a [`FrameBuffer`] holds before any frame asks for more: one `read`
+/// fills at most this much, and a connection that never completes a frame
+/// never costs more.
+pub const FRAME_BUFFER_LEN: usize = 64 * 1024;
+
+/// Splits a byte stream into frames: [`FrameBuffer::read_from`] appends
+/// whatever one `read` returns, [`FrameBuffer::next_frame`] decodes the
+/// complete frames in place. The buffer is reused across reads; it grows
+/// past [`FRAME_BUFFER_LEN`] only while a larger (prefix-validated) frame is
+/// arriving, by doubling when it is *full of received bytes* — an announced
+/// length alone allocates nothing — and shrinks back once drained.
+#[derive(Debug)]
+pub struct FrameBuffer {
+    /// `buf[start..end]` holds the received, not yet decoded bytes.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameBuffer {
+    fn default() -> Self {
+        FrameBuffer {
+            buf: vec![0; FRAME_BUFFER_LEN],
+            start: 0,
+            end: 0,
+        }
+    }
+}
+
+impl FrameBuffer {
+    /// An empty buffer of [`FRAME_BUFFER_LEN`] bytes.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Issues one `read` into the free space and returns its byte count
+    /// (`0` = end of stream). Call [`FrameBuffer::next_frame`] until it
+    /// returns `Ok(None)` before reading again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the reader's error; nothing is consumed or lost then, so
+    /// a timed-out read can simply be retried.
+    pub fn read_from(&mut self, reader: &mut impl std::io::Read) -> std::io::Result<usize> {
+        // What is left after decoding is at most one partial frame: move it
+        // to the front so the whole tail is free.
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.end == 0 && self.buf.len() > FRAME_BUFFER_LEN {
+            self.buf.truncate(FRAME_BUFFER_LEN);
+            self.buf.shrink_to_fit();
+        } else if self.end == self.buf.len() {
+            // Full of one partial frame whose prefix `next_frame` accepted.
+            let grown = (2 * self.buf.len()).min(4 + MAX_FRAME_LEN);
+            self.buf.resize(grown, 0);
+        }
+        let n = reader.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Decodes the next complete frame, or `Ok(None)` when more bytes are
+    /// needed.
+    ///
+    /// # Errors
+    ///
+    /// The [`WireError`] of a bad length prefix (checked as soon as its four
+    /// bytes are here) or of a malformed body. The stream is unusable
+    /// afterwards: frame boundaries are lost.
+    pub fn next_frame(&mut self) -> Result<Option<(NodeId, NodeId, Message)>, WireError> {
+        let pending = &self.buf[self.start..self.end];
+        let Some(prefix) = pending.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let body_len = frame_body_len(*prefix)?;
+        let Some(body) = pending.get(4..4 + body_len) else {
+            return Ok(None);
+        };
+        let frame = decode_frame_body(body)?;
+        self.start += 4 + body_len;
+        Ok(Some(frame))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Value → Message mapping (the deserializer the serde shim does not ship).
 // ---------------------------------------------------------------------------
@@ -892,6 +977,96 @@ mod tests {
             Err(WireError::FrameTooShort { len: 7 })
         );
         assert!(frame_body_len(8u32.to_le_bytes()).is_ok());
+    }
+
+    /// Feeds `stream` in `chunk`-byte reads and returns the decoded frames.
+    fn split(buffer: &mut FrameBuffer, stream: &[u8], chunk: usize) -> Vec<Message> {
+        let mut decoded = Vec::new();
+        for mut piece in stream.chunks(chunk) {
+            while !piece.is_empty() {
+                buffer.read_from(&mut piece).expect("slices never fail");
+                while let Some((_, _, message)) = buffer.next_frame().expect("valid frames") {
+                    decoded.push(message);
+                }
+            }
+        }
+        decoded
+    }
+
+    #[test]
+    fn frame_buffer_splits_a_stream_at_any_chunk_size() {
+        let messages = sample_messages();
+        let stream: Vec<u8> = messages
+            .iter()
+            .flat_map(|message| encode_frame(1, 2, message))
+            .collect();
+        for chunk in [1, 3, 7, 64, stream.len()] {
+            assert_eq!(split(&mut FrameBuffer::new(), &stream, chunk), messages);
+        }
+    }
+
+    #[test]
+    fn frame_buffer_grows_only_as_bytes_arrive_and_shrinks_back() {
+        let big = Message::StateTransfer {
+            epoch: 1,
+            value: 5,
+            kv: (0..20_000).map(|i| (i, u64::from(i))).collect(),
+            staged: vec![],
+            log_start: 0,
+            last_executed: 0,
+            log_chain: Digest(1),
+            stable_sequence: 0,
+            executed: vec![],
+            view: 0,
+            membership: vec![0, 1, 2, 3],
+            replies: vec![],
+            prepared: vec![],
+            chain_base: Digest(0),
+            ui_high: vec![],
+        };
+        let frame = encode_frame(0, 1, &big);
+        assert!(
+            frame.len() > 4 * FRAME_BUFFER_LEN,
+            "spans several doublings"
+        );
+        let mut buffer = FrameBuffer::new();
+        let mut arrived = 0;
+        for mut piece in frame[..frame.len() - 1].chunks(10_000) {
+            while !piece.is_empty() {
+                arrived += buffer.read_from(&mut piece).expect("slices never fail");
+                assert_eq!(buffer.next_frame(), Ok(None));
+                assert!(buffer.buf.len() <= FRAME_BUFFER_LEN.max(2 * arrived));
+            }
+        }
+        let small = Message::StateRequest { epoch: 9 };
+        let mut tail = frame[frame.len() - 1..].to_vec();
+        tail.extend_from_slice(&encode_frame(0, 1, &small));
+        assert_eq!(
+            split(&mut buffer, &tail, tail.len()),
+            vec![big, small.clone()]
+        );
+        // Drained: the next read runs in the standard buffer again.
+        let again = encode_frame(0, 1, &small);
+        assert_eq!(split(&mut buffer, &again, again.len()), vec![small]);
+        assert_eq!(buffer.buf.len(), FRAME_BUFFER_LEN);
+    }
+
+    #[test]
+    fn an_announced_length_alone_allocates_nothing() {
+        // The slow-loris peer: the largest acceptable prefix, then ten bytes.
+        let mut stream = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0; 10]);
+        let mut buffer = FrameBuffer::new();
+        assert!(split(&mut buffer, &stream, 3).is_empty());
+        assert_eq!(buffer.buf.len(), FRAME_BUFFER_LEN);
+        // One byte more in the prefix is rejected as soon as it is complete.
+        let mut buffer = FrameBuffer::new();
+        let mut prefix = &((MAX_FRAME_LEN + 1) as u32).to_le_bytes()[..];
+        buffer.read_from(&mut prefix).expect("slices never fail");
+        assert!(matches!(
+            buffer.next_frame(),
+            Err(WireError::FrameTooLarge { .. })
+        ));
     }
 
     #[test]

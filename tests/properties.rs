@@ -457,7 +457,7 @@ mod wire_roundtrip {
     };
     use tolerance::consensus::wire::{
         decode_frame_body, decode_message, encode_frame, encode_message, frame_body_len,
-        FRAME_HEADER_LEN,
+        FrameBuffer, FRAME_HEADER_LEN,
     };
     use tolerance::consensus::NodeId;
 
@@ -621,8 +621,89 @@ mod wire_roundtrip {
         }
     }
 
+    type Frame = (NodeId, NodeId, Message);
+
+    /// One frame of every variant, in a seed-dependent rotation.
+    fn frame_of_every_variant(seed: u64, size: usize) -> Vec<Vec<u8>> {
+        (0..11)
+            .map(|i| {
+                let variant = (i + seed as usize) % 11;
+                let message = build_message(variant, seed ^ i as u64, size);
+                encode_frame(i as NodeId, variant as NodeId, &message)
+            })
+            .collect()
+    }
+
+    /// Feeds `stream` to a [`FrameBuffer`] in reads of the given sizes
+    /// (cycled); returns the frames it delivered and the errors it reported
+    /// (the first error ends the stream, as it ends a connection).
+    fn split(stream: &[u8], reads: &[usize]) -> (Vec<Frame>, usize) {
+        let mut buffer = FrameBuffer::new();
+        let mut delivered = Vec::new();
+        let mut rest = stream;
+        for &size in reads.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (mut piece, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            while !piece.is_empty() {
+                buffer.read_from(&mut piece).expect("slices never fail");
+                loop {
+                    match buffer.next_frame() {
+                        Ok(Some(frame)) => delivered.push(frame),
+                        Ok(None) => break,
+                        Err(_) => return (delivered, 1),
+                    }
+                }
+            }
+        }
+        (delivered, 0)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn frame_splitting_is_independent_of_read_boundaries(
+            seed in 0u64..u64::MAX,
+            size in 0usize..48,
+            reads in proptest::collection::vec(1usize..400, 1..12),
+        ) {
+            let frames = frame_of_every_variant(seed, size);
+            let one_at_a_time: Vec<Frame> = frames
+                .iter()
+                .map(|frame| decode_frame_body(&frame[4..]).expect("well-formed frame"))
+                .collect();
+            let (delivered, errors) = split(&frames.concat(), &reads);
+            prop_assert_eq!(errors, 0);
+            prop_assert_eq!(delivered, one_at_a_time);
+        }
+
+        #[test]
+        fn a_corrupted_frame_ends_the_stream_exactly_there(
+            seed in 0u64..u64::MAX,
+            size in 0usize..48,
+            reads in proptest::collection::vec(1usize..400, 1..12),
+            victim in 0usize..11,
+            corruption in 0usize..2,
+        ) {
+            let mut frames = frame_of_every_variant(seed, size);
+            let before: Vec<Frame> = frames[..victim]
+                .iter()
+                .map(|frame| decode_frame_body(&frame[4..]).expect("well-formed frame"))
+                .collect();
+            if corruption == 0 {
+                // A length that cannot cover the from/to header.
+                frames[victim][..4].copy_from_slice(&7u32.to_le_bytes());
+            } else {
+                // An unknown value tag where the payload starts.
+                frames[victim][FRAME_HEADER_LEN] = 0xff;
+            }
+            let (delivered, errors) = split(&frames.concat(), &reads);
+            prop_assert_eq!(errors, 1);
+            prop_assert_eq!(delivered, before);
+        }
 
         #[test]
         fn every_message_variant_round_trips_byte_identically(
