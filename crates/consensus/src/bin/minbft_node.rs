@@ -10,7 +10,7 @@
 //!   <- PEER 1 127.0.0.1:40214          (one line per remote node)
 //!   <- START                           (enter the replica event loop)
 //!   <- STOP                            (leave the loop, snapshot, exit)
-//!   -> SNAPSHOT <id> <log_start> <last_executed> <needs_state> <d1,d2,...>
+//!   -> SNAPSHOT <the ReplicaSnapshot as one line of JSON>
 //!   ```
 //!
 //! * **`cluster`** — the loopback orchestrator: spawns N `replica` child
@@ -225,21 +225,8 @@ fn replica_mode(args: &[String]) -> ! {
     });
     let snapshot = node.run();
 
-    let digests: Vec<String> = snapshot
-        .executed
-        .iter()
-        .map(|digest| digest.0.to_string())
-        .collect();
-    writeln!(
-        stdout,
-        "SNAPSHOT {} {} {} {} {}",
-        snapshot.id,
-        snapshot.log_start,
-        snapshot.last_executed,
-        snapshot.needs_state,
-        digests.join(",")
-    )
-    .expect("stdout");
+    let json = serde_json::to_string(&snapshot).expect("rendering never fails");
+    writeln!(stdout, "SNAPSHOT {json}").expect("stdout");
     stdout.flush().expect("stdout");
     std::process::exit(0);
 }
@@ -444,11 +431,11 @@ fn cluster_mode(args: &[String]) -> ! {
                 );
                 std::process::exit(1);
             }
-            if line.starts_with("SNAPSHOT ") {
+            if let Some(json) = line.strip_prefix("SNAPSHOT ") {
+                snapshots.push(serde_json::from_str(json).expect("SNAPSHOT json"));
                 break;
             }
         }
-        snapshots.push(parse_snapshot(line.trim()));
         let _ = process.child.wait();
     }
 
@@ -490,36 +477,4 @@ fn cluster_mode(args: &[String]) -> ! {
         }
     );
     std::process::exit(0);
-}
-
-fn parse_snapshot(line: &str) -> ReplicaSnapshot {
-    let mut parts = line.split_whitespace();
-    let _tag = parts.next();
-    let id = parts.next().and_then(|v| v.parse().ok()).expect("id");
-    let log_start = parts
-        .next()
-        .and_then(|v| v.parse().ok())
-        .expect("log_start");
-    let last_executed = parts
-        .next()
-        .and_then(|v| v.parse().ok())
-        .expect("last_executed");
-    let needs_state = parts
-        .next()
-        .and_then(|v| v.parse().ok())
-        .expect("needs_state");
-    let executed = match parts.next() {
-        Some(digests) if !digests.is_empty() => digests
-            .split(',')
-            .map(|d| Digest(d.parse().expect("digest")))
-            .collect(),
-        _ => Vec::new(),
-    };
-    ReplicaSnapshot {
-        id,
-        log_start,
-        executed,
-        last_executed,
-        needs_state,
-    }
 }

@@ -41,7 +41,7 @@ impl Default for NetworkConfig {
 
 /// Why a [`NetworkConfig`] was rejected by [`NetworkConfig::new`] /
 /// [`NetworkConfig::validate`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub enum NetworkConfigError {
     /// A probability field lies outside `[0, 1]` (or is NaN).
     ProbabilityOutOfRange {

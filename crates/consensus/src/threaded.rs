@@ -137,7 +137,7 @@ pub struct ThreadedServiceReport {
 }
 
 /// Final state a replica thread reports at shutdown.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReplicaSnapshot {
     /// The replica's id.
     pub id: NodeId,

@@ -4,11 +4,12 @@
 //! message through the vendored serde shim: the derived
 //! [`serde::Serialize`] impl lowers a [`Message`] into the shim's
 //! [`Value`] data model, and this module encodes that tree as compact
-//! little-endian binary. Decoding reverses both steps — a hand-written
-//! `Value` parser (the shim deliberately ships no deserializer) followed by
-//! a typed `Value → Message` mapper for every variant. Round-tripping is
-//! byte-exact: `encode(decode(bytes)) == bytes` for every valid frame (see
-//! the property tests in `tests/properties.rs`).
+//! little-endian binary. Decoding reverses both steps — the bounds-checked
+//! binary `Value` parser below (`Cursor`), then the derived
+//! [`serde::Deserialize`] impl of [`Message`], so the message types are
+//! described once, in `minbft.rs`, and a new field needs no edit here.
+//! Round-tripping is byte-exact: `encode(decode(bytes)) == bytes` for every
+//! valid frame (see the property tests in `tests/properties.rs`).
 //!
 //! # Wire format
 //!
@@ -44,13 +45,9 @@
 //! value are an error. The socket transport drops the connection on the
 //! first [`WireError`] from a peer.
 
-use crate::crypto::{Digest, Signature};
-use crate::minbft::{
-    ByzantineMode, ControlMessage, Message, Operation, PreparedCertificate, Request,
-};
-use crate::usig::UniqueIdentifier;
+use crate::minbft::Message;
 use crate::NodeId;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// Hard ceiling on the post-length-prefix size of one frame (16 MiB):
 /// larger prefixes are rejected before any allocation. State transfers are
@@ -99,7 +96,8 @@ pub enum WireError {
     /// protocol message (unknown variant, missing field, wrong type, or an
     /// integer out of range for its field).
     Malformed {
-        /// Which mapping step rejected the tree.
+        /// The `Variant.field` (or enclosing position) that rejected the
+        /// tree: [`serde::DeError::context`].
         context: &'static str,
     },
 }
@@ -437,389 +435,23 @@ impl FrameBuffer {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Value → Message mapping (the deserializer the serde shim does not ship).
-// ---------------------------------------------------------------------------
-
-fn malformed<T>(context: &'static str) -> Result<T, WireError> {
-    Err(WireError::Malformed { context })
-}
-
-fn as_obj<'a>(value: &'a Value, context: &'static str) -> Result<&'a [(String, Value)], WireError> {
-    match value {
-        Value::Object(entries) => Ok(entries),
-        _ => malformed(context),
-    }
-}
-
-fn as_array<'a>(value: &'a Value, context: &'static str) -> Result<&'a [Value], WireError> {
-    match value {
-        Value::Array(items) => Ok(items),
-        _ => malformed(context),
-    }
-}
-
-fn as_u64(value: &Value, context: &'static str) -> Result<u64, WireError> {
-    match value {
-        Value::U64(v) => Ok(*v),
-        _ => malformed(context),
-    }
-}
-
-fn as_u32(value: &Value, context: &'static str) -> Result<u32, WireError> {
-    u32::try_from(as_u64(value, context)?).or(Err(WireError::Malformed { context }))
-}
-
-fn field<'a>(
-    entries: &'a [(String, Value)],
-    name: &str,
-    context: &'static str,
-) -> Result<&'a Value, WireError> {
-    entries
-        .iter()
-        .find_map(|(key, value)| (key == name).then_some(value))
-        .ok_or(WireError::Malformed { context })
-}
-
-/// The single `variant name → inner value` entry the derive emits for
-/// data-carrying enum variants; unit variants lower to a plain string.
-enum VariantValue<'a> {
-    Unit(&'a str),
-    Data(&'a str, &'a Value),
-}
-
-fn variant_of<'a>(value: &'a Value, context: &'static str) -> Result<VariantValue<'a>, WireError> {
-    match value {
-        Value::Str(name) => Ok(VariantValue::Unit(name)),
-        Value::Object(entries) => match entries.as_slice() {
-            [(name, inner)] => Ok(VariantValue::Data(name, inner)),
-            _ => malformed(context),
-        },
-        _ => malformed(context),
-    }
-}
-
-fn vec_of<T>(
-    value: &Value,
-    context: &'static str,
-    element: impl Fn(&Value) -> Result<T, WireError>,
-) -> Result<Vec<T>, WireError> {
-    as_array(value, context)?.iter().map(element).collect()
-}
-
-fn tuple_of<'a, const N: usize>(
-    value: &'a Value,
-    context: &'static str,
-) -> Result<&'a [Value; N], WireError> {
-    as_array(value, context)?
-        .try_into()
-        .or(Err(WireError::Malformed { context }))
-}
-
-fn digest_from_value(value: &Value) -> Result<Digest, WireError> {
-    // `Digest` is a one-field tuple struct: the derive lowers it to its
-    // inner `u64` directly.
-    Ok(Digest(as_u64(value, "digest")?))
-}
-
-fn signature_from_value(value: &Value) -> Result<Signature, WireError> {
-    let entries = as_obj(value, "signature")?;
-    Ok(Signature {
-        signer: as_u32(field(entries, "signer", "signature")?, "signature.signer")?,
-        tag: as_u64(field(entries, "tag", "signature")?, "signature.tag")?,
-    })
-}
-
-fn ui_from_value(value: &Value) -> Result<UniqueIdentifier, WireError> {
-    let entries = as_obj(value, "ui")?;
-    Ok(UniqueIdentifier {
-        replica: as_u32(field(entries, "replica", "ui")?, "ui.replica")?,
-        counter: as_u64(field(entries, "counter", "ui")?, "ui.counter")?,
-        signature: signature_from_value(field(entries, "signature", "ui")?)?,
-    })
-}
-
-fn operation_from_value(value: &Value) -> Result<Operation, WireError> {
-    match variant_of(value, "operation")? {
-        VariantValue::Unit("Read") => Ok(Operation::Read),
-        VariantValue::Data("Write", inner) => Ok(Operation::Write(as_u64(inner, "Write")?)),
-        VariantValue::Data("Put", inner) => {
-            let entries = as_obj(inner, "Put")?;
-            Ok(Operation::Put {
-                key: as_u32(field(entries, "key", "Put")?, "Put.key")?,
-                value: as_u64(field(entries, "value", "Put")?, "Put.value")?,
-            })
-        }
-        VariantValue::Data("Get", inner) => {
-            let entries = as_obj(inner, "Get")?;
-            Ok(Operation::Get {
-                key: as_u32(field(entries, "key", "Get")?, "Get.key")?,
-            })
-        }
-        VariantValue::Data("TxReserve", inner) => {
-            let entries = as_obj(inner, "TxReserve")?;
-            Ok(Operation::TxReserve {
-                tx: as_u64(field(entries, "tx", "TxReserve")?, "TxReserve.tx")?,
-                key: as_u32(field(entries, "key", "TxReserve")?, "TxReserve.key")?,
-                value: as_u64(field(entries, "value", "TxReserve")?, "TxReserve.value")?,
-            })
-        }
-        VariantValue::Data("TxCommit", inner) => {
-            let entries = as_obj(inner, "TxCommit")?;
-            Ok(Operation::TxCommit {
-                tx: as_u64(field(entries, "tx", "TxCommit")?, "TxCommit.tx")?,
-                key: as_u32(field(entries, "key", "TxCommit")?, "TxCommit.key")?,
-            })
-        }
-        VariantValue::Data("TxAbort", inner) => {
-            let entries = as_obj(inner, "TxAbort")?;
-            Ok(Operation::TxAbort {
-                tx: as_u64(field(entries, "tx", "TxAbort")?, "TxAbort.tx")?,
-                key: as_u32(field(entries, "key", "TxAbort")?, "TxAbort.key")?,
-            })
-        }
-        _ => malformed("operation variant"),
-    }
-}
-
-fn request_from_value(value: &Value) -> Result<Request, WireError> {
-    let entries = as_obj(value, "request")?;
-    Ok(Request {
-        client: as_u32(field(entries, "client", "request")?, "request.client")?,
-        id: as_u64(field(entries, "id", "request")?, "request.id")?,
-        operation: operation_from_value(field(entries, "operation", "request")?)?,
-    })
-}
-
-fn certificate_from_value(value: &Value) -> Result<PreparedCertificate, WireError> {
-    let [sequence, view, batch] = tuple_of::<3>(value, "certificate")?;
-    Ok((
-        as_u64(sequence, "certificate.sequence")?,
-        as_u64(view, "certificate.view")?,
-        vec_of(batch, "certificate.batch", request_from_value)?,
-    ))
-}
-
-fn byzantine_mode_from_value(value: &Value) -> Result<ByzantineMode, WireError> {
-    match variant_of(value, "byzantine mode")? {
-        VariantValue::Unit("Correct") => Ok(ByzantineMode::Correct),
-        VariantValue::Unit("Silent") => Ok(ByzantineMode::Silent),
-        VariantValue::Unit("Arbitrary") => Ok(ByzantineMode::Arbitrary),
-        _ => malformed("byzantine mode variant"),
-    }
-}
-
-fn membership_from_value(value: &Value) -> Result<Vec<NodeId>, WireError> {
-    vec_of(value, "membership", |v| as_u32(v, "membership entry"))
-}
-
-fn control_from_value(value: &Value) -> Result<ControlMessage, WireError> {
-    match variant_of(value, "control")? {
-        VariantValue::Unit("Recover") => Ok(ControlMessage::Recover),
-        VariantValue::Data("Reconfigure", inner) => {
-            let entries = as_obj(inner, "Reconfigure")?;
-            Ok(ControlMessage::Reconfigure {
-                epoch: as_u64(field(entries, "epoch", "Reconfigure")?, "Reconfigure.epoch")?,
-                membership: membership_from_value(field(entries, "membership", "Reconfigure")?)?,
-            })
-        }
-        VariantValue::Data("Compromise", inner) => {
-            let entries = as_obj(inner, "Compromise")?;
-            Ok(ControlMessage::Compromise {
-                mode: byzantine_mode_from_value(field(entries, "mode", "Compromise")?)?,
-            })
-        }
-        _ => malformed("control variant"),
-    }
-}
-
-/// Maps a decoded `Value` tree back into the [`Message`] it lowered from.
+/// Maps a decoded `Value` tree back into the [`Message`] it lowered from:
+/// the derived [`Deserialize`] impl, the mirror image of the derived
+/// `to_value` that [`encode_message`] starts from.
 ///
 /// # Errors
 ///
 /// [`WireError::Malformed`] when the tree does not describe any variant.
 pub(crate) fn message_from_value(value: &Value) -> Result<Message, WireError> {
-    let VariantValue::Data(variant, inner) = variant_of(value, "message")? else {
-        return malformed("message variant");
-    };
-    match variant {
-        "Request" => Ok(Message::Request(request_from_value(inner)?)),
-        "Prepare" => {
-            let entries = as_obj(inner, "Prepare")?;
-            Ok(Message::Prepare {
-                view: as_u64(field(entries, "view", "Prepare")?, "Prepare.view")?,
-                sequence: as_u64(field(entries, "sequence", "Prepare")?, "Prepare.sequence")?,
-                requests: vec_of(
-                    field(entries, "requests", "Prepare")?,
-                    "Prepare.requests",
-                    request_from_value,
-                )?,
-                ui: ui_from_value(field(entries, "ui", "Prepare")?)?,
-            })
-        }
-        "Commit" => {
-            let entries = as_obj(inner, "Commit")?;
-            Ok(Message::Commit {
-                view: as_u64(field(entries, "view", "Commit")?, "Commit.view")?,
-                sequence: as_u64(field(entries, "sequence", "Commit")?, "Commit.sequence")?,
-                batch_digest: digest_from_value(field(entries, "batch_digest", "Commit")?)?,
-                ui: ui_from_value(field(entries, "ui", "Commit")?)?,
-            })
-        }
-        "Reply" => {
-            let entries = as_obj(inner, "Reply")?;
-            Ok(Message::Reply {
-                request_id: as_u64(field(entries, "request_id", "Reply")?, "Reply.request_id")?,
-                value: as_u64(field(entries, "value", "Reply")?, "Reply.value")?,
-                sequence: as_u64(field(entries, "sequence", "Reply")?, "Reply.sequence")?,
-            })
-        }
-        "Checkpoint" => {
-            let entries = as_obj(inner, "Checkpoint")?;
-            Ok(Message::Checkpoint {
-                sequence: as_u64(
-                    field(entries, "sequence", "Checkpoint")?,
-                    "Checkpoint.sequence",
-                )?,
-                log_len: as_u64(
-                    field(entries, "log_len", "Checkpoint")?,
-                    "Checkpoint.log_len",
-                )?,
-                state_digest: digest_from_value(field(entries, "state_digest", "Checkpoint")?)?,
-            })
-        }
-        "ViewChange" => {
-            let entries = as_obj(inner, "ViewChange")?;
-            Ok(Message::ViewChange {
-                epoch: as_u64(field(entries, "epoch", "ViewChange")?, "ViewChange.epoch")?,
-                new_view: as_u64(
-                    field(entries, "new_view", "ViewChange")?,
-                    "ViewChange.new_view",
-                )?,
-                high_sequence: as_u64(
-                    field(entries, "high_sequence", "ViewChange")?,
-                    "ViewChange.high_sequence",
-                )?,
-                stable_sequence: as_u64(
-                    field(entries, "stable_sequence", "ViewChange")?,
-                    "ViewChange.stable_sequence",
-                )?,
-                prepared: vec_of(
-                    field(entries, "prepared", "ViewChange")?,
-                    "ViewChange.prepared",
-                    certificate_from_value,
-                )?,
-            })
-        }
-        "NewView" => {
-            let entries = as_obj(inner, "NewView")?;
-            Ok(Message::NewView {
-                epoch: as_u64(field(entries, "epoch", "NewView")?, "NewView.epoch")?,
-                view: as_u64(field(entries, "view", "NewView")?, "NewView.view")?,
-                membership: membership_from_value(field(entries, "membership", "NewView")?)?,
-                next_sequence: as_u64(
-                    field(entries, "next_sequence", "NewView")?,
-                    "NewView.next_sequence",
-                )?,
-            })
-        }
-        "StateRequest" => {
-            let entries = as_obj(inner, "StateRequest")?;
-            Ok(Message::StateRequest {
-                epoch: as_u64(
-                    field(entries, "epoch", "StateRequest")?,
-                    "StateRequest.epoch",
-                )?,
-            })
-        }
-        "StateTransfer" => {
-            let entries = as_obj(inner, "StateTransfer")?;
-            let ctx = "StateTransfer";
-            Ok(Message::StateTransfer {
-                epoch: as_u64(field(entries, "epoch", ctx)?, "StateTransfer.epoch")?,
-                value: as_u64(field(entries, "value", ctx)?, "StateTransfer.value")?,
-                kv: vec_of(field(entries, "kv", ctx)?, "StateTransfer.kv", |v| {
-                    let [key, val] = tuple_of::<2>(v, "kv entry")?;
-                    Ok((as_u32(key, "kv key")?, as_u64(val, "kv value")?))
-                })?,
-                staged: vec_of(
-                    field(entries, "staged", ctx)?,
-                    "StateTransfer.staged",
-                    |v| {
-                        let [tx, key, val] = tuple_of::<3>(v, "staged entry")?;
-                        Ok((
-                            as_u64(tx, "staged tx")?,
-                            as_u32(key, "staged key")?,
-                            as_u64(val, "staged value")?,
-                        ))
-                    },
-                )?,
-                log_start: as_u64(field(entries, "log_start", ctx)?, "StateTransfer.log_start")?,
-                last_executed: as_u64(
-                    field(entries, "last_executed", ctx)?,
-                    "StateTransfer.last_executed",
-                )?,
-                log_chain: digest_from_value(field(entries, "log_chain", ctx)?)?,
-                stable_sequence: as_u64(
-                    field(entries, "stable_sequence", ctx)?,
-                    "StateTransfer.stable_sequence",
-                )?,
-                executed: vec_of(
-                    field(entries, "executed", ctx)?,
-                    "StateTransfer.executed",
-                    digest_from_value,
-                )?,
-                view: as_u64(field(entries, "view", ctx)?, "StateTransfer.view")?,
-                membership: membership_from_value(field(entries, "membership", ctx)?)?,
-                replies: vec_of(
-                    field(entries, "replies", ctx)?,
-                    "StateTransfer.replies",
-                    |v| {
-                        let [client, id, val, sequence] = tuple_of::<4>(v, "reply entry")?;
-                        Ok((
-                            as_u32(client, "reply client")?,
-                            as_u64(id, "reply id")?,
-                            as_u64(val, "reply value")?,
-                            as_u64(sequence, "reply sequence")?,
-                        ))
-                    },
-                )?,
-                prepared: vec_of(
-                    field(entries, "prepared", ctx)?,
-                    "StateTransfer.prepared",
-                    certificate_from_value,
-                )?,
-                chain_base: digest_from_value(field(entries, "chain_base", ctx)?)?,
-                ui_high: vec_of(
-                    field(entries, "ui_high", ctx)?,
-                    "StateTransfer.ui_high",
-                    |v| {
-                        let [node, counter] = tuple_of::<2>(v, "ui_high entry")?;
-                        Ok((
-                            as_u32(node, "ui_high node")?,
-                            as_u64(counter, "ui_high counter")?,
-                        ))
-                    },
-                )?,
-            })
-        }
-        "UiResendRequest" => {
-            let entries = as_obj(inner, "UiResendRequest")?;
-            Ok(Message::UiResendRequest {
-                from_counter: as_u64(
-                    field(entries, "from_counter", "UiResendRequest")?,
-                    "UiResendRequest.from_counter",
-                )?,
-            })
-        }
-        "Control" => Ok(Message::Control(control_from_value(inner)?)),
-        _ => malformed("message variant"),
-    }
+    Message::from_value(value, "message").map_err(|e| WireError::Malformed { context: e.context })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::{Digest, Signature};
+    use crate::minbft::{ByzantineMode, ControlMessage, Operation, Request};
+    use crate::usig::UniqueIdentifier;
 
     fn sample_ui(replica: NodeId, counter: u64) -> UniqueIdentifier {
         UniqueIdentifier {

@@ -37,8 +37,11 @@ use std::time::Duration;
 use tolerance_consensus::metrics::SharedTuning;
 use tolerance_consensus::MinBftConfig;
 
-/// Configuration of the data-plane autotune controller.
+/// Configuration of the data-plane autotune controller. In a
+/// counterexample document every field is optional: an absent one is its
+/// [`Default`] value (the controller sanitizes on construction either way).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct AutotuneConfig {
     /// The p99 latency target in seconds: additive increase below it,
     /// multiplicative decrease above it.

@@ -76,6 +76,7 @@ pub use workload::{TraceWorkload, TraceWorkloadConfig};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Serialize, Value};
 
     #[test]
     fn quiet_schedule_passes_all_oracles() {
@@ -134,5 +135,157 @@ mod tests {
         let back = Counterexample::from_json(&json).unwrap();
         let replayed = back.replay().unwrap().expect("replay must violate again");
         assert_eq!(replayed.kind, InvariantKind::Agreement);
+    }
+
+    /// The object at `path` below `value`.
+    fn at<'a>(value: &'a Value, path: &[&str]) -> &'a [(String, Value)] {
+        let Value::Object(entries) = value else {
+            panic!("expected an object above {path:?}")
+        };
+        match path {
+            [] => entries,
+            [head, rest @ ..] => at(
+                &entries.iter().find(|(k, _)| k == head).expect("path").1,
+                rest,
+            ),
+        }
+    }
+
+    /// `value` without the entry `key` of the object at `path`.
+    fn without(value: &Value, path: &[&str], key: &str) -> Value {
+        let Value::Object(entries) = value else {
+            panic!("expected an object above {path:?}")
+        };
+        Value::Object(match path {
+            [] => entries.iter().filter(|(k, _)| k != key).cloned().collect(),
+            [head, rest @ ..] => entries
+                .iter()
+                .map(|(k, v)| {
+                    let v = if k == head {
+                        without(v, rest, key)
+                    } else {
+                        v.clone()
+                    };
+                    (k.clone(), v)
+                })
+                .collect(),
+        })
+    }
+
+    /// Removes each key of the object at `path` in turn: the document must
+    /// still decode — to `optional`'s value for that key, everything else
+    /// unchanged — exactly when `optional` lists the key.
+    fn assert_optional_keys(
+        document: &Value,
+        decode: fn(&str) -> crate::Result<Value>,
+        path: &[&str],
+        optional: &[(&str, Value)],
+    ) {
+        for (key, _) in at(document, path) {
+            let stripped = without(document, path, key);
+            let decoded = decode(&serde_json::to_string(&stripped).unwrap());
+            match optional.iter().find(|(name, _)| name == key) {
+                Some((_, default)) => {
+                    let back =
+                        decoded.unwrap_or_else(|e| panic!("{path:?}.{key} is optional: {e}"));
+                    let filled = at(&back, path).iter().find(|(k, _)| k == key);
+                    assert_eq!(filled.map(|(_, v)| v), Some(default), "{path:?}.{key}");
+                    assert_eq!(without(&back, path, key), stripped, "{path:?}.{key}");
+                }
+                None => assert!(decoded.is_err(), "{path:?}.{key} is required"),
+            }
+        }
+    }
+
+    fn synthetic_violation() -> Violation {
+        Violation {
+            kind: InvariantKind::Agreement,
+            step: 3,
+            detail: "synthetic".into(),
+        }
+    }
+
+    fn synthetic_counterexample() -> Counterexample {
+        Counterexample {
+            seed: 4,
+            config: ScheduleConfig::default(),
+            schedule: FaultSchedule::scripted(4, Vec::new()),
+            violation: synthetic_violation(),
+        }
+    }
+
+    #[test]
+    fn exactly_the_attributed_document_fields_are_optional() {
+        // The knobs added after counterexamples were first emitted, and
+        // what a document that predates them means.
+        let late_knobs = [
+            ("checkpoint_period", Value::U64(100)),
+            ("batch_size", Value::U64(1)),
+            ("pipeline_window", Value::U64(0)),
+            ("gst", Value::Null),
+            ("post_gst_liveness_steps", Value::U64(12)),
+            ("attackers", Value::Array(Vec::new())),
+        ];
+        let single = synthetic_counterexample().to_value();
+        let decode = |json: &str| Counterexample::from_json(json).map(|c| c.to_value());
+        assert_optional_keys(&single, decode, &[], &[]);
+        assert_optional_keys(&single, decode, &["config"], &late_knobs);
+        assert_optional_keys(&single, decode, &["config", "network"], &[]);
+        assert_optional_keys(&single, decode, &["schedule"], &[]);
+        assert_optional_keys(&single, decode, &["violation"], &[]);
+
+        let config = ShardedScheduleConfig {
+            workload: Some(TraceWorkloadConfig::default()),
+            autotune: Some(crate::controlplane::autotune::AutotuneConfig::default()),
+            ..ShardedScheduleConfig::default()
+        };
+        let fleet = ShardedCounterexample {
+            seed: 4,
+            schedule: ShardedFaultSchedule::generate(4, &config),
+            config,
+            violation: synthetic_violation(),
+        }
+        .to_value();
+        let decode = |json: &str| ShardedCounterexample::from_json(json).map(|c| c.to_value());
+        assert_optional_keys(&fleet, decode, &[], &[]);
+        assert_optional_keys(
+            &fleet,
+            decode,
+            &["config"],
+            &[
+                ("fleet_tick_interval", Value::U64(1)),
+                ("workload", Value::Null),
+                ("autotune", Value::Null),
+            ],
+        );
+        assert_optional_keys(&fleet, decode, &["config", "base"], &late_knobs);
+        assert_optional_keys(&fleet, decode, &["schedule"], &[]);
+        // Inside the two late-added blocks every field falls back to the
+        // block's `Default` (which is what this document holds).
+        for block in ["workload", "autotune"] {
+            let path = ["config", block];
+            let every_key: Vec<(&str, Value)> = at(&fleet, &path)
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.clone()))
+                .collect();
+            assert_optional_keys(&fleet, decode, &path, &every_key);
+        }
+    }
+
+    #[test]
+    fn hand_edits_a_derive_cannot_see_are_still_rejected() {
+        let counterexample = synthetic_counterexample();
+        let json = counterexample.to_json().unwrap();
+        assert_eq!(Counterexample::from_json(&json).unwrap(), counterexample);
+        let error = |json: String| Counterexample::from_json(&json).unwrap_err().to_string();
+        // The schedule's seed is what a replay uses: a top-level seed that
+        // disagrees would silently describe a different run.
+        let mismatch = error(json.replacen("\"seed\": 4", "\"seed\": 5", 1));
+        assert!(mismatch.contains("disagrees"), "{mismatch}");
+        // Well-typed but out of range: an error here, not a panic in replay.
+        let lossy = error(json.replace("\"loss_rate\": 0.0005", "\"loss_rate\": 1.5"));
+        assert!(lossy.contains("invalid network config"), "{lossy}");
+        // Corrupted artifacts error too, however deep the garbage nests.
+        assert!(Counterexample::from_json(&"[".repeat(200_000)).is_err());
     }
 }

@@ -195,13 +195,16 @@ pub struct ScheduleConfig {
     pub network: NetworkConfig,
     /// MinBFT checkpoint period (sequences between checkpoints); small
     /// values exercise log compaction + state transfer under chaos.
+    #[serde(default = "default_checkpoint_period")]
     pub checkpoint_period: u64,
     /// MinBFT leader batch size (requests per PREPARE); values above 1
     /// exercise the batched pipeline under chaos.
+    #[serde(default = "default_batch_size")]
     pub batch_size: usize,
     /// MinBFT pipeline window (maximum in-flight sequences ahead of
     /// execution); 0 keeps the unbounded pre-pipelining behaviour, values
     /// above 1 exercise watermark-gated concurrent proposals under chaos.
+    #[serde(default)]
     pub pipeline_window: usize,
     /// Expected number of generated fault events per step.
     pub intensity: f64,
@@ -218,16 +221,34 @@ pub struct ScheduleConfig {
     /// restored, and the generator draws no network faults whose closer
     /// would land after it. `None` keeps the network synchronous
     /// throughout.
+    #[serde(default)]
     pub gst: Option<u32>,
     /// Bound of the liveness-after-GST oracle: every client request
     /// submitted *before* GST must complete within this many post-GST
     /// steps (only checked when [`ScheduleConfig::gst`] is set).
+    #[serde(default = "default_post_gst_liveness_steps")]
     pub post_gst_liveness_steps: u32,
     /// Attacker variants the generator may draw for
     /// [`FaultEvent::AdoptAttacker`] events (only consulted when
     /// [`FaultKind::AdoptAttacker`] is in `enabled`; empty means the full
     /// zoo, [`AttackerKind::ALL`]).
+    #[serde(default)]
     pub attackers: Vec<AttackerKind>,
+}
+
+// What the knobs added after counterexamples were first emitted decode to
+// when a document predates them (`#[serde(default..)]` above; every other
+// field is required).
+fn default_checkpoint_period() -> u64 {
+    ScheduleConfig::default().checkpoint_period
+}
+
+fn default_batch_size() -> usize {
+    ScheduleConfig::default().batch_size
+}
+
+fn default_post_gst_liveness_steps() -> u32 {
+    ScheduleConfig::default().post_gst_liveness_steps
 }
 
 impl Default for ScheduleConfig {

@@ -72,9 +72,9 @@ use crate::runtime::{AsMetricReport, MetricScenario, Scenario, ScenarioRegistry,
 use crate::simnet::group::{self, Group, IdsChannel, PlaneNote, SimnetOutcome, TraceRecord};
 use crate::simnet::oracle::{InvariantKind, RoutingChecker, Violation};
 use crate::simnet::schedule::{FaultSchedule, ScheduleConfig, ScheduledFault};
-use crate::simnet::shrink::{self, decode};
+use crate::simnet::shrink;
 use crate::simnet::workload::{TraceWorkload, TraceWorkloadConfig};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use tolerance_consensus::crypto::Digest;
 use tolerance_consensus::metrics::LatencyHistogram;
 use tolerance_consensus::minbft::{MinBftCluster, Operation};
@@ -107,9 +107,11 @@ pub struct ShardedScheduleConfig {
     /// step; larger windows trade control-plane reaction time for
     /// per-shard parallelism. Part of the *configuration* — the trace
     /// depends on it, never on the worker count.
+    #[serde(default = "default_fleet_tick_interval")]
     pub fleet_tick_interval: u32,
     /// Open-loop trace workload; `None` keeps the closed-loop driver (one
     /// keyed request per shard per step plus burst backlog).
+    #[serde(default)]
     pub workload: Option<TraceWorkloadConfig>,
     /// Data-plane self-tuning: when set, every shard runs its own
     /// deterministic [`AutotuneController`] ticked at
@@ -119,7 +121,14 @@ pub struct ShardedScheduleConfig {
     /// admission from the shard's simulated-network depth. The decision
     /// trace is part of the run report, so AIMD determinism is pinned by
     /// the same byte-identity contract as the event trace.
+    #[serde(default)]
     pub autotune: Option<AutotuneConfig>,
+}
+
+/// What a counterexample document written before `fleet_tick_interval`
+/// existed decodes it to.
+fn default_fleet_tick_interval() -> u32 {
+    ShardedScheduleConfig::default().fleet_tick_interval
 }
 
 impl Default for ShardedScheduleConfig {
@@ -1153,14 +1162,7 @@ impl ShardedCounterexample {
     /// Fails on malformed JSON or a document that does not describe a
     /// sharded counterexample.
     pub fn from_json(json: &str) -> Result<Self> {
-        let (seed, config, schedule, violation) =
-            decode::document(json, decode_config, decode_schedule, |s| s.seed)?;
-        Ok(ShardedCounterexample {
-            seed,
-            config,
-            schedule,
-            violation,
-        })
+        shrink::document_from_json(json, |c: &Self| (c.seed, c.schedule.seed, &c.config.base))
     }
 
     /// Re-executes the stored schedules and returns the violation the
@@ -1172,78 +1174,6 @@ impl ShardedCounterexample {
     pub fn replay(&self) -> Result<Option<Violation>> {
         Ok(run_sharded_schedule(&self.schedule, &self.config)?.violation)
     }
-}
-
-fn decode_schedule(value: &Value) -> Result<ShardedFaultSchedule> {
-    Ok(ShardedFaultSchedule {
-        seed: decode::as_u64(decode::field(value, "seed")?)?,
-        shards: decode::as_array(decode::field(value, "shards")?)?
-            .iter()
-            .map(decode::schedule)
-            .collect::<Result<Vec<_>>>()?,
-    })
-}
-
-fn decode_config(value: &Value) -> Result<ShardedScheduleConfig> {
-    use decode::{as_u32, as_usize, field, nullable, opt_field, or_default};
-    let d = ShardedScheduleConfig::default();
-    Ok(ShardedScheduleConfig {
-        shards: as_usize(field(value, "shards")?)?,
-        base: decode::config(field(value, "base")?)?,
-        key_space: as_u32(field(value, "key_space")?)?,
-        multi_put_interval: as_u32(field(value, "multi_put_interval")?)?,
-        multi_put_keys: as_usize(field(value, "multi_put_keys")?)?,
-        fleet_tick_interval: or_default(
-            value,
-            "fleet_tick_interval",
-            as_u32,
-            d.fleet_tick_interval,
-        )?,
-        workload: nullable(opt_field(value, "workload"), decode_workload)?,
-        autotune: nullable(opt_field(value, "autotune"), decode_autotune)?,
-    })
-}
-
-/// Decodes a [`TraceWorkloadConfig`] object (absent fields decode to their
-/// defaults).
-fn decode_workload(value: &Value) -> Result<TraceWorkloadConfig> {
-    use decode::{as_f64, as_u32, or_default};
-    let d = TraceWorkloadConfig::default();
-    Ok(TraceWorkloadConfig {
-        base_rate: or_default(value, "base_rate", as_f64, d.base_rate)?,
-        diurnal_period: or_default(value, "diurnal_period", as_u32, d.diurnal_period)?,
-        diurnal_amplitude: or_default(value, "diurnal_amplitude", as_f64, d.diurnal_amplitude)?,
-        zipf_exponent: or_default(value, "zipf_exponent", as_f64, d.zipf_exponent)?,
-        backlog_cap: or_default(value, "backlog_cap", as_u32, d.backlog_cap)?,
-    })
-}
-
-/// Decodes an [`AutotuneConfig`] object (absent fields decode to their
-/// defaults; the controller sanitizes on construction either way).
-fn decode_autotune(value: &Value) -> Result<AutotuneConfig> {
-    use decode::{as_f64, as_u32, as_u64, as_usize, or_default};
-    let d = AutotuneConfig::default();
-    let float = |name, default| or_default(value, name, as_f64, default);
-    let count = |name, default| or_default(value, name, as_usize, default);
-    Ok(AutotuneConfig {
-        p99_target: float("p99_target", d.p99_target)?,
-        initial_batch: count("initial_batch", d.initial_batch)?,
-        min_batch: count("min_batch", d.min_batch)?,
-        max_batch: count("max_batch", d.max_batch)?,
-        batch_step: count("batch_step", d.batch_step)?,
-        initial_concurrency: count("initial_concurrency", d.initial_concurrency)?,
-        min_concurrency: count("min_concurrency", d.min_concurrency)?,
-        max_concurrency: count("max_concurrency", d.max_concurrency)?,
-        concurrency_step: count("concurrency_step", d.concurrency_step)?,
-        decrease_factor: float("decrease_factor", d.decrease_factor)?,
-        delay_watermark: or_default(value, "delay_watermark", as_u64, d.delay_watermark)?,
-        shed_watermark: or_default(value, "shed_watermark", as_u64, d.shed_watermark)?,
-        base_batch_delay: float("base_batch_delay", d.base_batch_delay)?,
-        processing_time: float("processing_time", d.processing_time)?,
-        signature_time: float("signature_time", d.signature_time)?,
-        window_steps: or_default(value, "window_steps", as_u32, d.window_steps)?,
-        window_seconds: float("window_seconds", d.window_seconds)?,
-    })
 }
 
 /// Run a fleet schedule and, if it violates an invariant, shrink it and

@@ -29,8 +29,10 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of the seeded open-loop trace workload (embedded in
 /// [`ShardedScheduleConfig`](crate::simnet::ShardedScheduleConfig); `None`
-/// there keeps the legacy closed-loop driver).
+/// there keeps the legacy closed-loop driver). In a counterexample document
+/// every field is optional: an absent one is its [`Default`] value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct TraceWorkloadConfig {
     /// Mean requests per shard per step at the diurnal midline.
     pub base_rate: f64,

@@ -1134,3 +1134,75 @@ mod fleet_streams {
         }
     }
 }
+
+mod counterexample_documents {
+    //! The counterexample documents are read back by the derived
+    //! `Deserialize` impls alone, so every event variant the generator can
+    //! draw — and every float it can draw into one — must survive the JSON
+    //! round trip exactly: a replayed schedule is the emitted schedule.
+
+    use proptest::prelude::*;
+    use tolerance::core::simnet::{
+        Counterexample, FaultKind, FaultSchedule, InvariantKind, ScheduleConfig,
+        ShardedCounterexample, ShardedFaultSchedule, ShardedScheduleConfig, Violation,
+    };
+
+    const EVERY_KIND: [FaultKind; 10] = [
+        FaultKind::Partition,
+        FaultKind::LossStorm,
+        FaultKind::DelayStorm,
+        FaultKind::CrashReplica,
+        FaultKind::ByzantineFlip,
+        FaultKind::IntrusionBurst,
+        FaultKind::AdoptAttacker,
+        FaultKind::AddReplica,
+        FaultKind::EvictReplica,
+        FaultKind::ClientBurst,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn generated_schedules_survive_the_json_round_trip_byte_identically(
+            seed in 0u64..u64::MAX,
+            intensity in 0.0f64..1.0,
+            shards in 1usize..4,
+        ) {
+            let base = ScheduleConfig {
+                intensity,
+                enabled: EVERY_KIND.to_vec(),
+                inject_double_commit_at: Some(5),
+                ..ScheduleConfig::default()
+            };
+            let violation = Violation {
+                kind: InvariantKind::Liveness,
+                step: 7,
+                detail: "synthetic \"quoted\"\n".into(),
+            };
+
+            let single = Counterexample {
+                seed,
+                schedule: FaultSchedule::generate(seed, &base),
+                config: base.clone(),
+                violation: violation.clone(),
+            };
+            let json = single.to_json().expect("serializes");
+            let back = Counterexample::from_json(&json).expect("parses back");
+            prop_assert_eq!(&back, &single);
+            prop_assert_eq!(back.to_json().expect("serializes"), json);
+
+            let config = ShardedScheduleConfig { shards, base, ..ShardedScheduleConfig::default() };
+            let fleet = ShardedCounterexample {
+                seed,
+                schedule: ShardedFaultSchedule::generate(seed, &config),
+                config,
+                violation,
+            };
+            let json = fleet.to_json().expect("serializes");
+            let back = ShardedCounterexample::from_json(&json).expect("parses back");
+            prop_assert_eq!(&back, &fleet);
+            prop_assert_eq!(back.to_json().expect("serializes"), json);
+        }
+    }
+}
