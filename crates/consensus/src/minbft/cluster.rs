@@ -1,0 +1,1213 @@
+//! The simulated cluster: replicas, clients, the [`SimNetwork`] and the
+//! event loop that drives them, with god-mode actuation (crash, recover,
+//! join, evict) and the fault-injection hooks of the simulation harness.
+
+use super::adversary::{equivocate, Adversary, AttackerKind};
+use super::config::{MinBftConfig, ProtocolParams};
+use super::message::{
+    batch_digest, first_log_divergence, ByzantineMode, CommitRecord, Message, Operation, Request,
+    CLIENT_ID_BASE,
+};
+use super::replica::{
+    flush_stale_batch, replica_on_message, stall_vote, state_transfer_message, view_change_vote,
+    window_open, Replica, StepOutput,
+};
+use crate::crypto::{Digest, KeyDirectory, KeyPair};
+use crate::metrics::{RetryBudget, RetryBudgetConfig};
+use crate::net::{NetworkConfig, SimNetwork};
+use crate::transport::Transport;
+use crate::usig::UsigVerifier;
+use crate::workload::{Arrival, OpStream, WorkloadConfig, WorkloadReport};
+use crate::{hybrid_fault_threshold, NodeId, SimTime};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+#[derive(Debug)]
+pub(super) struct ClientState {
+    id: NodeId,
+    next_request_id: u64,
+    /// Outstanding request and the replies received for it, keyed by the
+    /// reply value; a request completes when f+1 replicas agree on a value.
+    outstanding: Option<(Request, HashMap<u64, HashSet<NodeId>>, SimTime)>,
+    completed: u64,
+    latencies: Vec<f64>,
+    pub(super) closed_loop: bool,
+    /// The client's operation generator (closed-loop resubmission draws
+    /// from it; `None` falls back to the legacy register-write stream).
+    op_stream: Option<OpStream>,
+    /// Retransmission token bucket (`None` = unbudgeted legacy behaviour:
+    /// every timeout retransmits).
+    retry_budget: Option<RetryBudget>,
+}
+
+/// A report of a throughput run (Fig. 10).
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct ThroughputReport {
+    /// Number of replicas during the run.
+    pub replicas: usize,
+    /// Number of closed-loop clients.
+    pub clients: usize,
+    /// Completed requests.
+    pub completed_requests: u64,
+    /// Simulated duration of the run in seconds.
+    pub duration: f64,
+    /// Completed requests per simulated second.
+    pub requests_per_second: f64,
+    /// Mean request latency in seconds.
+    pub mean_latency: f64,
+}
+
+/// Bounded-memory accounting of one replica's retained protocol state (the
+/// structures checkpoint compaction prunes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct RetainedStats {
+    /// Absolute index of the first retained executed-log entry.
+    pub log_start: u64,
+    /// Retained executed-log entries (suffix since the stable checkpoint).
+    pub retained_log: usize,
+    /// Retained prepared certificates.
+    pub prepared: usize,
+    /// Retained commit-vote entries.
+    pub commit_votes: usize,
+    /// Retained checkpoint ballots (own + others).
+    pub checkpoint_votes: usize,
+    /// Parked requests awaiting proposal or re-proposal.
+    pub pending: usize,
+    /// Retained request-dedup markers.
+    pub seen_requests: usize,
+}
+
+/// A simulated MinBFT cluster: replicas, clients, the network and the event
+/// loop that drives them.
+pub struct MinBftCluster {
+    config: MinBftConfig,
+    network: SimNetwork<Message>,
+    /// Ordered maps: timers fire and retransmissions go out in id order, and
+    /// the send order decides how the network RNG is consumed — replays are
+    /// byte-identical only under a deterministic order.
+    pub(super) replicas: BTreeMap<NodeId, Replica>,
+    pub(super) clients: BTreeMap<NodeId, ClientState>,
+    busy_until: HashMap<NodeId, SimTime>,
+    membership: Vec<NodeId>,
+    directory: KeyDirectory,
+    next_node_id: NodeId,
+    view_changes: u64,
+    /// The configuration epoch (bumped by every JOIN/EVICT).
+    epoch: u64,
+    commit_trace: Vec<CommitRecord>,
+    /// Every replica's outgoing traffic passes through here.
+    pub(super) adversary: Adversary,
+    /// Retry-budget configuration applied to clients (`None` = unbudgeted).
+    retry_budget: Option<RetryBudgetConfig>,
+    /// REQUEST messages received by replicas (original sends plus
+    /// retransmissions) — the replica-side load signal the retry-storm
+    /// regression pins.
+    request_receptions: u64,
+    /// Client retransmissions actually broadcast.
+    retransmissions_sent: u64,
+    /// Client retransmissions suppressed by the retry budget.
+    retransmissions_suppressed: u64,
+}
+
+impl MinBftCluster {
+    /// Creates a cluster with `config.initial_replicas` replicas and no
+    /// clients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than 2 replicas are requested.
+    pub fn new(config: MinBftConfig) -> Self {
+        assert!(
+            config.initial_replicas >= 2,
+            "MinBFT needs at least two replicas"
+        );
+        let membership: Vec<NodeId> = (0..config.initial_replicas as NodeId).collect();
+        let mut directory = KeyDirectory::new();
+        for &id in &membership {
+            directory.register(&KeyPair::derive(id, config.seed));
+        }
+        let replicas = membership
+            .iter()
+            .map(|&id| {
+                (
+                    id,
+                    Replica::new(id, membership.clone(), directory.clone(), config.seed),
+                )
+            })
+            .collect();
+        let network = SimNetwork::new(config.network, config.seed);
+        let next_node_id = config.initial_replicas as NodeId;
+        let adversary = Adversary::new(config.seed, config.request_timeout);
+        MinBftCluster {
+            config,
+            network,
+            replicas,
+            clients: BTreeMap::new(),
+            busy_until: HashMap::new(),
+            membership,
+            directory,
+            next_node_id,
+            view_changes: 0,
+            epoch: 0,
+            commit_trace: Vec::new(),
+            adversary,
+            retry_budget: None,
+            request_receptions: 0,
+            retransmissions_sent: 0,
+            retransmissions_suppressed: 0,
+        }
+    }
+
+    /// The protocol knobs handed to the shared replica step functions.
+    fn protocol_params(&self) -> ProtocolParams {
+        ProtocolParams {
+            f: hybrid_fault_threshold(self.membership.len(), 0),
+            checkpoint_period: self.config.checkpoint_period,
+            batch_size: self.config.batch_size.max(1),
+            batch_delay: self.config.batch_delay,
+            pipeline_window: self.config.pipeline_window,
+            recoveries: self.config.parallel_recoveries,
+        }
+    }
+
+    /// Current membership (active replicas).
+    pub fn membership(&self) -> &[NodeId] {
+        &self.membership
+    }
+
+    /// Current number of replicas.
+    pub fn num_replicas(&self) -> usize {
+        self.membership.len()
+    }
+
+    /// The tolerance threshold `f` of the current membership.
+    pub fn fault_threshold(&self) -> usize {
+        hybrid_fault_threshold(self.membership.len(), self.config.parallel_recoveries)
+    }
+
+    /// Simulated time.
+    pub fn now(&self) -> SimTime {
+        self.network.now()
+    }
+
+    /// Number of view changes that have completed.
+    pub fn view_changes(&self) -> u64 {
+        self.view_changes
+    }
+
+    /// Every commit executed by any replica so far, in execution order (the
+    /// trace hook consumed by invariant oracles).
+    pub fn commit_trace(&self) -> &[CommitRecord] {
+        &self.commit_trace
+    }
+
+    /// The *retained* executed-request digest log of a replica (the suffix
+    /// since its stable checkpoint; see [`MinBftCluster::executed_log_start`]
+    /// for its absolute offset).
+    pub fn executed_log(&self, replica: NodeId) -> Option<&[Digest]> {
+        self.replicas.get(&replica).map(|r| r.executed.as_slice())
+    }
+
+    /// Absolute index of the first retained executed-log entry of a replica
+    /// (requests below it were compacted at the stable checkpoint).
+    pub fn executed_log_start(&self, replica: NodeId) -> Option<u64> {
+        self.replicas.get(&replica).map(|r| r.log_start)
+    }
+
+    /// Absolute number of requests a replica has executed (compacted prefix
+    /// included).
+    pub fn executed_len(&self, replica: NodeId) -> Option<u64> {
+        self.replicas.get(&replica).map(|r| r.executed_len())
+    }
+
+    /// The stable-checkpoint sequence of a replica (0 before the first
+    /// compaction).
+    pub fn stable_checkpoint(&self, replica: NodeId) -> Option<u64> {
+        self.replicas.get(&replica).map(|r| r.stable_sequence)
+    }
+
+    /// Sizes of the retained (compaction-bounded) protocol structures of a
+    /// replica.
+    pub fn retained_stats(&self, replica: NodeId) -> Option<RetainedStats> {
+        self.replicas.get(&replica).map(|r| RetainedStats {
+            log_start: r.log_start,
+            retained_log: r.executed.len(),
+            prepared: r.prepared.len(),
+            commit_votes: r.commit_votes.len(),
+            checkpoint_votes: r.own_checkpoints.len() + r.checkpoint_votes.len(),
+            pending: r.pending.len(),
+            seen_requests: r.seen_requests.len(),
+        })
+    }
+
+    /// The Byzantine mode a replica currently runs with.
+    pub fn byzantine_mode(&self, replica: NodeId) -> Option<ByzantineMode> {
+        self.replicas.get(&replica).map(|r| r.byzantine)
+    }
+
+    /// Whether a replica is crashed.
+    pub fn is_crashed(&self, replica: NodeId) -> bool {
+        self.replicas.get(&replica).is_some_and(|r| r.crashed)
+    }
+
+    /// A one-line diagnostic summary of a replica's protocol state (for
+    /// harness debugging output).
+    pub fn debug_replica(&self, replica: NodeId) -> String {
+        let Some(r) = self.replicas.get(&replica) else {
+            return format!("replica {replica}: gone");
+        };
+        format!(
+            "replica {replica}: view {} voted {} min_lead {} epoch {} last_exec {} next_seq {} \
+             stable {} log_start {} pending {} first_seen {} prepared {} vc_votes {:?}",
+            r.view,
+            r.voted_view,
+            r.min_lead_view,
+            r.epoch,
+            r.last_executed,
+            r.next_sequence,
+            r.stable_sequence,
+            r.log_start,
+            r.pending.len(),
+            r.request_first_seen.len(),
+            r.prepared.len(),
+            r.view_change_votes
+                .iter()
+                .map(|(view, votes)| (*view, votes.len()))
+                .collect::<std::collections::BTreeMap<_, _>>(),
+        )
+    }
+
+    /// Whether a replica is still waiting for a state transfer after a
+    /// recovery or join.
+    pub fn needs_state(&self, replica: NodeId) -> bool {
+        self.replicas.get(&replica).is_some_and(|r| r.needs_state)
+    }
+
+    /// Traffic counters of the underlying network.
+    pub fn network_stats(&self) -> crate::net::NetworkStats {
+        self.network.stats()
+    }
+
+    /// Number of messages currently in flight on the network.
+    pub fn network_in_flight(&self) -> usize {
+        self.network.in_flight()
+    }
+
+    /// Blocks communication between every replica in `group_a` and every
+    /// replica in `group_b` (both directions), modelling a network
+    /// partition.
+    pub fn partition_network(&mut self, group_a: &[NodeId], group_b: &[NodeId]) {
+        self.network.partition(group_a, group_b);
+    }
+
+    /// Removes all network partitions.
+    pub fn heal_network(&mut self) {
+        self.network.heal_partitions();
+    }
+
+    /// Replaces the replica-to-replica link profile mid-run (delay and loss
+    /// storms). Messages already in flight keep their scheduled delivery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see [`NetworkConfig::new`]).
+    pub fn set_network_config(&mut self, network: NetworkConfig) {
+        self.network.set_config(network);
+    }
+
+    /// Actuates a new leader-batching configuration online (the autotune
+    /// hook). The pair is re-clamped through the fragmentation floor
+    /// (`batch_delay ≥ batch_size × per-request cost`, see
+    /// [`MinBftConfig::min_batch_delay`]) so the live configuration always
+    /// satisfies [`MinBftConfig::validate`]. Takes effect on the next
+    /// protocol step — `protocol_params()` reads the live config — and
+    /// returns the `(batch_size, batch_delay)` actually applied.
+    pub fn set_batch_config(&mut self, batch_size: usize, batch_delay: f64) -> (usize, f64) {
+        let candidate = MinBftConfig {
+            batch_size: batch_size.max(1),
+            batch_delay: batch_delay.max(0.0),
+            ..self.config.clone()
+        }
+        .clamped();
+        debug_assert!(candidate.validate().is_ok(), "clamped config must validate");
+        self.config.batch_size = candidate.batch_size;
+        self.config.batch_delay = candidate.batch_delay;
+        (self.config.batch_size, self.config.batch_delay)
+    }
+
+    /// Installs (or clears) a retransmission budget on every current and
+    /// future client. Existing clients restart from the full burst
+    /// allowance.
+    pub fn set_retry_budget(&mut self, config: Option<RetryBudgetConfig>) {
+        self.retry_budget = config;
+        for client in self.clients.values_mut() {
+            client.retry_budget = config.map(RetryBudget::new);
+        }
+    }
+
+    /// REQUEST messages received by replicas so far (original sends plus
+    /// retransmissions; each broadcast counts once per receiving replica).
+    pub fn request_receptions(&self) -> u64 {
+        self.request_receptions
+    }
+
+    /// Client retransmissions `(sent, suppressed_by_budget)` so far.
+    pub fn retransmission_stats(&self) -> (u64, u64) {
+        (self.retransmissions_sent, self.retransmissions_suppressed)
+    }
+
+    /// Drains every client's completed-request latencies (seconds), in
+    /// client-id order — the per-window observation feed of the autotune
+    /// loop. Subsequent workload reports only cover samples recorded after
+    /// the drain.
+    pub fn take_latencies(&mut self) -> Vec<f64> {
+        let mut all = Vec::new();
+        for client in self.clients.values_mut() {
+            all.append(&mut client.latencies);
+        }
+        all
+    }
+
+    /// Test-only fault injection: makes the replica execute a corrupted
+    /// digest for every subsequent request while still reporting itself as
+    /// correct. This simulates an implementation bug (not an attacker, which
+    /// is modelled by [`ByzantineMode`]) and exists so that agreement oracles
+    /// can be validated against a known safety violation. A recovery clears
+    /// the flag.
+    pub fn inject_double_commit(&mut self, replica: NodeId) {
+        if let Some(r) = self.replicas.get_mut(&replica) {
+            r.corrupt_execution = true;
+        }
+    }
+
+    /// Registers a new closed-loop client and returns its identifier.
+    pub fn add_client(&mut self) -> NodeId {
+        let id = CLIENT_ID_BASE + self.clients.len() as NodeId;
+        self.clients.insert(
+            id,
+            ClientState {
+                id,
+                next_request_id: 0,
+                outstanding: None,
+                completed: 0,
+                latencies: Vec::new(),
+                closed_loop: false,
+                op_stream: None,
+                retry_budget: self.retry_budget.map(RetryBudget::new),
+            },
+        );
+        id
+    }
+
+    /// Submits one request from the given client and returns it (so callers
+    /// such as invariant oracles can record its digest).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the client is unknown or already has an outstanding request.
+    pub fn submit(&mut self, client: NodeId, operation: Operation) -> Request {
+        let now = self.network.now();
+        let request = {
+            let state = self.clients.get_mut(&client).expect("unknown client");
+            assert!(
+                state.outstanding.is_none(),
+                "client already has an outstanding request"
+            );
+            let request = Request {
+                client,
+                id: state.next_request_id,
+                operation,
+            };
+            state.next_request_id += 1;
+            state.outstanding = Some((request, HashMap::new(), now));
+            request
+        };
+        let members = self.membership.clone();
+        self.network
+            .broadcast(client, &members, &Message::Request(request));
+        request
+    }
+
+    /// Marks a replica as compromised with the given behaviour.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica is unknown.
+    pub fn set_byzantine(&mut self, replica: NodeId, mode: ByzantineMode) {
+        self.replicas
+            .get_mut(&replica)
+            .expect("unknown replica")
+            .byzantine = mode;
+    }
+
+    /// Assigns (or clears) a protocol-aware attacker strategy on a replica.
+    /// A successful recovery or an eviction clears it; a deferred recovery
+    /// leaves the replica, and so the attacker, as it was.
+    pub fn set_attacker(&mut self, replica: NodeId, attacker: Option<AttackerKind>) {
+        if let Some(r) = self.replicas.get_mut(&replica) {
+            r.prepare_hook = match attacker {
+                Some(AttackerKind::EquivocatingLeader) => Some(equivocate),
+                _ => None,
+            };
+            self.adversary.assign(replica, attacker);
+        }
+    }
+
+    /// The retained prepared certificates of a replica as
+    /// `(sequence, view, batch digest)` — the observability hook of the
+    /// equivocation properties: an honest replica must never bind one
+    /// `(view, sequence)` to two different digests, and no two honest
+    /// replicas may disagree on the digest prepared at the same
+    /// `(view, sequence)`.
+    pub fn prepared_entries(&self, replica: NodeId) -> Vec<(u64, u64, Digest)> {
+        self.replicas
+            .get(&replica)
+            .map(|r| {
+                r.prepared
+                    .iter()
+                    .map(|(&sequence, (view, batch))| (sequence, *view, batch_digest(batch)))
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    /// The last counter a replica's USIG assigned (0 if none): the trusted
+    /// monotonic counter of the equivocation properties — even an attacker
+    /// cannot sign two messages with one counter value.
+    pub fn usig_last_counter(&self, replica: NodeId) -> Option<u64> {
+        self.replicas.get(&replica).map(|r| r.usig.last_counter())
+    }
+
+    /// `replica`'s FIFO acceptance cursor for `sender`: the highest USIG
+    /// counter it has consumed from that peer. A counter is consumed at
+    /// most once (acceptance is counter-consecutive), so the cursor never
+    /// exceeds the sender's own [`Self::usig_last_counter`].
+    pub fn ui_cursor(&self, replica: NodeId, sender: NodeId) -> u64 {
+        self.replicas
+            .get(&replica)
+            .and_then(|r| r.ui_high.get(&sender).copied())
+            .unwrap_or(0)
+    }
+
+    /// Crashes a replica (it stops processing and the network drops its
+    /// traffic).
+    pub fn crash_replica(&mut self, replica: NodeId) {
+        if let Some(r) = self.replicas.get_mut(&replica) {
+            r.crashed = true;
+        }
+        self.network.crash(replica);
+    }
+
+    /// Recovers a replica: clears its Byzantine mode, resets its protocol
+    /// state and requests a state transfer from the other replicas. This is
+    /// the operation the paper's node controllers trigger (Section VII-C).
+    ///
+    /// Returns `false` when the recovery was **deferred**: the rebuild only
+    /// proceeds when a live donor *at or beyond the target's execution
+    /// frontier* exists. Rebuilding the unique frontier holder (e.g. the
+    /// last live member of a commit quorum whose peers crashed) would
+    /// erase the cluster's only copy of the committed suffix — the adopted
+    /// transfer would roll the replica back, and the next view-change
+    /// ballot would gap-fill the erased sequences with empty batches and
+    /// re-assign them (an agreement violation found by the 300-run
+    /// controlled chaos sweep, seed 194). While deferred the target keeps
+    /// participating (its certificates stay reachable through view
+    /// changes, which is how lagging peers catch up to the frontier), and
+    /// the caller retries on the next BTR tick.
+    pub fn recover_replica(&mut self, replica: NodeId) -> bool {
+        self.network.restart(replica);
+        let target_frontier = self
+            .replicas
+            .get(&replica)
+            .map(|r| r.last_executed)
+            .unwrap_or(0);
+        let donor_exists = self.membership.iter().any(|&id| {
+            id != replica
+                && self.replicas.get(&id).is_some_and(|r| {
+                    !r.crashed && !r.needs_state && r.last_executed >= target_frontier
+                })
+        });
+        if !donor_exists {
+            return false;
+        }
+        if let Some(r) = self.replicas.get_mut(&replica) {
+            let view = r.view;
+            let epoch = r.epoch;
+            *r = Replica::new(
+                replica,
+                self.membership.clone(),
+                self.directory.clone(),
+                self.config.seed,
+            );
+            self.adversary.assign(replica, None);
+            r.view = view;
+            r.epoch = epoch;
+            r.needs_state = true;
+            // The pull below is a broadcast, so the first-arriving response
+            // may come from a donor lagging behind this replica's own
+            // pre-recovery frontier. Adopting it would forget certificates
+            // for sequences this replica already committed — the rollback
+            // the `recovery_floor` field exists to refuse. The donor check
+            // above guarantees a live peer at or beyond the floor, and the
+            // pull is re-announced every step until one answers.
+            r.recovery_floor = target_frontier;
+            r.min_lead_view = view + 1;
+        }
+        // Ask every other replica for a state transfer; verifiers must also
+        // forget the recovered replica's old USIG counter, and the FIFO
+        // cursor with it — the fresh USIG restarts at counter 1, which
+        // would sit below a stale cursor forever. PREPAREs parked under
+        // the old counter stream are void too.
+        for (&other_id, other) in self.replicas.iter_mut() {
+            if other_id != replica {
+                other.verifier.reset_replica(replica);
+                other.ui_high.remove(&replica);
+                other
+                    .parked_prepares
+                    .retain(|_, (_, _, _, ui)| ui.replica != replica);
+            }
+        }
+        self.send_state_transfer(replica);
+        // The push above goes to a single donor, which may be an attacker
+        // serving forged frontiers; a broadcast pull reaches every live
+        // donor, so one honest transfer always lands (this mirrors the
+        // message-driven `ControlMessage::Recover` path).
+        let epoch = self.replicas.get(&replica).map(|r| r.epoch).unwrap_or(0);
+        let members = self.membership.clone();
+        self.network
+            .broadcast(replica, &members, &Message::StateRequest { epoch });
+        true
+    }
+
+    /// Sends a state transfer to `recipient` from the most up-to-date live
+    /// donor. Adopting an arbitrary (first-arriving) snapshot would let a
+    /// recovered replica roll back below the committed frontier — repeated
+    /// recoveries could then erase the cluster's memory of committed
+    /// sequence numbers and re-assign them. Donors that are crashed or
+    /// themselves awaiting a transfer never push (amnesia must not spread);
+    /// if no donor exists, the recipient stays in `needs_state` until a
+    /// later recovery retries.
+    fn send_state_transfer(&mut self, recipient: NodeId) {
+        let donor = self
+            .membership
+            .iter()
+            .copied()
+            .filter(|&id| {
+                id != recipient && !self.replicas[&id].crashed && !self.replicas[&id].needs_state
+            })
+            .max_by_key(|&id| (self.replicas[&id].last_executed, std::cmp::Reverse(id)));
+        if let Some(donor) = donor {
+            let donor = &self.replicas[&donor];
+            let mut out = StepOutput::default();
+            out.outgoing
+                .push((recipient, state_transfer_message(donor)));
+            self.adversary
+                .emit(donor, out, &self.membership, &mut self.network);
+        }
+    }
+
+    /// Restarts a crashed replica with its state intact (fail-stop recovery
+    /// with stable storage). Unlike [`MinBftCluster::recover_replica`], the
+    /// log, USIG counter and protocol state survive: this is the right
+    /// operation for a crash, whereas a (suspected) compromise requires the
+    /// full rebuild + state transfer of `recover_replica`.
+    pub fn restart_replica(&mut self, replica: NodeId) {
+        self.network.restart(replica);
+        if let Some(r) = self.replicas.get_mut(&replica) {
+            r.crashed = false;
+        }
+    }
+
+    /// Adds a new replica to the system (the JOIN reconfiguration used by the
+    /// system controller). Returns the new replica's identifier.
+    pub fn add_replica(&mut self) -> NodeId {
+        let id = self.next_node_id;
+        self.next_node_id += 1;
+        let keys = KeyPair::derive(id, self.config.seed);
+        self.directory.register(&keys);
+        self.membership.push(id);
+        // Refresh every replica's directory and membership through a
+        // lightweight reconfiguration view change.
+        self.epoch += 1;
+        let new_membership = self.membership.clone();
+        for replica in self.replicas.values_mut() {
+            replica.membership = new_membership.clone();
+            replica.verifier = UsigVerifier::new(self.directory.clone());
+            // Prepared entries and commit votes are kept: they are genuine
+            // USIG-certified statements, and wiping them would erase the
+            // prepared high-water marks that stop a post-reconfiguration
+            // leader from re-assigning executed sequence numbers. Only the
+            // view-change ballots are reset (they belong to the old epoch).
+            replica.view_change_votes.clear();
+            replica.epoch = self.epoch;
+        }
+        let mut new_replica =
+            Replica::new(id, new_membership, self.directory.clone(), self.config.seed);
+        new_replica.needs_state = true;
+        new_replica.epoch = self.epoch;
+        self.replicas.insert(id, new_replica);
+        self.sync_lagging_replicas();
+        self.reconfiguration_view_change();
+        // State transfer to the newcomer, from the most up-to-date donor.
+        self.send_state_transfer(id);
+        self.view_changes += 1;
+        id
+    }
+
+    /// Evicts a replica from the system (the EVICT reconfiguration).
+    pub fn evict_replica(&mut self, replica: NodeId) {
+        self.membership.retain(|&id| id != replica);
+        self.replicas.remove(&replica);
+        self.adversary.assign(replica, None);
+        self.network.crash(replica);
+        self.epoch += 1;
+        let new_membership = self.membership.clone();
+        for r in self.replicas.values_mut() {
+            r.membership = new_membership.clone();
+            // See `add_replica`: prepared/commit state survives the
+            // reconfiguration, only the view-change ballots reset.
+            r.view_change_votes.clear();
+            r.epoch = self.epoch;
+        }
+        self.sync_lagging_replicas();
+        self.reconfiguration_view_change();
+        self.view_changes += 1;
+    }
+
+    /// The reconfiguration state barrier: every live replica whose execution
+    /// frontier lags the cluster's is forced through a state sync
+    /// (`needs_state` + transfer) before the new epoch's first view change.
+    ///
+    /// Without this, resizing the membership can break quorum intersection
+    /// with *old-configuration* commit quorums: a batch committed by `f + 1`
+    /// replicas of the old membership may, after an EVICT, be certified by
+    /// too few survivors to appear in every new-configuration view-change
+    /// ballot — a ballot formed entirely by laggards would then gap-fill the
+    /// committed sequences with no-ops and re-assign their requests
+    /// (cross-configuration split brain; found by the simnet chaos sweep).
+    /// Barring laggards from ballots until they adopt the frontier restores
+    /// the intersection argument: every participating voter's
+    /// `last_executed` covers all compacted-or-committed history, so gap
+    /// filling can only hit sequences no replica executed.
+    fn sync_lagging_replicas(&mut self) {
+        let frontier = self
+            .membership
+            .iter()
+            .filter_map(|id| self.replicas.get(id))
+            .filter(|r| !r.crashed && !r.needs_state)
+            .map(|r| r.last_executed)
+            .max()
+            .unwrap_or(0);
+        let laggards: Vec<NodeId> = self
+            .membership
+            .iter()
+            .copied()
+            .filter(|id| {
+                self.replicas
+                    .get(id)
+                    .is_some_and(|r| !r.crashed && !r.needs_state && r.last_executed < frontier)
+            })
+            .collect();
+        for id in laggards {
+            if let Some(r) = self.replicas.get_mut(&id) {
+                r.needs_state = true;
+            }
+            self.send_state_transfer(id);
+        }
+    }
+
+    /// Hands leadership over through an explicit view-change round after a
+    /// reconfiguration. Resizing the membership re-maps `view → leader`, and
+    /// the new mapping may point at a lagging replica whose stale sequence
+    /// counter would re-assign executed sequence numbers; every replica is
+    /// therefore barred from leading its current view, and each healthy
+    /// replica immediately broadcasts a view-change vote so the next view is
+    /// installed (message-driven, no timeout needed) with the quorum's
+    /// high-water marks bounding the new leader's sequence counter.
+    fn reconfiguration_view_change(&mut self) {
+        for &id in &self.membership {
+            let Some(r) = self.replicas.get_mut(&id) else {
+                continue;
+            };
+            r.min_lead_view = r.min_lead_view.max(r.view + 1);
+            if !r.crashed && !r.needs_state && r.byzantine != ByzantineMode::Silent {
+                r.voted_view = r.voted_view.max(r.view + 1);
+                let vote = view_change_vote(r, r.view + 1);
+                self.network.broadcast(id, &self.membership, &vote);
+            }
+        }
+    }
+
+    /// The earliest pending timer: a client retransmission
+    /// (`started + request_timeout`), a replica stall vote
+    /// (`first_seen + request_timeout`) or a partial-batch flush
+    /// (`oldest pending + batch_delay`). Event loops advance the clock here
+    /// when no deliveries remain — without a timer wheel, a fully stalled
+    /// system (every message already delivered or lost) would only recover
+    /// at the run's final deadline, and a single quiet stall would zero out
+    /// the rest of a throughput run. Every expression matches the firing
+    /// condition in `check_timeouts` ulp-for-ulp.
+    fn next_timer_deadline(&self) -> Option<SimTime> {
+        let timeout = self.config.request_timeout;
+        let params = self.protocol_params();
+        let now = self.network.now();
+        let mut deadline = f64::INFINITY;
+        for client in self.clients.values() {
+            if let Some((_, _, started)) = &client.outstanding {
+                deadline = deadline.min(started + timeout);
+            }
+        }
+        for &id in &self.membership {
+            let Some(replica) = self.replicas.get(&id) else {
+                continue;
+            };
+            if replica.crashed || replica.byzantine == ByzantineMode::Silent || replica.needs_state
+            {
+                continue;
+            }
+            for &first_seen in replica.request_first_seen.values() {
+                deadline = deadline.min(first_seen + timeout);
+            }
+            if let Some(t) = batch_flush_deadline(replica, &params, now) {
+                deadline = deadline.min(t);
+            }
+        }
+        if let Some(release_at) = self.adversary.next_release() {
+            deadline = deadline.min(release_at);
+        }
+        deadline.is_finite().then_some(deadline)
+    }
+
+    /// Runs the event loop until `deadline` (simulated seconds).
+    pub fn run_until(&mut self, deadline: SimTime) {
+        loop {
+            // Bounded pop: messages at the queue head that must be dropped
+            // are consumed, but nothing beyond the deadline is dispatched.
+            while let Some(delivery) = self.network.next_delivery_until(deadline) {
+                self.dispatch(delivery.from, delivery.to, delivery.message, delivery.time);
+                self.check_timeouts();
+            }
+            // No deliveries left before the deadline: advance the clock to
+            // the next timer (retransmission, stall vote, batch flush) so a
+            // quiet stall recovers instead of persisting to the deadline.
+            let Some(timer_at) = self.next_timer_deadline().filter(|&t| t <= deadline) else {
+                break;
+            };
+            self.network.advance_to(timer_at);
+            self.check_timeouts();
+        }
+        self.network.advance_to(deadline);
+        self.check_timeouts();
+    }
+
+    /// Runs the event loop until the system is quiet (no deliveries and no
+    /// pending timers) or `max_time` is reached.
+    pub fn run_until_quiet(&mut self, max_time: SimTime) {
+        loop {
+            while let Some(delivery) = self.network.next_delivery_until(max_time) {
+                self.dispatch(delivery.from, delivery.to, delivery.message, delivery.time);
+                self.check_timeouts();
+            }
+            self.check_timeouts();
+            let Some(timer_at) = self.next_timer_deadline().filter(|&t| t <= max_time) else {
+                break;
+            };
+            self.network.advance_to(timer_at);
+            self.check_timeouts();
+        }
+    }
+
+    /// Number of completed requests of a client.
+    pub fn completed_requests(&self, client: NodeId) -> u64 {
+        self.clients.get(&client).map(|c| c.completed).unwrap_or(0)
+    }
+
+    /// Whether the client still has an unanswered request in flight.
+    pub fn has_outstanding_request(&self, client: NodeId) -> bool {
+        self.clients
+            .get(&client)
+            .is_some_and(|c| c.outstanding.is_some())
+    }
+
+    /// The service value stored at a replica (for tests).
+    pub fn replica_value(&self, replica: NodeId) -> Option<u64> {
+        self.replicas.get(&replica).map(|r| r.value)
+    }
+
+    /// The key-value entry stored at a replica (for tests).
+    pub fn replica_kv(&self, replica: NodeId, key: u32) -> Option<u64> {
+        self.replicas
+            .get(&replica)
+            .and_then(|r| r.kv.get(&key).copied())
+    }
+
+    /// The value a replica holds staged (reserved, uncommitted) for
+    /// `(tx, key)`, if any — the observability hook of the MultiPut
+    /// atomicity tests: a staged write must never be visible through
+    /// [`Operation::Get`].
+    pub fn replica_staged(&self, replica: NodeId, tx: u64, key: u32) -> Option<u64> {
+        self.replicas
+            .get(&replica)
+            .and_then(|r| r.staged.get(&(tx, key)).copied())
+    }
+
+    /// Retained executed-request logs of all non-crashed, non-Byzantine
+    /// replicas, as `(replica, log_start, suffix)`.
+    pub fn healthy_logs(&self) -> Vec<(NodeId, u64, Vec<Digest>)> {
+        self.membership
+            .iter()
+            .filter_map(|&id| self.replicas.get(&id))
+            .filter(|r| !r.crashed && r.byzantine == ByzantineMode::Correct)
+            .map(|r| (r.id, r.log_start, r.executed.clone()))
+            .collect()
+    }
+
+    /// Checks the safety property: every pair of healthy logs must agree on
+    /// the log positions both of them retain (offset-aware prefix
+    /// consistency under compaction).
+    pub fn logs_are_consistent(&self) -> bool {
+        let logs = self.healthy_logs();
+        for (i, (_, start_a, a)) in logs.iter().enumerate() {
+            for (_, start_b, b) in logs.iter().skip(i + 1) {
+                if first_log_divergence(*start_a, a, *start_b, b).is_some() {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Runs a closed-loop throughput experiment with `clients` clients
+    /// issuing write requests for `duration` simulated seconds (Fig. 10).
+    pub fn run_throughput(&mut self, clients: usize, duration: f64) -> ThroughputReport {
+        let client_ids: Vec<NodeId> = (0..clients).map(|_| self.add_client()).collect();
+        for &c in &client_ids {
+            self.clients.get_mut(&c).expect("client exists").closed_loop = true;
+            self.submit(c, Operation::Write(c as u64));
+        }
+        let start = self.now();
+        self.run_until(start + duration);
+        let (completed_requests, requests_per_second, mean_latency) =
+            self.summarize(&client_ids, duration);
+        ThroughputReport {
+            replicas: self.membership.len(),
+            clients,
+            completed_requests,
+            duration,
+            requests_per_second,
+            mean_latency,
+        }
+    }
+
+    /// `(completed requests, requests per second, mean latency)` of
+    /// `client_ids` over a run of `duration` simulated seconds (the rate is
+    /// guarded against a zero-length run).
+    fn summarize(&self, client_ids: &[NodeId], duration: f64) -> (u64, f64, f64) {
+        let completed: u64 = client_ids.iter().map(|c| self.completed_requests(*c)).sum();
+        let latencies: Vec<f64> = client_ids
+            .iter()
+            .flat_map(|c| self.clients[c].latencies.iter().copied())
+            .collect();
+        let mean_latency = if latencies.is_empty() {
+            0.0
+        } else {
+            latencies.iter().sum::<f64>() / latencies.len() as f64
+        };
+        let rate = completed as f64 / duration.max(1e-12);
+        (completed, rate, mean_latency)
+    }
+
+    /// Runs a configurable client workload (open- or closed-loop arrival
+    /// over the key-value service) for `workload.duration` simulated
+    /// seconds. The workload's own seed drives arrival times and operation
+    /// mixes, independent of the cluster seed.
+    pub fn run_workload(&mut self, workload: &WorkloadConfig) -> WorkloadReport {
+        let mut arrivals_rng = StdRng::seed_from_u64(workload.seed ^ 0x776f_726b_6c6f_6164);
+        let client_ids: Vec<NodeId> = (0..workload.clients.max(1))
+            .map(|_| self.add_client())
+            .collect();
+        for (index, &c) in client_ids.iter().enumerate() {
+            let state = self.clients.get_mut(&c).expect("client exists");
+            state.op_stream = Some(OpStream::new(
+                workload.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                workload.key_space,
+                workload.write_ratio,
+            ));
+        }
+        let start = self.now();
+        let deadline = start + workload.duration;
+        let mut offered: u64 = 0;
+        let mut shed: u64 = 0;
+        match workload.arrival {
+            Arrival::Closed => {
+                for &c in &client_ids {
+                    let state = self.clients.get_mut(&c).expect("client exists");
+                    state.closed_loop = true;
+                    let op = state
+                        .op_stream
+                        .as_mut()
+                        .expect("stream installed")
+                        .next_op();
+                    self.submit(c, op);
+                }
+                self.run_until(deadline);
+            }
+            Arrival::Open { rate } => {
+                let rate = rate.max(1e-9);
+                let mut next_arrival = start;
+                let mut cursor = 0usize;
+                loop {
+                    let gap = -(1.0 - arrivals_rng.random::<f64>()).ln() / rate;
+                    next_arrival += gap;
+                    if next_arrival > deadline {
+                        break;
+                    }
+                    self.run_until(next_arrival);
+                    // Round-robin over the pool; an arrival with every
+                    // client busy is shed (the open-loop overload signal).
+                    let mut assigned = false;
+                    for step in 0..client_ids.len() {
+                        let c = client_ids[(cursor + step) % client_ids.len()];
+                        if !self.has_outstanding_request(c) {
+                            let op = self
+                                .clients
+                                .get_mut(&c)
+                                .expect("client exists")
+                                .op_stream
+                                .as_mut()
+                                .expect("stream installed")
+                                .next_op();
+                            self.submit(c, op);
+                            offered += 1;
+                            cursor = (cursor + step + 1) % client_ids.len();
+                            assigned = true;
+                            break;
+                        }
+                    }
+                    if !assigned {
+                        shed += 1;
+                    }
+                }
+                self.run_until(deadline);
+            }
+        }
+        let (completed, requests_per_second, mean_latency) =
+            self.summarize(&client_ids, workload.duration);
+        if matches!(workload.arrival, Arrival::Closed) {
+            let in_flight = client_ids
+                .iter()
+                .filter(|&&c| self.has_outstanding_request(c))
+                .count() as u64;
+            offered = completed + in_flight;
+        }
+        WorkloadReport {
+            replicas: self.membership.len(),
+            clients: client_ids.len(),
+            offered,
+            shed,
+            completed_requests: completed,
+            duration: workload.duration,
+            requests_per_second,
+            mean_latency,
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Event handling
+    // ------------------------------------------------------------------
+
+    fn dispatch(&mut self, from: NodeId, to: NodeId, message: Message, time: SimTime) {
+        // Per-node serial processing time: a node that is busy handles the
+        // message when it becomes free. Verifying a USIG certificate costs
+        // `signature_time` on top (one per PREPARE/COMMIT — batching exists
+        // to amortize exactly this).
+        let verify_cost = match &message {
+            Message::Prepare { .. } | Message::Commit { .. } => self.config.signature_time,
+            _ => 0.0,
+        };
+        let busy = self.busy_until.get(&to).copied().unwrap_or(0.0);
+        let handle_time = busy.max(time);
+        self.busy_until
+            .insert(to, handle_time + self.config.processing_time + verify_cost);
+
+        if to >= CLIENT_ID_BASE {
+            self.handle_client_message(from, to, message, handle_time);
+        } else {
+            self.handle_replica_message(from, to, message, handle_time);
+        }
+    }
+
+    fn handle_client_message(&mut self, from: NodeId, to: NodeId, message: Message, time: SimTime) {
+        let f = self.fault_threshold();
+        let Some(client) = self.clients.get_mut(&to) else {
+            return;
+        };
+        if let Message::Reply {
+            request_id, value, ..
+        } = message
+        {
+            let Some((request, votes, started)) = &mut client.outstanding else {
+                return;
+            };
+            if request.id != request_id {
+                return;
+            }
+            votes.entry(value).or_default().insert(from);
+            let accepted = votes.values().any(|v| v.len() > f);
+            if accepted {
+                client.completed += 1;
+                client.latencies.push(time - *started);
+                client.outstanding = None;
+                if let Some(budget) = client.retry_budget.as_mut() {
+                    budget.on_success();
+                }
+                if client.closed_loop {
+                    let client_id = client.id;
+                    let completed = client.completed;
+                    let op = match client.op_stream.as_mut() {
+                        Some(stream) => stream.next_op(),
+                        None => Operation::Write(client_id as u64 + completed),
+                    };
+                    self.submit(client_id, op);
+                }
+            }
+        }
+    }
+
+    fn handle_replica_message(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        message: Message,
+        time: SimTime,
+    ) {
+        if matches!(message, Message::Request(_)) {
+            self.request_receptions += 1;
+        }
+        let params = self.protocol_params();
+        let mut out = StepOutput::default();
+        {
+            let Some(replica) = self.replicas.get_mut(&to) else {
+                return;
+            };
+            if replica.crashed || replica.byzantine == ByzantineMode::Silent {
+                return;
+            }
+            replica_on_message(
+                replica,
+                from,
+                message,
+                time,
+                &params,
+                &mut self.commit_trace,
+                &mut out,
+            );
+        }
+        // Creating USIG certificates keeps the node busy for
+        // `signature_time` each (the send-side half of the cost model).
+        if self.config.signature_time > 0.0 && out.created_uis > 0 {
+            let busy = self.busy_until.get(&to).copied().unwrap_or(0.0);
+            self.busy_until.insert(
+                to,
+                busy + self.config.signature_time * f64::from(out.created_uis),
+            );
+        }
+        // Send outgoing traffic; sending happens when the node finished
+        // processing.
+        self.network.advance_to(time + self.config.processing_time);
+        self.adversary.emit(
+            &self.replicas[&to],
+            out,
+            &self.membership,
+            &mut self.network,
+        );
+    }
+
+    /// Checks request timeouts: clients retransmit unanswered requests,
+    /// leaders flush partial batches past their delay, and replicas vote for
+    /// a view change when the leader appears unresponsive.
+    fn check_timeouts(&mut self) {
+        let now = self.network.now();
+        let timeout = self.config.request_timeout;
+        // Client retransmissions, in id order.
+        for (&id, client) in &mut self.clients {
+            if let Some((request, _, started)) = &mut client.outstanding {
+                // Canonical deadline form (see `next_timer_deadline`).
+                if now >= *started + timeout {
+                    // The deadline is re-armed even when the budget denies
+                    // the retransmission: the client backs off for another
+                    // timeout period (earning the trickle refill) instead
+                    // of amplifying the overload that caused the loss.
+                    *started = now;
+                    let within_budget = client
+                        .retry_budget
+                        .as_mut()
+                        .is_none_or(RetryBudget::try_retry);
+                    if within_budget {
+                        self.retransmissions_sent += 1;
+                        let retransmission = Message::Request(*request);
+                        self.network
+                            .broadcast(id, &self.membership, &retransmission);
+                    } else {
+                        self.retransmissions_suppressed += 1;
+                    }
+                }
+            }
+        }
+        // Replica timers: batch flushes and view-change votes, in id order.
+        let params = self.protocol_params();
+        for replica in self.replicas.values_mut() {
+            // Even a leader votes when its requests stall (its proposals may
+            // be going into the void); only crashed, silent and
+            // state-awaiting replicas sit out.
+            if replica.crashed || replica.byzantine == ByzantineMode::Silent || replica.needs_state
+            {
+                continue;
+            }
+            let mut out = StepOutput::default();
+            flush_stale_batch(replica, now, &params, &mut out);
+            if let Some(vote) = stall_vote(replica, now, timeout) {
+                out.broadcast.push(vote);
+                self.view_changes += 1;
+            }
+            if !out.is_empty() {
+                self.adversary
+                    .emit(replica, out, &self.membership, &mut self.network);
+            }
+        }
+        self.adversary.release_due(now, &mut self.network);
+    }
+}
+
+/// The earliest simulated time at which this replica holds a partial batch
+/// that [`flush_stale_batch`] would flush (`None` when nothing is pending).
+fn batch_flush_deadline(
+    replica: &Replica,
+    params: &ProtocolParams,
+    now: SimTime,
+) -> Option<SimTime> {
+    // A closed window must return `None`: the parked batch cannot flush
+    // until executions advance the frontier, and handing the event loop a
+    // deadline that never becomes actionable would spin the clock on the
+    // same timer forever (deliveries, not timers, re-open the window).
+    if params.batch_size <= 1
+        || replica.crashed
+        || replica.byzantine == ByzantineMode::Silent
+        || !replica.may_lead()
+        || replica.pending.is_empty()
+        || !window_open(replica, params)
+    {
+        return None;
+    }
+    let oldest = replica
+        .pending
+        .iter()
+        .filter_map(|r| replica.request_first_seen.get(&(r.client, r.id)).copied())
+        .fold(f64::INFINITY, f64::min);
+    Some(if oldest.is_finite() {
+        oldest + params.batch_delay
+    } else {
+        now
+    })
+}

@@ -1,0 +1,216 @@
+//! Cluster configuration and the protocol knobs (quorum sizes, batching,
+//! pipelining) the replica step functions run under.
+
+use crate::net::NetworkConfig;
+
+/// Configuration of a [`super::MinBftCluster`].
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct MinBftConfig {
+    /// Number of replicas at start.
+    pub initial_replicas: usize,
+    /// Number of parallel recoveries allowed (the `k` of Proposition 1).
+    pub parallel_recoveries: usize,
+    /// Replica-to-replica network profile.
+    pub network: NetworkConfig,
+    /// Per-message processing time at each node (seconds); this is the
+    /// resource bottleneck that shapes the throughput curve of Fig. 10.
+    pub processing_time: f64,
+    /// Extra processing time per USIG signature created or verified
+    /// (seconds). The paper's testbed signs with RSA-1024, which dominates
+    /// the request path; batching amortizes exactly this cost. `0.0`
+    /// disables the model (the pre-batching behaviour).
+    pub signature_time: f64,
+    /// Client request timeout before a view change is voted (paper: 30 s
+    /// execution timer, scaled down to simulated seconds).
+    pub request_timeout: f64,
+    /// Number of executed sequences between checkpoints (paper: 100). Once
+    /// a checkpoint is stable at `f + 1` replicas, logs are compacted to it.
+    pub checkpoint_period: u64,
+    /// Maximum number of requests the leader packs into one PREPARE
+    /// (`1` = unbatched, the classical per-request pipeline).
+    pub batch_size: usize,
+    /// How long the leader waits for a batch to fill before proposing a
+    /// partial one (seconds; irrelevant when `batch_size` is 1). For full
+    /// batches to form under load this must exceed `batch_size` times the
+    /// per-message processing cost — a smaller window flushes every batch
+    /// before it fills.
+    pub batch_delay: f64,
+    /// PBFT-style high-watermark window: the maximum number of
+    /// proposed-but-unexecuted sequence numbers the leader keeps in flight
+    /// (`0` = unbounded, the pre-pipelining behaviour). With `W > 1` the
+    /// leader proposes up to `W` batches concurrently, so USIG signing
+    /// overlaps network round trips instead of serializing with them. The
+    /// stable checkpoint is the low watermark (compaction floor); because
+    /// execution is consecutive, proposals never run further than
+    /// `checkpoint_period + W` past it.
+    pub pipeline_window: usize,
+    /// RNG seed for the network and the cluster.
+    pub seed: u64,
+}
+
+impl Default for MinBftConfig {
+    fn default() -> Self {
+        MinBftConfig {
+            initial_replicas: 4,
+            parallel_recoveries: 1,
+            network: NetworkConfig::default(),
+            processing_time: 0.0008,
+            signature_time: 0.0,
+            request_timeout: 0.5,
+            checkpoint_period: 100,
+            batch_size: 1,
+            batch_delay: 0.005,
+            pipeline_window: 0,
+            seed: 1,
+        }
+    }
+}
+
+/// A [`MinBftConfig`] field combination the protocol cannot run well under
+/// (see [`MinBftConfig::validate`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum MinBftConfigError {
+    /// A duration field is negative or NaN.
+    NegativeDuration {
+        /// Name of the offending field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+    /// `batch_delay` is shorter than the time the leader needs to even
+    /// *accumulate* a full batch, so every batch flushes partial and the
+    /// pipeline degrades to near-unbatched throughput.
+    BatchWindowTooShort {
+        /// The configured flush window.
+        batch_delay: f64,
+        /// The smallest window under which full batches can form
+        /// (`batch_size × (processing_time + signature_time)`).
+        required: f64,
+    },
+}
+
+impl std::fmt::Display for MinBftConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MinBftConfigError::NegativeDuration { field, value } => {
+                write!(f, "minbft config `{field}` = {value} must be non-negative")
+            }
+            MinBftConfigError::BatchWindowTooShort {
+                batch_delay,
+                required,
+            } => write!(
+                f,
+                "batch_delay = {batch_delay}s is below the batch-fill floor of {required}s \
+                 (batch_size × per-message cost); batches would flush before filling"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MinBftConfigError {}
+
+impl MinBftConfig {
+    /// The smallest `batch_delay` under which full batches can form: the
+    /// leader needs `batch_size` per-message processing slots (each costing
+    /// `processing_time + signature_time`) before the age-triggered partial
+    /// flush fires. Zero when batching is off (`batch_size ≤ 1`).
+    pub fn min_batch_delay(&self) -> f64 {
+        if self.batch_size <= 1 {
+            0.0
+        } else {
+            self.batch_size as f64 * (self.processing_time + self.signature_time)
+        }
+    }
+
+    /// Validates the configuration, in particular the batching constraint
+    /// `batch_delay ≥ batch_size × (processing_time + signature_time)`:
+    /// a shorter flush window makes every batch flush partial before it can
+    /// fill, silently erasing the throughput gain batching exists for.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint.
+    pub fn validate(&self) -> Result<(), MinBftConfigError> {
+        for (field, value) in [
+            ("processing_time", self.processing_time),
+            ("signature_time", self.signature_time),
+            ("request_timeout", self.request_timeout),
+            ("batch_delay", self.batch_delay),
+        ] {
+            if value.is_nan() || value < 0.0 {
+                return Err(MinBftConfigError::NegativeDuration { field, value });
+            }
+        }
+        let required = self.min_batch_delay();
+        if self.batch_delay < required {
+            return Err(MinBftConfigError::BatchWindowTooShort {
+                batch_delay: self.batch_delay,
+                required,
+            });
+        }
+        Ok(())
+    }
+
+    /// Returns a copy with `batch_delay` raised to the batch-fill floor of
+    /// [`MinBftConfig::min_batch_delay`] (and negative durations clamped to
+    /// zero), so sweep and scenario code can take any grid point and still
+    /// run a meaningfully batched pipeline.
+    pub fn clamped(&self) -> Self {
+        let mut config = self.clone();
+        config.processing_time = config.processing_time.max(0.0);
+        config.signature_time = config.signature_time.max(0.0);
+        config.request_timeout = config.request_timeout.max(0.0);
+        config.batch_delay = config.batch_delay.max(0.0).max(config.min_batch_delay());
+        config
+    }
+}
+
+/// The knobs the transport-agnostic replica step functions need (derived
+/// from [`MinBftConfig`] by the simulated cluster and from
+/// [`crate::threaded::ThreadedServiceConfig`] by the threaded service).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProtocolParams {
+    /// Commit/checkpoint quorum parameter (`f + 1` votes commit).
+    pub f: usize,
+    /// Sequences between checkpoints (0 disables checkpoints).
+    pub checkpoint_period: u64,
+    /// Maximum requests per PREPARE.
+    pub batch_size: usize,
+    /// Seconds a partial batch may age before it is flushed.
+    pub batch_delay: f64,
+    /// Maximum proposed-but-unexecuted sequences in flight (0 = unbounded).
+    pub pipeline_window: usize,
+    /// Replicas that may be mid-recovery concurrently (the cluster's
+    /// `parallel_recoveries` knob). A proactively recovered replica is
+    /// amnesiac about certificates above its adopted snapshot, so the
+    /// commit and view-change quorums are sized so that every ballot
+    /// still intersects a *non-amnesiac* certificate holder (see
+    /// [`ProtocolParams::commit_quorum`] and
+    /// [`ProtocolParams::view_change_quorum`]).
+    pub recoveries: usize,
+}
+
+impl ProtocolParams {
+    /// Commit quorum over a membership of `n`: a sequence executes once
+    /// `f_k + recoveries + 1` replicas voted COMMIT on its certificate,
+    /// where `f_k = hybrid_fault_threshold(n, recoveries)` is the paper's
+    /// threshold with the recovery overlap accounted for. Every ballot of
+    /// [`ProtocolParams::view_change_quorum`] size then intersects the
+    /// committers in at least `recoveries + 1` voters — one of whom still
+    /// holds the certificate even if `recoveries` committers were
+    /// re-imaged from a snapshot taken before they executed the sequence
+    /// (`c + v >= n + recoveries + 1`). For odd `n` this is the classic
+    /// `f + 1`; for even `n` it is one vote stronger.
+    pub(crate) fn commit_quorum(&self, n: usize) -> usize {
+        (crate::hybrid_fault_threshold(n, self.recoveries) + self.recoveries + 1).min(n)
+    }
+
+    /// View-change quorum over a membership of `n`: `n - f_k` votes, so a
+    /// new view can still form with `f_k` replicas crashed while keeping
+    /// the certificate-survival intersection described at
+    /// [`ProtocolParams::commit_quorum`].
+    pub(crate) fn view_change_quorum(&self, n: usize) -> usize {
+        n.saturating_sub(crate::hybrid_fault_threshold(n, self.recoveries))
+            .max(1)
+    }
+}

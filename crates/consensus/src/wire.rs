@@ -7,7 +7,7 @@
 //! little-endian binary. Decoding reverses both steps — the bounds-checked
 //! binary `Value` parser below (`Cursor`), then the derived
 //! [`serde::Deserialize`] impl of [`Message`], so the message types are
-//! described once, in `minbft.rs`, and a new field needs no edit here.
+//! described once, in `minbft/message.rs`, and a new field needs no edit here.
 //! Round-tripping is byte-exact: `encode(decode(bytes)) == bytes` for every
 //! valid frame (see the property tests in `tests/properties.rs`).
 //!
