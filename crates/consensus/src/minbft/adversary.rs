@@ -316,18 +316,41 @@ mod tests {
     #[test]
     fn the_assignment_ends_with_the_replica_it_names_not_before() {
         let kind = AttackerKind::EquivocatingLeader;
-        let mut cluster = MinBftCluster::new(MinBftConfig::default());
+        let mut cluster = MinBftCluster::new(MinBftConfig {
+            network: NetworkConfig::ideal(),
+            ..MinBftConfig::default()
+        });
+        // Replica 0 executes sequence 1 alone: 3 is down, and 1 and 2 each
+        // miss the other's COMMIT, one vote short of the quorum.
+        let client = cluster.add_client();
+        cluster.crash_replica(3);
+        cluster.partition_network(&[1], &[2]);
+        cluster.submit(client, Operation::Write(1));
+        cluster.run_until(0.2);
+        let frontiers = |cluster: &MinBftCluster| [0, 1, 2].map(|id| cluster.executed_len(id));
+        assert_eq!(frontiers(&cluster), [Some(1), Some(0), Some(0)]);
+
+        // Delivery of `Recover` ends the assignment...
         cluster.set_attacker(0, Some(kind));
-        // With every peer down no donor covers replica 0's frontier, so the
-        // recovery is deferred and the replica stays what it was.
-        (1..4).for_each(|peer| cluster.crash_replica(peer));
-        assert!(!cluster.recover_replica(0));
-        assert_eq!(cluster.adversary.attackers.get(&0), Some(&kind));
-        assert!(cluster.replicas[&0].prepare_hook.is_some());
-        (1..4).for_each(|peer| cluster.restart_replica(peer));
         assert!(cluster.recover_replica(0));
         assert_eq!(cluster.adversary.attackers.get(&0), None);
         assert!(cluster.replicas[&0].prepare_hook.is_none());
+        // ...but not the log of the unique frontier holder: every answer to
+        // its pulls lies below its own frontier, so it wipes nothing.
+        let delivered = cluster.network_stats().delivered;
+        cluster.run_until(0.4);
+        assert!(cluster.network_stats().delivered > delivered);
+        assert!(cluster.replicas[&0].pending_rebuild);
+        assert_eq!(frontiers(&cluster), [Some(1), Some(0), Some(0)]);
+        // Once the peers reach its frontier (the view change the stalled
+        // client triggers re-proposes its certificate) a transfer covers
+        // it, and it wipes and adopts.
+        cluster.heal_network();
+        cluster.run_until_quiet(10.0);
+        assert!(!cluster.replicas[&0].pending_rebuild);
+        assert_eq!(frontiers(&cluster), [Some(1); 3]);
+        assert!(cluster.logs_are_consistent());
+
         cluster.set_attacker(1, Some(kind));
         cluster.evict_replica(1);
         assert!(cluster.adversary.attackers.is_empty());

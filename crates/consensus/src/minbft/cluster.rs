@@ -1,20 +1,26 @@
 //! The simulated cluster: replicas, clients, the [`SimNetwork`] and the
-//! event loop that drives them, with god-mode actuation (crash, recover,
-//! join, evict) and the fault-injection hooks of the simulation harness.
+//! event loop that drives them, plus the fault-injection hooks of the
+//! simulation harness. Recovery is the live protocol: `recover_replica`
+//! delivers [`ControlMessage::Recover`] and reads no other replica's state.
+//! Reconfiguration (`add_replica`, `evict_replica`) is still god-mode — it
+//! rewrites every member in place behind the `sync_lagging_replicas`
+//! barrier, which the message-driven `Reconfigure` path has no equivalent
+//! of (see ROADMAP item 3).
 
 use super::adversary::{equivocate, Adversary, AttackerKind};
 use super::config::{MinBftConfig, ProtocolParams};
 use super::message::{
-    batch_digest, first_log_divergence, ByzantineMode, CommitRecord, Message, Operation, Request,
-    CLIENT_ID_BASE,
+    batch_digest, first_log_divergence, ByzantineMode, CommitRecord, ControlMessage, Message,
+    Operation, Request, CLIENT_ID_BASE,
 };
 use super::replica::{
-    flush_stale_batch, replica_on_message, stall_vote, state_transfer_message, view_change_vote,
-    window_open, Replica, StepOutput,
+    flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, state_pull_deadline,
+    state_transfer_message, view_change_vote, window_open, Replica, StepOutput,
 };
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
 use crate::metrics::{RetryBudget, RetryBudgetConfig};
 use crate::net::{NetworkConfig, SimNetwork};
+use crate::threaded::CONTROL_PLANE_ID;
 use crate::transport::Transport;
 use crate::usig::UsigVerifier;
 use crate::workload::{Arrival, OpStream, WorkloadConfig, WorkloadReport};
@@ -373,8 +379,8 @@ impl MinBftCluster {
     /// digest for every subsequent request while still reporting itself as
     /// correct. This simulates an implementation bug (not an attacker, which
     /// is modelled by [`ByzantineMode`]) and exists so that agreement oracles
-    /// can be validated against a known safety violation. A recovery clears
-    /// the flag.
+    /// can be validated against a known safety violation. The wipe that
+    /// completes a recovery clears the flag.
     pub fn inject_double_commit(&mut self, replica: NodeId) {
         if let Some(r) = self.replicas.get_mut(&replica) {
             r.corrupt_execution = true;
@@ -442,8 +448,7 @@ impl MinBftCluster {
     }
 
     /// Assigns (or clears) a protocol-aware attacker strategy on a replica.
-    /// A successful recovery or an eviction clears it; a deferred recovery
-    /// leaves the replica, and so the attacker, as it was.
+    /// Delivery of a recovery command or an eviction clears it.
     pub fn set_attacker(&mut self, replica: NodeId, attacker: Option<AttackerKind>) {
         if let Some(r) = self.replicas.get_mut(&replica) {
             r.prepare_hook = match attacker {
@@ -499,95 +504,40 @@ impl MinBftCluster {
         self.network.crash(replica);
     }
 
-    /// Recovers a replica: clears its Byzantine mode, resets its protocol
-    /// state and requests a state transfer from the other replicas. This is
-    /// the operation the paper's node controllers trigger (Section VII-C).
-    ///
-    /// Returns `false` when the recovery was **deferred**: the rebuild only
-    /// proceeds when a live donor *at or beyond the target's execution
-    /// frontier* exists. Rebuilding the unique frontier holder (e.g. the
-    /// last live member of a commit quorum whose peers crashed) would
-    /// erase the cluster's only copy of the committed suffix — the adopted
-    /// transfer would roll the replica back, and the next view-change
-    /// ballot would gap-fill the erased sequences with empty batches and
-    /// re-assign them (an agreement violation found by the 300-run
-    /// controlled chaos sweep, seed 194). While deferred the target keeps
-    /// participating (its certificates stay reachable through view
-    /// changes, which is how lagging peers catch up to the frontier), and
-    /// the caller retries on the next BTR tick.
+    /// Recovers a replica the way a live node's privileged domain does (the
+    /// operation the paper's node controllers trigger, Section VII-C): lifts
+    /// its link, ends the fail-stop flag and any attacker assignment, and
+    /// delivers [`ControlMessage::Recover`] past the crashed/Silent gate, as
+    /// the trusted control channel does. Everything else is the replica's own
+    /// two-phase rebuild: it pulls state, re-announcing the pull until a
+    /// transfer covering its own frontier lands, and only then wipes and
+    /// adopts atomically — so the unique holder of a committed suffix keeps
+    /// serving it, its USIG counter continues and no peer is touched.
+    /// Returns whether `replica` is a member.
     pub fn recover_replica(&mut self, replica: NodeId) -> bool {
-        self.network.restart(replica);
-        let target_frontier = self
-            .replicas
-            .get(&replica)
-            .map(|r| r.last_executed)
-            .unwrap_or(0);
-        let donor_exists = self.membership.iter().any(|&id| {
-            id != replica
-                && self.replicas.get(&id).is_some_and(|r| {
-                    !r.crashed && !r.needs_state && r.last_executed >= target_frontier
-                })
-        });
-        if !donor_exists {
+        let params = self.protocol_params();
+        let now = self.network.now();
+        let Some(r) = self.replicas.get_mut(&replica) else {
             return false;
-        }
-        if let Some(r) = self.replicas.get_mut(&replica) {
-            let view = r.view;
-            let epoch = r.epoch;
-            *r = Replica::new(
-                replica,
-                self.membership.clone(),
-                self.directory.clone(),
-                self.config.seed,
-            );
-            self.adversary.assign(replica, None);
-            r.view = view;
-            r.epoch = epoch;
-            r.needs_state = true;
-            // The pull below is a broadcast, so the first-arriving response
-            // may come from a donor lagging behind this replica's own
-            // pre-recovery frontier. Adopting it would forget certificates
-            // for sequences this replica already committed — the rollback
-            // the `recovery_floor` field exists to refuse. The donor check
-            // above guarantees a live peer at or beyond the floor, and the
-            // pull is re-announced every step until one answers.
-            r.recovery_floor = target_frontier;
-            r.min_lead_view = view + 1;
-        }
-        // Ask every other replica for a state transfer; verifiers must also
-        // forget the recovered replica's old USIG counter, and the FIFO
-        // cursor with it — the fresh USIG restarts at counter 1, which
-        // would sit below a stale cursor forever. PREPAREs parked under
-        // the old counter stream are void too.
-        for (&other_id, other) in self.replicas.iter_mut() {
-            if other_id != replica {
-                other.verifier.reset_replica(replica);
-                other.ui_high.remove(&replica);
-                other
-                    .parked_prepares
-                    .retain(|_, (_, _, _, ui)| ui.replica != replica);
-            }
-        }
-        self.send_state_transfer(replica);
-        // The push above goes to a single donor, which may be an attacker
-        // serving forged frontiers; a broadcast pull reaches every live
-        // donor, so one honest transfer always lands (this mirrors the
-        // message-driven `ControlMessage::Recover` path).
-        let epoch = self.replicas.get(&replica).map(|r| r.epoch).unwrap_or(0);
-        let members = self.membership.clone();
-        self.network
-            .broadcast(replica, &members, &Message::StateRequest { epoch });
+        };
+        self.network.restart(replica);
+        r.crashed = false;
+        r.prepare_hook = None;
+        self.adversary.assign(replica, None);
+        let mut out = StepOutput::default();
+        let recover = Message::Control(ControlMessage::Recover);
+        let trace = &mut self.commit_trace;
+        replica_on_message(r, CONTROL_PLANE_ID, recover, now, &params, trace, &mut out);
+        self.adversary
+            .emit(r, out, &self.membership, &mut self.network);
         true
     }
 
-    /// Sends a state transfer to `recipient` from the most up-to-date live
-    /// donor. Adopting an arbitrary (first-arriving) snapshot would let a
-    /// recovered replica roll back below the committed frontier — repeated
-    /// recoveries could then erase the cluster's memory of committed
-    /// sequence numbers and re-assign them. Donors that are crashed or
-    /// themselves awaiting a transfer never push (amnesia must not spread);
-    /// if no donor exists, the recipient stays in `needs_state` until a
-    /// later recovery retries.
+    /// Sends a state transfer to `recipient` (a newcomer, or a laggard the
+    /// reconfiguration barrier sidelined) from the most up-to-date live
+    /// donor. Donors that are crashed or themselves awaiting a transfer
+    /// never push (amnesia must not spread); if no donor exists, the
+    /// recipient stays in `needs_state` and keeps re-announcing its pull.
     fn send_state_transfer(&mut self, recipient: NodeId) {
         let donor = self
             .membership
@@ -741,7 +691,8 @@ impl MinBftCluster {
 
     /// The earliest pending timer: a client retransmission
     /// (`started + request_timeout`), a replica stall vote
-    /// (`first_seen + request_timeout`) or a partial-batch flush
+    /// (`first_seen + request_timeout`), a state-pull re-announcement
+    /// (`last pull + retry`) or a partial-batch flush
     /// (`oldest pending + batch_delay`). Event loops advance the clock here
     /// when no deliveries remain — without a timer wheel, a fully stalled
     /// system (every message already delivered or lost) would only recover
@@ -762,6 +713,9 @@ impl MinBftCluster {
             let Some(replica) = self.replicas.get(&id) else {
                 continue;
             };
+            if let Some(t) = state_pull_deadline(replica) {
+                deadline = deadline.min(t);
+            }
             if replica.crashed || replica.byzantine == ByzantineMode::Silent || replica.needs_state
             {
                 continue;
@@ -776,7 +730,8 @@ impl MinBftCluster {
         if let Some(release_at) = self.adversary.next_release() {
             deadline = deadline.min(release_at);
         }
-        deadline.is_finite().then_some(deadline)
+        // A pull that was never announced is due at once (−∞), not never.
+        (deadline < f64::INFINITY).then_some(deadline)
     }
 
     /// Runs the event loop until `deadline` (simulated seconds).
@@ -1125,8 +1080,9 @@ impl MinBftCluster {
     }
 
     /// Checks request timeouts: clients retransmit unanswered requests,
-    /// leaders flush partial batches past their delay, and replicas vote for
-    /// a view change when the leader appears unresponsive.
+    /// replicas re-announce outstanding state pulls, leaders flush partial
+    /// batches past their delay, and replicas vote for a view change when
+    /// the leader appears unresponsive.
     fn check_timeouts(&mut self) {
         let now = self.network.now();
         let timeout = self.config.request_timeout;
@@ -1158,18 +1114,20 @@ impl MinBftCluster {
         // Replica timers: batch flushes and view-change votes, in id order.
         let params = self.protocol_params();
         for replica in self.replicas.values_mut() {
+            let mut out = StepOutput::default();
+            retry_state_pull(replica, now, &mut out);
             // Even a leader votes when its requests stall (its proposals may
             // be going into the void); only crashed, silent and
             // state-awaiting replicas sit out.
-            if replica.crashed || replica.byzantine == ByzantineMode::Silent || replica.needs_state
+            if !(replica.crashed
+                || replica.byzantine == ByzantineMode::Silent
+                || replica.needs_state)
             {
-                continue;
-            }
-            let mut out = StepOutput::default();
-            flush_stale_batch(replica, now, &params, &mut out);
-            if let Some(vote) = stall_vote(replica, now, timeout) {
-                out.broadcast.push(vote);
-                self.view_changes += 1;
+                flush_stale_batch(replica, now, &params, &mut out);
+                if let Some(vote) = stall_vote(replica, now, timeout) {
+                    out.broadcast.push(vote);
+                    self.view_changes += 1;
+                }
             }
             if !out.is_empty() {
                 self.adversary

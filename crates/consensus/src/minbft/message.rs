@@ -107,27 +107,12 @@ pub struct Request {
     pub operation: Operation,
 }
 
-/// Pseudo-client id historically used for gap-filling no-op requests; kept
-/// for API compatibility (new leaders now fill sequence-number gaps with
-/// *empty batches*, which execute nothing and append nothing to the log).
-pub const NOOP_CLIENT: NodeId = NodeId::MAX;
-
 /// Client node identifiers start here to keep them disjoint from replicas.
 /// Public because out-of-process clients (the `minbft-node` orchestrator)
 /// must register the same identities the in-process drivers use.
 pub const CLIENT_ID_BASE: NodeId = 10_000;
 
 impl Request {
-    /// A no-op request that is a pure function of the sequence number (see
-    /// [`NOOP_CLIENT`]).
-    pub fn noop(sequence: u64) -> Request {
-        Request {
-            client: NOOP_CLIENT,
-            id: sequence,
-            operation: Operation::Read,
-        }
-    }
-
     /// The digest binding the client, request id and operation. Public so
     /// invariant oracles (e.g. the validity check of the fault-injection
     /// harness) can match committed digests against submitted requests.
@@ -216,12 +201,12 @@ pub(super) type ViewChangeVote = (u64, u64, Vec<PreparedCertificate>);
 
 /// Control-plane commands carried over the same [`crate::transport::Transport`] as protocol
 /// traffic, so the two-level feedback controllers can actuate a *running*
-/// cluster without a central coordinator. The simulated
-/// [`super::MinBftCluster`] actuates through its direct methods
-/// (`recover_replica`, `add_replica`, …);
-/// the threaded service ([`crate::threaded::ThreadedCluster`]) delivers
-/// these messages instead and the replicas apply the identical transitions
-/// on themselves inside `replica_on_message`.
+/// cluster without a central coordinator. Every plane recovers a replica
+/// by delivering [`ControlMessage::Recover`] (the simulated
+/// [`super::MinBftCluster::recover_replica`] included); reconfiguration
+/// is delivered as a message by the threaded service
+/// ([`crate::threaded::ThreadedCluster`]) only — the simulated cluster's
+/// `add_replica` / `evict_replica` still apply it by direct method calls.
 ///
 /// In the paper's architecture these commands travel on the trusted
 /// control channel between a node's privileged domain and its replica
@@ -231,13 +216,16 @@ pub(super) type ViewChangeVote = (u64, u64, Vec<PreparedCertificate>);
 pub enum ControlMessage {
     /// Node controller → its replica: rebuild the replica. The rebuild is
     /// **two-phase**: the replica first marks itself `pending_rebuild` and
-    /// pulls state ([`Message::StateRequest`]) while continuing to
-    /// participate; only when a transfer at or beyond its own execution
+    /// pulls state ([`Message::StateRequest`]) while it keeps serving what
+    /// it holds (state transfers, view-change certificate reports,
+    /// executions its certificates cover) but makes no new promise — it
+    /// neither proposes nor votes COMMIT, because the wipe would forget
+    /// it; only when a transfer at or beyond its own execution
     /// frontier arrives does it wipe its protocol state and adopt the
     /// transfer in the same step. Wiping eagerly would erase the cluster's
     /// only copy of the committed suffix whenever the target is the unique
-    /// live frontier holder (the agreement violation the simulated path's
-    /// recovery deferral guards against). The tamperproof USIG survives the
+    /// live frontier holder (an agreement violation the 300-run controlled
+    /// chaos sweep found, seed 194). The tamperproof USIG survives the
     /// rebuild — its monotonic counter is exactly the state MinBFT's
     /// trusted component preserves across recoveries — so peers need no
     /// counter-reset coordination.

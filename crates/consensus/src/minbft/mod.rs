@@ -51,6 +51,8 @@ pub(crate) use config::ProtocolParams;
 pub use config::{MinBftConfig, MinBftConfigError};
 pub use message::{
     batch_digest, first_log_divergence, ByzantineMode, CommitRecord, ControlMessage, Message,
-    Operation, PreparedCertificate, Request, CLIENT_ID_BASE, NOOP_CLIENT,
+    Operation, PreparedCertificate, Request, CLIENT_ID_BASE,
 };
-pub(crate) use replica::{flush_stale_batch, replica_on_message, stall_vote, Replica, StepOutput};
+pub(crate) use replica::{
+    flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, Replica, StepOutput,
+};

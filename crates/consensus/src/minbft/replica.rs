@@ -69,9 +69,8 @@ pub(crate) struct Replica {
     pub(super) usig: Usig,
     pub(super) verifier: UsigVerifier,
     /// The replica's copy of the public-key directory, retained so the
-    /// message-driven `Recover`/`Reconfigure` control commands can rebuild
-    /// the verifier (and register deterministically derived keys of newly
-    /// joined members) without a central coordinator.
+    /// `Recover`/`Reconfigure` control commands can rebuild the verifier
+    /// (and register the derived keys of newly joined members) locally.
     directory: KeyDirectory,
     /// The key-derivation seed (see [`KeyPair::derive`]), retained for the
     /// same reason.
@@ -79,19 +78,12 @@ pub(crate) struct Replica {
     /// Set by a [`ControlMessage::Reconfigure`] whose membership excludes
     /// this replica; the hosting event loop exits the replica thread.
     pub(crate) evicted: bool,
-    /// Execution frontier this replica held when it last rebuilt itself
-    /// through the message-driven [`ControlMessage::Recover`] path. A
-    /// state transfer below this floor is refused: adopting it would roll
-    /// the replica back past sequences it already executed — if it was the
-    /// unique live frontier holder, the committed suffix would be erased
-    /// and re-assigned by the next gap-filling view change. The replica
-    /// stays in `needs_state` (re-announcing its pull) until a peer
-    /// reaches the floor.
-    pub(super) recovery_floor: u64,
     /// Phase one of the message-driven rebuild (see
     /// [`ControlMessage::Recover`]): a state pull is outstanding, but the
     /// protocol state survives until a frontier-covering transfer arrives.
     pub(crate) pending_rebuild: bool,
+    /// When this replica last broadcast a state pull (see [`retry_state_pull`]).
+    last_state_pull: SimTime,
     pub(crate) byzantine: ByzantineMode,
     pub(crate) crashed: bool,
     pub(crate) view: u64,
@@ -249,8 +241,8 @@ impl Replica {
             own_checkpoints: BTreeMap::new(),
             checkpoint_votes: BTreeMap::new(),
             needs_state: false,
-            recovery_floor: 0,
             pending_rebuild: false,
+            last_state_pull: f64::NEG_INFINITY,
             min_lead_view: 0,
             epoch: 0,
             voted_view: 0,
@@ -278,39 +270,25 @@ impl Replica {
         });
     }
 
-    /// The replica-side half of a controller-triggered recovery: rebuild
-    /// the protocol state in place (fresh USIG, wiped log and certificates)
-    /// while keeping identity, membership, epoch and view, then await a
-    /// state transfer. This is what `MinBftCluster::recover_replica` does
-    /// centrally; the message-driven [`ControlMessage::Recover`] path lets
-    /// a live threaded replica do it to itself.
+    /// Phase two of a [`ControlMessage::Recover`]: wipe the protocol state
+    /// in place (log and certificates) while keeping identity, membership,
+    /// epoch, view and the USIG, then adopt the transfer that triggered it.
     fn reset_for_recovery(&mut self) {
-        let view = self.view;
-        let epoch = self.epoch;
         let mut fresh = Replica::new(
             self.id,
             self.membership.clone(),
             self.directory.clone(),
             self.seed,
         );
-        fresh.view = view;
-        fresh.epoch = epoch;
+        fresh.view = self.view;
+        fresh.epoch = self.epoch;
         fresh.needs_state = true;
-        // Only a transfer at or beyond the pre-recovery frontier may be
-        // adopted (see the `recovery_floor` field).
-        fresh.recovery_floor = self.last_executed;
         // The USIG is the tamperproof component: its monotonic counter
-        // survives recovery (that is the trusted-component assumption the
-        // whole protocol rests on), so peers keep accepting certificates
-        // without any counter-reset coordination. The retained UI message
-        // log rides along: the counter stream continues, so peers may still
-        // ask for pre-recovery counters to close FIFO gaps.
+        // survives recovery, so peers keep accepting certificates without
+        // any counter-reset coordination. The retained UI message log
+        // rides along: peers may still ask for pre-recovery counters.
         std::mem::swap(&mut fresh.usig, &mut self.usig);
         std::mem::swap(&mut fresh.ui_log, &mut self.ui_log);
-        // A freshly recovered replica must not resume proposing under its
-        // old leadership; it may only lead a view acquired through a
-        // view-change quorum (see `min_lead_view`).
-        fresh.min_lead_view = view + 1;
         *self = fresh;
     }
 
@@ -323,7 +301,13 @@ impl Replica {
     /// commit votes survive — they are genuine USIG-certified statements
     /// whose high-water marks stop a post-reconfiguration leader from
     /// re-assigning executed sequence numbers.
-    fn apply_reconfiguration(&mut self, epoch: u64, membership: Vec<NodeId>, out: &mut StepOutput) {
+    fn apply_reconfiguration(
+        &mut self,
+        epoch: u64,
+        membership: Vec<NodeId>,
+        now: SimTime,
+        out: &mut StepOutput,
+    ) {
         for &member in &membership {
             self.directory.register(&KeyPair::derive(member, self.seed));
         }
@@ -342,11 +326,11 @@ impl Replica {
         if self.crashed {
             return;
         }
-        if self.needs_state || self.pending_rebuild {
+        if self.awaits_state() {
             // A newcomer (or a replica mid-recovery/mid-rebuild) re-pulls
             // state in the new epoch; its old-epoch StateRequest is void
             // now.
-            out.broadcast.push(Message::StateRequest { epoch });
+            pull_state(self, now, out);
         }
         if !self.needs_state && self.byzantine != ByzantineMode::Silent {
             self.voted_view = self.voted_view.max(self.view + 1);
@@ -356,9 +340,19 @@ impl Replica {
 
     pub(super) fn may_lead(&self) -> bool {
         self.is_leader()
-            && !self.needs_state
+            && !self.awaits_state()
             && self.view >= self.min_lead_view
             && self.view >= self.voted_view
+    }
+
+    /// Whether a state pull is outstanding: the replica has no state, or a
+    /// rebuild is pending. Either way it makes no new promise (no proposal,
+    /// no COMMIT vote) — the wipe would forget it, and a rebuilding leader
+    /// would drop its own in-flight PREPAREs. What a rebuilding replica
+    /// holds stays reachable: it answers state pulls and reports its
+    /// certificates in view-change votes.
+    pub(crate) fn awaits_state(&self) -> bool {
+        self.needs_state || self.pending_rebuild
     }
 
     /// Whether the replica still participates in its current view (it has
@@ -480,7 +474,7 @@ pub(super) fn prepared_report(replica: &Replica) -> Vec<PreparedCertificate> {
 }
 
 /// The state-transfer message a donor builds from its current state (shared
-/// by the cluster's push-based recovery transfer and the pull-based
+/// by the simulated cluster's JOIN / laggard-barrier push and the pull-based
 /// [`Message::StateRequest`] path).
 pub(super) fn state_transfer_message(replica: &Replica) -> Message {
     let mut replies: Vec<(NodeId, u64, u64, u64)> = replica
@@ -673,6 +667,37 @@ pub(crate) fn stall_vote(replica: &mut Replica, now: SimTime, timeout: f64) -> O
     Some(view_change_vote(replica, new_view))
 }
 
+/// Seconds between re-announcements of an outstanding state pull, on every
+/// plane: the `StateRequest` rides the droppable data plane, and one lost
+/// broadcast must not strand the recovery.
+const STATE_PULL_RETRY: f64 = 0.05;
+
+/// Broadcasts a state pull and restarts its re-announcement timer.
+fn pull_state(replica: &mut Replica, now: SimTime, out: &mut StepOutput) {
+    replica.last_state_pull = now;
+    out.broadcast.push(Message::StateRequest {
+        epoch: replica.epoch,
+    });
+}
+
+/// When [`retry_state_pull`] next fires, in the canonical `last + retry`
+/// form (`None`: no pull outstanding, or the answer could not be received).
+pub(crate) fn state_pull_deadline(replica: &Replica) -> Option<SimTime> {
+    let pulling =
+        replica.awaits_state() && !replica.crashed && replica.byzantine != ByzantineMode::Silent;
+    pulling.then_some(replica.last_state_pull + STATE_PULL_RETRY)
+}
+
+/// Re-announces an outstanding state pull once its retry interval has
+/// passed. Called by the simulated cluster's timeout sweep and by *every*
+/// iteration of the threaded replica loop — a busy mailbox (the exact
+/// condition that drops broadcasts) would starve an idle-only retry.
+pub(crate) fn retry_state_pull(replica: &mut Replica, now: SimTime, out: &mut StepOutput) {
+    if state_pull_deadline(replica).is_some_and(|due| now >= due) {
+        pull_state(replica, now, out);
+    }
+}
+
 fn handle_request(
     replica: &mut Replica,
     request: Request,
@@ -735,7 +760,8 @@ fn handle_prepare(
     // A replica awaiting its state transfer must not participate: its log
     // and sequence counter are meaningless, so a COMMIT vote from it could
     // help a quorum re-execute an old sequence number (recovery amnesia).
-    if replica.needs_state {
+    // Nor may one that is about to wipe (see `Replica::awaits_state`).
+    if replica.awaits_state() {
         return;
     }
     // The certificate must be valid before anything else: an unauthentic
@@ -799,7 +825,7 @@ fn note_ui_counter(replica: &mut Replica, from: NodeId, counter: u64) {
 /// view install race) are discarded as their counters come due.
 fn drain_parked_prepares(replica: &mut Replica, out: &mut StepOutput) {
     loop {
-        if replica.needs_state || !replica.in_current_view() {
+        if replica.awaits_state() || !replica.in_current_view() {
             return;
         }
         let leader = replica.leader();
@@ -1173,9 +1199,7 @@ pub(crate) fn replica_on_message(
                     // of executing a gap-filled (and diverging) log.
                     if replica.last_executed < quorum_stable {
                         replica.needs_state = true;
-                        out.broadcast.push(Message::StateRequest {
-                            epoch: replica.epoch,
-                        });
+                        pull_state(replica, time, out);
                     }
                     // Prepared entries and commit votes survive the view
                     // change (they are keyed by sequence and digest, and
@@ -1350,7 +1374,11 @@ pub(crate) fn replica_on_message(
             // Phase two of a message-driven rebuild: the first transfer
             // covering the replica's own frontier triggers the wipe, and
             // the very same transfer is adopted below — there is no window
-            // in which the state is gone without a replacement.
+            // in which the state is gone without a replacement. A transfer
+            // below the frontier is refused: adopting it would roll the
+            // replica back past sequences it executed, and if it was their
+            // unique live holder the next gap-filling view change would
+            // re-assign them.
             if epoch == replica.epoch
                 && replica.pending_rebuild
                 && !replica.needs_state
@@ -1361,9 +1389,7 @@ pub(crate) fn replica_on_message(
             if epoch == replica.epoch
                 && replica.needs_state
                 && last_executed >= replica.last_executed
-                && last_executed >= replica.recovery_floor
             {
-                replica.recovery_floor = 0;
                 replica.pending_rebuild = false;
                 for (sequence, cert_view, batch) in prepared {
                     match replica.prepared.get(&sequence) {
@@ -1445,13 +1471,11 @@ pub(crate) fn replica_on_message(
                 // adoption in the StateTransfer handler.
                 replica.byzantine = ByzantineMode::Correct;
                 replica.pending_rebuild = true;
-                out.broadcast.push(Message::StateRequest {
-                    epoch: replica.epoch,
-                });
+                pull_state(replica, time, out);
             }
             ControlMessage::Reconfigure { epoch, membership } => {
                 if epoch > replica.epoch {
-                    replica.apply_reconfiguration(epoch, membership, out);
+                    replica.apply_reconfiguration(epoch, membership, time, out);
                 }
             }
             ControlMessage::Compromise { mode } => {

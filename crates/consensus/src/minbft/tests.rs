@@ -187,6 +187,34 @@ fn recovery_restores_replica_state_via_state_transfer() {
 }
 
 #[test]
+fn recovery_keeps_the_usig_counter_and_touches_no_peer() {
+    let mut cluster = cluster(4);
+    let client = cluster.add_client();
+    for value in [1u64, 2] {
+        cluster.submit(client, Operation::Write(value));
+        cluster.run_until_quiet(30.0);
+    }
+    let counter = cluster.usig_last_counter(1).unwrap();
+    assert!(counter > 0);
+    let cursors = |cluster: &MinBftCluster| [0, 2, 3].map(|peer| cluster.ui_cursor(peer, 1));
+    assert_eq!(cursors(&cluster), [counter; 3]);
+
+    cluster.recover_replica(1);
+    cluster.run_until_quiet(40.0);
+    assert!(!cluster.replicas[&1].pending_rebuild && !cluster.needs_state(1));
+    // The USIG is the tamperproof component: the wipe leaves its counter
+    // where it was, and nobody resets what the peers saw of it.
+    assert_eq!(cluster.usig_last_counter(1), Some(counter));
+    assert_eq!(cursors(&cluster), [counter; 3]);
+    // The stream continues where it stopped.
+    cluster.submit(client, Operation::Write(3));
+    cluster.run_until_quiet(50.0);
+    assert_eq!(cluster.replica_value(1), Some(3));
+    assert_eq!(cluster.usig_last_counter(1), Some(counter + 1));
+    assert_eq!(cursors(&cluster), [counter + 1; 3]);
+}
+
+#[test]
 fn join_and_evict_reconfigure_the_membership() {
     let mut cluster = cluster(4);
     let client = cluster.add_client();
@@ -489,10 +517,12 @@ fn leader_crash_mid_request_completes_after_view_change() {
 
 #[test]
 fn recovered_ex_leader_rejoins_without_double_committing() {
-    // Regression: a recovered replica restarts with `next_sequence = 1`
-    // until its state transfer arrives. If it is (still) the leader and
-    // proposes in that window, it re-commits old sequence numbers with
-    // new requests. The `needs_state` guard must prevent this.
+    // Regression: a recovered replica that wiped its log *before* holding
+    // a replacement restarted with `next_sequence = 1`; if it was (still)
+    // the leader and proposed in that window, it re-committed old sequence
+    // numbers with new requests. The rebuild is two-phase, so the window
+    // does not exist: until a frontier-covering transfer arrives the
+    // replica serves from its old log.
     let mut cluster = cluster(4);
     let client = cluster.add_client();
     for value in [1u64, 2, 3] {
@@ -501,27 +531,35 @@ fn recovered_ex_leader_rejoins_without_double_committing() {
     }
     assert_eq!(cluster.completed_requests(client), 3);
 
-    // Recover the view-0 leader, but partition it first so the state
-    // transfer cannot reach it: it rejoins with an empty log.
+    // Recover the view-0 leader, but partition it first so no state
+    // transfer can reach it: phase one only.
     cluster.partition_network(&[0], &[1, 2, 3]);
     cluster.recover_replica(0);
     cluster.run_until_quiet(5.0);
     assert!(
-        cluster.needs_state(0),
+        cluster.replicas[&0].pending_rebuild,
         "state transfer must not get through"
     );
+    assert!(
+        !cluster.needs_state(0),
+        "nothing is wiped without a transfer"
+    );
+    assert_eq!(cluster.executed_len(0), Some(3), "the old log is kept");
     cluster.heal_network();
 
-    // The ex-leader is still the leader of the current view. New
-    // requests must not let it re-propose from sequence 1.
+    // The next re-announced pull is answered: the replica wipes and adopts
+    // in one step. It is still the leader of the current view but barred
+    // from leading it, so new requests need a view change.
     cluster.submit(client, Operation::Write(4));
     cluster.run_until(cluster.now() + 3.0);
     cluster.run_until_quiet(120.0);
     assert_eq!(
         cluster.completed_requests(client),
         4,
-        "liveness must resume via a view change around the amnesiac leader"
+        "liveness must resume via a view change around the rebuilt leader"
     );
+    assert!(!cluster.replicas[&0].pending_rebuild && !cluster.needs_state(0));
+    assert_eq!(cluster.executed_len(0), Some(4));
 
     // No replica may have committed two different digests at the same
     // sequence number (the double-commit signature).

@@ -132,15 +132,6 @@ impl NetworkConfig {
         }
     }
 
-    /// The client-to-replica link profile of the paper (100 Mbit/s, 0.1% loss).
-    pub fn client_link() -> Self {
-        NetworkConfig {
-            latency: 0.010,
-            jitter: 0.005,
-            loss_rate: 0.001,
-        }
-    }
-
     /// A lossless, zero-latency network (useful in unit tests).
     pub fn ideal() -> Self {
         NetworkConfig {

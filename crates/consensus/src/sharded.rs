@@ -237,20 +237,6 @@ impl ShardedSimService {
             .find(|&c| !self.shards[shard].has_outstanding_request(c))
     }
 
-    /// Submits a keyed operation on an explicit `(shard, client)` pair and
-    /// returns the request (for oracle bookkeeping). The caller is
-    /// responsible for routing: the harness submits through
-    /// [`ShardedSimService::submit`] unless it deliberately tests
-    /// misrouting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the client is unknown or busy (see
-    /// [`MinBftCluster::submit`]).
-    pub fn submit_on(&mut self, shard: usize, client: NodeId, operation: Operation) -> Request {
-        self.shards[shard].submit(client, operation)
-    }
-
     /// Routes a keyed operation to the shard owning its key and submits it
     /// from a free pool client. Returns `(shard, client, request)`, or
     /// `None` when every pool client of the owning shard is busy (the

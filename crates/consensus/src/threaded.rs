@@ -32,8 +32,8 @@
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
 use crate::metrics::{RetryBudget, RetryBudgetConfig, SharedTuning};
 use crate::minbft::{
-    flush_stale_batch, replica_on_message, stall_vote, CommitRecord, ControlMessage, Message,
-    ProtocolParams, Replica, Request, StepOutput, CLIENT_ID_BASE,
+    flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, CommitRecord,
+    ControlMessage, Message, ProtocolParams, Replica, Request, StepOutput, CLIENT_ID_BASE,
 };
 use crate::transport::{ThreadedTransport, Transport, TransportHandle, TransportStats, WallClock};
 use crate::workload::OpStream;
@@ -109,6 +109,24 @@ impl Default for ThreadedServiceConfig {
     }
 }
 
+impl ThreadedServiceConfig {
+    /// The protocol knobs of a live replica (threaded or socket-served)
+    /// in a membership of `members`.
+    pub(crate) fn protocol_params(&self, members: usize) -> ProtocolParams {
+        ProtocolParams {
+            f: hybrid_fault_threshold(members, 0),
+            checkpoint_period: self.checkpoint_period,
+            batch_size: self.batch_size.max(1),
+            batch_delay: self.batch_delay,
+            pipeline_window: self.pipeline_window,
+            // The live control plane recovers one replica at a time, and
+            // the message-driven path only wipes once a frontier-covering
+            // transfer is in hand.
+            recoveries: 1,
+        }
+    }
+}
+
 /// Outcome of a threaded service run.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ThreadedServiceReport {
@@ -169,12 +187,6 @@ struct Worker {
 /// waits behind an unbounded backlog.
 const PUMP_REPLIES: usize = 64;
 
-/// Seconds between re-announcements while a replica awaits its state
-/// transfer: the `StateRequest` rides the droppable data plane, so a
-/// recovering (or rebuilding) replica repeats it until a transfer lands —
-/// one lost broadcast must not strand the recovery.
-const STATE_PULL_RETRY: f64 = 0.05;
-
 /// Models the wall-clock cost of the USIG signatures one step created: the
 /// replica thread sleeps before flushing the step's output, exactly like a
 /// signing device would delay the sends. With a pipelined leader the sleeps
@@ -202,7 +214,6 @@ pub(crate) fn replica_main<T: Transport<Message> + WallClock>(
 ) -> ReplicaSnapshot {
     let mut trace: Vec<CommitRecord> = Vec::new();
     let from = replica.id;
-    let mut last_state_pull = f64::NEG_INFINITY;
     loop {
         // Autotuned batching knobs take effect at the next loop iteration:
         // the AutotuneLoop publishes through the shared atomics and every
@@ -228,9 +239,6 @@ pub(crate) fn replica_main<T: Transport<Message> + WallClock>(
                 &mut trace,
                 &mut out,
             );
-            if replica.needs_state || replica.pending_rebuild {
-                last_state_pull = transport.now();
-            }
             pay_signature_cost(signature_time, out.created_uis);
             out.flush(&mut transport, from, &replica.membership);
             trace.clear();
@@ -289,19 +297,12 @@ pub(crate) fn replica_main<T: Transport<Message> + WallClock>(
             Err(RecvTimeoutError::Disconnected) => break,
         }
         // Re-announce a pending state pull: the one-shot broadcast may
-        // have been dropped by full peer mailboxes. Checked on *every*
-        // loop iteration — a busy mailbox (the exact condition that drops
-        // broadcasts) would otherwise starve a Timeout-only retry.
-        if replica.needs_state || replica.pending_rebuild {
-            let now = transport.now();
-            if now - last_state_pull > STATE_PULL_RETRY {
-                last_state_pull = now;
-                let mut out = StepOutput::default();
-                out.broadcast.push(Message::StateRequest {
-                    epoch: replica.epoch,
-                });
-                out.flush(&mut transport, from, &replica.membership);
-            }
+        // have been dropped by full peer mailboxes. (The guard only spares
+        // the hot loop a clock read.)
+        if replica.awaits_state() {
+            let mut out = StepOutput::default();
+            retry_state_pull(&mut replica, transport.now(), &mut out);
+            out.flush(&mut transport, from, &replica.membership);
         }
         if stop.load(Ordering::Relaxed) || kill.load(Ordering::Relaxed) {
             break;
@@ -312,7 +313,7 @@ pub(crate) fn replica_main<T: Transport<Message> + WallClock>(
         log_start: replica.log_start,
         executed: std::mem::take(&mut replica.executed),
         last_executed: replica.last_executed,
-        needs_state: replica.needs_state || replica.pending_rebuild,
+        needs_state: replica.awaits_state(),
     }
 }
 
@@ -381,17 +382,7 @@ impl ThreadedCluster {
         for &id in &membership {
             directory.register(&KeyPair::derive(id, config.seed));
         }
-        let params = ProtocolParams {
-            f: hybrid_fault_threshold(membership.len(), 0),
-            checkpoint_period: config.checkpoint_period,
-            batch_size: config.batch_size.max(1),
-            batch_delay: config.batch_delay,
-            pipeline_window: config.pipeline_window,
-            // The live control plane recovers one replica at a time, and
-            // the message-driven path only wipes once a frontier-covering
-            // transfer is in hand.
-            recoveries: 1,
-        };
+        let params = config.protocol_params(membership.len());
         let hub: ThreadedTransport<Message> = ThreadedTransport::new(config.channel_capacity);
         let control = hub.handle();
         let tuning = Arc::new(SharedTuning::new(

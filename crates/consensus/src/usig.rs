@@ -128,13 +128,6 @@ impl UsigVerifier {
         self.accepted.insert((ui.replica, ui.counter))
     }
 
-    /// Resets the expected counter for a replica (used after recovery or a
-    /// view change installs a new replica instance).
-    pub fn reset_replica(&mut self, replica: NodeId) {
-        self.last_seen.remove(&replica);
-        self.accepted.retain(|(node, _)| *node != replica);
-    }
-
     /// The last accepted counter of a replica.
     pub fn last_accepted(&self, replica: NodeId) -> u64 {
         self.last_seen.get(&replica).copied().unwrap_or(0)
@@ -234,20 +227,5 @@ mod tests {
         assert!(!verifier.accept_unordered(m1, &ui1));
         // Equivocation (same UI, different message) is rejected.
         assert!(!verifier.accept_unordered(m2, &ui1));
-    }
-
-    #[test]
-    fn reset_allows_recovered_replica_to_restart_counting() {
-        let (mut usig, mut verifier) = setup();
-        let m = digest(b"m");
-        assert!(verifier.accept(m, &usig.create_ui(m)));
-        assert!(verifier.accept(m, &usig.create_ui(m)));
-        // After recovery the replica gets a fresh USIG (new instance), so the
-        // verifier must be told to reset its expectation.
-        verifier.reset_replica(7);
-        assert_eq!(verifier.last_accepted(7), 0);
-        let fresh_keys = KeyPair::derive(7, 123);
-        let mut fresh = Usig::new(fresh_keys);
-        assert!(verifier.accept(m, &fresh.create_ui(m)));
     }
 }

@@ -29,9 +29,9 @@ pub trait ClusterActuator {
     fn contains(&self, node: NodeId) -> bool;
 
     /// Actuates a recovery of `node` (rebuild + state transfer). Returns
-    /// `false` when the recovery could not start (unknown node, or it was
-    /// deferred because no state donor exists); the controller's BTR clock
-    /// keeps standing and it re-actuates on a later tick.
+    /// `false` when the command could not be delivered (unknown node, or
+    /// its replica is gone); the controller's BTR clock keeps standing and
+    /// it re-actuates on a later tick.
     fn recover(&mut self, node: NodeId) -> bool;
 
     /// Actuates a JOIN reconfiguration; returns the new replica's id, or

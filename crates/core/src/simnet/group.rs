@@ -631,17 +631,10 @@ impl ClusterActuator for HarnessActuator<'_> {
         let crashed_only = supervisor
             .as_ref()
             .is_some_and(|s| s.state == NodeState::Crashed);
-        let recovered = if crashed_only {
+        if crashed_only {
             self.cluster.restart_replica(node);
-            true
         } else {
-            self.cluster.recover_replica(node)
-        };
-        if !recovered {
-            // Deferred: no state donor existed. The supervisor stays marked
-            // (compromised/crashed), so the next BTR tick or schedule event
-            // retries and the recovery-bound oracle keeps watching.
-            return false;
+            self.cluster.recover_replica(node);
         }
         self.group.recoveries += 1;
         if let Some(supervisor) = supervisor {

@@ -94,20 +94,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns a mutable slice of the row at `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(
-            r < self.rows,
-            "row index {r} out of bounds ({} rows)",
-            self.rows
-        );
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Matrix-vector product `A x`.
     ///
     /// # Errors

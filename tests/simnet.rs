@@ -678,6 +678,40 @@ fn pinned_amnesiac_recovery_counterexample_cannot_regress() {
 }
 
 #[test]
+fn pinned_rebuilding_leader_amnesia_counterexample_cannot_regress() {
+    // Found by PR 18, the first time the simulator recovered replicas with
+    // the live `ControlMessage::Recover` (seeds 257 and 904 of this
+    // configuration, Agreement; seed 904 shrinks to 8 events — ROADMAP
+    // item 5 has the kernel): the leader kept proposing between `Recover`
+    // and its wipe, one peer executed four sequences on those PREPAREs,
+    // the wipe dropped the leader's own certificates for them, and the
+    // node controllers' next BTR rebuilds erased the remaining copies
+    // before a ballot of the forgetful re-assigned the sequences. Fixed in
+    // the honest core: a replica with a rebuild pending neither proposes
+    // nor votes COMMIT (`Replica::awaits_state`).
+    let config = ScheduleConfig {
+        horizon: 40,
+        intensity: 0.5,
+        enabled: ScheduleConfig::default()
+            .enabled
+            .into_iter()
+            .filter(|kind| !matches!(kind, FaultKind::AddReplica | FaultKind::EvictReplica))
+            .collect(),
+        ..ScheduleConfig::default()
+    };
+    for seed in [257, 904] {
+        let schedule = FaultSchedule::generate(seed, &config);
+        let report = run_schedule(&schedule, &config).expect("harness constructs");
+        assert!(
+            report.violation.is_none(),
+            "seed {seed}: the rebuilding-leader amnesia is back: {:?}",
+            report.violation
+        );
+        assert!(report.outcome.completed > 0);
+    }
+}
+
+#[test]
 fn scenario_runs_surface_violations_as_invariant_errors() {
     let scenario = SimnetScenario::new(
         "simnet/injected",
