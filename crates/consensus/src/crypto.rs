@@ -56,9 +56,10 @@ impl KeyPair {
     /// Derives a key pair for a node from a seed (deterministic, so tests are
     /// reproducible).
     pub fn derive(node: NodeId, seed: u64) -> Self {
-        let secret =
-            digest(&[node.to_le_bytes().as_slice(), seed.to_le_bytes().as_slice()].concat()).0
-                ^ 0x9e37_79b9_7f4a_7c15;
+        let mut bytes = [0u8; 12];
+        bytes[..4].copy_from_slice(&node.to_le_bytes());
+        bytes[4..].copy_from_slice(&seed.to_le_bytes());
+        let secret = digest(&bytes).0 ^ 0x9e37_79b9_7f4a_7c15;
         KeyPair { node, secret }
     }
 
@@ -123,10 +124,10 @@ impl KeyDirectory {
 }
 
 fn keyed_tag(secret: u64, node: NodeId, message: Digest) -> u64 {
-    let mut bytes = Vec::with_capacity(20);
-    bytes.extend_from_slice(&secret.to_le_bytes());
-    bytes.extend_from_slice(&node.to_le_bytes());
-    bytes.extend_from_slice(&message.0.to_le_bytes());
+    let mut bytes = [0u8; 20];
+    bytes[..8].copy_from_slice(&secret.to_le_bytes());
+    bytes[8..12].copy_from_slice(&node.to_le_bytes());
+    bytes[12..].copy_from_slice(&message.0.to_le_bytes());
     digest(&bytes).0
 }
 

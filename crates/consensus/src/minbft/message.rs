@@ -117,42 +117,48 @@ impl Request {
     /// invariant oracles (e.g. the validity check of the fault-injection
     /// harness) can match committed digests against submitted requests.
     pub fn digest(&self) -> Digest {
-        let mut bytes = Vec::with_capacity(32);
-        bytes.extend_from_slice(&self.client.to_le_bytes());
-        bytes.extend_from_slice(&self.id.to_le_bytes());
+        // On the stack: client, id, a tag and at most 8 + 4 + 8 operand bytes.
+        let mut bytes = [0u8; 33];
+        let mut len = 0;
+        let mut put = |field: &[u8]| {
+            bytes[len..len + field.len()].copy_from_slice(field);
+            len += field.len();
+        };
+        put(&self.client.to_le_bytes());
+        put(&self.id.to_le_bytes());
         match self.operation {
-            Operation::Read => bytes.push(0),
+            Operation::Read => put(&[0]),
             Operation::Write(v) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&v.to_le_bytes());
+                put(&[1]);
+                put(&v.to_le_bytes());
             }
             Operation::Put { key, value } => {
-                bytes.push(2);
-                bytes.extend_from_slice(&key.to_le_bytes());
-                bytes.extend_from_slice(&value.to_le_bytes());
+                put(&[2]);
+                put(&key.to_le_bytes());
+                put(&value.to_le_bytes());
             }
             Operation::Get { key } => {
-                bytes.push(3);
-                bytes.extend_from_slice(&key.to_le_bytes());
+                put(&[3]);
+                put(&key.to_le_bytes());
             }
             Operation::TxReserve { tx, key, value } => {
-                bytes.push(4);
-                bytes.extend_from_slice(&tx.to_le_bytes());
-                bytes.extend_from_slice(&key.to_le_bytes());
-                bytes.extend_from_slice(&value.to_le_bytes());
+                put(&[4]);
+                put(&tx.to_le_bytes());
+                put(&key.to_le_bytes());
+                put(&value.to_le_bytes());
             }
             Operation::TxCommit { tx, key } => {
-                bytes.push(5);
-                bytes.extend_from_slice(&tx.to_le_bytes());
-                bytes.extend_from_slice(&key.to_le_bytes());
+                put(&[5]);
+                put(&tx.to_le_bytes());
+                put(&key.to_le_bytes());
             }
             Operation::TxAbort { tx, key } => {
-                bytes.push(6);
-                bytes.extend_from_slice(&tx.to_le_bytes());
-                bytes.extend_from_slice(&key.to_le_bytes());
+                put(&[6]);
+                put(&tx.to_le_bytes());
+                put(&key.to_le_bytes());
             }
         }
-        digest(&bytes)
+        digest(&bytes[..len])
     }
 }
 

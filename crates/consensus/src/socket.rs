@@ -45,11 +45,12 @@ use crate::minbft::{ControlMessage, Message, Replica};
 use crate::net::Delivery;
 use crate::threaded::{replica_main, ReplicaSnapshot, ThreadedServiceConfig};
 use crate::transport::{Transport, TransportStats, WallClock};
-use crate::wire::{encode_frame, FrameBuffer, FRAME_HEADER_LEN};
+use crate::wire::{encode_frame_into, FrameBuffer, FRAME_HEADER_LEN};
 use crate::NodeId;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, RwLock};
@@ -113,7 +114,8 @@ struct PeerConn {
     queue: SyncSender<Chunk>,
 }
 
-type Mailboxes = HashMap<NodeId, SyncSender<Delivery<Message>>>;
+type Mailbox = SyncSender<Delivery<Message>>;
+type Mailboxes = HashMap<NodeId, Mailbox>;
 
 /// State shared between the hub, its handles, and the I/O threads.
 struct Shared {
@@ -136,15 +138,16 @@ impl Shared {
         self.counters.dropped.fetch_add(messages, Ordering::Relaxed);
     }
 
-    /// Delivers a message to a local mailbox (drop-counted).
-    fn deliver(&self, locals: &Mailboxes, from: NodeId, to: NodeId, message: Message) {
+    /// Delivers a message to `to`'s local mailbox (drop-counted, also when
+    /// there is none).
+    fn deliver(&self, mailbox: Option<&Mailbox>, from: NodeId, to: NodeId, message: Message) {
         let delivery = Delivery {
             time: self.now(),
             from,
             to,
             message,
         };
-        match locals.get(&to) {
+        match mailbox {
             Some(mailbox) if mailbox.try_send(delivery).is_ok() => {}
             _ => self.count_dropped(1),
         }
@@ -332,7 +335,9 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
         let locals = shared.locals.read().expect("locals lock");
         loop {
             match frames.next_frame() {
-                Ok(Some((from, to, message))) => shared.deliver(&locals, from, to, message),
+                Ok(Some((from, to, message))) => {
+                    shared.deliver(locals.get(&to), from, to, message);
+                }
                 Ok(None) => break,
                 Err(_) => {
                     shared
@@ -439,13 +444,14 @@ impl Transport<Message> for SocketHandle {
         // The batch's frames, grouped by the connection they leave on.
         let mut pending: Vec<(&PeerConn, Chunk)> = Vec::new();
         // Routes one message: into a local mailbox (same process, no TCP),
-        // or appended to the chunk of `to`'s connection. `frame` caches the
-        // encoding across the recipients of one broadcast — only the `to`
-        // field differs.
-        let mut route = |from, to, message: &Message, frame: &mut Option<Vec<u8>>| {
+        // or appended to the chunk of `to`'s connection. A message is encoded
+        // once, straight into the first chunk it goes to; `frame` remembers
+        // where (chunk index, byte range), and the other recipients of the
+        // broadcast copy those bytes — only the `to` field differs.
+        let mut route = |from, to, message: &Message, frame: &mut Option<(usize, Range<usize>)>| {
             shared.counters.sent.fetch_add(1, Ordering::Relaxed);
-            if locals.contains_key(&to) {
-                return shared.deliver(&locals, from, to, message.clone());
+            if let Some(mailbox) = locals.get(&to) {
+                return shared.deliver(Some(mailbox), from, to, message.clone());
             }
             let Some(conn) = peers.get(&to) else {
                 return shared.count_dropped(1);
@@ -455,10 +461,24 @@ impl Transport<Message> for SocketHandle {
                 pending.push((conn, Chunk::default()));
                 pending.len() - 1
             });
+            let at = pending[index].1.bytes.len();
+            match frame {
+                None => {
+                    let bytes = &mut pending[index].1.bytes;
+                    encode_frame_into(bytes, from, to, message);
+                    *frame = Some((index, at..bytes.len()));
+                }
+                Some((first, range)) if *first == index => {
+                    pending[index].1.bytes.extend_from_within(range.clone());
+                }
+                Some((first, range)) => {
+                    let [(_, first), (_, chunk)] = pending
+                        .get_disjoint_mut([*first, index])
+                        .expect("two different chunks");
+                    chunk.bytes.extend_from_slice(&first.bytes[range.clone()]);
+                }
+            }
             let chunk = &mut pending[index].1;
-            let frame = frame.get_or_insert_with(|| encode_frame(from, to, message));
-            let at = chunk.bytes.len();
-            chunk.bytes.extend_from_slice(frame);
             chunk.bytes[at + FRAME_HEADER_LEN - 4..][..4].copy_from_slice(&to.to_le_bytes());
             chunk.frames += 1;
         };
@@ -734,6 +754,7 @@ pub fn run_socket_service(
 mod tests {
     use super::*;
     use crate::threaded::snapshots_consistent;
+    use crate::wire::encode_frame;
     use std::io::Read;
 
     fn loopback(capacity: usize) -> SocketTransport {
@@ -974,28 +995,36 @@ mod tests {
     #[test]
     fn a_broadcast_is_encoded_once_and_patched_per_recipient() {
         let peer = TcpListener::bind("127.0.0.1:0").expect("bind raw peer");
+        let elsewhere = TcpListener::bind("127.0.0.1:0").expect("bind raw peer");
         let mut sender = loopback(8);
         for node in 1..=3 {
             sender.add_peer(node, peer.local_addr().expect("addr"));
         }
+        sender.add_peer(4, elsewhere.local_addr().expect("addr"));
         let message = Message::Checkpoint {
             sequence: 100,
             log_len: 230,
             state_digest: crate::crypto::Digest(0x77),
         };
-        sender.handle().broadcast(2, &[0, 1, 2, 3], &message);
+        sender.handle().broadcast(2, &[0, 1, 2, 3, 4], &message);
         let (mut stream, _) = peer.accept().expect("inbound connection");
         let len = encode_frame(2, 1, &message).len();
         // Node 0 is unknown (dropped), node 2 is the sender (skipped): two
-        // frames, byte-identical except for the four `to` bytes.
+        // frames, byte-identical except for the four `to` bytes...
         let frames = read_frames(&mut stream, 2, len);
         assert_eq!(frames[0], encode_frame(2, 1, &message));
         assert_eq!(frames[1], encode_frame(2, 3, &message));
         assert_eq!(frames[0][..8], frames[1][..8]);
         assert_eq!(frames[0][12..], frames[1][12..]);
+        // ...and a third copy on the other connection.
+        let (mut stream, _) = elsewhere.accept().expect("inbound connection");
+        assert_eq!(
+            read_frames(&mut stream, 1, len)[0],
+            encode_frame(2, 4, &message)
+        );
         let stats = sender.stats();
-        assert_eq!((stats.sent, stats.dropped), (3, 1));
-        assert!(eventually(|| sender.stats().writes == 1));
+        assert_eq!((stats.sent, stats.dropped), (4, 1));
+        assert!(eventually(|| sender.stats().writes == 2));
     }
 
     #[test]

@@ -1,15 +1,34 @@
 //! Length-prefixed binary wire codec for [`Message`] frames.
 //!
 //! The socket transport ([`crate::socket`]) serializes every protocol
-//! message through the vendored serde shim: the derived
-//! [`serde::Serialize`] impl lowers a [`Message`] into the shim's
-//! [`Value`] data model, and this module encodes that tree as compact
-//! little-endian binary. Decoding reverses both steps — the bounds-checked
-//! binary `Value` parser below (`Cursor`), then the derived
-//! [`serde::Deserialize`] impl of [`Message`], so the message types are
-//! described once, in `minbft/message.rs`, and a new field needs no edit here.
+//! message through the vendored serde shim, and this module frames the
+//! result. The message types are described once, by the derives in
+//! `minbft/message.rs` — a new field needs no edit here — and the derives
+//! give two paths through the payload format ([`serde::bin`]):
+//!
+//! * **The reference path** builds the shim's [`Value`] tree:
+//!   `to_value` → [`encode_value_bytes`] out, [`decode_value_bytes`] →
+//!   `from_value` in. It *defines* the wire: which byte strings are
+//!   messages, which message each one is, and which [`WireError`] every
+//!   other one earns. It is also the JSON backend's data model, and what
+//!   every test compares the other path with.
+//! * **The direct path** is what runs per frame: the derive-emitted
+//!   [`serde::Serialize::encode`] appends those same bytes with no tree, and
+//!   [`serde::Deserialize::decode`] reads a message straight out of the
+//!   frame buffer — but only from the *canonical* rendering (fields in
+//!   declared order, exact counts and tags, nothing defaulted), which is the
+//!   only one an honest peer sends.
+//!
+//! [`decode_message`] tries the direct reader and, whenever that declines,
+//! reruns the reference path on the same bytes. The direct reader therefore
+//! never has to explain a rejection, or recognise input that is valid but
+//! not canonical (reordered, unknown or duplicated keys): the accepted set,
+//! the decoded message and every error are the reference path's by
+//! construction, and a hostile frame costs one extra bounded pass.
 //! Round-tripping is byte-exact: `encode(decode(bytes)) == bytes` for every
-//! valid frame (see the property tests in `tests/properties.rs`).
+//! canonical payload (see `tests/properties.rs::wire_roundtrip`, which also
+//! holds the two paths against each other on a hostile corpus, and
+//! `tests/fixtures/wire-frames.json`, which pins the format across builds).
 //!
 //! # Wire format
 //!
@@ -22,31 +41,23 @@
 //! ```
 //!
 //! `len` counts everything after itself (`from`, `to` and the payload), all
-//! integers are little-endian, and the payload is one encoded `Value` tree:
-//!
-//! | tag | value    | encoding                                            |
-//! |-----|----------|-----------------------------------------------------|
-//! | 0   | `Null`   | —                                                   |
-//! | 1   | `Bool`   | 1 byte (0/1)                                        |
-//! | 2   | `U64`    | 8 bytes LE                                          |
-//! | 3   | `I64`    | 8 bytes LE (two's complement)                       |
-//! | 4   | `F64`    | 8 bytes LE (IEEE-754 bits)                          |
-//! | 5   | `Str`    | u32 length + UTF-8 bytes                            |
-//! | 6   | `Array`  | u32 count + encoded elements                        |
-//! | 7   | `Object` | u32 count + (u32 key length + key + value) entries  |
+//! integers are little-endian, and the payload is one `Value` tree in the
+//! tagged encoding tabulated in [`serde::bin`].
 //!
 //! # Robustness
 //!
 //! Malformed input **errors, never panics, never allocates unboundedly**: a
 //! length prefix is rejected above [`MAX_FRAME_LEN`] before any payload is
 //! read, every collection count is validated against the bytes actually
-//! remaining before capacity is reserved, nesting is capped at a fixed
-//! depth (the decoder is recursive), and trailing bytes after a complete
-//! value are an error. The socket transport drops the connection on the
-//! first [`WireError`] from a peer.
+//! remaining before capacity is reserved (on both paths), nesting is capped
+//! at a fixed depth (the reference decoder is recursive; the direct one
+//! recurses only as deep as the message types nest), and trailing bytes after
+//! a complete value are an error. The socket transport drops the connection
+//! on the first [`WireError`] from a peer.
 
 use crate::minbft::Message;
 use crate::NodeId;
+use serde::bin::{self, Reader, MAX_DEPTH};
 use serde::{Deserialize, Serialize, Value};
 
 /// Hard ceiling on the post-length-prefix size of one frame (16 MiB):
@@ -58,11 +69,10 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Bytes of the frame header: the `len` prefix plus `from` and `to`.
 pub const FRAME_HEADER_LEN: usize = 12;
 
-/// Maximum `Value` nesting the decoder accepts. Protocol messages nest a
-/// handful of levels (message → field object → array of tuples → ints); the
-/// cap exists so adversarial input like `[[[[…` cannot overflow the
-/// decoder's recursion.
-const MAX_DEPTH: usize = 32;
+/// What an encoder reserves before writing a frame of yet unknown size: the
+/// steady-state frames (REQUEST, REPLY, COMMIT: 93–199 bytes) then cost one
+/// allocation instead of a doubling series from empty.
+const TYPICAL_FRAME_LEN: usize = 256;
 
 /// A malformed frame or payload. Every variant is a protocol violation by
 /// the peer; the connection that produced it is dropped.
@@ -123,155 +133,22 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_u32(buf: &mut Vec<u8>, value: u32) {
-    buf.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    // Strings on this wire are variant and field names: short ASCII
-    // identifiers, so the u32 length never saturates.
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn encode_value(value: &Value, buf: &mut Vec<u8>) {
-    match value {
-        Value::Null => buf.push(0),
-        Value::Bool(b) => {
-            buf.push(1);
-            buf.push(u8::from(*b));
-        }
-        Value::U64(v) => {
-            buf.push(2);
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::I64(v) => {
-            buf.push(3);
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::F64(v) => {
-            buf.push(4);
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(5);
-            put_str(buf, s);
-        }
-        Value::Array(items) => {
-            buf.push(6);
-            put_u32(buf, items.len() as u32);
-            for item in items {
-                encode_value(item, buf);
-            }
-        }
-        Value::Object(entries) => {
-            buf.push(7);
-            put_u32(buf, entries.len() as u32);
-            for (key, entry) in entries {
-                put_str(buf, key);
-                encode_value(entry, buf);
-            }
+impl From<bin::Error> for WireError {
+    fn from(error: bin::Error) -> Self {
+        match error {
+            bin::Error::Truncated => WireError::Truncated,
+            bin::Error::TrailingBytes => WireError::TrailingBytes,
+            bin::Error::UnknownTag { tag } => WireError::UnknownTag { tag },
+            bin::Error::TooDeep => WireError::TooDeep,
+            bin::Error::BadUtf8 => WireError::BadUtf8,
         }
     }
 }
 
-/// Bounds-checked reader over one frame payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if n > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        // `take` rejects lengths beyond the input, so the allocation below
-        // is bounded by the frame size.
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Reads a collection count and validates it against the bytes left:
-    /// every element occupies at least `min_element_len` bytes, so a count
-    /// that cannot possibly fit is rejected *before* any capacity is
-    /// reserved (an adversarial `u32::MAX` count must not allocate).
-    fn count(&mut self, min_element_len: usize) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(min_element_len) > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        Ok(count)
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, WireError> {
-        if depth >= MAX_DEPTH {
-            return Err(WireError::TooDeep);
-        }
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(self.u8()? != 0)),
-            2 => Ok(Value::U64(self.u64()?)),
-            3 => Ok(Value::I64(self.u64()? as i64)),
-            4 => Ok(Value::F64(f64::from_bits(self.u64()?))),
-            5 => Ok(Value::Str(self.string()?)),
-            6 => {
-                // Each element is at least a 1-byte tag.
-                let count = self.count(1)?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Array(items))
-            }
-            7 => {
-                // Each entry is at least a 4-byte key length plus a 1-byte
-                // value tag.
-                let count = self.count(5)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = self.string()?;
-                    let entry = self.value(depth + 1)?;
-                    entries.push((key, entry));
-                }
-                Ok(Value::Object(entries))
-            }
-            tag => Err(WireError::UnknownTag { tag }),
-        }
-    }
-}
-
-/// Encodes one `Value` tree as this module's binary format.
+/// Encodes one `Value` tree in the tagged binary format.
 pub fn encode_value_bytes(value: &Value) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_value(value, &mut buf);
+    bin::encode_value(value, &mut buf);
     buf
 }
 
@@ -281,38 +158,50 @@ pub fn encode_value_bytes(value: &Value) -> Vec<u8> {
 ///
 /// Any [`WireError`] the bounds-checked decoder hits.
 pub fn decode_value_bytes(bytes: &[u8]) -> Result<Value, WireError> {
-    let mut cursor = Cursor { buf: bytes, pos: 0 };
-    let value = cursor.value(0)?;
-    if cursor.remaining() != 0 {
-        return Err(WireError::TrailingBytes);
-    }
-    Ok(value)
+    Ok(bin::decode_value(bytes)?)
 }
 
-/// Encodes a message payload (no frame header): the derived `Serialize`
-/// lowering followed by the binary `Value` encoding.
+/// Encodes a message payload (no frame header): the bytes
+/// `encode_value_bytes(&message.to_value())` gives, written directly.
 pub fn encode_message(message: &Message) -> Vec<u8> {
-    encode_value_bytes(&message.to_value())
+    let mut payload = Vec::with_capacity(TYPICAL_FRAME_LEN);
+    message.encode(&mut payload);
+    payload
 }
 
-/// Decodes a message payload produced by [`encode_message`].
+/// Decodes a message payload produced by [`encode_message`]: the direct
+/// reader on canonical input, the reference path (`Value` tree, then the
+/// derived `from_value`) on everything else.
 ///
 /// # Errors
 ///
 /// Any [`WireError`]: malformed binary, or a `Value` tree that does not
 /// describe a protocol message.
 pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
-    message_from_value(&decode_value_bytes(bytes)?)
+    let mut reader = Reader::new(bytes);
+    match Message::decode(&mut reader) {
+        Some(message) if reader.remaining() == 0 => Ok(message),
+        _ => message_from_value(&decode_value_bytes(bytes)?),
+    }
+}
+
+/// Appends a full frame — length prefix, sender, recipient, payload — to
+/// `out`, encoding the payload in place.
+pub fn encode_frame_into(out: &mut Vec<u8>, from: NodeId, to: NodeId, message: &Message) {
+    out.reserve(TYPICAL_FRAME_LEN);
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&from.to_le_bytes());
+    out.extend_from_slice(&to.to_le_bytes());
+    message.encode(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encodes a full frame: length prefix, sender, recipient, payload.
 pub fn encode_frame(from: NodeId, to: NodeId, message: &Message) -> Vec<u8> {
-    let payload = encode_message(message);
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    put_u32(&mut frame, (8 + payload.len()) as u32);
-    put_u32(&mut frame, from);
-    put_u32(&mut frame, to);
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, from, to, message);
     frame
 }
 
@@ -583,6 +472,19 @@ mod tests {
     }
 
     #[test]
+    fn the_direct_path_handles_every_canonical_payload_itself() {
+        // A fallback on honest traffic would be invisible in the verdicts
+        // (the reference path gives the same ones) and visible only as cost.
+        for message in sample_messages() {
+            let bytes = encode_message(&message);
+            assert_eq!(bytes, encode_value_bytes(&message.to_value()));
+            let mut reader = Reader::new(&bytes);
+            assert_eq!(Message::decode(&mut reader), Some(message));
+            assert_eq!(reader.remaining(), 0);
+        }
+    }
+
+    #[test]
     fn frames_round_trip_through_header_validation() {
         for message in sample_messages() {
             let frame = encode_frame(3, 10_000, &message);
@@ -770,6 +672,19 @@ mod tests {
         bytes.extend_from_slice(&1_000_000u32.to_le_bytes());
         bytes.extend_from_slice(b"short");
         assert_eq!(decode_value_bytes(&bytes), Err(WireError::Truncated));
+
+        // The direct reader checks a count the same way before it reserves:
+        // a canonical PREPARE up to a `requests` array of u32::MAX elements.
+        let mut bytes = encode_message(&Message::Prepare {
+            view: 1,
+            sequence: 2,
+            requests: vec![],
+            ui: sample_ui(0, 2),
+        });
+        let count = bytes.windows(8).position(|w| w == b"requests").unwrap() + 8 + 1;
+        bytes[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Message::decode(&mut Reader::new(&bytes)), None);
+        assert_eq!(decode_message(&bytes), Err(WireError::Truncated));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! reconfiguration and keeps the owned ranges balanced, and the fleet
 //! engine's per-shard split RNG streams are pairwise non-colliding.
 
+mod common;
+
 use proptest::prelude::*;
 use tolerance::consensus::KeyPartitioner;
 use tolerance::core::node_model::{NodeAction, NodeModel, NodeParameters, NodeState};
@@ -452,12 +454,13 @@ proptest! {
 
 mod wire_roundtrip {
     use proptest::prelude::*;
+    use serde::{Deserialize, Serialize, Value};
     use tolerance::consensus::minbft::{
         ByzantineMode, ControlMessage, Message, Operation, Request,
     };
     use tolerance::consensus::wire::{
-        decode_frame_body, decode_message, encode_frame, encode_message, frame_body_len,
-        FrameBuffer, FRAME_HEADER_LEN,
+        decode_frame_body, decode_message, decode_value_bytes, encode_frame, encode_message,
+        encode_value_bytes, frame_body_len, FrameBuffer, WireError, FRAME_HEADER_LEN,
     };
     use tolerance::consensus::NodeId;
 
@@ -661,8 +664,235 @@ mod wire_roundtrip {
         (delivered, 0)
     }
 
+    /// The reference path's verdict on a payload: the `Value` parser, then
+    /// the derived `from_value`. [`decode_message`] must agree on every input.
+    fn reference(bytes: &[u8]) -> Result<Message, WireError> {
+        Message::from_value(&decode_value_bytes(bytes)?, "message")
+            .map_err(|e| WireError::Malformed { context: e.context })
+    }
+
+    /// Calls `visit` with a mutable view of every node of `value`, one call
+    /// per node (parents before children), each on a fresh copy of the tree;
+    /// collects the trees `visit` changed.
+    fn mutate_each_node(value: &Value, visit: &dyn Fn(&mut Value) -> bool) -> Vec<Value> {
+        fn node_at<'a>(value: &'a mut Value, index: &mut usize) -> Option<&'a mut Value> {
+            if *index == 0 {
+                return Some(value);
+            }
+            *index -= 1;
+            match value {
+                Value::Array(items) => items.iter_mut().find_map(|v| node_at(v, index)),
+                Value::Object(entries) => entries.iter_mut().find_map(|(_, v)| node_at(v, index)),
+                _ => None,
+            }
+        }
+        let mut mutants = Vec::new();
+        for target in 0usize.. {
+            let mut copy = value.clone();
+            let mut index = target;
+            let Some(node) = node_at(&mut copy, &mut index) else {
+                return mutants;
+            };
+            if visit(node) {
+                mutants.push(copy);
+            }
+        }
+        mutants
+    }
+
+    /// Every variant (all three control commands), small but with every
+    /// collection populated.
+    fn corpus_messages() -> Vec<Message> {
+        (0..10)
+            .map(|variant| build_message(variant, 7, 4))
+            .chain((0..3).map(|seed| build_message(10, seed, 4)))
+            .collect()
+    }
+
+    /// The hostile-wire corpus: what an attacker (or a bad cable) can do to
+    /// a well-formed payload. On every member the direct decoder's verdict —
+    /// the message or the exact error — must be the reference path's.
+    #[test]
+    fn hostile_wire_corpus_gets_the_reference_verdict() {
+        let messages = corpus_messages();
+        let payloads: Vec<Vec<u8>> = messages.iter().map(encode_message).collect();
+        // Tree-level edits no canonical encoder emits: in every object a
+        // reordered key pair, an unknown key, a duplicated key (the
+        // first occurrence wins); in every integer position one above
+        // `u32::MAX`, which a `NodeId` field must refuse.
+        let edits: [&dyn Fn(&mut Value) -> bool; 4] = [
+            &|node| match node {
+                Value::Object(entries) if entries.len() > 1 => {
+                    entries.swap(0, 1);
+                    true
+                }
+                _ => false,
+            },
+            &|node| match node {
+                Value::Object(entries) => {
+                    entries.insert(0, ("zz_unknown".into(), Value::U64(1)));
+                    true
+                }
+                _ => false,
+            },
+            &|node| match node {
+                Value::Object(entries) if !entries.is_empty() => {
+                    entries.push((entries[0].0.clone(), Value::Null));
+                    true
+                }
+                _ => false,
+            },
+            &|node| match node {
+                Value::U64(v) => {
+                    *v = u64::from(u32::MAX) + 1;
+                    true
+                }
+                _ => false,
+            },
+        ];
+        let mut corpus: Vec<Vec<u8>> = Vec::new();
+        for (message, payload) in messages.iter().zip(&payloads) {
+            assert_eq!(decode_message(payload).as_ref(), Ok(message));
+            // Every bit of every byte, every truncation, a trailing byte.
+            for at in 0..payload.len() {
+                for bit in 0..8 {
+                    let mut flipped = payload.clone();
+                    flipped[at] ^= 1 << bit;
+                    corpus.push(flipped);
+                }
+                corpus.push(payload[..at].to_vec());
+            }
+            corpus.push([payload.as_slice(), &[0]].concat());
+            // A foreign frame spliced in at every 5th offset, and appended.
+            for foreign in &payloads {
+                for at in (0..payload.len()).step_by(5) {
+                    let tail = &foreign[at.min(foreign.len())..];
+                    corpus.push([&payload[..at], tail].concat());
+                }
+                corpus.push([payload.as_slice(), foreign].concat());
+            }
+            let tree = message.to_value();
+            for edit in edits {
+                corpus.extend(mutate_each_node(&tree, edit).iter().map(encode_value_bytes));
+            }
+        }
+        // What those edits do to a REQUEST: a key edit in the struct's object
+        // leaves it the same message (in a variant's single-entry object it
+        // is an error), the oversized `client` is refused by name.
+        let request = messages[0].to_value();
+        for edit in &edits[..3] {
+            let verdicts: Vec<_> = mutate_each_node(&request, edit)
+                .iter()
+                .map(|mutant| decode_message(&encode_value_bytes(mutant)))
+                .collect();
+            assert!(verdicts.contains(&Ok(messages[0].clone())));
+            assert!(verdicts.iter().flatten().all(|m| *m == messages[0]));
+        }
+        let oversized = &mutate_each_node(&request, edits[3])[0];
+        assert_eq!(
+            decode_message(&encode_value_bytes(oversized)),
+            Err(WireError::Malformed {
+                context: "Request.client"
+            })
+        );
+        // A canonical PREPARE whose `requests` count no frame could back.
+        let prepare = &payloads[1];
+        let key = b"requests";
+        let at = prepare
+            .windows(key.len())
+            .position(|window| window == key)
+            .expect("PREPARE carries a `requests` key")
+            + key.len();
+        let mut bomb = prepare.clone();
+        assert_eq!(bomb[at], 6, "the array tag follows the key");
+        bomb[at + 1..at + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_message(&bomb), Err(WireError::Truncated));
+        corpus.push(bomb);
+
+        let mut accepted = 0;
+        for hostile in &corpus {
+            let verdict = decode_message(hostile);
+            assert_eq!(verdict, reference(hostile), "payload {hostile:02x?}");
+            accepted += usize::from(verdict.is_ok());
+        }
+        // The corpus is not all rejections: reordered, padded and duplicated
+        // keys and most payload bit-flips still decode.
+        assert!(
+            accepted > corpus.len() / 10,
+            "{accepted} of {}",
+            corpus.len()
+        );
+    }
+
+    const GOLDEN_FRAMES: &str = "wire-frames.json";
+
+    /// One `"variant": "hex of the whole frame"` line per variant of
+    /// `build_message(variant, 0, 4)`, sent from node 3 to client 10 001.
+    fn render_golden_frames() -> String {
+        const NAMES: [&str; 11] = [
+            "request",
+            "prepare",
+            "commit",
+            "reply",
+            "checkpoint",
+            "view_change",
+            "new_view",
+            "state_request",
+            "state_transfer",
+            "ui_resend_request",
+            "control",
+        ];
+        let lines: Vec<String> = NAMES
+            .iter()
+            .enumerate()
+            .map(|(variant, name)| {
+                let frame = encode_frame(3, 10_001, &build_message(variant, 0, 4));
+                let hex: String = frame.iter().map(|byte| format!("{byte:02x}")).collect();
+                format!("  \"{name}\": \"{hex}\"")
+            })
+            .collect();
+        format!("{{\n{}\n}}\n", lines.join(",\n"))
+    }
+
+    /// The format is an interface between separately built `minbft-node`
+    /// processes: the committed frames were rendered by the `Value` path of
+    /// the commit before the direct codec existed, and must never move.
+    #[test]
+    fn golden_frames_match_the_committed_fixture() {
+        let expected = crate::common::read_fixture(GOLDEN_FRAMES);
+        serde_json::parse_value(&expected).expect("the fixture is well-formed JSON");
+        for (now, committed) in render_golden_frames().lines().zip(expected.lines()) {
+            assert_eq!(now, committed, "the wire format moved");
+        }
+        assert_eq!(render_golden_frames().len(), expected.len());
+    }
+
+    #[test]
+    #[ignore = "rewrites tests/fixtures/wire-frames.json from the current tree"]
+    fn regenerate_golden_frames() {
+        std::fs::write(
+            crate::common::fixture_path(GOLDEN_FRAMES),
+            render_golden_frames(),
+        )
+        .expect("the fixture is writable");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The direct codec against the `Value` path, both directions.
+        #[test]
+        fn direct_codec_equals_the_value_path(
+            variant in 0usize..11,
+            seed in 0u64..u64::MAX,
+            size in 0usize..4,
+        ) {
+            let message = build_message(variant, seed, [0, 1, 16, 200][size]);
+            let bytes = encode_message(&message);
+            prop_assert_eq!(&bytes, &encode_value_bytes(&message.to_value()));
+            prop_assert_eq!(decode_message(&bytes), reference(&bytes));
+            prop_assert_eq!(decode_message(&bytes), Ok(message));
+        }
 
         #[test]
         fn frame_splitting_is_independent_of_read_boundaries(
