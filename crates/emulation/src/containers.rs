@@ -181,8 +181,13 @@ impl ContainerCatalog {
     /// Picks a configuration uniformly at random (used when a replica is
     /// recovered or a node is added — software diversification).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &ContainerConfig {
-        let index = rng.random_range(0..self.containers.len());
-        &self.containers[index]
+        &self.containers[self.sample_position(rng)]
+    }
+
+    /// The draw behind [`Self::sample`], as a position in
+    /// [`Self::containers`] (for per-container tables kept beside it).
+    pub fn sample_position<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        rng.random_range(0..self.containers.len())
     }
 }
 

@@ -18,7 +18,7 @@
 
 use crate::attacker::{AttackProfile, Attacker};
 use crate::clients::ClientPopulation;
-use crate::containers::{ContainerCatalog, ContainerConfig};
+use crate::containers::ContainerCatalog;
 use crate::ids::IdsModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,8 +115,9 @@ pub struct EmulationOutcome {
 
 /// Per-node runtime state inside the emulation.
 struct EmulatedNode {
-    container: ContainerConfig,
-    ids: IdsModel,
+    /// Catalogue position of the replica's container: indexes
+    /// `Emulation::catalog` and `Emulation::ids_models`.
+    container: usize,
     state: NodeState,
     attacker: Attacker,
     clients: ClientPopulation,
@@ -132,6 +133,8 @@ struct EmulatedNode {
 pub struct Emulation {
     config: EmulationConfig,
     catalog: ContainerCatalog,
+    /// One validated IDS model per catalogue entry, in catalogue order.
+    ids_models: Vec<IdsModel>,
     rng: StdRng,
     nodes: Vec<EmulatedNode>,
     system_controller: Option<SystemController>,
@@ -152,6 +155,7 @@ impl Emulation {
     /// Propagates model-construction and LP failures from `tolerance-core`.
     pub fn new(config: EmulationConfig) -> tolerance_core::Result<Self> {
         let catalog = ContainerCatalog::paper_catalog();
+        let ids_models = IdsModel::for_catalog(&catalog)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         let system_controller = config.strategy.build_system_controller(ReplicationConfig {
@@ -163,6 +167,7 @@ impl Emulation {
 
         let mut emulation = Emulation {
             catalog,
+            ids_models,
             rng: StdRng::seed_from_u64(config.seed.wrapping_add(1)),
             nodes: Vec::new(),
             system_controller,
@@ -218,11 +223,14 @@ impl Emulation {
     }
 
     fn build_node(&self, rng: &mut StdRng) -> tolerance_core::Result<EmulatedNode> {
-        let container = self.catalog.sample(rng).clone();
-        let ids = IdsModel::for_container(&container);
+        let container = self.catalog.sample_position(rng);
+        // The observation model was validated when `ids_models` was built;
+        // the parameters differ per node in a jittered fleet.
+        let observations = self.ids_models[container].observation_model();
         let parameters = self.sample_node_parameters(rng);
-        let model = NodeModel::new(parameters, ids.observation_model().clone())?;
-        let expected_alerts = ids.observation_model().mean(NodeState::Healthy);
+        parameters.validate_theorem1()?;
+        let model = NodeModel::new_unchecked(parameters, observations.clone());
+        let expected_alerts = observations.mean(NodeState::Healthy);
         // Stagger the periodic-recovery phases across nodes so that the
         // k-parallel-recovery constraint is not hit by every node requesting
         // recovery in the same step.
@@ -243,7 +251,6 @@ impl Emulation {
         )?;
         Ok(EmulatedNode {
             container,
-            ids,
             state: NodeState::Healthy,
             attacker: Attacker::new(parameters.p_attack),
             clients: ClientPopulation::paper_default(),
@@ -336,14 +343,13 @@ impl Emulation {
         let attack_factor = self.config.attack_profile.intensity_factor(time_step);
         for (index, node) in self.nodes.iter_mut().enumerate() {
             node.clients.step(&mut self.rng);
+            let container = &self.catalog.containers()[node.container];
 
             // Attacker progression (the profile modulates the per-step
             // intrusion pressure around the node's base probability).
             node.attacker.intrusion_probability = node.base_intrusion_probability * attack_factor;
             if node.state == NodeState::Healthy {
-                let compromised_now = node
-                    .attacker
-                    .step(&node.container, time_step, &mut self.rng);
+                let compromised_now = node.attacker.step(container, time_step, &mut self.rng);
                 if compromised_now {
                     node.state = NodeState::Compromised;
                     node.compromise_started = Some(time_step);
@@ -368,10 +374,12 @@ impl Emulation {
             }
 
             // IDS observation.
-            let step_intensity = node.attacker.step_intensity(&node.container);
-            let alerts = node
-                .ids
-                .sample_alerts(node.state, step_intensity, &mut self.rng);
+            let step_intensity = node.attacker.step_intensity(container);
+            let alerts = self.ids_models[node.container].sample_alerts(
+                node.state,
+                step_intensity,
+                &mut self.rng,
+            );
 
             // Local decision.
             if node.state == NodeState::Crashed {
@@ -542,6 +550,35 @@ mod tests {
         cfg.horizon = 20;
         let outcome = Emulation::new(cfg).unwrap().run().unwrap();
         assert!((0.0..=1.0).contains(&outcome.metrics.availability));
+    }
+
+    #[test]
+    fn prebuilt_ids_models_equal_for_container() {
+        let emulation = Emulation::new(config(StrategyKind::Tolerance, None, 0)).unwrap();
+        let containers = emulation.catalog.containers();
+        assert_eq!(emulation.ids_models.len(), 10);
+        assert_eq!(emulation.ids_models.len(), containers.len());
+        for (prebuilt, container) in emulation.ids_models.iter().zip(containers) {
+            assert_eq!(*prebuilt, IdsModel::for_container(container));
+        }
+    }
+
+    #[test]
+    fn rebuilt_nodes_reuse_the_prebuilt_model() {
+        let mut emulation = Emulation::new(config(StrategyKind::Tolerance, Some(15), 7)).unwrap();
+        let outcome = emulation.run().unwrap();
+        assert!(outcome.recoveries > 0, "the run must rebuild nodes");
+        let mut containers_seen = std::collections::HashSet::new();
+        for node in &emulation.nodes {
+            // The model a node's alerts are sampled from is its own
+            // container's (catalogue positions are 0-based, ids 1-based).
+            let container = &emulation.catalog.containers()[node.container];
+            let ids = &emulation.ids_models[node.container];
+            assert_eq!(ids.container_id(), container.id);
+            assert_eq!(*ids, IdsModel::for_container(container));
+            containers_seen.insert(container.id);
+        }
+        assert!(containers_seen.len() > 1, "rebuilds draw fresh containers");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and the additional infrastructure metrics whose KL divergences Appendix H
 //! compares (Fig. 18).
 
-use crate::containers::ContainerConfig;
+use crate::containers::{ContainerCatalog, ContainerConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tolerance_core::node_model::NodeState;
@@ -112,6 +112,27 @@ impl IdsModel {
             container_id: container.id,
             observation_model,
         }
+    }
+
+    /// One model per catalogue entry, in catalogue order, each checked
+    /// against the Theorem 1 observation assumptions (D–E) once, so a run
+    /// that rebuilds nodes by the hundred thousand neither recomputes nor
+    /// re-validates a constant.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`tolerance_core::CoreError::InvalidParameter`] if a
+    /// container's observation model violates the assumptions.
+    pub fn for_catalog(catalog: &ContainerCatalog) -> tolerance_core::Result<Vec<Self>> {
+        catalog
+            .containers()
+            .iter()
+            .map(|container| {
+                let ids = IdsModel::for_container(container);
+                ids.observation_model.validate_theorem1()?;
+                Ok(ids)
+            })
+            .collect()
     }
 
     /// The container this model belongs to.
