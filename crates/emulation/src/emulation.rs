@@ -122,9 +122,11 @@ struct EmulatedNode {
     attacker: Attacker,
     clients: ClientPopulation,
     strategy: NodeStrategy,
-    /// The node's un-modulated intrusion probability (heterogeneous fleets
-    /// give each node its own); the attack profile scales it per step.
-    base_intrusion_probability: f64,
+    /// The node's own transition parameters (heterogeneous fleets jitter
+    /// them per node): the plant draws attacks and crashes from the same
+    /// values the node's controller models. The attack profile scales
+    /// `p_attack` per step.
+    parameters: NodeParameters,
     /// Time-step at which the current compromise started (for `T(R)`).
     compromise_started: Option<u64>,
 }
@@ -255,7 +257,7 @@ impl Emulation {
             attacker: Attacker::new(parameters.p_attack),
             clients: ClientPopulation::paper_default(),
             strategy,
-            base_intrusion_probability: parameters.p_attack,
+            parameters,
             compromise_started: None,
         })
     }
@@ -347,7 +349,7 @@ impl Emulation {
 
             // Attacker progression (the profile modulates the per-step
             // intrusion pressure around the node's base probability).
-            node.attacker.intrusion_probability = node.base_intrusion_probability * attack_factor;
+            node.attacker.intrusion_probability = node.parameters.p_attack * attack_factor;
             if node.state == NodeState::Healthy {
                 let compromised_now = node.attacker.step(container, time_step, &mut self.rng);
                 if compromised_now {
@@ -365,8 +367,8 @@ impl Emulation {
 
             // Crashes.
             let crash_probability = match node.state {
-                NodeState::Healthy => self.config.node_parameters.p_crash_healthy,
-                NodeState::Compromised => self.config.node_parameters.p_crash_compromised,
+                NodeState::Healthy => node.parameters.p_crash_healthy,
+                NodeState::Compromised => node.parameters.p_crash_compromised,
                 NodeState::Crashed => 0.0,
             };
             if node.state != NodeState::Crashed && self.rng.random::<f64>() < crash_probability {
@@ -550,6 +552,45 @@ mod tests {
         cfg.horizon = 20;
         let outcome = Emulation::new(cfg).unwrap().run().unwrap();
         assert!((0.0..=1.0).contains(&outcome.metrics.availability));
+    }
+
+    #[test]
+    fn jittered_crash_probabilities_reach_the_dynamics() {
+        // Regression: the crash draw read the fleet-wide base parameters, so
+        // in a heterogeneous fleet every node crashed at the same rate while
+        // its controller modelled a jittered one.
+        let mut cfg = config(StrategyKind::Baseline(BaselineKind::NoRecovery), None, 11);
+        cfg.parameter_jitter = 0.9;
+        cfg.node_parameters.p_crash_compromised = 0.25;
+        let mut emulation = Emulation::new(cfg).unwrap();
+        let trials = 4000;
+        let mut crashes = vec![0u32; emulation.nodes.len()];
+        for _ in 0..trials {
+            for node in &mut emulation.nodes {
+                node.state = NodeState::Compromised;
+            }
+            emulation.step(None).unwrap();
+            for (count, node) in crashes.iter_mut().zip(&emulation.nodes) {
+                *count += u32::from(node.state == NodeState::Crashed);
+            }
+        }
+        let rates: Vec<f64> = crashes
+            .iter()
+            .map(|&count| f64::from(count) / f64::from(trials))
+            .collect();
+        for (rate, node) in rates.iter().zip(&emulation.nodes) {
+            let modelled = node.parameters.p_crash_compromised;
+            assert!(
+                (rate - modelled).abs() < 0.03,
+                "a node modelled at p_C2 = {modelled} crashed at rate {rate}"
+            );
+        }
+        let fastest = rates.iter().copied().fold(f64::MIN, f64::max);
+        let slowest = rates.iter().copied().fold(f64::MAX, f64::min);
+        assert!(
+            fastest - slowest > 0.1,
+            "a ±90 % fleet must crash at visibly different rates, got {rates:?}"
+        );
     }
 
     #[test]
