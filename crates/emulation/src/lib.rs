@@ -18,11 +18,11 @@
 //! * [`chaos`] — attacker-driven fault schedules for the simnet harness
 //!   (`tolerance_core::simnet`): intrusion timing follows the container
 //!   playbooks instead of uniform sampling.
-//! * [`clients`] — the background client population (Poisson arrivals,
-//!   exponential service times) that generates baseline IDS noise.
 //! * [`emulation`] — the closed-loop emulation combining nodes, attackers,
 //!   controllers and (optionally) the MinBFT cluster, producing the
-//!   `T(A)`, `T(R)`, `F(R)` metrics.
+//!   `T(A)`, `T(R)`, `F(R)` metrics. There is no background-client module:
+//!   the testbed's client load is part of the estimated `Ẑ` the [`ids`]
+//!   models reproduce, not a process the loop steps.
 //! * [`eval`] — the Table 7 / Fig. 12 comparison harness (TOLERANCE vs the
 //!   NO-RECOVERY, PERIODIC and PERIODIC-ADAPTIVE baselines over seeds),
 //!   executed through the shared scenario runtime of `tolerance-core`.
@@ -35,7 +35,6 @@
 
 pub mod attacker;
 pub mod chaos;
-pub mod clients;
 pub mod containers;
 pub mod emulation;
 pub mod eval;
@@ -44,7 +43,6 @@ pub mod scenarios;
 
 pub use attacker::{AttackProfile, Attacker, AttackerBehavior};
 pub use chaos::AttackerCampaignScenario;
-pub use clients::ClientPopulation;
 pub use containers::{ContainerCatalog, ContainerConfig};
 pub use emulation::{Emulation, EmulationConfig, EmulationOutcome, StrategyKind};
 pub use eval::{ComparisonRow, EmulationScenario, EvaluationGrid};
