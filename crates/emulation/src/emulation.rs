@@ -600,7 +600,7 @@ mod tests {
     fn prebuilt_ids_models_equal_for_container() {
         let emulation = Emulation::new(config(StrategyKind::Tolerance, None, 0)).unwrap();
         let containers = emulation.catalog.containers();
-        assert_eq!(emulation.ids_models.len(), 10);
+        assert_eq!(containers.len(), 10);
         assert_eq!(emulation.ids_models.len(), containers.len());
         for (prebuilt, container) in emulation.ids_models.iter().zip(containers) {
             assert_eq!(*prebuilt, IdsModel::for_container(container));

@@ -18,8 +18,10 @@
 //!   scenario runtime (`core::runtime`) that executes seed/parameter
 //!   grids in parallel with deterministic replay.
 //! * [`emulation`] — the emulated testbed (containers, IDS alerts,
-//!   attackers, clients), the closed-loop evaluation harness and the
-//!   scenario catalogue (`emulation::scenarios`).
+//!   attackers), the closed-loop evaluation harness and the scenario
+//!   catalogue (`emulation::scenarios`). Background clients are not
+//!   simulated: the alert distributions `Ẑ` are the marginals under the
+//!   testbed's client load.
 //!
 //! ## Quickstart
 //!
