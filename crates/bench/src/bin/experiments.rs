@@ -88,6 +88,15 @@ fn main() {
     }
 }
 
+/// Writes `results/<name>.json` or ends the run: a table whose JSON was
+/// never written must not pass for a finished experiment.
+fn save<T: Serialize>(name: &str, value: &T) {
+    if let Err(err) = write_json(name, value) {
+        eprintln!("error: could not write results/{name}.json: {err}");
+        std::process::exit(1);
+    }
+}
+
 fn paper_model(p_attack: f64) -> NodeModel {
     let parameters = tolerance_core::node_model::NodeParameters {
         p_attack,
@@ -135,7 +144,7 @@ fn fig4() {
     for row in &rows {
         println!("  b = {:.2}  V* = {:.3}", row.belief, row.value);
     }
-    write_json("fig4_value_function", &rows);
+    save("fig4_value_function", &rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,7 +179,7 @@ fn fig5() {
             probability_by_t: curve,
         });
     }
-    write_json("fig5_compromise_probability", &series);
+    save("fig5_compromise_probability", &series);
 }
 
 // ---------------------------------------------------------------------------
@@ -203,7 +212,7 @@ fn fig6() {
         println!("N1 = {n1:<4} {}", sparkline(&curve));
         reliability_rows.push((n1, curve));
     }
-    write_json(
+    save(
         "fig6_mttf_reliability",
         &Fig6Output {
             mttf: mttf_rows,
@@ -396,7 +405,7 @@ fn table2_fig7_fig8(full: bool, runner: &Runner) {
             }
         }
     }
-    write_json("table2_fig7_fig8_solvers", &rows);
+    save("table2_fig7_fig8_solvers", &rows);
     println!("(Fig. 7 convergence curves and Fig. 8 compute times are the `convergence` and `seconds` fields of results/table2_fig7_fig8_solvers.json)");
 }
 
@@ -446,7 +455,7 @@ fn fig9(full: bool) {
             Err(err) => eprintln!("  s_max = {s_max}: {err}"),
         }
     }
-    write_json("fig9_lp_scaling", &rows);
+    save("fig9_lp_scaling", &rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -474,7 +483,7 @@ fn fig10(full: bool) {
             println!("    N = {:<2} {:7.1} req/s", i + 3, rate);
         }
     }
-    write_json("fig10_minbft_throughput", &rows);
+    save("fig10_minbft_throughput", &rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,7 +528,7 @@ fn fig11(full: bool) {
             kl_divergence: divergence,
         });
     }
-    write_json("fig11_alert_distributions", &rows);
+    save("fig11_alert_distributions", &rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -561,7 +570,7 @@ fn table7_fig12(full: bool, runner: &Runner) {
                     row.recovery_frequency.1,
                 );
             }
-            write_json("table7_fig12_comparison", &rows);
+            save("table7_fig12_comparison", &rows);
         }
         Err(err) => eprintln!("  comparison failed: {err}"),
     }
@@ -617,7 +626,7 @@ fn fig13() {
         .expect("alg1 succeeds");
     let threshold = outcome.strategy.threshold_at(0);
     println!("  recovery threshold alpha* = {threshold:.2} (paper reports 0.76)");
-    write_json(
+    save(
         "fig13_strategies",
         &Fig13Output {
             replication_add_probability: replication.add_probabilities().to_vec(),
@@ -702,7 +711,7 @@ fn fig14(full: bool, runner: &Runner) {
         }
         Err(err) => eprintln!("  sensitivity sweep failed: {err}"),
     }
-    write_json("fig14_sensitivity", &rows);
+    save("fig14_sensitivity", &rows);
     println!("(lower divergence => less informative IDS => higher optimal cost)");
 }
 
@@ -736,7 +745,7 @@ fn fig15() {
     for (t, threshold) in thresholds.iter().enumerate() {
         println!("    t = {t:<3} alpha* = {threshold:.2}");
     }
-    write_json("fig15_thresholds", &thresholds);
+    save("fig15_thresholds", &thresholds);
     println!("(Corollary 1 predicts thresholds rising towards the forced recovery; the unconstrained optimizer recovers that trend approximately)");
 }
 
@@ -758,7 +767,7 @@ fn fig16() {
         println!("  s = {s:<3} {}", sparkline(&row));
         rows.push((s, row));
     }
-    write_json("fig16_transition_function", &rows);
+    save("fig16_transition_function", &rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -784,7 +793,7 @@ fn fig18(full: bool) {
         .iter()
         .map(|(k, d)| (k.name().to_string(), *d))
         .collect();
-    write_json("fig18_metric_divergences", &serializable);
+    save("fig18_metric_divergences", &serializable);
 }
 
 // Silence the unused-import warning for NodeState, which is used only in some

@@ -14,30 +14,23 @@ use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 /// Directory into which the experiment binary writes JSON artifacts.
-pub const RESULTS_DIR: &str = "results";
+const RESULTS_DIR: &str = "results";
 
 /// Serializes an experiment result to `results/<name>.json`, creating the
-/// directory if needed. Failures are reported but not fatal (the harness
-/// always prints the result to stdout as well).
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> Option<PathBuf> {
+/// directory if needed, and returns the path written.
+///
+/// # Errors
+///
+/// Returns the I/O error of the directory creation or the write; a
+/// serialization failure is reported as [`std::io::ErrorKind::InvalidData`].
+pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
     let dir = Path::new(RESULTS_DIR);
-    if std::fs::create_dir_all(dir).is_err() {
-        return None;
-    }
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => Some(path),
-            Err(err) => {
-                eprintln!("warning: could not write {}: {err}", path.display());
-                None
-            }
-        },
-        Err(err) => {
-            eprintln!("warning: could not serialize {name}: {err}");
-            None
-        }
-    }
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err))?;
+    std::fs::write(&path, json)?;
+    Ok(path)
 }
 
 /// Renders a simple ASCII sparkline of a numeric series (used to visualize
@@ -77,11 +70,9 @@ mod tests {
     #[test]
     fn write_json_creates_artifact() {
         let value = vec![1.0, 2.0, 3.0];
-        let path = write_json("unit-test-artifact", &value);
-        if let Some(path) = path {
-            let content = std::fs::read_to_string(&path).unwrap();
-            assert!(content.contains("1.0"));
-            let _ = std::fs::remove_file(path);
-        }
+        let path = write_json("unit-test-artifact", &value).expect("results/ is writable");
+        let content = std::fs::read_to_string(&path).unwrap();
+        assert!(content.contains("1.0"));
+        let _ = std::fs::remove_file(path);
     }
 }

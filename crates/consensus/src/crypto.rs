@@ -27,7 +27,7 @@ pub fn digest(bytes: &[u8]) -> Digest {
 }
 
 /// Combines two digests (used for chaining message fields).
-pub fn combine(a: Digest, b: Digest) -> Digest {
+pub(crate) fn combine(a: Digest, b: Digest) -> Digest {
     let mut bytes = [0u8; 16];
     bytes[..8].copy_from_slice(&a.0.to_le_bytes());
     bytes[8..].copy_from_slice(&b.0.to_le_bytes());
@@ -64,21 +64,16 @@ impl KeyPair {
     }
 
     /// The node this key pair belongs to.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
     /// Signs a message digest.
-    pub fn sign(&self, message: Digest) -> Signature {
+    pub(crate) fn sign(&self, message: Digest) -> Signature {
         Signature {
             signer: self.node,
             tag: keyed_tag(self.secret, self.node, message),
         }
-    }
-
-    /// Verifies a signature produced by this key pair.
-    pub fn verify_own(&self, message: Digest, signature: &Signature) -> bool {
-        signature.signer == self.node && signature.tag == keyed_tag(self.secret, self.node, message)
     }
 }
 
@@ -105,7 +100,7 @@ impl KeyDirectory {
 
     /// Verifies that `signature` is a valid signature of `message` by the
     /// signer it claims.
-    pub fn verify(&self, message: Digest, signature: &Signature) -> bool {
+    pub(crate) fn verify(&self, message: Digest, signature: &Signature) -> bool {
         match self.secrets.get(&signature.signer) {
             Some(&secret) => signature.tag == keyed_tag(secret, signature.signer, message),
             None => false,
@@ -157,7 +152,6 @@ mod tests {
         let message = digest(b"request 7");
         let signature = alice.sign(message);
         assert!(directory.verify(message, &signature));
-        assert!(alice.verify_own(message, &signature));
 
         // A different message fails.
         assert!(!directory.verify(digest(b"request 8"), &signature));

@@ -30,16 +30,17 @@
 //! * [`threaded`] — the same MinBFT replica code running as a real
 //!   concurrent service: one thread per replica over [`ThreadedTransport`].
 //! * [`wire`] — the length-prefixed binary wire codec: every
-//!   [`minbft::Message`] lowered through the vendored serde shim's `Value`
-//!   model and framed for the socket transport.
+//!   [`minbft::Message`] written and read by the vendored serde shim's
+//!   derive-emitted direct codec (its `Value` walker is the reference the
+//!   direct path must agree with) and framed for the socket transport.
 //! * [`socket`] — the third [`Transport`] impl: real loopback/LAN TCP
 //!   sockets with per-connection I/O threads, bounded outbound queues and
 //!   reconnect-on-drop, so a cluster runs as N separate OS processes (see
 //!   the `minbft-node` binary).
 //! * [`sharded`] — the horizontally scaled service plane: a hash-range
-//!   [`KeyPartitioner`] routing keyed operations to S independent MinBFT
-//!   groups (simulated or threaded), plus the client-driven two-round
-//!   MultiPut protocol for cross-shard multi-key writes.
+//!   [`KeyPartitioner`] routing keyed operations to S independent simulated
+//!   MinBFT groups, which the client-driven two-round MultiPut protocol
+//!   (ordinary `TxReserve` / `TxCommit` requests) writes across.
 //! * [`workload`] — client workload generation (open/closed arrival over a
 //!   key-value service) for throughput experiments.
 //! * [`metrics`] — windowed data-plane metrics (request-rate counters,
@@ -61,47 +62,29 @@ pub mod usig;
 pub mod wire;
 pub mod workload;
 
-pub use metrics::{
-    LatencyHistogram, RetryBudget, RetryBudgetConfig, SharedTuning, TuningWindow, WindowedCounter,
-};
-pub use minbft::{
-    AttackerKind, ByzantineMode, CommitRecord, ControlMessage, MinBftCluster, MinBftConfig,
-    MinBftConfigError, ThroughputReport, CLIENT_ID_BASE,
-};
-pub use net::{NetworkConfig, NetworkConfigError, SimNetwork};
-pub use sharded::{
-    run_sharded_service, shard_seed, KeyPartitioner, ShardRouter, ShardedServiceConfig,
-    ShardedServiceReport, ShardedSimConfig, ShardedSimService,
-};
-pub use socket::{
-    run_socket_service, SocketHandle, SocketReplicaNode, SocketStats, SocketTransport,
-};
+pub use metrics::RetryBudgetConfig;
+pub use minbft::{AttackerKind, ByzantineMode, MinBftCluster, MinBftConfig, CLIENT_ID_BASE};
+pub use net::NetworkConfig;
+pub use sharded::KeyPartitioner;
+pub use socket::{SocketHandle, SocketReplicaNode, SocketStats, SocketTransport};
 pub use threaded::{
     ClientDriver, ClientReport, MembershipView, ReplicaSnapshot, ThreadedCluster,
-    ThreadedServiceConfig, ThreadedServiceReport, CONTROL_PLANE_ID,
+    ThreadedServiceConfig,
 };
-pub use transport::{ThreadedTransport, Transport, TransportHandle, TransportStats};
-pub use usig::Usig;
-pub use workload::{Arrival, WorkloadConfig, WorkloadReport};
+pub use transport::{ThreadedTransport, Transport};
 
 /// Identifier of a node (replica, controller or client) in the simulated
 /// system.
 pub type NodeId = u32;
 
 /// Simulated time in seconds.
-pub type SimTime = f64;
+pub(crate) type SimTime = f64;
 
 /// The tolerance threshold of MinBFT under the hybrid failure model with `n`
 /// replicas and at most `k` parallel recoveries: `f = (n - 1 - k) / 2`
 /// (Proposition 1 of the paper).
 pub fn hybrid_fault_threshold(n: usize, k: usize) -> usize {
     n.saturating_sub(1 + k) / 2
-}
-
-/// The minimum number of replicas needed to tolerate `f` faults with `k`
-/// parallel recoveries: `n = 2f + 1 + k` (Proposition 1).
-pub fn required_replicas(f: usize, k: usize) -> usize {
-    2 * f + 1 + k
 }
 
 #[cfg(test)]
@@ -115,12 +98,10 @@ mod tests {
         assert_eq!(hybrid_fault_threshold(4, 1), 1);
         assert_eq!(hybrid_fault_threshold(6, 1), 2);
         assert_eq!(hybrid_fault_threshold(1, 1), 0);
-        assert_eq!(required_replicas(1, 1), 4);
-        assert_eq!(required_replicas(3, 1), 8);
         // Round trip.
         for f in 0..5 {
             for k in 0..3 {
-                assert_eq!(hybrid_fault_threshold(required_replicas(f, k), k), f);
+                assert_eq!(hybrid_fault_threshold(2 * f + 1 + k, k), f);
             }
         }
     }

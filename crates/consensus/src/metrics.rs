@@ -15,7 +15,7 @@
 //!   side-channels. Quantiles are monotone in `q`, never exceed the
 //!   recorded maximum, and merging two histograms is exactly equivalent to
 //!   recording the union of their samples.
-//! * [`RetryBudget`] — a deterministic token bucket that caps client
+//! * `RetryBudget` — a deterministic token bucket that caps client
 //!   retransmissions: each completed request earns a fraction of a retry
 //!   token, so under persistent loss the retransmit rate is bounded by
 //!   `ratio · success-rate + burst` instead of amplifying the overload
@@ -230,7 +230,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Configuration of a [`RetryBudget`] token bucket.
+/// Configuration of a `RetryBudget` token bucket.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RetryBudgetConfig {
     /// Retry tokens earned per completed request. A ratio of `0.1` bounds
@@ -264,7 +264,7 @@ impl Default for RetryBudgetConfig {
 /// and retry attempts yields the same sequence of grants, which keeps the
 /// simulated planes byte-replayable.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RetryBudget {
+pub(crate) struct RetryBudget {
     config: RetryBudgetConfig,
     tokens: f64,
 }
@@ -284,7 +284,7 @@ impl RetryBudget {
     }
 
     /// Earns `ratio` tokens for one completed request.
-    pub fn on_success(&mut self) {
+    pub(crate) fn on_success(&mut self) {
         self.tokens = (self.tokens + self.config.ratio).min(self.config.burst);
     }
 
@@ -292,7 +292,7 @@ impl RetryBudget {
     /// retry is within budget; a denied retry spends nothing but earns the
     /// `trickle` refill (denials arrive at the timeout cadence, so the
     /// trickle is effectively a slow per-timeout refill).
-    pub fn try_retry(&mut self) -> bool {
+    pub(crate) fn try_retry(&mut self) -> bool {
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
             true
@@ -300,16 +300,6 @@ impl RetryBudget {
             self.tokens = (self.tokens + self.config.trickle).min(self.config.burst);
             false
         }
-    }
-
-    /// The current token balance.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-
-    /// The configuration the budget was built from.
-    pub fn config(&self) -> RetryBudgetConfig {
-        self.config
     }
 }
 
@@ -391,12 +381,12 @@ impl SharedTuning {
     }
 
     /// Counts one retransmission actually sent.
-    pub fn note_retransmission(&self) {
+    pub(crate) fn note_retransmission(&self) {
         self.retransmissions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one retransmission suppressed by the retry budget.
-    pub fn note_suppressed(&self) {
+    pub(crate) fn note_suppressed(&self) {
         self.suppressed.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -229,7 +229,8 @@ impl MinBftCluster {
 
     /// The stable-checkpoint sequence of a replica (0 before the first
     /// compaction).
-    pub fn stable_checkpoint(&self, replica: NodeId) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn stable_checkpoint(&self, replica: NodeId) -> Option<u64> {
         self.replicas.get(&replica).map(|r| r.stable_sequence)
     }
 
@@ -325,7 +326,7 @@ impl MinBftCluster {
     /// Actuates a new leader-batching configuration online (the autotune
     /// hook). The pair is re-clamped through the fragmentation floor
     /// (`batch_delay ≥ batch_size × per-request cost`, see
-    /// [`MinBftConfig::min_batch_delay`]) so the live configuration always
+    /// `MinBftConfig::min_batch_delay`) so the live configuration always
     /// satisfies [`MinBftConfig::validate`]. Takes effect on the next
     /// protocol step — `protocol_params()` reads the live config — and
     /// returns the `(batch_size, batch_delay)` actually applied.
@@ -791,7 +792,7 @@ impl MinBftCluster {
     }
 
     /// The key-value entry stored at a replica (for tests).
-    pub fn replica_kv(&self, replica: NodeId, key: u32) -> Option<u64> {
+    pub(crate) fn replica_kv(&self, replica: NodeId, key: u32) -> Option<u64> {
         self.replicas
             .get(&replica)
             .and_then(|r| r.kv.get(&key).copied())
@@ -801,7 +802,7 @@ impl MinBftCluster {
     /// `(tx, key)`, if any — the observability hook of the MultiPut
     /// atomicity tests: a staged write must never be visible through
     /// [`Operation::Get`].
-    pub fn replica_staged(&self, replica: NodeId, tx: u64, key: u32) -> Option<u64> {
+    pub(crate) fn replica_staged(&self, replica: NodeId, tx: u64, key: u32) -> Option<u64> {
         self.replicas
             .get(&replica)
             .and_then(|r| r.staged.get(&(tx, key)).copied())
@@ -809,7 +810,7 @@ impl MinBftCluster {
 
     /// Retained executed-request logs of all non-crashed, non-Byzantine
     /// replicas, as `(replica, log_start, suffix)`.
-    pub fn healthy_logs(&self) -> Vec<(NodeId, u64, Vec<Digest>)> {
+    pub(crate) fn healthy_logs(&self) -> Vec<(NodeId, u64, Vec<Digest>)> {
         self.membership
             .iter()
             .filter_map(|&id| self.replicas.get(&id))

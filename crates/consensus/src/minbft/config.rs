@@ -114,7 +114,7 @@ impl MinBftConfig {
     /// leader needs `batch_size` per-message processing slots (each costing
     /// `processing_time + signature_time`) before the age-triggered partial
     /// flush fires. Zero when batching is off (`batch_size ≤ 1`).
-    pub fn min_batch_delay(&self) -> f64 {
+    pub(crate) fn min_batch_delay(&self) -> f64 {
         if self.batch_size <= 1 {
             0.0
         } else {
@@ -152,7 +152,7 @@ impl MinBftConfig {
     }
 
     /// Returns a copy with `batch_delay` raised to the batch-fill floor of
-    /// [`MinBftConfig::min_batch_delay`] (and negative durations clamped to
+    /// `MinBftConfig::min_batch_delay` (and negative durations clamped to
     /// zero), so sweep and scenario code can take any grid point and still
     /// run a meaningfully batched pipeline.
     pub fn clamped(&self) -> Self {

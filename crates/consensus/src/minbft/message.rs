@@ -199,7 +199,7 @@ pub fn first_log_divergence(
 
 /// A prepared certificate as reported in view changes and state transfers:
 /// `(sequence, view, batch)`.
-pub type PreparedCertificate = (u64, u64, Vec<Request>);
+pub(crate) type PreparedCertificate = (u64, u64, Vec<Request>);
 
 /// One voter's contribution to a view-change ballot:
 /// `(high_sequence, stable_sequence, prepared certificates)`.
@@ -419,7 +419,7 @@ pub enum Message {
     /// the trusted link from the node's privileged domain (processed even
     /// by crashed/Silent replicas — a compromise cannot sever it); the
     /// simulated cluster actuates through its direct methods instead and
-    /// never routes `Control` over [`crate::net::SimNetwork`], whose dispatch gate
+    /// never routes `Control` over `crate::net::SimNetwork`, whose dispatch gate
     /// would drop it like any other traffic to a crashed/Silent replica.
     Control(ControlMessage),
 }

@@ -25,7 +25,7 @@
 //!
 //! The replica state machine ([`Replica`] plus the `replica_*` step
 //! functions) is transport-agnostic: the simulated [`MinBftCluster`] drives
-//! it over [`crate::net::SimNetwork`], and [`crate::threaded`] runs the very
+//! it over `crate::net::SimNetwork`, and [`crate::threaded`] runs the very
 //! same code with one OS thread per replica over
 //! [`crate::transport::ThreadedTransport`]. Each replica also has a
 //! per-message processing time (plus an optional per-signature cost), which
@@ -51,7 +51,7 @@ pub(crate) use config::ProtocolParams;
 pub use config::{MinBftConfig, MinBftConfigError};
 pub use message::{
     batch_digest, first_log_divergence, ByzantineMode, CommitRecord, ControlMessage, Message,
-    Operation, PreparedCertificate, Request, CLIENT_ID_BASE,
+    Operation, Request, CLIENT_ID_BASE,
 };
 pub(crate) use replica::{
     flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, Replica, StepOutput,

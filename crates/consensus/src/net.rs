@@ -195,7 +195,7 @@ pub struct NetworkStats {
 /// The discrete-event network: a priority queue of in-flight messages plus
 /// partition and crash state.
 #[derive(Debug)]
-pub struct SimNetwork<M> {
+pub(crate) struct SimNetwork<M> {
     config: NetworkConfig,
     queue: BinaryHeap<Reverse<Scheduled<M>>>,
     now: SimTime,
@@ -246,11 +246,6 @@ impl<M> SimNetwork<M> {
         self.stats
     }
 
-    /// The link profile currently in force.
-    pub fn config(&self) -> NetworkConfig {
-        self.config
-    }
-
     /// Replaces the link profile at the current simulated time. Messages
     /// already in flight keep their scheduled delivery; subsequent sends use
     /// the new latency/jitter/loss. This is how fault-injection harnesses
@@ -259,7 +254,7 @@ impl<M> SimNetwork<M> {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`NetworkConfig::new`]).
-    pub fn set_config(&mut self, config: NetworkConfig) {
+    pub(crate) fn set_config(&mut self, config: NetworkConfig) {
         if let Err(error) = config.validate() {
             panic!("invalid network config: {error}");
         }
@@ -267,14 +262,15 @@ impl<M> SimNetwork<M> {
     }
 
     /// Number of messages currently in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.queue.len()
     }
 
     /// Pops the next delivery, advancing the simulated clock to its time.
     /// Messages addressed to nodes that crashed while the message was in
     /// flight are silently dropped.
-    pub fn next_delivery(&mut self) -> Option<Delivery<M>> {
+    #[cfg(test)]
+    pub(crate) fn next_delivery(&mut self) -> Option<Delivery<M>> {
         self.next_delivery_until(f64::INFINITY)
     }
 
@@ -287,7 +283,7 @@ impl<M> SimNetwork<M> {
     /// [`SimNetwork::next_delivery`] after peeking the head's time could
     /// skip over a dropped head and dispatch a message far beyond the
     /// deadline).
-    pub fn next_delivery_until(&mut self, deadline: SimTime) -> Option<Delivery<M>> {
+    pub(crate) fn next_delivery_until(&mut self, deadline: SimTime) -> Option<Delivery<M>> {
         while let Some(Reverse(scheduled)) = self.queue.peek() {
             if scheduled.time > deadline {
                 return None;
@@ -306,14 +302,9 @@ impl<M> SimNetwork<M> {
         None
     }
 
-    /// Time of the next scheduled delivery, if any.
-    pub fn next_delivery_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(s)| s.time)
-    }
-
     /// Advances the clock without delivering anything (used to model idle
     /// periods and timeouts).
-    pub fn advance_to(&mut self, time: SimTime) {
+    pub(crate) fn advance_to(&mut self, time: SimTime) {
         if time > self.now {
             self.now = time;
         }
@@ -321,7 +312,7 @@ impl<M> SimNetwork<M> {
 
     /// Blocks communication between every node in `group_a` and every node in
     /// `group_b` (both directions).
-    pub fn partition(&mut self, group_a: &[NodeId], group_b: &[NodeId]) {
+    pub(crate) fn partition(&mut self, group_a: &[NodeId], group_b: &[NodeId]) {
         for &a in group_a {
             for &b in group_b {
                 self.partitioned.insert(ordered(a, b));
@@ -330,28 +321,23 @@ impl<M> SimNetwork<M> {
     }
 
     /// Removes all partitions.
-    pub fn heal_partitions(&mut self) {
+    pub(crate) fn heal_partitions(&mut self) {
         self.partitioned.clear();
     }
 
     /// Whether two nodes are currently partitioned from each other.
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
+    fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
         self.partitioned.contains(&ordered(a, b))
     }
 
     /// Marks a node as crashed: it no longer sends or receives.
-    pub fn crash(&mut self, node: NodeId) {
+    pub(crate) fn crash(&mut self, node: NodeId) {
         self.crashed.insert(node);
     }
 
     /// Restarts a crashed node.
-    pub fn restart(&mut self, node: NodeId) {
+    pub(crate) fn restart(&mut self, node: NodeId) {
         self.crashed.remove(&node);
-    }
-
-    /// Whether a node is crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.contains(&node)
     }
 }
 
@@ -494,12 +480,12 @@ mod tests {
     fn crashed_nodes_do_not_send_or_receive() {
         let mut net: SimNetwork<u32> = SimNetwork::new(NetworkConfig::ideal(), 1);
         net.crash(1);
-        assert!(net.is_crashed(1));
+        assert!(net.crashed.contains(&1));
         net.send(0, 1, 1);
         net.send(1, 0, 2);
         assert!(net.next_delivery().is_none());
         net.restart(1);
-        assert!(!net.is_crashed(1));
+        assert!(!net.crashed.contains(&1));
         net.send(0, 1, 3);
         assert_eq!(net.next_delivery().unwrap().message, 3);
     }
@@ -592,7 +578,7 @@ mod tests {
             jitter: 0.0,
             loss_rate: 1.0,
         });
-        assert_eq!(net.config().loss_rate, 1.0);
+        assert_eq!(net.config.loss_rate, 1.0);
         net.send(0, 1, 2);
         // The pre-storm message is already scheduled and still delivered.
         assert_eq!(net.next_delivery().unwrap().message, 1);
@@ -611,7 +597,6 @@ mod tests {
         assert_eq!(net.now(), 5.0);
         net.advance_to(2.0);
         assert_eq!(net.now(), 5.0, "clock must not go backwards");
-        assert!(net.next_delivery_time().is_none());
         assert_eq!(net.in_flight(), 0);
     }
 }

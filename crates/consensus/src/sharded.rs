@@ -1,21 +1,15 @@
-//! The sharded service plane: many MinBFT groups behind a key router.
+//! The sharded service plane: many simulated MinBFT groups behind a key
+//! router.
 //!
 //! The paper's architecture scales horizontally: the service is partitioned
 //! across independent replicated groups, each running its own consensus
 //! instance with per-node recovery controllers, under one fleet-level
 //! system controller — so an intrusion in one shard cannot stall the rest
-//! of the fleet. This module adds that data plane on top of the existing
-//! single-group code, for **both** transports:
-//!
-//! * [`ShardedSimService`] — S independent [`MinBftCluster`]s (each over its
-//!   own deterministic [`SimNetwork`](crate::net::SimNetwork), seeded from a
-//!   split stream of one fleet seed) stepped in lockstep, used by the
-//!   multi-shard fault-injection harness.
-//! * [`run_sharded_service`] / [`ShardRouter`] — S independent
-//!   [`ThreadedCluster`]s (one OS-thread group per shard), with per-shard
-//!   closed-loop drivers confined to shard-owned keys and a synchronous
-//!   routing client for targeted operations. Shards share nothing, which is
-//!   what makes throughput scale near-linearly with S on multicore.
+//! of the fleet. [`ShardedSimService`] is that data plane: S independent
+//! [`MinBftCluster`]s (each over its own deterministic
+//! `SimNetwork`, seeded from a split stream of one
+//! fleet seed) stepped in lockstep, used by the multi-shard fault-injection
+//! harness.
 //!
 //! **Routing rule.** [`KeyPartitioner`] hash-range-partitions the `u32` key
 //! space: shard `i` owns the contiguous range of 64-bit hash points
@@ -36,16 +30,8 @@
 //! leader crash mid-protocol is ridden out by the shard's own view change
 //! plus client retransmission.
 
-use crate::minbft::{Message, MinBftCluster, MinBftConfig, Operation, Request};
-use crate::threaded::{
-    ClientDriver, ThreadedCluster, ThreadedServiceConfig, ThreadedServiceReport,
-};
-use crate::transport::{Transport, TransportHandle};
-use crate::workload::OpStream;
+use crate::minbft::{MinBftCluster, MinBftConfig, Operation, Request};
 use crate::{NodeId, SimTime};
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::time::{Duration, Instant};
 
 /// Derives the per-shard seed of a fleet seed: a splitmix64 scramble of
 /// `(seed, shard)`, so every shard's RNG stream (network jitter, chaos
@@ -230,7 +216,7 @@ impl ShardedSimService {
     }
 
     /// A free client of the general pool of `shard`, if any.
-    pub fn free_client(&self, shard: usize) -> Option<NodeId> {
+    fn free_client(&self, shard: usize) -> Option<NodeId> {
         self.clients[shard]
             .iter()
             .copied()
@@ -297,367 +283,6 @@ impl ShardedSimService {
             .membership()
             .iter()
             .any(|&id| shard.replica_staged(id, tx, key).is_some())
-    }
-
-    /// Synchronous MultiPut for tests: reserve every pair on its owning
-    /// shard, wait for all reserves (quiet phases), then commit every pair
-    /// and wait again. Returns `false` when a phase failed to complete
-    /// within `phase_window` simulated seconds per round.
-    pub fn multi_put_sync(&mut self, tx: u64, pairs: &[(u32, u64)], phase_window: f64) -> bool {
-        let reserve: Vec<Operation> = pairs
-            .iter()
-            .map(|&(key, value)| Operation::TxReserve { tx, key, value })
-            .collect();
-        if !self.complete_round(&reserve, phase_window) {
-            return false;
-        }
-        let commit: Vec<Operation> = pairs
-            .iter()
-            .map(|&(key, _)| Operation::TxCommit { tx, key })
-            .collect();
-        self.complete_round(&commit, phase_window)
-    }
-
-    /// Submits one round of keyed operations (each on its owning shard) and
-    /// drives the fleet until every submission completed or the window
-    /// elapses.
-    fn complete_round(&mut self, operations: &[Operation], window: f64) -> bool {
-        let mut pending: Vec<Operation> = operations.to_vec();
-        let mut in_flight: Vec<(usize, NodeId)> = Vec::new();
-        let start = self.shards.iter().map(|c| c.now()).fold(0.0, f64::max);
-        let deadline = start + window;
-        let mut now = start;
-        while now < deadline {
-            pending.retain(|&op| match self.submit(op) {
-                Some((shard, client, _)) => {
-                    in_flight.push((shard, client));
-                    false
-                }
-                None => true,
-            });
-            now = (now + 0.5).min(deadline);
-            self.run_until(now);
-            in_flight.retain(|&(shard, client)| self.shards[shard].has_outstanding_request(client));
-            if pending.is_empty() && in_flight.is_empty() {
-                return true;
-            }
-        }
-        pending.is_empty() && in_flight.is_empty()
-    }
-}
-
-/// Configuration of a sharded threaded-service run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ShardedServiceConfig {
-    /// Number of independent MinBFT groups (each one thread per replica
-    /// plus a driver thread).
-    pub shards: usize,
-    /// The per-shard service template; each shard runs it with its own
-    /// split-stream seed and its clients confined to shard-owned keys.
-    pub service: ThreadedServiceConfig,
-}
-
-impl Default for ShardedServiceConfig {
-    fn default() -> Self {
-        ShardedServiceConfig {
-            shards: 2,
-            service: ThreadedServiceConfig::default(),
-        }
-    }
-}
-
-/// Outcome of a sharded threaded-service run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ShardedServiceReport {
-    /// Number of shards.
-    pub shards: usize,
-    /// Replica threads per shard.
-    pub replicas_per_shard: usize,
-    /// Closed-loop clients per shard.
-    pub clients_per_shard: usize,
-    /// Fleet-wide completed requests.
-    pub completed_requests: u64,
-    /// Wall-clock duration of the run (the longest shard).
-    pub duration: f64,
-    /// Fleet-wide completed requests per second.
-    pub requests_per_second: f64,
-    /// Mean request latency across shards.
-    pub mean_latency: f64,
-    /// Whether every shard's replica logs were prefix-consistent at
-    /// shutdown.
-    pub consistent: bool,
-    /// The per-shard reports.
-    pub per_shard: Vec<ThreadedServiceReport>,
-}
-
-/// Runs one shard of the live service: a [`ThreadedCluster`] whose
-/// closed-loop clients draw only shard-owned keys.
-fn run_shard(
-    config: &ThreadedServiceConfig,
-    partitioner: KeyPartitioner,
-    shard: usize,
-) -> ThreadedServiceReport {
-    let owned = partitioner.owned_keys(shard, config.key_space.max(1));
-    let mut cluster = ThreadedCluster::new(config);
-    let streams: Vec<OpStream> = (0..config.clients.max(1))
-        .map(|index| {
-            OpStream::over_keys(
-                config.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                owned.clone(),
-                config.write_ratio,
-            )
-        })
-        .collect();
-    let mut driver = ClientDriver::with_ops(&mut cluster, streams);
-    let start = Instant::now();
-    driver.run_for(config.duration);
-    let duration = start.elapsed().as_secs_f64();
-    let report = driver.report();
-    let stats = cluster.stats();
-    let snapshots = cluster.shutdown();
-    ThreadedServiceReport {
-        replicas: config.replicas,
-        clients: config.clients,
-        completed_requests: report.completed,
-        duration,
-        requests_per_second: report.completed as f64 / duration.max(1e-9),
-        mean_latency: report.mean_latency(),
-        consistent: crate::threaded::snapshots_consistent(&snapshots),
-        max_retained_log: snapshots
-            .iter()
-            .map(|s| s.executed.len())
-            .max()
-            .unwrap_or(0),
-        max_executed: snapshots.iter().map(|s| s.last_executed).max().unwrap_or(0),
-        transport: stats,
-    }
-}
-
-/// Runs the live sharded service: S independent threaded MinBFT groups
-/// (one spawned thread per shard hosting that shard's replica threads and
-/// client driver), each confined to the keys it owns. Shards share nothing,
-/// so aggregate throughput scales with the number of shards as long as the
-/// host has cores to run them.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero, or propagates a shard thread panic.
-pub fn run_sharded_service(config: &ShardedServiceConfig) -> ShardedServiceReport {
-    assert!(config.shards >= 1, "a fleet needs at least one shard");
-    let partitioner = KeyPartitioner::new(config.shards);
-    let start = Instant::now();
-    let per_shard: Vec<ThreadedServiceReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.shards)
-            .map(|shard| {
-                let service = ThreadedServiceConfig {
-                    seed: shard_seed(config.service.seed, shard),
-                    ..config.service
-                };
-                scope.spawn(move || run_shard(&service, partitioner, shard))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("shard thread panicked"))
-            .collect()
-    });
-    let duration = start.elapsed().as_secs_f64();
-    let completed: u64 = per_shard.iter().map(|r| r.completed_requests).sum();
-    let latencies: f64 = per_shard
-        .iter()
-        .map(|r| r.mean_latency * r.completed_requests as f64)
-        .sum();
-    ShardedServiceReport {
-        shards: config.shards,
-        replicas_per_shard: config.service.replicas,
-        clients_per_shard: config.service.clients,
-        completed_requests: completed,
-        duration,
-        requests_per_second: completed as f64 / duration.max(1e-9),
-        mean_latency: if completed == 0 {
-            0.0
-        } else {
-            latencies / completed as f64
-        },
-        consistent: per_shard.iter().all(|r| r.consistent),
-        per_shard,
-    }
-}
-
-/// The client identity a [`ShardRouter`] registers on every shard's
-/// transport (above the driver pool's [`crate::minbft`] client range on
-/// each hub, so it never collides).
-pub const ROUTER_CLIENT_ID: NodeId = 20_000;
-
-struct RouterShard {
-    transport: TransportHandle<Message>,
-    membership: crate::threaded::MembershipView,
-    mailbox: Receiver<crate::net::Delivery<Message>>,
-    next_request_id: u64,
-}
-
-/// A synchronous routing client over a fleet of live [`ThreadedCluster`]s:
-/// routes each keyed operation to the shard owning its key, completes it at
-/// an f+1 reply quorum (retransmitting on timeout), and drives the
-/// two-round MultiPut protocol described in the module docs.
-pub struct ShardRouter {
-    partitioner: KeyPartitioner,
-    shards: Vec<RouterShard>,
-    request_timeout: f64,
-    next_tx: u64,
-}
-
-impl ShardRouter {
-    /// Registers a router client on every shard of the fleet.
-    pub fn new(clusters: &mut [ThreadedCluster], request_timeout: f64) -> Self {
-        let partitioner = KeyPartitioner::new(clusters.len());
-        let shards = clusters
-            .iter_mut()
-            .map(|cluster| RouterShard {
-                transport: cluster.handle(),
-                membership: cluster.membership_view(),
-                mailbox: cluster.register_clients(&[ROUTER_CLIENT_ID]),
-                next_request_id: 0,
-            })
-            .collect();
-        ShardRouter {
-            partitioner,
-            shards,
-            request_timeout,
-            next_tx: 1,
-        }
-    }
-
-    /// The router's partitioner.
-    pub fn partitioner(&self) -> &KeyPartitioner {
-        &self.partitioner
-    }
-
-    /// Executes one operation on `shard` synchronously: submits it from the
-    /// router client, collects f+1 matching replies, retransmits stalled
-    /// requests, and gives up after `deadline` wall-clock seconds.
-    fn execute_on(&mut self, shard: usize, operation: Operation, deadline: f64) -> Option<u64> {
-        let state = &mut self.shards[shard];
-        let request = Request {
-            client: ROUTER_CLIENT_ID,
-            id: state.next_request_id,
-            operation,
-        };
-        state.next_request_id += 1;
-        let start = Instant::now();
-        let mut last_sent = Instant::now();
-        let members = state.membership.current();
-        state
-            .transport
-            .broadcast(ROUTER_CLIENT_ID, &members, &Message::Request(request));
-        let mut votes: HashMap<u64, HashSet<NodeId>> = HashMap::new();
-        while start.elapsed().as_secs_f64() < deadline {
-            match state.mailbox.recv_timeout(Duration::from_millis(2)) {
-                Ok(delivery) => {
-                    if let Message::Reply {
-                        request_id, value, ..
-                    } = delivery.message
-                    {
-                        if request_id != request.id {
-                            continue;
-                        }
-                        let f = state.membership.fault_threshold();
-                        let voters = votes.entry(value).or_default();
-                        voters.insert(delivery.from);
-                        if voters.len() > f {
-                            return Some(value);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if last_sent.elapsed().as_secs_f64() > self.request_timeout {
-                        last_sent = Instant::now();
-                        let members = state.membership.current();
-                        state.transport.broadcast(
-                            ROUTER_CLIENT_ID,
-                            &members,
-                            &Message::Request(request),
-                        );
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        }
-        None
-    }
-
-    /// The overall per-operation deadline: generous enough to ride out a
-    /// view change in the owning shard.
-    fn operation_deadline(&self) -> f64 {
-        (self.request_timeout * 8.0).max(4.0)
-    }
-
-    /// Routed write: `Put` on the shard owning `key`.
-    pub fn put(&mut self, key: u32, value: u64) -> Option<u64> {
-        let shard = self.partitioner.owner(key);
-        let deadline = self.operation_deadline();
-        self.execute_on(shard, Operation::Put { key, value }, deadline)
-    }
-
-    /// Routed read: `Get` on the shard owning `key`.
-    pub fn get(&mut self, key: u32) -> Option<u64> {
-        let shard = self.partitioner.owner(key);
-        let deadline = self.operation_deadline();
-        self.execute_on(shard, Operation::Get { key }, deadline)
-    }
-
-    /// Round one of a MultiPut: reserves every pair on its owning shard and
-    /// returns the transaction id once **all** reserves are
-    /// quorum-acknowledged (the commit point). `None` means a reserve could
-    /// not complete; the staged writes of the completed reserves stay
-    /// invisible and are aborted best-effort.
-    pub fn begin_multi_put(&mut self, pairs: &[(u32, u64)]) -> Option<u64> {
-        let tx = self.next_tx;
-        self.next_tx += 1;
-        let deadline = self.operation_deadline();
-        let mut reserved: Vec<u32> = Vec::with_capacity(pairs.len());
-        for &(key, value) in pairs {
-            let shard = self.partitioner.owner(key);
-            if self
-                .execute_on(shard, Operation::TxReserve { tx, key, value }, deadline)
-                .is_none()
-            {
-                reserved.push(key);
-                // Abort the failed key too: its reserve may have executed
-                // without the router observing a quorum (lost replies),
-                // and a staged write with no abort would sit in the
-                // replicated state forever — transaction ids are never
-                // reused. Aborting a never-staged entry is a no-op. (Best
-                // effort: a reserve the shard sequences *after* this abort
-                // can still leave a staged entry; it stays invisible to
-                // `Get`, so observable state is unaffected.)
-                for &key in &reserved {
-                    let shard = self.partitioner.owner(key);
-                    let _ = self.execute_on(shard, Operation::TxAbort { tx, key }, deadline);
-                }
-                return None;
-            }
-            reserved.push(key);
-        }
-        Some(tx)
-    }
-
-    /// Round two of a MultiPut: commits every key's staged write. Safe to
-    /// re-drive after a partial round (commits are idempotent).
-    pub fn commit_multi_put(&mut self, tx: u64, pairs: &[(u32, u64)]) -> bool {
-        let deadline = self.operation_deadline();
-        pairs.iter().all(|&(key, _)| {
-            let shard = self.partitioner.owner(key);
-            self.execute_on(shard, Operation::TxCommit { tx, key }, deadline)
-                .is_some()
-        })
-    }
-
-    /// The full two-round MultiPut: reserve everywhere, then commit
-    /// everywhere. Returns the transaction id on success.
-    pub fn multi_put(&mut self, pairs: &[(u32, u64)]) -> Option<u64> {
-        let tx = self.begin_multi_put(pairs)?;
-        self.commit_multi_put(tx, pairs).then_some(tx)
     }
 }
 
@@ -772,11 +397,6 @@ mod tests {
         assert_eq!(fleet.read_key(key_a), Some(11));
         assert_eq!(fleet.read_key(key_b), Some(22));
         assert!(!fleet.key_staged(9, key_a) && !fleet.key_staged(9, key_b));
-
-        // The synchronous helper drives both rounds.
-        assert!(fleet.multi_put_sync(10, &[(key_a, 33), (key_b, 44)], 30.0));
-        assert_eq!(fleet.read_key(key_a), Some(33));
-        assert_eq!(fleet.read_key(key_b), Some(44));
         assert!(fleet.logs_are_consistent());
     }
 
@@ -805,69 +425,5 @@ mod tests {
             .expect("free client");
         fleet.run_until_quiet(30.0);
         assert_eq!(fleet.read_key(key), None);
-    }
-
-    #[test]
-    fn sharded_threaded_service_serves_on_every_shard() {
-        let report = run_sharded_service(&ShardedServiceConfig {
-            shards: 2,
-            service: ThreadedServiceConfig {
-                replicas: 4,
-                clients: 4,
-                duration: 0.3,
-                ..ThreadedServiceConfig::default()
-            },
-        });
-        assert_eq!(report.shards, 2);
-        assert!(report.consistent, "a shard's logs diverged: {report:?}");
-        assert!(
-            report.per_shard.iter().all(|r| r.completed_requests > 0),
-            "every shard must complete requests: {report:?}"
-        );
-        assert_eq!(
-            report.completed_requests,
-            report
-                .per_shard
-                .iter()
-                .map(|r| r.completed_requests)
-                .sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn shard_router_routes_and_multi_puts_across_live_shards() {
-        let config = ThreadedServiceConfig {
-            replicas: 4,
-            clients: 2,
-            duration: 0.2,
-            ..ThreadedServiceConfig::default()
-        };
-        let mut clusters: Vec<ThreadedCluster> = (0..2)
-            .map(|shard| {
-                ThreadedCluster::new(&ThreadedServiceConfig {
-                    seed: shard_seed(config.seed, shard),
-                    ..config
-                })
-            })
-            .collect();
-        let mut router = ShardRouter::new(&mut clusters, 0.5);
-        let key_a = (0..).find(|&k| router.partitioner().owner(k) == 0).unwrap();
-        let key_b = (0..).find(|&k| router.partitioner().owner(k) == 1).unwrap();
-
-        assert_eq!(router.put(key_a, 5), Some(5));
-        assert_eq!(router.get(key_a), Some(5));
-        assert_eq!(router.get(key_b), Some(0), "unwritten key reads 0");
-
-        let tx = router
-            .multi_put(&[(key_a, 40), (key_b, 41)])
-            .expect("cross-shard multi-put completes");
-        assert!(tx > 0);
-        assert_eq!(router.get(key_a), Some(40));
-        assert_eq!(router.get(key_b), Some(41));
-
-        for cluster in clusters {
-            let snapshots = cluster.shutdown();
-            assert!(crate::threaded::snapshots_consistent(&snapshots));
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Real-socket transport: MinBFT over loopback/LAN TCP.
 //!
-//! The third [`Transport`] implementation. Where [`crate::net::SimNetwork`]
+//! The third [`Transport`] implementation. Where `crate::net::SimNetwork`
 //! is deterministic simulation and [`crate::transport::ThreadedTransport`]
 //! is in-process channels, a [`SocketTransport`] puts every replica behind
 //! a real `TcpListener`, serializes every message through the
@@ -36,9 +36,9 @@
 //! wake-up, one `write`). A bare [`Transport::send`] is a batch of one and
 //! goes out at once — nothing waits for a flush.
 //!
-//! The peer directory is live: [`SocketTransport::add_peer`] /
-//! [`SocketTransport::remove_peer`] register and unregister peers while
-//! the cluster runs, which is what JOIN/EVICT need across processes.
+//! The peer directory is live: [`SocketTransport::add_peer`] registers and
+//! re-addresses peers while the cluster runs, which is what JOIN needs
+//! across processes.
 
 use crate::crypto::{KeyDirectory, KeyPair};
 use crate::minbft::{ControlMessage, Message, Replica};
@@ -224,12 +224,6 @@ impl SocketTransport {
         receiver
     }
 
-    /// Unregisters a local node: subsequent deliveries count as drops.
-    pub fn unregister(&mut self, node: NodeId) -> bool {
-        let mut locals = self.shared.locals.write().expect("locals lock");
-        locals.remove(&node).is_some()
-    }
-
     /// Adds (or re-addresses) a remote peer. The first node id at `addr`
     /// spawns a writer thread with a bounded outbound queue that dials
     /// lazily and re-dials after drops; further ids at the same address
@@ -249,14 +243,6 @@ impl SocketTransport {
             }
         };
         peers.insert(node, conn);
-    }
-
-    /// Removes a remote peer; the writer thread of its address drains and
-    /// exits once no other node id lives there. The EVICT hook across
-    /// processes. Returns whether the peer existed.
-    pub fn remove_peer(&mut self, node: NodeId) -> bool {
-        let mut peers = self.shared.peers.write().expect("peers lock");
-        peers.remove(&node).is_some()
     }
 
     /// A clonable sender handle (implements [`Transport`] + [`WallClock`]).
@@ -516,7 +502,10 @@ pub struct SocketReplicaNode {
     config: ThreadedServiceConfig,
     membership: Vec<NodeId>,
     mailbox: Option<Receiver<Delivery<Message>>>,
-    control: SyncSender<ControlMessage>,
+    /// The trusted control channel into the replica (recover, reconfigure,
+    /// compromise) — the privileged-domain link. No `minbft-node` command
+    /// feeds it, so `bind` leaves it closed; the recovery test swaps in a
+    /// channel it holds the sender of.
     control_rx: Option<Receiver<ControlMessage>>,
     stop: Arc<AtomicBool>,
 }
@@ -542,14 +531,13 @@ impl SocketReplicaNode {
         assert!(membership.contains(&id), "member {id} not in membership");
         let mut transport = SocketTransport::bind(addr, config.channel_capacity)?;
         let mailbox = transport.register(id);
-        let (control, control_rx) = sync_channel(64);
+        let (_, control_rx) = sync_channel(1);
         Ok(SocketReplicaNode {
             transport,
             id,
             config: *config,
             membership,
             mailbox: Some(mailbox),
-            control,
             control_rx: Some(control_rx),
             stop: Arc::new(AtomicBool::new(false)),
         })
@@ -563,12 +551,6 @@ impl SocketReplicaNode {
     /// Registers a peer (replica or client pool) by address.
     pub fn add_peer(&mut self, node: NodeId, addr: SocketAddr) {
         self.transport.add_peer(node, addr);
-    }
-
-    /// The trusted control channel into the replica (recover, reconfigure,
-    /// compromise) — the privileged-domain link, delivered reliably.
-    pub fn control_sender(&self) -> SyncSender<ControlMessage> {
-        self.control.clone()
     }
 
     /// The stop flag: setting it makes [`SocketReplicaNode::run`] return
@@ -952,8 +934,8 @@ mod tests {
             read_frames(&mut stream, 1, len)[0],
             encode_frame(0, 2, &message)
         );
-        // ...and removing the last id at the address closes it.
-        assert!(sender.remove_peer(2));
+        // ...and re-addressing the last id at the address closes it.
+        sender.add_peer(2, elsewhere.local_addr().expect("addr"));
         let mut buf = [0u8; 1];
         assert_eq!(stream.read(&mut buf).expect("EOF, not a timeout"), 0);
         peer.set_nonblocking(true).expect("nonblocking");
@@ -1069,21 +1051,6 @@ mod tests {
         drop(loris);
     }
 
-    #[test]
-    fn live_peer_removal_turns_sends_into_drops() {
-        let mut sender = loopback(8);
-        let mut receiver = loopback(8);
-        let _rx = receiver.register(1);
-        sender.add_peer(1, receiver.local_addr());
-        assert!(sender.remove_peer(1));
-        assert!(!sender.remove_peer(1));
-        let before = sender.stats().dropped;
-        sender
-            .handle()
-            .send(0, 1, Message::StateRequest { epoch: 0 });
-        assert_eq!(sender.stats().dropped, before + 1);
-    }
-
     /// A full 4-replica MinBFT cluster, each replica on its own socket
     /// transport (own listener, own port), clients on a fifth — all in one
     /// process, but every protocol message crosses a real TCP socket. The
@@ -1160,9 +1127,10 @@ mod tests {
             request_timeout: 2.0,
             ..Default::default()
         };
-        let (nodes, _hub, mut driver) = loopback_mesh(&config);
+        let (mut nodes, _hub, mut driver) = loopback_mesh(&config);
         let stops: Vec<Arc<AtomicBool>> = nodes.iter().map(|n| n.stop_flag()).collect();
-        let recover = nodes[2].control_sender();
+        let (recover, control_rx) = sync_channel(64);
+        nodes[2].control_rx = Some(control_rx);
         let handles: Vec<JoinHandle<ReplicaSnapshot>> = nodes
             .into_iter()
             .map(|mut node| std::thread::spawn(move || node.run()))

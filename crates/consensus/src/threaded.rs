@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 /// The sender id control commands carry. Below [`CLIENT_ID_BASE`] and above
 /// any replica id, so it never collides; control-plane actuation only sends
 /// and never receives, so no mailbox is registered for it.
-pub const CONTROL_PLANE_ID: NodeId = 9_000;
+pub(crate) const CONTROL_PLANE_ID: NodeId = 9_000;
 
 /// Configuration of a threaded MinBFT service run.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -466,7 +466,7 @@ impl ThreadedCluster {
     }
 
     /// The current membership (shared view, reconfiguration-aware).
-    pub fn membership_view(&self) -> MembershipView {
+    fn membership_view(&self) -> MembershipView {
         MembershipView {
             inner: Arc::clone(&self.membership),
         }
@@ -489,10 +489,7 @@ impl ThreadedCluster {
 
     /// Registers a pool of client identities onto one shared mailbox (for a
     /// driver thread).
-    pub fn register_clients(
-        &mut self,
-        clients: &[NodeId],
-    ) -> Receiver<crate::net::Delivery<Message>> {
+    fn register_clients(&mut self, clients: &[NodeId]) -> Receiver<crate::net::Delivery<Message>> {
         self.hub.register_shared(clients)
     }
 
@@ -733,7 +730,7 @@ impl ClientDriver {
     /// # Panics
     ///
     /// Panics if no stream is provided.
-    pub fn with_ops(cluster: &mut ThreadedCluster, streams: Vec<OpStream>) -> Self {
+    fn with_ops(cluster: &mut ThreadedCluster, streams: Vec<OpStream>) -> Self {
         assert!(!streams.is_empty(), "the driver needs at least one client");
         let config = cluster.config;
         let client_ids: Vec<NodeId> = (0..streams.len())

@@ -4,7 +4,7 @@
 //! [`Transport`] trait: a sender-side interface for point-to-point and
 //! broadcast delivery of protocol messages. Two implementations exist:
 //!
-//! * [`crate::net::SimNetwork`] — the deterministic discrete-event network.
+//! * `crate::net::SimNetwork` — the deterministic discrete-event network.
 //!   Same seed → byte-identical delivery schedule, which is what the simnet
 //!   fault-injection harness replays.
 //! * [`ThreadedTransport`] — a real multi-threaded transport: one bounded
@@ -191,7 +191,7 @@ impl<M: Send> ThreadedTransport<M> {
 
     /// Unregisters a node (the EVICT hook): subsequent sends to it count as
     /// drops. Returns whether the node was registered.
-    pub fn unregister(&mut self, node: NodeId) -> bool {
+    pub(crate) fn unregister(&mut self, node: NodeId) -> bool {
         let mut senders = self.shared.senders.write().expect("mailbox lock");
         senders.remove(&node).is_some()
     }

@@ -5,7 +5,7 @@
 //! assigns strictly monotonic counter values to outgoing messages and can
 //! certify the assignment. A compromised replica can delay or drop messages
 //! but cannot equivocate: it cannot assign the same counter value to two
-//! different messages, and receivers detect gaps and replays. In the paper's
+//! different messages, and receivers reject replays. In the paper's
 //! architecture this service lives in the privileged domain (the
 //! virtualization layer); here it is a struct that the protocol code treats
 //! as tamperproof — Byzantine behaviours injected by the fault injector never
@@ -39,13 +39,8 @@ impl Usig {
         Usig { keys, counter: 0 }
     }
 
-    /// The replica this service belongs to.
-    pub fn replica(&self) -> NodeId {
-        self.keys.node()
-    }
-
     /// The last assigned counter value (0 if none yet).
-    pub fn last_counter(&self) -> u64 {
+    pub(crate) fn last_counter(&self) -> u64 {
         self.counter
     }
 
@@ -59,23 +54,13 @@ impl Usig {
             signature: self.keys.sign(bound),
         }
     }
-
-    /// Verifies a unique identifier created by this replica's own service
-    /// (used in tests; receivers verify through [`UsigVerifier`]).
-    pub fn verify_own(&self, message: Digest, ui: &UniqueIdentifier) -> bool {
-        ui.replica == self.keys.node()
-            && self
-                .keys
-                .verify_own(bind(ui.counter, message), &ui.signature)
-    }
 }
 
 /// Receiver-side verification state: checks signatures through the key
-/// directory and enforces the FIFO/no-gap property per sender.
+/// directory and rejects a counter value it has already accepted.
 #[derive(Debug, Clone, Default)]
 pub struct UsigVerifier {
     directory: crate::crypto::KeyDirectory,
-    last_seen: std::collections::HashMap<NodeId, u64>,
     accepted: std::collections::HashSet<(NodeId, u64)>,
 }
 
@@ -84,13 +69,12 @@ impl UsigVerifier {
     pub fn new(directory: crate::crypto::KeyDirectory) -> Self {
         UsigVerifier {
             directory,
-            last_seen: std::collections::HashMap::new(),
             accepted: std::collections::HashSet::new(),
         }
     }
 
     /// Verifies the certificate only (signature and binding), without
-    /// advancing the per-sender counter window.
+    /// recording the counter as accepted.
     pub fn verify_certificate(&self, message: Digest, ui: &UniqueIdentifier) -> bool {
         ui.signature.signer == ui.replica
             && self
@@ -98,39 +82,16 @@ impl UsigVerifier {
                 .verify(bind(ui.counter, message), &ui.signature)
     }
 
-    /// Verifies the certificate and the monotonicity of the counter: accepts
-    /// only the next expected counter value from this sender (detecting both
-    /// replays and gaps, which forces a compromised sender to stay silent or
-    /// follow the protocol).
-    pub fn accept(&mut self, message: Digest, ui: &UniqueIdentifier) -> bool {
-        if !self.verify_certificate(message, ui) {
-            return false;
-        }
-        let expected = self.last_seen.get(&ui.replica).copied().unwrap_or(0) + 1;
-        if ui.counter != expected {
-            return false;
-        }
-        self.last_seen.insert(ui.replica, ui.counter);
-        true
-    }
-
     /// Verifies the certificate and rejects replays of an already-accepted
     /// counter, but tolerates gaps and reordering. MinBFT's safety argument
     /// only needs non-equivocation (one counter value certifies exactly one
     /// message) and replay protection; over a jittery network, prepared
-    /// messages may legitimately arrive out of order, so the protocol layer
-    /// uses this variant while [`UsigVerifier::accept`] provides the strict
-    /// FIFO check for contexts that need it.
-    pub fn accept_unordered(&mut self, message: Digest, ui: &UniqueIdentifier) -> bool {
+    /// messages may legitimately arrive out of order.
+    pub(crate) fn accept_unordered(&mut self, message: Digest, ui: &UniqueIdentifier) -> bool {
         if !self.verify_certificate(message, ui) {
             return false;
         }
         self.accepted.insert((ui.replica, ui.counter))
-    }
-
-    /// The last accepted counter of a replica.
-    pub fn last_accepted(&self, replica: NodeId) -> u64 {
-        self.last_seen.get(&replica).copied().unwrap_or(0)
     }
 }
 
@@ -159,28 +120,6 @@ mod tests {
         assert_eq!(ui1.counter, 1);
         assert_eq!(ui2.counter, 2);
         assert_eq!(usig.last_counter(), 2);
-        assert_eq!(usig.replica(), 7);
-        assert!(usig.verify_own(m, &ui1));
-    }
-
-    #[test]
-    fn verifier_accepts_in_order_and_rejects_replays_and_gaps() {
-        let (mut usig, mut verifier) = setup();
-        let m1 = digest(b"m1");
-        let m2 = digest(b"m2");
-        let m3 = digest(b"m3");
-        let ui1 = usig.create_ui(m1);
-        let ui2 = usig.create_ui(m2);
-        let ui3 = usig.create_ui(m3);
-
-        assert!(verifier.accept(m1, &ui1));
-        // Replay of counter 1 is rejected.
-        assert!(!verifier.accept(m1, &ui1));
-        // Skipping counter 2 is rejected (gap detection).
-        assert!(!verifier.accept(m3, &ui3));
-        assert!(verifier.accept(m2, &ui2));
-        assert!(verifier.accept(m3, &ui3));
-        assert_eq!(verifier.last_accepted(7), 3);
     }
 
     #[test]
@@ -197,8 +136,8 @@ mod tests {
             !verifier.verify_certificate(m2, &ui),
             "same UI must not certify a different message"
         );
-        assert!(verifier.accept(m1, &ui));
-        assert!(!verifier.accept(m2, &ui));
+        assert!(verifier.accept_unordered(m1, &ui));
+        assert!(!verifier.accept_unordered(m2, &ui));
     }
 
     #[test]

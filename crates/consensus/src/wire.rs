@@ -47,7 +47,7 @@
 //! # Robustness
 //!
 //! Malformed input **errors, never panics, never allocates unboundedly**: a
-//! length prefix is rejected above [`MAX_FRAME_LEN`] before any payload is
+//! length prefix is rejected above `MAX_FRAME_LEN` before any payload is
 //! read, every collection count is validated against the bytes actually
 //! remaining before capacity is reserved (on both paths), nesting is capped
 //! at a fixed depth (the reference decoder is recursive; the direct one
@@ -64,7 +64,7 @@ use serde::{Deserialize, Serialize, Value};
 /// larger prefixes are rejected before any allocation. State transfers are
 /// the largest legitimate frames and stay far below this (compaction bounds
 /// the retained log).
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Bytes of the frame header: the `len` prefix plus `from` and `to`.
 pub const FRAME_HEADER_LEN: usize = 12;
@@ -82,7 +82,7 @@ pub enum WireError {
     Truncated,
     /// A complete value was decoded but input bytes remain.
     TrailingBytes,
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
+    /// The length prefix exceeds `MAX_FRAME_LEN`.
     FrameTooLarge {
         /// The announced frame length.
         len: u64,
@@ -187,7 +187,7 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
 
 /// Appends a full frame — length prefix, sender, recipient, payload — to
 /// `out`, encoding the payload in place.
-pub fn encode_frame_into(out: &mut Vec<u8>, from: NodeId, to: NodeId, message: &Message) {
+pub(crate) fn encode_frame_into(out: &mut Vec<u8>, from: NodeId, to: NodeId, message: &Message) {
     out.reserve(TYPICAL_FRAME_LEN);
     let start = out.len();
     out.extend_from_slice(&[0; 4]);
@@ -211,7 +211,7 @@ pub fn encode_frame(from: NodeId, to: NodeId, message: &Message) -> Vec<u8> {
 /// # Errors
 ///
 /// [`WireError::FrameTooShort`] when the length cannot cover the 8-byte
-/// `from`/`to` header, [`WireError::FrameTooLarge`] beyond [`MAX_FRAME_LEN`].
+/// `from`/`to` header, [`WireError::FrameTooLarge`] beyond `MAX_FRAME_LEN`.
 pub fn frame_body_len(prefix: [u8; 4]) -> Result<usize, WireError> {
     let len = u32::from_le_bytes(prefix) as usize;
     if len < 8 {
@@ -242,12 +242,12 @@ pub fn decode_frame_body(body: &[u8]) -> Result<(NodeId, NodeId, Message), WireE
 /// Bytes a [`FrameBuffer`] holds before any frame asks for more: one `read`
 /// fills at most this much, and a connection that never completes a frame
 /// never costs more.
-pub const FRAME_BUFFER_LEN: usize = 64 * 1024;
+const FRAME_BUFFER_LEN: usize = 64 * 1024;
 
 /// Splits a byte stream into frames: [`FrameBuffer::read_from`] appends
 /// whatever one `read` returns, [`FrameBuffer::next_frame`] decodes the
 /// complete frames in place. The buffer is reused across reads; it grows
-/// past [`FRAME_BUFFER_LEN`] only while a larger (prefix-validated) frame is
+/// past `FRAME_BUFFER_LEN` only while a larger (prefix-validated) frame is
 /// arriving, by doubling when it is *full of received bytes* — an announced
 /// length alone allocates nothing — and shrinks back once drained.
 #[derive(Debug)]
@@ -269,7 +269,7 @@ impl Default for FrameBuffer {
 }
 
 impl FrameBuffer {
-    /// An empty buffer of [`FRAME_BUFFER_LEN`] bytes.
+    /// An empty buffer of `FRAME_BUFFER_LEN` bytes.
     pub fn new() -> Self {
         Self::default()
     }

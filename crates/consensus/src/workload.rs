@@ -88,10 +88,6 @@ pub struct WorkloadReport {
 pub struct OpStream {
     rng: StdRng,
     key_space: u32,
-    /// When set, keys are drawn from this explicit set instead of the dense
-    /// `[0, key_space)` range — how the sharded service plane confines a
-    /// shard's clients to the keys that shard owns.
-    keys: Option<std::sync::Arc<Vec<u32>>>,
     write_ratio: f64,
     counter: u64,
 }
@@ -102,33 +98,13 @@ impl OpStream {
         OpStream {
             rng: StdRng::seed_from_u64(seed ^ 0x6f70_5f73_7472_6561),
             key_space,
-            keys: None,
-            write_ratio,
-            counter: 0,
-        }
-    }
-
-    /// Creates a stream whose keyed operations draw uniformly from an
-    /// explicit key set (used by the sharded data plane: each shard's
-    /// clients only touch keys the shard owns, so every request is already
-    /// routed correctly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` is empty.
-    pub fn over_keys(seed: u64, keys: Vec<u32>, write_ratio: f64) -> Self {
-        assert!(!keys.is_empty(), "an OpStream key set must be non-empty");
-        OpStream {
-            rng: StdRng::seed_from_u64(seed ^ 0x6f70_5f73_7472_6561),
-            key_space: keys.len() as u32,
-            keys: Some(std::sync::Arc::new(keys)),
             write_ratio,
             counter: 0,
         }
     }
 
     /// The next operation of the stream.
-    pub fn next_op(&mut self) -> Operation {
+    pub(crate) fn next_op(&mut self) -> Operation {
         self.counter += 1;
         let write = self.rng.random::<f64>() < self.write_ratio;
         if self.key_space == 0 {
@@ -138,11 +114,7 @@ impl OpStream {
                 Operation::Read
             }
         } else {
-            let index = (self.rng.random::<u64>() % u64::from(self.key_space)) as u32;
-            let key = match &self.keys {
-                Some(keys) => keys[index as usize],
-                None => index,
-            };
+            let key = (self.rng.random::<u64>() % u64::from(self.key_space)) as u32;
             if write {
                 Operation::Put {
                     key,

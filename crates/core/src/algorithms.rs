@@ -306,7 +306,7 @@ impl Alg1 {
 /// The recovery POMDP wrapped as an episodic environment for the PPO
 /// baseline: the observation is `[belief, normalized time since recovery]`
 /// and the actions are wait / recover.
-pub struct RecoveryEnvironment {
+struct RecoveryEnvironment {
     problem: RecoveryProblem,
     horizon: u32,
     state: crate::node_model::NodeState,

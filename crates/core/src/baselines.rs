@@ -84,7 +84,7 @@ impl RecoveryStrategy {
     /// recoveries across nodes so that at most a few replicas recover in the
     /// same time-step (how proactive-recovery systems schedule their
     /// rejuvenation windows).
-    pub fn with_initial_phase(mut self, offset: u32) -> Self {
+    pub(crate) fn with_initial_phase(mut self, offset: u32) -> Self {
         if let Some(period) = self.delta_r {
             if period > 0 {
                 self.steps_since_recovery = offset % period;

@@ -64,13 +64,8 @@ impl NodeController {
     /// on (the pre-reset value — [`NodeController::belief`] already reads
     /// the post-recovery prior by the time the caller sees the `Recover`
     /// action).
-    pub fn last_request_belief(&self) -> f64 {
+    pub(crate) fn last_request_belief(&self) -> f64 {
         self.last_request_belief
-    }
-
-    /// Steps since the controller last recovered its replica.
-    pub fn steps_since_recovery(&self) -> u32 {
-        self.steps_since_recovery
     }
 
     /// Total recoveries so far.
@@ -81,11 +76,6 @@ impl NodeController {
     /// Total observed time-steps.
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// The recovery threshold currently in force.
-    pub fn current_threshold(&self) -> f64 {
-        self.strategy.threshold_at(self.steps_since_recovery)
     }
 
     /// Processes one time-step: updates the belief from the weighted alert
@@ -174,7 +164,7 @@ impl NodeController {
     /// fires again on the very next observation instead of waiting for the
     /// belief to re-climb from the post-recovery prior (or for Δ_R to
     /// elapse).
-    pub fn notify_deferred(&mut self) {
+    pub(crate) fn notify_deferred(&mut self) {
         self.recoveries = self.recoveries.saturating_sub(1);
         self.belief = self.last_request_belief;
         self.previous_action = NodeAction::Wait;
@@ -208,7 +198,6 @@ pub struct SystemDecision {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemController {
     strategy: ReplicationStrategy,
-    additions: u64,
     evictions: u64,
 }
 
@@ -218,24 +207,8 @@ impl SystemController {
     pub fn new(strategy: ReplicationStrategy) -> Self {
         SystemController {
             strategy,
-            additions: 0,
             evictions: 0,
         }
-    }
-
-    /// Total nodes added so far.
-    pub fn additions(&self) -> u64 {
-        self.additions
-    }
-
-    /// Total nodes evicted so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// The replication strategy in force.
-    pub fn strategy(&self) -> &ReplicationStrategy {
-        &self.strategy
     }
 
     /// Processes one time-step given the reported beliefs. A report of
@@ -256,9 +229,6 @@ impl SystemController {
         let beliefs: Vec<f64> = reports.iter().filter_map(|r| *r).collect();
         let estimated_healthy = ReplicationProblem::expected_healthy(&beliefs);
         let add_node = self.strategy.decide(estimated_healthy, rng);
-        if add_node {
-            self.additions += 1;
-        }
         SystemDecision {
             add_node,
             evict,
@@ -305,7 +275,7 @@ mod tests {
             "sustained max-priority alerts must trigger recovery"
         );
         assert_eq!(controller.recoveries(), 1);
-        assert_eq!(controller.steps_since_recovery(), 0);
+        assert_eq!(controller.steps_since_recovery, 0);
         // The belief resets to the attack prior after recovery.
         assert!((controller.belief() - 0.1).abs() < 1e-9);
     }
@@ -369,9 +339,8 @@ mod tests {
             controller.observe_and_decide(10);
         }
         controller.notify_recovered();
-        assert_eq!(controller.steps_since_recovery(), 0);
+        assert_eq!(controller.steps_since_recovery, 0);
         assert!((controller.belief() - 0.1).abs() < 1e-9);
-        assert!(controller.current_threshold() > 0.0);
     }
 
     #[test]
@@ -397,8 +366,7 @@ mod tests {
             decision.add_node,
             "with zero healthy nodes the controller must add"
         );
-        assert_eq!(controller.evictions(), 1);
-        assert!(controller.additions() >= 1);
+        assert_eq!(controller.evictions, 1);
 
         // A full healthy system does not grow further.
         let reports: Vec<Option<f64>> = vec![Some(0.01); 10];
@@ -408,7 +376,7 @@ mod tests {
             !decision.add_node,
             "a saturated healthy system should not add nodes"
         );
-        assert!(controller.strategy().add_probability(9) < 0.5);
+        assert!(controller.strategy.add_probability(9) < 0.5);
     }
 
     #[test]

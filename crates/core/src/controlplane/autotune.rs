@@ -111,7 +111,7 @@ impl AutotuneConfig {
     /// A sanitized copy: bounds ordered, factors finite and in range. The
     /// controller only ever runs on sanitized configurations, which is what
     /// makes the online-clamp property hold for arbitrary inputs.
-    pub fn sanitized(&self) -> AutotuneConfig {
+    fn sanitized(&self) -> AutotuneConfig {
         let finite = |value: f64, fallback: f64| if value.is_finite() { value } else { fallback };
         let min_batch = self.min_batch.max(1);
         let max_batch = self.max_batch.max(min_batch);
@@ -234,13 +234,8 @@ impl AutotuneController {
         self.concurrency
     }
 
-    /// The admission verdict currently in force.
-    pub fn admission(&self) -> Admission {
-        self.admission
-    }
-
     /// The current knob set as a decision record.
-    pub fn decision(&self, overloaded: bool) -> AutotuneDecision {
+    fn decision(&self, overloaded: bool) -> AutotuneDecision {
         AutotuneDecision {
             batch_size: self.batch_size,
             batch_delay: self.batch_delay(),

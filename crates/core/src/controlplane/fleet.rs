@@ -34,7 +34,7 @@ use tolerance_consensus::NodeId;
 
 /// Configuration of a [`FleetControlPlane`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct FleetConfig {
+pub(crate) struct FleetConfig {
     /// Belief threshold of the node controllers.
     pub recovery_threshold: f64,
     /// BTR period `Δ_R` (maximum steps between recoveries of one node).
@@ -79,7 +79,7 @@ impl Default for FleetConfig {
 
 /// What one fleet tick did. Nodes are addressed as `(shard, node)`.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct FleetTickReport {
+pub(crate) struct FleetTickReport {
     /// Per-shard, per-node beliefs after the update, in observation order
     /// (`None` = the node failed to report).
     pub beliefs: Vec<Vec<(NodeId, Option<f64>)>>,
@@ -102,7 +102,7 @@ pub struct FleetTickReport {
 
 /// The fleet control runtime (see the module docs).
 #[derive(Debug, Clone)]
-pub struct FleetControlPlane {
+pub(crate) struct FleetControlPlane {
     config: FleetConfig,
     node_model: NodeModel,
     strategy: ThresholdStrategy,
@@ -128,7 +128,7 @@ impl FleetControlPlane {
     /// # Errors
     ///
     /// Propagates strategy-construction and LP failures.
-    pub fn with_model(config: FleetConfig, node_model: NodeModel) -> Result<Self> {
+    pub(crate) fn with_model(config: FleetConfig, node_model: NodeModel) -> Result<Self> {
         let strategy = ThresholdStrategy::new(vec![config.recovery_threshold], config.delta_r)?;
         let system = if config.system_controller {
             let strategy = ReplicationProblem::new(ReplicationConfig {
@@ -151,11 +151,6 @@ impl FleetControlPlane {
         })
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// The node controller of `(shard, node)`, creating it on first access.
     pub fn controller(&mut self, shard: usize, node: NodeId) -> &mut NodeController {
         let node_model = &self.node_model;
@@ -166,23 +161,14 @@ impl FleetControlPlane {
     }
 
     /// Read-only view of a node's controller, if it exists.
-    pub fn controller_of(&self, shard: usize, node: NodeId) -> Option<&NodeController> {
+    #[cfg(test)]
+    pub(crate) fn controller_of(&self, shard: usize, node: NodeId) -> Option<&NodeController> {
         self.controllers.get(&(shard, node))
     }
 
     /// Drops the controller of an evicted node.
-    pub fn forget(&mut self, shard: usize, node: NodeId) {
+    pub(crate) fn forget(&mut self, shard: usize, node: NodeId) {
         self.controllers.remove(&(shard, node));
-    }
-
-    /// Total recoveries requested across all node controllers so far.
-    pub fn total_recoveries(&self) -> u64 {
-        self.controllers.values().map(|c| c.recoveries()).sum()
-    }
-
-    /// The system controller, if one runs.
-    pub fn system(&self) -> Option<&SystemController> {
-        self.system.as_ref()
     }
 
     /// One control time-step across the whole fleet

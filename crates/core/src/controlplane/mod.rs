@@ -22,11 +22,11 @@
 //!   all actuated through whichever [`actuator::ClusterActuator`] is
 //!   plugged in. The simnet executor drives the *same* `tick` as the live
 //!   threaded scenario.
-//! * [`scenario::ControlledServiceScenario`] — the `controlled/*` registry
+//! * `scenario::ControlledServiceScenario` — the `controlled/*` registry
 //!   scenarios: a threaded MinBFT service under a scripted intrusion burst
 //!   with the control plane closing the loop live, plus the simnet twin
 //!   that passes the full oracle suite.
-//! * [`fleet::FleetControlPlane`] — the sharded-fleet runtime: per-shard
+//! * `fleet::FleetControlPlane` — the sharded-fleet runtime: per-shard
 //!   node controllers competing for one **global** recovery budget `k`
 //!   (priority by deciding belief across shards), and one system
 //!   controller per fleet evicting crashed replicas wherever they live and
@@ -38,21 +38,18 @@
 //!   deciding admission. Deterministic per-window ticks in simnet, a real
 //!   [`autotune::AutotuneLoop`] thread on the live planes.
 
-pub mod actuator;
+pub(crate) mod actuator;
 pub mod autotune;
-pub mod fleet;
+pub(crate) mod fleet;
 pub mod runtime;
 pub mod scenario;
 
 pub use actuator::ClusterActuator;
 pub use autotune::{
-    Admission, AutotuneConfig, AutotuneController, AutotuneDecision, AutotuneLoop,
-    AutotuneObservation,
+    Admission, AutotuneConfig, AutotuneController, AutotuneLoop, AutotuneObservation,
 };
-pub use fleet::{FleetConfig, FleetControlPlane, FleetTickReport};
-pub use runtime::{ControlPlane, ControlPlaneConfig, NodeReport, TickReport};
+pub use runtime::{ControlPlane, ControlPlaneConfig, NodeReport};
 pub use scenario::{
     register_controlled_scenarios, run_controlled_service, sim_intrusion_burst_config,
-    ControlledServiceConfig, ControlledServiceReport, ControlledServiceScenario, IntrusionEvent,
-    IntrusionMode,
+    ControlledServiceConfig, ControlledServiceReport, IntrusionEvent, IntrusionMode,
 };

@@ -5,13 +5,13 @@
 //! observation channel, the k-parallel-recovery constraint of
 //! Proposition 1, crash eviction and the Algorithm-2 replication decision —
 //! all actuated through a pluggable [`ClusterActuator`]. It is the
-//! one-shard view of the [`FleetControlPlane`], which holds the only
+//! one-shard view of the `FleetControlPlane`, which holds the only
 //! implementation of both laws, so the live controlled scenarios
 //! (wall-clock, threaded cluster) and the simnet harnesses (deterministic,
 //! simulated clusters) run the same code — the paper's claim that one
 //! control architecture steers the real service.
 
-use crate::controller::{NodeController, SystemController};
+use crate::controller::NodeController;
 use crate::controlplane::actuator::ClusterActuator;
 use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
 use crate::error::Result;
@@ -116,7 +116,7 @@ pub struct TickReport {
 }
 
 /// The two-level control runtime of one group: shard 0 of a one-shard
-/// [`FleetControlPlane`] (see the module docs).
+/// `FleetControlPlane` (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     config: ControlPlaneConfig,
@@ -141,7 +141,7 @@ impl ControlPlane {
     /// # Errors
     ///
     /// Propagates strategy-construction and LP failures.
-    pub fn with_model(config: ControlPlaneConfig, node_model: NodeModel) -> Result<Self> {
+    pub(crate) fn with_model(config: ControlPlaneConfig, node_model: NodeModel) -> Result<Self> {
         let fleet = FleetControlPlane::with_model(config.one_shard_fleet(), node_model)?;
         Ok(ControlPlane { config, fleet })
     }
@@ -157,27 +157,18 @@ impl ControlPlane {
     }
 
     /// Read-only view of a node's controller, if it exists.
-    pub fn controller_of(&self, node: NodeId) -> Option<&NodeController> {
+    #[cfg(test)]
+    pub(crate) fn controller_of(&self, node: NodeId) -> Option<&NodeController> {
         self.fleet.controller_of(0, node)
     }
 
     /// Drops the controller of an evicted node.
-    pub fn forget(&mut self, node: NodeId) {
+    pub(crate) fn forget(&mut self, node: NodeId) {
         self.fleet.forget(0, node);
     }
 
-    /// Total recoveries requested across all node controllers so far.
-    pub fn total_recoveries(&self) -> u64 {
-        self.fleet.total_recoveries()
-    }
-
-    /// The system controller, if one runs.
-    pub fn system(&self) -> Option<&SystemController> {
-        self.fleet.system()
-    }
-
     /// One control time-step across both levels
-    /// ([`FleetControlPlane::tick`] at one shard).
+    /// (`FleetControlPlane::tick` at one shard).
     ///
     /// `observations` lists the current membership **in membership order**
     /// with each node's IDS input.

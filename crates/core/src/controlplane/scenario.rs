@@ -1,7 +1,7 @@
 //! The `controlled/*` scenarios: the live two-level loop as a sweepable
 //! workload.
 //!
-//! [`ControlledServiceScenario`] runs the **threaded** MinBFT service under
+//! `ControlledServiceScenario` runs the **threaded** MinBFT service under
 //! a scripted intrusion schedule while the [`ControlPlane`] closes the loop
 //! in real time: every `control_interval` seconds each replica's IDS
 //! observation channel emits a batch of weighted alert events (sampled from
@@ -173,7 +173,7 @@ impl AsMetricReport for ControlledServiceReport {
 
 /// A sweepable controlled threaded-service scenario.
 #[derive(Debug, Clone)]
-pub struct ControlledServiceScenario {
+struct ControlledServiceScenario {
     label: String,
     config: ControlledServiceConfig,
 }
@@ -185,11 +185,6 @@ impl ControlledServiceScenario {
             label: label.into(),
             config,
         }
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &ControlledServiceConfig {
-        &self.config
     }
 }
 

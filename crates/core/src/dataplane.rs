@@ -37,7 +37,7 @@ impl AsMetricReport for WorkloadReport {
 /// A sweepable data-plane scenario: one MinBFT cluster configuration plus
 /// one client workload.
 #[derive(Debug, Clone)]
-pub struct DataPlaneScenario {
+struct DataPlaneScenario {
     label: String,
     cluster: MinBftConfig,
     workload: WorkloadConfig,
@@ -52,16 +52,6 @@ impl DataPlaneScenario {
             cluster,
             workload,
         }
-    }
-
-    /// The cluster configuration (the seed field is overridden per run).
-    pub fn cluster_config(&self) -> &MinBftConfig {
-        &self.cluster
-    }
-
-    /// The workload configuration (the seed field is overridden per run).
-    pub fn workload_config(&self) -> &WorkloadConfig {
-        &self.workload
     }
 }
 

@@ -27,7 +27,7 @@
 //!   systems that the paper compares against (Section VIII-B).
 //! * **Metrics** ([`metrics`]) — average availability `T(A)`, average
 //!   time-to-recovery `T(R)` and recovery frequency `F(R)` (Section III-C),
-//!   plus the reliability/MTTF analysis of Fig. 6 ([`reliability`]).
+//!   plus the reliability/MTTF analysis of Fig. 6 (`reliability`).
 //! * **Fault-injection harness** ([`simnet`]) — deterministic simulation
 //!   testing of the full stack: seeded chaos schedules (partitions, storms,
 //!   crashes, Byzantine flips, intrusion bursts, membership churn) executed
@@ -35,7 +35,7 @@
 //!   greedy counterexample shrinking and one-command replay — including the
 //!   multi-shard fleet harness ([`simnet::sharded`]) with per-shard chaos
 //!   from split RNG streams, the cross-shard routing/atomicity oracles and
-//!   the fleet control plane ([`controlplane::fleet`]).
+//!   the fleet control plane (`controlplane::fleet`).
 //! * **Scenario runtime** ([`runtime`]) — the shared experiment engine: a
 //!   [`runtime::Scenario`] abstraction, a parallel [`runtime::Runner`]
 //!   executing seed/parameter grids deterministically, cross-seed
@@ -56,7 +56,7 @@ pub mod metrics;
 pub mod node_model;
 pub mod observation;
 pub mod recovery;
-pub mod reliability;
+mod reliability;
 pub mod replication;
 pub mod runtime;
 pub mod simnet;
@@ -66,25 +66,18 @@ pub use error::{CoreError, Result};
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::algorithms::{Alg1, Alg1Config, Alg2, OptimizerKind};
-    pub use crate::baselines::{BaselineKind, RecoveryDecision, RecoveryStrategy};
-    pub use crate::controller::{NodeController, SystemController};
-    pub use crate::controlplane::{
-        ClusterActuator, ControlPlane, ControlPlaneConfig, ControlledServiceConfig,
-        ControlledServiceScenario, FleetConfig, FleetControlPlane, NodeReport,
-    };
-    pub use crate::error::{CoreError, Result};
+    pub use crate::baselines::BaselineKind;
+    pub use crate::controller::NodeController;
+    pub use crate::error::Result;
     pub use crate::metrics::EvaluationMetrics;
     pub use crate::node_model::{NodeModel, NodeParameters, NodeState};
     pub use crate::observation::ObservationModel;
     pub use crate::recovery::{RecoveryConfig, RecoveryProblem, ThresholdStrategy};
     pub use crate::reliability::ReliabilityAnalysis;
-    pub use crate::replication::{ReplicationConfig, ReplicationProblem, ReplicationStrategy};
-    pub use crate::runtime::{
-        FnScenario, MetricSummary, Runner, Scenario, ScenarioRegistry, StrategyKind,
-    };
+    pub use crate::replication::{ReplicationConfig, ReplicationProblem};
+    pub use crate::runtime::{FnScenario, Runner, StrategyKind};
     pub use crate::simnet::{
-        run_schedule, run_sharded_schedule, Counterexample, FaultSchedule, ScheduleConfig,
-        ShardedCounterexample, ShardedFaultSchedule, ShardedScheduleConfig, ShardedSimnetScenario,
-        SimnetScenario,
+        Counterexample, FaultSchedule, ScheduleConfig, ShardedCounterexample, ShardedFaultSchedule,
+        ShardedScheduleConfig,
     };
 }

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// The cap charged for intrusions that are never recovered (Table 7 reports
 /// `10^3` for the NO-RECOVERY baseline).
-pub const UNRECOVERED_CAP: f64 = 1000.0;
+const UNRECOVERED_CAP: f64 = 1000.0;
 
 /// Accumulator for the three evaluation metrics of an emulation run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]

@@ -29,7 +29,7 @@ pub enum NodeState {
 impl NodeState {
     /// The cost-function encoding of the state used in Eq. (5):
     /// `H = 0`, `C = 1`. Crashed nodes are out of the local control problem.
-    pub fn cost_value(self) -> f64 {
+    fn cost_value(self) -> f64 {
         match self {
             NodeState::Healthy => 0.0,
             NodeState::Compromised => 1.0,
@@ -125,12 +125,6 @@ impl NodeParameters {
         }
         Ok(())
     }
-
-    /// Probability that a healthy, never-recovered node stays healthy for one
-    /// step: `(1 - p_A)(1 - p_C1)`.
-    pub fn stay_healthy_probability(&self) -> f64 {
-        (1.0 - self.p_attack) * (1.0 - self.p_crash_healthy)
-    }
 }
 
 /// The complete node model: transition parameters plus the observation model
@@ -172,7 +166,7 @@ impl NodeModel {
     }
 
     /// The observation model.
-    pub fn observations(&self) -> &ObservationModel {
+    pub(crate) fn observations(&self) -> &ObservationModel {
         &self.observations
     }
 
@@ -245,7 +239,7 @@ impl NodeModel {
     ///
     /// Returns [`CoreError::Markov`] if the rows fail stochastic validation
     /// (cannot happen for validated parameters).
-    pub fn wait_chain(&self) -> Result<MarkovChain> {
+    fn wait_chain(&self) -> Result<MarkovChain> {
         let states = [
             NodeState::Healthy,
             NodeState::Compromised,
@@ -477,7 +471,8 @@ mod tests {
         };
         let m = NodeModel::new_unchecked(params, ObservationModel::paper_default());
         for t in [1u32, 5, 20, 100] {
-            let expected = 1.0 - params.stay_healthy_probability().powi(t as i32);
+            let stay_healthy = (1.0 - params.p_attack) * (1.0 - params.p_crash_healthy);
+            let expected = 1.0 - stay_healthy.powi(t as i32);
             assert_close(m.failure_probability_by(t).unwrap(), expected, 1e-9);
         }
         // Monotone increasing in t.

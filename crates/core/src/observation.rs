@@ -91,7 +91,7 @@ impl ObservationModel {
     }
 
     /// Number of distinct observation values.
-    pub fn support_size(&self) -> usize {
+    pub(crate) fn support_size(&self) -> usize {
         self.healthy.len()
     }
 

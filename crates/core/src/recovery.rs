@@ -85,7 +85,7 @@ impl ThresholdStrategy {
     }
 
     /// The BTR period this strategy was built for.
-    pub fn delta_r(&self) -> Option<u32> {
+    pub(crate) fn delta_r(&self) -> Option<u32> {
         self.delta_r
     }
 
@@ -175,7 +175,7 @@ impl RecoveryProblem {
     /// Number of threshold parameters Algorithm 1 optimizes for this problem:
     /// `Δ_R - 1` for a finite period (the last step recovers unconditionally)
     /// and 1 for `Δ_R = ∞` (Algorithm 1, line 4).
-    pub fn parameter_dimension(&self) -> usize {
+    pub(crate) fn parameter_dimension(&self) -> usize {
         match self.config.delta_r {
             Some(d) => (d as usize).saturating_sub(1).max(1),
             None => 1,
@@ -188,14 +188,19 @@ impl RecoveryProblem {
     /// # Errors
     ///
     /// Propagates threshold validation errors.
-    pub fn strategy_from_parameters(&self, parameters: &[f64]) -> Result<ThresholdStrategy> {
+    pub(crate) fn strategy_from_parameters(&self, parameters: &[f64]) -> Result<ThresholdStrategy> {
         let clamped: Vec<f64> = parameters.iter().map(|p| p.clamp(0.0, 1.0)).collect();
         ThresholdStrategy::new(clamped, self.config.delta_r)
     }
 
     /// Simulates one episode under an arbitrary policy (a function of the
     /// belief and the number of steps since the last recovery).
-    pub fn simulate_policy<R, P>(&self, policy: P, horizon: u32, rng: &mut R) -> EpisodeOutcome
+    pub(crate) fn simulate_policy<R, P>(
+        &self,
+        policy: P,
+        horizon: u32,
+        rng: &mut R,
+    ) -> EpisodeOutcome
     where
         R: Rng + ?Sized,
         P: Fn(f64, u32) -> NodeAction,

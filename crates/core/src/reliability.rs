@@ -57,7 +57,7 @@ impl ReliabilityAnalysis {
 
     /// The failure boundary: the system has failed once fewer than
     /// `2f + k + 1` healthy nodes remain.
-    pub fn minimum_viable_nodes(&self) -> usize {
+    fn minimum_viable_nodes(&self) -> usize {
         2 * self.fault_threshold + self.parallel_recoveries + 1
     }
 

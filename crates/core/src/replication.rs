@@ -62,7 +62,7 @@ impl ReplicationStrategy {
     }
 
     /// The probability of adding a node in state `s` (0 beyond `s_max`).
-    pub fn add_probability(&self, state: usize) -> f64 {
+    pub(crate) fn add_probability(&self, state: usize) -> f64 {
         self.add_probability.get(state).copied().unwrap_or(0.0)
     }
 
@@ -196,7 +196,7 @@ impl ReplicationProblem {
     /// # Errors
     ///
     /// Propagates model-construction failures.
-    pub fn to_cmdp(&self) -> Result<Cmdp> {
+    fn to_cmdp(&self) -> Result<Cmdp> {
         let states = self.num_states();
         let transition: Vec<Vec<Vec<f64>>> = (0..2)
             .map(|a| {
@@ -249,7 +249,7 @@ impl ReplicationProblem {
 
     /// The expected number of healthy nodes implied by a set of node beliefs
     /// (the state estimate `⌊Σ_i (1 - b_i)⌋` of Eq. 8).
-    pub fn expected_healthy(beliefs: &[f64]) -> usize {
+    pub(crate) fn expected_healthy(beliefs: &[f64]) -> usize {
         beliefs
             .iter()
             .map(|b| 1.0 - b.clamp(0.0, 1.0))

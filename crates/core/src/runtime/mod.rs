@@ -13,7 +13,7 @@
 //!   scenarios over a seed grid ([`Runner::run_cells`]), either serially or
 //!   across worker threads. Results are returned in input order, so a
 //!   parallel run is byte-identical to a serial one.
-//! * [`WorkerPool`] — the persistent process-wide thread pool behind every
+//! * `WorkerPool` — the persistent process-wide thread pool behind every
 //!   parallel path (the `Runner` batches *and* the fleet simulation
 //!   engine's per-shard phases), so repeated sweeps stop paying per-batch
 //!   thread-spawn cost.
@@ -33,7 +33,7 @@ mod runner;
 mod strategy;
 mod summary;
 
-pub use pool::WorkerPool;
+pub(crate) use pool::WorkerPool;
 pub use registry::{AsMetricReport, MetricScenario, ScenarioRegistry, ScenarioRun};
 pub use runner::{ExecutionMode, FnScenario, Runner, Scenario};
 pub use strategy::{NodeStrategy, NodeStrategyConfig, StrategyKind};

@@ -90,7 +90,7 @@ struct PoolShared {
 /// Use [`WorkerPool::global`] — one pool per process, sized to the host's
 /// available parallelism, reused by the [`Runner`](crate::runtime::Runner)
 /// and the fleet simulation engine across every scenario repetition.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: usize,
 }
@@ -133,7 +133,7 @@ impl WorkerPool {
 
     /// The process-wide pool, created on first use with one worker per
     /// available hardware thread.
-    pub fn global() -> &'static WorkerPool {
+    pub(crate) fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| {
             let workers = std::thread::available_parallelism()
@@ -143,12 +143,6 @@ impl WorkerPool {
         })
     }
 
-    /// Number of persistent worker threads (the caller always adds one more
-    /// execution context on top).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs `jobs` indexed jobs across the calling thread plus up to
     /// `workers - 1` pool helpers, returning once every job completed.
     ///
@@ -156,7 +150,7 @@ impl WorkerPool {
     ///
     /// Re-raises the first panic any job produced (after the whole batch
     /// drained).
-    pub fn run_batch(&self, jobs: usize, workers: usize, run: &(dyn Fn(usize) + Sync)) {
+    fn run_batch(&self, jobs: usize, workers: usize, run: &(dyn Fn(usize) + Sync)) {
         if jobs == 0 {
             return;
         }
@@ -202,7 +196,7 @@ impl WorkerPool {
 
     /// Runs `jobs` jobs and returns their outputs **in job order**,
     /// regardless of which thread ran which job.
-    pub fn run_indexed<T, F>(&self, jobs: usize, workers: usize, job_fn: F) -> Vec<T>
+    pub(crate) fn run_indexed<T, F>(&self, jobs: usize, workers: usize, job_fn: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -224,7 +218,7 @@ impl WorkerPool {
 
     /// Runs `f(index, &mut items[index])` for every element, each job
     /// holding exclusive access to its own element.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], workers: usize, f: F)
+    pub(crate) fn for_each_mut<T, F>(&self, items: &mut [T], workers: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,

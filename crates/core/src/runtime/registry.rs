@@ -106,7 +106,7 @@ impl ScenarioRegistry {
     /// output depends on real time and thread scheduling (e.g. the live
     /// threaded service), so replay suites must not expect byte-identical
     /// reruns.
-    pub fn register_wall_clock<F>(&mut self, name: impl Into<String>, factory: F)
+    pub(crate) fn register_wall_clock<F>(&mut self, name: impl Into<String>, factory: F)
     where
         F: Fn() -> Result<Box<dyn MetricScenario>> + Send + Sync + 'static,
     {
@@ -119,15 +119,6 @@ impl ScenarioRegistry {
         );
     }
 
-    /// Whether `name` is registered as deterministic (unknown names are
-    /// `false`).
-    pub fn is_deterministic(&self, name: &str) -> bool {
-        self.factories
-            .get(name)
-            .map(|entry| entry.deterministic)
-            .unwrap_or(false)
-    }
-
     /// The registered names of deterministic scenarios, sorted (the set
     /// replay suites iterate).
     pub fn deterministic_names(&self) -> Vec<&str> {
@@ -136,11 +127,6 @@ impl ScenarioRegistry {
             .filter(|(_, entry)| entry.deterministic)
             .map(|(name, _)| name.as_str())
             .collect()
-    }
-
-    /// The registered names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.factories.keys().map(String::as_str).collect()
     }
 
     /// Number of registered scenarios.
@@ -163,7 +149,7 @@ impl ScenarioRegistry {
     /// # Errors
     ///
     /// Fails for unknown names, and propagates factory failures.
-    pub fn build(&self, name: &str) -> Result<Box<dyn MetricScenario>> {
+    fn build(&self, name: &str) -> Result<Box<dyn MetricScenario>> {
         match self.factories.get(name) {
             Some(entry) => (entry.factory)(),
             None => Err(CoreError::UnknownScenario(name.to_string())),
@@ -196,7 +182,7 @@ impl Runner {
     /// # Errors
     ///
     /// Returns the first (in seed order) error produced by the scenario.
-    pub fn run_metric_seeds(
+    fn run_metric_seeds(
         &self,
         scenario: &dyn MetricScenario,
         seeds: &[u64],
@@ -231,7 +217,6 @@ mod tests {
         let mut registry = ScenarioRegistry::new();
         registry.register("good", synthetic("good", 0.9));
         registry.register("bad", synthetic("bad", 0.1));
-        assert_eq!(registry.names(), ["bad", "good"]);
         assert_eq!(registry.len(), 2);
         assert!(registry.contains("good"));
         assert!(!registry.contains("missing"));

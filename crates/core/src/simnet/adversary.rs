@@ -23,7 +23,7 @@
 //!
 //! Each variant also carries a distinct IDS observation signature: a
 //! protocol-aware attacker is *quieter* than a smash-and-grab intrusion, so
-//! its per-variant [`attacker_ids_lambda`] degrades the compromised alert
+//! its per-variant `attacker_ids_lambda` degrades the compromised alert
 //! distribution toward the healthy one (via
 //! [`ObservationModel::degrade`]) — stealthier attacks take the node
 //! controllers longer to detect, exactly the trade-off the paper's
@@ -43,12 +43,12 @@ use tolerance_consensus::AttackerKind;
 /// observation stream (it is not invisible to the IDS).
 ///
 /// [`FaultEvent::ByzantineFlip`]: crate::simnet::schedule::FaultEvent
-pub const BYZANTINE_FLIP_IDS_LAMBDA: f64 = 0.6;
+pub(crate) const BYZANTINE_FLIP_IDS_LAMBDA: f64 = 0.6;
 
 /// The IDS-signature degradation λ of an attacker variant: `0.0` keeps the
 /// full compromised alert distribution, `1.0` would be indistinguishable
 /// from healthy. The more surgical the attack, the quieter its signature.
-pub fn attacker_ids_lambda(kind: AttackerKind) -> f64 {
+pub(crate) fn attacker_ids_lambda(kind: AttackerKind) -> f64 {
     match kind {
         // Equivocation forges whole batches — the loudest of the zoo.
         AttackerKind::EquivocatingLeader => 0.15,
@@ -272,7 +272,9 @@ mod tests {
         assert_eq!(registry.len(), 30);
         assert!(registry.contains("adversary/equivocating-leader/gst"));
         assert!(registry.contains("adversary/sharded/lying-donor/storm"));
-        assert!(registry.is_deterministic("adversary/reply-suppression/sync"));
+        assert!(registry
+            .deterministic_names()
+            .contains(&"adversary/reply-suppression/sync"));
     }
 
     #[test]

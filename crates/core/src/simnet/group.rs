@@ -12,7 +12,8 @@
 //! schedule-driven recoveries and evictions are buffered as
 //! `PlaneNote`s for the owning harness to drain serially.
 
-use crate::controlplane::{ClusterActuator, NodeReport};
+use crate::controlplane::actuator::ClusterActuator;
+use crate::controlplane::NodeReport;
 use crate::error::Result;
 use crate::metrics::MetricReport;
 use crate::node_model::{NodeModel, NodeParameters, NodeState};

@@ -9,15 +9,15 @@
 //!
 //! The pipeline:
 //!
-//! 1. [`schedule`] — [`FaultSchedule::generate`] draws a schedule from a
+//! 1. `schedule` — [`FaultSchedule::generate`] draws a schedule from a
 //!    seed and a [`ScheduleConfig`] (same seed → same schedule).
-//! 2. [`group`] — the **group executor**: everything one MinBFT group does
+//! 2. `group` — the **group executor**: everything one MinBFT group does
 //!    under its schedule (fault application, supervisor bookkeeping, IDS
 //!    sampling, the per-group [`oracle`] checks, byte-exact
 //!    [`TraceRecord`]s, settle-phase recoveries, outcome aggregation).
 //! 3. Two **drivers** over it, differing only in the client workload, the
 //!    control plane ticked and the fleet-only layers:
-//!    * [`executor`] — [`run_schedule`]: one group, the primary `Write`
+//!    * `executor` — [`run_schedule`]: one group, the primary `Write`
 //!      client plus burst pool, the one-shard
 //!      [`ControlPlane`](crate::controlplane::ControlPlane);
 //!    * [`sharded`] — [`run_sharded_schedule`]: S groups behind a key
@@ -29,49 +29,46 @@
 //!      report is byte-identical for every worker count.
 //! 4. [`oracle`] — agreement, validity, recovery-bound, network-accounting
 //!    and (in the settle phase) liveness checks; routing for fleets.
-//! 5. [`shrink`] — on violation, one greedy drop-one-event search
+//! 5. `shrink` — on violation, one greedy drop-one-event search
 //!    minimizes either kind of schedule and emits a replayable
 //!    [`Counterexample`] / [`ShardedCounterexample`] (seed + schedule
 //!    JSON).
 //! 6. [`scenario`] — [`register_simnet_scenarios`] plugs the harness into
 //!    the PR-1 [`ScenarioRegistry`](crate::runtime::ScenarioRegistry), so
 //!    experiment sweeps treat fault intensity like any other grid axis
-//!    (`simnet/*`, `sharded/*` and `fleet/scale-*` scenarios).
+//!    (`simnet/*` and `sharded/*` scenarios).
 //! 7. [`adversary`] — the adversary zoo: protocol-aware attacker replicas
 //!    ([`FaultEvent::AdoptAttacker`]) crossed with network conditions
 //!    including partial synchrony (GST schedules with the
 //!    liveness-after-GST oracle), registered as the `adversary/*` matrix.
 
 pub mod adversary;
-pub mod executor;
-pub mod group;
+pub(crate) mod executor;
+pub(crate) mod group;
 pub mod oracle;
 pub mod scenario;
-pub mod schedule;
+pub(crate) mod schedule;
 pub mod sharded;
-pub mod shrink;
+pub(crate) mod shrink;
 pub mod workload;
 
 pub use adversary::{
-    adversary_config, adversary_matrix, adversary_sharded_config, attacker_ids_lambda,
-    register_adversary_scenarios, NetworkCondition, BYZANTINE_FLIP_IDS_LAMBDA,
+    adversary_config, adversary_matrix, adversary_sharded_config, register_adversary_scenarios,
+    NetworkCondition,
 };
 pub use executor::{run_schedule, RunReport};
 pub use group::{SimnetOutcome, TraceRecord};
-pub use oracle::{InvariantChecker, InvariantKind, RoutingChecker, Violation};
+pub use oracle::{InvariantKind, Violation};
 pub use scenario::{register_simnet_scenarios, SimnetScenario};
-pub use schedule::{
-    FaultEvent, FaultKind, FaultSchedule, NetworkPhase, ScheduleConfig, ScheduledFault,
-};
+pub use schedule::{FaultEvent, FaultKind, FaultSchedule, ScheduleConfig, ScheduledFault};
 pub use sharded::{
-    find_sharded_counterexample, fleet_scale_config, load_swing_config,
-    register_fleet_scale_scenarios, register_sharded_scenarios, run_sharded_schedule,
-    run_sharded_schedule_on, sharded_chaos_4_config, sharded_fleet_controlled_config,
-    sharded_multiput_config, shrink_sharded_schedule, AutotuneTickRecord, ShardedCounterexample,
-    ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig, ShardedSimnetScenario,
+    find_sharded_counterexample, fleet_scale_config, load_swing_config, register_sharded_scenarios,
+    run_sharded_schedule, run_sharded_schedule_on, sharded_chaos_4_config,
+    sharded_fleet_controlled_config, sharded_multiput_config, AutotuneTickRecord,
+    ShardedCounterexample, ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
+    ShardedSimnetScenario,
 };
-pub use shrink::{find_counterexample, shrink_schedule, Counterexample};
-pub use workload::{TraceWorkload, TraceWorkloadConfig};
+pub use shrink::{find_counterexample, Counterexample};
 
 #[cfg(test)]
 mod tests {
@@ -235,7 +232,7 @@ mod tests {
         assert_optional_keys(&single, decode, &["violation"], &[]);
 
         let config = ShardedScheduleConfig {
-            workload: Some(TraceWorkloadConfig::default()),
+            workload: Some(workload::TraceWorkloadConfig::default()),
             autotune: Some(crate::controlplane::autotune::AutotuneConfig::default()),
             ..ShardedScheduleConfig::default()
         };

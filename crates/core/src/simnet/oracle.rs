@@ -92,7 +92,7 @@ impl std::fmt::Display for Violation {
 
 /// The step-by-step invariant checker.
 #[derive(Debug, Default)]
-pub struct InvariantChecker {
+pub(crate) struct InvariantChecker {
     /// Digests of every request submitted through the harness.
     submitted: HashSet<Digest>,
     /// Absolute log position up to which each replica has already been
@@ -107,19 +107,14 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// A fresh checker.
-    pub fn new() -> Self {
-        InvariantChecker::default()
-    }
-
     /// Registers a submitted request digest (the ground truth of validity).
-    pub fn record_submission(&mut self, digest: Digest) {
+    pub(crate) fn record_submission(&mut self, digest: Digest) {
         self.submitted.insert(digest);
     }
 
     /// Checks agreement and validity over the current executed logs of all
     /// live (non-crashed) replicas; `step` tags any violation.
-    pub fn check_logs(&mut self, cluster: &MinBftCluster, step: u32) -> Option<Violation> {
+    pub(crate) fn check_logs(&mut self, cluster: &MinBftCluster, step: u32) -> Option<Violation> {
         // Logs are retained suffixes since each replica's stable checkpoint:
         // `(replica, absolute offset of the first entry, suffix)`.
         let logs: Vec<(NodeId, u64, &[Digest])> = cluster
@@ -236,7 +231,7 @@ impl InvariantChecker {
     /// to the network is delivered, dropped or still in flight — a message
     /// silently lost (or double-counted) breaks the equation in either
     /// direction.
-    pub fn check_network(&self, cluster: &MinBftCluster, step: u32) -> Option<Violation> {
+    pub(crate) fn check_network(&self, cluster: &MinBftCluster, step: u32) -> Option<Violation> {
         let stats = cluster.network_stats();
         let accounted = stats.delivered + stats.dropped + cluster.network_in_flight() as u64;
         if accounted != stats.sent {
@@ -256,13 +251,13 @@ impl InvariantChecker {
     }
 
     /// Removes the validity bookkeeping of an evicted replica.
-    pub fn forget_replica(&mut self, replica: NodeId) {
+    pub(crate) fn forget_replica(&mut self, replica: NodeId) {
         self.validity_scanned.remove(&replica);
     }
 
     /// The highest executed log length among live replicas (the number of
     /// operations the service as a whole has committed).
-    pub fn committed_sequences(cluster: &MinBftCluster) -> u64 {
+    pub(crate) fn committed_sequences(cluster: &MinBftCluster) -> u64 {
         cluster
             .membership()
             .iter()
@@ -284,7 +279,7 @@ impl InvariantChecker {
 /// * the same digest surfacing on two different shards, or at two different
 ///   log positions of one shard (double execution fleet-wide).
 #[derive(Debug, Default)]
-pub struct RoutingChecker {
+pub(crate) struct RoutingChecker {
     /// Owning shard of every digest submitted through the router.
     owners: HashMap<Digest, usize>,
     /// Where each digest was first observed executing:
@@ -300,7 +295,7 @@ impl RoutingChecker {
 
     /// Registers a routed submission: `digest` was submitted to `shard`
     /// (which the router chose as the key's owner).
-    pub fn record_submission(&mut self, digest: Digest, shard: usize) {
+    pub(crate) fn record_submission(&mut self, digest: Digest, shard: usize) {
         self.owners.insert(digest, shard);
     }
 
@@ -315,7 +310,7 @@ impl RoutingChecker {
     /// exists to catch). Retained logs are compaction-bounded, so the
     /// rescan stays cheap; re-observing a digest at its recorded
     /// `(shard, position)` is consistent and never flags.
-    pub fn check_shard(
+    pub(crate) fn check_shard(
         &mut self,
         shard: usize,
         cluster: &MinBftCluster,
@@ -391,7 +386,7 @@ mod tests {
     #[test]
     fn clean_runs_pass_agreement_and_validity() {
         let mut cluster = cluster();
-        let mut checker = InvariantChecker::new();
+        let mut checker = InvariantChecker::default();
         let client = cluster.add_client();
         for value in [1u64, 2, 3] {
             let request = cluster.submit(client, Operation::Write(value));
@@ -406,7 +401,7 @@ mod tests {
     #[test]
     fn injected_corruption_breaks_agreement() {
         let mut cluster = cluster();
-        let mut checker = InvariantChecker::new();
+        let mut checker = InvariantChecker::default();
         let client = cluster.add_client();
         let request = cluster.submit(client, Operation::Write(1));
         checker.record_submission(request.digest());
@@ -464,7 +459,7 @@ mod tests {
     #[test]
     fn unsubmitted_digests_break_validity() {
         let mut cluster = cluster();
-        let mut checker = InvariantChecker::new();
+        let mut checker = InvariantChecker::default();
         let client = cluster.add_client();
         // Deliberately do NOT record the submission.
         cluster.submit(client, Operation::Write(7));

@@ -216,7 +216,7 @@ pub struct ScheduleConfig {
     pub inject_double_commit_at: Option<u32>,
     /// Global stabilization time (GST) of a partial-synchrony schedule:
     /// before this step the network runs the asynchronous profile
-    /// ([`ScheduleConfig::async_network`]: arbitrary delay/reorder/loss);
+    /// (`ScheduleConfig::async_network`: arbitrary delay/reorder/loss);
     /// at this step partitions heal and the base (bounded-delay) profile is
     /// restored, and the generator draws no network faults whose closer
     /// would land after it. `None` keeps the network synchronous
@@ -293,7 +293,7 @@ impl Default for ScheduleConfig {
 /// The synchrony phase a step falls into under a (possibly GST-scheduled)
 /// configuration: the network-condition axis of the adversary matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum NetworkPhase {
+enum NetworkPhase {
     /// No GST configured: the bounded-delay base profile throughout.
     Sync,
     /// Before GST: arbitrary delay, reorder (jitter) and loss.
@@ -313,7 +313,7 @@ impl ScheduleConfig {
     /// configuration. Shared by the single-cluster executor and the
     /// multi-shard harness, so both sweeps exercise the *same* cluster
     /// shape — a knob mapped here reaches every harness at once.
-    pub fn minbft_config(&self, seed: u64) -> MinBftConfig {
+    pub(crate) fn minbft_config(&self, seed: u64) -> MinBftConfig {
         MinBftConfig {
             initial_replicas: self.initial_replicas,
             parallel_recoveries: self.parallel_recoveries,
@@ -327,7 +327,7 @@ impl ScheduleConfig {
     }
 
     /// The synchrony phase of `step` under this configuration.
-    pub fn network_phase(&self, step: u32) -> NetworkPhase {
+    fn network_phase(&self, step: u32) -> NetworkPhase {
         match self.gst {
             None => NetworkPhase::Sync,
             Some(gst) if step < gst => NetworkPhase::Async,
@@ -339,7 +339,7 @@ impl ScheduleConfig {
     /// latency, jitter and loss floored high enough that delivery order,
     /// timing and completeness are effectively arbitrary relative to the
     /// protocol's timeouts.
-    pub fn async_network(&self) -> NetworkConfig {
+    fn async_network(&self) -> NetworkConfig {
         NetworkConfig {
             latency: self.network.latency.max(0.04),
             jitter: self.network.jitter.max(0.03),
@@ -352,7 +352,7 @@ impl ScheduleConfig {
     /// GST, the base profile otherwise. Storm events perturb *this* profile
     /// and `RestoreNetwork` restores it, so a storm closing pre-GST does
     /// not end the asynchronous phase early.
-    pub fn ambient_network(&self, step: u32) -> NetworkConfig {
+    pub(crate) fn ambient_network(&self, step: u32) -> NetworkConfig {
         if self.network_phase(step) == NetworkPhase::Async {
             self.async_network()
         } else {

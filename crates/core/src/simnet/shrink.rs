@@ -140,7 +140,7 @@ pub(crate) fn shrink_greedy<S>(
 /// # Errors
 ///
 /// Propagates harness construction failures.
-pub fn shrink_schedule(
+fn shrink_schedule(
     schedule: &FaultSchedule,
     config: &ScheduleConfig,
     violation: &Violation,

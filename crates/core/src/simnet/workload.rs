@@ -20,7 +20,7 @@
 //!
 //! Everything is a pure function of `(seed, shard, config)`: the same fleet
 //! seed replays the same trace byte-for-byte, which keeps the determinism
-//! contract of the engine intact ([`TraceWorkload`] state lives in the
+//! contract of the engine intact (`TraceWorkload` state lives in the
 //! per-shard sub-executor and is never shared across shards).
 
 use rand::rngs::StdRng;
@@ -62,7 +62,7 @@ impl Default for TraceWorkloadConfig {
 
 impl TraceWorkloadConfig {
     /// The offered rate at `step` (requests per step).
-    pub fn rate(&self, step: u32) -> f64 {
+    pub(crate) fn rate(&self, step: u32) -> f64 {
         let phase = if self.diurnal_period == 0 {
             0.0
         } else {
@@ -75,7 +75,7 @@ impl TraceWorkloadConfig {
 /// One shard's seeded trace generator: diurnal fluid arrivals plus Zipf key
 /// draws over a popularity-ranked shuffle of the shard's owned keys.
 #[derive(Debug, Clone)]
-pub struct TraceWorkload {
+pub(crate) struct TraceWorkload {
     config: TraceWorkloadConfig,
     rng: StdRng,
     /// Fractional demand carried to the next step.
@@ -126,7 +126,7 @@ impl TraceWorkload {
 
     /// The number of requests this shard offers at `step` (deterministic:
     /// the diurnal rate plus the fractional carry from earlier steps).
-    pub fn arrivals(&mut self, step: u32) -> u32 {
+    pub(crate) fn arrivals(&mut self, step: u32) -> u32 {
         self.carry += self.config.rate(step);
         let whole = self.carry.floor().max(0.0);
         self.carry -= whole;
@@ -134,7 +134,7 @@ impl TraceWorkload {
     }
 
     /// Draws one key from the Zipf popularity distribution.
-    pub fn draw_key(&mut self) -> u32 {
+    pub(crate) fn draw_key(&mut self) -> u32 {
         let total = *self.cumulative.last().expect("at least one owned key");
         let point = self.rng.random::<f64>() * total;
         let index = self
@@ -145,7 +145,7 @@ impl TraceWorkload {
     }
 
     /// The backlog cap of the configuration.
-    pub fn backlog_cap(&self) -> u32 {
+    pub(crate) fn backlog_cap(&self) -> u32 {
         self.config.backlog_cap
     }
 }

@@ -16,7 +16,7 @@ use tolerance_consensus::ByzantineMode;
 
 /// How a compromised replica behaves (the attacker's post-compromise choice).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AttackerBehavior {
+pub(crate) enum AttackerBehavior {
     /// Keeps participating correctly in the consensus protocol (stealthy).
     Participate,
     /// Stops participating.
@@ -72,7 +72,7 @@ pub enum AttackProfile {
 
 impl AttackProfile {
     /// The factor applied to the base intrusion probability at `time_step`.
-    pub fn intensity_factor(&self, time_step: u64) -> f64 {
+    pub(crate) fn intensity_factor(&self, time_step: u64) -> f64 {
         match *self {
             AttackProfile::Constant => 1.0,
             AttackProfile::Bursty {
@@ -94,7 +94,7 @@ impl AttackProfile {
 
 /// The progress of an intrusion against one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum IntrusionProgress {
+enum IntrusionProgress {
     /// No intrusion in progress.
     Idle,
     /// The attacker is executing the playbook; `next_step` indexes into the
@@ -131,31 +131,8 @@ impl Attacker {
         }
     }
 
-    /// Current progress.
-    pub fn progress(&self) -> &IntrusionProgress {
-        &self.progress
-    }
-
-    /// Whether the node is currently compromised.
-    pub fn is_compromised(&self) -> bool {
-        matches!(self.progress, IntrusionProgress::Compromised { .. })
-    }
-
-    /// Whether an intrusion (including a completed one) is in progress.
-    pub fn is_active(&self) -> bool {
-        !matches!(self.progress, IntrusionProgress::Idle)
-    }
-
-    /// The time-step at which the node became compromised, if it is.
-    pub fn compromised_since(&self) -> Option<u64> {
-        match self.progress {
-            IntrusionProgress::Compromised { since, .. } => Some(since),
-            _ => None,
-        }
-    }
-
     /// The post-compromise behaviour, if compromised.
-    pub fn behavior(&self) -> Option<AttackerBehavior> {
+    pub(crate) fn behavior(&self) -> Option<AttackerBehavior> {
         match self.progress {
             IntrusionProgress::Compromised { behavior, .. } => Some(behavior),
             _ => None,
@@ -220,6 +197,24 @@ mod tests {
     use crate::containers::ContainerCatalog;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Observers of the progress state machine for the assertions below.
+    impl Attacker {
+        fn is_compromised(&self) -> bool {
+            matches!(self.progress, IntrusionProgress::Compromised { .. })
+        }
+
+        fn is_active(&self) -> bool {
+            !matches!(self.progress, IntrusionProgress::Idle)
+        }
+
+        fn compromised_since(&self) -> Option<u64> {
+            match self.progress {
+                IntrusionProgress::Compromised { since, .. } => Some(since),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn attacker_progresses_through_the_playbook_and_compromises() {

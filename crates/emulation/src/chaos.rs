@@ -28,7 +28,7 @@ use tolerance_core::{CoreError, Result};
 /// [`IntrusionBurst`](FaultEvent::IntrusionBurst) paired with a recovery a
 /// few steps later. At most `f` replicas are compromised at once (chaos
 /// beyond the fault threshold voids the guarantees the oracles check).
-pub fn attacker_driven_intrusions(
+fn attacker_driven_intrusions(
     seed: u64,
     config: &ScheduleConfig,
     intrusion_probability: f64,
@@ -87,7 +87,7 @@ pub fn attacker_driven_intrusions(
 /// An attacker-campaign scenario: network/crash/churn chaos from the core
 /// generator plus intrusion timing from the emulated attacker playbooks.
 #[derive(Debug, Clone)]
-pub struct AttackerCampaignScenario {
+struct AttackerCampaignScenario {
     label: String,
     config: ScheduleConfig,
     intrusion_probability: f64,
@@ -130,11 +130,6 @@ impl AttackerCampaignScenario {
         ));
         FaultSchedule::scripted(seed, events)
     }
-
-    /// The run configuration.
-    pub fn config(&self) -> &ScheduleConfig {
-        &self.config
-    }
 }
 
 impl Scenario for AttackerCampaignScenario {
@@ -158,7 +153,7 @@ impl Scenario for AttackerCampaignScenario {
 }
 
 /// Registers the attacker-driven chaos scenarios.
-pub fn register_chaos_scenarios(registry: &mut ScenarioRegistry) {
+pub(crate) fn register_chaos_scenarios(registry: &mut ScenarioRegistry) {
     registry.register("simnet/attacker-campaign", || {
         Ok(Box::new(AttackerCampaignScenario::new(
             "simnet/attacker-campaign",
@@ -207,10 +202,7 @@ mod tests {
             "every burst is paired with a recovery"
         );
         // The core generator's own intrusion kinds are disabled.
-        assert!(!scenario
-            .config()
-            .enabled
-            .contains(&FaultKind::IntrusionBurst));
+        assert!(!scenario.config.enabled.contains(&FaultKind::IntrusionBurst));
         // Determinism.
         assert_eq!(schedule, scenario.schedule(3));
         assert_ne!(schedule, scenario.schedule(4));

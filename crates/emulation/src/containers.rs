@@ -27,7 +27,7 @@ pub enum IntrusionStep {
 impl IntrusionStep {
     /// Relative amount of extra IDS noise the step generates (scans are loud,
     /// exploits are comparatively quiet).
-    pub fn alert_intensity(self) -> f64 {
+    pub(crate) fn alert_intensity(self) -> f64 {
         match self {
             IntrusionStep::TcpSynScan => 1.0,
             IntrusionStep::IcmpScan => 0.6,
@@ -186,7 +186,7 @@ impl ContainerCatalog {
 
     /// The draw behind [`Self::sample`], as a position in
     /// [`Self::containers`] (for per-container tables kept beside it).
-    pub fn sample_position<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample_position<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         rng.random_range(0..self.containers.len())
     }
 }

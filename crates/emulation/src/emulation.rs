@@ -197,11 +197,6 @@ impl Emulation {
         &self.config
     }
 
-    /// Current number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Draws one node's transition parameters; heterogeneous fleets scale
     /// the attack-related probabilities per node.
     fn sample_node_parameters(&self, rng: &mut StdRng) -> NodeParameters {
@@ -618,7 +613,6 @@ mod tests {
             // container's (catalogue positions are 0-based, ids 1-based).
             let container = &emulation.catalog.containers()[node.container];
             let ids = &emulation.ids_models[node.container];
-            assert_eq!(ids.container_id(), container.id);
             assert_eq!(*ids, IdsModel::for_container(container));
             containers_seen.insert(container.id);
         }
@@ -720,7 +714,7 @@ mod tests {
         .unwrap();
         let outcome = emulation.run().unwrap();
         assert!(outcome.final_nodes <= 10);
-        assert!(emulation.num_nodes() <= 10);
+        assert!(emulation.nodes.len() <= 10);
         assert_eq!(emulation.config().max_nodes, 10);
     }
 }

@@ -185,7 +185,7 @@ impl EvaluationGrid {
 }
 
 /// Formats a `Δ_R` value the way the paper's tables do.
-pub fn format_delta_r(delta_r: Option<u32>) -> String {
+fn format_delta_r(delta_r: Option<u32>) -> String {
     match delta_r {
         Some(d) => d.to_string(),
         None => "inf".to_string(),

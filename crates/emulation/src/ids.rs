@@ -21,7 +21,7 @@ use tolerance_markov::stats::kl_divergence;
 /// Size of the weighted-alert observation space `O` used by the controllers
 /// (the paper's numeric experiments use `O = {0, ..., 9}`; one extra bucket
 /// captures the tail).
-pub const ALERT_SUPPORT: usize = 11;
+const ALERT_SUPPORT: usize = 11;
 
 /// An infrastructure metric collected by the emulated testbed (Appendix H /
 /// Fig. 18).
@@ -123,7 +123,7 @@ impl IdsModel {
     ///
     /// Returns [`tolerance_core::CoreError::InvalidParameter`] if a
     /// container's observation model violates the assumptions.
-    pub fn for_catalog(catalog: &ContainerCatalog) -> tolerance_core::Result<Vec<Self>> {
+    pub(crate) fn for_catalog(catalog: &ContainerCatalog) -> tolerance_core::Result<Vec<Self>> {
         catalog
             .containers()
             .iter()
@@ -133,11 +133,6 @@ impl IdsModel {
                 Ok(ids)
             })
             .collect()
-    }
-
-    /// The container this model belongs to.
-    pub fn container_id(&self) -> u8 {
-        self.container_id
     }
 
     /// The observation model consumed by the node controller.
@@ -186,7 +181,7 @@ impl IdsModel {
 /// the full metric vector (the analogue of one trace in the paper's 6 400-
 /// trace dataset).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IntrusionTrace {
+struct IntrusionTrace {
     /// The container the trace was generated for.
     pub container_id: u8,
     /// The time-step at which the intrusion begins.
@@ -243,11 +238,6 @@ impl TraceDataset {
             })
             .collect();
         TraceDataset { traces }
-    }
-
-    /// The traces.
-    pub fn traces(&self) -> &[IntrusionTrace] {
-        &self.traces
     }
 
     /// Number of traces.
@@ -331,7 +321,7 @@ mod tests {
             loud_divergence > quiet_divergence,
             "brute-force containers must be easier to detect ({loud_divergence} vs {quiet_divergence})"
         );
-        assert_eq!(brute.container_id(), 1);
+        assert_eq!(brute.container_id, 1);
     }
 
     #[test]
@@ -391,7 +381,7 @@ mod tests {
         let dataset = TraceDataset::generate(catalogue.by_id(5).unwrap(), 64, 40, &mut rng);
         assert_eq!(dataset.len(), 64);
         assert!(!dataset.is_empty());
-        for trace in dataset.traces() {
+        for trace in &dataset.traces {
             assert_eq!(trace.compromised.len(), 40);
             assert_eq!(trace.alerts.len(), 40);
             assert_eq!(trace.metrics.len(), 40);

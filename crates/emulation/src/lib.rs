@@ -8,20 +8,20 @@
 //! (Section VII–VIII). This crate substitutes a faithful simulation of that
 //! environment (see DESIGN.md for the substitution argument):
 //!
-//! * [`containers`] — the replica container catalogue of Table 4, their
+//! * `containers` — the replica container catalogue of Table 4, their
 //!   background services (Table 5) and intrusion playbooks (Table 6).
-//! * [`ids`] — per-container IDS alert distributions shaped like Fig. 11,
+//! * `ids` — per-container IDS alert distributions shaped like Fig. 11,
 //!   an intrusion-trace generator (the analogue of the paper's 6 400-trace
 //!   dataset), and the additional infrastructure metrics of Fig. 18.
-//! * [`attacker`] — the multi-step attacker that works through each
+//! * `attacker` — the multi-step attacker that works through each
 //!   container's intrusion playbook and then behaves arbitrarily.
-//! * [`chaos`] — attacker-driven fault schedules for the simnet harness
+//! * `chaos` — attacker-driven fault schedules for the simnet harness
 //!   (`tolerance_core::simnet`): intrusion timing follows the container
 //!   playbooks instead of uniform sampling.
 //! * [`emulation`] — the closed-loop emulation combining nodes, attackers,
 //!   controllers and (optionally) the MinBFT cluster, producing the
 //!   `T(A)`, `T(R)`, `F(R)` metrics. There is no background-client module:
-//!   the testbed's client load is part of the estimated `Ẑ` the [`ids`]
+//!   the testbed's client load is part of the estimated `Ẑ` the `ids`
 //!   models reproduce, not a process the loop steps.
 //! * [`eval`] — the Table 7 / Fig. 12 comparison harness (TOLERANCE vs the
 //!   NO-RECOVERY, PERIODIC and PERIODIC-ADAPTIVE baselines over seeds),
@@ -33,18 +33,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod attacker;
-pub mod chaos;
-pub mod containers;
+mod attacker;
+mod chaos;
+mod containers;
 pub mod emulation;
 pub mod eval;
-pub mod ids;
+mod ids;
 pub mod scenarios;
 
-pub use attacker::{AttackProfile, Attacker, AttackerBehavior};
-pub use chaos::AttackerCampaignScenario;
+pub use attacker::{AttackProfile, Attacker};
 pub use containers::{ContainerCatalog, ContainerConfig};
 pub use emulation::{Emulation, EmulationConfig, EmulationOutcome, StrategyKind};
-pub use eval::{ComparisonRow, EmulationScenario, EvaluationGrid};
-pub use ids::{IdsModel, IntrusionTrace, MetricKind, TraceDataset};
+pub use eval::{EmulationScenario, EvaluationGrid};
+pub use ids::{IdsModel, MetricKind, TraceDataset};
 pub use scenarios::builtin_registry;

@@ -2,12 +2,10 @@
 //!
 //! Provides the analysis primitives of Appendix F of the paper: mean hitting
 //! times (mean time to failure, Fig. 6a), reliability functions computed from
-//! the Chapman–Kolmogorov equation (Fig. 6b), n-step transition matrices and
-//! stationary distributions.
+//! the Chapman–Kolmogorov equation (Fig. 6b) and stationary distributions.
 
 use crate::error::{MarkovError, Result};
 use crate::linalg::Matrix;
-use rand::Rng;
 
 /// Tolerance used when validating that rows are probability distributions.
 const STOCHASTIC_TOLERANCE: f64 = 1e-8;
@@ -52,7 +50,7 @@ impl MarkovChain {
     /// # Errors
     ///
     /// Same as [`MarkovChain::new`].
-    pub fn from_matrix(transition: Matrix) -> Result<Self> {
+    fn from_matrix(transition: Matrix) -> Result<Self> {
         if transition.rows() != transition.cols() {
             return Err(MarkovError::DimensionMismatch {
                 expected: "square transition matrix".into(),
@@ -80,11 +78,6 @@ impl MarkovChain {
         self.transition.rows()
     }
 
-    /// The transition matrix.
-    pub fn transition_matrix(&self) -> &Matrix {
-        &self.transition
-    }
-
     /// One-step transition probability `P[s -> s']`.
     ///
     /// # Panics
@@ -92,16 +85,6 @@ impl MarkovChain {
     /// Panics if either state index is out of bounds.
     pub fn transition_probability(&self, from: usize, to: usize) -> f64 {
         self.transition[(from, to)]
-    }
-
-    /// The `t`-step transition matrix `P^t` (Chapman–Kolmogorov).
-    ///
-    /// # Errors
-    ///
-    /// Propagates matrix-power errors (which cannot occur for a validated
-    /// square chain but are kept for API uniformity).
-    pub fn n_step_matrix(&self, t: u32) -> Result<Matrix> {
-        self.transition.pow(t)
     }
 
     /// Propagates an initial distribution `t` steps forward.
@@ -177,7 +160,7 @@ impl MarkovChain {
     ///
     /// Same conditions as [`MarkovChain::mean_hitting_time`] plus an
     /// out-of-range start state.
-    pub fn hitting_probability_by(&self, start: usize, targets: &[usize], t: u32) -> Result<f64> {
+    fn hitting_probability_by(&self, start: usize, targets: &[usize], t: u32) -> Result<f64> {
         if targets.is_empty() {
             return Err(MarkovError::EmptyInput("targets"));
         }
@@ -227,7 +210,7 @@ impl MarkovChain {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MarkovChain::hitting_probability_by`].
+    /// Same conditions as `MarkovChain::hitting_probability_by`.
     pub fn reliability_curve(
         &self,
         start: usize,
@@ -266,53 +249,11 @@ impl MarkovChain {
             "power iteration did not converge".into(),
         ))
     }
-
-    /// Samples a trajectory of length `steps + 1` (including the start state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is out of range.
-    pub fn sample_path<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        start: usize,
-        steps: usize,
-    ) -> Vec<usize> {
-        assert!(start < self.num_states(), "start state out of range");
-        let mut path = Vec::with_capacity(steps + 1);
-        let mut state = start;
-        path.push(state);
-        for _ in 0..steps {
-            state = self.sample_next(rng, state);
-            path.push(state);
-        }
-        path
-    }
-
-    /// Samples the successor of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn sample_next<R: Rng + ?Sized>(&self, rng: &mut R, state: usize) -> usize {
-        assert!(state < self.num_states(), "state out of range");
-        let row = self.transition.row(state);
-        let mut u = rng.random::<f64>();
-        for (next, &p) in row.iter().enumerate() {
-            u -= p;
-            if u <= 0.0 {
-                return next;
-            }
-        }
-        self.num_states() - 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "expected {b}, got {a}");
@@ -406,32 +347,5 @@ mod tests {
         // Solve pi P = pi: pi = (1/3, 2/3).
         assert_close(pi[0], 1.0 / 3.0, 1e-6);
         assert_close(pi[1], 2.0 / 3.0, 1e-6);
-    }
-
-    #[test]
-    fn n_step_matrix_rows_are_stochastic() {
-        let chain = MarkovChain::new(vec![vec![0.5, 0.5], vec![0.25, 0.75]]).unwrap();
-        let p5 = chain.n_step_matrix(5).unwrap();
-        for r in 0..2 {
-            assert_close(p5.row(r).iter().sum::<f64>(), 1.0, 1e-10);
-        }
-    }
-
-    #[test]
-    fn sample_path_stays_in_bounds_and_respects_absorption() {
-        let chain = two_state(0.3);
-        let mut rng = StdRng::seed_from_u64(7);
-        let path = chain.sample_path(&mut rng, 0, 100);
-        assert_eq!(path.len(), 101);
-        let mut absorbed = false;
-        for &s in &path {
-            assert!(s < 2);
-            if absorbed {
-                assert_eq!(s, 1, "absorbing state must not be left");
-            }
-            if s == 1 {
-                absorbed = true;
-            }
-        }
     }
 }

@@ -1,12 +1,11 @@
 //! Probability distributions used by the TOLERANCE models.
 //!
 //! The paper's numeric experiments (Appendix E) model IDS-alert observations
-//! with Beta-binomial distributions, time-to-compromise with geometric
-//! distributions (implied by the Markov transition function of Eq. 2),
-//! background-client arrivals with a Poisson process, their service times
-//! with an exponential distribution, and the replication CMDP transition
-//! function with a floor-of-sum-of-Bernoulli (Poisson-binomial) distribution.
-//! All of these are implemented here without external dependencies.
+//! with Beta-binomial distributions (or categorical ones estimated from
+//! traces), Poisson-distributed alert counts, binomial node survival in the
+//! replication CMDP, and sums of independent Bernoulli indicators
+//! (Poisson-binomial). All of these are implemented here without external
+//! dependencies.
 
 use crate::error::{MarkovError, Result};
 use crate::special::{ln_beta, ln_binomial, ln_factorial};
@@ -104,19 +103,9 @@ impl BetaBinomial {
         Ok(BetaBinomial { n, alpha, beta })
     }
 
-    /// The number of trials `n`.
-    pub fn trials(&self) -> u64 {
-        self.n
-    }
-
     /// The `alpha` shape parameter.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// The `beta` shape parameter.
-    pub fn beta(&self) -> f64 {
-        self.beta
     }
 
     /// The full probability mass function over `0..=n` as a vector.
@@ -175,16 +164,6 @@ impl Binomial {
             });
         }
         Ok(Binomial { n, p })
-    }
-
-    /// Number of trials.
-    pub fn trials(&self) -> u64 {
-        self.n
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
     }
 }
 
@@ -245,11 +224,6 @@ impl Poisson {
         }
         Ok(Poisson { lambda })
     }
-
-    /// The rate parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
 }
 
 impl DiscreteDistribution for Poisson {
@@ -284,154 +258,6 @@ impl DiscreteDistribution for Poisson {
             };
             half.sample(rng) + half.sample(rng)
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Geometric
-// ---------------------------------------------------------------------------
-
-/// The geometric distribution on `{1, 2, ...}` counting the number of trials
-/// until the first success (success probability `p`).
-///
-/// Under the node transition model (Eq. 2) the number of time-steps until a
-/// healthy, never-recovered node fails is geometric with
-/// `p = 1 - (1 - p_A)(1 - p_C1)`; Fig. 5 plots exactly this CDF.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Geometric {
-    p: f64,
-}
-
-impl Geometric {
-    /// Creates a geometric distribution with success probability `p ∈ (0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidParameter`] if `p` is outside `(0, 1]`.
-    pub fn new(p: f64) -> Result<Self> {
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(MarkovError::InvalidParameter {
-                name: "p",
-                reason: format!("must lie in (0, 1], got {p}"),
-            });
-        }
-        Ok(Geometric { p })
-    }
-
-    /// Success probability per trial.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// `P[X <= t]`, the probability that the first success happens within the
-    /// first `t` trials.
-    pub fn cdf_trials(&self, t: u64) -> f64 {
-        1.0 - (1.0 - self.p).powi(t as i32)
-    }
-}
-
-impl DiscreteDistribution for Geometric {
-    fn pmf(&self, k: u64) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        (1.0 - self.p).powi((k - 1) as i32) * self.p
-    }
-
-    fn mean(&self) -> f64 {
-        1.0 / self.p
-    }
-
-    fn variance(&self) -> f64 {
-        (1.0 - self.p) / (self.p * self.p)
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.p >= 1.0 {
-            return 1;
-        }
-        let u: f64 = rng.random();
-        // Inverse CDF: ceil(ln(1-u) / ln(1-p)).
-        ((1.0 - u).ln() / (1.0 - self.p).ln()).ceil().max(1.0) as u64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Exponential (continuous)
-// ---------------------------------------------------------------------------
-
-/// The exponential distribution with mean `1/rate`, used for background
-/// service times in the emulation (mean 4 time-steps in the paper).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with the given rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidParameter`] if `rate` is not strictly
-    /// positive and finite.
-    pub fn new(rate: f64) -> Result<Self> {
-        if !(rate > 0.0 && rate.is_finite()) {
-            return Err(MarkovError::InvalidParameter {
-                name: "rate",
-                reason: format!("must be positive and finite, got {rate}"),
-            });
-        }
-        Ok(Exponential { rate })
-    }
-
-    /// Creates the distribution from its mean (`mean = 1/rate`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidParameter`] if `mean` is not strictly
-    /// positive and finite.
-    pub fn from_mean(mean: f64) -> Result<Self> {
-        if !(mean > 0.0 && mean.is_finite()) {
-            return Err(MarkovError::InvalidParameter {
-                name: "mean",
-                reason: format!("must be positive and finite, got {mean}"),
-            });
-        }
-        Exponential::new(1.0 / mean)
-    }
-
-    /// The rate parameter.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Expected value `1/rate`.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-
-    /// Probability density at `x >= 0`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * (-self.rate * x).exp()
-        }
-    }
-
-    /// Cumulative distribution function.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            1.0 - (-self.rate * x).exp()
-        }
-    }
-
-    /// Draws a sample via inverse transform sampling.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random();
-        -(1.0 - u).ln() / self.rate
     }
 }
 
@@ -684,48 +510,6 @@ mod tests {
         let samples = d.sample_n(&mut r, 500);
         let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
         assert!((mean - 200.0).abs() < 5.0);
-    }
-
-    #[test]
-    fn geometric_cdf_matches_fig5_formula() {
-        // Fig. 5: P[failure by t] = 1 - ((1-pA)(1-pC1))^t.
-        let p_a: f64 = 0.1;
-        let p_c1 = 1e-5;
-        let fail_prob = 1.0 - (1.0 - p_a) * (1.0 - p_c1);
-        let d = Geometric::new(fail_prob).unwrap();
-        for t in [1u64, 10, 50, 100] {
-            let expected = 1.0 - ((1.0 - p_a) * (1.0 - p_c1)).powi(t as i32);
-            assert_close(d.cdf_trials(t), expected, 1e-12);
-        }
-        assert_close(d.mean(), 1.0 / fail_prob, 1e-12);
-    }
-
-    #[test]
-    fn geometric_pmf_sums_and_sampling() {
-        let d = Geometric::new(0.3).unwrap();
-        let total: f64 = (1..200).map(|k| d.pmf(k)).sum();
-        assert_close(total, 1.0, 1e-9);
-        assert_eq!(d.pmf(0), 0.0);
-        let mut r = rng();
-        let samples = d.sample_n(&mut r, 4000);
-        let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-        assert!((mean - 1.0 / 0.3).abs() < 0.2);
-        assert!(Geometric::new(0.0).is_err());
-        assert_eq!(Geometric::new(1.0).unwrap().sample(&mut r), 1);
-    }
-
-    #[test]
-    fn exponential_properties() {
-        let d = Exponential::from_mean(4.0).unwrap();
-        assert_close(d.mean(), 4.0, 1e-12);
-        assert_close(d.cdf(0.0), 0.0, 1e-12);
-        assert_close(d.pdf(-1.0), 0.0, 1e-12);
-        assert!(d.cdf(100.0) > 0.999);
-        let mut r = rng();
-        let mean: f64 = (0..4000).map(|_| d.sample(&mut r)).sum::<f64>() / 4000.0;
-        assert!((mean - 4.0).abs() < 0.3);
-        assert!(Exponential::new(-1.0).is_err());
-        assert!(Exponential::from_mean(0.0).is_err());
     }
 
     #[test]

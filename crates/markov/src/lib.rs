@@ -7,14 +7,16 @@
 //! The paper (Hammar & Stadler, DSN 2024) relies on the following primitives,
 //! all implemented here from scratch:
 //!
-//! * Beta-binomial observation models `Z_i(· | s)` (Appendix E),
-//! * geometric time-to-compromise processes implied by Eq. (2),
-//! * the Poisson-binomial transition function of the replication CMDP
-//!   (Eq. 8 sums independent Bernoulli "healthy" indicators),
+//! * Beta-binomial observation models `Z_i(· | s)` (Appendix E) and the
+//!   categorical ones estimated from traces (Fig. 11),
+//! * the binomial node-survival law the replication CMDP builds its
+//!   transition kernel from (Eq. 8), the Poisson alert-count model and the
+//!   Poisson-binomial sum of independent Bernoulli indicators,
 //! * mean-time-to-failure and reliability curves `R(t)` via hitting times and
 //!   the Chapman–Kolmogorov equation (Appendix F, Fig. 6),
 //! * Kullback–Leibler divergences between alert distributions (Fig. 14, 18),
-//! * Student-t confidence intervals used in every table of the evaluation.
+//! * mean ± Student-t 95 % half-width summaries used in every table of the
+//!   evaluation.
 //!
 //! # Example
 //!
@@ -34,14 +36,7 @@ pub mod chain;
 pub mod dist;
 pub mod error;
 pub mod linalg;
-pub mod special;
+mod special;
 pub mod stats;
 
-pub use chain::MarkovChain;
-pub use dist::{
-    BetaBinomial, Binomial, Categorical, DiscreteDistribution, Exponential, Geometric, Poisson,
-    PoissonBinomial,
-};
-pub use error::{MarkovError, Result};
-pub use linalg::{Matrix, Vector};
-pub use stats::{confidence_interval_95, kl_divergence, SummaryStatistics};
+pub use error::MarkovError;

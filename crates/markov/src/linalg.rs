@@ -8,7 +8,7 @@
 use crate::error::{MarkovError, Result};
 
 /// A dense column vector of `f64` values.
-pub type Vector = Vec<f64>;
+type Vector = Vec<f64>;
 
 /// A dense row-major matrix of `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,22 +28,13 @@ impl Matrix {
         }
     }
 
-    /// Creates an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Creates a matrix from nested rows.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::DimensionMismatch`] if the rows have differing
     /// lengths, and [`MarkovError::EmptyInput`] if no rows are provided.
-    pub fn from_rows(rows: Vec<Vec<f64>>) -> Result<Self> {
+    pub(crate) fn from_rows(rows: Vec<Vec<f64>>) -> Result<Self> {
         if rows.is_empty() {
             return Err(MarkovError::EmptyInput("matrix rows"));
         }
@@ -71,12 +62,12 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -85,7 +76,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r` is out of bounds.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         assert!(
             r < self.rows,
             "row index {r} out of bounds ({} rows)",
@@ -94,30 +85,13 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix-vector product `A x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::DimensionMismatch`] if `x.len() != self.cols()`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vector> {
-        if x.len() != self.cols {
-            return Err(MarkovError::DimensionMismatch {
-                expected: format!("vector of length {}", self.cols),
-                found: format!("vector of length {}", x.len()),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|r| self.row(r).iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
     /// Vector-matrix product `x^T A` (useful for propagating row-stochastic
     /// distributions).
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::DimensionMismatch`] if `x.len() != self.rows()`.
-    pub fn vec_mul(&self, x: &[f64]) -> Result<Vector> {
+    pub(crate) fn vec_mul(&self, x: &[f64]) -> Result<Vector> {
         if x.len() != self.rows {
             return Err(MarkovError::DimensionMismatch {
                 expected: format!("vector of length {}", self.rows),
@@ -134,72 +108,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// Matrix-matrix product `A B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::DimensionMismatch`] if the inner dimensions do
-    /// not agree.
-    pub fn mul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(MarkovError::DimensionMismatch {
-                expected: format!("{} rows", self.cols),
-                found: format!("{} rows", other.rows),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Returns `self` raised to the integer power `p` (repeated squaring).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::DimensionMismatch`] if the matrix is not square.
-    pub fn pow(&self, p: u32) -> Result<Matrix> {
-        if self.rows != self.cols {
-            return Err(MarkovError::DimensionMismatch {
-                expected: "square matrix".into(),
-                found: format!("{}x{}", self.rows, self.cols),
-            });
-        }
-        let mut result = Matrix::identity(self.rows);
-        let mut base = self.clone();
-        let mut exp = p;
-        while exp > 0 {
-            if exp & 1 == 1 {
-                result = result.mul(&base)?;
-            }
-            exp >>= 1;
-            if exp > 0 {
-                base = base.mul(&base)?;
-            }
-        }
-        Ok(result)
-    }
-
-    /// Transposes the matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
     }
 
     /// Solves the linear system `A x = b` using Gaussian elimination with
@@ -272,22 +180,6 @@ impl Matrix {
         }
         Ok(x)
     }
-
-    /// Frobenius norm of the difference with another matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn distance(&self, other: &Matrix) -> f64 {
-        assert_eq!(self.rows, other.rows, "row count mismatch");
-        assert_eq!(self.cols, other.cols, "column count mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -312,28 +204,13 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean norm of a slice.
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Normalizes a non-negative slice so that it sums to one.
 ///
 /// # Errors
 ///
 /// Returns [`MarkovError::NotStochastic`] if the sum is non-positive or any
 /// entry is negative.
-pub fn normalize(values: &[f64]) -> Result<Vector> {
+pub(crate) fn normalize(values: &[f64]) -> Result<Vector> {
     if values.iter().any(|&v| v < 0.0) {
         return Err(MarkovError::NotStochastic {
             row: 0,
@@ -352,15 +229,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identity_and_indexing() {
-        let id = Matrix::identity(3);
-        assert_eq!(id[(0, 0)], 1.0);
-        assert_eq!(id[(0, 1)], 0.0);
-        assert_eq!(id.rows(), 3);
-        assert_eq!(id.cols(), 3);
-    }
-
-    #[test]
     fn from_rows_validates_shape() {
         assert!(Matrix::from_rows(vec![]).is_err());
         assert!(Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0]]).is_err());
@@ -369,31 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn matrix_vector_products() {
+    fn vector_matrix_product() {
         let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(m.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
         assert_eq!(m.vec_mul(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
-        assert!(m.mul_vec(&[1.0]).is_err());
         assert!(m.vec_mul(&[1.0, 1.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn matrix_product_and_power() {
-        let m = Matrix::from_rows(vec![vec![0.5, 0.5], vec![0.0, 1.0]]).unwrap();
-        let m2 = m.pow(2).unwrap();
-        assert!((m2[(0, 0)] - 0.25).abs() < 1e-12);
-        assert!((m2[(0, 1)] - 0.75).abs() < 1e-12);
-        let m0 = m.pow(0).unwrap();
-        assert_eq!(m0, Matrix::identity(2));
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.transpose(), m);
     }
 
     #[test]
@@ -415,7 +262,7 @@ mod tests {
     fn solve_requires_square_and_matching_rhs() {
         let a = Matrix::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         assert!(a.solve(&[1.0, 2.0]).is_err());
-        let b = Matrix::identity(2);
+        let b = Matrix::zeros(2, 2);
         assert!(b.solve(&[1.0, 2.0, 3.0]).is_err());
     }
 
@@ -428,20 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn normalize_and_dot() {
+    fn normalize_scales_to_a_distribution() {
         let v = normalize(&[1.0, 1.0, 2.0]).unwrap();
         assert!((v.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((v[2] - 0.5).abs() < 1e-12);
         assert!(normalize(&[0.0, 0.0]).is_err());
         assert!(normalize(&[-1.0, 2.0]).is_err());
-        assert!((dot(&[1.0, 2.0], &[3.0, 4.0]) - 11.0).abs() < 1e-12);
-        assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distance_between_matrices() {
-        let a = Matrix::identity(2);
-        let b = Matrix::zeros(2, 2);
-        assert!((a.distance(&b) - 2.0f64.sqrt()).abs() < 1e-12);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Only the handful of functions the crate actually needs are provided:
 //! the log-gamma function (Lanczos approximation), the log-beta function,
-//! log-binomial coefficients and the regular factorial/binomial helpers.
+//! log-binomial coefficients and log-factorials.
 
 /// Lanczos coefficients (g = 7, n = 9) for the log-gamma approximation.
 const LANCZOS_G: f64 = 7.0;
@@ -27,7 +27,7 @@ const LANCZOS_COEFFICIENTS: [f64; 9] = [
 ///
 /// Panics if `x` is not finite or if `x` is a non-positive integer (where the
 /// gamma function has poles).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(
         x.is_finite(),
         "ln_gamma requires a finite argument, got {x}"
@@ -51,7 +51,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Natural logarithm of the beta function, `ln B(a, b)` for `a, b > 0`.
-pub fn ln_beta(a: f64, b: f64) -> f64 {
+pub(crate) fn ln_beta(a: f64, b: f64) -> f64 {
     assert!(
         a > 0.0 && b > 0.0,
         "ln_beta requires positive arguments, got ({a}, {b})"
@@ -62,7 +62,7 @@ pub fn ln_beta(a: f64, b: f64) -> f64 {
 /// Natural logarithm of the binomial coefficient `C(n, k)`.
 ///
 /// Returns negative infinity when `k > n`.
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_binomial(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
@@ -73,47 +73,20 @@ pub fn ln_binomial(n: u64, k: u64) -> f64 {
 }
 
 /// Natural logarithm of `n!`.
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     ln_gamma(n as f64 + 1.0)
-}
-
-/// Exact binomial coefficient for small arguments, computed with u128
-/// intermediate arithmetic to postpone overflow.
-///
-/// # Panics
-///
-/// Panics if the result does not fit into `u128`.
-pub fn binomial_coefficient(n: u64, k: u64) -> u128 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut result: u128 = 1;
-    for i in 0..k {
-        result = result
-            .checked_mul((n - i) as u128)
-            .expect("binomial coefficient overflow")
-            / (i as u128 + 1);
-    }
-    result
-}
-
-/// Numerically stable log-sum-exp of a slice of log-values.
-///
-/// Returns negative infinity for an empty slice or a slice of all
-/// negative-infinite values.
-pub fn log_sum_exp(log_values: &[f64]) -> f64 {
-    let max = log_values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        return f64::NEG_INFINITY;
-    }
-    let sum: f64 = log_values.iter().map(|&v| (v - max).exp()).sum();
-    max + sum.ln()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exact binomial coefficient for small arguments: the oracle
+    /// `ln_binomial` is checked against.
+    fn binomial_coefficient(n: u64, k: u64) -> u128 {
+        let k = k.min(n - k);
+        (0..k).fold(1u128, |acc, i| acc * (n - i) as u128 / (i as u128 + 1))
+    }
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "expected {b}, got {a}");
@@ -157,23 +130,6 @@ mod tests {
             }
         }
         assert_eq!(ln_binomial(3, 5), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn binomial_coefficient_basics() {
-        assert_eq!(binomial_coefficient(10, 0), 1);
-        assert_eq!(binomial_coefficient(10, 10), 1);
-        assert_eq!(binomial_coefficient(10, 3), 120);
-        assert_eq!(binomial_coefficient(52, 5), 2_598_960);
-        assert_eq!(binomial_coefficient(3, 5), 0);
-    }
-
-    #[test]
-    fn log_sum_exp_is_stable() {
-        let values = [-1000.0, -1000.0];
-        assert_close(log_sum_exp(&values), -1000.0 + std::f64::consts::LN_2, 1e-9);
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-        assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
     }
 
     #[test]

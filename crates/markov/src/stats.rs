@@ -1,10 +1,10 @@
-//! Summary statistics, confidence intervals and information-theoretic
-//! divergences.
+//! Summary statistics with confidence half-widths, and the
+//! Kullback–Leibler divergence.
 //!
 //! Every table and figure in the paper reports means with 95% confidence
 //! intervals based on the Student-t distribution over 20 random seeds
-//! (Appendix E); [`SummaryStatistics`] and [`confidence_interval_95`]
-//! reproduce that computation. Figures 14 and 18 additionally report
+//! (Appendix E); [`SummaryStatistics`] reproduces that computation.
+//! Figures 14 and 18 additionally report
 //! Kullback–Leibler divergences between alert distributions, provided by
 //! [`kl_divergence`].
 
@@ -20,7 +20,7 @@ const T_975: [f64; 30] = [
 
 /// Returns the 97.5% Student-t quantile for `df` degrees of freedom
 /// (normal-approximation 1.96 for `df > 30`).
-pub fn t_quantile_975(df: usize) -> f64 {
+fn t_quantile_975(df: usize) -> f64 {
     if df == 0 {
         f64::INFINITY
     } else if df <= 30 {
@@ -83,16 +83,6 @@ impl SummaryStatistics {
     }
 }
 
-/// Convenience wrapper returning `(mean, 95% CI half-width)`.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::EmptyInput`] for an empty sample.
-pub fn confidence_interval_95(samples: &[f64]) -> Result<(f64, f64)> {
-    let stats = SummaryStatistics::from_samples(samples)?;
-    Ok((stats.mean, stats.ci95_half_width))
-}
-
 /// Kullback–Leibler divergence `D_KL(p ‖ q)` between two discrete
 /// distributions given as probability vectors.
 ///
@@ -124,33 +114,6 @@ pub fn kl_divergence(p: &[f64], q: &[f64]) -> Result<f64> {
         divergence += pi * (pi / qi).ln();
     }
     Ok(divergence)
-}
-
-/// Jensen–Shannon divergence, a bounded symmetric alternative to the KL
-/// divergence (used by tests and the sensitivity sweep to order detection
-/// models whose KL divergence is infinite).
-///
-/// # Errors
-///
-/// Same conditions as [`kl_divergence`].
-pub fn js_divergence(p: &[f64], q: &[f64]) -> Result<f64> {
-    if p.len() != q.len() {
-        return Err(MarkovError::DimensionMismatch {
-            expected: format!("length {}", p.len()),
-            found: format!("length {}", q.len()),
-        });
-    }
-    let m: Vec<f64> = p.iter().zip(q).map(|(a, b)| 0.5 * (a + b)).collect();
-    Ok(0.5 * kl_divergence(p, &m)? + 0.5 * kl_divergence(q, &m)?)
-}
-
-/// Empirical mean of a slice (0 for an empty slice).
-pub fn mean(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().sum::<f64>() / samples.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -189,16 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn confidence_interval_20_seeds_matches_paper_setup() {
-        // The paper uses 20 seeds: df = 19, t = 2.093.
-        let samples: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let (mean, ci) = confidence_interval_95(&samples).unwrap();
-        assert_close(mean, 9.5, 1e-12);
-        let std = SummaryStatistics::from_samples(&samples).unwrap().std_dev;
-        assert_close(ci, 2.093 * std / 20f64.sqrt(), 1e-9);
-    }
-
-    #[test]
     fn kl_divergence_properties() {
         let p = vec![0.5, 0.5];
         let q = vec![0.9, 0.1];
@@ -216,22 +169,5 @@ mod tests {
         // Dimension and emptiness errors.
         assert!(kl_divergence(&[0.5, 0.5], &[1.0]).is_err());
         assert!(kl_divergence(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn js_divergence_is_symmetric_and_bounded() {
-        let p = vec![0.9, 0.1, 0.0];
-        let q = vec![0.1, 0.1, 0.8];
-        let d1 = js_divergence(&p, &q).unwrap();
-        let d2 = js_divergence(&q, &p).unwrap();
-        assert_close(d1, d2, 1e-12);
-        assert!(d1 <= std::f64::consts::LN_2 + 1e-12);
-        assert!(d1 > 0.0);
-    }
-
-    #[test]
-    fn mean_of_empty_slice_is_zero() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_close(mean(&[1.0, 2.0, 3.0]), 2.0, 1e-12);
     }
 }

@@ -56,12 +56,10 @@ fn matern52(a: &[f64], b: &[f64], length_scale: f64) -> f64 {
 }
 
 /// A Gaussian-process regression model with a Matérn-5/2 kernel, used as the
-/// surrogate model of [`BayesianOptimization`]. Exposed publicly so tests and
-/// ablation benches can exercise it directly.
+/// surrogate model of [`BayesianOptimization`].
 #[derive(Debug, Clone)]
-pub struct GaussianProcess {
+struct GaussianProcess {
     points: Vec<Vec<f64>>,
-    values: Vec<f64>,
     mean_offset: f64,
     length_scale: f64,
     noise_variance: f64,
@@ -77,7 +75,7 @@ impl GaussianProcess {
     ///
     /// Returns [`OptimError::Numerical`] if the kernel matrix is singular and
     /// [`OptimError::InvalidConfig`] for empty or inconsistent inputs.
-    pub fn fit(
+    fn fit(
         points: Vec<Vec<f64>>,
         values: Vec<f64>,
         length_scale: f64,
@@ -104,7 +102,6 @@ impl GaussianProcess {
             .map_err(|e| OptimError::Numerical(format!("kernel solve failed: {e}")))?;
         Ok(GaussianProcess {
             points,
-            values,
             mean_offset,
             length_scale,
             noise_variance,
@@ -138,11 +135,6 @@ impl GaussianProcess {
         let variance =
             (prior - k_star.iter().zip(&v).map(|(k, vi)| k * vi).sum::<f64>()).max(1e-12);
         Ok((mean, variance))
-    }
-
-    /// The observed values the model was fitted to.
-    pub fn observations(&self) -> &[f64] {
-        &self.values
     }
 }
 
@@ -297,7 +289,6 @@ mod tests {
         let (_, var_far) = gp.predict(&[0.0]).unwrap();
         let (_, var_near) = gp.predict(&[0.5]).unwrap();
         assert!(var_far > var_near);
-        assert_eq!(gp.observations().len(), 3);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!
 //! This crate provides, from scratch:
 //!
-//! * a common [`Objective`]/[`Optimizer`] interface over the unit hypercube,
+//! * a common [`objective::Objective`]/[`optimizer::Optimizer`] interface over
+//!   the unit hypercube,
 //! * [`spsa::Spsa`] — simultaneous perturbation stochastic approximation,
 //! * [`cem::CrossEntropyMethod`] — the CEM with truncated-Gaussian proposals,
 //! * [`de::DifferentialEvolution`] — DE/rand/1/bin,
@@ -27,16 +28,24 @@
 //! # Example
 //!
 //! ```
-//! use tolerance_optim::prelude::*;
 //! use rand::SeedableRng;
+//! use tolerance_optim::cem::{CemConfig, CrossEntropyMethod};
+//! use tolerance_optim::objective::Objective;
+//! use tolerance_optim::optimizer::Optimizer;
 //!
-//! // Minimize a noisy quadratic over [0, 1]^2 with the cross-entropy method.
-//! let objective = FnObjective::new(2, |x: &[f64], _rng: &mut dyn rand::RngCore| {
-//!     (x[0] - 0.3).powi(2) + (x[1] - 0.7).powi(2)
-//! });
+//! // Minimize a quadratic over [0, 1]^2 with the cross-entropy method.
+//! struct Quadratic;
+//! impl Objective for Quadratic {
+//!     fn dimension(&self) -> usize {
+//!         2
+//!     }
+//!     fn evaluate(&self, x: &[f64], _rng: &mut dyn rand::RngCore) -> f64 {
+//!         (x[0] - 0.3).powi(2) + (x[1] - 0.7).powi(2)
+//!     }
+//! }
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let config = CemConfig { population: 50, elite_fraction: 0.2, iterations: 30, ..CemConfig::default() };
-//! let result = CrossEntropyMethod::new(config).minimize(&objective, &mut rng).unwrap();
+//! let result = CrossEntropyMethod::new(config).minimize(&Quadratic, &mut rng).unwrap();
 //! assert!((result.best_point[0] - 0.3).abs() < 0.05);
 //! ```
 
@@ -47,24 +56,11 @@ pub mod bayesian;
 pub mod cem;
 pub mod de;
 pub mod error;
-pub mod nn;
+mod nn;
 pub mod objective;
 pub mod optimizer;
 pub mod ppo;
 pub mod simplex;
 pub mod spsa;
 
-pub use error::{OptimError, Result};
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::bayesian::{BayesianOptimization, BoConfig};
-    pub use crate::cem::{CemConfig, CrossEntropyMethod};
-    pub use crate::de::{DeConfig, DifferentialEvolution};
-    pub use crate::error::{OptimError, Result};
-    pub use crate::objective::{FnObjective, Objective};
-    pub use crate::optimizer::{ConvergencePoint, OptimizationResult, Optimizer};
-    pub use crate::ppo::{EpisodicEnvironment, Ppo, PpoConfig};
-    pub use crate::simplex::{Comparison, LinearProgram, LpSolution, LpStatus};
-    pub use crate::spsa::{Spsa, SpsaConfig};
-}
+pub use error::OptimError;

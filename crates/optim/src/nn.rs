@@ -10,7 +10,7 @@ use rand::RngCore;
 
 /// One dense (fully connected) layer: `y = W x + b`.
 #[derive(Debug, Clone)]
-pub struct DenseLayer {
+struct DenseLayer {
     /// Row-major weights, `outputs x inputs`.
     pub weights: Vec<f64>,
     /// Bias vector of length `outputs`.
@@ -35,7 +35,7 @@ impl DenseLayer {
     }
 
     /// Applies the affine map to `x`.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.inputs, "input dimension mismatch");
         let mut out = self.biases.clone();
         for (o, value) in out.iter_mut().enumerate() {
@@ -43,11 +43,6 @@ impl DenseLayer {
             *value += row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>();
         }
         out
-    }
-
-    /// Number of parameters (weights + biases).
-    pub fn parameter_count(&self) -> usize {
-        self.weights.len() + self.biases.len()
     }
 }
 
@@ -61,13 +56,13 @@ struct DenseGradient {
 /// A multi-layer perceptron with ReLU hidden activations and a linear output
 /// layer.
 #[derive(Debug, Clone)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     layers: Vec<DenseLayer>,
 }
 
 /// Cached activations from a forward pass, required for backpropagation.
 #[derive(Debug, Clone)]
-pub struct ForwardCache {
+pub(crate) struct ForwardCache {
     /// Layer inputs: `inputs[0]` is the network input, `inputs[i]` the
     /// post-activation output of layer `i-1`.
     inputs: Vec<Vec<f64>>,
@@ -84,30 +79,10 @@ impl ForwardCache {
 
 /// Accumulated gradients for a whole [`Mlp`].
 #[derive(Debug, Clone)]
-pub struct MlpGradient {
+pub(crate) struct MlpGradient {
     layers: Vec<DenseGradient>,
     /// Number of samples accumulated, used to average before the update.
     count: usize,
-}
-
-impl MlpGradient {
-    /// Adds another gradient accumulator into this one.
-    pub fn merge(&mut self, other: &MlpGradient) {
-        assert_eq!(
-            self.layers.len(),
-            other.layers.len(),
-            "gradient shape mismatch"
-        );
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            for (x, y) in a.weights.iter_mut().zip(&b.weights) {
-                *x += y;
-            }
-            for (x, y) in a.biases.iter_mut().zip(&b.biases) {
-                *x += y;
-            }
-        }
-        self.count += other.count;
-    }
 }
 
 impl Mlp {
@@ -128,24 +103,14 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.layers.first().expect("at least one layer").inputs
-    }
-
     /// Output dimension.
-    pub fn output_dim(&self) -> usize {
+    fn output_dim(&self) -> usize {
         self.layers.last().expect("at least one layer").outputs
-    }
-
-    /// Total number of parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(DenseLayer::parameter_count).sum()
     }
 
     /// Forward pass returning the output and the cache needed for
     /// backpropagation.
-    pub fn forward(&self, x: &[f64]) -> ForwardCache {
+    pub(crate) fn forward(&self, x: &[f64]) -> ForwardCache {
         let mut inputs = vec![x.to_vec()];
         let mut pre_activations = Vec::with_capacity(self.layers.len());
         let mut current = x.to_vec();
@@ -173,7 +138,7 @@ impl Mlp {
     }
 
     /// Creates a zeroed gradient accumulator matching this network.
-    pub fn zero_gradient(&self) -> MlpGradient {
+    pub(crate) fn zero_gradient(&self) -> MlpGradient {
         MlpGradient {
             layers: self
                 .layers
@@ -189,7 +154,7 @@ impl Mlp {
 
     /// Backpropagates `output_gradient` (dLoss/dOutput) through the cached
     /// forward pass, accumulating parameter gradients into `gradient`.
-    pub fn backward(
+    pub(crate) fn backward(
         &self,
         cache: &ForwardCache,
         output_gradient: &[f64],
@@ -238,7 +203,7 @@ impl Mlp {
 
 /// The Adam update rule with bias correction.
 #[derive(Debug, Clone)]
-pub struct AdamOptimizer {
+pub(crate) struct AdamOptimizer {
     learning_rate: f64,
     beta1: f64,
     beta2: f64,
@@ -306,7 +271,7 @@ impl AdamOptimizer {
 }
 
 /// Numerically stable softmax.
-pub fn softmax(logits: &[f64]) -> Vec<f64> {
+pub(crate) fn softmax(logits: &[f64]) -> Vec<f64> {
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = logits.iter().map(|&l| (l - max).exp()).collect();
     let sum: f64 = exps.iter().sum();
@@ -320,12 +285,10 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn forward_shapes_and_parameter_count() {
+    fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let net = Mlp::new(&[3, 8, 2], &mut rng);
-        assert_eq!(net.input_dim(), 3);
         assert_eq!(net.output_dim(), 2);
-        assert_eq!(net.parameter_count(), 3 * 8 + 8 + 8 * 2 + 2);
         let out = net.predict(&[0.1, -0.2, 0.3]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|v| v.is_finite()));
@@ -400,21 +363,6 @@ mod tests {
             "loss {final_loss} did not improve from {initial}"
         );
         assert!(final_loss < 0.05);
-    }
-
-    #[test]
-    fn gradient_merge_accumulates() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let net = Mlp::new(&[2, 3, 1], &mut rng);
-        let mut g1 = net.zero_gradient();
-        let mut g2 = net.zero_gradient();
-        let cache = net.forward(&[0.1, 0.2]);
-        net.backward(&cache, &[1.0], &mut g1);
-        net.backward(&cache, &[1.0], &mut g2);
-        let before = g1.layers[0].weights[0];
-        g1.merge(&g2);
-        assert!((g1.layers[0].weights[0] - 2.0 * before).abs() < 1e-12);
-        assert_eq!(g1.count, 2);
     }
 
     #[test]

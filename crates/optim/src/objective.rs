@@ -36,8 +36,10 @@ pub trait Objective {
     }
 }
 
-/// An [`Objective`] wrapping a closure, convenient for tests and examples.
-pub struct FnObjective<F>
+/// An [`Objective`] wrapping a closure: the fixture the optimizers' unit
+/// tests minimize.
+#[cfg(test)]
+pub(crate) struct FnObjective<F>
 where
     F: Fn(&[f64], &mut dyn RngCore) -> f64,
 {
@@ -45,6 +47,7 @@ where
     function: F,
 }
 
+#[cfg(test)]
 impl<F> FnObjective<F>
 where
     F: Fn(&[f64], &mut dyn RngCore) -> f64,
@@ -58,6 +61,7 @@ where
     }
 }
 
+#[cfg(test)]
 impl<F> Objective for FnObjective<F>
 where
     F: Fn(&[f64], &mut dyn RngCore) -> f64,
@@ -72,7 +76,7 @@ where
 }
 
 /// Clamps every coordinate of `point` into `[0, 1]`, in place.
-pub fn clamp_unit(point: &mut [f64]) {
+pub(crate) fn clamp_unit(point: &mut [f64]) {
     for x in point.iter_mut() {
         *x = x.clamp(0.0, 1.0);
     }

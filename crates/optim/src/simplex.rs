@@ -37,17 +37,6 @@ pub enum Comparison {
     Equal,
 }
 
-/// The status of a solved linear program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpStatus {
-    /// An optimal solution was found.
-    Optimal,
-    /// The constraint set is empty.
-    Infeasible,
-    /// The objective is unbounded below on the feasible set.
-    Unbounded,
-}
-
 /// An optimal solution of a linear program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
@@ -120,16 +109,6 @@ impl LinearProgram {
             rhs,
         });
         Ok(())
-    }
-
-    /// Overrides the pivot budget (useful for tests).
-    pub fn set_max_pivots(&mut self, max_pivots: usize) {
-        self.max_pivots = max_pivots;
-    }
-
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
     }
 
     /// Solves the program with the two-phase primal simplex method.
@@ -506,7 +485,7 @@ mod tests {
         assert!(lp
             .add_constraint(vec![1.0], Comparison::Equal, 1.0)
             .is_err());
-        assert_eq!(lp.num_constraints(), 0);
+        assert!(lp.constraints.is_empty());
     }
 
     #[test]
@@ -518,7 +497,7 @@ mod tests {
             .unwrap();
         lp.add_constraint(vec![3.0, 2.0], Comparison::LessEqual, 18.0)
             .unwrap();
-        lp.set_max_pivots(0);
+        lp.max_pivots = 0;
         assert_eq!(lp.solve(), Err(OptimError::IterationLimit("simplex")));
     }
 

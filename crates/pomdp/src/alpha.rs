@@ -31,7 +31,7 @@ impl AlphaVector {
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn dot(&self, belief: &[f64]) -> f64 {
+    fn dot(&self, belief: &[f64]) -> f64 {
         assert_eq!(
             self.values.len(),
             belief.len(),
@@ -42,7 +42,7 @@ impl AlphaVector {
 
     /// Whether `other` is at least as good (for minimization: no larger) in
     /// every state, making `self` redundant.
-    pub fn is_pointwise_dominated_by(&self, other: &AlphaVector, tolerance: f64) -> bool {
+    fn is_pointwise_dominated_by(&self, other: &AlphaVector, tolerance: f64) -> bool {
         self.values
             .iter()
             .zip(&other.values)
@@ -64,7 +64,7 @@ impl ValueFunction {
     }
 
     /// The vectors making up the lower envelope.
-    pub fn vectors(&self) -> &[AlphaVector] {
+    pub(crate) fn vectors(&self) -> &[AlphaVector] {
         &self.vectors
     }
 
@@ -94,7 +94,7 @@ impl ValueFunction {
     /// The minimizing vector at a belief, together with its value.
     ///
     /// Returns `None` if the value function is empty.
-    pub fn best_vector(&self, belief: &[f64]) -> Option<(&AlphaVector, f64)> {
+    fn best_vector(&self, belief: &[f64]) -> Option<(&AlphaVector, f64)> {
         self.vectors
             .iter()
             .map(|v| (v, v.dot(belief)))
@@ -242,7 +242,7 @@ fn witness_belief_exists(
 /// Computes the cross sum of two vector sets: every pairwise sum, keeping the
 /// action of the first operand. Used by incremental pruning to combine the
 /// per-observation backup sets.
-pub fn cross_sum(a: &[AlphaVector], b: &[AlphaVector]) -> Vec<AlphaVector> {
+pub(crate) fn cross_sum(a: &[AlphaVector], b: &[AlphaVector]) -> Vec<AlphaVector> {
     if a.is_empty() {
         return b.to_vec();
     }

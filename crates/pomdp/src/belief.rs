@@ -44,7 +44,7 @@ impl Belief {
     /// # Panics
     ///
     /// Panics if `state >= num_states` or `num_states == 0`.
-    pub fn degenerate(num_states: usize, state: usize) -> Self {
+    pub(crate) fn degenerate(num_states: usize, state: usize) -> Self {
         assert!(state < num_states, "state {state} out of range");
         let mut probabilities = vec![0.0; num_states];
         probabilities[state] = 1.0;
@@ -76,20 +76,6 @@ impl Belief {
     /// Number of states the belief ranges over.
     pub fn num_states(&self) -> usize {
         self.probabilities.len()
-    }
-
-    /// Expected value of a vector of per-state values under this belief.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` has a different length than the belief.
-    pub fn expectation(&self, values: &[f64]) -> f64 {
-        assert_eq!(values.len(), self.probabilities.len(), "length mismatch");
-        self.probabilities
-            .iter()
-            .zip(values)
-            .map(|(p, v)| p * v)
-            .sum()
     }
 
     /// Samples a state from the belief.
@@ -438,7 +424,6 @@ mod tests {
         assert_close(b.probability(1), 0.75, 1e-12);
         assert_eq!(b.probability(5), 0.0);
         assert_eq!(b.num_states(), 2);
-        assert_close(b.expectation(&[0.0, 4.0]), 3.0, 1e-12);
         assert!(Belief::new(vec![]).is_err());
         assert!(Belief::new(vec![0.5, 0.6]).is_err());
         assert!(Belief::new(vec![-0.1, 1.1]).is_err());

@@ -90,11 +90,6 @@ impl Cmdp {
         &self.mdp
     }
 
-    /// The constraints.
-    pub fn constraints(&self) -> &[CmdpConstraint] {
-        &self.constraints
-    }
-
     /// Solves the CMDP exactly with the occupation-measure linear program
     /// (Algorithm 2 of the paper).
     ///
@@ -358,6 +353,6 @@ mod tests {
         };
         let cmdp = Cmdp::new(inventory_mdp(), vec![constraint]).unwrap();
         assert_eq!(cmdp.mdp().num_states(), 3);
-        assert_eq!(cmdp.constraints().len(), 1);
+        assert_eq!(cmdp.constraints.len(), 1);
     }
 }

@@ -16,15 +16,15 @@
 //!
 //! This crate provides the generic model types ([`pomdp::Pomdp`],
 //! [`mdp::Mdp`], [`cmdp::Cmdp`]), belief-state machinery
-//! ([`belief::Belief`]), alpha-vector value functions ([`alpha`]), the exact
+//! ([`belief::Belief`]), alpha-vector value functions (`alpha`), the exact
 //! solvers ([`solvers`]), and structural checks used to verify the
 //! assumptions of Theorems 1–2 ([`structure`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod alpha;
-pub mod belief;
+mod alpha;
+mod belief;
 pub mod cmdp;
 pub mod error;
 pub mod mdp;
@@ -34,8 +34,6 @@ pub mod structure;
 
 pub use alpha::{AlphaVector, ValueFunction};
 pub use belief::{Belief, IncrementalBelief};
-pub use cmdp::{Cmdp, CmdpConstraint, CmdpSolution, ConstraintSense};
-pub use error::{PomdpError, Result};
-pub use mdp::{Mdp, MdpSolution};
+pub use error::PomdpError;
 pub use pomdp::Pomdp;
 pub use solvers::IncrementalPruning;

@@ -139,7 +139,7 @@ impl Pomdp {
     }
 
     /// Discount factor.
-    pub fn discount(&self) -> f64 {
+    pub(crate) fn discount(&self) -> f64 {
         self.discount
     }
 
@@ -185,30 +185,6 @@ impl Pomdp {
     ) -> usize {
         sample_row(&self.transition[action][state], rng)
     }
-
-    /// Samples an observation from `Z(· | state)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn sample_observation<R: Rng + ?Sized>(&self, rng: &mut R, state: usize) -> usize {
-        sample_row(&self.observation[state], rng)
-    }
-
-    /// The full observation matrix (rows are states), used by structural
-    /// checks such as the TP-2 test of Theorem 1 assumption E.
-    pub fn observation_matrix(&self) -> &[Vec<f64>] {
-        &self.observation
-    }
-
-    /// The transition matrix of an action (rows are source states).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `action` is out of range.
-    pub fn transition_matrix(&self, action: usize) -> &[Vec<f64>] {
-        &self.transition[action]
-    }
 }
 
 fn sample_row<R: Rng + ?Sized>(row: &[f64], rng: &mut R) -> usize {
@@ -253,8 +229,6 @@ mod tests {
         assert_eq!(m.cost(1, 0), 2.0);
         let c = m.expected_cost(&[0.5, 0.5], 0);
         assert!((c - 1.0).abs() < 1e-12);
-        assert_eq!(m.observation_matrix().len(), 2);
-        assert_eq!(m.transition_matrix(1).len(), 2);
     }
 
     #[test]
@@ -292,10 +266,5 @@ mod tests {
             .count();
         let fraction = transitions_to_1 as f64 / 5000.0;
         assert!((fraction - 0.3).abs() < 0.05);
-        let alerts = (0..5000)
-            .filter(|_| m.sample_observation(&mut rng, 1) == 1)
-            .count();
-        let fraction = alerts as f64 / 5000.0;
-        assert!((fraction - 0.8).abs() < 0.05);
     }
 }

@@ -219,7 +219,7 @@ impl IncrementalPruning {
 /// Builds a regular grid of beliefs. For two-state models this is a 1-D grid
 /// over `P[s = 1]`; for larger models it falls back to corner beliefs plus
 /// the uniform belief (sufficient as a convergence probe).
-pub fn belief_grid(num_states: usize, resolution: usize) -> Vec<Belief> {
+fn belief_grid(num_states: usize, resolution: usize) -> Vec<Belief> {
     if num_states == 2 {
         (0..resolution)
             .map(|i| {
