@@ -183,3 +183,111 @@ fn node_controller_and_strategy_agree_on_decisions() {
         previous = expected_action;
     }
 }
+
+/// The strategies the rollout pins evaluate: the four stationary thresholds
+/// that span always- to never-recover, and one BTR period with a threshold
+/// per position.
+fn pinned_strategies() -> Vec<(RecoveryProblem, ThresholdStrategy)> {
+    let mut cases: Vec<(RecoveryProblem, ThresholdStrategy)> = [0.0, 0.3, 0.7, 1.0]
+        .into_iter()
+        .map(|threshold| {
+            (
+                paper_problem(None),
+                ThresholdStrategy::stationary(threshold).unwrap(),
+            )
+        })
+        .collect();
+    cases.push((
+        paper_problem(Some(5)),
+        ThresholdStrategy::new(vec![0.2, 0.4, 0.6, 0.8], Some(5)).unwrap(),
+    ));
+    cases
+}
+
+// The rollout pins. Both tables were generated by commit 42d6fac, before
+// Eq. 2 became a table and `simulate_policy` was rewritten over it; a change
+// to the rollout that moves one bit of them changed Algorithm 1's objective.
+
+#[test]
+fn rollout_pins_evaluate_strategy_bits() {
+    // `evaluate_strategy(strategy, 50, 100, StdRng(seed))` on seeds 0 and 7.
+    let expected: [[f64; 2]; 5] = [
+        [1.0, 1.0],
+        [0.29031578947368425, 0.2864],
+        [0.35495939849624064, 0.3678000000000001],
+        [1.5142898177562691, 1.6089565217391313],
+        [0.3922736842105262, 0.3974000000000001],
+    ];
+    for ((problem, strategy), expected) in pinned_strategies().into_iter().zip(expected) {
+        for (seed, expected) in [0u64, 7].into_iter().zip(expected) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cost = problem.evaluate_strategy(&strategy, 50, 100, &mut rng);
+            assert_eq!(
+                cost.to_bits(),
+                expected.to_bits(),
+                "thresholds {:?} seed {seed}: {cost:?}, pinned {expected:?}",
+                strategy.thresholds()
+            );
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "eight full Algorithm 1 solves; CI runs them in release by name"
+)]
+fn rollout_pins_alg1_objectives() {
+    // The `paper-eval` solves: `Alg1Config::default()` seeded from the
+    // benchmark seed, optimizer `index` on `StdRng(seed ^ (index + 1))`.
+    // Per seed: (objective, objective evaluations) for CEM, DE, BO, SPSA.
+    let expected: [(u64, [(f64, usize); 4]); 2] = [
+        (
+            0,
+            [
+                (0.2566, 1200),
+                (0.25022500000000003, 1240),
+                (0.2633586206896551, 38),
+                (0.2532000000000001, 1200),
+            ],
+        ),
+        (
+            7,
+            [
+                (0.25099999999999995, 1200),
+                (0.25071111111111116, 1240),
+                (0.26397499999999996, 38),
+                (0.25062015786278075, 1200),
+            ],
+        ),
+    ];
+    let kinds = [
+        OptimizerKind::Cem,
+        OptimizerKind::De,
+        OptimizerKind::Bo,
+        OptimizerKind::Spsa,
+    ];
+    let problem = paper_problem(None);
+    for (seed, expected) in expected {
+        let alg1 = Alg1::new(Alg1Config {
+            seed,
+            ..Alg1Config::default()
+        });
+        for (index, (kind, (objective, evaluations))) in kinds.into_iter().zip(expected).enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(seed ^ (index as u64 + 1));
+            let outcome = alg1.solve(&problem, kind, &mut rng).unwrap();
+            assert_eq!(
+                (
+                    outcome.objective.to_bits(),
+                    outcome.optimization.evaluations
+                ),
+                (objective.to_bits(), evaluations),
+                "{} seed {seed}: {:?} in {} evaluations, pinned {objective:?} in {evaluations}",
+                kind.name(),
+                outcome.objective,
+                outcome.optimization.evaluations
+            );
+        }
+    }
+}

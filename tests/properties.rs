@@ -1436,3 +1436,285 @@ mod counterexample_documents {
         }
     }
 }
+
+mod rollout_kernel {
+    //! `RecoveryProblem::simulate_strategy` against a reference rollout that
+    //! knows nothing of the node model's internals: Eq. 2 as its formula,
+    //! `ObservationModel::{sample, probability}` for Eq. 3, the belief
+    //! recursion of Appendix A written out, and `ThresholdStrategy::decide`.
+    //! The two must agree on every bit of the `EpisodeOutcome` and leave the
+    //! RNG in the same place, for models inside and outside Theorem 1.
+
+    use super::arbitrary_parameters;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+    use tolerance::core::node_model::{NodeAction, NodeModel, NodeParameters, NodeState};
+    use tolerance::core::observation::ObservationModel;
+    use tolerance::core::recovery::{
+        EpisodeOutcome, RecoveryConfig, RecoveryProblem, ThresholdStrategy,
+    };
+
+    const STATES: [NodeState; 3] = [
+        NodeState::Healthy,
+        NodeState::Compromised,
+        NodeState::Crashed,
+    ];
+
+    /// Eq. 2, from the formula.
+    fn eq2(model: &NodeModel, state: NodeState, action: NodeAction, next: NodeState) -> f64 {
+        model.transition_probability(state, action, next)
+    }
+
+    fn reference_belief_update(
+        model: &NodeModel,
+        observations: &ObservationModel,
+        belief: f64,
+        action: NodeAction,
+        alerts: u64,
+    ) -> f64 {
+        let b = belief.clamp(0.0, 1.0);
+        let prior = [1.0 - b, b];
+        let mut predicted = [0.0f64; 2];
+        for (si, &state) in STATES[..2].iter().enumerate() {
+            for (ni, &next) in STATES[..2].iter().enumerate() {
+                predicted[ni] += prior[si] * eq2(model, state, action, next);
+            }
+        }
+        let total = predicted[0] + predicted[1];
+        if total <= 0.0 {
+            return b;
+        }
+        predicted[0] /= total;
+        predicted[1] /= total;
+        let likelihood_h = observations.probability(NodeState::Healthy, alerts);
+        let likelihood_c = observations.probability(NodeState::Compromised, alerts);
+        let numerator = likelihood_c * predicted[1];
+        let denominator = likelihood_h * predicted[0] + likelihood_c * predicted[1];
+        if denominator <= 0.0 {
+            predicted[1]
+        } else {
+            numerator / denominator
+        }
+    }
+
+    fn reference_rollout(
+        model: &NodeModel,
+        observations: &ObservationModel,
+        eta: f64,
+        strategy: &ThresholdStrategy,
+        horizon: u32,
+        rng: &mut StdRng,
+    ) -> EpisodeOutcome {
+        let p_attack = model.parameters().p_attack;
+        let mut state = if rng.random::<f64>() < p_attack {
+            NodeState::Compromised
+        } else {
+            NodeState::Healthy
+        };
+        let mut belief = p_attack;
+        let mut steps_since_recovery = 0u32;
+        let mut previous_action = NodeAction::Wait;
+        let mut total_cost = 0.0;
+        let (mut recoveries, mut compromised_steps, mut steps) = (0u32, 0u32, 0u32);
+        for _ in 0..horizon {
+            if state == NodeState::Crashed {
+                break;
+            }
+            steps += 1;
+            let alerts = observations.sample(state, rng);
+            belief = reference_belief_update(model, observations, belief, previous_action, alerts);
+            let action = strategy.decide(belief, steps_since_recovery);
+            total_cost += model.cost(state, action, eta);
+            if state == NodeState::Compromised {
+                compromised_steps += 1;
+            }
+            match action {
+                NodeAction::Recover => {
+                    recoveries += 1;
+                    steps_since_recovery = 0;
+                    belief = p_attack;
+                }
+                NodeAction::Wait => steps_since_recovery += 1,
+            }
+            let mut u = rng.random::<f64>();
+            let mut sampled = NodeState::Crashed;
+            for &next in &STATES {
+                u -= eq2(model, state, action, next);
+                if u <= 0.0 {
+                    sampled = next;
+                    break;
+                }
+            }
+            state = sampled;
+            previous_action = action;
+        }
+        EpisodeOutcome {
+            average_cost: if steps == 0 {
+                0.0
+            } else {
+                total_cost / steps as f64
+            },
+            recoveries,
+            compromised_steps,
+            steps,
+        }
+    }
+
+    /// Runs `episodes` back-to-back episodes on both rollouts from one seed
+    /// and compares them bit for bit, then the RNG position.
+    fn assert_rollouts_agree(
+        parameters: NodeParameters,
+        observations: ObservationModel,
+        eta: f64,
+        thresholds: Vec<f64>,
+        delta_r: Option<u32>,
+        horizon: u32,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let model = NodeModel::new_unchecked(parameters, observations.clone());
+        let problem = RecoveryProblem::new(model.clone(), RecoveryConfig { eta, delta_r })
+            .expect("eta >= 1 and delta_r != Some(0)");
+        let strategy = ThresholdStrategy::new(thresholds, delta_r).expect("thresholds in [0, 1]");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        for episode in 0..3 {
+            let outcome = problem.simulate_strategy(&strategy, horizon, &mut rng);
+            let reference = reference_rollout(
+                &model,
+                &observations,
+                eta,
+                &strategy,
+                horizon,
+                &mut reference_rng,
+            );
+            let bits = |outcome: &EpisodeOutcome| {
+                (
+                    outcome.average_cost.to_bits(),
+                    outcome.recoveries,
+                    outcome.compromised_steps,
+                    outcome.steps,
+                )
+            };
+            prop_assert!(
+                bits(&outcome) == bits(&reference),
+                "episode {episode} of {parameters:?}: {outcome:?} vs reference {reference:?}"
+            );
+        }
+        prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
+        Ok(())
+    }
+
+    fn delta_r_of(choice: usize) -> Option<u32> {
+        [None, Some(1), Some(7)][choice]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn simulate_strategy_equals_the_reference_rollout_on_valid_models(
+            parameters in arbitrary_parameters(),
+            lambda in 0.0..0.9f64,
+            eta in 1.0..4.0f64,
+            thresholds in proptest::collection::vec(0.0..=1.0f64, 1..8),
+            delta_r in 0usize..3,
+            horizon in 0u32..150,
+            seed in 0u64..u64::MAX,
+        ) {
+            let observations = ObservationModel::paper_default().degrade(lambda).unwrap();
+            assert_rollouts_agree(
+                parameters, observations, eta, thresholds, delta_r_of(delta_r), horizon, seed,
+            )?;
+        }
+
+        #[test]
+        fn simulate_strategy_equals_the_reference_rollout_outside_theorem1(
+            probabilities in (0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64),
+            eta in 1.0..4.0f64,
+            thresholds in proptest::collection::vec(0.0..=1.0f64, 1..8),
+            delta_r in 0usize..3,
+            horizon in 0u32..150,
+            seed in 0u64..u64::MAX,
+        ) {
+            // The whole unit cube: assumptions A-C fail almost everywhere
+            // (p_A + p_U > 1, p_C1 > p_C2), the rows stay stochastic.
+            let (p_attack, p_crash_healthy, p_crash_compromised, p_update) = probabilities;
+            let parameters = NodeParameters {
+                p_attack,
+                p_crash_healthy,
+                p_crash_compromised,
+                p_update,
+            };
+            // A reversed observation model on top (assumption E fails).
+            let observations =
+                ObservationModel::from_distributions(vec![0.1, 0.2, 0.7], vec![0.6, 0.3, 0.1])
+                    .unwrap();
+            assert_rollouts_agree(
+                parameters, observations, eta, thresholds, delta_r_of(delta_r), horizon, seed,
+            )?;
+        }
+    }
+
+    #[test]
+    fn simulate_strategy_equals_the_reference_rollout_at_the_edges() {
+        let crash_heavy = NodeParameters {
+            p_crash_healthy: 0.5,
+            p_crash_compromised: 0.6,
+            ..NodeParameters::default()
+        };
+        // Both crash probabilities one: the predicted mass over {H, C} is
+        // zero and the belief update returns its prior.
+        let certain_crash = NodeParameters {
+            p_crash_healthy: 1.0,
+            p_crash_compromised: 1.0,
+            ..NodeParameters::default()
+        };
+        // A fully revealing model: the belief is exactly 0 or 1 after every
+        // observation, so the thresholds are compared at their end points.
+        let revealing =
+            ObservationModel::from_distributions(vec![1.0, 0.0], vec![0.0, 1.0]).unwrap();
+        for parameters in [NodeParameters::default(), crash_heavy, certain_crash] {
+            for observations in [ObservationModel::paper_default(), revealing.clone()] {
+                for delta_r in [None, Some(1), Some(7)] {
+                    for horizon in [0, 1, 100] {
+                        for seed in 0..8 {
+                            assert_rollouts_agree(
+                                parameters,
+                                observations.clone(),
+                                2.0,
+                                vec![0.3, 0.9],
+                                delta_r,
+                                horizon,
+                                seed,
+                            )
+                            .unwrap_or_else(|error| panic!("{error:?}"));
+                        }
+                    }
+                }
+                // Alert counts beyond the support have zero likelihood in
+                // both states (the `denominator <= 0` guard), which no
+                // rollout can draw.
+                let model = NodeModel::new_unchecked(parameters, observations.clone());
+                for action in [NodeAction::Wait, NodeAction::Recover] {
+                    for alerts in [0, 1, 11, 99] {
+                        for belief in [0.0, 0.1, 0.5, 1.0] {
+                            assert_eq!(
+                                model.belief_update(belief, action, alerts).to_bits(),
+                                reference_belief_update(
+                                    &model,
+                                    &observations,
+                                    belief,
+                                    action,
+                                    alerts
+                                )
+                                .to_bits(),
+                                "{parameters:?} {action:?} alerts {alerts} belief {belief}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
