@@ -27,6 +27,18 @@ pub enum NodeState {
 }
 
 impl NodeState {
+    /// Every state, in the order the tables of [`NodeModel`] index them.
+    pub(crate) const ALL: [NodeState; 3] = [
+        NodeState::Healthy,
+        NodeState::Compromised,
+        NodeState::Crashed,
+    ];
+
+    /// The state's position in [`NodeState::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// The cost-function encoding of the state used in Eq. (5):
     /// `H = 0`, `C = 1`. Crashed nodes are out of the local control problem.
     fn cost_value(self) -> f64 {
@@ -46,6 +58,16 @@ pub enum NodeAction {
     /// Recover the replica (replace its container); completes by the next
     /// time-step.
     Recover,
+}
+
+impl NodeAction {
+    /// Both actions, in the order the tables of [`NodeModel`] index them.
+    pub(crate) const ALL: [NodeAction; 2] = [NodeAction::Wait, NodeAction::Recover];
+
+    /// The action's position in [`NodeAction::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// The transition-probability parameters of Eq. (2).
@@ -125,59 +147,17 @@ impl NodeParameters {
         }
         Ok(())
     }
-}
 
-/// The complete node model: transition parameters plus the observation model
-/// `Z_i(o | s)` of Eq. (3).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct NodeModel {
-    parameters: NodeParameters,
-    observations: ObservationModel,
-}
-
-impl NodeModel {
-    /// Creates a node model, validating the Theorem 1 assumptions on the
-    /// parameters (A–C) and the observation model (D–E).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if any assumption fails.
-    pub fn new(parameters: NodeParameters, observations: ObservationModel) -> Result<Self> {
-        parameters.validate_theorem1()?;
-        observations.validate_theorem1()?;
-        Ok(NodeModel {
-            parameters,
-            observations,
-        })
-    }
-
-    /// Creates a model without validating the Theorem 1 assumptions (used by
-    /// sensitivity sweeps that deliberately violate them, e.g. Fig. 14).
-    pub fn new_unchecked(parameters: NodeParameters, observations: ObservationModel) -> Self {
-        NodeModel {
-            parameters,
-            observations,
-        }
-    }
-
-    /// The transition parameters.
-    pub fn parameters(&self) -> &NodeParameters {
-        &self.parameters
-    }
-
-    /// The observation model.
-    pub(crate) fn observations(&self) -> &ObservationModel {
-        &self.observations
-    }
-
-    /// The transition function `f_{N,i}(s' | s, a)` of Eq. (2).
+    /// The transition function `f_{N,i}(s' | s, a)` of Eq. (2). This is the
+    /// formula; [`NodeModel`] tabulates it once and everything that steps a
+    /// node reads the table.
     pub fn transition_probability(
         &self,
         state: NodeState,
         action: NodeAction,
         next: NodeState,
     ) -> f64 {
-        let p = &self.parameters;
+        let p = self;
         use NodeAction::*;
         use NodeState::*;
         match (state, action, next) {
@@ -199,6 +179,72 @@ impl NodeModel {
         }
     }
 
+    /// Eq. (2) evaluated on every `(action, state, next)` triple.
+    fn transition_table(&self) -> TransitionTable {
+        NodeAction::ALL.map(|action| {
+            NodeState::ALL.map(|state| {
+                NodeState::ALL.map(|next| self.transition_probability(state, action, next))
+            })
+        })
+    }
+}
+
+/// Eq. (2) as data: `[action][state][next]`.
+type TransitionTable = [[[f64; 3]; 3]; 2];
+
+/// The complete node model: transition parameters plus the observation model
+/// `Z_i(o | s)` of Eq. (3), with Eq. (2) tabulated from the parameters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeModel {
+    parameters: NodeParameters,
+    observations: ObservationModel,
+    transitions: TransitionTable,
+}
+
+impl NodeModel {
+    /// Creates a node model, validating the Theorem 1 assumptions on the
+    /// parameters (A–C) and the observation model (D–E).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] if any assumption fails.
+    pub fn new(parameters: NodeParameters, observations: ObservationModel) -> Result<Self> {
+        parameters.validate_theorem1()?;
+        observations.validate_theorem1()?;
+        Ok(NodeModel::new_unchecked(parameters, observations))
+    }
+
+    /// Creates a model without validating the Theorem 1 assumptions (used by
+    /// sensitivity sweeps that deliberately violate them, e.g. Fig. 14).
+    pub fn new_unchecked(parameters: NodeParameters, observations: ObservationModel) -> Self {
+        NodeModel {
+            parameters,
+            observations,
+            transitions: parameters.transition_table(),
+        }
+    }
+
+    /// The transition parameters.
+    pub fn parameters(&self) -> &NodeParameters {
+        &self.parameters
+    }
+
+    /// The observation model.
+    pub(crate) fn observations(&self) -> &ObservationModel {
+        &self.observations
+    }
+
+    /// The transition function `f_{N,i}(s' | s, a)` of Eq. (2), read from
+    /// the table built at construction.
+    pub fn transition_probability(
+        &self,
+        state: NodeState,
+        action: NodeAction,
+        next: NodeState,
+    ) -> f64 {
+        self.transitions[action.index()][state.index()][next.index()]
+    }
+
     /// Samples the next state.
     pub fn sample_transition<R: Rng + ?Sized>(
         &self,
@@ -206,14 +252,10 @@ impl NodeModel {
         state: NodeState,
         action: NodeAction,
     ) -> NodeState {
-        let states = [
-            NodeState::Healthy,
-            NodeState::Compromised,
-            NodeState::Crashed,
-        ];
+        let row = &self.transitions[action.index()][state.index()];
         let mut u = rng.random::<f64>();
-        for &next in &states {
-            u -= self.transition_probability(state, action, next);
+        for (&next, &p) in NodeState::ALL.iter().zip(row) {
+            u -= p;
             if u <= 0.0 {
                 return next;
             }
@@ -240,19 +282,9 @@ impl NodeModel {
     /// Returns [`CoreError::Markov`] if the rows fail stochastic validation
     /// (cannot happen for validated parameters).
     fn wait_chain(&self) -> Result<MarkovChain> {
-        let states = [
-            NodeState::Healthy,
-            NodeState::Compromised,
-            NodeState::Crashed,
-        ];
-        let rows = states
+        let rows = self.transitions[NodeAction::Wait.index()]
             .iter()
-            .map(|&s| {
-                states
-                    .iter()
-                    .map(|&s2| self.transition_probability(s, NodeAction::Wait, s2))
-                    .collect()
-            })
+            .map(|row| row.to_vec())
             .collect();
         Ok(MarkovChain::new(rows)?)
     }
@@ -283,12 +315,9 @@ impl NodeModel {
         let states = [NodeState::Healthy, NodeState::Compromised];
         let actions = [NodeAction::Wait, NodeAction::Recover];
         let mut transition = vec![vec![vec![0.0; 2]; 2]; 2];
-        for (ai, &a) in actions.iter().enumerate() {
-            for (si, &s) in states.iter().enumerate() {
-                let mut row: Vec<f64> = states
-                    .iter()
-                    .map(|&s2| self.transition_probability(s, a, s2))
-                    .collect();
+        for (ai, table) in self.transitions.iter().enumerate() {
+            for (si, table_row) in table[..2].iter().enumerate() {
+                let mut row = table_row[..2].to_vec();
                 let total: f64 = row.iter().sum();
                 for v in row.iter_mut() {
                     *v /= total;
@@ -316,11 +345,11 @@ impl NodeModel {
         let b = belief.clamp(0.0, 1.0);
         // Predicted distribution over {H, C}, conditioned on not crashing.
         let mut predicted = [0.0f64; 2];
-        let states = [NodeState::Healthy, NodeState::Compromised];
         let prior = [1.0 - b, b];
-        for (si, &s) in states.iter().enumerate() {
-            for (ni, &n) in states.iter().enumerate() {
-                predicted[ni] += prior[si] * self.transition_probability(s, action, n);
+        let table = &self.transitions[action.index()];
+        for (si, &weight) in prior.iter().enumerate() {
+            for (ni, mass) in predicted.iter_mut().enumerate() {
+                *mass += weight * table[si][ni];
             }
         }
         let total = predicted[0] + predicted[1];

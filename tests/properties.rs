@@ -1443,7 +1443,8 @@ mod rollout_kernel {
     //! `ObservationModel::{sample, probability}` for Eq. 3, the belief
     //! recursion of Appendix A written out, and `ThresholdStrategy::decide`.
     //! The two must agree on every bit of the `EpisodeOutcome` and leave the
-    //! RNG in the same place, for models inside and outside Theorem 1.
+    //! RNG in the same place, for models inside and outside Theorem 1; and
+    //! the table `NodeModel` steps with must equal the formula entry by entry.
 
     use super::arbitrary_parameters;
     use proptest::prelude::*;
@@ -1463,7 +1464,9 @@ mod rollout_kernel {
 
     /// Eq. 2, from the formula.
     fn eq2(model: &NodeModel, state: NodeState, action: NodeAction, next: NodeState) -> f64 {
-        model.transition_probability(state, action, next)
+        model
+            .parameters()
+            .transition_probability(state, action, next)
     }
 
     fn reference_belief_update(
@@ -1605,6 +1608,25 @@ mod rollout_kernel {
         Ok(())
     }
 
+    fn assert_table_equals_formula(model: &NodeModel) -> Result<(), TestCaseError> {
+        let mut entries = 0;
+        for action in [NodeAction::Wait, NodeAction::Recover] {
+            for state in STATES {
+                for next in STATES {
+                    let table = model.transition_probability(state, action, next);
+                    let formula = eq2(model, state, action, next);
+                    prop_assert!(
+                        table.to_bits() == formula.to_bits(),
+                        "{state:?} {action:?} {next:?}: table {table:?}, formula {formula:?}"
+                    );
+                    entries += 1;
+                }
+            }
+        }
+        prop_assert_eq!(entries, 18);
+        Ok(())
+    }
+
     fn delta_r_of(choice: usize) -> Option<u32> {
         [None, Some(1), Some(7)][choice]
     }
@@ -1613,7 +1635,25 @@ mod rollout_kernel {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn simulate_strategy_equals_the_reference_rollout_on_valid_models(
+        fn the_transition_table_equals_the_formula_on_all_18_entries(
+            admissible in arbitrary_parameters(),
+            probabilities in (0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64),
+        ) {
+            let (p_attack, p_crash_healthy, p_crash_compromised, p_update) = probabilities;
+            let anywhere = NodeParameters { p_attack, p_crash_healthy, p_crash_compromised, p_update };
+            for parameters in [admissible, anywhere] {
+                // Both constructors build the table; `new` only where
+                // Theorem 1 holds.
+                let unchecked = NodeModel::new_unchecked(parameters, ObservationModel::paper_default());
+                let checked = NodeModel::new(parameters, ObservationModel::paper_default()).ok();
+                for model in std::iter::once(unchecked).chain(checked) {
+                    assert_table_equals_formula(&model)?;
+                }
+            }
+        }
+
+        #[test]
+        fn simulate_strategy_equals_the_reference_rollout_over_the_admissible_range(
             parameters in arbitrary_parameters(),
             lambda in 0.0..0.9f64,
             eta in 1.0..4.0f64,
@@ -1674,6 +1714,9 @@ mod rollout_kernel {
         // observation, so the thresholds are compared at their end points.
         let revealing =
             ObservationModel::from_distributions(vec![1.0, 0.0], vec![0.0, 1.0]).unwrap();
+        let paper = NodeModel::new(NodeParameters::default(), ObservationModel::paper_default())
+            .expect("the paper's model satisfies Theorem 1");
+        assert_table_equals_formula(&paper).unwrap_or_else(|error| panic!("{error}"));
         for parameters in [NodeParameters::default(), crash_heavy, certain_crash] {
             for observations in [ObservationModel::paper_default(), revealing.clone()] {
                 for delta_r in [None, Some(1), Some(7)] {
@@ -1688,7 +1731,7 @@ mod rollout_kernel {
                                 horizon,
                                 seed,
                             )
-                            .unwrap_or_else(|error| panic!("{error:?}"));
+                            .unwrap_or_else(|error| panic!("{error}"));
                         }
                     }
                 }
