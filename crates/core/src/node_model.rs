@@ -190,7 +190,7 @@ impl NodeParameters {
 }
 
 /// Eq. (2) as data: `[action][state][next]`.
-type TransitionTable = [[[f64; 3]; 3]; 2];
+pub(crate) type TransitionTable = [[[f64; 3]; 3]; 2];
 
 /// The complete node model: transition parameters plus the observation model
 /// `Z_i(o | s)` of Eq. (3), with Eq. (2) tabulated from the parameters.
@@ -243,6 +243,12 @@ impl NodeModel {
         next: NodeState,
     ) -> f64 {
         self.transitions[action.index()][state.index()][next.index()]
+    }
+
+    /// Eq. (2) as `[action][state][next]`, indexed by [`NodeAction::index`]
+    /// and [`NodeState::index`].
+    pub(crate) fn transitions(&self) -> &TransitionTable {
+        &self.transitions
     }
 
     /// Samples the next state.

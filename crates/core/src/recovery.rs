@@ -134,6 +134,8 @@ pub struct EpisodeOutcome {
 pub struct RecoveryProblem {
     model: NodeModel,
     config: RecoveryConfig,
+    /// Eq. 5 as `[state][action]` for this problem's `η`.
+    costs: [[f64; 2]; 3],
 }
 
 impl RecoveryProblem {
@@ -159,7 +161,13 @@ impl RecoveryProblem {
                     .into(),
             });
         }
-        Ok(RecoveryProblem { model, config })
+        let costs = NodeState::ALL
+            .map(|state| NodeAction::ALL.map(|action| model.cost(state, action, config.eta)));
+        Ok(RecoveryProblem {
+            model,
+            config,
+            costs,
+        })
     }
 
     /// The node model.
@@ -195,6 +203,15 @@ impl RecoveryProblem {
 
     /// Simulates one episode under an arbitrary policy (a function of the
     /// belief and the number of steps since the last recovery).
+    ///
+    /// This is the only loop that steps the node POMDP: Algorithm 1's
+    /// objective, the incremental-pruning and PPO scores and
+    /// [`RecoveryProblem::evaluate_strategy`] all run it. It reads Eq. 2, the
+    /// costs and the two alert distributions as tables and keeps the
+    /// arithmetic of [`NodeModel::belief_update`],
+    /// [`NodeModel::sample_transition`] and `ObservationModel::sample`
+    /// operation for operation, so an episode is bit-identical to one stepped
+    /// through those functions (`tests/properties.rs::rollout_kernel`).
     pub(crate) fn simulate_policy<R, P>(
         &self,
         policy: P,
@@ -205,33 +222,78 @@ impl RecoveryProblem {
         R: Rng + ?Sized,
         P: Fn(f64, u32) -> NodeAction,
     {
+        const HEALTHY: usize = NodeState::Healthy as usize;
+        const COMPROMISED: usize = NodeState::Compromised as usize;
+        const CRASHED: usize = NodeState::Crashed as usize;
+        let transitions = self.model.transitions();
+        let observations = self.model.observations();
+        let alert_rows = [
+            observations.healthy_distribution(),
+            observations.compromised_distribution(),
+        ];
         let p_attack = self.model.parameters().p_attack;
         let mut state = if rng.random::<f64>() < p_attack {
-            NodeState::Compromised
+            COMPROMISED
         } else {
-            NodeState::Healthy
+            HEALTHY
         };
         let mut belief = p_attack;
         let mut steps_since_recovery = 0u32;
-        let mut previous_action = NodeAction::Wait;
+        let mut previous_action = NodeAction::Wait.index();
         let mut total_cost = 0.0;
         let mut recoveries = 0u32;
         let mut compromised_steps = 0u32;
         let mut steps = 0u32;
 
         for _ in 0..horizon {
-            if state == NodeState::Crashed {
+            if state == CRASHED {
                 break;
             }
             steps += 1;
-            // Observe and update the belief (Eq. 4 / Appendix A).
-            let alerts = self.model.observations().sample(state, rng);
-            belief = self.model.belief_update(belief, previous_action, alerts);
+            // Observe (Eq. 3): the first alert count whose cumulative
+            // probability reaches the draw.
+            let row = alert_rows[state];
+            let mut u = rng.random::<f64>();
+            let mut alerts = row.len() - 1;
+            for (count, &p) in row.iter().enumerate() {
+                u -= p;
+                if u <= 0.0 {
+                    alerts = count;
+                    break;
+                }
+            }
+            // Update the belief (Eq. 4 / Appendix A): predict over {H, C}
+            // conditioned on not crashing, then Bayes with the likelihoods.
+            let b = belief.clamp(0.0, 1.0);
+            let prior = [1.0 - b, b];
+            let table = &transitions[previous_action];
+            let mut predicted = [0.0f64; 2];
+            for (si, &weight) in prior.iter().enumerate() {
+                for (ni, mass) in predicted.iter_mut().enumerate() {
+                    *mass += weight * table[si][ni];
+                }
+            }
+            let total = predicted[0] + predicted[1];
+            belief = if total <= 0.0 {
+                b
+            } else {
+                predicted[0] /= total;
+                predicted[1] /= total;
+                let likelihood_h = alert_rows[HEALTHY][alerts];
+                let likelihood_c = alert_rows[COMPROMISED][alerts];
+                let numerator = likelihood_c * predicted[1];
+                let denominator = likelihood_h * predicted[0] + likelihood_c * predicted[1];
+                if denominator <= 0.0 {
+                    predicted[1]
+                } else {
+                    numerator / denominator
+                }
+            };
 
             // Decide.
             let action = policy(belief, steps_since_recovery);
-            total_cost += self.model.cost(state, action, self.config.eta);
-            if state == NodeState::Compromised {
+            total_cost += self.costs[state][action.index()];
+            if state == COMPROMISED {
                 compromised_steps += 1;
             }
             match action {
@@ -242,9 +304,19 @@ impl RecoveryProblem {
                 }
                 NodeAction::Wait => steps_since_recovery += 1,
             }
-            // Transition.
-            state = self.model.sample_transition(rng, state, action);
-            previous_action = action;
+            // Transition (Eq. 2), by the same cumulative scan.
+            let row = &transitions[action.index()][state];
+            let mut u = rng.random::<f64>();
+            let mut next = CRASHED;
+            for (candidate, &p) in row.iter().enumerate() {
+                u -= p;
+                if u <= 0.0 {
+                    next = candidate;
+                    break;
+                }
+            }
+            state = next;
+            previous_action = action.index();
         }
         EpisodeOutcome {
             average_cost: if steps == 0 {
