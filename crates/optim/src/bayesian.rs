@@ -11,7 +11,7 @@ use crate::error::{OptimError, Result};
 use crate::objective::{clamp_unit, Objective};
 use crate::optimizer::{OptimizationResult, Optimizer, ProgressTracker};
 use rand::{Rng, RngCore};
-use tolerance_markov::linalg::Matrix;
+use tolerance_markov::linalg::{Lu, Matrix};
 
 /// Configuration of the [`BayesianOptimization`] optimizer.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -65,7 +65,9 @@ struct GaussianProcess {
     noise_variance: f64,
     /// Solution of `K alpha = (y - mean)` for the posterior mean.
     alpha: Vec<f64>,
-    kernel: Matrix,
+    /// The kernel matrix `K`, factorized once per fit and applied to every
+    /// query's covariance vector.
+    kernel: Lu,
 }
 
 impl GaussianProcess {
@@ -97,6 +99,9 @@ impl GaussianProcess {
             }
         }
         let centered: Vec<f64> = values.iter().map(|v| v - mean_offset).collect();
+        let kernel = kernel
+            .factorize()
+            .map_err(|e| OptimError::Numerical(format!("kernel solve failed: {e}")))?;
         let alpha = kernel
             .solve(&centered)
             .map_err(|e| OptimError::Numerical(format!("kernel solve failed: {e}")))?;
