@@ -116,13 +116,6 @@ impl Objective for RecoveryObjective<'_> {
         self.problem
             .evaluate_strategy(&strategy, self.episodes.max(1), self.horizon, &mut local)
     }
-
-    fn evaluate_mean(&self, point: &[f64], _repetitions: usize, rng: &mut dyn RngCore) -> f64 {
-        // The episode averaging already happens inside `evaluate`; the
-        // optimizers' own repetition counts are ignored to keep the
-        // evaluation budget equal to the paper's M episodes per candidate.
-        self.evaluate(point, rng)
-    }
 }
 
 impl Alg1 {
@@ -151,27 +144,23 @@ impl Alg1 {
             OptimizerKind::Cem => CrossEntropyMethod::new(CemConfig {
                 population: self.config.population,
                 iterations: self.config.iterations,
-                evaluation_samples: 1,
                 ..CemConfig::default()
             })
             .minimize(&objective, rng),
             OptimizerKind::De => DifferentialEvolution::new(DeConfig {
                 population: self.config.population.max(4),
                 generations: self.config.iterations,
-                evaluation_samples: 1,
                 ..DeConfig::default()
             })
             .minimize(&objective, rng),
             OptimizerKind::Bo => BayesianOptimization::new(BoConfig {
                 initial_points: 8,
                 iterations: self.config.iterations,
-                evaluation_samples: 1,
                 ..BoConfig::default()
             })
             .minimize(&objective, rng),
             OptimizerKind::Spsa => Spsa::new(SpsaConfig {
                 iterations: self.config.iterations * self.config.population / 3,
-                evaluation_samples: 1,
                 ..SpsaConfig::default()
             })
             .minimize(&objective, rng),

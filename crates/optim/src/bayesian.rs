@@ -29,8 +29,6 @@ pub struct BoConfig {
     /// Number of random candidates evaluated when maximizing the acquisition
     /// function.
     pub acquisition_candidates: usize,
-    /// Number of objective evaluations averaged per queried point (paper: 50).
-    pub evaluation_samples: usize,
 }
 
 impl Default for BoConfig {
@@ -42,7 +40,6 @@ impl Default for BoConfig {
             length_scale: 0.2,
             noise_variance: 1e-4,
             acquisition_candidates: 500,
-            evaluation_samples: 50,
         }
     }
 }
@@ -201,8 +198,8 @@ impl Optimizer for BayesianOptimization {
         // Initial random design.
         for _ in 0..cfg.initial_points {
             let point: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
-            let value = objective.evaluate_mean(&point, cfg.evaluation_samples, rng);
-            tracker.add_evaluations(cfg.evaluation_samples.max(1));
+            let value = objective.evaluate(&point, rng);
+            tracker.add_evaluations(1);
             tracker.offer(&point, value);
             design.push(point);
             observations.push(value);
@@ -244,8 +241,8 @@ impl Optimizer for BayesianOptimization {
             }
             let (_, next_point) = best_candidate.expect("at least one acquisition candidate");
 
-            let value = objective.evaluate_mean(&next_point, cfg.evaluation_samples, rng);
-            tracker.add_evaluations(cfg.evaluation_samples.max(1));
+            let value = objective.evaluate(&next_point, rng);
+            tracker.add_evaluations(1);
             tracker.offer(&next_point, value);
             design.push(next_point);
             observations.push(value);
@@ -308,7 +305,6 @@ mod tests {
         let cfg = BoConfig {
             initial_points: 5,
             iterations: 25,
-            evaluation_samples: 1,
             acquisition_candidates: 200,
             ..BoConfig::default()
         };
@@ -330,7 +326,6 @@ mod tests {
         let cfg = BoConfig {
             initial_points: 4,
             iterations: 6,
-            evaluation_samples: 1,
             acquisition_candidates: 50,
             ..BoConfig::default()
         };

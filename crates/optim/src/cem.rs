@@ -20,8 +20,6 @@ pub struct CemConfig {
     pub elite_fraction: f64,
     /// Number of iterations.
     pub iterations: usize,
-    /// Number of objective evaluations averaged per candidate (paper: 50).
-    pub evaluation_samples: usize,
     /// Additive standard-deviation floor that prevents premature collapse.
     pub noise_floor: f64,
     /// Smoothing factor applied when updating the mean and standard
@@ -35,7 +33,6 @@ impl Default for CemConfig {
             population: 100,
             elite_fraction: 0.15,
             iterations: 50,
-            evaluation_samples: 50,
             noise_floor: 0.01,
             smoothing: 0.9,
         }
@@ -114,8 +111,8 @@ impl Optimizer for CrossEntropyMethod {
                     .map(|i| mean[i] + std_dev[i] * sample_standard_normal(rng))
                     .collect();
                 clamp_unit(&mut candidate);
-                let value = objective.evaluate_mean(&candidate, cfg.evaluation_samples, rng);
-                tracker.add_evaluations(cfg.evaluation_samples.max(1));
+                let value = objective.evaluate(&candidate, rng);
+                tracker.add_evaluations(1);
                 tracker.offer(&candidate, value);
                 scored.push((value, candidate));
             }
@@ -147,7 +144,7 @@ impl Optimizer for CrossEntropyMethod {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FnObjective;
+    use crate::objective::{averaged, FnObjective};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -163,7 +160,6 @@ mod tests {
         let cfg = CemConfig {
             population: 40,
             iterations: 30,
-            evaluation_samples: 1,
             ..CemConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(11);
@@ -178,13 +174,15 @@ mod tests {
 
     #[test]
     fn cem_handles_noisy_objective() {
-        let obj = FnObjective::new(1, |x: &[f64], rng: &mut dyn RngCore| {
-            (x[0] - 0.8).powi(2) + 0.05 * (sample_standard_normal(rng))
-        });
+        let obj = FnObjective::new(
+            1,
+            averaged(10, |x: &[f64], rng: &mut dyn RngCore| {
+                (x[0] - 0.8).powi(2) + 0.05 * (sample_standard_normal(rng))
+            }),
+        );
         let cfg = CemConfig {
             population: 40,
             iterations: 25,
-            evaluation_samples: 10,
             ..CemConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(5);
@@ -204,7 +202,6 @@ mod tests {
         let cfg = CemConfig {
             population: 20,
             iterations: 10,
-            evaluation_samples: 1,
             ..CemConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(2);

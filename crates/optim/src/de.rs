@@ -20,8 +20,6 @@ pub struct DeConfig {
     pub recombination_rate: f64,
     /// Number of generations.
     pub generations: usize,
-    /// Number of objective evaluations averaged per candidate (paper: 50).
-    pub evaluation_samples: usize,
 }
 
 impl Default for DeConfig {
@@ -31,7 +29,6 @@ impl Default for DeConfig {
             mutation_factor: 0.2,
             recombination_rate: 0.7,
             generations: 50,
-            evaluation_samples: 50,
         }
     }
 }
@@ -101,8 +98,8 @@ impl Optimizer for DifferentialEvolution {
         let mut fitness: Vec<f64> = population
             .iter()
             .map(|x| {
-                let v = objective.evaluate_mean(x, cfg.evaluation_samples, rng);
-                tracker.add_evaluations(cfg.evaluation_samples.max(1));
+                let v = objective.evaluate(x, rng);
+                tracker.add_evaluations(1);
                 tracker.offer(x, v);
                 v
             })
@@ -134,8 +131,8 @@ impl Optimizer for DifferentialEvolution {
                 }
                 clamp_unit(&mut trial);
 
-                let trial_value = objective.evaluate_mean(&trial, cfg.evaluation_samples, rng);
-                tracker.add_evaluations(cfg.evaluation_samples.max(1));
+                let trial_value = objective.evaluate(&trial, rng);
+                tracker.add_evaluations(1);
                 tracker.offer(&trial, trial_value);
                 if trial_value <= fitness[i] {
                     population[i] = trial;
@@ -155,7 +152,7 @@ impl Optimizer for DifferentialEvolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FnObjective;
+    use crate::objective::{averaged, FnObjective};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -171,7 +168,6 @@ mod tests {
         let cfg = DeConfig {
             population: 15,
             generations: 60,
-            evaluation_samples: 1,
             ..DeConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(9);
@@ -196,7 +192,6 @@ mod tests {
         let cfg = DeConfig {
             population: 25,
             generations: 80,
-            evaluation_samples: 1,
             mutation_factor: 0.5,
             ..DeConfig::default()
         };
@@ -214,19 +209,20 @@ mod tests {
 
     #[test]
     fn de_history_counts_evaluations() {
-        let obj = sphere(vec![0.5]);
+        // Averaging happens inside the objective: a mean of two calls is one
+        // evaluation to the optimizer.
+        let obj = FnObjective::new(1, averaged(2, |x: &[f64], _| (x[0] - 0.5) * (x[0] - 0.5)));
         let cfg = DeConfig {
             population: 5,
             generations: 3,
-            evaluation_samples: 2,
             ..DeConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(1);
         let result = DifferentialEvolution::new(cfg)
             .minimize(&obj, &mut rng)
             .unwrap();
-        // 5 initial + 5 per generation, times 2 samples each.
-        assert_eq!(result.evaluations, (5 + 5 * 3) * 2);
+        // 5 initial + 5 per generation.
+        assert_eq!(result.evaluations, 5 + 5 * 3);
         assert_eq!(result.history.len(), 4);
     }
 

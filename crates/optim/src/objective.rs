@@ -18,22 +18,11 @@ pub trait Objective {
     /// Evaluates the objective at `point` (a slice of length
     /// [`Objective::dimension`]). Implementations may use `rng` to draw the
     /// random episode realizations that make the evaluation stochastic.
-    fn evaluate(&self, point: &[f64], rng: &mut dyn RngCore) -> f64;
-
-    /// Evaluates the objective `repetitions` times and returns the mean.
     ///
-    /// The paper's Algorithm 1 uses `M = 50` evaluation samples per candidate
-    /// (Appendix E); the optimizers call this method with their configured
-    /// sample count.
-    fn evaluate_mean(&self, point: &[f64], repetitions: usize, rng: &mut dyn RngCore) -> f64 {
-        if repetitions == 0 {
-            return self.evaluate(point, rng);
-        }
-        (0..repetitions)
-            .map(|_| self.evaluate(point, rng))
-            .sum::<f64>()
-            / repetitions as f64
-    }
+    /// The optimizers call this once per candidate. An objective that wants
+    /// the mean of several noisy samples (the `M = 50` episodes per candidate
+    /// of Appendix E) averages them itself.
+    fn evaluate(&self, point: &[f64], rng: &mut dyn RngCore) -> f64;
 }
 
 /// An [`Objective`] wrapping a closure: the fixture the optimizers' unit
@@ -75,6 +64,21 @@ where
     }
 }
 
+/// Wraps a noisy test function so that one evaluation is the mean of
+/// `repetitions` calls.
+#[cfg(test)]
+pub(crate) fn averaged<F>(
+    repetitions: usize,
+    function: F,
+) -> impl Fn(&[f64], &mut dyn RngCore) -> f64
+where
+    F: Fn(&[f64], &mut dyn RngCore) -> f64,
+{
+    move |point, rng| {
+        (0..repetitions).map(|_| function(point, rng)).sum::<f64>() / repetitions as f64
+    }
+}
+
 /// Clamps every coordinate of `point` into `[0, 1]`, in place.
 pub(crate) fn clamp_unit(point: &mut [f64]) {
     for x in point.iter_mut() {
@@ -99,18 +103,18 @@ mod tests {
     #[test]
     fn evaluate_mean_averages_noise() {
         use rand::Rng;
-        let obj = FnObjective::new(1, |x: &[f64], rng: &mut dyn RngCore| {
-            x[0] + rng.random_range(-0.5..0.5)
-        });
+        let obj = FnObjective::new(
+            1,
+            averaged(2000, |x: &[f64], rng: &mut dyn RngCore| {
+                x[0] + rng.random_range(-0.5..0.5)
+            }),
+        );
         let mut rng = StdRng::seed_from_u64(3);
-        let mean = obj.evaluate_mean(&[0.5], 2000, &mut rng);
+        let mean = obj.evaluate(&[0.5], &mut rng);
         assert!(
             (mean - 0.5).abs() < 0.05,
             "noisy mean {mean} too far from 0.5"
         );
-        // Zero repetitions degrades to a single evaluation.
-        let single = obj.evaluate_mean(&[0.5], 0, &mut rng);
-        assert!(single.is_finite());
     }
 
     #[test]

@@ -30,9 +30,6 @@ pub struct SpsaConfig {
     pub gamma: f64,
     /// Number of iterations (paper: `N = 50`).
     pub iterations: usize,
-    /// Number of objective evaluations averaged per gradient probe
-    /// (paper: 50).
-    pub evaluation_samples: usize,
 }
 
 impl Default for SpsaConfig {
@@ -44,7 +41,6 @@ impl Default for SpsaConfig {
             c: 0.1,
             gamma: 0.101,
             iterations: 50,
-            evaluation_samples: 50,
         }
     }
 }
@@ -120,9 +116,9 @@ impl Optimizer for Spsa {
             clamp_unit(&mut plus);
             clamp_unit(&mut minus);
 
-            let y_plus = objective.evaluate_mean(&plus, cfg.evaluation_samples, rng);
-            let y_minus = objective.evaluate_mean(&minus, cfg.evaluation_samples, rng);
-            tracker.add_evaluations(2 * cfg.evaluation_samples.max(1));
+            let y_plus = objective.evaluate(&plus, rng);
+            let y_minus = objective.evaluate(&minus, rng);
+            tracker.add_evaluations(2);
             tracker.offer(&plus, y_plus);
             tracker.offer(&minus, y_minus);
 
@@ -133,8 +129,8 @@ impl Optimizer for Spsa {
             }
             clamp_unit(&mut theta);
 
-            let value = objective.evaluate_mean(&theta, cfg.evaluation_samples, rng);
-            tracker.add_evaluations(cfg.evaluation_samples.max(1));
+            let value = objective.evaluate(&theta, rng);
+            tracker.add_evaluations(1);
             tracker.offer(&theta, value);
             tracker.end_iteration();
         }
@@ -149,7 +145,7 @@ impl Optimizer for Spsa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FnObjective;
+    use crate::objective::{averaged, FnObjective};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -162,7 +158,6 @@ mod tests {
             a: 2.0,
             big_a: 10.0,
             iterations: 200,
-            evaluation_samples: 1,
             ..SpsaConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(4);
@@ -174,15 +169,16 @@ mod tests {
 
     #[test]
     fn spsa_counts_three_probe_batches_per_iteration() {
-        let obj = FnObjective::new(1, |x: &[f64], _| x[0]);
+        // Averaging happens inside the objective: a mean of two calls is one
+        // evaluation to the optimizer.
+        let obj = FnObjective::new(1, averaged(2, |x: &[f64], _| x[0]));
         let cfg = SpsaConfig {
             iterations: 5,
-            evaluation_samples: 2,
             ..SpsaConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(0);
         let result = Spsa::new(cfg).minimize(&obj, &mut rng).unwrap();
-        assert_eq!(result.evaluations, 5 * 3 * 2);
+        assert_eq!(result.evaluations, 5 * 3);
         assert_eq!(result.history.len(), 5);
     }
 
@@ -192,7 +188,6 @@ mod tests {
         let cfg = SpsaConfig {
             a: 50.0,
             iterations: 30,
-            evaluation_samples: 1,
             ..SpsaConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(8);
