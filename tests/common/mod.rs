@@ -10,10 +10,11 @@ use tolerance::core::simnet::{Counterexample, ScheduleConfig};
 
 /// The pinned single-group counterexamples under
 /// `tests/fixtures/counterexamples/`.
-pub const ARCHIVED_COUNTEREXAMPLES: [&str; 3] = [
+pub const ARCHIVED_COUNTEREXAMPLES: [&str; 4] = [
     "expected-double-commit.json",
     "expected-liveness-after-gst.json",
     "adversary-lying-donor-gst-seed19.json",
+    "expected-evict-during-rebuild.json",
 ];
 
 /// Reads and decodes one of the [`ARCHIVED_COUNTEREXAMPLES`].

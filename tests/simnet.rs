@@ -731,3 +731,40 @@ fn scenario_runs_surface_violations_as_invariant_errors() {
         "unexpected error: {message}"
     );
 }
+
+#[test]
+fn pinned_evict_during_rebuild_counterexample_is_still_raised() {
+    // The one agreement violation known on `main` (ROADMAP item 3, "pin
+    // before fixing"): on seed 575 the `heavy` smoke configuration holds a
+    // rebuild pending across an EVICT, nothing bars the laggard from the new
+    // epoch's first ballot, and replicas 5 and 1 commit different digests at
+    // sequence 16. No protocol code changes with this pin, so it asserts
+    // the opposite of its neighbours: the Agreement oracle must *still*
+    // raise the violation, from the generated schedule and from the archived
+    // document. The PR that makes the reconfiguration barrier protocol
+    // flips it to "cannot regress" and regenerates the replay's golden
+    // digest.
+    let (_, config) = smoke_configs()
+        .into_iter()
+        .find(|(name, _)| *name == "heavy")
+        .expect("the smoke suite has a heavy configuration");
+    let schedule = FaultSchedule::generate(575, &config);
+    let counterexample = find_counterexample(&schedule, &config)
+        .expect("harness constructs")
+        .expect("heavy seed 575 still violates");
+    assert_eq!(counterexample.violation.kind, InvariantKind::Agreement);
+    assert!(counterexample.schedule.events.len() < schedule.events.len());
+    let json = counterexample.to_json().expect("serializes");
+    publish_counterexample("expected-evict-during-rebuild", &json);
+
+    // The archived document is that shrunk schedule, and replays to the
+    // same violation.
+    let archived = common::archived_counterexample("expected-evict-during-rebuild.json");
+    assert_eq!(archived, counterexample);
+    let replayed = archived
+        .replay()
+        .expect("replay constructs")
+        .expect("replay violates again");
+    assert_eq!(replayed.kind, InvariantKind::Agreement);
+    assert_eq!(replayed, archived.violation);
+}
