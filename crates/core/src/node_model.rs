@@ -8,7 +8,7 @@
 //! recover (`R`).
 
 use crate::error::{CoreError, Result};
-use crate::observation::ObservationModel;
+use crate::observation::{sample_index, ObservationModel};
 use rand::Rng;
 use tolerance_markov::chain::MarkovChain;
 
@@ -259,14 +259,7 @@ impl NodeModel {
         action: NodeAction,
     ) -> NodeState {
         let row = &self.transitions[action.index()][state.index()];
-        let mut u = rng.random::<f64>();
-        for (&next, &p) in NodeState::ALL.iter().zip(row) {
-            u -= p;
-            if u <= 0.0 {
-                return next;
-            }
-        }
-        NodeState::Crashed
+        NodeState::ALL[sample_index(row, rng.random::<f64>())]
     }
 
     /// The cost function `c_N(s, a) = η·s − a·η·s + a` of Eq. (5).
@@ -348,34 +341,43 @@ impl NodeModel {
     /// action taken at the previous step and the number of weighted IDS
     /// alerts observed.
     pub fn belief_update(&self, belief: f64, action: NodeAction, alerts: u64) -> f64 {
-        let b = belief.clamp(0.0, 1.0);
-        // Predicted distribution over {H, C}, conditioned on not crashing.
-        let mut predicted = [0.0f64; 2];
-        let prior = [1.0 - b, b];
-        let table = &self.transitions[action.index()];
-        for (si, &weight) in prior.iter().enumerate() {
-            for (ni, mass) in predicted.iter_mut().enumerate() {
-                *mass += weight * table[si][ni];
-            }
+        let likelihoods = [
+            self.observations.probability(NodeState::Healthy, alerts),
+            self.observations
+                .probability(NodeState::Compromised, alerts),
+        ];
+        posterior(&self.transitions[action.index()], likelihoods, belief)
+    }
+}
+
+/// The belief recursion behind [`NodeModel::belief_update`], on the numbers
+/// it needs: Eq. (2) under the action taken (`[state][next]`) and the
+/// likelihoods `[Z(o | H), Z(o | C)]` of the observation.
+#[inline]
+pub(crate) fn posterior(transitions: &[[f64; 3]; 3], likelihoods: [f64; 2], belief: f64) -> f64 {
+    let b = belief.clamp(0.0, 1.0);
+    // Predicted distribution over {H, C}, conditioned on not crashing.
+    let mut predicted = [0.0f64; 2];
+    let prior = [1.0 - b, b];
+    for (si, &weight) in prior.iter().enumerate() {
+        for (ni, mass) in predicted.iter_mut().enumerate() {
+            *mass += weight * transitions[si][ni];
         }
-        let total = predicted[0] + predicted[1];
-        if total <= 0.0 {
-            return b;
-        }
-        predicted[0] /= total;
-        predicted[1] /= total;
-        // Bayes with the observation likelihoods.
-        let likelihood_h = self.observations.probability(NodeState::Healthy, alerts);
-        let likelihood_c = self
-            .observations
-            .probability(NodeState::Compromised, alerts);
-        let numerator = likelihood_c * predicted[1];
-        let denominator = likelihood_h * predicted[0] + likelihood_c * predicted[1];
-        if denominator <= 0.0 {
-            predicted[1]
-        } else {
-            numerator / denominator
-        }
+    }
+    let total = predicted[0] + predicted[1];
+    if total <= 0.0 {
+        return b;
+    }
+    predicted[0] /= total;
+    predicted[1] /= total;
+    // Bayes with the observation likelihoods.
+    let [likelihood_h, likelihood_c] = likelihoods;
+    let numerator = likelihood_c * predicted[1];
+    let denominator = likelihood_h * predicted[0] + likelihood_c * predicted[1];
+    if denominator <= 0.0 {
+        predicted[1]
+    } else {
+        numerator / denominator
     }
 }
 

@@ -16,6 +16,22 @@ use tolerance_markov::dist::{BetaBinomial, Categorical};
 use tolerance_markov::stats::kl_divergence;
 use tolerance_pomdp::structure::is_tp2;
 
+/// Inverse-CDF sampling by a cumulative scan: the first index at which the
+/// uniform draw `u`, less the probabilities so far, is used up; the last
+/// index when rounding leaves the row short of `u`. Alert counts (Eq. 3) and
+/// next states (Eq. 2) are both drawn this way, and the draw-for-draw
+/// determinism of every seeded run rests on this exact order of subtractions.
+#[inline]
+pub(crate) fn sample_index(row: &[f64], mut u: f64) -> usize {
+    for (index, &p) in row.iter().enumerate() {
+        u -= p;
+        if u <= 0.0 {
+            return index;
+        }
+    }
+    row.len() - 1
+}
+
 /// The observation model: one distribution over alert counts per operational
 /// state (healthy / compromised).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -122,14 +138,7 @@ impl ObservationModel {
             NodeState::Compromised => &self.compromised,
             NodeState::Healthy | NodeState::Crashed => &self.healthy,
         };
-        let mut u = rng.random::<f64>();
-        for (o, &p) in dist.iter().enumerate() {
-            u -= p;
-            if u <= 0.0 {
-                return o as u64;
-            }
-        }
-        (dist.len() - 1) as u64
+        sample_index(dist, rng.random::<f64>()) as u64
     }
 
     /// Mean alert count in a state.

@@ -12,7 +12,8 @@
 
 use crate::algorithms::{Alg1, Alg1Config, OptimizerKind};
 use crate::error::{CoreError, Result};
-use crate::node_model::{NodeAction, NodeModel, NodeState};
+use crate::node_model::{posterior, NodeAction, NodeModel, NodeState};
+use crate::observation::sample_index;
 use rand::Rng;
 
 /// Configuration of the recovery problem.
@@ -206,12 +207,13 @@ impl RecoveryProblem {
     ///
     /// This is the only loop that steps the node POMDP: Algorithm 1's
     /// objective, the incremental-pruning and PPO scores and
-    /// [`RecoveryProblem::evaluate_strategy`] all run it. It reads Eq. 2, the
-    /// costs and the two alert distributions as tables and keeps the
-    /// arithmetic of [`NodeModel::belief_update`],
-    /// [`NodeModel::sample_transition`] and `ObservationModel::sample`
-    /// operation for operation, so an episode is bit-identical to one stepped
-    /// through those functions (`tests/properties.rs::rollout_kernel`).
+    /// [`RecoveryProblem::evaluate_strategy`] all run it. State and action
+    /// are table indices here; Eq. 2, Eq. 5 and the two alert distributions
+    /// are read as rows, and the belief update and both draws are the
+    /// functions behind [`NodeModel::belief_update`],
+    /// [`NodeModel::sample_transition`] and `ObservationModel::sample`, so an
+    /// episode is bit-identical to one stepped through those
+    /// (`tests/properties.rs::rollout_kernel`).
     pub(crate) fn simulate_policy<R, P>(
         &self,
         policy: P,
@@ -250,45 +252,10 @@ impl RecoveryProblem {
                 break;
             }
             steps += 1;
-            // Observe (Eq. 3): the first alert count whose cumulative
-            // probability reaches the draw.
-            let row = alert_rows[state];
-            let mut u = rng.random::<f64>();
-            let mut alerts = row.len() - 1;
-            for (count, &p) in row.iter().enumerate() {
-                u -= p;
-                if u <= 0.0 {
-                    alerts = count;
-                    break;
-                }
-            }
-            // Update the belief (Eq. 4 / Appendix A): predict over {H, C}
-            // conditioned on not crashing, then Bayes with the likelihoods.
-            let b = belief.clamp(0.0, 1.0);
-            let prior = [1.0 - b, b];
-            let table = &transitions[previous_action];
-            let mut predicted = [0.0f64; 2];
-            for (si, &weight) in prior.iter().enumerate() {
-                for (ni, mass) in predicted.iter_mut().enumerate() {
-                    *mass += weight * table[si][ni];
-                }
-            }
-            let total = predicted[0] + predicted[1];
-            belief = if total <= 0.0 {
-                b
-            } else {
-                predicted[0] /= total;
-                predicted[1] /= total;
-                let likelihood_h = alert_rows[HEALTHY][alerts];
-                let likelihood_c = alert_rows[COMPROMISED][alerts];
-                let numerator = likelihood_c * predicted[1];
-                let denominator = likelihood_h * predicted[0] + likelihood_c * predicted[1];
-                if denominator <= 0.0 {
-                    predicted[1]
-                } else {
-                    numerator / denominator
-                }
-            };
+            // Observe (Eq. 3) and update the belief (Eq. 4 / Appendix A).
+            let alerts = sample_index(alert_rows[state], rng.random::<f64>());
+            let likelihoods = [alert_rows[HEALTHY][alerts], alert_rows[COMPROMISED][alerts]];
+            belief = posterior(&transitions[previous_action], likelihoods, belief);
 
             // Decide.
             let action = policy(belief, steps_since_recovery);
@@ -304,18 +271,8 @@ impl RecoveryProblem {
                 }
                 NodeAction::Wait => steps_since_recovery += 1,
             }
-            // Transition (Eq. 2), by the same cumulative scan.
-            let row = &transitions[action.index()][state];
-            let mut u = rng.random::<f64>();
-            let mut next = CRASHED;
-            for (candidate, &p) in row.iter().enumerate() {
-                u -= p;
-                if u <= 0.0 {
-                    next = candidate;
-                    break;
-                }
-            }
-            state = next;
+            // Transition (Eq. 2).
+            state = sample_index(&transitions[action.index()][state], rng.random::<f64>());
             previous_action = action.index();
         }
         EpisodeOutcome {
