@@ -35,7 +35,7 @@ impl NodeState {
     ];
 
     /// The state's position in [`NodeState::ALL`].
-    pub(crate) fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
@@ -65,7 +65,7 @@ impl NodeAction {
     pub(crate) const ALL: [NodeAction; 2] = [NodeAction::Wait, NodeAction::Recover];
 
     /// The action's position in [`NodeAction::ALL`].
-    pub(crate) fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 }

@@ -224,9 +224,9 @@ impl RecoveryProblem {
         R: Rng + ?Sized,
         P: Fn(f64, u32) -> NodeAction,
     {
-        const HEALTHY: usize = NodeState::Healthy as usize;
-        const COMPROMISED: usize = NodeState::Compromised as usize;
-        const CRASHED: usize = NodeState::Crashed as usize;
+        const HEALTHY: usize = NodeState::Healthy.index();
+        const COMPROMISED: usize = NodeState::Compromised.index();
+        const CRASHED: usize = NodeState::Crashed.index();
         let transitions = self.model.transitions();
         let observations = self.model.observations();
         let alert_rows = [

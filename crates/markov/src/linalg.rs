@@ -180,7 +180,7 @@ impl Matrix {
                 }
             }
         }
-        Ok(Lu { n, a, pivots })
+        Ok(Lu { a, pivots })
     }
 }
 
@@ -189,7 +189,6 @@ impl Matrix {
 /// swapped with each column's row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lu {
-    n: usize,
     a: Vec<f64>,
     pivots: Vec<usize>,
 }
@@ -202,7 +201,7 @@ impl Lu {
     ///
     /// Returns [`MarkovError::DimensionMismatch`] if `b` has the wrong length.
     pub fn solve(&self, b: &[f64]) -> Result<Vector> {
-        let n = self.n;
+        let n = self.pivots.len();
         if b.len() != n {
             return Err(MarkovError::DimensionMismatch {
                 expected: format!("vector of length {n}"),

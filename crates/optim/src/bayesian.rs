@@ -96,11 +96,9 @@ impl GaussianProcess {
             }
         }
         let centered: Vec<f64> = values.iter().map(|v| v - mean_offset).collect();
-        let kernel = kernel
+        let (kernel, alpha) = kernel
             .factorize()
-            .map_err(|e| OptimError::Numerical(format!("kernel solve failed: {e}")))?;
-        let alpha = kernel
-            .solve(&centered)
+            .and_then(|kernel| kernel.solve(&centered).map(|alpha| (kernel, alpha)))
             .map_err(|e| OptimError::Numerical(format!("kernel solve failed: {e}")))?;
         Ok(GaussianProcess {
             points,
