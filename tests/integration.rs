@@ -291,3 +291,67 @@ fn rollout_pins_alg1_objectives() {
         }
     }
 }
+
+// The Algorithm 2 and incremental-pruning pins. Both were generated by commit
+// 21fea10, before `optim::simplex` chose its pivots: every witness LP of
+// incremental pruning and every `SystemController`'s `s_max` 13 strategy go
+// through that kernel.
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "35 exact backups; CI runs them in release by name"
+)]
+fn ip_pins_thresholds_and_objectives() {
+    // The `paper-eval` incremental-pruning solve (horizon 10) and one on
+    // either side. `unwrap` also counts the witness LPs that fail: a solver
+    // error inside `prune_lp` is an `Err` here.
+    let expected: [(usize, f64, f64); 3] = [
+        (5, 0.285, 0.2879157894736842),
+        (10, 0.29, 0.28911578947368416),
+        (20, 0.29, 0.28911578947368416),
+    ];
+    let problem = paper_problem(None);
+    let alg1 = Alg1::new(Alg1Config {
+        seed: 0,
+        ..Alg1Config::default()
+    });
+    for (horizon, threshold, objective) in expected {
+        let outcome = alg1
+            .solve_with_incremental_pruning(&problem, 0.95, Some(horizon))
+            .unwrap_or_else(|error| panic!("horizon {horizon}: {error}"));
+        assert_eq!(
+            (outcome.strategy.thresholds(), outcome.objective.to_bits()),
+            (&[threshold][..], objective.to_bits()),
+            "horizon {horizon}: objective {:?}, pinned {objective:?}",
+            outcome.objective
+        );
+    }
+}
+
+#[test]
+fn alg2_pins_the_s_max_13_strategy() {
+    // `ReplicationConfig::default()`: the LP every `SystemController` in the
+    // golden digests solves at construction.
+    let problem = ReplicationProblem::new(ReplicationConfig::default()).unwrap();
+    let strategy = problem.solve().unwrap();
+    let close = |value: f64, pinned: f64| (value - pinned).abs() < 1e-12;
+    assert!(
+        close(strategy.expected_cost(), 5.153260306739111),
+        "expected cost {:?}",
+        strategy.expected_cost()
+    );
+    assert!(
+        close(strategy.availability(), 0.9),
+        "availability {:?}",
+        strategy.availability()
+    );
+    let mut pinned = [0.0; 14];
+    pinned[..5].fill(1.0);
+    pinned[5] = 0.27033208191444585;
+    let probabilities = strategy.add_probabilities();
+    assert_eq!(probabilities.len(), pinned.len());
+    for (state, (&value, pinned)) in probabilities.iter().zip(pinned).enumerate() {
+        assert!(close(value, pinned), "π(add | {state}) = {value:?}");
+    }
+}
