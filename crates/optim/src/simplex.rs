@@ -4,8 +4,9 @@
 //! the occupation-measure linear program (14); the paper uses the CBC solver,
 //! which is not available offline, so this module provides an exact dense
 //! simplex implementation instead. The LPs produced by Algorithm 2 have
-//! `2(s_max + 1)` variables and about `s_max + 3` constraints, which this
-//! solver handles comfortably up to the `s_max = 2048` point of Fig. 9.
+//! `2(s_max + 1)` variables and about `s_max + 3` constraints; the tableau is
+//! dense, so a solve is cubic in `s_max`: 3 ms at 128, 0.3 s at 512, 1.9 s at
+//! 1024 and 14 s at the `s_max = 2048` point of Fig. 9 (release, one thread).
 //!
 //! # Example
 //!
@@ -23,8 +24,14 @@
 
 use crate::error::{OptimError, Result};
 
-/// Numerical tolerance used by the pivoting rules and feasibility checks.
-const TOLERANCE: f64 = 1e-9;
+/// The smallest tableau element a pivot may divide by.
+const PIVOT_TOLERANCE: f64 = 1e-9;
+/// A reduced cost above `-OPTIMALITY_TOLERANCE` does not enter the basis (the
+/// usual dual tolerance: 1e-9 sits below the noise a tableau accumulates).
+const OPTIMALITY_TOLERANCE: f64 = 1e-7;
+/// How far the ratio test lets a basic variable of a normalized row go below 0
+/// (and phase 1 the sum of the artificials stay above it).
+const FEASIBILITY_TOLERANCE: f64 = 1e-9;
 
 /// The sense of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -46,6 +53,9 @@ pub struct LpSolution {
     pub objective_value: f64,
     /// Number of simplex pivots performed (phases 1 and 2 combined).
     pub pivots: usize,
+    /// Largest violation of a constraint row by `values`, measured on the
+    /// rows as the caller wrote them (not on the solver's scaled copies).
+    pub primal_residual: f64,
 }
 
 struct ConstraintRow {
@@ -119,85 +129,66 @@ impl LinearProgram {
     /// * [`OptimError::Unbounded`] if the objective is unbounded below.
     /// * [`OptimError::IterationLimit`] if the pivot budget is exhausted.
     pub fn solve(&self) -> Result<LpSolution> {
-        let m = self.constraints.len();
-        let n = self.num_variables;
+        let (m, n, limit) = (self.constraints.len(), self.num_variables, self.max_pivots);
 
-        // Count the auxiliary columns: one slack/surplus per inequality and
-        // one artificial per >=/= (and per <= with negative rhs after
-        // normalization, handled by normalizing signs first).
-        let mut slack_count = 0usize;
-        let mut artificial_count = 0usize;
-        let mut normalized: Vec<(Vec<f64>, Comparison, f64)> = Vec::with_capacity(m);
+        // Normalize every row to a non-negative rhs and an ∞-norm in [1, 2):
+        // the divisor is the power of two below the norm (its exponent bits;
+        // dividing by it rounds nothing) with the sign of the flip. A `>=` row
+        // with rhs 0 is flipped too: as a `<=` row it starts on its slack and
+        // needs no artificial.
+        let mut normalized: Vec<(f64, Comparison)> = Vec::with_capacity(m);
         for c in &self.constraints {
-            let (mut coefficients, mut comparison, mut rhs) =
-                (c.coefficients.clone(), c.comparison, c.rhs);
-            if rhs < 0.0 {
-                for v in coefficients.iter_mut() {
-                    *v = -*v;
-                }
-                rhs = -rhs;
-                comparison = match comparison {
-                    Comparison::LessEqual => Comparison::GreaterEqual,
-                    Comparison::GreaterEqual => Comparison::LessEqual,
-                    Comparison::Equal => Comparison::Equal,
-                };
-            }
-            match comparison {
-                Comparison::LessEqual => slack_count += 1,
-                Comparison::GreaterEqual => {
-                    slack_count += 1;
-                    artificial_count += 1;
-                }
-                Comparison::Equal => artificial_count += 1,
-            }
-            normalized.push((coefficients, comparison, rhs));
+            let norm = c.coefficients.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+            let scale = f64::from_bits(norm.to_bits() & (!0 << 52)); // 0 for an empty row
+            let divisor = if scale > 0.0 { scale } else { 1.0 };
+            let flip = c.rhs < 0.0 || (c.rhs == 0.0 && c.comparison == Comparison::GreaterEqual);
+            normalized.push(match (flip, c.comparison) {
+                (false, comparison) => (divisor, comparison),
+                (true, Comparison::LessEqual) => (-divisor, Comparison::GreaterEqual),
+                (true, Comparison::GreaterEqual) => (-divisor, Comparison::LessEqual),
+                (true, Comparison::Equal) => (-divisor, Comparison::Equal),
+            });
         }
-
-        let total = n + slack_count + artificial_count;
+        // One slack/surplus per inequality, one artificial per `>=` and `=`.
+        let count = |without| normalized.iter().filter(|r| r.1 != without).count();
+        let artificial_start = n + count(Comparison::Equal);
+        let total = artificial_start + count(Comparison::LessEqual);
         let width = total + 1; // + rhs column
+        let objective_row = m * width;
         let mut tableau = vec![0.0f64; (m + 1) * width];
         let mut basis = vec![0usize; m];
-        let artificial_start = n + slack_count;
 
-        let mut slack_index = 0usize;
-        let mut artificial_index = 0usize;
-        for (row, (coefficients, comparison, rhs)) in normalized.iter().enumerate() {
+        let (mut slack, mut artificial) = (n, artificial_start);
+        for (row, (c, &(divisor, comparison))) in
+            self.constraints.iter().zip(&normalized).enumerate()
+        {
             let offset = row * width;
-            tableau[offset..offset + n].copy_from_slice(coefficients);
-            tableau[offset + total] = *rhs;
-            match comparison {
-                Comparison::LessEqual => {
-                    let col = n + slack_index;
-                    tableau[offset + col] = 1.0;
-                    basis[row] = col;
-                    slack_index += 1;
+            for (slot, coefficient) in tableau[offset..offset + n].iter_mut().zip(&c.coefficients) {
+                *slot = coefficient / divisor;
+            }
+            tableau[offset + total] = c.rhs / divisor;
+            // A `<=` row starts on its slack, the others on an artificial
+            // (a `>=` row next to its surplus).
+            if comparison == Comparison::LessEqual {
+                tableau[offset + slack] = 1.0;
+                basis[row] = slack;
+                slack += 1;
+            } else {
+                if comparison == Comparison::GreaterEqual {
+                    tableau[offset + slack] = -1.0;
+                    slack += 1;
                 }
-                Comparison::GreaterEqual => {
-                    let surplus = n + slack_index;
-                    tableau[offset + surplus] = -1.0;
-                    slack_index += 1;
-                    let art = artificial_start + artificial_index;
-                    tableau[offset + art] = 1.0;
-                    basis[row] = art;
-                    artificial_index += 1;
-                }
-                Comparison::Equal => {
-                    let art = artificial_start + artificial_index;
-                    tableau[offset + art] = 1.0;
-                    basis[row] = art;
-                    artificial_index += 1;
-                }
+                tableau[offset + artificial] = 1.0;
+                basis[row] = artificial;
+                artificial += 1;
             }
         }
 
         let mut pivots = 0usize;
 
         // ---- Phase 1: minimize the sum of artificial variables. ----
-        if artificial_count > 0 {
-            let objective_row = m * width;
-            for col in artificial_start..total {
-                tableau[objective_row + col] = 1.0;
-            }
+        if total > artificial_start {
+            tableau[objective_row + artificial_start..objective_row + total].fill(1.0);
             // Make the objective row consistent with the starting basis
             // (price out the artificial basic columns).
             for (row, &b) in basis.iter().enumerate() {
@@ -207,58 +198,42 @@ impl LinearProgram {
                     }
                 }
             }
-            let phase1_pivots =
-                run_simplex(&mut tableau, &mut basis, m, total, width, self.max_pivots)?;
-            pivots += phase1_pivots;
-            let phase1_value = -tableau[m * width + total];
-            if phase1_value > 1e-6 {
+            pivots += run_simplex(&mut tableau, &mut basis, m, total, width, limit)?;
+            if -tableau[objective_row + total] > FEASIBILITY_TOLERANCE {
                 return Err(OptimError::Infeasible);
             }
-            // Drive any artificial variables out of the basis if possible.
+            // Drive the artificials still basic (at level 0) out on the
+            // largest element of their row: taking the first one above the
+            // tolerance lets the rows shrink pivot by pivot until the noise
+            // of a redundant row passes for an element. That row has nothing
+            // worth pivoting on; its artificial stays basic at level 0.
             for row in 0..m {
                 if basis[row] >= artificial_start {
-                    let offset = row * width;
-                    if let Some(col) =
-                        (0..artificial_start).find(|&c| tableau[offset + c].abs() > TOLERANCE)
-                    {
+                    let entry = |col: &usize| tableau[row * width + col].abs();
+                    let col = (0..artificial_start)
+                        .max_by(|a, b| entry(a).total_cmp(&entry(b)))
+                        .expect("at least one variable");
+                    if entry(&col) > PIVOT_TOLERANCE {
                         pivot(&mut tableau, &mut basis, row, col, m, width);
                         pivots += 1;
                     }
                 }
             }
-            // Reset the objective row for phase 2.
-            for col in 0..width {
-                tableau[m * width + col] = 0.0;
-            }
+            tableau[objective_row..].fill(0.0);
         }
 
-        // ---- Phase 2: original objective. ----
-        {
-            let objective_row = m * width;
-            for (col, &c) in self.objective.iter().enumerate() {
-                tableau[objective_row + col] = c;
-            }
-            // Price out the basic columns.
-            for (row, &b) in basis.iter().enumerate() {
-                let coefficient = tableau[objective_row + b];
-                if coefficient.abs() > 0.0 {
-                    for col in 0..width {
-                        tableau[objective_row + col] -= coefficient * tableau[row * width + col];
-                    }
+        // ---- Phase 2: the original objective, basic columns priced out; the
+        // artificial columns are no candidates any more. ----
+        tableau[objective_row..objective_row + n].copy_from_slice(&self.objective);
+        for (row, &b) in basis.iter().enumerate() {
+            let coefficient = tableau[objective_row + b];
+            if coefficient != 0.0 {
+                for col in 0..width {
+                    tableau[objective_row + col] -= coefficient * tableau[row * width + col];
                 }
             }
         }
-        // Exclude artificial columns from phase-2 pivoting by restricting the
-        // candidate columns to `artificial_start`.
-        let phase2_pivots = run_simplex(
-            &mut tableau,
-            &mut basis,
-            m,
-            artificial_start,
-            width,
-            self.max_pivots,
-        )?;
-        pivots += phase2_pivots;
+        pivots += run_simplex(&mut tableau, &mut basis, m, artificial_start, width, limit)?;
 
         let mut values = vec![0.0; n];
         for (row, &b) in basis.iter().enumerate() {
@@ -266,18 +241,31 @@ impl LinearProgram {
                 values[b] = tableau[row * width + total];
             }
         }
-        let objective_value = self
-            .objective
-            .iter()
-            .zip(&values)
-            .map(|(c, x)| c * x)
-            .sum::<f64>();
         Ok(LpSolution {
+            objective_value: dot(&self.objective, &values),
+            primal_residual: self.residual(&values),
             values,
-            objective_value,
             pivots,
         })
     }
+
+    /// The largest amount by which `values` violates a constraint row as the
+    /// caller wrote it (unscaled).
+    fn residual(&self, values: &[f64]) -> f64 {
+        let violation = |c: &ConstraintRow| {
+            let excess = dot(&c.coefficients, values) - c.rhs;
+            match c.comparison {
+                Comparison::LessEqual => excess,
+                Comparison::GreaterEqual => -excess,
+                Comparison::Equal => excess.abs(),
+            }
+        };
+        self.constraints.iter().map(violation).fold(0.0, f64::max)
+    }
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Runs primal simplex pivots on the tableau until optimality.
@@ -302,40 +290,53 @@ fn run_simplex(
         // number of pivots to guarantee termination.
         let use_bland = pivots > max_pivots / 2;
         let mut entering: Option<usize> = None;
-        let mut best = -TOLERANCE;
+        let mut best = -OPTIMALITY_TOLERANCE;
         for col in 0..candidate_columns {
             let reduced_cost = tableau[objective_row + col];
-            if reduced_cost < -TOLERANCE {
+            if reduced_cost < best {
+                best = reduced_cost;
+                entering = Some(col);
                 if use_bland {
-                    entering = Some(col);
                     break;
-                }
-                if reduced_cost < best {
-                    best = reduced_cost;
-                    entering = Some(col);
                 }
             }
         }
         let Some(entering) = entering else {
             return Ok(pivots);
         };
-        // Leaving row: minimum ratio test.
-        let mut leaving: Option<usize> = None;
-        let mut best_ratio = f64::INFINITY;
+        // Leaving row: a two-pass Harris ratio test. The balance rows of an
+        // occupation-measure LP all have rhs 0, so the textbook minimum
+        // ratio is one large tie, and breaking it by index pivots on elements
+        // of 1e-8 until the tableau overflows. Pass one finds the longest
+        // step every row allows with its rhs relaxed by the feasibility
+        // tolerance; pass two takes, among the rows blocking within that
+        // step, the largest pivot element (under Bland's rule, the lowest
+        // basis index).
+        let mut max_step = f64::INFINITY;
         for row in 0..m {
             let coefficient = tableau[row * width + entering];
-            if coefficient > TOLERANCE {
-                let ratio = tableau[row * width + rhs_col] / coefficient;
-                if ratio < best_ratio - TOLERANCE
-                    || (ratio < best_ratio + TOLERANCE
-                        && leaving.map(|l| basis[row] < basis[l]).unwrap_or(false))
-                {
-                    best_ratio = ratio;
-                    leaving = Some(row);
-                }
+            if coefficient > PIVOT_TOLERANCE {
+                let relaxed = tableau[row * width + rhs_col] + FEASIBILITY_TOLERANCE;
+                max_step = max_step.min(relaxed / coefficient);
             }
         }
-        let Some(leaving) = leaving else {
+        let mut leaving: Option<(usize, f64)> = None;
+        for row in 0..m {
+            let coefficient = tableau[row * width + entering];
+            if coefficient > PIVOT_TOLERANCE
+                && tableau[row * width + rhs_col] / coefficient <= max_step
+                && leaving.is_none_or(|(chosen, largest)| {
+                    if use_bland {
+                        basis[row] < basis[chosen]
+                    } else {
+                        coefficient > largest
+                    }
+                })
+            {
+                leaving = Some((row, coefficient));
+            }
+        }
+        let Some((leaving, _)) = leaving else {
             return Err(OptimError::Unbounded);
         };
         pivot(tableau, basis, leaving, entering, m, width);
@@ -346,7 +347,10 @@ fn run_simplex(
 /// Performs one pivot on (`row`, `col`).
 fn pivot(tableau: &mut [f64], basis: &mut [usize], row: usize, col: usize, m: usize, width: usize) {
     let pivot_value = tableau[row * width + col];
-    debug_assert!(pivot_value.abs() > TOLERANCE, "pivot on a zero element");
+    debug_assert!(
+        pivot_value.abs() > PIVOT_TOLERANCE,
+        "pivot on a zero element"
+    );
     let inv = 1.0 / pivot_value;
     for c in 0..width {
         tableau[row * width + c] *= inv;
@@ -355,8 +359,10 @@ fn pivot(tableau: &mut [f64], basis: &mut [usize], row: usize, col: usize, m: us
         if r == row {
             continue;
         }
+        // Only an exact zero leaves the row as it is: skipping "small"
+        // factors leaves non-unit basis columns behind.
         let factor = tableau[r * width + col];
-        if factor.abs() <= TOLERANCE {
+        if factor == 0.0 {
             continue;
         }
         for c in 0..width {
@@ -475,6 +481,76 @@ mod tests {
         assert_close(solution.values.iter().sum::<f64>(), 1.0, 1e-8);
         // Cheapest way to satisfy the bound puts 0.9 on state 1 and 0.1 on state 0.
         assert_close(solution.objective_value, 0.9, 1e-8);
+    }
+
+    /// The witness LP of incremental pruning (`pomdp::alpha`) over two-state
+    /// vectors, "v0 v1" pairs with the candidate first: the largest δ with
+    /// b·(other − candidate) ≥ δ for every other vector and Σb = 1, δ⁺ capped
+    /// one above the largest difference.
+    fn witness_margin(vectors: &str) -> Result<f64> {
+        let v: Vec<f64> = vectors
+            .split_whitespace()
+            .map(|x| x.parse().unwrap())
+            .collect();
+        let differences = || v[2..].chunks(2).map(|o| [o[0] - v[0], o[1] - v[1]]);
+        let cap = differences().flatten().fold(0.0f64, f64::max) + 1.0;
+        let mut lp = LinearProgram::new(4, vec![0.0, 0.0, -1.0, 1.0])?;
+        lp.add_constraint(vec![1.0, 1.0, 0.0, 0.0], Comparison::Equal, 1.0)?;
+        lp.add_constraint(vec![0.0, 0.0, 1.0, 0.0], Comparison::LessEqual, cap)?;
+        for [d0, d1] in differences() {
+            lp.add_constraint(vec![d0, d1, -1.0, 1.0], Comparison::GreaterEqual, 0.0)?;
+        }
+        lp.solve()
+            .map(|solution| solution.values[2] - solution.values[3])
+    }
+
+    const DOMINATED: &str = "1.2865940585354498 4.236809780718081  \
+        1.3880297059545894 4.080438386438141  1.3874147388430507 4.081061787674568  \
+        1.5308445923299612 3.9412287963456665  1.5308461865707947 3.9412274001450225  \
+        1.5419485508644057 3.9317388152523014  1.5430512738343587 3.931145365050117  \
+        1.2930303799366563 4.226257379098183  1.2926247875102865 4.226907400938917  \
+        1.2865931940968607 4.236811237413714  1.280824328485257 4.246957493390908  \
+        1.2808235071930543 4.246958985992326  1.2808034903185204 4.247003082610599  \
+        1.2234413036032683 4.388439572845033  1.2231716398859094 4.389116816106902  \
+        1.1992974310003917 4.5159649245497215  1.1765403423496998 4.683758029289388  \
+        1.1676335260938744 4.863354417095275  1.1675982440212154 4.86415471975345  \
+        1.1764446233307642 4.684508923702059  2.1294039909512663 2.1294039909512663";
+    const USEFUL: &str = "0.525083909269583 2.3057507425586516  \
+        0.5239937653563239 2.3063436166168354  0.523993442938339 2.3063437944846803  \
+        0.5239388118768104 2.3063745149424015  0.5231842496751457 2.306956955866184  \
+        0.5118422669436596 2.3162590616915533  0.511177411295357 2.3168875449718356  \
+        0.5035035799130816 2.3375498772367864  0.5052015422193195 2.3268389105281853  \
+        0.5033980701572089 2.3382577943447482  0.5033980401378142 2.3382580066286582  \
+        0.5033932274741326 2.338294648960755  0.5111772151460112 2.3168877334826017  \
+        0.7823894698999729 2.1734427247926247";
+
+    #[test]
+    fn witness_lps_once_called_unbounded_are_solved() {
+        // Both were logged inside `prune_lp` during the horizon-10 solve of
+        // the paper's node POMDP at commit 21fea10 (errors 12 and 14 of 87):
+        // the index tie-break answered `Unbounded` and `prune_lp` kept the
+        // vector. The margins are max_b min_j (other_j − candidate)·(1 − b, b)
+        // by a breakpoint scan in rational arithmetic: USEFUL wins by 2.1e-5
+        // at b = 0.66036, DOMINATED loses everywhere (least at b = 0.28624).
+        assert_close(witness_margin(USEFUL).unwrap(), 2.12498952414979e-5, 1e-8);
+        assert_close(
+            witness_margin(DOMINATED).unwrap(),
+            -1.6724769111270581e-3,
+            1e-8,
+        );
+    }
+
+    #[test]
+    fn primal_residual_is_measured_on_the_rows_as_written() {
+        // The solver scales `1e-6 x <= 1e-6` to `x <= 1`; x = 3 violates the
+        // row the caller wrote by 2e-6, not by 2.
+        let mut lp = LinearProgram::new(1, vec![-1.0]).unwrap();
+        lp.add_constraint(vec![1e-6], Comparison::LessEqual, 1e-6)
+            .unwrap();
+        assert_close(lp.residual(&[3.0]), 2e-6, 1e-18);
+        let solution = lp.solve().unwrap();
+        assert_close(solution.values[0], 1.0, 1e-12);
+        assert!(solution.primal_residual < 1e-18);
     }
 
     #[test]

@@ -1761,3 +1761,154 @@ mod rollout_kernel {
         }
     }
 }
+
+mod lp_differential {
+    //! `LinearProgram::solve` against exhaustion: the reference puts the
+    //! program in standard form itself (rows scaled to unit ∞-norm, one slack
+    //! per inequality), factorises every square choice of columns with
+    //! `markov::linalg` and keeps the best non-negative basic solution. Rows
+    //! span ten orders of magnitude, a third of the right-hand sides are
+    //! exactly 0 (the degenerate ties of the occupation-measure and witness
+    //! LPs), and the costs are non-negative, so no program is unbounded.
+
+    use proptest::prelude::*;
+    use tolerance::markov::linalg::Matrix;
+    use tolerance::optim::simplex::{Comparison, LinearProgram};
+    use tolerance::optim::OptimError;
+
+    const SENSES: [Comparison; 3] = [
+        Comparison::LessEqual,
+        Comparison::GreaterEqual,
+        Comparison::Equal,
+    ];
+
+    /// One generated row: five coefficients in [-1, 1] (the program uses the
+    /// first `n`), the row's decimal exponent, its sense, its right-hand side
+    /// in units of the row scale, and a draw that zeroes the latter.
+    type RawRow = (Vec<f64>, f64, usize, f64, usize);
+
+    struct Row {
+        coefficients: Vec<f64>,
+        comparison: Comparison,
+        rhs: f64,
+    }
+
+    fn rows_of(raw: &[RawRow], n: usize) -> Vec<Row> {
+        raw.iter()
+            .map(|(coefficients, exponent, sense, rhs, zero)| {
+                let scale = 10f64.powf(*exponent);
+                Row {
+                    // A coefficient drawn near 0 is a structural zero.
+                    coefficients: coefficients[..n]
+                        .iter()
+                        .map(|&a| if a.abs() < 0.2 { 0.0 } else { a * scale })
+                        .collect(),
+                    comparison: SENSES[*sense],
+                    rhs: if *zero == 0 { 0.0 } else { rhs * scale },
+                }
+            })
+            .collect()
+    }
+
+    /// The least cost over every feasible basic solution: `Some(None)` when
+    /// no basis is feasible, `None` when there is no basis at all (redundant
+    /// rows; a polyhedron without a vertex decides nothing by exhaustion).
+    fn best_vertex(cost: &[f64], rows: &[Row]) -> Option<Option<f64>> {
+        let n = cost.len();
+        let m = rows.len();
+        let slacks = rows
+            .iter()
+            .filter(|row| row.comparison != Comparison::Equal)
+            .count();
+        let columns = n + slacks;
+        let mut matrix = Matrix::zeros(m, columns);
+        let mut rhs = vec![0.0; m];
+        let mut slack = n;
+        for (r, row) in rows.iter().enumerate() {
+            let norm = row.coefficients.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+            let norm = if norm > 0.0 { norm } else { 1.0 };
+            for (c, a) in row.coefficients.iter().enumerate() {
+                matrix[(r, c)] = a / norm;
+            }
+            rhs[r] = row.rhs / norm;
+            if row.comparison != Comparison::Equal {
+                matrix[(r, slack)] = if row.comparison == Comparison::LessEqual {
+                    1.0
+                } else {
+                    -1.0
+                };
+                slack += 1;
+            }
+        }
+        let mut bases = 0usize;
+        let mut best: Option<f64> = None;
+        for mask in 0u32..1 << columns {
+            if mask.count_ones() as usize != m {
+                continue;
+            }
+            let chosen: Vec<usize> = (0..columns).filter(|c| mask & (1 << c) != 0).collect();
+            let mut basis = Matrix::zeros(m, m);
+            for r in 0..m {
+                for (k, &c) in chosen.iter().enumerate() {
+                    basis[(r, k)] = matrix[(r, c)];
+                }
+            }
+            let Ok(solution) = basis.factorize().and_then(|lu| lu.solve(&rhs)) else {
+                continue;
+            };
+            bases += 1;
+            if solution.iter().any(|&value| value < -1e-9) {
+                continue;
+            }
+            let value: f64 = chosen
+                .iter()
+                .zip(&solution)
+                .filter(|(&c, _)| c < n)
+                .map(|(&c, x)| cost[c] * x)
+                .sum();
+            if best.is_none_or(|least| value < least) {
+                best = Some(value);
+            }
+        }
+        (bases > 0).then_some(best)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn simplex_agrees_with_the_best_basis_on_random_lps(
+            cost in proptest::collection::vec(0.0..1.0f64, 1..6),
+            raw in proptest::collection::vec(
+                (proptest::collection::vec(-1.0..1.0f64, 5..6), -8.0..2.0f64, 0..3usize, -1.0..1.0f64, 0..3usize),
+                1..8,
+            ),
+        ) {
+            let n = cost.len();
+            let rows = rows_of(&raw, n);
+            let mut lp = LinearProgram::new(n, cost.clone()).unwrap();
+            for row in &rows {
+                lp.add_constraint(row.coefficients.clone(), row.comparison, row.rhs).unwrap();
+            }
+            let Some(reference) = best_vertex(&cost, &rows) else {
+                return Ok(());
+            };
+            match (lp.solve(), reference) {
+                (Ok(solution), Some(reference)) => {
+                    prop_assert!(
+                        (solution.objective_value - reference).abs() <= 1e-7 * reference.abs().max(1.0),
+                        "simplex {:?}, best vertex {reference:?}",
+                        solution.objective_value
+                    );
+                    prop_assert!(solution.values.iter().all(|&x| x >= -1e-7));
+                }
+                (Err(OptimError::Infeasible), None) => {}
+                (solved, reference) => prop_assert!(
+                    false,
+                    "simplex {:?}, best vertex {reference:?}",
+                    solved.map(|solution| solution.objective_value)
+                ),
+            }
+        }
+    }
+}
