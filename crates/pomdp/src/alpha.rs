@@ -154,12 +154,7 @@ impl ValueFunction {
                 .filter(|(j, _)| *j != i)
                 .map(|(_, v)| v)
                 .collect();
-            // A rare numerical failure of the witness LP (degenerate pivoting)
-            // is resolved conservatively: the vector is kept, which preserves
-            // the correctness of the lower envelope at the cost of keeping a
-            // potentially redundant vector.
-            let useful = witness_belief_exists(candidate, &others, tolerance).unwrap_or(true);
-            if useful {
+            if witness_belief_exists(candidate, &others, tolerance)? {
                 kept.push(candidate.clone());
             }
         }
