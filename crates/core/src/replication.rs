@@ -114,6 +114,17 @@ impl ReplicationStrategy {
     }
 }
 
+impl From<CmdpSolution> for ReplicationStrategy {
+    fn from(solution: CmdpSolution) -> Self {
+        ReplicationStrategy {
+            add_probability: solution.policy.iter().map(|row| row[1]).collect(),
+            objective: solution.objective,
+            availability: solution.constraint_values.first().copied().unwrap_or(0.0),
+            lp_pivots: solution.lp_pivots,
+        }
+    }
+}
+
 /// Problem 2: the replication CMDP.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicationProblem {
@@ -196,7 +207,7 @@ impl ReplicationProblem {
     /// # Errors
     ///
     /// Propagates model-construction failures.
-    fn to_cmdp(&self) -> Result<Cmdp> {
+    pub fn to_cmdp(&self) -> Result<Cmdp> {
         let states = self.num_states();
         let transition: Vec<Vec<Vec<f64>>> = (0..2)
             .map(|a| {
@@ -236,15 +247,7 @@ impl ReplicationProblem {
     /// Returns [`CoreError::Infeasible`] if no policy meets the availability
     /// target (assumption A of Theorem 2 fails) and propagates LP failures.
     pub fn solve(&self) -> Result<ReplicationStrategy> {
-        let cmdp = self.to_cmdp()?;
-        let solution: CmdpSolution = cmdp.solve()?;
-        let add_probability = solution.policy.iter().map(|row| row[1]).collect();
-        Ok(ReplicationStrategy {
-            add_probability,
-            objective: solution.objective,
-            availability: solution.constraint_values.first().copied().unwrap_or(0.0),
-            lp_pivots: solution.lp_pivots,
-        })
+        Ok(self.to_cmdp()?.solve()?.into())
     }
 
     /// The expected number of healthy nodes implied by a set of node beliefs
@@ -279,7 +282,7 @@ mod tests {
     /// `s_max` is a stationary distribution meeting the availability
     /// constraint with equality at the known optimum (5.15326 nodes: the
     /// optimum does not depend on `s_max` once the unconstrained tail is
-    /// never visited).
+    /// never visited), and that the policy has the shape Theorem 2 promises.
     fn assert_occupation_measure_is_a_distribution(s_max: usize) {
         let problem = ReplicationProblem::new(ReplicationConfig {
             s_max,
@@ -296,44 +299,35 @@ mod tests {
             (mass - 1.0).abs() < 1e-9,
             "s_max {s_max}: the occupation measure sums to {mass}"
         );
-        // What `ReplicationStrategy::availability` / `expected_cost` report.
-        let availability = solution.constraint_values[0];
+        let strategy = ReplicationStrategy::from(solution);
         assert!(
-            (availability - 0.9).abs() < 1e-6,
-            "s_max {s_max}: availability {availability}"
+            (strategy.availability() - 0.9).abs() < 1e-6,
+            "s_max {s_max}: availability {}",
+            strategy.availability()
         );
         assert!(
-            (solution.objective - 5.15326).abs() < 1e-4,
+            (strategy.expected_cost() - 5.15326).abs() < 1e-4,
             "s_max {s_max}: objective {}",
-            solution.objective
+            strategy.expected_cost()
+        );
+        assert!(
+            strategy.has_threshold_structure(1e-6),
+            "s_max {s_max}: policy {:?} is not a threshold mixture",
+            strategy.add_probabilities()
         );
     }
 
     #[test]
     fn algorithm2_occupation_measure_is_a_distribution() {
-        for s_max in [13, 16, 24, 32] {
+        for s_max in [13, 16, 24, 32, 48, 64, 96, 128, 256, 512] {
             assert_occupation_measure_is_a_distribution(s_max);
         }
     }
 
-    /// Pins an open defect of the dense simplex behind Algorithm 2 (ROADMAP
-    /// item 6): above `s_max` 32 the returned "occupation measure" is not a
-    /// distribution. With `ReplicationConfig::default()` today:
-    ///
-    /// | `s_max` | outcome |
-    /// |---|---|
-    /// | 48 | `Err`: iteration limit reached in simplex |
-    /// | 64 | Σρ = 1.249059, availability 1.197569, objective 6.333359, 3 417 pivots |
-    /// | 96 | Σρ = 175.219504, availability 174.137016, objective 555.855133, 369 pivots |
-    /// | 128 | Σρ = 65.330971, availability 65.004752, objective 143.628819, 14 488 pivots |
-    ///
-    /// The oracle is the size-independent optimum the four good sizes
-    /// agree on. A ratio-test pivot floor of 1e-7 and a max-|a| drive-out of
-    /// the artificials were tried and do not cure it.
     #[test]
-    #[ignore = "known failure: the LP solution is not a distribution above s_max 32"]
-    fn algorithm2_occupation_measure_is_a_distribution_at_large_s_max() {
-        for s_max in [48, 64, 96, 128] {
+    #[ignore = "the last two points of Fig. 9: 1.5 s and 13 s in release"]
+    fn algorithm2_occupation_measure_is_a_distribution_up_to_fig9s_2048() {
+        for s_max in [1024, 2048] {
             assert_occupation_measure_is_a_distribution(s_max);
         }
     }

@@ -19,7 +19,11 @@
 
 use crate::error::{PomdpError, Result};
 use crate::mdp::Mdp;
-use tolerance_optim::simplex::{Comparison, LinearProgram};
+use tolerance_optim::simplex::{Comparison, LinearProgram, LpSolution};
+
+/// How far an LP solution may be from an occupation measure before
+/// [`Cmdp::solve`] refuses it.
+const OCCUPATION_TOLERANCE: f64 = 1e-7;
 
 /// The sense of a CMDP constraint on the long-run average of a cost signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -97,7 +101,8 @@ impl Cmdp {
     ///
     /// * [`PomdpError::Infeasible`] if no stationary policy satisfies the
     ///   constraints.
-    /// * [`PomdpError::Lp`] for LP-solver failures.
+    /// * [`PomdpError::Lp`] for LP-solver failures, and for a solution that
+    ///   is not an occupation measure (a wrong answer becomes a missing one).
     pub fn solve(&self) -> Result<CmdpSolution> {
         let num_states = self.mdp.num_states();
         let num_actions = self.mdp.num_actions();
@@ -119,8 +124,9 @@ impl Cmdp {
 
         // Flow balance for every state s:
         //   Σ_a ρ(s,a) - Σ_{s',a} ρ(s',a) P(s | s', a) = 0.
-        // One of these rows is redundant given normalization; the simplex
-        // solver handles the redundancy, so all are kept for clarity.
+        // The rows sum to zero, so one of them is redundant. All are kept:
+        // phase 1 of the simplex ends with that row's artificial still basic
+        // at level 0 over a numerically empty row, and leaves it there.
         for s in 0..num_states {
             let mut row = vec![0.0; n];
             for a in 0..num_actions {
@@ -152,6 +158,7 @@ impl Cmdp {
         }
 
         let solution = lp.solve().map_err(PomdpError::from)?;
+        check_occupation_measure(&solution)?;
 
         // Recover the occupation measure and the randomized policy.
         let mut occupation = vec![vec![0.0; num_actions]; num_states];
@@ -197,6 +204,23 @@ impl Cmdp {
             lp_pivots: solution.pivots,
         })
     }
+}
+
+/// What an occupation measure must satisfy: ρ ≥ 0, and the rows of the LP as
+/// [`Cmdp::solve`] wrote them — Σρ = 1, the flow balance of every state and
+/// every long-run average constraint — each within [`OCCUPATION_TOLERANCE`].
+fn check_occupation_measure(solution: &LpSolution) -> Result<()> {
+    // Both comparisons are written so that a NaN fails them.
+    let non_negative = |rho: &f64| *rho >= -OCCUPATION_TOLERANCE;
+    if solution.values.iter().all(non_negative) && solution.primal_residual <= OCCUPATION_TOLERANCE
+    {
+        return Ok(());
+    }
+    Err(PomdpError::Lp(format!(
+        "the solution is not an occupation measure: smallest entry {:e}, largest row violation {:e}",
+        solution.values.iter().copied().fold(f64::INFINITY, f64::min),
+        solution.primal_residual
+    )))
 }
 
 #[cfg(test)]
@@ -312,6 +336,28 @@ mod tests {
         };
         let cmdp = Cmdp::new(inventory_mdp(), vec![constraint]).unwrap();
         assert_eq!(cmdp.solve().unwrap_err(), PomdpError::Infeasible);
+    }
+
+    #[test]
+    fn a_solution_that_is_no_occupation_measure_is_refused() {
+        let measure = |values: Vec<f64>, primal_residual| LpSolution {
+            values,
+            objective_value: 0.0,
+            pivots: 0,
+            primal_residual,
+        };
+        assert!(check_occupation_measure(&measure(vec![0.25; 4], 1e-12)).is_ok());
+        // What the index tie-break returned at `s_max` 64: total mass 1.249.
+        let heavy = check_occupation_measure(&measure(vec![0.31225; 4], 0.249));
+        assert!(matches!(heavy, Err(PomdpError::Lp(_))), "{heavy:?}");
+        let negative = check_occupation_measure(&measure(vec![0.5, 0.5, 1e-3, -1e-3], 0.0));
+        assert!(matches!(negative, Err(PomdpError::Lp(_))), "{negative:?}");
+        for undefined in [
+            measure(vec![0.25; 4], f64::NAN),
+            measure(vec![0.5, 0.5, f64::NAN, 0.0], 0.0),
+        ] {
+            assert!(check_occupation_measure(&undefined).is_err());
+        }
     }
 
     #[test]
