@@ -211,9 +211,11 @@ impl Cmdp {
 /// every long-run average constraint — each within [`OCCUPATION_TOLERANCE`].
 fn check_occupation_measure(solution: &LpSolution) -> Result<()> {
     // Both comparisons are written so that a NaN fails them.
-    let non_negative = |rho: &f64| *rho >= -OCCUPATION_TOLERANCE;
-    if solution.values.iter().all(non_negative) && solution.primal_residual <= OCCUPATION_TOLERANCE
-    {
+    let non_negative = solution
+        .values
+        .iter()
+        .all(|rho| *rho >= -OCCUPATION_TOLERANCE);
+    if non_negative && solution.primal_residual <= OCCUPATION_TOLERANCE {
         return Ok(());
     }
     Err(PomdpError::Lp(format!(

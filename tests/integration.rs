@@ -300,8 +300,8 @@ fn rollout_pins_alg1_objectives() {
 #[test]
 fn ip_pins_thresholds_and_objectives() {
     // The `paper-eval` incremental-pruning solve (horizon 10) and one on
-    // either side. `unwrap` also counts the witness LPs that fail: a solver
-    // error inside `prune_lp` is an `Err` here.
+    // either side. A witness LP that fails inside `prune_lp` is an `Err`
+    // here, so this also asserts that none does.
     let expected: [(usize, f64, f64); 3] = [
         (5, 0.285, 0.2879157894736842),
         (10, 0.29, 0.28911578947368416),

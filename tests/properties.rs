@@ -1,8 +1,9 @@
 //! Property-based tests (proptest) on the core invariants of the workspace:
 //! belief updates stay in the simplex, the node transition function stays
 //! stochastic over the whole admissible parameter range, the simplex LP
-//! solver returns feasible optima, metrics stay in range, threshold
-//! strategies respect the BTR constraint for arbitrary belief sequences,
+//! solver returns feasible optima and agrees with the best of every basis on
+//! random programs, metrics stay in range, threshold strategies respect the
+//! BTR constraint for arbitrary belief sequences,
 //! alpha-vector pruning preserves the value envelope, the exact solver
 //! agrees with the Bellman recursion computed through the belief update on
 //! random 3-state models, the sharded service plane's key partitioner
