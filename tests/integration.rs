@@ -204,6 +204,20 @@ fn pinned_strategies() -> Vec<(RecoveryProblem, ThresholdStrategy)> {
     cases
 }
 
+/// FNV-1a over the bits of every `(evaluations, best_value)` point of a
+/// convergence history, in iteration order; the wall-clock column is skipped.
+fn history_digest(history: &[tolerance::optim::optimizer::ConvergencePoint]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for point in history {
+        for word in [point.evaluations as u64, point.best_value.to_bits()] {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
 // The rollout pins. Both tables were generated by commit 42d6fac, before
 // Eq. 2 became a table and `simulate_policy` was rewritten over it; a change
 // to the rollout that moves one bit of them changed Algorithm 1's objective.
@@ -240,24 +254,70 @@ fn rollout_pins_evaluate_strategy_bits() {
 fn rollout_pins_alg1_objectives() {
     // The `paper-eval` solves: `Alg1Config::default()` seeded from the
     // benchmark seed, optimizer `index` on `StdRng(seed ^ (index + 1))`.
-    // Per seed: (objective, objective evaluations) for CEM, DE, BO, SPSA.
-    let expected: [(u64, [(f64, usize); 4]); 2] = [
+    // Per seed, for CEM, DE, BO, SPSA: the objective, the objective
+    // evaluations, the best point, and the length and `history_digest` of
+    // the convergence history. The best points and histories were generated
+    // by commit 100694f, before the optimizers evaluated in batches.
+    type Pin = (f64, usize, f64, usize, u64);
+    let expected: [(u64, [Pin; 4]); 2] = [
         (
             0,
             [
-                (0.2566, 1200),
-                (0.25022500000000003, 1240),
-                (0.2633586206896551, 38),
-                (0.2532000000000001, 1200),
+                (0.2566, 1200, 0.25888547466885403, 30, 0x091959812b1d28f9),
+                (
+                    0.25022500000000003,
+                    1240,
+                    0.3033929831960239,
+                    31,
+                    0xd227232aaccc419c,
+                ),
+                (
+                    0.2633586206896551,
+                    38,
+                    0.28796533147477965,
+                    31,
+                    0x6bd1e346e5d28cc0,
+                ),
+                (
+                    0.2532000000000001,
+                    1200,
+                    0.27542908733470467,
+                    400,
+                    0x20d097288fc03c3a,
+                ),
             ],
         ),
         (
             7,
             [
-                (0.25099999999999995, 1200),
-                (0.25071111111111116, 1240),
-                (0.26397499999999996, 38),
-                (0.25062015786278075, 1200),
+                (
+                    0.25099999999999995,
+                    1200,
+                    0.2882467998749172,
+                    30,
+                    0xc751f52ce5ba6aba,
+                ),
+                (
+                    0.25071111111111116,
+                    1240,
+                    0.3150294420585519,
+                    31,
+                    0x678afeb982f086ab,
+                ),
+                (
+                    0.26397499999999996,
+                    38,
+                    0.2302352252540879,
+                    31,
+                    0x71dbafa9dc366573,
+                ),
+                (
+                    0.25062015786278075,
+                    1200,
+                    0.3255403882145115,
+                    400,
+                    0x3b502e06335b0e28,
+                ),
             ],
         ),
     ];
@@ -273,20 +333,35 @@ fn rollout_pins_alg1_objectives() {
             seed,
             ..Alg1Config::default()
         });
-        for (index, (kind, (objective, evaluations))) in kinds.into_iter().zip(expected).enumerate()
-        {
+        for (index, (kind, pin)) in kinds.into_iter().zip(expected).enumerate() {
+            let (objective, evaluations, best_point, history_len, digest) = pin;
             let mut rng = StdRng::seed_from_u64(seed ^ (index as u64 + 1));
             let outcome = alg1.solve(&problem, kind, &mut rng).unwrap();
+            let result = &outcome.optimization;
             assert_eq!(
-                (
-                    outcome.objective.to_bits(),
-                    outcome.optimization.evaluations
-                ),
+                (outcome.objective.to_bits(), result.evaluations),
                 (objective.to_bits(), evaluations),
                 "{} seed {seed}: {:?} in {} evaluations, pinned {objective:?} in {evaluations}",
                 kind.name(),
                 outcome.objective,
-                outcome.optimization.evaluations
+                result.evaluations
+            );
+            assert_eq!(
+                result
+                    .best_point
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>(),
+                vec![best_point.to_bits()],
+                "{} seed {seed}: best point {:?}, pinned [{best_point:?}]",
+                kind.name(),
+                result.best_point
+            );
+            assert_eq!(
+                (result.history.len(), history_digest(&result.history)),
+                (history_len, digest),
+                "{} seed {seed}: convergence history moved",
+                kind.name()
             );
         }
     }
