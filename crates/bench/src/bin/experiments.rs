@@ -792,7 +792,7 @@ fn fig18(full: bool) {
         &mut rng,
     );
     let mut divergences = dataset.metric_divergences();
-    divergences.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    divergences.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (kind, divergence) in &divergences {
         println!("  {:<28} D_KL = {divergence:.3}", kind.name());
     }

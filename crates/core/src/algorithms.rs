@@ -14,6 +14,7 @@ use crate::error::{CoreError, Result};
 use crate::node_model::NodeAction;
 use crate::recovery::{RecoveryProblem, ThresholdStrategy};
 use crate::replication::{ReplicationProblem, ReplicationStrategy};
+use crate::runtime::WorkerPool;
 use rand::RngCore;
 use rand::SeedableRng;
 use tolerance_optim::bayesian::{BayesianOptimization, BoConfig};
@@ -107,14 +108,24 @@ impl Objective for RecoveryObjective<'_> {
         self.problem.parameter_dimension()
     }
 
-    fn evaluate(&self, point: &[f64], rng: &mut dyn RngCore) -> f64 {
+    fn evaluate(&self, point: &[f64], seed: u64) -> f64 {
         let strategy = self
             .problem
             .strategy_from_parameters(point)
             .expect("clamped parameters are always valid thresholds");
-        let mut local = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         self.problem
-            .evaluate_strategy(&strategy, self.episodes.max(1), self.horizon, &mut local)
+            .evaluate_strategy(&strategy, self.episodes.max(1), self.horizon, &mut rng)
+    }
+
+    /// The rollouts of a batch are independent, so they run on the process's
+    /// worker pool; the values come back in job order, bit for bit the
+    /// serial ones.
+    fn evaluate_batch(&self, jobs: &[(Vec<f64>, u64)]) -> Vec<f64> {
+        let pool = WorkerPool::global();
+        pool.run_indexed(jobs.len(), pool.workers(), |job| {
+            self.evaluate(&jobs[job].0, jobs[job].1)
+        })
     }
 }
 

@@ -240,8 +240,7 @@ impl FleetControlPlane {
         // not consume a slot (one un-actuatable node cannot starve the
         // others), and everything else is deferred (re-fires next tick).
         requests.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            b.2.total_cmp(&a.2)
                 .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
         });
         report.requested = requests.iter().map(|&(shard, id, _)| (shard, id)).collect();

@@ -227,7 +227,7 @@ pub fn run_controlled_service(
     let alert_model = ObservationModel::paper_default();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc011_7201_b1a4_e5e3);
     let mut pending: Vec<IntrusionEvent> = config.intrusions.clone();
-    pending.sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap_or(std::cmp::Ordering::Equal));
+    pending.sort_by(|a, b| a.at.total_cmp(&b.at));
     let mut pending = pending.into_iter().peekable();
 
     let mut compromised: BTreeMap<NodeId, f64> = BTreeMap::new();

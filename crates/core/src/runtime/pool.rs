@@ -28,6 +28,15 @@
 //! invisible — the property the simnet determinism suite pins across
 //! 1/2/4/8 workers.
 //!
+//! Placement (Linux): a woken helper tends to be queued on the CPU of the
+//! thread that woke it, and a batch of a few hundred milliseconds can end
+//! before the kernel migrates it — per-CPU jiffies in `/proc/stat` during a
+//! Table-7 grid read 26 on one CPU and 0 on the other, so the batch ran
+//! serially. A batch therefore records its submitter's CPU, and a helper
+//! that joins it restricts itself to the process's allowed CPUs minus that
+//! one. It makes the call only when that CPU changed since its last batch,
+//! so a caller that stays put costs no system call per batch.
+//!
 //! [`run_indexed`]: WorkerPool::run_indexed
 //! [`for_each_mut`]: WorkerPool::for_each_mut
 
@@ -48,6 +57,8 @@ struct Batch {
     /// it for indices `< jobs`, and `run_batch` blocks until all such jobs
     /// completed.
     run: &'static (dyn Fn(usize) + Sync),
+    /// The CPU the submitting thread ran on, which helpers keep off.
+    caller_cpu: Option<usize>,
     progress: Mutex<BatchProgress>,
     finished: Condvar,
 }
@@ -58,6 +69,11 @@ struct BatchProgress {
 }
 
 impl Batch {
+    /// Whether a job is still unclaimed.
+    fn is_live(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.jobs
+    }
+
     /// Claims and runs jobs until the batch is exhausted. Safe to call on a
     /// ticket that outlived its `run_batch`: an exhausted counter means the
     /// (possibly dangling) job body is never touched.
@@ -103,22 +119,37 @@ impl WorkerPool {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
         });
+        // The CPUs the process may run on; `None` where placement is
+        // unavailable, and then no helper ever restricts itself.
+        let allowed = placement::allowed_cpus();
         let mut spawned = 0;
         for index in 0..workers {
             let shared = Arc::clone(&shared);
             let builder = std::thread::Builder::new().name(format!("tolerance-pool-{index}"));
             if builder
-                .spawn(move || loop {
-                    let ticket = {
-                        let mut queue = shared.queue.lock().expect("pool queue lock");
-                        loop {
-                            if let Some(ticket) = queue.pop_front() {
-                                break ticket;
+                .spawn(move || {
+                    // The caller CPU this helper last placed itself away from.
+                    let mut placed_for = None;
+                    loop {
+                        let ticket = {
+                            let mut queue = shared.queue.lock().expect("pool queue lock");
+                            loop {
+                                if let Some(ticket) = queue.pop_front() {
+                                    break ticket;
+                                }
+                                queue = shared.available.wait(queue).expect("pool queue wait");
                             }
-                            queue = shared.available.wait(queue).expect("pool queue wait");
+                        };
+                        if let (Some(allowed), Some(cpu)) = (&allowed, ticket.caller_cpu) {
+                            if placed_for != Some(cpu) && ticket.is_live() {
+                                if let Some(mask) = helper_mask(allowed, cpu) {
+                                    placement::restrict_current_thread(&mask);
+                                }
+                                placed_for = Some(cpu);
+                            }
                         }
-                    };
-                    ticket.work();
+                        ticket.work();
+                    }
                 })
                 .is_ok()
             {
@@ -129,6 +160,13 @@ impl WorkerPool {
             shared,
             workers: spawned,
         }
+    }
+
+    /// The number of persistent worker threads: as many as the host has
+    /// hardware threads, so a batch on `workers()` workers is the caller
+    /// plus one helper per remaining hardware thread.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
     }
 
     /// The process-wide pool, created on first use with one worker per
@@ -160,17 +198,23 @@ impl WorkerPool {
         // ticket afterwards observe an exhausted counter and never touch
         // `run`.
         let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
+        let helpers = workers.min(jobs).saturating_sub(1).min(self.workers);
+        let caller_cpu = if helpers > 0 {
+            placement::current_cpu()
+        } else {
+            None
+        };
         let batch = Arc::new(Batch {
             next: AtomicUsize::new(0),
             jobs,
             run,
+            caller_cpu,
             progress: Mutex::new(BatchProgress {
                 completed: 0,
                 panic: None,
             }),
             finished: Condvar::new(),
         });
-        let helpers = workers.min(jobs).saturating_sub(1).min(self.workers);
         if helpers > 0 {
             let mut queue = self.shared.queue.lock().expect("pool queue lock");
             for _ in 0..helpers {
@@ -250,6 +294,91 @@ impl<T> SyncPtr<T> {
 // latch provides the happens-before edge to the caller.
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
+/// Words of a glibc `cpu_set_t`: 1,024 CPUs, bit `n % W` of word `n / W`.
+const CPU_SET_WORDS: usize = 1024 / std::ffi::c_ulong::BITS as usize;
+
+/// A set of CPUs with the memory layout of glibc's `cpu_set_t`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+struct CpuSet([std::ffi::c_ulong; CPU_SET_WORDS]);
+
+impl CpuSet {
+    const WORD_BITS: usize = std::ffi::c_ulong::BITS as usize;
+
+    fn contains(&self, cpu: usize) -> bool {
+        cpu < CPU_SET_WORDS * Self::WORD_BITS
+            && self.0[cpu / Self::WORD_BITS] & (1 << (cpu % Self::WORD_BITS)) != 0
+    }
+
+    fn count(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+}
+
+/// The CPUs a helper may use while `caller_cpu` runs the batch it joins:
+/// every allowed CPU but the caller's. `None`, no restriction, when fewer
+/// than two CPUs are allowed — a helper then has nowhere else to go.
+fn helper_mask(allowed: &CpuSet, caller_cpu: usize) -> Option<CpuSet> {
+    if allowed.count() < 2 {
+        return None;
+    }
+    let mut mask = *allowed;
+    if allowed.contains(caller_cpu) {
+        mask.0[caller_cpu / CpuSet::WORD_BITS] &= !(1 << (caller_cpu % CpuSet::WORD_BITS));
+    }
+    Some(mask)
+}
+
+/// The three scheduler calls placement needs, from glibc.
+#[cfg(target_os = "linux")]
+mod placement {
+    use super::CpuSet;
+    use std::ffi::c_int;
+
+    extern "C" {
+        fn sched_getcpu() -> c_int;
+        fn sched_getaffinity(pid: c_int, size: usize, mask: *mut CpuSet) -> c_int;
+        fn sched_setaffinity(pid: c_int, size: usize, mask: *const CpuSet) -> c_int;
+    }
+
+    /// The calling thread's allowed CPUs.
+    pub(super) fn allowed_cpus() -> Option<CpuSet> {
+        let mut set = CpuSet([0; super::CPU_SET_WORDS]);
+        // SAFETY: `set` is a writable `cpu_set_t` of the size passed.
+        let status = unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut set) };
+        (status == 0).then_some(set)
+    }
+
+    /// The CPU the calling thread runs on.
+    pub(super) fn current_cpu() -> Option<usize> {
+        // SAFETY: no arguments; returns -1 on failure.
+        usize::try_from(unsafe { sched_getcpu() }).ok()
+    }
+
+    /// Restricts the calling thread to `mask`. A refusal leaves the thread
+    /// where it was, which costs speed and nothing else.
+    pub(super) fn restrict_current_thread(mask: &CpuSet) {
+        // SAFETY: `mask` is a readable `cpu_set_t` of the size passed.
+        unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), mask) };
+    }
+}
+
+/// Elsewhere placement is off: no allowed set, so no helper restricts itself.
+#[cfg(not(target_os = "linux"))]
+mod placement {
+    use super::CpuSet;
+
+    pub(super) fn allowed_cpus() -> Option<CpuSet> {
+        None
+    }
+
+    pub(super) fn current_cpu() -> Option<usize> {
+        None
+    }
+
+    pub(super) fn restrict_current_thread(_: &CpuSet) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,6 +434,47 @@ mod tests {
         // The pool survives the panic and keeps serving batches.
         let outputs = WorkerPool::global().run_indexed(4, 4, |job| job + 1);
         assert_eq!(outputs, vec![1, 2, 3, 4]);
+    }
+
+    fn cpus(list: &[usize]) -> CpuSet {
+        let mut set = CpuSet([0; CPU_SET_WORDS]);
+        for &cpu in list {
+            set.0[cpu / CpuSet::WORD_BITS] |= 1 << (cpu % CpuSet::WORD_BITS);
+        }
+        set
+    }
+
+    fn members(set: &CpuSet) -> Vec<usize> {
+        (0..1024).filter(|&cpu| set.contains(cpu)).collect()
+    }
+
+    #[test]
+    fn helper_mask_excludes_the_caller_and_stays_inside_the_allowed_set() {
+        for allowed in [vec![0, 1], vec![0, 1, 2, 3], vec![1, 5, 63, 64, 200, 1023]] {
+            let set = cpus(&allowed);
+            for caller in [0, 1, 5, 64, 1023, 2000] {
+                let mask = helper_mask(&set, caller).expect("two or more CPUs allowed");
+                let expected: Vec<usize> = allowed
+                    .iter()
+                    .copied()
+                    .filter(|&cpu| cpu != caller)
+                    .collect();
+                assert_eq!(
+                    members(&mask),
+                    expected,
+                    "allowed {allowed:?}, caller {caller}"
+                );
+                assert!(mask.count() >= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn helper_mask_is_no_restriction_with_one_allowed_cpu() {
+        for caller in [0, 3, 7] {
+            assert_eq!(helper_mask(&cpus(&[3]), caller), None);
+            assert_eq!(helper_mask(&cpus(&[]), caller), None);
+        }
     }
 
     #[test]

@@ -404,8 +404,7 @@ impl Emulation {
 
         // --- Enforce at most k parallel recoveries, preferring the highest
         //     beliefs (the implementation-level constraint of Problem 1). ---
-        recovery_requests
-            .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        recovery_requests.sort_by(|a, b| b.1.total_cmp(&a.1));
         recovery_requests.truncate(self.config.parallel_recoveries.max(1));
         let recoveries_started = recovery_requests.len();
         for (index, _) in &recovery_requests {

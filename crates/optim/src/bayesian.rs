@@ -190,18 +190,15 @@ impl Optimizer for BayesianOptimization {
         let cfg = &self.config;
         let mut tracker = ProgressTracker::new(d);
 
-        let mut design: Vec<Vec<f64>> = Vec::new();
-        let mut observations: Vec<f64> = Vec::new();
-
-        // Initial random design.
-        for _ in 0..cfg.initial_points {
-            let point: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
-            let value = objective.evaluate(&point, rng);
-            tracker.add_evaluations(1);
-            tracker.offer(&point, value);
-            design.push(point);
-            observations.push(value);
-        }
+        // Initial random design, evaluated as one batch.
+        let jobs: Vec<(Vec<f64>, u64)> = (0..cfg.initial_points)
+            .map(|_| {
+                let point: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
+                (point, rng.next_u64())
+            })
+            .collect();
+        let mut observations = tracker.evaluate_batch(objective, &jobs);
+        let mut design: Vec<Vec<f64>> = jobs.into_iter().map(|(point, _)| point).collect();
         tracker.end_iteration();
 
         for _ in 0..cfg.iterations {
@@ -239,9 +236,7 @@ impl Optimizer for BayesianOptimization {
             }
             let (_, next_point) = best_candidate.expect("at least one acquisition candidate");
 
-            let value = objective.evaluate(&next_point, rng);
-            tracker.add_evaluations(1);
-            tracker.offer(&next_point, value);
+            let value = tracker.evaluate(objective, &next_point, rng.next_u64());
             design.push(next_point);
             observations.push(value);
             tracker.end_iteration();

@@ -104,19 +104,26 @@ impl Optimizer for CrossEntropyMethod {
         let mut tracker = ProgressTracker::new(d);
 
         for _ in 0..cfg.iterations {
-            // Sample and evaluate the population.
-            let mut scored: Vec<(f64, Vec<f64>)> = Vec::with_capacity(cfg.population);
-            for _ in 0..cfg.population {
-                let mut candidate: Vec<f64> = (0..d)
-                    .map(|i| mean[i] + std_dev[i] * sample_standard_normal(rng))
-                    .collect();
-                clamp_unit(&mut candidate);
-                let value = objective.evaluate(&candidate, rng);
-                tracker.add_evaluations(1);
-                tracker.offer(&candidate, value);
-                scored.push((value, candidate));
-            }
-            scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            // Sample the population, each candidate with its evaluation seed,
+            // and evaluate it as one batch.
+            let jobs: Vec<(Vec<f64>, u64)> = (0..cfg.population)
+                .map(|_| {
+                    let mut candidate: Vec<f64> = (0..d)
+                        .map(|i| mean[i] + std_dev[i] * sample_standard_normal(rng))
+                        .collect();
+                    clamp_unit(&mut candidate);
+                    (candidate, rng.next_u64())
+                })
+                .collect();
+            let values = tracker.evaluate_batch(objective, &jobs);
+            let mut scored: Vec<(f64, Vec<f64>)> = values
+                .into_iter()
+                .zip(jobs)
+                .map(|(value, (candidate, _))| (value, candidate))
+                .collect();
+            // A total order: a NaN value sorts last and is never an elite
+            // while a number is left.
+            scored.sort_by(|a, b| a.0.total_cmp(&b.0));
             let elites = &scored[..elite_count];
 
             // Refit the sampling distribution to the elite set.
@@ -239,10 +246,36 @@ mod tests {
         assert!(CrossEntropyMethod::new(bad_iter)
             .minimize(&obj, &mut rng)
             .is_err());
-        let zero_dim = FnObjective::new(0, |_: &[f64], _: &mut dyn RngCore| 0.0);
+        let zero_dim = FnObjective::new(0, |_: &[f64], _: u64| 0.0);
         assert!(CrossEntropyMethod::new(CemConfig::default())
             .minimize(&zero_dim, &mut rng)
             .is_err());
+    }
+
+    #[test]
+    fn cem_survives_a_nan_objective() {
+        // NaN above 0.9: a comparator that calls NaN equal to everything is
+        // no total order, and a sort that used one panicked here.
+        let obj = FnObjective::new(1, |x: &[f64], _| {
+            if x[0] > 0.9 {
+                f64::NAN
+            } else {
+                (x[0] - 0.3) * (x[0] - 0.3)
+            }
+        });
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let result = CrossEntropyMethod::new(CemConfig::default())
+                .minimize(&obj, &mut rng)
+                .unwrap();
+            assert!(result.best_value.is_finite(), "seed {seed}");
+            assert!(result.best_point[0] <= 0.9, "seed {seed}");
+            assert!(
+                (result.best_point[0] - 0.3).abs() < 0.05,
+                "seed {seed}: {:?}",
+                result.best_point
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,13 @@
 //! One of the four optimizers evaluated inside Algorithm 1 (Table 2).
 //! Appendix E of the paper uses a population of 10, mutation step 0.2 and
 //! recombination rate 0.7.
+//!
+//! Selection is in place: trial `i` replaces row `i` before trial `i + 1` is
+//! built. The search is nevertheless the serial one while trials are
+//! evaluated in batches, because every draw of a generation is independent
+//! of fitness and a trial vector depends on earlier selections only through
+//! its parent rows; a batch ends where a trial would read a row an earlier
+//! trial of the batch may replace.
 
 use crate::error::{OptimError, Result};
 use crate::objective::{clamp_unit, Objective};
@@ -80,6 +87,64 @@ impl DifferentialEvolution {
     }
 }
 
+/// The fitness-independent draws of one trial vector of a generation.
+struct TrialDraws {
+    /// The three distinct rows `a`, `b`, `c` of DE/rand/1, none the target.
+    parents: [usize; 3],
+    /// Coordinates taken from the mutant: the forced index and every
+    /// coordinate whose crossover draw fell below `CR`.
+    crossover: Vec<bool>,
+    /// The evaluation seed.
+    seed: u64,
+}
+
+impl DifferentialEvolution {
+    /// Draws every trial of one generation in the order a serial DE/rand/1/bin
+    /// draws them: parents, forced index, crossover mask, evaluation seed. No
+    /// draw depends on a fitness value, so drawing them up front leaves the
+    /// stream unchanged.
+    fn draw_generation(&self, d: usize, rng: &mut dyn RngCore) -> Vec<TrialDraws> {
+        let cfg = &self.config;
+        (0..cfg.population)
+            .map(|i| {
+                let mut parents = [0usize; 3];
+                let mut chosen = 0;
+                while chosen < 3 {
+                    let candidate = rng.random_range(0..cfg.population);
+                    if candidate != i && !parents[..chosen].contains(&candidate) {
+                        parents[chosen] = candidate;
+                        chosen += 1;
+                    }
+                }
+                let forced = rng.random_range(0..d);
+                let crossover = (0..d)
+                    .map(|j| j == forced || rng.random::<f64>() < cfg.recombination_rate)
+                    .collect();
+                TrialDraws {
+                    parents,
+                    crossover,
+                    seed: rng.next_u64(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// The end of the batch of trials that starts at `start`: the first later
+/// trial that reads a row an earlier trial of the batch may replace. Trial
+/// `i` replaces only row `i`, so every trial of `start..end` reads the rows
+/// a serial generation would show it.
+fn batch_end(trials: &[TrialDraws], start: usize) -> usize {
+    (start + 1..trials.len())
+        .find(|&t| {
+            trials[t]
+                .parents
+                .iter()
+                .any(|&row| (start..t).contains(&row))
+        })
+        .unwrap_or(trials.len())
+}
+
 impl Optimizer for DifferentialEvolution {
     fn minimize(
         &self,
@@ -92,52 +157,45 @@ impl Optimizer for DifferentialEvolution {
         let mut tracker = ProgressTracker::new(d);
 
         // Initialize the population uniformly in the unit hypercube.
-        let mut population: Vec<Vec<f64>> = (0..cfg.population)
+        let population: Vec<Vec<f64>> = (0..cfg.population)
             .map(|_| (0..d).map(|_| rng.random::<f64>()).collect())
             .collect();
-        let mut fitness: Vec<f64> = population
-            .iter()
-            .map(|x| {
-                let v = objective.evaluate(x, rng);
-                tracker.add_evaluations(1);
-                tracker.offer(x, v);
-                v
-            })
+        let jobs: Vec<(Vec<f64>, u64)> = population
+            .into_iter()
+            .map(|x| (x, rng.next_u64()))
             .collect();
+        let mut fitness = tracker.evaluate_batch(objective, &jobs);
+        let mut population: Vec<Vec<f64>> = jobs.into_iter().map(|(x, _)| x).collect();
         tracker.end_iteration();
 
         for _ in 0..cfg.generations {
-            for i in 0..cfg.population {
-                // Pick three distinct individuals different from i.
-                let mut indices = [0usize; 3];
-                let mut chosen = 0;
-                while chosen < 3 {
-                    let candidate = rng.random_range(0..cfg.population);
-                    if candidate != i && !indices[..chosen].contains(&candidate) {
-                        indices[chosen] = candidate;
-                        chosen += 1;
+            let trials = self.draw_generation(d, rng);
+            let mut start = 0;
+            while start < trials.len() {
+                let end = batch_end(&trials, start);
+                // Mutation and binomial crossover for every trial of the batch.
+                let jobs: Vec<(Vec<f64>, u64)> = (start..end)
+                    .map(|i| {
+                        let [a, b, c] = trials[i].parents;
+                        let mut trial = population[i].clone();
+                        for (j, &take) in trials[i].crossover.iter().enumerate() {
+                            if take {
+                                trial[j] = population[a][j]
+                                    + cfg.mutation_factor * (population[b][j] - population[c][j]);
+                            }
+                        }
+                        clamp_unit(&mut trial);
+                        (trial, trials[i].seed)
+                    })
+                    .collect();
+                let values = tracker.evaluate_batch(objective, &jobs);
+                for (i, ((trial, _), value)) in (start..end).zip(jobs.into_iter().zip(values)) {
+                    if value <= fitness[i] {
+                        population[i] = trial;
+                        fitness[i] = value;
                     }
                 }
-                let (a, b, c) = (indices[0], indices[1], indices[2]);
-
-                // Mutation and binomial crossover.
-                let forced = rng.random_range(0..d);
-                let mut trial = population[i].clone();
-                for j in 0..d {
-                    if j == forced || rng.random::<f64>() < cfg.recombination_rate {
-                        trial[j] = population[a][j]
-                            + cfg.mutation_factor * (population[b][j] - population[c][j]);
-                    }
-                }
-                clamp_unit(&mut trial);
-
-                let trial_value = objective.evaluate(&trial, rng);
-                tracker.add_evaluations(1);
-                tracker.offer(&trial, trial_value);
-                if trial_value <= fitness[i] {
-                    population[i] = trial;
-                    fitness[i] = trial_value;
-                }
+                start = end;
             }
             tracker.end_iteration();
         }
@@ -155,6 +213,7 @@ mod tests {
     use crate::objective::{averaged, FnObjective};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
 
     fn sphere(target: Vec<f64>) -> impl Objective {
         FnObjective::new(target.len(), move |x: &[f64], _| {
@@ -252,6 +311,86 @@ mod tests {
                 .minimize(&obj, &mut rng)
                 .is_err());
         }
+    }
+
+    /// A sphere around 0.5 that records the seeds of every batch it is
+    /// handed.
+    struct Recording {
+        dimension: usize,
+        batches: RefCell<Vec<Vec<u64>>>,
+    }
+
+    impl Objective for Recording {
+        fn dimension(&self) -> usize {
+            self.dimension
+        }
+
+        fn evaluate(&self, point: &[f64], _: u64) -> f64 {
+            point.iter().map(|x| (x - 0.5) * (x - 0.5)).sum()
+        }
+
+        fn evaluate_batch(&self, jobs: &[(Vec<f64>, u64)]) -> Vec<f64> {
+            self.batches
+                .borrow_mut()
+                .push(jobs.iter().map(|job| job.1).collect());
+            jobs.iter()
+                .map(|(point, seed)| self.evaluate(point, *seed))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn no_batch_holds_a_trial_that_reads_a_row_replaced_within_it() {
+        // Algorithm 1's DE: 40 individuals, 30 generations.
+        let (population, generations, d, seed) = (40, 30, 2, 5);
+        let de = DifferentialEvolution::new(DeConfig {
+            population,
+            generations,
+            ..DeConfig::default()
+        });
+        let objective = Recording {
+            dimension: d,
+            batches: RefCell::new(Vec::new()),
+        };
+        de.minimize(&objective, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        let batches = objective.batches.into_inner();
+
+        // Replay the stream: the initial population, its seeds, then each
+        // generation's draws, which decide which rows a trial reads.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..population * d {
+            rng.random::<f64>();
+        }
+        let initial: Vec<u64> = (0..population).map(|_| rng.next_u64()).collect();
+        assert_eq!(batches[0], initial);
+        let mut recorded = batches[1..].iter();
+        let mut sizes = Vec::new();
+        for generation in 0..generations {
+            let trials = de.draw_generation(d, &mut rng);
+            let mut start = 0;
+            while start < population {
+                let batch = recorded.next().expect("every trial is evaluated");
+                let end = start + batch.len();
+                assert!(end <= population, "a batch crosses a generation");
+                for (t, job_seed) in (start..end).zip(batch) {
+                    // The replayed draws are the ones the run made.
+                    assert_eq!(*job_seed, trials[t].seed);
+                    for &row in &trials[t].parents {
+                        assert!(
+                            !(start..t).contains(&row),
+                            "generation {generation}: trial {t} reads row {row}, \
+                             which trial {row} of its batch {start}..{end} may replace"
+                        );
+                    }
+                }
+                sizes.push(batch.len());
+                start = end;
+            }
+        }
+        assert!(recorded.next().is_none());
+        let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
+        assert!(mean > 1.0, "mean batch size {mean}");
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! This crate provides, from scratch:
 //!
 //! * a common [`objective::Objective`]/[`optimizer::Optimizer`] interface over
-//!   the unit hypercube,
+//!   the unit hypercube; an evaluation is a pure function of its point and a
+//!   seed, and the optimizers hand over every set of independent evaluations
+//!   as one [`objective::Objective::evaluate_batch`], which a caller's
+//!   objective may run on threads this crate never starts,
 //! * [`spsa::Spsa`] — simultaneous perturbation stochastic approximation,
 //! * [`cem::CrossEntropyMethod`] — the CEM with truncated-Gaussian proposals,
 //! * [`de::DifferentialEvolution`] — DE/rand/1/bin,
@@ -39,7 +42,7 @@
 //!     fn dimension(&self) -> usize {
 //!         2
 //!     }
-//!     fn evaluate(&self, x: &[f64], _rng: &mut dyn rand::RngCore) -> f64 {
+//!     fn evaluate(&self, x: &[f64], _seed: u64) -> f64 {
 //!         (x[0] - 0.3).powi(2) + (x[1] - 0.7).powi(2)
 //!     }
 //! }

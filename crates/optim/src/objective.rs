@@ -4,10 +4,13 @@
 //! over the unit hypercube `[0, 1]^d`. Algorithm 1 of the paper evaluates a
 //! threshold vector `θ ∈ [0, 1]^d` by simulating the recovery POMDP for a
 //! number of episodes, so objective evaluations are noisy; the optimizers are
-//! therefore designed for stochastic objectives and accept an RNG on every
-//! evaluation.
-
-use rand::RngCore;
+//! therefore designed for stochastic objectives.
+//!
+//! An evaluation is a pure function of its point and a seed the optimizer
+//! draws from its own stream. That makes the evaluations an optimizer
+//! requests at one time independent of each other, so it hands them over as
+//! one [`Objective::evaluate_batch`], which an objective may run
+//! concurrently without changing any result.
 
 /// A (possibly stochastic) objective function over `[0, 1]^d` to be
 /// minimized.
@@ -16,13 +19,23 @@ pub trait Objective {
     fn dimension(&self) -> usize;
 
     /// Evaluates the objective at `point` (a slice of length
-    /// [`Objective::dimension`]). Implementations may use `rng` to draw the
-    /// random episode realizations that make the evaluation stochastic.
+    /// [`Objective::dimension`]). A stochastic objective draws its random
+    /// episode realizations from a generator seeded with `seed`, so the
+    /// value depends on nothing but `point` and `seed`.
     ///
     /// The optimizers call this once per candidate. An objective that wants
     /// the mean of several noisy samples (the `M = 50` episodes per candidate
     /// of Appendix E) averages them itself.
-    fn evaluate(&self, point: &[f64], rng: &mut dyn RngCore) -> f64;
+    fn evaluate(&self, point: &[f64], seed: u64) -> f64;
+
+    /// Evaluates every `(point, seed)` job and returns the values in job
+    /// order. The default evaluates them one after the other; an objective
+    /// may override it to evaluate them concurrently, which changes no value.
+    fn evaluate_batch(&self, jobs: &[(Vec<f64>, u64)]) -> Vec<f64> {
+        jobs.iter()
+            .map(|(point, seed)| self.evaluate(point, *seed))
+            .collect()
+    }
 }
 
 /// An [`Objective`] wrapping a closure: the fixture the optimizers' unit
@@ -30,7 +43,7 @@ pub trait Objective {
 #[cfg(test)]
 pub(crate) struct FnObjective<F>
 where
-    F: Fn(&[f64], &mut dyn RngCore) -> f64,
+    F: Fn(&[f64], u64) -> f64,
 {
     dimension: usize,
     function: F,
@@ -39,7 +52,7 @@ where
 #[cfg(test)]
 impl<F> FnObjective<F>
 where
-    F: Fn(&[f64], &mut dyn RngCore) -> f64,
+    F: Fn(&[f64], u64) -> f64,
 {
     /// Wraps a closure as an objective of the given dimension.
     pub fn new(dimension: usize, function: F) -> Self {
@@ -53,29 +66,31 @@ where
 #[cfg(test)]
 impl<F> Objective for FnObjective<F>
 where
-    F: Fn(&[f64], &mut dyn RngCore) -> f64,
+    F: Fn(&[f64], u64) -> f64,
 {
     fn dimension(&self) -> usize {
         self.dimension
     }
 
-    fn evaluate(&self, point: &[f64], rng: &mut dyn RngCore) -> f64 {
-        (self.function)(point, rng)
+    fn evaluate(&self, point: &[f64], seed: u64) -> f64 {
+        (self.function)(point, seed)
     }
 }
 
 /// Wraps a noisy test function so that one evaluation is the mean of
-/// `repetitions` calls.
+/// `repetitions` calls on one generator seeded with the evaluation's seed.
 #[cfg(test)]
-pub(crate) fn averaged<F>(
-    repetitions: usize,
-    function: F,
-) -> impl Fn(&[f64], &mut dyn RngCore) -> f64
+pub(crate) fn averaged<F>(repetitions: usize, function: F) -> impl Fn(&[f64], u64) -> f64
 where
-    F: Fn(&[f64], &mut dyn RngCore) -> f64,
+    F: Fn(&[f64], &mut dyn rand::RngCore) -> f64,
 {
-    move |point, rng| {
-        (0..repetitions).map(|_| function(point, rng)).sum::<f64>() / repetitions as f64
+    use rand::SeedableRng;
+    move |point, seed| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..repetitions)
+            .map(|_| function(point, &mut rng))
+            .sum::<f64>()
+            / repetitions as f64
     }
 }
 
@@ -89,15 +104,13 @@ pub(crate) fn clamp_unit(point: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::RngCore;
 
     #[test]
     fn fn_objective_evaluates_closure() {
         let obj = FnObjective::new(2, |x: &[f64], _| x[0] + x[1]);
-        let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(obj.dimension(), 2);
-        assert_eq!(obj.evaluate(&[0.25, 0.5], &mut rng), 0.75);
+        assert_eq!(obj.evaluate(&[0.25, 0.5], 0), 0.75);
     }
 
     #[test]
@@ -109,12 +122,20 @@ mod tests {
                 x[0] + rng.random_range(-0.5..0.5)
             }),
         );
-        let mut rng = StdRng::seed_from_u64(3);
-        let mean = obj.evaluate(&[0.5], &mut rng);
+        let mean = obj.evaluate(&[0.5], 3);
         assert!(
             (mean - 0.5).abs() < 0.05,
             "noisy mean {mean} too far from 0.5"
         );
+        assert_eq!(mean.to_bits(), obj.evaluate(&[0.5], 3).to_bits());
+    }
+
+    #[test]
+    fn the_default_batch_is_the_serial_map_in_job_order() {
+        let obj = FnObjective::new(1, |x: &[f64], seed| x[0] + seed as f64);
+        let jobs = vec![(vec![0.5], 3), (vec![0.25], 1), (vec![0.0], 2)];
+        assert_eq!(obj.evaluate_batch(&jobs), vec![3.5, 1.25, 2.0]);
+        assert!(obj.evaluate_batch(&[]).is_empty());
     }
 
     #[test]

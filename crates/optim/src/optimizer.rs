@@ -85,13 +85,31 @@ impl ProgressTracker {
         }
     }
 
-    /// Records `count` objective evaluations.
-    pub(crate) fn add_evaluations(&mut self, count: usize) {
-        self.evaluations += count;
+    /// Evaluates `jobs` as one [`Objective::evaluate_batch`], records every
+    /// value in job order and returns them.
+    pub(crate) fn evaluate_batch(
+        &mut self,
+        objective: &dyn Objective,
+        jobs: &[(Vec<f64>, u64)],
+    ) -> Vec<f64> {
+        let values = objective.evaluate_batch(jobs);
+        self.evaluations += jobs.len();
+        for ((point, _), &value) in jobs.iter().zip(&values) {
+            self.offer(point, value);
+        }
+        values
+    }
+
+    /// Evaluates one point and records its value.
+    pub(crate) fn evaluate(&mut self, objective: &dyn Objective, point: &[f64], seed: u64) -> f64 {
+        let value = objective.evaluate(point, seed);
+        self.evaluations += 1;
+        self.offer(point, value);
+        value
     }
 
     /// Offers a candidate; keeps it if it improves on the best so far.
-    pub(crate) fn offer(&mut self, point: &[f64], value: f64) {
+    fn offer(&mut self, point: &[f64], value: f64) {
         if value < self.best_value {
             self.best_value = value;
             self.best_point = point.to_vec();
@@ -131,22 +149,27 @@ impl ProgressTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::FnObjective;
 
     #[test]
     fn tracker_keeps_best_and_history() {
+        // The value is the seed, so the jobs script the values.
+        let objective = FnObjective::new(2, |_: &[f64], seed| seed as f64);
         let mut tracker = ProgressTracker::new(2);
-        tracker.add_evaluations(10);
-        tracker.offer(&[0.1, 0.2], 5.0);
-        tracker.offer(&[0.3, 0.4], 7.0); // worse, ignored
+        let values = tracker.evaluate_batch(
+            &objective,
+            &[(vec![0.1, 0.2], 5), (vec![0.3, 0.4], 7)], // the second is worse
+        );
+        assert_eq!(values, vec![5.0, 7.0]);
         tracker.end_iteration();
-        tracker.add_evaluations(10);
-        tracker.offer(&[0.5, 0.6], 1.0);
+        assert_eq!(tracker.evaluate(&objective, &[0.5, 0.6], 1), 1.0);
         tracker.end_iteration();
         assert_eq!(tracker.best_value(), 1.0);
         let result = tracker.finish();
         assert_eq!(result.best_point, vec![0.5, 0.6]);
-        assert_eq!(result.evaluations, 20);
+        assert_eq!(result.evaluations, 3);
         assert_eq!(result.history.len(), 2);
+        assert_eq!(result.history[0].evaluations, 2);
         assert_eq!(result.history[0].best_value, 5.0);
         assert_eq!(result.history[1].best_value, 1.0);
         assert!(result.elapsed_seconds() >= 0.0);

@@ -116,11 +116,9 @@ impl Optimizer for Spsa {
             clamp_unit(&mut plus);
             clamp_unit(&mut minus);
 
-            let y_plus = objective.evaluate(&plus, rng);
-            let y_minus = objective.evaluate(&minus, rng);
-            tracker.add_evaluations(2);
-            tracker.offer(&plus, y_plus);
-            tracker.offer(&minus, y_minus);
+            let probes = [(plus, rng.next_u64()), (minus, rng.next_u64())];
+            let values = tracker.evaluate_batch(objective, &probes);
+            let (y_plus, y_minus) = (values[0], values[1]);
 
             // Simultaneous-perturbation gradient estimate and update.
             for i in 0..d {
@@ -129,9 +127,7 @@ impl Optimizer for Spsa {
             }
             clamp_unit(&mut theta);
 
-            let value = objective.evaluate(&theta, rng);
-            tracker.add_evaluations(1);
-            tracker.offer(&theta, value);
+            tracker.evaluate(objective, &theta, rng.next_u64());
             tracker.end_iteration();
         }
         Ok(tracker.finish())
@@ -221,7 +217,7 @@ mod tests {
         ] {
             assert!(Spsa::new(cfg).minimize(&obj, &mut rng).is_err());
         }
-        let zero_dim = FnObjective::new(0, |_: &[f64], _: &mut dyn RngCore| 0.0);
+        let zero_dim = FnObjective::new(0, |_: &[f64], _: u64| 0.0);
         assert!(Spsa::new(SpsaConfig::default())
             .minimize(&zero_dim, &mut rng)
             .is_err());

@@ -142,7 +142,7 @@ impl IncrementalPruning {
                 vectors.sort_by(|a, b| {
                     let ma: f64 = a.values.iter().sum::<f64>() / a.values.len() as f64;
                     let mb: f64 = b.values.iter().sum::<f64>() / b.values.len() as f64;
-                    ma.partial_cmp(&mb).unwrap_or(std::cmp::Ordering::Equal)
+                    ma.total_cmp(&mb)
                 });
                 vectors.truncate(cap);
             }

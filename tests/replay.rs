@@ -3,11 +3,23 @@
 //! the parallel runner, or twice in a row — and the Table-7 comparison rows
 //! must be byte-identical across execution modes.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use tolerance::core::prelude::{
+    Alg1, Alg1Config, NodeModel, NodeParameters, ObservationModel, OptimizerKind, RecoveryConfig,
+    RecoveryProblem, ThresholdStrategy,
+};
 use tolerance::core::runtime::{Runner, Scenario, ScenarioRegistry};
 use tolerance::emulation::scenarios::{
     bursty_attacker_config, heterogeneous_nodes_config, register_config,
 };
 use tolerance::emulation::{builtin_registry, EmulationScenario, EvaluationGrid};
+use tolerance::optim::bayesian::{BayesianOptimization, BoConfig};
+use tolerance::optim::cem::{CemConfig, CrossEntropyMethod};
+use tolerance::optim::de::{DeConfig, DifferentialEvolution};
+use tolerance::optim::objective::Objective;
+use tolerance::optim::optimizer::Optimizer;
+use tolerance::optim::spsa::{Spsa, SpsaConfig};
 
 fn quick_grid() -> EvaluationGrid {
     EvaluationGrid {
@@ -120,4 +132,119 @@ fn custom_configs_can_be_registered_alongside_builtins() {
         .unwrap();
     assert_eq!(run.reports.len(), 1);
     assert!(run.label.starts_with("tolerance/"));
+}
+
+/// Algorithm 1's objective written against the public rollout, without a
+/// batch override: every evaluation on the calling thread, in job order.
+struct SerialRollouts {
+    problem: RecoveryProblem,
+    delta_r: Option<u32>,
+    episodes: usize,
+    horizon: u32,
+}
+
+impl Objective for SerialRollouts {
+    fn dimension(&self) -> usize {
+        self.delta_r
+            .map_or(1, |d| (d as usize).saturating_sub(1).max(1))
+    }
+
+    fn evaluate(&self, point: &[f64], seed: u64) -> f64 {
+        let thresholds = point.iter().map(|p| p.clamp(0.0, 1.0)).collect();
+        let strategy = ThresholdStrategy::new(thresholds, self.delta_r).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        self.problem
+            .evaluate_strategy(&strategy, self.episodes, self.horizon, &mut rng)
+    }
+}
+
+/// The optimizer `Alg1::solve` configures for `kind`.
+fn alg1_optimizer(kind: OptimizerKind, config: &Alg1Config) -> Box<dyn Optimizer> {
+    match kind {
+        OptimizerKind::Cem => Box::new(CrossEntropyMethod::new(CemConfig {
+            population: config.population,
+            iterations: config.iterations,
+            ..CemConfig::default()
+        })),
+        OptimizerKind::De => Box::new(DifferentialEvolution::new(DeConfig {
+            population: config.population.max(4),
+            generations: config.iterations,
+            ..DeConfig::default()
+        })),
+        OptimizerKind::Bo => Box::new(BayesianOptimization::new(BoConfig {
+            initial_points: 8,
+            iterations: config.iterations,
+            ..BoConfig::default()
+        })),
+        OptimizerKind::Spsa => Box::new(Spsa::new(SpsaConfig {
+            iterations: config.iterations * config.population / 3,
+            ..SpsaConfig::default()
+        })),
+    }
+}
+
+#[test]
+fn alg1_on_the_worker_pool_equals_a_serial_objective_field_for_field() {
+    let config = Alg1Config {
+        evaluation_episodes: 10,
+        horizon: 60,
+        iterations: 6,
+        population: 12,
+        seed: 0,
+    };
+    let alg1 = Alg1::new(config.clone());
+    for delta_r in [None, Some(5)] {
+        let model =
+            NodeModel::new(NodeParameters::default(), ObservationModel::paper_default()).unwrap();
+        let problem = RecoveryProblem::new(model, RecoveryConfig { eta: 2.0, delta_r }).unwrap();
+        let serial = SerialRollouts {
+            problem: problem.clone(),
+            delta_r,
+            episodes: config.evaluation_episodes,
+            horizon: config.horizon,
+        };
+        for seed in [0u64, 7, 29] {
+            for kind in [
+                OptimizerKind::Cem,
+                OptimizerKind::De,
+                OptimizerKind::Bo,
+                OptimizerKind::Spsa,
+            ] {
+                let case = format!("{} delta_r {delta_r:?} seed {seed}", kind.name());
+                let outcome = alg1
+                    .solve(&problem, kind, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
+                let expected = alg1_optimizer(kind, &config)
+                    .minimize(&serial, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
+                let result = &outcome.optimization;
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&result.best_point),
+                    bits(&expected.best_point),
+                    "{case}"
+                );
+                assert_eq!(
+                    result.best_value.to_bits(),
+                    expected.best_value.to_bits(),
+                    "{case}"
+                );
+                assert_eq!(result.evaluations, expected.evaluations, "{case}");
+                let curve = |result: &tolerance::optim::optimizer::OptimizationResult| {
+                    result
+                        .history
+                        .iter()
+                        .map(|point| (point.evaluations, point.best_value.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(curve(result), curve(&expected), "{case}");
+                assert_eq!(outcome.objective.to_bits(), expected.best_value.to_bits());
+                assert_eq!(
+                    outcome.strategy.thresholds(),
+                    &expected.best_point[..],
+                    "{case}"
+                );
+            }
+        }
+    }
 }
