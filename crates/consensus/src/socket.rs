@@ -16,25 +16,31 @@
 //!   reusable [`FrameBuffer`] and delivers every complete frame it holds to
 //!   the local node mailboxes; the first malformed frame drops the
 //!   connection (counted, never a panic).
-//! * **Per-address writer threads** — every remote *address* added via
-//!   [`SocketTransport::add_peer`] gets one bounded outbound queue, one
-//!   writer thread and one `TcpStream`, shared by all node ids that live
-//!   there (16 client ids on one hub are one connection). A writer
-//!   coalesces whatever is queued into one `write`. A full queue drops the
-//!   message (backpressure surfaces as loss, exactly like the other
-//!   transports); a broken connection is re-dialed on the next send
-//!   (reconnect-on-drop), so a restarted peer becomes reachable again
-//!   without any bookkeeping by the protocol layer — and is greeted by
-//!   fresh traffic, because a failed dial discards what was queued.
+//! * **Outbound connections, written by the sender** — every remote
+//!   *address* added via [`SocketTransport::add_peer`] gets one `TcpStream`,
+//!   shared by all node ids that live there (16 client ids on one hub are
+//!   one connection). The sending thread dials the connection when it is
+//!   down and writes its frames itself, under the connection's lock;
+//!   nothing is queued. Both are bounded, so a peer cannot stall a sender
+//!   for long: a dial gives up after `DIAL_TIMEOUT` (`connect_timeout`, on
+//!   the sending thread), and a write after the socket's `WRITE_TIMEOUT`.
+//!   A write that does not take all its frames closes the connection, so
+//!   the remainder of a cut frame never waits for a later send. A refused
+//!   or timed-out dial and a peer that stopped reading silence the
+//!   connection for `RECONNECT_BACKOFF`; a broken one is re-dialed by the
+//!   next send. What does not go out is dropped and counted (loss, exactly
+//!   like the other transports), so a restarted peer becomes reachable
+//!   again without any bookkeeping by the protocol layer — and is greeted
+//!   by fresh traffic, because nothing waits.
 //! * **Local mailboxes** — nodes living in this process (replica threads,
 //!   client driver pools) register bounded in-process mailboxes, exactly
 //!   like the threaded transport; a send to a local node skips TCP.
 //!
 //! Cost scales with steps and connections, not messages:
 //! [`Transport::send_batch`] encodes a broadcast once, groups a step's
-//! frames per connection and hands each connection one queue item (one
-//! wake-up, one `write`). A bare [`Transport::send`] is a batch of one and
-//! goes out at once — nothing waits for a flush.
+//! frames per connection and writes each connection's frames with one
+//! `write`. A bare [`Transport::send`] is a batch of one and is written
+//! before it returns — nothing waits for a flush.
 //!
 //! The peer directory is live: [`SocketTransport::add_peer`] registers and
 //! re-addresses peers while the cluster runs, which is what JOIN needs
@@ -52,38 +58,44 @@ use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, RwLock};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a writer thread backs off after a failed dial before the next
-/// outbound frame retries the connection. Long enough not to spin against a
-/// dead peer, short enough that a restarted replica is reachable again well
-/// under any protocol timeout.
+/// How long a connection stays silent after a failed dial or a stalled
+/// write before a send dials again; sends meanwhile drop. Long enough not
+/// to spin against a dead peer, short enough that a restarted replica is
+/// reachable again well under any protocol timeout.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
 
-/// How often an I/O thread blocked on its queue or its socket looks at the
-/// shutdown flag: the bound on how long a thread outlives its transport.
+/// How often a reader blocked on its socket looks at the shutdown flag:
+/// the bound on how long a reader outlives its transport.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
 
-/// A writer stops draining its queue into the pending `write` once it holds
-/// this many bytes.
-const COALESCE_BYTES: usize = 64 * 1024;
+/// The longest a dial may hold a sending thread: far above a loopback or
+/// LAN handshake, and a fifth of `RECONNECT_BACKOFF`, so a black-holed
+/// address takes at most a sixth of a sender's time.
+const DIAL_TIMEOUT: Duration = Duration::from_millis(10);
+
+/// The longest one `write` may wait for a peer to make room (the socket's
+/// send timeout). Loopback and LAN peers drain their socket far sooner, so
+/// only a peer that stopped reading meets it.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// Traffic and robustness counters of a [`SocketTransport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SocketStats {
     /// Messages handed to the transport.
     pub sent: u64,
-    /// Messages dropped: unknown recipient, full outbound queue, full
-    /// local mailbox, or queued for a peer that could not be written to.
+    /// Messages dropped: unknown recipient, full local mailbox, or bound
+    /// for a peer that could not be dialed or did not take the whole frame.
     pub dropped: u64,
     /// Inbound connections dropped because a frame failed to decode.
     pub decode_errors: u64,
     /// Outbound re-dials after a broken or refused connection.
     pub reconnects: u64,
-    /// `write`s completed by writer threads (each carried ≥ 1 frame).
+    /// `write`s that took all the frames a send had for one connection.
     pub writes: u64,
     /// `read` calls that returned bytes to reader threads.
     pub reads: u64,
@@ -99,19 +111,94 @@ struct Counters {
     reads: AtomicU64,
 }
 
-/// Whole frames bound for one connection, back to back: the unit a writer
-/// queue carries.
-#[derive(Default)]
-struct Chunk {
-    bytes: Vec<u8>,
-    frames: u64,
-}
-
-/// One outbound connection, shared by every node id at `addr`. Dropping the
-/// last reference disconnects the queue, which ends the writer thread.
+/// One outbound connection, shared by every node id at `addr`. Its lock
+/// keeps one send's frames together on the stream; dropping the last
+/// reference closes the stream.
 struct PeerConn {
     addr: SocketAddr,
-    queue: SyncSender<Chunk>,
+    link: Mutex<Link>,
+}
+
+/// The sending side of a [`PeerConn`].
+#[derive(Default)]
+struct Link {
+    /// Open, and every byte written to it so far belongs to a whole frame.
+    stream: Option<TcpStream>,
+    /// While down, no dial before this instant.
+    quiet_until: Option<Instant>,
+    /// A dial has succeeded before: the next one is a reconnect.
+    dialed: bool,
+}
+
+impl PeerConn {
+    /// Writes `frames` (whole frames, back to back) with one `write`,
+    /// dialing first if the connection is down, and returns how many of them
+    /// did not go out. A write that does not take them all closes the
+    /// connection — a cut frame can never be completed — and, when the peer
+    /// stopped reading, silences it for `RECONNECT_BACKOFF`.
+    fn write(&self, frames: &[u8], counters: &Counters) -> u64 {
+        let mut link = self.link.lock().expect("link lock");
+        let Some(stream) = link.connect(self.addr, counters) else {
+            return whole_frames(frames);
+        };
+        let (written, stalled) = match stream.write(frames) {
+            Ok(n) if n == frames.len() => {
+                counters.writes.fetch_add(1, Ordering::Relaxed);
+                return 0;
+            }
+            // A blocking write returns short when the peer made no room for
+            // the rest within the send timeout.
+            Ok(n) => (n, true),
+            Err(error) => (
+                0,
+                matches!(error.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            ),
+        };
+        link.stream = None;
+        if stalled {
+            link.quiet_until = Some(Instant::now() + RECONNECT_BACKOFF);
+        }
+        whole_frames(frames) - whole_frames(&frames[..written])
+    }
+}
+
+impl Link {
+    /// The open stream, dialed first if it is down and not silenced; a
+    /// failed dial silences it.
+    fn connect(&mut self, addr: SocketAddr, counters: &Counters) -> Option<&mut TcpStream> {
+        if self.stream.is_none() && self.quiet_until.is_none_or(|until| Instant::now() >= until) {
+            // Without its send timeout a stream could hold a sender forever.
+            let dial = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT).and_then(|fresh| {
+                fresh.set_write_timeout(Some(WRITE_TIMEOUT))?;
+                let _ = fresh.set_nodelay(true);
+                Ok(fresh)
+            });
+            match dial {
+                Ok(fresh) => {
+                    if self.dialed {
+                        counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.dialed = true;
+                    self.stream = Some(fresh);
+                }
+                Err(_) => self.quiet_until = Some(Instant::now() + RECONNECT_BACKOFF),
+            }
+        }
+        self.stream.as_mut()
+    }
+}
+
+/// How many whole frames `bytes` starts with.
+fn whole_frames(mut bytes: &[u8]) -> u64 {
+    let mut frames = 0;
+    while let Some(prefix) = bytes.first_chunk::<4>() {
+        let Some(rest) = bytes.get(4 + u32::from_le_bytes(*prefix) as usize..) else {
+            break;
+        };
+        bytes = rest;
+        frames += 1;
+    }
+    frames
 }
 
 type Mailbox = SyncSender<Delivery<Message>>;
@@ -225,22 +312,18 @@ impl SocketTransport {
     }
 
     /// Adds (or re-addresses) a remote peer. The first node id at `addr`
-    /// spawns a writer thread with a bounded outbound queue that dials
-    /// lazily and re-dials after drops; further ids at the same address
-    /// share it. Live — existing handles reach the peer immediately. The
-    /// JOIN hook across processes.
+    /// gets a connection, which the first send to it dials; further ids at
+    /// the same address share it, and it closes when the last of them is
+    /// re-addressed. Live — existing handles reach the peer immediately.
+    /// The JOIN hook across processes.
     pub fn add_peer(&mut self, node: NodeId, addr: SocketAddr) {
         let mut peers = self.shared.peers.write().expect("peers lock");
         let conn = match peers.values().find(|conn| conn.addr == addr) {
             Some(conn) => Arc::clone(conn),
-            None => {
-                let (queue, rx) = sync_channel(self.shared.capacity);
-                let writer_shared = Arc::clone(&self.shared);
-                // Detached: the writer ends when its queue disconnects (the
-                // last node id at `addr` removed, or the transport dropped).
-                std::thread::spawn(move || writer_loop(addr, rx, writer_shared));
-                Arc::new(PeerConn { addr, queue })
-            }
+            None => Arc::new(PeerConn {
+                addr,
+                link: Mutex::default(),
+            }),
         };
         peers.insert(node, conn);
     }
@@ -268,7 +351,7 @@ impl SocketTransport {
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
-        // Readers and writers see the flag within `SHUTDOWN_POLL`.
+        // Readers see the flag within `SHUTDOWN_POLL`.
         self.shared.shutdown.store(true, Ordering::Relaxed);
         // Wake the accept loop so it observes the flag: connect once to our
         // own listener (errors are irrelevant — the thread also exits if
@@ -277,7 +360,7 @@ impl Drop for SocketTransport {
         if let Some(thread) = self.listener_thread.take() {
             let _ = thread.join();
         }
-        // Writer threads exit when their queues disconnect.
+        // Closes the outbound connections (once no send is writing to them).
         self.shared.peers.write().expect("peers lock").clear();
     }
 }
@@ -337,64 +420,6 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Owns the outbound connection to one address: drains the bounded queue,
-/// coalescing what is queued into one `write`, dialing (and after failures
-/// re-dialing) the peer as needed. Exits when the queue disconnects (last
-/// peer at the address removed / transport dropped).
-fn writer_loop(addr: SocketAddr, queue: Receiver<Chunk>, shared: Arc<Shared>) {
-    let mut stream: Option<TcpStream> = None;
-    let mut ever_connected = false;
-    loop {
-        let mut chunk = match queue.recv_timeout(SHUTDOWN_POLL) {
-            Ok(chunk) => chunk,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        while chunk.bytes.len() < COALESCE_BYTES {
-            let Ok(next) = queue.try_recv() else { break };
-            chunk.bytes.extend_from_slice(&next.bytes);
-            chunk.frames += next.frames;
-        }
-        // One dial attempt per write. Frames that cannot be written are
-        // dropped (loss, like every transport here).
-        if stream.is_none() {
-            match TcpStream::connect(addr) {
-                Ok(fresh) => {
-                    let _ = fresh.set_nodelay(true);
-                    if ever_connected {
-                        shared.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ever_connected = true;
-                    stream = Some(fresh);
-                }
-                Err(_) => {
-                    // The peer is down: everything queued behind this chunk
-                    // is as undeliverable, and must not greet the peer as
-                    // stale traffic when it comes back.
-                    let stale: u64 = queue.try_iter().map(|chunk| chunk.frames).sum();
-                    shared.count_dropped(chunk.frames + stale);
-                    std::thread::sleep(RECONNECT_BACKOFF);
-                    continue;
-                }
-            }
-        }
-        if let Some(connection) = stream.as_mut() {
-            if connection.write_all(&chunk.bytes).is_ok() {
-                shared.counters.writes.fetch_add(1, Ordering::Relaxed);
-            } else {
-                // Broken pipe: drop these frames, re-dial on the next.
-                stream = None;
-                shared.count_dropped(chunk.frames);
-            }
-        }
-    }
-}
-
 /// A clonable sender handle of a [`SocketTransport`].
 #[derive(Clone)]
 pub struct SocketHandle {
@@ -416,8 +441,8 @@ impl Transport<Message> for SocketHandle {
         self.send_batch(recipients, vec![(from, message.clone())], Vec::new());
     }
 
-    /// One queue push — one writer wake-up, one `write` — per connection,
-    /// all of them before this returns.
+    /// One `write` per connection, on this thread, all of them before this
+    /// returns.
     fn send_batch(
         &mut self,
         recipients: &[NodeId],
@@ -428,12 +453,13 @@ impl Transport<Message> for SocketHandle {
         let locals = shared.locals.read().expect("locals lock");
         let peers = shared.peers.read().expect("peers lock");
         // The batch's frames, grouped by the connection they leave on.
-        let mut pending: Vec<(&PeerConn, Chunk)> = Vec::new();
+        let mut pending: Vec<(Arc<PeerConn>, Vec<u8>)> = Vec::new();
         // Routes one message: into a local mailbox (same process, no TCP),
-        // or appended to the chunk of `to`'s connection. A message is encoded
-        // once, straight into the first chunk it goes to; `frame` remembers
-        // where (chunk index, byte range), and the other recipients of the
-        // broadcast copy those bytes — only the `to` field differs.
+        // or appended to the frames of `to`'s connection. A message is
+        // encoded once, straight into the first connection's frames it goes
+        // to; `frame` remembers where (pending index, byte range), and the
+        // other recipients of the broadcast copy those bytes — only the `to`
+        // field differs.
         let mut route = |from, to, message: &Message, frame: &mut Option<(usize, Range<usize>)>| {
             shared.counters.sent.fetch_add(1, Ordering::Relaxed);
             if let Some(mailbox) = locals.get(&to) {
@@ -442,31 +468,29 @@ impl Transport<Message> for SocketHandle {
             let Some(conn) = peers.get(&to) else {
                 return shared.count_dropped(1);
             };
-            let known = pending.iter().position(|(c, _)| c.addr == conn.addr);
+            let known = pending.iter().position(|(c, _)| Arc::ptr_eq(c, conn));
             let index = known.unwrap_or_else(|| {
-                pending.push((conn, Chunk::default()));
+                pending.push((Arc::clone(conn), Vec::new()));
                 pending.len() - 1
             });
-            let at = pending[index].1.bytes.len();
+            let at = pending[index].1.len();
             match frame {
                 None => {
-                    let bytes = &mut pending[index].1.bytes;
+                    let bytes = &mut pending[index].1;
                     encode_frame_into(bytes, from, to, message);
                     *frame = Some((index, at..bytes.len()));
                 }
                 Some((first, range)) if *first == index => {
-                    pending[index].1.bytes.extend_from_within(range.clone());
+                    pending[index].1.extend_from_within(range.clone());
                 }
                 Some((first, range)) => {
-                    let [(_, first), (_, chunk)] = pending
+                    let [(_, first), (_, bytes)] = pending
                         .get_disjoint_mut([*first, index])
-                        .expect("two different chunks");
-                    chunk.bytes.extend_from_slice(&first.bytes[range.clone()]);
+                        .expect("two different connections");
+                    bytes.extend_from_slice(&first[range.clone()]);
                 }
             }
-            let chunk = &mut pending[index].1;
-            chunk.bytes[at + FRAME_HEADER_LEN - 4..][..4].copy_from_slice(&to.to_le_bytes());
-            chunk.frames += 1;
+            pending[index].1[at + FRAME_HEADER_LEN - 4..][..4].copy_from_slice(&to.to_le_bytes());
         };
         for (from, message) in &broadcasts {
             let mut frame = None;
@@ -477,11 +501,12 @@ impl Transport<Message> for SocketHandle {
         for (from, to, message) in &unicasts {
             route(*from, *to, message, &mut None);
         }
-        for (conn, chunk) in pending {
-            let frames = chunk.frames;
-            if conn.queue.try_send(chunk).is_err() {
-                // Full (or disconnected) queue: backpressure surfaces as loss.
-                shared.count_dropped(frames);
+        // No directory lock is held while a write waits for a peer.
+        drop((locals, peers));
+        for (conn, frames) in pending {
+            let lost = conn.write(&frames, &shared.counters);
+            if lost > 0 {
+                shared.count_dropped(lost);
             }
         }
     }
@@ -774,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_peers_and_full_queues_count_as_drops() {
+    fn unknown_peers_count_as_drops() {
         let hub = loopback(1);
         let mut handle = hub.handle();
         handle.send(0, 99, Message::StateRequest { epoch: 0 });
@@ -839,7 +864,7 @@ mod tests {
     }
 
     #[test]
-    fn writers_reconnect_after_the_peer_restarts_and_greet_it_with_fresh_traffic() {
+    fn connections_redial_after_the_peer_restarts_and_greet_it_with_fresh_traffic() {
         let mut sender = loopback(4096);
         // First incarnation of the peer.
         let mut first = loopback(8);
@@ -852,24 +877,22 @@ mod tests {
         let port = addr.port();
         drop(first); // peer process "crashes"
 
-        // Sends while the peer is down are dropped, not wedged. One probe
-        // at a time, each written or dropped before the next, until the
-        // writer has noticed: from then on its queue is empty and every
-        // frame meets a refused dial.
-        let resolved = |stats: SocketStats| stats.writes + stats.dropped;
+        // Sends while the peer is down are dropped, not wedged. A write may
+        // still land in the kernel until the peer's reset arrives; once one
+        // send has found the connection broken, every later one meets a
+        // refused dial or the backoff after it.
         assert!(eventually(|| {
-            let before = resolved(sender.stats());
             handle.send(0, 1, Message::StateRequest { epoch: 0 });
-            eventually(|| resolved(sender.stats()) > before) && sender.stats().dropped > 0
+            sender.stats().dropped > 0
         }));
         let noticed = sender.stats().dropped;
         for epoch in 1..=200 {
             handle.send(0, 1, Message::StateRequest { epoch });
         }
-        assert!(
-            eventually(|| sender.stats().dropped == noticed + 200),
-            "a refused dial discards everything queued: {:?}",
-            sender.stats()
+        assert_eq!(
+            sender.stats().dropped,
+            noticed + 200,
+            "nothing waits for the peer to come back"
         );
 
         // Peer restarts on the same port (retry briefly: the OS may lag
@@ -886,15 +909,16 @@ mod tests {
         }
         let mut second = second.expect("rebind the port");
         let rx2 = second.register(1);
-        // Keep sending until the writer re-dials successfully: the first
-        // frame the restarted peer sees was sent after its restart.
+        // Keep sending until a send re-dials successfully (the backoff
+        // after the last refused dial has passed): the first frame the
+        // restarted peer sees was sent after its restart.
         let mut first_seen = None;
         assert!(eventually(|| {
             handle.send(0, 1, Message::StateRequest { epoch: 1_000 });
             first_seen = rx2.recv_timeout(Duration::from_millis(100)).ok();
             first_seen.is_some()
         }));
-        let first_seen = first_seen.expect("writer reconnected to the restarted peer");
+        let first_seen = first_seen.expect("a send redialed the restarted peer");
         assert_eq!(first_seen.message, Message::StateRequest { epoch: 1_000 });
         assert_eq!(sender.stats().reconnects, 1);
     }
@@ -967,10 +991,8 @@ mod tests {
             let delivery = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
             assert_eq!((delivery.from, delivery.to), (0, client), "in send order");
         }
-        // (The counter trails the `write` it counts.)
-        assert!(eventually(|| sender.stats().writes == 1));
         let stats = sender.stats();
-        assert_eq!((stats.sent, stats.dropped), (16, 0));
+        assert_eq!((stats.sent, stats.dropped, stats.writes), (16, 0, 1));
         assert!(hub.stats().reads >= 1);
     }
 
@@ -1005,8 +1027,7 @@ mod tests {
             encode_frame(2, 4, &message)
         );
         let stats = sender.stats();
-        assert_eq!((stats.sent, stats.dropped), (4, 1));
-        assert!(eventually(|| sender.stats().writes == 2));
+        assert_eq!((stats.sent, stats.dropped, stats.writes), (4, 1, 2));
     }
 
     #[test]
@@ -1049,6 +1070,117 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(hub.stats().decode_errors, 0, "incomplete, not malformed");
         drop(loris);
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_delays_nobody() {
+        // The write-side twin of the half-frame peer: the kernel accepts
+        // connections for this listener, and nobody reads them.
+        let stuck = TcpListener::bind("127.0.0.1:0").expect("bind raw peer");
+        let mut healthy = loopback(64);
+        let rx = healthy.register(2);
+        let mut sender = loopback(8);
+        sender.add_peer(1, stuck.local_addr().expect("addr"));
+        sender.add_peer(2, healthy.local_addr());
+        let mut handle = sender.handle();
+
+        // A dial and a write per connection, each far below this.
+        let bound = 10 * (DIAL_TIMEOUT + WRITE_TIMEOUT);
+        let filler = Message::NewView {
+            epoch: 0,
+            view: 0,
+            membership: (0..100).collect(),
+            next_sequence: 0,
+        };
+        let per_call = 64;
+        let pushed = 32 << 20;
+        let calls = pushed / (per_call * encode_frame(0, 1, &filler).len()) + 1;
+        let mut slowest = Duration::ZERO;
+        for call in 0..calls as u64 {
+            let mut unicasts = vec![(0, 1, filler.clone()); per_call];
+            unicasts.push((0, 2, Message::StateRequest { epoch: call }));
+            let started = Instant::now();
+            handle.send_batch(&[], Vec::new(), unicasts);
+            slowest = slowest.max(started.elapsed());
+            let ping = rx.recv_timeout(bound).expect("the healthy peer keeps up");
+            assert_eq!(ping.message, Message::StateRequest { epoch: call });
+            // Spread over several backoff periods: the push meets several
+            // connections, each filled until a write stalls.
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(slowest < bound, "a send took {slowest:?}");
+        let stats = sender.stats();
+        assert!(stats.reconnects > 0, "{stats:?}");
+        assert!(stats.dropped > 0, "the stuck peer stalled writes");
+
+        // The peer reads again. Closing the last connection is not a send:
+        // what the transport did not count as dropped is already on its
+        // way, in whole frames.
+        drop(sender);
+        stuck.set_nonblocking(true).expect("nonblocking");
+        let mut delivered = calls as u64;
+        while let Ok((mut stream, _)) = stuck.accept() {
+            stream.set_nonblocking(false).expect("blocking");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout");
+            let mut frames = FrameBuffer::new();
+            while frames.read_from(&mut stream).expect("EOF, not a timeout") > 0 {
+                while frames.next_frame().expect("only whole frames").is_some() {
+                    delivered += 1;
+                }
+            }
+        }
+        assert_eq!(stats.sent, delivered + stats.dropped, "{stats:?}");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn add_peer_spawns_no_thread() {
+        // A thread starts with its creator's name, so every thread this
+        // test's transports start carries the probe's name, and the threads
+        // of tests running alongside do not.
+        const PROBE: &str = "add-peer-probe";
+        let named_probe = || {
+            std::fs::read_dir("/proc/self/task")
+                .expect("task list")
+                .filter(|task| {
+                    let comm =
+                        std::fs::read_to_string(task.as_ref().expect("task").path().join("comm"));
+                    comm.is_ok_and(|comm| comm.trim_end() == PROBE)
+                })
+                .count()
+        };
+        let (before, after) = std::thread::Builder::new()
+            .name(PROBE.into())
+            .spawn(move || {
+                let mut peers: Vec<SocketTransport> = (0..16).map(|_| loopback(8)).collect();
+                let inboxes: Vec<_> = (1..=16)
+                    .zip(&mut peers)
+                    .map(|(id, peer)| peer.register(id))
+                    .collect();
+                let mut sender = loopback(8);
+                let before = named_probe();
+                for (id, peer) in (1..=16).zip(&peers) {
+                    sender.add_peer(id, peer.local_addr());
+                }
+                let mut handle = sender.handle();
+                for (id, inbox) in (1..=16).zip(&inboxes) {
+                    handle.send(0, id, Message::StateRequest { epoch: 0 });
+                    inbox
+                        .recv_timeout(Duration::from_secs(5))
+                        .expect("delivered");
+                }
+                (before, named_probe())
+            })
+            .expect("spawn the probe")
+            .join()
+            .expect("probe thread");
+        assert_eq!(
+            after,
+            before + 16,
+            "one inbound reader per peer, nothing else"
+        );
     }
 
     /// A full 4-replica MinBFT cluster, each replica on its own socket
