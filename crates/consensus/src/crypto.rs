@@ -14,14 +14,17 @@ use crate::NodeId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Digest(pub u64);
 
-/// Computes the FNV-1a digest of a byte string.
-pub fn digest(bytes: &[u8]) -> Digest {
+/// Computes the FNV-1a digest of a byte string (`const`, so fixed inputs
+/// are hashed at compile time).
+pub const fn digest(bytes: &[u8]) -> Digest {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
+    let mut index = 0;
+    while index < bytes.len() {
+        hash ^= bytes[index] as u64;
         hash = hash.wrapping_mul(PRIME);
+        index += 1;
     }
     Digest(hash)
 }
@@ -84,7 +87,7 @@ impl KeyPair {
 /// directory to sign on behalf of others; only the network layer verifies.
 #[derive(Debug, Clone, Default)]
 pub struct KeyDirectory {
-    secrets: std::collections::HashMap<NodeId, u64>,
+    secrets: std::collections::BTreeMap<NodeId, u64>,
 }
 
 impl KeyDirectory {

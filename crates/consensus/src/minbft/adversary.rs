@@ -14,7 +14,7 @@ use crate::transport::Transport;
 use crate::{NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A protocol-aware attacker strategy a compromised replica runs with. Unlike
 /// [`ByzantineMode`] (crash-style silence or value corruption), these
@@ -65,7 +65,7 @@ impl AttackerKind {
 /// output to the network: which replica runs which [`AttackerKind`], and
 /// the votes [`AttackerKind::DelayedVotes`] attackers are holding back.
 pub(super) struct Adversary {
-    attackers: HashMap<NodeId, AttackerKind>,
+    attackers: BTreeMap<NodeId, AttackerKind>,
     /// Drawn from only by [`ByzantineMode::Arbitrary`] corruption.
     rng: StdRng,
     /// Held votes with their release time, in insertion order (deterministic
@@ -79,7 +79,7 @@ pub(super) struct Adversary {
 impl Adversary {
     pub(super) fn new(seed: u64, hold_for: f64) -> Self {
         Adversary {
-            attackers: HashMap::new(),
+            attackers: BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed),
             held: Vec::new(),
             hold_for,

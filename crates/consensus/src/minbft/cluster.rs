@@ -6,6 +6,13 @@
 //! rewrites every member in place behind the `sync_lagging_replicas`
 //! barrier, which the message-driven `Reconfigure` path has no equivalent
 //! of (see ROADMAP item 3).
+//!
+//! The event loop pays per delivery only for what the delivery changes:
+//! `timer_floor` is a lower bound on every pending deadline
+//! ([`client_deadline`], `replica_deadline`, the adversary's next release).
+//! A run starts it at −∞, a dispatch to node X lowers it by X's deadline and
+//! the next release (nothing else moves during a dispatch), and the timeout
+//! sweep runs only once `now` reaches it, then recomputes it exactly.
 
 use super::adversary::{equivocate, Adversary, AttackerKind};
 use super::config::{MinBftConfig, ProtocolParams};
@@ -19,7 +26,7 @@ use super::replica::{
 };
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
 use crate::metrics::{RetryBudget, RetryBudgetConfig};
-use crate::net::{NetworkConfig, SimNetwork};
+use crate::net::{Delivery, NetworkConfig, SimNetwork};
 use crate::threaded::CONTROL_PLANE_ID;
 use crate::transport::Transport;
 use crate::usig::UsigVerifier;
@@ -27,7 +34,7 @@ use crate::workload::{Arrival, OpStream, WorkloadConfig, WorkloadReport};
 use crate::{hybrid_fault_threshold, NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug)]
 pub(super) struct ClientState {
@@ -35,7 +42,7 @@ pub(super) struct ClientState {
     next_request_id: u64,
     /// Outstanding request and the replies received for it, keyed by the
     /// reply value; a request completes when f+1 replicas agree on a value.
-    outstanding: Option<(Request, HashMap<u64, HashSet<NodeId>>, SimTime)>,
+    outstanding: Option<(Request, BTreeMap<u64, BTreeSet<NodeId>>, SimTime)>,
     completed: u64,
     latencies: Vec<f64>,
     pub(super) closed_loop: bool,
@@ -88,13 +95,15 @@ pub struct RetainedStats {
 /// loop that drives them.
 pub struct MinBftCluster {
     config: MinBftConfig,
-    network: SimNetwork<Message>,
+    pub(super) network: SimNetwork<Message>,
     /// Ordered maps: timers fire and retransmissions go out in id order, and
     /// the send order decides how the network RNG is consumed — replays are
     /// byte-identical only under a deterministic order.
     pub(super) replicas: BTreeMap<NodeId, Replica>,
     pub(super) clients: BTreeMap<NodeId, ClientState>,
-    busy_until: HashMap<NodeId, SimTime>,
+    busy_until: BTreeMap<NodeId, SimTime>,
+    /// A lower bound on every pending timer deadline (see the module docs).
+    timer_floor: SimTime,
     membership: Vec<NodeId>,
     directory: KeyDirectory,
     next_node_id: NodeId,
@@ -150,7 +159,8 @@ impl MinBftCluster {
             network,
             replicas,
             clients: BTreeMap::new(),
-            busy_until: HashMap::new(),
+            busy_until: BTreeMap::new(),
+            timer_floor: f64::NEG_INFINITY,
             membership,
             directory,
             next_node_id,
@@ -427,7 +437,7 @@ impl MinBftCluster {
                 operation,
             };
             state.next_request_id += 1;
-            state.outstanding = Some((request, HashMap::new(), now));
+            state.outstanding = Some((request, BTreeMap::new(), now));
             request
         };
         let members = self.membership.clone();
@@ -690,88 +700,108 @@ impl MinBftCluster {
         }
     }
 
-    /// The earliest pending timer: a client retransmission
-    /// (`started + request_timeout`), a replica stall vote
-    /// (`first_seen + request_timeout`), a state-pull re-announcement
-    /// (`last pull + retry`) or a partial-batch flush
-    /// (`oldest pending + batch_delay`). Event loops advance the clock here
-    /// when no deliveries remain — without a timer wheel, a fully stalled
-    /// system (every message already delivered or lost) would only recover
-    /// at the run's final deadline, and a single quiet stall would zero out
-    /// the rest of a throughput run. Every expression matches the firing
-    /// condition in `check_timeouts` ulp-for-ulp.
-    fn next_timer_deadline(&self) -> Option<SimTime> {
+    /// The earliest pending timer of any node or of the adversary. Event
+    /// loops advance the clock here when no deliveries remain — without a
+    /// timer wheel, a fully stalled system (every message already delivered
+    /// or lost) would only recover at the run's final deadline, and a single
+    /// quiet stall would zero out the rest of a throughput run.
+    pub(super) fn next_timer_deadline(&self) -> Option<SimTime> {
         let timeout = self.config.request_timeout;
-        let params = self.protocol_params();
-        let now = self.network.now();
-        let mut deadline = f64::INFINITY;
-        for client in self.clients.values() {
-            if let Some((_, _, started)) = &client.outstanding {
-                deadline = deadline.min(started + timeout);
-            }
-        }
-        for &id in &self.membership {
-            let Some(replica) = self.replicas.get(&id) else {
-                continue;
-            };
-            if let Some(t) = state_pull_deadline(replica) {
-                deadline = deadline.min(t);
-            }
-            if replica.crashed || replica.byzantine == ByzantineMode::Silent || replica.needs_state
-            {
-                continue;
-            }
-            for &first_seen in replica.request_first_seen.values() {
-                deadline = deadline.min(first_seen + timeout);
-            }
-            if let Some(t) = batch_flush_deadline(replica, &params, now) {
-                deadline = deadline.min(t);
-            }
-        }
-        if let Some(release_at) = self.adversary.next_release() {
-            deadline = deadline.min(release_at);
-        }
+        let clients = self.clients.values().map(|c| client_deadline(c, timeout));
+        let replicas = self.membership.iter().map(|&id| self.replica_deadline(id));
+        let deadline = (clients.chain(replicas).chain(self.adversary.next_release()))
+            .fold(f64::INFINITY, f64::min);
         // A pull that was never announced is due at once (−∞), not never.
         (deadline < f64::INFINITY).then_some(deadline)
     }
 
+    /// The earliest timer of replica `id`: a state-pull re-announcement
+    /// (`last pull + retry`), a stall vote (`first_seen + request_timeout`)
+    /// or a partial-batch flush (`oldest pending + batch_delay`); ∞ when none
+    /// is armed. It moves only when the replica is dispatched to or swept
+    /// (see [`client_deadline`]).
+    fn replica_deadline(&self, id: NodeId) -> SimTime {
+        let Some(replica) = self.replicas.get(&id) else {
+            return f64::INFINITY;
+        };
+        let pull = state_pull_deadline(replica).unwrap_or(f64::INFINITY);
+        if replica.crashed || replica.byzantine == ByzantineMode::Silent || replica.needs_state {
+            return pull;
+        }
+        let timeout = self.config.request_timeout;
+        let stall = (replica.request_first_seen.values()).fold(pull, |t, &s| t.min(s + timeout));
+        let flush = batch_flush_deadline(replica, &self.protocol_params(), self.now());
+        flush.map_or(stall, |flush| stall.min(flush))
+    }
+
+    /// Dispatches one delivery, lowers the floor by what it can have armed
+    /// (the recipient's timers, a held vote) and sweeps if the floor is due.
+    fn deliver(&mut self, delivery: Delivery<Message>) {
+        let to = delivery.to;
+        self.dispatch(delivery.from, to, delivery.message, delivery.time);
+        let own = match self.clients.get(&to) {
+            Some(client) => client_deadline(client, self.config.request_timeout),
+            None => self.replica_deadline(to),
+        };
+        let release = self.adversary.next_release().unwrap_or(f64::INFINITY);
+        self.timer_floor = self.timer_floor.min(own).min(release);
+        self.fire_due_timers();
+    }
+
+    /// Sweeps the timers once `now` reaches the floor, then recomputes it.
+    fn fire_due_timers(&mut self) {
+        if self.now() >= self.timer_floor {
+            self.check_timeouts();
+            self.timer_floor = self.next_timer_deadline().unwrap_or(f64::INFINITY);
+        }
+    }
+
     /// Runs the event loop until `deadline` (simulated seconds).
     pub fn run_until(&mut self, deadline: SimTime) {
+        self.timer_floor = f64::NEG_INFINITY;
         loop {
             // Bounded pop: messages at the queue head that must be dropped
             // are consumed, but nothing beyond the deadline is dispatched.
             while let Some(delivery) = self.network.next_delivery_until(deadline) {
-                self.dispatch(delivery.from, delivery.to, delivery.message, delivery.time);
-                self.check_timeouts();
+                self.deliver(delivery);
             }
             // No deliveries left before the deadline: advance the clock to
             // the next timer (retransmission, stall vote, batch flush) so a
             // quiet stall recovers instead of persisting to the deadline.
-            let Some(timer_at) = self.next_timer_deadline().filter(|&t| t <= deadline) else {
+            if !self.fire_next_timer(deadline) {
                 break;
-            };
-            self.network.advance_to(timer_at);
-            self.check_timeouts();
+            }
         }
         self.network.advance_to(deadline);
-        self.check_timeouts();
+        self.fire_due_timers();
     }
 
     /// Runs the event loop until the system is quiet (no deliveries and no
     /// pending timers) or `max_time` is reached.
     pub fn run_until_quiet(&mut self, max_time: SimTime) {
+        self.timer_floor = f64::NEG_INFINITY;
         loop {
             while let Some(delivery) = self.network.next_delivery_until(max_time) {
-                self.dispatch(delivery.from, delivery.to, delivery.message, delivery.time);
-                self.check_timeouts();
+                self.deliver(delivery);
             }
-            self.check_timeouts();
-            let Some(timer_at) = self.next_timer_deadline().filter(|&t| t <= max_time) else {
+            self.fire_due_timers();
+            if !self.fire_next_timer(max_time) {
                 break;
-            };
-            self.network.advance_to(timer_at);
-            self.check_timeouts();
+            }
         }
+    }
+
+    /// The idle advance: moves the clock to the earliest timer, which is the
+    /// exact floor, and fires it; `false` if none is due by `limit`.
+    fn fire_next_timer(&mut self, limit: SimTime) -> bool {
+        let Some(timer_at) = self.next_timer_deadline().filter(|&t| t <= limit) else {
+            return false;
+        };
+        assert!(self.timer_floor <= timer_at, "floor above a due timer");
+        self.timer_floor = timer_at;
+        self.network.advance_to(timer_at);
+        self.fire_due_timers();
+        true
     }
 
     /// Number of completed requests of a client.
@@ -973,7 +1003,7 @@ impl MinBftCluster {
     // Event handling
     // ------------------------------------------------------------------
 
-    fn dispatch(&mut self, from: NodeId, to: NodeId, message: Message, time: SimTime) {
+    pub(super) fn dispatch(&mut self, from: NodeId, to: NodeId, message: Message, time: SimTime) {
         // Per-node serial processing time: a node that is busy handles the
         // message when it becomes free. Verifying a USIG certificate costs
         // `signature_time` on top (one per PREPARE/COMMIT — batching exists
@@ -982,10 +1012,9 @@ impl MinBftCluster {
             Message::Prepare { .. } | Message::Commit { .. } => self.config.signature_time,
             _ => 0.0,
         };
-        let busy = self.busy_until.get(&to).copied().unwrap_or(0.0);
+        let busy = self.busy_until.entry(to).or_insert(0.0);
         let handle_time = busy.max(time);
-        self.busy_until
-            .insert(to, handle_time + self.config.processing_time + verify_cost);
+        *busy = handle_time + self.config.processing_time + verify_cost;
 
         if to >= CLIENT_ID_BASE {
             self.handle_client_message(from, to, message, handle_time);
@@ -1063,11 +1092,8 @@ impl MinBftCluster {
         // Creating USIG certificates keeps the node busy for
         // `signature_time` each (the send-side half of the cost model).
         if self.config.signature_time > 0.0 && out.created_uis > 0 {
-            let busy = self.busy_until.get(&to).copied().unwrap_or(0.0);
-            self.busy_until.insert(
-                to,
-                busy + self.config.signature_time * f64::from(out.created_uis),
-            );
+            *self.busy_until.entry(to).or_insert(0.0) +=
+                self.config.signature_time * f64::from(out.created_uis);
         }
         // Send outgoing traffic; sending happens when the node finished
         // processing.
@@ -1084,13 +1110,13 @@ impl MinBftCluster {
     /// replicas re-announce outstanding state pulls, leaders flush partial
     /// batches past their delay, and replicas vote for a view change when
     /// the leader appears unresponsive.
-    fn check_timeouts(&mut self) {
+    pub(super) fn check_timeouts(&mut self) {
         let now = self.network.now();
         let timeout = self.config.request_timeout;
         // Client retransmissions, in id order.
         for (&id, client) in &mut self.clients {
             if let Some((request, _, started)) = &mut client.outstanding {
-                // Canonical deadline form (see `next_timer_deadline`).
+                // Canonical deadline form (see `client_deadline`).
                 if now >= *started + timeout {
                     // The deadline is re-armed even when the budget denies
                     // the retransmission: the client backs off for another
@@ -1139,8 +1165,19 @@ impl MinBftCluster {
     }
 }
 
-/// The earliest simulated time at which this replica holds a partial batch
-/// that [`flush_stale_batch`] would flush (`None` when nothing is pending).
+/// When `client` retransmits: `started + request_timeout`, or ∞ with nothing
+/// outstanding. One of the two definitions of a deadline (the other is
+/// `MinBftCluster::replica_deadline`); the idle advance and the timer floor
+/// both read them, and each expression matches its firing condition in
+/// `check_timeouts` ulp-for-ulp, so `now` below every deadline means the
+/// sweep would change nothing.
+fn client_deadline(client: &ClientState, timeout: f64) -> SimTime {
+    (client.outstanding.as_ref()).map_or(f64::INFINITY, |(_, _, started)| started + timeout)
+}
+
+/// The earliest simulated time at which this live replica holds a partial
+/// batch that [`flush_stale_batch`] would flush (`None` when nothing is
+/// pending).
 fn batch_flush_deadline(
     replica: &Replica,
     params: &ProtocolParams,
@@ -1151,8 +1188,6 @@ fn batch_flush_deadline(
     // deadline that never becomes actionable would spin the clock on the
     // same timer forever (deliveries, not timers, re-open the window).
     if params.batch_size <= 1
-        || replica.crashed
-        || replica.byzantine == ByzantineMode::Silent
         || !replica.may_lead()
         || replica.pending.is_empty()
         || !window_open(replica, params)

@@ -162,11 +162,14 @@ impl Request {
     }
 }
 
+/// Where the [`batch_digest`] chain starts (and the empty batch's digest).
+const BATCH_DIGEST_SEED: Digest = digest(b"minbft-batch");
+
 /// The digest a USIG certificate binds for a batched PREPARE: a chain over
 /// the batch's request digests. The empty batch (a gap-filling no-op) has a
 /// fixed digest, so competing leaders fill the same gap identically.
 pub fn batch_digest(requests: &[Request]) -> Digest {
-    let mut acc = digest(b"minbft-batch");
+    let mut acc = BATCH_DIGEST_SEED;
     for request in requests {
         acc = combine(acc, request.digest());
     }
@@ -439,4 +442,16 @@ pub struct CommitRecord {
     /// The digest the replica executed at this sequence number (the request
     /// digest for singleton batches, a digest chain otherwise).
     pub digest: Digest,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_batch_digest_seed_is_the_runtime_digest_of_its_tag() {
+        let tag: &[u8] = std::hint::black_box(b"minbft-batch");
+        assert_eq!(BATCH_DIGEST_SEED, digest(tag));
+        assert_eq!(batch_digest(&[]), digest(tag));
+    }
 }

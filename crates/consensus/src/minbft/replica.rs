@@ -10,7 +10,7 @@ use crate::crypto::{combine, digest, Digest, KeyDirectory, KeyPair};
 use crate::transport::Transport;
 use crate::usig::{UniqueIdentifier, Usig, UsigVerifier};
 use crate::{NodeId, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Whether the leader's proposal window is open: with pipelining enabled
 /// (`pipeline_window > 0`) at most `pipeline_window` sequences may be
@@ -119,7 +119,7 @@ pub(crate) struct Replica {
     /// Commit votes keyed by `(sequence, batch digest)`, so votes arriving
     /// before the corresponding PREPARE are not lost. Pruned below the
     /// stable checkpoint.
-    pub(super) commit_votes: HashMap<(u64, Digest), HashSet<NodeId>>,
+    pub(super) commit_votes: HashMap<(u64, Digest), BTreeSet<NodeId>>,
     pub(super) pending: VecDeque<Request>,
     pub(super) seen_requests: HashSet<(NodeId, u64)>,
     /// Requests this replica itself sequenced as leader, with their
@@ -179,7 +179,7 @@ pub(crate) struct Replica {
     /// conflicting proposals on disjoint counter ranges (gap-tolerant
     /// acceptance alone admits two disjoint commit quorums that share only
     /// the leader).
-    pub(super) ui_high: HashMap<NodeId, u64>,
+    pub(super) ui_high: BTreeMap<NodeId, u64>,
     /// PREPAREs from the current leader that arrived above the FIFO cursor,
     /// keyed by counter: `(view, sequence, requests, ui)`. Drained in
     /// counter order as the cursor advances; cleared on view install
@@ -248,7 +248,7 @@ impl Replica {
             voted_view: 0,
             corrupt_execution: false,
             prepare_hook: None,
-            ui_high: HashMap::new(),
+            ui_high: BTreeMap::new(),
             parked_prepares: BTreeMap::new(),
             ui_log: BTreeMap::new(),
             chain_base: digest(b"minbft-genesis"),
@@ -502,15 +502,7 @@ pub(super) fn state_transfer_message(replica: &Replica) -> Message {
         replies,
         prepared: prepared_report(replica),
         chain_base: replica.chain_base,
-        ui_high: {
-            let mut cursors: Vec<(NodeId, u64)> = replica
-                .ui_high
-                .iter()
-                .map(|(&node, &counter)| (node, counter))
-                .collect();
-            cursors.sort_unstable();
-            cursors
-        },
+        ui_high: replica.ui_high.iter().map(|(&n, &c)| (n, c)).collect(),
     }
 }
 
@@ -948,17 +940,18 @@ fn execute_ready(
     }
     loop {
         let next = replica.last_executed + 1;
-        let Some((_, batch)) = replica.prepared.get(&next).cloned() else {
+        let Some((_, batch)) = replica.prepared.get(&next) else {
             break;
         };
         let quorum_met = replica
             .commit_votes
-            .get(&(next, batch_digest(&batch)))
-            .map(|votes| votes.len() >= params.commit_quorum(replica.membership.len()))
-            .unwrap_or(false);
+            .get(&(next, batch_digest(batch)))
+            .is_some_and(|votes| votes.len() >= params.commit_quorum(replica.membership.len()));
         if !quorum_met {
             break;
         }
+        // Cloned only once it executes: most COMMITs arrive short of a quorum.
+        let batch = batch.clone();
         // Execute every request of the batch, in batch order.
         let mut executed_digests: Vec<Digest> = Vec::with_capacity(batch.len());
         for request in &batch {

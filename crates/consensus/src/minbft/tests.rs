@@ -1,7 +1,9 @@
 use super::*;
 use crate::crypto::Digest;
 use crate::net::NetworkConfig;
-use crate::NodeId;
+use crate::{NodeId, SimTime};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn cluster(n: usize) -> MinBftCluster {
     MinBftCluster::new(MinBftConfig {
@@ -778,4 +780,110 @@ fn watermark_bounds_retained_state_with_a_lagging_replica() {
         );
     }
     assert!(cluster.logs_are_consistent());
+}
+
+/// `run_until` without the timer floor: the timeout sweep after every
+/// delivery and at every idle advance.
+fn run_until_scanning(cluster: &mut MinBftCluster, deadline: SimTime) {
+    loop {
+        while let Some(delivery) = cluster.network.next_delivery_until(deadline) {
+            cluster.dispatch(delivery.from, delivery.to, delivery.message, delivery.time);
+            cluster.check_timeouts();
+        }
+        let Some(timer_at) = cluster.next_timer_deadline().filter(|&t| t <= deadline) else {
+            break;
+        };
+        cluster.network.advance_to(timer_at);
+        cluster.check_timeouts();
+    }
+    cluster.network.advance_to(deadline);
+    cluster.check_timeouts();
+}
+
+#[test]
+fn timer_floor_equals_a_scan_after_every_delivery() {
+    let lossy = NetworkConfig {
+        latency: 0.003,
+        jitter: 0.002,
+        loss_rate: 0.02,
+    };
+    let jittery = NetworkConfig {
+        jitter: 0.3,
+        ..lossy
+    };
+    let storm = NetworkConfig {
+        loss_rate: 0.3,
+        ..lossy
+    };
+    let (mut commits, mut view_changes) = (0, 0);
+    for seed in 0..64u64 {
+        let config = MinBftConfig {
+            initial_replicas: 4 + (seed % 2) as usize,
+            network: lossy,
+            processing_time: 0.0005,
+            signature_time: 0.0002,
+            request_timeout: 0.2,
+            checkpoint_period: 8,
+            batch_size: 4,
+            batch_delay: 0.01,
+            pipeline_window: 2,
+            seed,
+            ..MinBftConfig::default()
+        };
+        let [mut floor, mut scan] = [0, 1].map(|_| MinBftCluster::new(config.clone()));
+        for cluster in [&mut floor, &mut scan] {
+            cluster.set_attacker(1, Some(AttackerKind::DelayedVotes));
+            (0..4).for_each(|_| _ = cluster.add_client());
+        }
+        let mut script = StdRng::seed_from_u64(seed);
+        for _ in 0..16 {
+            let members = floor.membership().to_vec();
+            let replica = members[script.random_range(0..members.len())];
+            let mode =
+                [ByzantineMode::Silent, ByzantineMode::Arbitrary][script.random_range(0..2usize)];
+            // A burst submits from every idle client; a quiet epoch changes
+            // the membership instead, and the view change that follows is
+            // where a delayed vote is held with no client timer armed below
+            // its release — only the adversary's term of the floor covers it.
+            let (burst, action) = (script.random_bool(0.6), script.random_range(0..12u32));
+            for cluster in [&mut floor, &mut scan] {
+                match action {
+                    _ if !burst && members.len() < 6 => _ = cluster.add_replica(),
+                    _ if !burst => cluster.evict_replica(replica),
+                    0 => cluster.crash_replica(replica),
+                    1 => cluster.restart_replica(replica),
+                    2 => cluster.partition_network(&[replica], &members),
+                    3 => cluster.heal_network(),
+                    4 => cluster.set_byzantine(replica, mode),
+                    5 => cluster.set_attacker(replica, Some(AttackerKind::DelayedVotes)),
+                    6 => _ = cluster.recover_replica(replica),
+                    7 => cluster.set_network_config(storm),
+                    8 => cluster.set_network_config(jittery),
+                    9 => cluster.set_network_config(lossy),
+                    _ => {}
+                }
+                for client in (0..4).map(|index| CLIENT_ID_BASE + index) {
+                    if burst && !cluster.has_outstanding_request(client) {
+                        cluster.submit(client, Operation::Write(seed));
+                    }
+                }
+            }
+            let until = floor.now() + script.random_range(0.05..0.6);
+            floor.run_until(until);
+            run_until_scanning(&mut scan, until);
+            assert_eq!(floor.commit_trace(), scan.commit_trace(), "seed {seed}");
+            assert_eq!(floor.network_stats(), scan.network_stats(), "seed {seed}");
+            assert_eq!(floor.view_changes(), scan.view_changes(), "seed {seed}");
+            assert_eq!(
+                floor.retransmission_stats(),
+                scan.retransmission_stats(),
+                "seed {seed}"
+            );
+            assert_eq!(floor.now(), scan.now(), "seed {seed}");
+        }
+        commits += floor.commit_trace().len();
+        view_changes += floor.view_changes();
+    }
+    // The schedules reach the timers the floor could skip.
+    assert!(commits > 0 && view_changes > 0, "{commits} {view_changes}");
 }

@@ -15,7 +15,7 @@ use crate::{NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Configuration of the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -155,25 +155,29 @@ pub struct Delivery<M> {
     pub message: M,
 }
 
+/// The queue's ordering key: `(time, sequence)`, with the slot of
+/// [`SimNetwork::slots`] that holds the delivery. Sequences are unique, so
+/// the slot never decides the order; the heap sifts these 24 bytes instead
+/// of whole messages.
 #[derive(Debug)]
-struct Scheduled<M> {
+struct Scheduled {
     time: SimTime,
     sequence: u64,
-    delivery: Delivery<M>,
+    slot: usize,
 }
 
-impl<M> PartialEq for Scheduled<M> {
+impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.sequence == other.sequence
     }
 }
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Scheduled<M> {
+impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.time
             .total_cmp(&other.time)
@@ -197,7 +201,12 @@ pub struct NetworkStats {
 #[derive(Debug)]
 pub(crate) struct SimNetwork<M> {
     config: NetworkConfig,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: BinaryHeap<Reverse<Scheduled>>,
+    /// The in-flight deliveries, indexed by [`Scheduled::slot`]; a popped
+    /// slot is `None` and waits in `free` for the next send, so the vector
+    /// never outgrows the peak number of messages in flight.
+    slots: Vec<Option<Delivery<M>>>,
+    free: Vec<usize>,
     now: SimTime,
     sequence: u64,
     /// The network's own randomness (loss and jitter draws). Owning the RNG
@@ -206,8 +215,8 @@ pub(crate) struct SimNetwork<M> {
     /// transport shares.
     rng: StdRng,
     /// Pairs `(a, b)` that cannot communicate (in either direction).
-    partitioned: HashSet<(NodeId, NodeId)>,
-    crashed: HashSet<NodeId>,
+    partitioned: BTreeSet<(NodeId, NodeId)>,
+    crashed: BTreeSet<NodeId>,
     stats: NetworkStats,
 }
 
@@ -227,11 +236,13 @@ impl<M> SimNetwork<M> {
         SimNetwork {
             config,
             queue: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             now: 0.0,
             sequence: 0,
             rng: StdRng::seed_from_u64(seed ^ 0x006e_6574_776f_726b_u64),
-            partitioned: HashSet::new(),
-            crashed: HashSet::new(),
+            partitioned: BTreeSet::new(),
+            crashed: BTreeSet::new(),
             stats: NetworkStats::default(),
         }
     }
@@ -289,15 +300,17 @@ impl<M> SimNetwork<M> {
                 return None;
             }
             let Reverse(scheduled) = self.queue.pop().expect("peeked entry");
+            let delivery = self.slots[scheduled.slot].take().expect("queued slot");
+            self.free.push(scheduled.slot);
             self.now = self.now.max(scheduled.time);
-            if self.crashed.contains(&scheduled.delivery.to)
-                || self.is_partitioned(scheduled.delivery.from, scheduled.delivery.to)
+            if self.crashed.contains(&delivery.to)
+                || self.is_partitioned(delivery.from, delivery.to)
             {
                 self.stats.dropped += 1;
                 continue;
             }
             self.stats.delivered += 1;
-            return Some(scheduled.delivery);
+            return Some(delivery);
         }
         None
     }
@@ -366,15 +379,26 @@ impl<M> Transport<M> for SimNetwork<M> {
         };
         let time = self.now + self.config.latency + jitter;
         self.sequence += 1;
+        let delivery = Some(Delivery {
+            time,
+            from,
+            to,
+            message,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = delivery;
+                slot
+            }
+            None => {
+                self.slots.push(delivery);
+                self.slots.len() - 1
+            }
+        };
         self.queue.push(Reverse(Scheduled {
             time,
             sequence: self.sequence,
-            delivery: Delivery {
-                time,
-                from,
-                to,
-                message,
-            },
+            slot,
         }));
     }
 }
@@ -588,6 +612,115 @@ mod tests {
         net.set_config(NetworkConfig::ideal());
         net.send(0, 1, 3);
         assert_eq!(net.next_delivery().unwrap().message, 3);
+    }
+
+    /// The queue as a plain vector of `(time, sequence, delivery)`, searched
+    /// for its minimum on every pop — the order the heap must reproduce.
+    #[derive(Default)]
+    struct ReferenceQueue {
+        now: SimTime,
+        sequence: u64,
+        queue: Vec<(SimTime, u64, Delivery<u32>)>,
+        crashed: BTreeSet<NodeId>,
+        partitioned: BTreeSet<(NodeId, NodeId)>,
+    }
+
+    impl ReferenceQueue {
+        fn blocked(&self, from: NodeId, to: NodeId) -> bool {
+            self.partitioned.contains(&ordered(from, to))
+        }
+
+        fn send(&mut self, from: NodeId, to: NodeId, latency: f64, message: u32) {
+            if self.crashed.contains(&from) || self.crashed.contains(&to) || self.blocked(from, to)
+            {
+                return;
+            }
+            self.sequence += 1;
+            let time = self.now + latency;
+            let delivery = Delivery {
+                time,
+                from,
+                to,
+                message,
+            };
+            self.queue.push((time, self.sequence, delivery));
+        }
+
+        fn next_delivery_until(&mut self, deadline: SimTime) -> Option<Delivery<u32>> {
+            loop {
+                let (index, &(time, _, _)) = (self.queue.iter().enumerate())
+                    .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
+                if time > deadline {
+                    return None;
+                }
+                let (_, _, delivery) = self.queue.remove(index);
+                self.now = self.now.max(time);
+                if !self.crashed.contains(&delivery.to) && !self.blocked(delivery.from, delivery.to)
+                {
+                    return Some(delivery);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_queue_delivers_in_time_sequence_order() {
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut net: SimNetwork<u32> = SimNetwork::new(NetworkConfig::ideal(), seed);
+            let mut reference = ReferenceQueue::default();
+            let (mut next_message, mut peak, mut delivered) = (0u32, 0usize, 0u64);
+            for _ in 0..2_000 {
+                let (a, b) = (rng.random_range(0..5u32), rng.random_range(0..5u32));
+                match rng.random_range(0..100u32) {
+                    // A latency from a coarse grid: many sends share a time
+                    // and only the sequence orders them.
+                    0..=54 => {
+                        let latency = f64::from(rng.random_range(0..4u32)) * 0.001;
+                        net.set_config(NetworkConfig {
+                            latency,
+                            ..NetworkConfig::ideal()
+                        });
+                        net.send(a, b, next_message);
+                        reference.send(a, b, latency, next_message);
+                        next_message += 1;
+                    }
+                    55..=84 => {
+                        let deadline = net.now() + f64::from(rng.random_range(0..3u32)) * 0.001;
+                        let got = net.next_delivery_until(deadline);
+                        delivered += u64::from(got.is_some());
+                        assert_eq!(got, reference.next_delivery_until(deadline));
+                        assert_eq!(net.now(), reference.now);
+                    }
+                    85..=89 => {
+                        net.crash(a);
+                        reference.crashed.insert(a);
+                    }
+                    90..=93 => {
+                        net.restart(a);
+                        reference.crashed.remove(&a);
+                    }
+                    94..=97 => {
+                        net.partition(&[a], &[b]);
+                        reference.partitioned.insert(ordered(a, b));
+                    }
+                    _ => {
+                        net.heal_partitions();
+                        reference.partitioned.clear();
+                    }
+                }
+                assert_eq!(net.in_flight(), reference.queue.len());
+                peak = peak.max(net.in_flight());
+                assert!(net.slots.len() <= peak, "slots outgrew the in-flight peak");
+            }
+            while let Some(delivery) = net.next_delivery() {
+                delivered += 1;
+                assert_eq!(Some(delivery), reference.next_delivery_until(f64::INFINITY));
+            }
+            assert_eq!(reference.next_delivery_until(f64::INFINITY), None);
+            assert_eq!(net.stats().delivered, delivered);
+            assert_eq!(net.free.len(), net.slots.len(), "every slot returns");
+        }
     }
 
     #[test]
