@@ -7,7 +7,7 @@ use super::message::{
     PreparedCertificate, Request, ViewChangeVote,
 };
 use crate::crypto::{combine, digest, Digest, KeyDirectory, KeyPair};
-use crate::transport::Transport;
+use crate::transport::{Outgoing, Transport};
 use crate::usig::{UniqueIdentifier, Usig, UsigVerifier};
 use crate::{NodeId, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -36,27 +36,30 @@ pub(crate) struct StepOutput {
 }
 
 impl StepOutput {
-    pub(super) fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.outgoing.is_empty() && self.broadcast.is_empty()
     }
 
-    /// Sends the step's traffic through a transport.
+    /// The step's traffic as batch entries: its broadcasts, then its
+    /// unicasts.
+    pub(crate) fn into_batch(self, from: NodeId) -> impl Iterator<Item = Outgoing<Message>> {
+        let broadcasts = self.broadcast.into_iter();
+        let unicasts = self.outgoing.into_iter();
+        broadcasts
+            .map(move |m| Outgoing::Broadcast(from, m))
+            .chain(unicasts.map(move |(to, m)| Outgoing::Unicast(from, to, m)))
+    }
+
+    /// Sends the step's traffic through a transport as one batch.
     pub(crate) fn flush<T: Transport<Message>>(
         self,
         transport: &mut T,
         from: NodeId,
         members: &[NodeId],
     ) {
-        if self.is_empty() {
-            return;
+        if !self.is_empty() {
+            transport.send_batch(members, self.into_batch(from).collect());
         }
-        let broadcasts = self.broadcast.into_iter().map(|m| (from, m)).collect();
-        let unicasts = self
-            .outgoing
-            .into_iter()
-            .map(|(to, m)| (from, to, m))
-            .collect();
-        transport.send_batch(members, broadcasts, unicasts);
     }
 }
 

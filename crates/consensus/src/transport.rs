@@ -15,6 +15,15 @@
 //! as loss, which the protocols already tolerate and clients recover from by
 //! retransmission), mirroring the loss semantics of the simulated network.
 //!
+//! A hand-off costs one batch, not one message: [`Transport::send_batch`]
+//! on a [`TransportHandle`] reads the clock once, takes the mailbox
+//! directory's read lock once and updates each shared counter once, by the
+//! batch's count; `send` and `broadcast` are batches of one. The event loops
+//! hand over a whole burst of steps at a time and lower the mailbox-depth
+//! gauge once per burst ([`Transport::note_received`]). The gauge rises
+//! *before* the `try_send`s and falls by their failures after them, so a
+//! receiver that drains a delivery always finds it counted.
+//!
 //! The mailbox directory of a [`ThreadedTransport`] is shared between the
 //! hub and every [`TransportHandle`], so nodes can be registered and
 //! unregistered **while the cluster runs** — the hook behind live JOIN/EVICT
@@ -51,33 +60,40 @@ pub trait Transport<M> {
         }
     }
 
-    /// Sends everything one step produced: each `(from, message)` of
-    /// `broadcasts` to every node of `recipients` except `from`, then each
-    /// `(from, to, message)` of `unicasts`. The default is exactly that
-    /// loop over [`Transport::broadcast`] and [`Transport::send`]; a
-    /// transport whose cost is per hand-off rather than per message (the
-    /// socket plane) overrides it to pay once per connection.
-    fn send_batch(
-        &mut self,
-        recipients: &[NodeId],
-        broadcasts: Vec<(NodeId, M)>,
-        unicasts: Vec<(NodeId, NodeId, M)>,
-    ) where
+    /// Sends `batch` in order, each [`Outgoing::Broadcast`] to every node of
+    /// `recipients` except its sender. A step's output is its broadcasts
+    /// and then its unicasts, and a burst of steps is their outputs one
+    /// after another, so the batch order is the order per (sender,
+    /// recipient) the messages leave in. The default is exactly that loop
+    /// over [`Transport::broadcast`] and [`Transport::send`]; a transport
+    /// whose cost is per hand-off rather than per message (both concurrent
+    /// planes) overrides it to pay once per batch.
+    fn send_batch(&mut self, recipients: &[NodeId], batch: Vec<Outgoing<M>>)
+    where
         M: Clone,
     {
-        for (from, message) in broadcasts {
-            self.broadcast(from, recipients, &message);
-        }
-        for (from, to, message) in unicasts {
-            self.send(from, to, message);
+        for outgoing in batch {
+            match outgoing {
+                Outgoing::Broadcast(from, message) => self.broadcast(from, recipients, &message),
+                Outgoing::Unicast(from, to, message) => self.send(from, to, message),
+            }
         }
     }
 
-    /// Receiver-side hook: the event loop calls this after draining one
-    /// delivery from its mailbox, letting transports that track queue depth
-    /// (the autotune backpressure gauge) decrement their in-flight count.
+    /// Receiver-side hook: the event loop calls this after draining
+    /// `deliveries` from its mailbox, letting transports that track queue
+    /// depth (the autotune backpressure gauge) lower their in-flight count.
     /// Default: no-op (the simulated network exposes depth directly).
-    fn note_received(&mut self) {}
+    fn note_received(&mut self, _deliveries: usize) {}
+}
+
+/// One message of a [`Transport::send_batch`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outgoing<M> {
+    /// `(from, message)`: to every recipient of the batch except `from`.
+    Broadcast(NodeId, M),
+    /// `(from, to, message)`.
+    Unicast(NodeId, NodeId, M),
 }
 
 /// The shared time base a concurrent transport stamps on deliveries:
@@ -112,9 +128,26 @@ struct Counters {
     /// Deliveries enqueued into mailboxes and not yet drained by their
     /// receiving event loop — the fleet-wide mailbox-depth gauge the
     /// autotune loop reads as its backpressure signal. Maintained
-    /// cooperatively: senders increment on a successful `try_send`,
-    /// receivers decrement through [`Transport::note_received`].
+    /// cooperatively: a sender raises it by its batch's size before the
+    /// first `try_send` and lowers it by the failed ones after the last;
+    /// receivers lower it through [`Transport::note_received`]. A delivery
+    /// is counted before any receiver can drain it, so the gauge never
+    /// undershoots and is exact at quiescence. `Relaxed` suffices: the
+    /// mailbox's send (release) and receive (acquire) order each raise
+    /// before the lowering for the deliveries it counted.
     inflight: AtomicU64,
+}
+
+impl Counters {
+    /// Lowers the depth gauge by `deliveries`, saturating at zero: a
+    /// receiver that over-counts degrades the gauge instead of wrapping it.
+    fn lower_inflight(&self, deliveries: u64) {
+        let _ = self
+            .inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+                Some(depth.saturating_sub(deliveries))
+            });
+    }
 }
 
 /// State shared between the hub and every handle: the live mailbox
@@ -250,46 +283,82 @@ impl<M> TransportHandle<M> {
     }
 }
 
-impl<M: Send> Transport<M> for TransportHandle<M> {
+impl<M: Clone + Send> Transport<M> for TransportHandle<M> {
     fn send(&mut self, from: NodeId, to: NodeId, message: M) {
-        self.shared.counters.sent.fetch_add(1, Ordering::Relaxed);
-        let delivery = Delivery {
-            time: self.now(),
-            from,
-            to,
-            message,
-        };
-        let senders = self.shared.senders.read().expect("mailbox lock");
-        let Some(sender) = senders.get(&to) else {
-            drop(senders);
-            self.shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
+        self.send_batch(&[], vec![Outgoing::Unicast(from, to, message)]);
+    }
+
+    fn broadcast(&mut self, from: NodeId, recipients: &[NodeId], message: &M) {
+        self.send_batch(recipients, vec![Outgoing::Broadcast(from, message.clone())]);
+    }
+
+    /// One clock read, one read of the mailbox directory and one update of
+    /// each counter for the whole batch. A broadcast's last recipient gets
+    /// the message itself, the others a clone.
+    fn send_batch(&mut self, recipients: &[NodeId], batch: Vec<Outgoing<M>>) {
+        let messages: usize = batch
+            .iter()
+            .map(|outgoing| match outgoing {
+                Outgoing::Broadcast(from, _) => recipients.iter().filter(|&to| to != from).count(),
+                Outgoing::Unicast(..) => 1,
+            })
+            .sum();
+        if messages == 0 {
             return;
+        }
+        let counters = &self.shared.counters;
+        counters.sent.fetch_add(messages as u64, Ordering::Relaxed);
+        counters
+            .inflight
+            .fetch_add(messages as u64, Ordering::Relaxed);
+        let time = self.now();
+        let senders = self.shared.senders.read().expect("mailbox lock");
+        let mut dropped = 0;
+        let mut deliver = |from, to, message| {
+            let delivery = Delivery {
+                time,
+                from,
+                to,
+                message,
+            };
+            // Unknown recipient, full or disconnected mailbox: backpressure
+            // surfaces as loss.
+            let queued = senders
+                .get(&to)
+                .is_some_and(|sender| sender.try_send(delivery).is_ok());
+            dropped += u64::from(!queued);
         };
-        if sender.try_send(delivery).is_err() {
-            // Full or disconnected mailbox: backpressure surfaces as loss.
-            self.shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.shared
-                .counters
-                .inflight
-                .fetch_add(1, Ordering::Relaxed);
+        for outgoing in batch {
+            match outgoing {
+                Outgoing::Broadcast(from, message) => {
+                    let mut targets = recipients.iter().filter(|&&to| to != from).peekable();
+                    while let Some(&to) = targets.next() {
+                        if targets.peek().is_none() {
+                            deliver(from, to, message);
+                            break;
+                        }
+                        deliver(from, to, message.clone());
+                    }
+                }
+                Outgoing::Unicast(from, to, message) => deliver(from, to, message),
+            }
+        }
+        drop(senders);
+        if dropped > 0 {
+            counters.dropped.fetch_add(dropped, Ordering::Relaxed);
+            counters.lower_inflight(dropped);
         }
     }
 
-    fn note_received(&mut self) {
-        // `fetch_sub` would wrap if a receiver double-counted; saturate at
-        // zero instead so the gauge degrades gracefully.
-        let _ = self.shared.counters.inflight.fetch_update(
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-            |depth| depth.checked_sub(1),
-        );
+    fn note_received(&mut self, deliveries: usize) {
+        self.shared.counters.lower_inflight(deliveries as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn messages_reach_registered_mailboxes() {
@@ -369,13 +438,125 @@ mod tests {
         handle.send(0, 9, 12); // unknown recipient: dropped, not queued
         assert_eq!(hub.mailbox_depth(), 2);
         let _ = rx.recv().unwrap();
-        handle.note_received();
+        handle.note_received(1);
         assert_eq!(handle.mailbox_depth(), 1);
         let _ = rx.recv().unwrap();
-        handle.note_received();
-        // Extra note_received calls saturate at zero instead of wrapping.
-        handle.note_received();
+        // Over-counting saturates at zero instead of wrapping.
+        handle.note_received(2);
         assert_eq!(hub.mailbox_depth(), 0);
+    }
+
+    #[test]
+    fn mailbox_depth_is_zero_once_every_delivery_is_drained() {
+        // Four senders race one receiver that drains in bursts. A gauge
+        // raised only after a successful `try_send` lets the receiver lower
+        // it first (saturating at zero), and the late raise then stays. The
+        // senders yield after every hand-off so the receiver keeps the
+        // gauge near zero, where that race lands: a gauge raised late fails
+        // this test in 20 of 20 runs on a 2-thread host.
+        let mut hub: ThreadedTransport<u64> = ThreadedTransport::new(16);
+        let rx = hub.register(0);
+        let start = Arc::new(Barrier::new(5));
+        let senders: Vec<_> = (1..=4u64)
+            .map(|sender| {
+                let mut handle = hub.handle();
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let from = sender as NodeId;
+                    start.wait();
+                    for i in 0..20_000 {
+                        if i % 2 == 0 {
+                            handle.send(from, 0, i);
+                        } else {
+                            let batch =
+                                vec![Outgoing::Broadcast(from, i), Outgoing::Unicast(from, 0, i)];
+                            handle.send_batch(&[0, from], batch);
+                        }
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        let mut receiver = hub.handle();
+        let mut received = 0;
+        let mut drain = || {
+            let drained = rx.try_iter().take(64).count();
+            if drained > 0 {
+                receiver.note_received(drained);
+            } else {
+                std::thread::yield_now();
+            }
+            received += drained as u64;
+            drained
+        };
+        start.wait();
+        while !senders.iter().all(std::thread::JoinHandle::is_finished) {
+            drain();
+        }
+        while drain() > 0 {}
+        for sender in senders {
+            sender.join().expect("sender finishes");
+        }
+        let stats = hub.stats();
+        assert_eq!(stats.sent, 4 * 30_000);
+        assert_eq!(received + stats.dropped, stats.sent);
+        assert_eq!(hub.mailbox_depth(), 0, "{stats:?}, {received} received");
+    }
+
+    #[test]
+    fn send_batch_counts_and_orders_like_single_sends() {
+        // Recipient 9 is unknown, node 1's mailbox fills partway through,
+        // and the broadcasts skip their sender (1, then 2).
+        let batch = vec![
+            Outgoing::Unicast(0, 1, 10),
+            Outgoing::Broadcast(1, 11),
+            Outgoing::Unicast(0, 9, 12),
+            Outgoing::Unicast(2, 1, 13),
+            Outgoing::Broadcast(2, 14),
+            Outgoing::Unicast(0, 3, 15),
+            Outgoing::Unicast(0, 1, 16),
+        ];
+        let recipients = [0, 1, 2, 3, 9];
+        let run = |batched: bool| {
+            let mut hub: ThreadedTransport<u32> = ThreadedTransport::new(3);
+            let mailboxes: Vec<_> = (0..4).map(|node| hub.register(node)).collect();
+            let mut handle = hub.handle();
+            if batched {
+                handle.send_batch(&recipients, batch.clone());
+            } else {
+                for outgoing in batch.clone() {
+                    match outgoing {
+                        Outgoing::Broadcast(from, message) => {
+                            for &to in recipients.iter().filter(|&&to| to != from) {
+                                handle.send(from, to, message);
+                            }
+                        }
+                        Outgoing::Unicast(from, to, message) => handle.send(from, to, message),
+                    }
+                }
+            }
+            let depth = hub.mailbox_depth();
+            let delivered: Vec<Vec<(NodeId, u32)>> = mailboxes
+                .iter()
+                .map(|rx| rx.try_iter().map(|d| (d.from, d.message)).collect())
+                .collect();
+            (hub.stats(), depth, delivered)
+        };
+        let batched = run(true);
+        assert_eq!(batched, run(false));
+        // 13 messages (five unicasts, four copies of each broadcast): three
+        // to node 9 and the fourth to node 1 are dropped.
+        let (stats, depth, delivered) = batched;
+        assert_eq!(
+            stats,
+            TransportStats {
+                sent: 13,
+                dropped: 4
+            }
+        );
+        assert_eq!(depth, 9);
+        assert_eq!(delivered[1], vec![(0, 10), (2, 13), (2, 14)]);
+        assert_eq!(delivered[3], vec![(1, 11), (2, 14), (0, 15)]);
     }
 
     #[test]

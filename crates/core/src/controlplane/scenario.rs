@@ -438,6 +438,7 @@ mod tests {
         // (the deterministic twin gates the same behaviour seed-exactly).
         let config = ControlledServiceConfig::default();
         let mut report = run_controlled_service(&config, 7).expect("controlled run");
+        let mut failed = Vec::new();
         for retry_seed in [8, 9] {
             let repaired = report.recoveries >= 1
                 && report.unrecovered == 0
@@ -446,7 +447,7 @@ mod tests {
             if repaired {
                 break;
             }
-            eprintln!("wall-clock attempt incomplete, retrying: {report:?}");
+            failed.push(report);
             report = run_controlled_service(&config, retry_seed).expect("controlled run");
         }
         assert!(report.controller);
@@ -458,19 +459,19 @@ mod tests {
         assert!(report.consistent, "logs diverged: {report:?}");
         assert!(
             report.recoveries >= 1,
-            "the node controller must actuate a live recovery: {report:?}"
+            "the node controller must actuate a live recovery: {report:?} after {failed:?}"
         );
         assert_eq!(
             report.unrecovered, 0,
-            "compromise left standing: {report:?}"
+            "compromise left standing: {report:?} after {failed:?}"
         );
         assert!(
             report.evictions >= 1,
-            "the crashed replica must be evicted: {report:?}"
+            "the crashed replica must be evicted: {report:?} after {failed:?}"
         );
         assert!(
             report.joins >= 1,
-            "the system controller must restore n via JOIN: {report:?}"
+            "the system controller must restore n via JOIN: {report:?} after {failed:?}"
         );
         assert!(
             report.final_replicas >= config.control.min_replicas,
