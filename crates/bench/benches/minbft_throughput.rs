@@ -384,7 +384,14 @@ fn bench_data_plane(_c: &mut Criterion) {
                 seed: 7,
                 ..MinBftConfig::default()
             });
-            let report = cluster.run_throughput(20, if smoke() { 2.0 } else { 5.0 });
+            let report = cluster.run_workload(&WorkloadConfig {
+                clients: 20,
+                arrival: Arrival::Closed,
+                duration: if smoke() { 2.0 } else { 5.0 },
+                key_space: 0,
+                write_ratio: 1.0,
+                ..WorkloadConfig::default()
+            });
             Fig10Row {
                 replicas: n,
                 clients: 20,

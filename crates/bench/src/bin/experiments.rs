@@ -26,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use tolerance_bench::{sparkline, write_json};
+use tolerance_consensus::workload::{Arrival, WorkloadConfig};
 use tolerance_core::node_model::NodeState;
 use tolerance_core::prelude::*;
 use tolerance_emulation::{ContainerCatalog, EvaluationGrid, IdsModel, TraceDataset};
@@ -481,7 +482,14 @@ fn fig10(full: bool) {
                     seed: 42,
                     ..Default::default()
                 });
-            let report = cluster.run_throughput(clients, duration);
+            let report = cluster.run_workload(&WorkloadConfig {
+                clients,
+                arrival: Arrival::Closed,
+                duration,
+                key_space: 0,
+                write_ratio: 1.0,
+                ..WorkloadConfig::default()
+            });
             series.push(report.requests_per_second);
             rows.push(report);
         }

@@ -7,14 +7,20 @@
 //! barrier, which the message-driven `Reconfigure` path has no equivalent
 //! of (see ROADMAP item 3).
 //!
+//! Clients are [`Client`] values, the same client step the live
+//! [`crate::ClientDriver`] runs; a closed-loop client also holds the
+//! [`OpStream`] it resubmits from. `run_workload` is the one workload
+//! runner, Fig. 10's closed loop included.
+//!
 //! The event loop pays per delivery only for what the delivery changes:
 //! `timer_floor` is a lower bound on every pending deadline
-//! ([`client_deadline`], `replica_deadline`, the adversary's next release).
+//! ([`Client::deadline`], `replica_deadline`, the adversary's next release).
 //! A run starts it at −∞, a dispatch to node X lowers it by X's deadline and
 //! the next release (nothing else moves during a dispatch), and the timeout
 //! sweep runs only once `now` reaches it, then recomputes it exactly.
 
 use super::adversary::{equivocate, Adversary, AttackerKind};
+use super::client::{client_index, Client, TimerAction};
 use super::config::{MinBftConfig, ProtocolParams};
 use super::message::{
     batch_digest, first_log_divergence, ByzantineMode, CommitRecord, ControlMessage, Message,
@@ -25,7 +31,7 @@ use super::replica::{
     state_transfer_message, view_change_vote, window_open, Replica, StepOutput,
 };
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
-use crate::metrics::{RetryBudget, RetryBudgetConfig};
+use crate::metrics::RetryBudgetConfig;
 use crate::net::{Delivery, NetworkConfig, SimNetwork};
 use crate::threaded::CONTROL_PLANE_ID;
 use crate::transport::Transport;
@@ -34,42 +40,7 @@ use crate::workload::{Arrival, OpStream, WorkloadConfig, WorkloadReport};
 use crate::{hybrid_fault_threshold, NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
-
-#[derive(Debug)]
-pub(super) struct ClientState {
-    id: NodeId,
-    next_request_id: u64,
-    /// Outstanding request and the replies received for it, keyed by the
-    /// reply value; a request completes when f+1 replicas agree on a value.
-    outstanding: Option<(Request, BTreeMap<u64, BTreeSet<NodeId>>, SimTime)>,
-    completed: u64,
-    latencies: Vec<f64>,
-    pub(super) closed_loop: bool,
-    /// The client's operation generator (closed-loop resubmission draws
-    /// from it; `None` falls back to the legacy register-write stream).
-    op_stream: Option<OpStream>,
-    /// Retransmission token bucket (`None` = unbudgeted legacy behaviour:
-    /// every timeout retransmits).
-    retry_budget: Option<RetryBudget>,
-}
-
-/// A report of a throughput run (Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ThroughputReport {
-    /// Number of replicas during the run.
-    pub replicas: usize,
-    /// Number of closed-loop clients.
-    pub clients: usize,
-    /// Completed requests.
-    pub completed_requests: u64,
-    /// Simulated duration of the run in seconds.
-    pub duration: f64,
-    /// Completed requests per simulated second.
-    pub requests_per_second: f64,
-    /// Mean request latency in seconds.
-    pub mean_latency: f64,
-}
+use std::collections::BTreeMap;
 
 /// Bounded-memory accounting of one replica's retained protocol state (the
 /// structures checkpoint compaction prunes).
@@ -100,7 +71,9 @@ pub struct MinBftCluster {
     /// the send order decides how the network RNG is consumed — replays are
     /// byte-identical only under a deterministic order.
     pub(super) replicas: BTreeMap<NodeId, Replica>,
-    pub(super) clients: BTreeMap<NodeId, ClientState>,
+    /// Indexed by `id − CLIENT_ID_BASE`, so in id order too. A client with a
+    /// stream is a closed loop: it resubmits the moment a request completes.
+    clients: Vec<(Client, Option<OpStream>)>,
     busy_until: BTreeMap<NodeId, SimTime>,
     /// A lower bound on every pending timer deadline (see the module docs).
     timer_floor: SimTime,
@@ -158,7 +131,7 @@ impl MinBftCluster {
             config,
             network,
             replicas,
-            clients: BTreeMap::new(),
+            clients: Vec::new(),
             busy_until: BTreeMap::new(),
             timer_floor: f64::NEG_INFINITY,
             membership,
@@ -358,8 +331,8 @@ impl MinBftCluster {
     /// allowance.
     pub fn set_retry_budget(&mut self, config: Option<RetryBudgetConfig>) {
         self.retry_budget = config;
-        for client in self.clients.values_mut() {
-            client.retry_budget = config.map(RetryBudget::new);
+        for (client, _) in &mut self.clients {
+            client.set_retry_budget(config);
         }
     }
 
@@ -379,11 +352,9 @@ impl MinBftCluster {
     /// loop. Subsequent workload reports only cover samples recorded after
     /// the drain.
     pub fn take_latencies(&mut self) -> Vec<f64> {
-        let mut all = Vec::new();
-        for client in self.clients.values_mut() {
-            all.append(&mut client.latencies);
-        }
-        all
+        (self.clients.iter_mut())
+            .flat_map(|(client, _)| client.take_latencies())
+            .collect()
     }
 
     /// Test-only fault injection: makes the replica execute a corrupted
@@ -398,23 +369,21 @@ impl MinBftCluster {
         }
     }
 
-    /// Registers a new closed-loop client and returns its identifier.
+    /// Registers a new client and returns its identifier.
     pub fn add_client(&mut self) -> NodeId {
         let id = CLIENT_ID_BASE + self.clients.len() as NodeId;
-        self.clients.insert(
-            id,
-            ClientState {
-                id,
-                next_request_id: 0,
-                outstanding: None,
-                completed: 0,
-                latencies: Vec::new(),
-                closed_loop: false,
-                op_stream: None,
-                retry_budget: self.retry_budget.map(RetryBudget::new),
-            },
-        );
+        self.clients
+            .push((Client::new(id, self.retry_budget), None));
         id
+    }
+
+    /// The client with identifier `id`, and its closed-loop stream.
+    fn client(&self, id: NodeId) -> Option<&(Client, Option<OpStream>)> {
+        client_index(id).and_then(|index| self.clients.get(index))
+    }
+
+    fn client_mut(&mut self, id: NodeId) -> Option<&mut (Client, Option<OpStream>)> {
+        client_index(id).and_then(|index| self.clients.get_mut(index))
     }
 
     /// Submits one request from the given client and returns it (so callers
@@ -425,24 +394,10 @@ impl MinBftCluster {
     /// Panics if the client is unknown or already has an outstanding request.
     pub fn submit(&mut self, client: NodeId, operation: Operation) -> Request {
         let now = self.network.now();
-        let request = {
-            let state = self.clients.get_mut(&client).expect("unknown client");
-            assert!(
-                state.outstanding.is_none(),
-                "client already has an outstanding request"
-            );
-            let request = Request {
-                client,
-                id: state.next_request_id,
-                operation,
-            };
-            state.next_request_id += 1;
-            state.outstanding = Some((request, BTreeMap::new(), now));
-            request
-        };
-        let members = self.membership.clone();
+        let (state, _) = self.client_mut(client).expect("unknown client");
+        let request = state.start(operation, now);
         self.network
-            .broadcast(client, &members, &Message::Request(request));
+            .broadcast(client, &self.membership, &Message::Request(request));
         request
     }
 
@@ -707,7 +662,7 @@ impl MinBftCluster {
     /// quiet stall would zero out the rest of a throughput run.
     pub(super) fn next_timer_deadline(&self) -> Option<SimTime> {
         let timeout = self.config.request_timeout;
-        let clients = self.clients.values().map(|c| client_deadline(c, timeout));
+        let clients = self.clients.iter().map(|(c, _)| c.deadline(timeout));
         let replicas = self.membership.iter().map(|&id| self.replica_deadline(id));
         let deadline = (clients.chain(replicas).chain(self.adversary.next_release()))
             .fold(f64::INFINITY, f64::min);
@@ -718,8 +673,9 @@ impl MinBftCluster {
     /// The earliest timer of replica `id`: a state-pull re-announcement
     /// (`last pull + retry`), a stall vote (`first_seen + request_timeout`)
     /// or a partial-batch flush (`oldest pending + batch_delay`); ∞ when none
-    /// is armed. It moves only when the replica is dispatched to or swept
-    /// (see [`client_deadline`]).
+    /// is armed. It moves only when the replica is dispatched to or swept,
+    /// and like [`Client::deadline`] it matches its firing test in
+    /// `check_timeouts` ulp for ulp.
     fn replica_deadline(&self, id: NodeId) -> SimTime {
         let Some(replica) = self.replicas.get(&id) else {
             return f64::INFINITY;
@@ -739,8 +695,8 @@ impl MinBftCluster {
     fn deliver(&mut self, delivery: Delivery<Message>) {
         let to = delivery.to;
         self.dispatch(delivery.from, to, delivery.message, delivery.time);
-        let own = match self.clients.get(&to) {
-            Some(client) => client_deadline(client, self.config.request_timeout),
+        let own = match self.client(to) {
+            Some((client, _)) => client.deadline(self.config.request_timeout),
             None => self.replica_deadline(to),
         };
         let release = self.adversary.next_release().unwrap_or(f64::INFINITY);
@@ -806,14 +762,13 @@ impl MinBftCluster {
 
     /// Number of completed requests of a client.
     pub fn completed_requests(&self, client: NodeId) -> u64 {
-        self.clients.get(&client).map(|c| c.completed).unwrap_or(0)
+        self.client(client).map_or(0, |(c, _)| c.completed())
     }
 
     /// Whether the client still has an unanswered request in flight.
     pub fn has_outstanding_request(&self, client: NodeId) -> bool {
-        self.clients
-            .get(&client)
-            .is_some_and(|c| c.outstanding.is_some())
+        self.client(client)
+            .is_some_and(|(c, _)| c.outstanding().is_some())
     }
 
     /// The service value stored at a replica (for tests).
@@ -864,78 +819,35 @@ impl MinBftCluster {
         true
     }
 
-    /// Runs a closed-loop throughput experiment with `clients` clients
-    /// issuing write requests for `duration` simulated seconds (Fig. 10).
-    pub fn run_throughput(&mut self, clients: usize, duration: f64) -> ThroughputReport {
-        let client_ids: Vec<NodeId> = (0..clients).map(|_| self.add_client()).collect();
-        for &c in &client_ids {
-            self.clients.get_mut(&c).expect("client exists").closed_loop = true;
-            self.submit(c, Operation::Write(c as u64));
-        }
-        let start = self.now();
-        self.run_until(start + duration);
-        let (completed_requests, requests_per_second, mean_latency) =
-            self.summarize(&client_ids, duration);
-        ThroughputReport {
-            replicas: self.membership.len(),
-            clients,
-            completed_requests,
-            duration,
-            requests_per_second,
-            mean_latency,
-        }
-    }
-
-    /// `(completed requests, requests per second, mean latency)` of
-    /// `client_ids` over a run of `duration` simulated seconds (the rate is
-    /// guarded against a zero-length run).
-    fn summarize(&self, client_ids: &[NodeId], duration: f64) -> (u64, f64, f64) {
-        let completed: u64 = client_ids.iter().map(|c| self.completed_requests(*c)).sum();
-        let latencies: Vec<f64> = client_ids
-            .iter()
-            .flat_map(|c| self.clients[c].latencies.iter().copied())
-            .collect();
-        let mean_latency = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        let rate = completed as f64 / duration.max(1e-12);
-        (completed, rate, mean_latency)
-    }
-
-    /// Runs a configurable client workload (open- or closed-loop arrival
-    /// over the key-value service) for `workload.duration` simulated
-    /// seconds. The workload's own seed drives arrival times and operation
-    /// mixes, independent of the cluster seed.
+    /// Runs a client workload (open- or closed-loop arrival over the
+    /// key-value service) for `workload.duration` simulated seconds; Fig. 10
+    /// is its closed loop with `key_space: 0` and `write_ratio: 1.0`. The
+    /// workload's own seed drives arrival times and operation mixes,
+    /// independent of the cluster seed.
     pub fn run_workload(&mut self, workload: &WorkloadConfig) -> WorkloadReport {
         let mut arrivals_rng = StdRng::seed_from_u64(workload.seed ^ 0x776f_726b_6c6f_6164);
+        let first = self.clients.len();
         let client_ids: Vec<NodeId> = (0..workload.clients.max(1))
             .map(|_| self.add_client())
             .collect();
-        for (index, &c) in client_ids.iter().enumerate() {
-            let state = self.clients.get_mut(&c).expect("client exists");
-            state.op_stream = Some(OpStream::new(
-                workload.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                workload.key_space,
-                workload.write_ratio,
-            ));
-        }
+        let mut streams: Vec<OpStream> = (0..client_ids.len())
+            .map(|index| {
+                OpStream::new(
+                    workload.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    workload.key_space,
+                    workload.write_ratio,
+                )
+            })
+            .collect();
         let start = self.now();
         let deadline = start + workload.duration;
         let mut offered: u64 = 0;
         let mut shed: u64 = 0;
         match workload.arrival {
             Arrival::Closed => {
-                for &c in &client_ids {
-                    let state = self.clients.get_mut(&c).expect("client exists");
-                    state.closed_loop = true;
-                    let op = state
-                        .op_stream
-                        .as_mut()
-                        .expect("stream installed")
-                        .next_op();
-                    self.submit(c, op);
+                for (i, mut stream) in streams.into_iter().enumerate() {
+                    self.submit(client_ids[i], stream.next_op());
+                    self.clients[first + i].1 = Some(stream);
                 }
                 self.run_until(deadline);
             }
@@ -952,40 +864,34 @@ impl MinBftCluster {
                     self.run_until(next_arrival);
                     // Round-robin over the pool; an arrival with every
                     // client busy is shed (the open-loop overload signal).
-                    let mut assigned = false;
-                    for step in 0..client_ids.len() {
-                        let c = client_ids[(cursor + step) % client_ids.len()];
-                        if !self.has_outstanding_request(c) {
-                            let op = self
-                                .clients
-                                .get_mut(&c)
-                                .expect("client exists")
-                                .op_stream
-                                .as_mut()
-                                .expect("stream installed")
-                                .next_op();
-                            self.submit(c, op);
+                    let pool = client_ids.len();
+                    let idle = (0..pool)
+                        .map(|step| (cursor + step) % pool)
+                        .find(|&i| !self.has_outstanding_request(client_ids[i]));
+                    match idle {
+                        Some(i) => {
+                            self.submit(client_ids[i], streams[i].next_op());
                             offered += 1;
-                            cursor = (cursor + step + 1) % client_ids.len();
-                            assigned = true;
-                            break;
+                            cursor = (i + 1) % pool;
                         }
-                    }
-                    if !assigned {
-                        shed += 1;
+                        None => shed += 1,
                     }
                 }
                 self.run_until(deadline);
             }
         }
-        let (completed, requests_per_second, mean_latency) =
-            self.summarize(&client_ids, workload.duration);
+        let pool = &self.clients[first..];
+        let completed: u64 = pool.iter().map(|(c, _)| c.completed()).sum();
+        let latencies = pool.iter().flat_map(|(c, _)| c.latencies());
+        let samples = latencies.clone().count();
+        let mean_latency = if samples == 0 {
+            0.0
+        } else {
+            latencies.sum::<f64>() / samples as f64
+        };
         if matches!(workload.arrival, Arrival::Closed) {
-            let in_flight = client_ids
-                .iter()
-                .filter(|&&c| self.has_outstanding_request(c))
-                .count() as u64;
-            offered = completed + in_flight;
+            let in_flight = pool.iter().filter(|(c, _)| c.outstanding().is_some());
+            offered = completed + in_flight.count() as u64;
         }
         WorkloadReport {
             replicas: self.membership.len(),
@@ -994,7 +900,7 @@ impl MinBftCluster {
             shed,
             completed_requests: completed,
             duration: workload.duration,
-            requests_per_second,
+            requests_per_second: completed as f64 / workload.duration.max(1e-12),
             mean_latency,
         }
     }
@@ -1025,37 +931,19 @@ impl MinBftCluster {
 
     fn handle_client_message(&mut self, from: NodeId, to: NodeId, message: Message, time: SimTime) {
         let f = self.fault_threshold();
-        let Some(client) = self.clients.get_mut(&to) else {
-            return;
-        };
-        if let Message::Reply {
+        let Message::Reply {
             request_id, value, ..
         } = message
-        {
-            let Some((request, votes, started)) = &mut client.outstanding else {
-                return;
-            };
-            if request.id != request_id {
-                return;
-            }
-            votes.entry(value).or_default().insert(from);
-            let accepted = votes.values().any(|v| v.len() > f);
-            if accepted {
-                client.completed += 1;
-                client.latencies.push(time - *started);
-                client.outstanding = None;
-                if let Some(budget) = client.retry_budget.as_mut() {
-                    budget.on_success();
-                }
-                if client.closed_loop {
-                    let client_id = client.id;
-                    let completed = client.completed;
-                    let op = match client.op_stream.as_mut() {
-                        Some(stream) => stream.next_op(),
-                        None => Operation::Write(client_id as u64 + completed),
-                    };
-                    self.submit(client_id, op);
-                }
+        else {
+            return;
+        };
+        let Some((client, stream)) = self.client_mut(to) else {
+            return;
+        };
+        if client.on_reply(from, request_id, value, f, time).is_some() {
+            // A closed loop resubmits at once, before anything else is sent.
+            if let Some(op) = stream.as_mut().map(OpStream::next_op) {
+                self.submit(to, op);
             }
         }
     }
@@ -1114,28 +1002,15 @@ impl MinBftCluster {
         let now = self.network.now();
         let timeout = self.config.request_timeout;
         // Client retransmissions, in id order.
-        for (&id, client) in &mut self.clients {
-            if let Some((request, _, started)) = &mut client.outstanding {
-                // Canonical deadline form (see `client_deadline`).
-                if now >= *started + timeout {
-                    // The deadline is re-armed even when the budget denies
-                    // the retransmission: the client backs off for another
-                    // timeout period (earning the trickle refill) instead
-                    // of amplifying the overload that caused the loss.
-                    *started = now;
-                    let within_budget = client
-                        .retry_budget
-                        .as_mut()
-                        .is_none_or(RetryBudget::try_retry);
-                    if within_budget {
-                        self.retransmissions_sent += 1;
-                        let retransmission = Message::Request(*request);
-                        self.network
-                            .broadcast(id, &self.membership, &retransmission);
-                    } else {
-                        self.retransmissions_suppressed += 1;
-                    }
+        for (client, _) in &mut self.clients {
+            match client.on_timer(now, timeout) {
+                TimerAction::Idle => {}
+                TimerAction::Retransmit(request) => {
+                    self.retransmissions_sent += 1;
+                    let retransmission = Message::Request(request);
+                    (self.network).broadcast(client.id(), &self.membership, &retransmission);
                 }
+                TimerAction::Suppressed => self.retransmissions_suppressed += 1,
             }
         }
         // Replica timers: batch flushes and view-change votes, in id order.
@@ -1163,16 +1038,6 @@ impl MinBftCluster {
         }
         self.adversary.release_due(now, &mut self.network);
     }
-}
-
-/// When `client` retransmits: `started + request_timeout`, or ∞ with nothing
-/// outstanding. One of the two definitions of a deadline (the other is
-/// `MinBftCluster::replica_deadline`); the idle advance and the timer floor
-/// both read them, and each expression matches its firing condition in
-/// `check_timeouts` ulp-for-ulp, so `now` below every deadline means the
-/// sweep would change nothing.
-fn client_deadline(client: &ClientState, timeout: f64) -> SimTime {
-    (client.outstanding.as_ref()).map_or(f64::INFINITY, |(_, _, started)| started + timeout)
 }
 
 /// The earliest simulated time at which this live replica holds a partial

@@ -32,12 +32,14 @@
 //! is what makes the simulated throughput saturate and decrease with the
 //! number of replicas as in Fig. 10 of the paper.
 //!
-//! The module is split along the trust boundary. `message`, `config` and
-//! `replica` are the honest protocol core — everything a live node links.
-//! `cluster` is the simulated driver and `adversary` the attacker zoo it
-//! owns: no attacker behaviour lives inside the honest step functions.
+//! The module is split along the trust boundary. `message`, `config`,
+//! `replica` and `client` are the honest protocol core — everything a live
+//! node or client links. `cluster` is the simulated driver and `adversary`
+//! the attacker zoo it owns: no attacker behaviour lives inside the honest
+//! step functions.
 
 mod adversary;
+mod client;
 mod cluster;
 mod config;
 mod message;
@@ -46,7 +48,8 @@ mod replica;
 mod tests;
 
 pub use adversary::AttackerKind;
-pub use cluster::{MinBftCluster, RetainedStats, ThroughputReport};
+pub(crate) use client::{client_index, Client, TimerAction};
+pub use cluster::{MinBftCluster, RetainedStats};
 pub(crate) use config::ProtocolParams;
 pub use config::{MinBftConfig, MinBftConfigError};
 pub use message::{

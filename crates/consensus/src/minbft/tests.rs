@@ -1,6 +1,7 @@
 use super::*;
 use crate::crypto::Digest;
 use crate::net::NetworkConfig;
+use crate::workload::{Arrival, WorkloadConfig};
 use crate::{NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,14 +244,27 @@ fn join_and_evict_reconfigure_the_membership() {
     assert!(cluster.logs_are_consistent());
 }
 
+/// Fig. 10's closed loop: `clients` register writers for `duration`
+/// simulated seconds.
+fn closed_loop(clients: usize, duration: f64) -> WorkloadConfig {
+    WorkloadConfig {
+        clients,
+        arrival: Arrival::Closed,
+        duration,
+        key_space: 0,
+        write_ratio: 1.0,
+        ..WorkloadConfig::default()
+    }
+}
+
 #[test]
 fn throughput_decreases_with_more_replicas() {
     // Fig. 10 shape: more replicas => more messages per request at the
     // leader => lower saturation throughput.
     let mut small = cluster(3);
-    let report_small = small.run_throughput(10, 20.0);
+    let report_small = small.run_workload(&closed_loop(10, 20.0));
     let mut large = cluster(9);
-    let report_large = large.run_throughput(10, 20.0);
+    let report_large = large.run_workload(&closed_loop(10, 20.0));
     assert!(report_small.completed_requests > 0);
     assert!(report_large.completed_requests > 0);
     assert!(
@@ -266,9 +280,9 @@ fn throughput_decreases_with_more_replicas() {
 #[test]
 fn throughput_increases_with_more_clients_until_saturation() {
     let mut one = cluster(4);
-    let single = one.run_throughput(1, 10.0);
+    let single = one.run_workload(&closed_loop(1, 10.0));
     let mut many = cluster(4);
-    let twenty = many.run_throughput(20, 10.0);
+    let twenty = many.run_workload(&closed_loop(20, 10.0));
     assert!(
         twenty.requests_per_second > single.requests_per_second,
         "20 clients should push more load: {} vs {}",
@@ -356,12 +370,7 @@ fn checkpoints_compact_the_log_and_bound_retained_state() {
         },
         ..MinBftConfig::default()
     });
-    let clients: Vec<NodeId> = (0..2).map(|_| cluster.add_client()).collect();
-    for &c in &clients {
-        cluster.clients.get_mut(&c).unwrap().closed_loop = true;
-        cluster.submit(c, Operation::Write(1));
-    }
-    cluster.run_until(30.0);
+    cluster.run_workload(&closed_loop(2, 30.0));
     let total = cluster.executed_len(0).unwrap();
     assert!(total > 6 * period, "run too short to compact: {total}");
     for &r in &[0, 1, 2, 3] {
@@ -751,12 +760,7 @@ fn watermark_bounds_retained_state_with_a_lagging_replica() {
         ..MinBftConfig::default()
     });
     cluster.set_byzantine(3, ByzantineMode::Silent);
-    let clients: Vec<NodeId> = (0..3).map(|_| cluster.add_client()).collect();
-    for &c in &clients {
-        cluster.clients.get_mut(&c).unwrap().closed_loop = true;
-        cluster.submit(c, Operation::Write(1));
-    }
-    cluster.run_until(30.0);
+    cluster.run_workload(&closed_loop(3, 30.0));
     let total = cluster.executed_len(0).unwrap();
     assert!(total > 6 * period, "run too short to compact: {total}");
     let bound = 2 * (period as usize + window);

@@ -4,9 +4,12 @@
 //! [`crate::MinBftCluster`] — the transport-agnostic step functions of
 //! [`crate::minbft`] — with one OS thread per replica over the bounded
 //! channels of [`crate::transport::ThreadedTransport`]. A driver thread
-//! plays the closed-loop client population (f+1 matching replies complete a
-//! request, timeouts retransmit), so a full cluster serves requests
-//! concurrently at wall-clock speed instead of simulated time.
+//! plays the closed-loop client population with the simulator's client step
+//! (`minbft::client::Client`: f+1 matching replies complete a request,
+//! timeouts retransmit), so a full cluster serves requests concurrently at
+//! wall-clock speed instead of simulated time. The simulated twin of the
+//! driver, Fig. 10's closed loop included, is
+//! [`crate::MinBftCluster::run_workload`].
 //!
 //! Since PR 4 the service is **controllable while it runs**:
 //! [`ThreadedCluster`] exposes the actuation surface of the paper's
@@ -30,10 +33,11 @@
 //! real to detect and repair.
 
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
-use crate::metrics::{RetryBudget, RetryBudgetConfig, SharedTuning};
+use crate::metrics::{RetryBudgetConfig, SharedTuning};
 use crate::minbft::{
-    flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, CommitRecord,
-    ControlMessage, Message, ProtocolParams, Replica, Request, StepOutput, CLIENT_ID_BASE,
+    client_index, flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, Client,
+    CommitRecord, ControlMessage, Message, ProtocolParams, Replica, StepOutput, TimerAction,
+    CLIENT_ID_BASE,
 };
 use crate::net::Delivery;
 use crate::transport::{
@@ -41,7 +45,7 @@ use crate::transport::{
 };
 use crate::workload::OpStream;
 use crate::{hybrid_fault_threshold, ByzantineMode, NodeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, RwLock};
@@ -737,36 +741,6 @@ impl ThreadedCluster {
     }
 }
 
-struct DriverClient {
-    id: NodeId,
-    /// Position in the driver's client order — clients at or beyond the
-    /// autotuned concurrency cap sit out until the cap rises again.
-    index: usize,
-    next_request_id: u64,
-    outstanding: Option<(Request, HashMap<u64, HashSet<NodeId>>, f64)>,
-    completed: u64,
-    latencies: Vec<f64>,
-    completed_digests: Vec<Digest>,
-    stream: OpStream,
-    /// Retransmission token bucket (`None` = unbudgeted legacy behaviour).
-    retry_budget: Option<RetryBudget>,
-}
-
-impl DriverClient {
-    /// Starts the client's next request and queues its broadcast on
-    /// `outbox` (sent by the driver's next [`Transport::send_batch`]).
-    fn submit(&mut self, now: f64, outbox: &mut Vec<Outgoing<Message>>) {
-        let request = Request {
-            client: self.id,
-            id: self.next_request_id,
-            operation: self.stream.next_op(),
-        };
-        self.next_request_id += 1;
-        self.outstanding = Some((request, HashMap::new(), now));
-        outbox.push(Outgoing::Broadcast(self.id, Message::Request(request)));
-    }
-}
-
 /// Aggregate outcome of a [`ClientDriver`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientReport {
@@ -797,8 +771,11 @@ impl ClientReport {
 /// in-process channel hub), so the same driver plays the client population
 /// over TCP sockets (see [`crate::socket`]).
 pub struct ClientDriver<T = TransportHandle<Message>> {
-    clients: HashMap<NodeId, DriverClient>,
-    client_order: Vec<NodeId>,
+    /// Indexed by `id − CLIENT_ID_BASE`: each client and the stream it
+    /// draws its operations from. Clients at or beyond the autotuned
+    /// concurrency cap sit out until the cap rises again.
+    clients: Vec<(Client, OpStream)>,
+    completed_digests: Vec<Digest>,
     mailbox: Receiver<crate::net::Delivery<Message>>,
     transport: T,
     membership: MembershipView,
@@ -858,33 +835,12 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
         request_timeout: f64,
     ) -> Self {
         assert!(!streams.is_empty(), "the driver needs at least one client");
-        let client_ids: Vec<NodeId> = (0..streams.len())
-            .map(|i| CLIENT_ID_BASE + i as NodeId)
-            .collect();
-        let drivers: HashMap<NodeId, DriverClient> = client_ids
-            .iter()
-            .zip(streams)
-            .enumerate()
-            .map(|(index, (&id, stream))| {
-                (
-                    id,
-                    DriverClient {
-                        id,
-                        index,
-                        next_request_id: 0,
-                        outstanding: None,
-                        completed: 0,
-                        latencies: Vec::new(),
-                        completed_digests: Vec::new(),
-                        stream,
-                        retry_budget: None,
-                    },
-                )
-            })
+        let clients = (streams.into_iter().enumerate())
+            .map(|(i, stream)| (Client::new(CLIENT_ID_BASE + i as NodeId, None), stream))
             .collect();
         ClientDriver {
-            clients: drivers,
-            client_order: client_ids,
+            clients,
+            completed_digests: Vec::new(),
             mailbox,
             transport,
             membership,
@@ -901,8 +857,8 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
     /// bucket.
     pub fn tuned(mut self, tuning: Arc<SharedTuning>, budget: Option<RetryBudgetConfig>) -> Self {
         self.tuning = Some(tuning);
-        for client in self.clients.values_mut() {
-            client.retry_budget = budget.map(RetryBudget::new);
+        for (client, _) in &mut self.clients {
+            client.set_retry_budget(budget);
         }
         self
     }
@@ -911,7 +867,7 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
     fn concurrency_cap(&self) -> usize {
         self.tuning
             .as_ref()
-            .map_or(self.client_order.len(), |tuning| tuning.concurrency())
+            .map_or(self.clients.len(), |tuning| tuning.concurrency())
     }
 
     /// Runs the closed loop for `duration` wall-clock seconds: every client
@@ -919,19 +875,17 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
     /// immediately and retransmitting stalled ones.
     pub fn run_for(&mut self, duration: f64) {
         let start = Instant::now();
-        let cap = self.concurrency_cap();
-        let now = self.transport.now();
         let mut outbox = Vec::new();
-        for &id in &self.client_order {
-            let client = self.clients.get_mut(&id).expect("registered client");
-            if client.outstanding.is_none() && client.index < cap {
-                client.submit(now, &mut outbox);
-            }
-        }
+        self.on_timers(self.transport.now(), self.concurrency_cap(), &mut outbox);
         self.send_requests(outbox);
         while start.elapsed().as_secs_f64() < duration {
             self.pump(true);
         }
+    }
+
+    /// Whether no client has a request in flight.
+    fn idle(&self) -> bool {
+        self.clients.iter().all(|(c, _)| c.outstanding().is_none())
     }
 
     /// Drains the in-flight requests without submitting new ones: keeps
@@ -941,12 +895,12 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
     pub fn drain(&mut self, deadline: f64) -> bool {
         let start = Instant::now();
         while start.elapsed().as_secs_f64() < deadline {
-            if self.clients.values().all(|c| c.outstanding.is_none()) {
+            if self.idle() {
                 return true;
             }
             self.pump(false);
         }
-        self.clients.values().all(|c| c.outstanding.is_none())
+        self.idle()
     }
 
     /// Broadcasts the queued requests to the current membership as one
@@ -958,77 +912,45 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
         }
     }
 
-    /// One mailbox pump: processes the replies already waiting (completing
-    /// and, in closed-loop mode, resubmitting) or handles the
-    /// retransmission timers on a quiet interval, then sends everything
-    /// that produced as one batch. The quorum parameter is read and the
-    /// mailbox-depth gauge lowered once per pump.
+    /// One mailbox pump: waits up to 2 ms for a reply, reads the clock once,
+    /// processes the replies waiting (completing and, in closed-loop mode,
+    /// resubmitting), runs every client's timer, and sends everything that
+    /// produced as one batch. The timers run on every pump, so a stalled
+    /// request is retransmitted on time however busy the mailbox is. The
+    /// quorum parameter is read and the mailbox-depth gauge lowered once per
+    /// pump.
     fn pump(&mut self, resubmit: bool) {
+        let first = self.mailbox.recv_timeout(Duration::from_millis(2));
+        let now = self.transport.now();
+        let cap = if resubmit { self.concurrency_cap() } else { 0 };
         let mut outbox = Vec::new();
-        match self.mailbox.recv_timeout(Duration::from_millis(2)) {
-            Ok(first) => {
-                // The membership lock also contends with reconfiguration.
-                let f = self.membership.fault_threshold();
-                let mut drained = 1;
-                self.on_delivery(first, f, resubmit, &mut outbox);
-                while drained < MAILBOX_BURST {
-                    let Ok(delivery) = self.mailbox.try_recv() else {
-                        break;
-                    };
-                    drained += 1;
-                    self.on_delivery(delivery, f, resubmit, &mut outbox);
-                }
-                self.transport.note_received(drained);
+        if let Ok(first) = first {
+            // The membership lock also contends with reconfiguration.
+            let f = self.membership.fault_threshold();
+            let mut drained = 1;
+            self.on_delivery(first, f, now, cap, &mut outbox);
+            while drained < MAILBOX_BURST {
+                let Ok(delivery) = self.mailbox.try_recv() else {
+                    break;
+                };
+                drained += 1;
+                self.on_delivery(delivery, f, now, cap, &mut outbox);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                // Retransmit stalled requests (replies or requests may have
-                // been dropped by full mailboxes) — through the retry
-                // budget when one is installed: a denied retransmission
-                // re-arms the timer and waits for the trickle refill
-                // instead of amplifying the overload that dropped the
-                // original.
-                let now = self.transport.now();
-                let cap = self.concurrency_cap();
-                for client in self.clients.values_mut() {
-                    if let Some((request, _, started)) = &mut client.outstanding {
-                        if now - *started > self.request_timeout {
-                            *started = now;
-                            let within_budget = client
-                                .retry_budget
-                                .as_mut()
-                                .is_none_or(RetryBudget::try_retry);
-                            if within_budget {
-                                if let Some(tuning) = self.tuning.as_ref() {
-                                    tuning.note_retransmission();
-                                }
-                                outbox.push(Outgoing::Broadcast(
-                                    client.id,
-                                    Message::Request(*request),
-                                ));
-                            } else if let Some(tuning) = self.tuning.as_ref() {
-                                tuning.note_suppressed();
-                            }
-                        }
-                    } else if resubmit && client.index < cap {
-                        // An idle client inside the (possibly raised)
-                        // concurrency cap picks work back up.
-                        client.submit(now, &mut outbox);
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {}
+            self.transport.note_received(drained);
         }
+        self.on_timers(now, cap, &mut outbox);
         self.send_requests(outbox);
     }
 
-    /// Counts one delivered reply towards its client's quorum (more than `f`
-    /// matching replies); a completed request is recorded and, in
-    /// closed-loop mode, replaced on `outbox`.
+    /// Counts one delivered reply towards its client's quorum; a completed
+    /// request is recorded and, for a client below `cap`, replaced on
+    /// `outbox`.
     fn on_delivery(
         &mut self,
         delivery: Delivery<Message>,
         f: usize,
-        resubmit: bool,
+        now: f64,
+        cap: usize,
         outbox: &mut Vec<Outgoing<Message>>,
     ) {
         let Message::Reply {
@@ -1037,36 +959,46 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
         else {
             return;
         };
-        let Some(client) = self.clients.get_mut(&delivery.to) else {
+        let Some(index) = client_index(delivery.to).filter(|&i| i < self.clients.len()) else {
             return;
         };
-        let completed = match &mut client.outstanding {
-            Some((request, votes, started)) if request.id == request_id => {
-                votes.entry(value).or_default().insert(delivery.from);
-                let quorum = votes.values().any(|v| v.len() > f);
-                quorum.then_some((*started, request.digest()))
-            }
-            _ => None,
+        let (client, stream) = &mut self.clients[index];
+        let Some(request) = client.on_reply(delivery.from, request_id, value, f, now) else {
+            return;
         };
-        if let Some((started, digest)) = completed {
-            // Read at the quorum: the latency sample ends exactly here.
-            let now = self.transport.now();
-            client.completed += 1;
-            client.latencies.push(now - started);
-            client.completed_digests.push(digest);
-            client.outstanding = None;
-            if let Some(budget) = client.retry_budget.as_mut() {
-                budget.on_success();
-            }
-            if let Some(tuning) = self.tuning.as_ref() {
-                tuning.observe_latency(now - started);
-            }
-            let cap = self
-                .tuning
-                .as_ref()
-                .map_or(usize::MAX, |tuning| tuning.concurrency());
-            if resubmit && client.index < cap {
-                client.submit(now, outbox);
+        self.completed_digests.push(request.digest());
+        if let (Some(tuning), Some(&latency)) = (&self.tuning, client.latencies().last()) {
+            tuning.observe_latency(latency);
+        }
+        if index < cap {
+            let request = client.start(stream.next_op(), now);
+            outbox.push(Outgoing::Broadcast(client.id(), Message::Request(request)));
+        }
+    }
+
+    /// Runs every client's retransmission timer at `now` (replies or requests
+    /// may have been dropped by full mailboxes), and starts a request on
+    /// every idle client below `cap`: one a raised concurrency cap lets back
+    /// in.
+    fn on_timers(&mut self, now: f64, cap: usize, outbox: &mut Vec<Outgoing<Message>>) {
+        for (index, (client, stream)) in self.clients.iter_mut().enumerate() {
+            match client.on_timer(now, self.request_timeout) {
+                TimerAction::Retransmit(request) => {
+                    if let Some(tuning) = self.tuning.as_ref() {
+                        tuning.note_retransmission();
+                    }
+                    outbox.push(Outgoing::Broadcast(client.id(), Message::Request(request)));
+                }
+                TimerAction::Suppressed => {
+                    if let Some(tuning) = self.tuning.as_ref() {
+                        tuning.note_suppressed();
+                    }
+                }
+                TimerAction::Idle if client.outstanding().is_none() && index < cap => {
+                    let request = client.start(stream.next_op(), now);
+                    outbox.push(Outgoing::Broadcast(client.id(), Message::Request(request)));
+                }
+                TimerAction::Idle => {}
             }
         }
     }
@@ -1074,17 +1006,11 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
     /// The aggregate client-side outcome so far.
     pub fn report(&self) -> ClientReport {
         ClientReport {
-            completed: self.clients.values().map(|c| c.completed).sum(),
-            latencies: self
-                .clients
-                .values()
-                .flat_map(|c| c.latencies.iter().copied())
+            completed: self.clients.iter().map(|(c, _)| c.completed()).sum(),
+            latencies: (self.clients.iter())
+                .flat_map(|(c, _)| c.latencies().iter().copied())
                 .collect(),
-            completed_digests: self
-                .clients
-                .values()
-                .flat_map(|c| c.completed_digests.iter().copied())
-                .collect(),
+            completed_digests: self.completed_digests.clone(),
         }
     }
 }
@@ -1148,7 +1074,7 @@ pub fn run_threaded_service(config: &ThreadedServiceConfig) -> ThreadedServiceRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minbft::Operation;
+    use crate::minbft::{Operation, Request};
     use std::collections::{BTreeMap, HashMap};
 
     #[test]
@@ -1309,11 +1235,19 @@ mod tests {
     }
 
     /// Records what each recipient is sent, in order (broadcasts expanded
-    /// to their recipients), and counts the batches.
+    /// to their recipients), and counts the batches; its clock is whatever
+    /// the test sets.
     #[derive(Default)]
     struct Recorder {
         heard: BTreeMap<NodeId, Vec<(NodeId, Message)>>,
         batches: usize,
+        clock: f64,
+    }
+
+    impl WallClock for Recorder {
+        fn now(&self) -> f64 {
+            self.clock
+        }
     }
 
     impl Transport<Message> for Recorder {
@@ -1466,5 +1400,47 @@ mod tests {
             "the joined replica must have adopted a state transfer"
         );
         assert!(snapshots.iter().any(|s| s.id == 0), "evicted snapshot kept");
+    }
+
+    #[test]
+    fn a_stalled_request_is_retransmitted_while_replies_flow() {
+        let (replies, mailbox) = std::sync::mpsc::sync_channel(8);
+        let streams = (0..2).map(|seed| OpStream::new(seed, 0, 1.0)).collect();
+        let members = MembershipView::fixed((0..4).collect());
+        let mut driver =
+            ClientDriver::over_transport(Recorder::default(), mailbox, members, streams, 0.1);
+        // Both clients submit at t = 0.
+        driver.run_for(0.0);
+        let reply = |from, to: NodeId| Delivery {
+            time: 0.0,
+            from,
+            to,
+            message: Message::Reply {
+                request_id: 0,
+                value: 1,
+                sequence: 1,
+            },
+        };
+        let sent_by = |driver: &ClientDriver<Recorder>, client| -> Vec<u64> {
+            (driver.transport.heard[&0].iter())
+                .filter_map(|(from, message)| match message {
+                    Message::Request(request) if *from == client => Some(request.id),
+                    _ => None,
+                })
+                .collect()
+        };
+        let [first, second] = [CLIENT_ID_BASE, CLIENT_ID_BASE + 1];
+        // Before the deadline a reply arrives and nothing is retransmitted.
+        driver.transport.clock = 0.05;
+        replies.send(reply(0, second)).expect("mailbox open");
+        driver.pump(true);
+        assert_eq!(sent_by(&driver, first), [0]);
+        // Past it, a reply for the second client must not hide the first
+        // client's stalled request from its timer.
+        driver.transport.clock = 0.15;
+        replies.send(reply(1, second)).expect("mailbox open");
+        driver.pump(true);
+        assert_eq!(sent_by(&driver, first), [0, 0], "client 0 retransmits");
+        assert_eq!(sent_by(&driver, second), [0, 1], "client 1 completes");
     }
 }

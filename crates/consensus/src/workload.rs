@@ -7,7 +7,8 @@
 //! surfacing as shed arrivals), over a key-value operation mix. The same
 //! generator drives the simulated [`crate::MinBftCluster`]
 //! (`run_workload`), the threaded service ([`crate::threaded`]) and the
-//! throughput benchmarks.
+//! throughput benchmarks. Fig. 10 is `run_workload`'s closed loop over
+//! register writes (`key_space: 0`, `write_ratio: 1.0`).
 
 use crate::minbft::Operation;
 use rand::rngs::StdRng;
