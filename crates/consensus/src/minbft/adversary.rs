@@ -280,7 +280,7 @@ pub(super) fn equivocate(
 mod tests {
     use super::*;
     use crate::crypto::KeyDirectory;
-    use crate::minbft::replica::flush_stale_batch;
+    use crate::minbft::timers::replica_on_timer;
     use crate::minbft::{MinBftCluster, MinBftConfig, Operation, ProtocolParams};
     use crate::net::NetworkConfig;
 
@@ -371,7 +371,7 @@ mod tests {
         };
         let n = leader.usig.last_counter() + 1;
         let mut out = StepOutput::default();
-        flush_stale_batch(&mut leader, 0.0, &params, &mut out);
+        assert!(!replica_on_timer(&mut leader, 0.0, &params, 0.5, &mut out));
         // Odd member indices get the conflict, even ones the honest PREPARE;
         // per batch the honest certificate comes first: n, n+1, then n+2, n+3.
         let sent: Vec<(NodeId, u64, u64)> = (out.outgoing.iter())

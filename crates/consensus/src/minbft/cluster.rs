@@ -14,10 +14,12 @@
 //!
 //! The event loop pays per delivery only for what the delivery changes:
 //! `timer_floor` is a lower bound on every pending deadline
-//! ([`Client::deadline`], `replica_deadline`, the adversary's next release).
-//! A run starts it at −∞, a dispatch to node X lowers it by X's deadline and
-//! the next release (nothing else moves during a dispatch), and the timeout
-//! sweep runs only once `now` reaches it, then recomputes it exactly.
+//! ([`Client::deadline`], [`timers::replica_deadline`], the adversary's next
+//! release). A run starts it at −∞, a dispatch to node X lowers it by X's
+//! deadline and the next release (nothing else moves during a dispatch), and
+//! the timeout sweep (`check_timeouts`: every [`Client::on_timer`], then every
+//! replica's [`timers::replica_on_timer`]) runs only once `now` reaches it,
+//! then recomputes it exactly.
 
 use super::adversary::{equivocate, Adversary, AttackerKind};
 use super::client::{client_index, Client, TimerAction};
@@ -27,9 +29,9 @@ use super::message::{
     Operation, Request, CLIENT_ID_BASE,
 };
 use super::replica::{
-    flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, state_pull_deadline,
-    state_transfer_message, view_change_vote, window_open, Replica, StepOutput,
+    replica_on_message, state_transfer_message, view_change_vote, Replica, StepOutput,
 };
+use super::timers::{self, replica_on_timer, sits_out};
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
 use crate::metrics::RetryBudgetConfig;
 use crate::net::{Delivery, NetworkConfig, SimNetwork};
@@ -647,7 +649,7 @@ impl MinBftCluster {
                 continue;
             };
             r.min_lead_view = r.min_lead_view.max(r.view + 1);
-            if !r.crashed && !r.needs_state && r.byzantine != ByzantineMode::Silent {
+            if !sits_out(r) {
                 r.voted_view = r.voted_view.max(r.view + 1);
                 let vote = view_change_vote(r, r.view + 1);
                 self.network.broadcast(id, &self.membership, &vote);
@@ -670,24 +672,14 @@ impl MinBftCluster {
         (deadline < f64::INFINITY).then_some(deadline)
     }
 
-    /// The earliest timer of replica `id`: a state-pull re-announcement
-    /// (`last pull + retry`), a stall vote (`first_seen + request_timeout`)
-    /// or a partial-batch flush (`oldest pending + batch_delay`); ∞ when none
-    /// is armed. It moves only when the replica is dispatched to or swept,
-    /// and like [`Client::deadline`] it matches its firing test in
-    /// `check_timeouts` ulp for ulp.
+    /// The earliest timer of replica `id` ([`timers::replica_deadline`]; ∞
+    /// once it is gone). Like [`Client::deadline`], it matches its firing
+    /// test in `check_timeouts` ulp for ulp.
     fn replica_deadline(&self, id: NodeId) -> SimTime {
-        let Some(replica) = self.replicas.get(&id) else {
-            return f64::INFINITY;
-        };
-        let pull = state_pull_deadline(replica).unwrap_or(f64::INFINITY);
-        if replica.crashed || replica.byzantine == ByzantineMode::Silent || replica.needs_state {
-            return pull;
-        }
         let timeout = self.config.request_timeout;
-        let stall = (replica.request_first_seen.values()).fold(pull, |t, &s| t.min(s + timeout));
-        let flush = batch_flush_deadline(replica, &self.protocol_params(), self.now());
-        flush.map_or(stall, |flush| stall.min(flush))
+        (self.replicas.get(&id)).map_or(f64::INFINITY, |replica| {
+            timers::replica_deadline(replica, &self.protocol_params(), timeout, self.now())
+        })
     }
 
     /// Dispatches one delivery, lowers the floor by what it can have armed
@@ -994,10 +986,9 @@ impl MinBftCluster {
         );
     }
 
-    /// Checks request timeouts: clients retransmit unanswered requests,
-    /// replicas re-announce outstanding state pulls, leaders flush partial
-    /// batches past their delay, and replicas vote for a view change when
-    /// the leader appears unresponsive.
+    /// Checks request timeouts: clients retransmit unanswered requests, then
+    /// every replica runs [`replica_on_timer`] (the state-pull retry, the
+    /// partial-batch flush and the stall vote).
     pub(super) fn check_timeouts(&mut self) {
         let now = self.network.now();
         let timeout = self.config.request_timeout;
@@ -1013,23 +1004,12 @@ impl MinBftCluster {
                 TimerAction::Suppressed => self.retransmissions_suppressed += 1,
             }
         }
-        // Replica timers: batch flushes and view-change votes, in id order.
+        // Replica timers, in id order.
         let params = self.protocol_params();
         for replica in self.replicas.values_mut() {
             let mut out = StepOutput::default();
-            retry_state_pull(replica, now, &mut out);
-            // Even a leader votes when its requests stall (its proposals may
-            // be going into the void); only crashed, silent and
-            // state-awaiting replicas sit out.
-            if !(replica.crashed
-                || replica.byzantine == ByzantineMode::Silent
-                || replica.needs_state)
-            {
-                flush_stale_batch(replica, now, &params, &mut out);
-                if let Some(vote) = stall_vote(replica, now, timeout) {
-                    out.broadcast.push(vote);
-                    self.view_changes += 1;
-                }
+            if replica_on_timer(replica, now, &params, timeout, &mut out) {
+                self.view_changes += 1;
             }
             if !out.is_empty() {
                 self.adversary
@@ -1038,35 +1018,4 @@ impl MinBftCluster {
         }
         self.adversary.release_due(now, &mut self.network);
     }
-}
-
-/// The earliest simulated time at which this live replica holds a partial
-/// batch that [`flush_stale_batch`] would flush (`None` when nothing is
-/// pending).
-fn batch_flush_deadline(
-    replica: &Replica,
-    params: &ProtocolParams,
-    now: SimTime,
-) -> Option<SimTime> {
-    // A closed window must return `None`: the parked batch cannot flush
-    // until executions advance the frontier, and handing the event loop a
-    // deadline that never becomes actionable would spin the clock on the
-    // same timer forever (deliveries, not timers, re-open the window).
-    if params.batch_size <= 1
-        || !replica.may_lead()
-        || replica.pending.is_empty()
-        || !window_open(replica, params)
-    {
-        return None;
-    }
-    let oldest = replica
-        .pending
-        .iter()
-        .filter_map(|r| replica.request_first_seen.get(&(r.client, r.id)).copied())
-        .fold(f64::INFINITY, f64::min);
-    Some(if oldest.is_finite() {
-        oldest + params.batch_delay
-    } else {
-        now
-    })
 }

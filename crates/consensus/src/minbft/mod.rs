@@ -33,10 +33,10 @@
 //! number of replicas as in Fig. 10 of the paper.
 //!
 //! The module is split along the trust boundary. `message`, `config`,
-//! `replica` and `client` are the honest protocol core — everything a live
-//! node or client links. `cluster` is the simulated driver and `adversary`
-//! the attacker zoo it owns: no attacker behaviour lives inside the honest
-//! step functions.
+//! `replica`, `timers` and `client` are the honest protocol core — everything
+//! a live node or client links. `cluster` is the simulated driver and
+//! `adversary` the attacker zoo it owns: no attacker behaviour lives inside
+//! the honest step functions.
 
 mod adversary;
 mod client;
@@ -46,6 +46,7 @@ mod message;
 mod replica;
 #[cfg(test)]
 mod tests;
+mod timers;
 
 pub use adversary::AttackerKind;
 pub(crate) use client::{client_index, Client, TimerAction};
@@ -56,6 +57,5 @@ pub use message::{
     batch_digest, first_log_divergence, ByzantineMode, CommitRecord, ControlMessage, Message,
     Operation, Request, CLIENT_ID_BASE,
 };
-pub(crate) use replica::{
-    flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, Replica, StepOutput,
-};
+pub(crate) use replica::{replica_on_message, Replica, StepOutput};
+pub(crate) use timers::{replica_deadline, replica_on_timer};

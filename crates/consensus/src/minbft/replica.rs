@@ -6,6 +6,7 @@ use super::message::{
     batch_digest, ByzantineMode, CommitRecord, ControlMessage, Message, Operation,
     PreparedCertificate, Request, ViewChangeVote,
 };
+use super::timers::{pull_state, sits_out};
 use crate::crypto::{combine, digest, Digest, KeyDirectory, KeyPair};
 use crate::transport::{Outgoing, Transport};
 use crate::usig::{UniqueIdentifier, Usig, UsigVerifier};
@@ -85,8 +86,8 @@ pub(crate) struct Replica {
     /// [`ControlMessage::Recover`]): a state pull is outstanding, but the
     /// protocol state survives until a frontier-covering transfer arrives.
     pub(crate) pending_rebuild: bool,
-    /// When this replica last broadcast a state pull (see [`retry_state_pull`]).
-    last_state_pull: SimTime,
+    /// When this replica last broadcast a state pull (see [`super::timers`]).
+    pub(super) last_state_pull: SimTime,
     pub(crate) byzantine: ByzantineMode,
     pub(crate) crashed: bool,
     pub(crate) view: u64,
@@ -335,7 +336,7 @@ impl Replica {
             // now.
             pull_state(self, now, out);
         }
-        if !self.needs_state && self.byzantine != ByzantineMode::Silent {
+        if !sits_out(self) {
             self.voted_view = self.voted_view.max(self.view + 1);
             out.broadcast.push(view_change_vote(self, self.view + 1));
         }
@@ -521,7 +522,7 @@ pub(super) fn state_transfer_message(replica: &Replica) -> Message {
 /// backlog would otherwise be re-proposed at a fresh sequence number and
 /// execute twice (found by the multi-shard routing oracle: loss storm +
 /// JOIN, the lagging ex-straggler wins the post-reconfiguration view).
-fn propose_batch(replica: &mut Replica, requests: Vec<Request>, out: &mut StepOutput) {
+pub(super) fn propose_batch(replica: &mut Replica, requests: Vec<Request>, out: &mut StepOutput) {
     let requests: Vec<Request> = requests
         .into_iter()
         .filter(|r| {
@@ -599,97 +600,6 @@ fn flush_full_batches(replica: &mut Replica, params: &ProtocolParams, out: &mut 
     {
         let batch: Vec<Request> = replica.pending.drain(..params.batch_size.max(1)).collect();
         propose_batch(replica, batch, out);
-    }
-}
-
-/// Proposes a partial batch whose oldest request has waited at least
-/// `batch_delay` (so light load never stalls behind the batch-fill
-/// condition). Called from the timeout path of both drivers.
-pub(crate) fn flush_stale_batch(
-    replica: &mut Replica,
-    now: SimTime,
-    params: &ProtocolParams,
-    out: &mut StepOutput,
-) {
-    if params.batch_size <= 1 || !replica.may_lead() || replica.pending.is_empty() {
-        return;
-    }
-    let oldest = replica
-        .pending
-        .iter()
-        .filter_map(|r| replica.request_first_seen.get(&(r.client, r.id)).copied())
-        .fold(f64::INFINITY, f64::min);
-    // The comparison must be the exact expression `batch_flush_deadline`
-    // returns: testing `now - oldest < delay` instead can disagree by one
-    // ulp after the event loop advances the clock to `oldest + delay`, and
-    // the flush would never fire (a livelock).
-    if oldest.is_finite() && now < oldest + params.batch_delay {
-        return;
-    }
-    while !replica.pending.is_empty() && window_open(replica, params) {
-        let take = replica.pending.len().min(params.batch_size.max(1));
-        let batch: Vec<Request> = replica.pending.drain(..take).collect();
-        propose_batch(replica, batch, out);
-    }
-}
-
-/// Votes for a view change if any request this replica has seen stalled for
-/// longer than `timeout`. Returns the vote to broadcast (the caller counts
-/// and sends it). Shared by the simulated cluster's timeout sweep and the
-/// threaded replica loop.
-pub(crate) fn stall_vote(replica: &mut Replica, now: SimTime, timeout: f64) -> Option<Message> {
-    if replica.crashed || replica.byzantine == ByzantineMode::Silent || replica.needs_state {
-        return None;
-    }
-    // Canonical deadline form `now >= first_seen + timeout`: the event
-    // loop advances the clock to exactly this expression when the network
-    // is idle, so the comparison must match it ulp-for-ulp.
-    let stalled = replica
-        .request_first_seen
-        .values()
-        .any(|&first_seen| now >= first_seen + timeout);
-    if !stalled {
-        return None;
-    }
-    // Vote for the highest view anyone has proposed (not just view + 1):
-    // voting `own view + 1` fragments the ballots across views when
-    // replicas disagree on the current view, and no proposal ever reaches
-    // quorum.
-    let highest_proposed = replica.view_change_votes.keys().copied().max().unwrap_or(0);
-    let new_view = (replica.view + 1).max(highest_proposed);
-    replica.voted_view = replica.voted_view.max(new_view);
-    replica.request_first_seen.clear();
-    Some(view_change_vote(replica, new_view))
-}
-
-/// Seconds between re-announcements of an outstanding state pull, on every
-/// plane: the `StateRequest` rides the droppable data plane, and one lost
-/// broadcast must not strand the recovery.
-const STATE_PULL_RETRY: f64 = 0.05;
-
-/// Broadcasts a state pull and restarts its re-announcement timer.
-fn pull_state(replica: &mut Replica, now: SimTime, out: &mut StepOutput) {
-    replica.last_state_pull = now;
-    out.broadcast.push(Message::StateRequest {
-        epoch: replica.epoch,
-    });
-}
-
-/// When [`retry_state_pull`] next fires, in the canonical `last + retry`
-/// form (`None`: no pull outstanding, or the answer could not be received).
-pub(crate) fn state_pull_deadline(replica: &Replica) -> Option<SimTime> {
-    let pulling =
-        replica.awaits_state() && !replica.crashed && replica.byzantine != ByzantineMode::Silent;
-    pulling.then_some(replica.last_state_pull + STATE_PULL_RETRY)
-}
-
-/// Re-announces an outstanding state pull once its retry interval has
-/// passed. Called by the simulated cluster's timeout sweep and by *every*
-/// iteration of the threaded replica loop — a busy mailbox (the exact
-/// condition that drops broadcasts) would starve an idle-only retry.
-pub(crate) fn retry_state_pull(replica: &mut Replica, now: SimTime, out: &mut StepOutput) {
-    if state_pull_deadline(replica).is_some_and(|due| now >= due) {
-        pull_state(replica, now, out);
     }
 }
 

@@ -50,7 +50,7 @@
 use crate::crypto::{KeyDirectory, KeyPair};
 use crate::minbft::{ControlMessage, Message, Replica};
 use crate::net::Delivery;
-use crate::threaded::{replica_main, ReplicaSnapshot, ThreadedServiceConfig};
+use crate::threaded::{ReplicaLoop, ReplicaSnapshot, ThreadedServiceConfig};
 use crate::transport::{Outgoing, Transport, TransportStats, WallClock};
 use crate::wire::{encode_frame_into, FrameBuffer, FRAME_HEADER_LEN};
 use crate::NodeId;
@@ -612,18 +612,18 @@ impl SocketReplicaNode {
             directory,
             self.config.seed,
         );
-        replica_main(
+        let node = ReplicaLoop {
             replica,
             mailbox,
             control_rx,
-            self.transport.handle(),
-            self.config.protocol_params(self.membership.len()),
-            self.config.request_timeout,
-            self.config.signature_time,
-            Arc::clone(&self.stop),
-            Arc::new(AtomicBool::new(false)),
-            None,
-        )
+            transport: self.transport.handle(),
+            params: self.config.protocol_params(self.membership.len()),
+            request_timeout: self.config.request_timeout,
+            signature_time: self.config.signature_time,
+            tuning: None,
+            trace: Vec::new(),
+        };
+        node.run(&self.stop, &AtomicBool::new(false))
     }
 }
 

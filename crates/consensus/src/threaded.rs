@@ -35,9 +35,8 @@
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
 use crate::metrics::{RetryBudgetConfig, SharedTuning};
 use crate::minbft::{
-    client_index, flush_stale_batch, replica_on_message, retry_state_pull, stall_vote, Client,
-    CommitRecord, ControlMessage, Message, ProtocolParams, Replica, StepOutput, TimerAction,
-    CLIENT_ID_BASE,
+    client_index, replica_deadline, replica_on_message, replica_on_timer, Client, CommitRecord,
+    ControlMessage, Message, ProtocolParams, Replica, StepOutput, TimerAction, CLIENT_ID_BASE,
 };
 use crate::net::Delivery;
 use crate::transport::{
@@ -244,187 +243,177 @@ impl Burst {
     }
 }
 
-/// Steps `first` and the deliveries already waiting behind it, up to
-/// [`MAILBOX_BURST`] in all, and hands what they produced to the transport
-/// in one call, by the rules of [`replica_main`]. Returns how many
-/// deliveries it drained.
-fn step_burst<T: Transport<Message>>(
-    replica: &mut Replica,
-    first: Delivery<Message>,
-    mailbox: &Receiver<Delivery<Message>>,
-    transport: &mut T,
-    params: &ProtocolParams,
-    signature_time: f64,
-    trace: &mut Vec<CommitRecord>,
-) -> usize {
-    let from = replica.id;
-    let mut burst = Burst::default();
-    let mut drained = 1;
-    let mut delivery = first;
-    loop {
-        // A crashed or Silent replica drops protocol traffic (the gate the
-        // simulated cluster applies at dispatch). Control commands arrive on
-        // the dedicated channel; a `Message::Control` seen here came over
-        // the droppable data plane and gets no special treatment.
-        if matches!(delivery.message, Message::Control(_))
-            || !(replica.crashed || replica.byzantine == ByzantineMode::Silent)
-        {
-            let mut out = StepOutput::default();
-            replica_on_message(
-                replica,
-                delivery.from,
-                delivery.message,
-                delivery.time,
-                params,
-                trace,
-                &mut out,
-            );
-            // The commit trace is a simulation-harness hook; nothing reads
-            // it here, and letting it accumulate would grow per-thread
-            // memory for the run's whole duration.
-            trace.clear();
-            if signature_time > 0.0 && out.created_uis > 0 {
-                burst.flush(transport);
-                pay_signature_cost(signature_time, out.created_uis);
-                out.flush(transport, from, &replica.membership);
-                return drained;
-            }
-            burst.push(out, from, &replica.membership, transport);
-            if replica.evicted {
-                break;
-            }
-        }
-        if drained == MAILBOX_BURST {
-            break;
-        }
-        let Ok(next) = mailbox.try_recv() else {
-            break;
-        };
-        drained += 1;
-        delivery = next;
-    }
-    burst.flush(transport);
-    drained
+/// One replica's event loop: the replica, its protocol mailbox, its trusted
+/// control channel, its transport and the knobs it runs under. The threaded
+/// cluster and the socket plane build it and call [`ReplicaLoop::run`].
+pub(crate) struct ReplicaLoop<T> {
+    pub(crate) replica: Replica,
+    pub(crate) mailbox: Receiver<Delivery<Message>>,
+    pub(crate) control_rx: Receiver<ControlMessage>,
+    pub(crate) transport: T,
+    pub(crate) params: ProtocolParams,
+    pub(crate) request_timeout: f64,
+    pub(crate) signature_time: f64,
+    pub(crate) tuning: Option<Arc<SharedTuning>>,
+    /// Scratch for the commit trace [`replica_on_message`] writes; cleared
+    /// after every step.
+    pub(crate) trace: Vec<CommitRecord>,
 }
 
-/// A replica's event loop: drains the trusted control channel, then takes
-/// one burst from the protocol mailbox ([`step_burst`]) or, on a quiet
-/// interval, runs the timers. Control commands, the autotuned knobs and the
-/// stop flags are looked at once per burst.
-///
-/// A burst hands its output to the transport in one call and sends exactly
-/// what flushing after every step would:
-///
-/// * **(a) Same order per (sender, recipient).** Each step's output is
-///   appended in step order, its broadcasts before its unicasts, so no step's
-///   unicast is overtaken by a later step's broadcast.
-/// * **(b) Same recipients.** Each broadcast goes to the membership after its
-///   own step: a step that changes the membership first sends the earlier
-///   steps' output (see [`Burst::push`]).
-/// * **Signing.** With `signature_time > 0`, a step that created USIG
-///   signatures ends the burst: the earlier steps' output leaves first, then
-///   the replica sleeps the step's signing delay and sends its output. Every
-///   signed message thus leaves after exactly its own cumulative signing
-///   delay, as the pipelined-window model assumes.
-#[allow(clippy::too_many_arguments)] // crate-private thread entry point: the
-                                     // arguments are exactly the thread's owned endpoints, not a config bag.
-pub(crate) fn replica_main<T: Transport<Message> + WallClock>(
-    mut replica: Replica,
-    mailbox: Receiver<crate::net::Delivery<Message>>,
-    control_rx: Receiver<ControlMessage>,
-    mut transport: T,
-    mut params: ProtocolParams,
-    request_timeout: f64,
-    signature_time: f64,
-    stop: Arc<AtomicBool>,
-    kill: Arc<AtomicBool>,
-    tuning: Option<Arc<SharedTuning>>,
-) -> ReplicaSnapshot {
-    let mut trace: Vec<CommitRecord> = Vec::new();
-    let from = replica.id;
-    loop {
-        // Autotuned batching knobs take effect at the next loop iteration:
-        // the AutotuneLoop publishes through the shared atomics and every
-        // replica re-reads them here (the live-plane half of the online
-        // actuation; the simulated cluster's `set_batch_config` is the
-        // deterministic twin).
-        if let Some(tuning) = tuning.as_ref() {
-            params.batch_size = tuning.batch_size();
-            params.batch_delay = tuning.batch_delay();
+impl<T: Transport<Message> + WallClock> ReplicaLoop<T> {
+    /// Runs [`ReplicaLoop::pass`] until the replica leaves or `stop` or
+    /// `kill` is set, and returns the replica's shutdown snapshot.
+    ///
+    /// A burst hands its output to the transport in one call and sends
+    /// exactly what flushing after every step would:
+    ///
+    /// * **(a) Same order per (sender, recipient).** Each step's output is
+    ///   appended in step order, its broadcasts before its unicasts, so no
+    ///   step's unicast is overtaken by a later step's broadcast.
+    /// * **(b) Same recipients.** Each broadcast goes to the membership after
+    ///   its own step: a step that changes the membership first sends the
+    ///   earlier steps' output (see [`Burst::push`]).
+    /// * **Signing.** With `signature_time > 0`, a step that created USIG
+    ///   signatures ends the burst: the earlier steps' output leaves first,
+    ///   then the replica sleeps the step's signing delay and sends its
+    ///   output. Every signed message thus leaves after exactly its own
+    ///   cumulative signing delay, as the pipelined-window model assumes.
+    pub(crate) fn run(mut self, stop: &AtomicBool, kill: &AtomicBool) -> ReplicaSnapshot {
+        while self.pass() && !stop.load(Ordering::Relaxed) && !kill.load(Ordering::Relaxed) {}
+        ReplicaSnapshot {
+            id: self.replica.id,
+            log_start: self.replica.log_start,
+            needs_state: self.replica.awaits_state(),
+            last_executed: self.replica.last_executed,
+            executed: self.replica.executed,
         }
+    }
+
+    /// One pass of [`ReplicaLoop::run`]: reads the clock once, drains the
+    /// control channel, waits at most min(2 ms, deadline − now) for a burst
+    /// and runs [`replica_on_timer`] once the deadline has passed, whether or
+    /// not a delivery arrived. `false` once the replica is evicted or its
+    /// mailbox is gone.
+    fn pass(&mut self) -> bool {
+        // Autotuned batching knobs take effect at the next pass: the
+        // AutotuneLoop publishes through the shared atomics (the live-plane
+        // half of the online actuation; the simulated cluster's
+        // `set_batch_config` is the deterministic twin).
+        if let Some(tuning) = self.tuning.as_ref() {
+            self.params.batch_size = tuning.batch_size();
+            self.params.batch_delay = tuning.batch_delay();
+        }
+        let now = self.transport.now();
         // The trusted control channel drains first: recovery and
         // reconfiguration reach the replica even when its protocol mailbox
         // is saturated (and even when it is crashed/Silent — a compromise
         // cannot sever the privileged domain's channel).
-        while let Ok(command) = control_rx.try_recv() {
-            let mut out = StepOutput::default();
+        while let Ok(command) = self.control_rx.try_recv() {
+            let (mut out, command) = (StepOutput::default(), Message::Control(command));
+            let (replica, params, trace) = (&mut self.replica, &self.params, &mut self.trace);
             replica_on_message(
-                &mut replica,
+                replica,
                 CONTROL_PLANE_ID,
-                Message::Control(command),
-                transport.now(),
-                &params,
-                &mut trace,
+                command,
+                now,
+                params,
+                trace,
                 &mut out,
             );
-            pay_signature_cost(signature_time, out.created_uis);
-            out.flush(&mut transport, from, &replica.membership);
             trace.clear();
+            self.send(out);
         }
-        if replica.evicted {
-            break;
+        if self.replica.evicted {
+            return false;
         }
-        match mailbox.recv_timeout(Duration::from_millis(2)) {
+        let deadline = replica_deadline(&self.replica, &self.params, self.request_timeout, now);
+        let wait = Duration::from_secs_f64((deadline - now).clamp(0.0, 0.002));
+        match self.mailbox.recv_timeout(wait) {
             Ok(first) => {
-                let drained = step_burst(
-                    &mut replica,
-                    first,
-                    &mailbox,
-                    &mut transport,
-                    &params,
-                    signature_time,
-                    &mut trace,
-                );
+                let drained = self.step_burst(first);
                 // Keep the transport's mailbox-depth gauge (the autotune
                 // backpressure signal) accurate: one update per burst.
-                transport.note_received(drained);
+                self.transport.note_received(drained);
+                if self.replica.evicted {
+                    return false;
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return false,
+        }
+        if now >= deadline {
+            let mut out = StepOutput::default();
+            let timeout = self.request_timeout;
+            replica_on_timer(&mut self.replica, now, &self.params, timeout, &mut out);
+            self.send(out);
+        }
+        true
+    }
+
+    /// Steps `first` and the deliveries already waiting behind it, up to
+    /// [`MAILBOX_BURST`] in all, and hands what they produced to the transport
+    /// in one call, by the rules of [`ReplicaLoop::run`]. Returns how many
+    /// deliveries it drained.
+    fn step_burst(&mut self, first: Delivery<Message>) -> usize {
+        let (replica, transport) = (&mut self.replica, &mut self.transport);
+        let from = replica.id;
+        let mut burst = Burst::default();
+        let mut drained = 1;
+        let mut delivery = first;
+        loop {
+            // A crashed or Silent replica drops protocol traffic (the gate the
+            // simulated cluster applies at dispatch). Control commands arrive
+            // on the dedicated channel; a `Message::Control` seen here came
+            // over the droppable data plane and gets no special treatment.
+            if matches!(delivery.message, Message::Control(_))
+                || !(replica.crashed || replica.byzantine == ByzantineMode::Silent)
+            {
+                let mut out = StepOutput::default();
+                replica_on_message(
+                    replica,
+                    delivery.from,
+                    delivery.message,
+                    delivery.time,
+                    &self.params,
+                    &mut self.trace,
+                    &mut out,
+                );
+                // The commit trace is a simulation-harness hook; nothing reads
+                // it here, and letting it accumulate would grow per-thread
+                // memory for the run's whole duration.
+                self.trace.clear();
+                if self.signature_time > 0.0 && out.created_uis > 0 {
+                    burst.flush(transport);
+                    pay_signature_cost(self.signature_time, out.created_uis);
+                    out.flush(transport, from, &replica.membership);
+                    return drained;
+                }
+                burst.push(out, from, &replica.membership, transport);
                 if replica.evicted {
                     break;
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle tick: flush aged partial batches and run the
-                // view-change stall timer — the same timeout logic the
-                // simulated cluster's `check_timeouts` applies.
-                let now = transport.now();
-                let mut out = StepOutput::default();
-                flush_stale_batch(&mut replica, now, &params, &mut out);
-                if let Some(vote) = stall_vote(&mut replica, now, request_timeout) {
-                    out.broadcast.push(vote);
-                }
-                pay_signature_cost(signature_time, out.created_uis);
-                out.flush(&mut transport, from, &replica.membership);
+            if drained == MAILBOX_BURST {
+                break;
             }
-            Err(RecvTimeoutError::Disconnected) => break,
+            let Ok(next) = self.mailbox.try_recv() else {
+                break;
+            };
+            drained += 1;
+            delivery = next;
         }
-        // Re-announce a pending state pull: the one-shot broadcast may
-        // have been dropped by full peer mailboxes. (The guard only spares
-        // the hot loop a clock read.)
-        if replica.awaits_state() {
-            let mut out = StepOutput::default();
-            retry_state_pull(&mut replica, transport.now(), &mut out);
-            out.flush(&mut transport, from, &replica.membership);
-        }
-        if stop.load(Ordering::Relaxed) || kill.load(Ordering::Relaxed) {
-            break;
-        }
+        burst.flush(transport);
+        drained
     }
-    ReplicaSnapshot {
-        id: replica.id,
-        log_start: replica.log_start,
-        executed: std::mem::take(&mut replica.executed),
-        last_executed: replica.last_executed,
-        needs_state: replica.awaits_state(),
+
+    /// Sends one step's output after its signing delay.
+    fn send(&mut self, out: StepOutput) {
+        pay_signature_cost(self.signature_time, out.created_uis);
+        out.flush(
+            &mut self.transport,
+            self.replica.id,
+            &self.replica.membership,
+        );
     }
 }
 
@@ -529,33 +518,25 @@ impl ThreadedCluster {
 
     fn spawn(&mut self, replica: Replica) {
         let id = replica.id;
-        let mailbox = self.hub.register(id);
-        let transport = self.hub.handle();
-        let params = self.params;
-        let request_timeout = self.config.request_timeout;
-        let signature_time = self.config.signature_time;
-        let stop = Arc::clone(&self.stop);
-        let kill = Arc::new(AtomicBool::new(false));
-        let kill_clone = Arc::clone(&kill);
         // The trusted control channel: small and drained with priority
         // every loop iteration, so a (briefly) blocking send from the
         // control plane is bounded by one 2 ms poll interval.
         let (control_tx, control_rx) = std::sync::mpsc::sync_channel(64);
-        let tuning = Arc::clone(&self.tuning);
-        let thread = std::thread::spawn(move || {
-            replica_main(
-                replica,
-                mailbox,
-                control_rx,
-                transport,
-                params,
-                request_timeout,
-                signature_time,
-                stop,
-                kill_clone,
-                Some(tuning),
-            )
-        });
+        let node = ReplicaLoop {
+            replica,
+            mailbox: self.hub.register(id),
+            control_rx,
+            transport: self.hub.handle(),
+            params: self.params,
+            request_timeout: self.config.request_timeout,
+            signature_time: self.config.signature_time,
+            tuning: Some(Arc::clone(&self.tuning)),
+            trace: Vec::new(),
+        };
+        let stop = Arc::clone(&self.stop);
+        let kill = Arc::new(AtomicBool::new(false));
+        let kill_clone = Arc::clone(&kill);
+        let thread = std::thread::spawn(move || node.run(&stop, &kill_clone));
         self.workers.insert(
             id,
             Worker {
@@ -1072,375 +1053,4 @@ pub fn run_threaded_service(config: &ThreadedServiceConfig) -> ThreadedServiceRe
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::minbft::{Operation, Request};
-    use std::collections::{BTreeMap, HashMap};
-
-    #[test]
-    fn threaded_cluster_serves_requests_with_consistent_logs() {
-        let report = run_threaded_service(&ThreadedServiceConfig {
-            replicas: 4,
-            clients: 4,
-            duration: 0.4,
-            ..ThreadedServiceConfig::default()
-        });
-        assert!(
-            report.completed_requests > 0,
-            "the threaded service must complete requests: {report:?}"
-        );
-        assert!(report.consistent, "replica logs diverged: {report:?}");
-        assert!(report.requests_per_second > 0.0);
-        assert!(report.mean_latency > 0.0);
-        assert!(report.transport.sent > 0);
-    }
-
-    #[test]
-    fn threaded_checkpoints_compact_replica_logs() {
-        // A small checkpoint period must bound the retained logs even in
-        // the concurrent service (same compaction code as the simulation).
-        let report = run_threaded_service(&ThreadedServiceConfig {
-            replicas: 4,
-            clients: 8,
-            batch_size: 8,
-            checkpoint_period: 10,
-            duration: 0.6,
-            ..ThreadedServiceConfig::default()
-        });
-        assert!(report.completed_requests > 0);
-        assert!(report.consistent);
-        if report.max_executed > 40 {
-            assert!(
-                (report.max_retained_log as u64) < report.max_executed,
-                "no replica compacted: retained {} of {} executed",
-                report.max_retained_log,
-                report.max_executed
-            );
-        }
-    }
-
-    #[test]
-    fn shutdown_drain_loses_and_duplicates_nothing() {
-        // Deterministic drain accounting: stop the driver mid-run, drain
-        // the in-flight requests, and require that every *completed*
-        // request appears exactly once in every replica log that covers
-        // its range — no request lost, none double-executed. Compaction is
-        // disabled and batches are singletons so the retained log is the
-        // complete per-request execution history.
-        let config = ThreadedServiceConfig {
-            replicas: 4,
-            clients: 6,
-            batch_size: 1,
-            checkpoint_period: 0,
-            duration: 0.3,
-            ..ThreadedServiceConfig::default()
-        };
-        let mut cluster = ThreadedCluster::new(&config);
-        let mut driver = ClientDriver::new(&mut cluster, config.clients);
-        driver.run_for(config.duration);
-        assert!(driver.drain(5.0), "in-flight requests must drain");
-        let report = driver.report();
-        assert!(report.completed > 0);
-        // Let the last commit round settle across all replicas before the
-        // snapshot (replies precede peer commits by one message).
-        std::thread::sleep(Duration::from_millis(150));
-        let snapshots = cluster.shutdown();
-        assert!(snapshots_consistent(&snapshots));
-        let longest = snapshots
-            .iter()
-            .max_by_key(|s| s.executed.len())
-            .expect("snapshots");
-        let mut counts: HashMap<crate::crypto::Digest, usize> = HashMap::new();
-        for digest in &longest.executed {
-            *counts.entry(*digest).or_default() += 1;
-        }
-        for digest in &report.completed_digests {
-            assert_eq!(
-                counts.get(digest).copied().unwrap_or(0),
-                1,
-                "completed request digest {digest:?} must appear exactly once \
-                 in the longest replica log"
-            );
-        }
-        // No digest anywhere appears twice (no double execution at all).
-        for snapshot in &snapshots {
-            let mut seen: HashMap<crate::crypto::Digest, usize> = HashMap::new();
-            for digest in &snapshot.executed {
-                *seen.entry(*digest).or_default() += 1;
-            }
-            assert!(
-                seen.values().all(|&n| n == 1),
-                "replica {} executed a request twice",
-                snapshot.id
-            );
-        }
-    }
-
-    /// One wall-clock run of the silent-replica live-recovery scenario.
-    /// Safety invariants (service survives, keeps completing, logs stay
-    /// consistent) are hard asserts; whether the recovered replica caught
-    /// up to the frontier before shutdown races the OS scheduler (a
-    /// transfer adopted late leaves a commit gap only ongoing traffic can
-    /// repair), so that outcome is returned for the caller to retry on.
-    fn silent_recovery_run() -> Result<(), String> {
-        let config = ThreadedServiceConfig {
-            replicas: 4,
-            clients: 4,
-            duration: 0.2,
-            ..ThreadedServiceConfig::default()
-        };
-        let mut cluster = ThreadedCluster::new(&config);
-        let mut driver = ClientDriver::new(&mut cluster, config.clients);
-        assert!(cluster.compromise(2, ByzantineMode::Silent));
-        driver.run_for(0.2);
-        let before = driver.report().completed;
-        assert!(before > 0, "the service must survive one silent replica");
-        assert!(cluster.recover(2));
-        driver.run_for(0.3);
-        std::thread::sleep(Duration::from_millis(100));
-        let after = driver.report().completed;
-        assert!(after > before, "the service must keep completing requests");
-        let snapshots = cluster.shutdown();
-        assert!(snapshots_consistent(&snapshots));
-        let recovered = snapshots.iter().find(|s| s.id == 2).expect("replica 2");
-        if recovered.needs_state {
-            return Err("the recovered replica never adopted a state transfer".into());
-        }
-        let frontier = snapshots.iter().map(|s| s.last_executed).max().unwrap();
-        if recovered.last_executed + 32 < frontier {
-            return Err(format!(
-                "recovered replica lags the frontier: {} vs {frontier}",
-                recovered.last_executed
-            ));
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn controller_triggered_live_recovery_restores_a_silent_replica() {
-        // The live actuation smoke test: compromise a non-leader replica
-        // (it goes Silent — the intrusion the IDS stream would flag), let
-        // the service keep running on n-1, then actuate the message-driven
-        // Recover; the replica must rebuild, pull a state transfer, and be
-        // caught up by shutdown. Wall-clock runs race the OS scheduler
-        // (same idiom as `live_loop_recovers_compromise_and_restores_n`),
-        // so a loaded host gets up to three attempts before the catch-up
-        // expectation is treated as a product bug; the deterministic sim
-        // twin gates the same recovery semantics seed-exactly.
-        let failed: Vec<String> = (0..3).map_while(|_| silent_recovery_run().err()).collect();
-        assert!(
-            failed.len() < 3,
-            "live recovery must catch up within three attempts: {failed:?}"
-        );
-    }
-
-    /// Records what each recipient is sent, in order (broadcasts expanded
-    /// to their recipients), and counts the batches; its clock is whatever
-    /// the test sets.
-    #[derive(Default)]
-    struct Recorder {
-        heard: BTreeMap<NodeId, Vec<(NodeId, Message)>>,
-        batches: usize,
-        clock: f64,
-    }
-
-    impl WallClock for Recorder {
-        fn now(&self) -> f64 {
-            self.clock
-        }
-    }
-
-    impl Transport<Message> for Recorder {
-        fn send(&mut self, from: NodeId, to: NodeId, message: Message) {
-            self.heard.entry(to).or_default().push((from, message));
-        }
-
-        fn send_batch(&mut self, recipients: &[NodeId], batch: Vec<Outgoing<Message>>) {
-            self.batches += 1;
-            for outgoing in batch {
-                match outgoing {
-                    Outgoing::Broadcast(from, message) => {
-                        self.broadcast(from, recipients, &message)
-                    }
-                    Outgoing::Unicast(from, to, message) => self.send(from, to, message),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_burst_sends_what_per_step_flushes_send() {
-        let members: Vec<NodeId> = (0..4).collect();
-        let seed = 5;
-        let mut directory = KeyDirectory::new();
-        for &id in &members {
-            directory.register(&KeyPair::derive(id, seed));
-        }
-        let params = ThreadedServiceConfig {
-            batch_size: 1,
-            checkpoint_period: 1,
-            ..ThreadedServiceConfig::default()
-        }
-        .protocol_params(members.len());
-        let replica = |id| Replica::new(id, members.clone(), directory.clone(), seed);
-        let step = |replica: &mut Replica, d: Delivery<Message>| {
-            let (mut out, mut trace) = (StepOutput::default(), Vec::new());
-            replica_on_message(
-                replica, d.from, d.message, d.time, &params, &mut trace, &mut out,
-            );
-            out
-        };
-        let to = |to, from, message| Delivery {
-            time: 0.0,
-            from,
-            to,
-            message,
-        };
-        let client = CLIENT_ID_BASE;
-        let request = Message::Request(Request {
-            client,
-            id: 0,
-            operation: Operation::Write(7),
-        });
-        // The leader's PREPARE for the request, and two backups' COMMITs.
-        let prepare = step(&mut replica(0), to(0, client, request.clone())).broadcast;
-        let commit = |id| step(&mut replica(id), to(id, 0, prepare[0].clone())).broadcast;
-        let reconfigure = ControlMessage::Reconfigure {
-            epoch: 1,
-            membership: (0..5).collect(),
-        };
-        let script = [
-            // A unicast (StateTransfer to 3).
-            to(0, 3, Message::StateRequest { epoch: 0 }),
-            // Signs the PREPARE: ends the first burst.
-            to(0, client, request),
-            to(0, 1, commit(1)[0].clone()),
-            // Executes: a Checkpoint broadcast, then the Reply.
-            to(0, 2, commit(2)[0].clone()),
-            to(0, 3, Message::StateRequest { epoch: 0 }),
-            // Node 4 joins: a ViewChange broadcast to the new membership.
-            to(0, 3, Message::Control(reconfigure)),
-            // A unicast between two broadcasts.
-            to(0, 4, Message::StateRequest { epoch: 1 }),
-            // A StateRequest broadcast.
-            to(0, 3, Message::Control(ControlMessage::Recover)),
-        ];
-        let signature_time = 1e-4;
-
-        // The loop before bursts: every step flushed on its own.
-        let mut per_step = Recorder::default();
-        let mut leader = replica(0);
-        for delivery in script.clone() {
-            let out = step(&mut leader, delivery);
-            pay_signature_cost(signature_time, out.created_uis);
-            out.flush(&mut per_step, 0, &leader.membership);
-        }
-
-        let mut bursts = Recorder::default();
-        let mut leader = replica(0);
-        let (mailbox_tx, mailbox) = std::sync::mpsc::sync_channel(script.len());
-        for delivery in script {
-            mailbox_tx.send(delivery).expect("mailbox open");
-        }
-        let mut drained = Vec::new();
-        while let Ok(first) = mailbox.try_recv() {
-            let (transport, trace) = (&mut bursts, &mut Vec::new());
-            drained.push(step_burst(
-                &mut leader,
-                first,
-                &mailbox,
-                transport,
-                &params,
-                signature_time,
-                trace,
-            ));
-        }
-        assert_eq!(drained, [2, 6], "the signing step ends the first burst");
-        assert_eq!(bursts.heard, per_step.heard);
-        assert_eq!(
-            bursts.heard[&4].len(),
-            3,
-            "node 4 hears only what follows its join"
-        );
-        // Per step: one batch for each of the seven steps with output. In
-        // bursts: the step before the signing one, the signing one, the two
-        // steps before the membership change, and the rest.
-        assert_eq!((bursts.batches, per_step.batches), (4, 7));
-    }
-
-    #[test]
-    fn join_and_evict_reshape_the_running_cluster() {
-        let config = ThreadedServiceConfig {
-            replicas: 4,
-            clients: 4,
-            duration: 0.2,
-            ..ThreadedServiceConfig::default()
-        };
-        let mut cluster = ThreadedCluster::new(&config);
-        let mut driver = ClientDriver::new(&mut cluster, config.clients);
-        driver.run_for(0.2);
-        let joined = cluster.join();
-        assert_eq!(cluster.num_replicas(), 5);
-        driver.run_for(0.3);
-        assert!(cluster.evict(0));
-        assert!(!cluster.evict(0), "double eviction must be refused");
-        assert_eq!(cluster.num_replicas(), 4);
-        driver.run_for(0.3);
-        let completed = driver.report().completed;
-        assert!(
-            completed > 0,
-            "the service must serve through JOIN and EVICT"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-        let snapshots = cluster.shutdown();
-        assert!(snapshots_consistent(&snapshots));
-        let newcomer = snapshots.iter().find(|s| s.id == joined).expect("joined");
-        assert!(
-            !newcomer.needs_state,
-            "the joined replica must have adopted a state transfer"
-        );
-        assert!(snapshots.iter().any(|s| s.id == 0), "evicted snapshot kept");
-    }
-
-    #[test]
-    fn a_stalled_request_is_retransmitted_while_replies_flow() {
-        let (replies, mailbox) = std::sync::mpsc::sync_channel(8);
-        let streams = (0..2).map(|seed| OpStream::new(seed, 0, 1.0)).collect();
-        let members = MembershipView::fixed((0..4).collect());
-        let mut driver =
-            ClientDriver::over_transport(Recorder::default(), mailbox, members, streams, 0.1);
-        // Both clients submit at t = 0.
-        driver.run_for(0.0);
-        let reply = |from, to: NodeId| Delivery {
-            time: 0.0,
-            from,
-            to,
-            message: Message::Reply {
-                request_id: 0,
-                value: 1,
-                sequence: 1,
-            },
-        };
-        let sent_by = |driver: &ClientDriver<Recorder>, client| -> Vec<u64> {
-            (driver.transport.heard[&0].iter())
-                .filter_map(|(from, message)| match message {
-                    Message::Request(request) if *from == client => Some(request.id),
-                    _ => None,
-                })
-                .collect()
-        };
-        let [first, second] = [CLIENT_ID_BASE, CLIENT_ID_BASE + 1];
-        // Before the deadline a reply arrives and nothing is retransmitted.
-        driver.transport.clock = 0.05;
-        replies.send(reply(0, second)).expect("mailbox open");
-        driver.pump(true);
-        assert_eq!(sent_by(&driver, first), [0]);
-        // Past it, a reply for the second client must not hide the first
-        // client's stalled request from its timer.
-        driver.transport.clock = 0.15;
-        replies.send(reply(1, second)).expect("mailbox open");
-        driver.pump(true);
-        assert_eq!(sent_by(&driver, first), [0, 0], "client 0 retransmits");
-        assert_eq!(sent_by(&driver, second), [0, 1], "client 1 completes");
-    }
-}
+mod tests;
