@@ -10,9 +10,18 @@
 
 use crate::NodeId;
 
-/// A 64-bit message digest (FNV-1a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+/// A 64-bit message digest (FNV-1a). Ordered, so maps keyed by a digest
+/// iterate in one order on every run.
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub struct Digest(pub u64);
+
+impl Digest {
+    /// The greatest digest: `(sequence, Digest::MAX)` bounds every key of
+    /// one sequence from above.
+    pub(crate) const MAX: Digest = Digest(u64::MAX);
+}
 
 /// Computes the FNV-1a digest of a byte string (`const`, so fixed inputs
 /// are hashed at compile time).

@@ -6,7 +6,8 @@
 //! `Replica::prepare_hook`, assigned only by `MinBftCluster::set_attacker`.
 
 use super::message::{batch_digest, ByzantineMode, Message, Request, CLIENT_ID_BASE};
-use super::replica::{record_ui_message, Replica, StepOutput};
+use super::ordering::record_ui_message;
+use super::replica::{Replica, StepOutput};
 use crate::crypto::digest;
 use crate::hybrid_fault_threshold;
 use crate::net::{Delivery, SimNetwork};

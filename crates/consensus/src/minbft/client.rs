@@ -6,10 +6,11 @@
 //! clock) and what to do with a request the client hands back (broadcast it
 //! to the membership).
 
+use super::config::ProtocolParams;
 use super::message::{Operation, Request, CLIENT_ID_BASE};
+use super::quorum::Votes;
 use crate::metrics::{RetryBudget, RetryBudgetConfig};
 use crate::{NodeId, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The position of client `id` in a plane's client list: ids are dense from
 /// [`CLIENT_ID_BASE`] (`None` for a replica or the control plane).
@@ -17,9 +18,10 @@ pub(crate) fn client_index(id: NodeId) -> Option<usize> {
     id.checked_sub(CLIENT_ID_BASE).map(|index| index as usize)
 }
 
-/// One client: at most one request in flight, completed when more than `f`
-/// distinct replicas reply with the same value, and retransmitted every
-/// `timeout` until then (through the retry budget, when one is installed).
+/// One client: at most one request in flight, completed once its
+/// [`ProtocolParams::reply_quorum`] of distinct replicas reply with the same
+/// value, and retransmitted every `timeout` until then (through the retry
+/// budget, when one is installed).
 ///
 /// Known defect, kept on purpose: a retransmission re-arms `started`, so a
 /// retransmitted request's latency counts from its last send, not its first.
@@ -43,7 +45,7 @@ pub(crate) struct Client {
 #[derive(Debug)]
 struct Outstanding {
     request: Request,
-    votes: BTreeMap<u64, BTreeSet<NodeId>>,
+    votes: Votes<u64>,
     started: SimTime,
 }
 
@@ -116,14 +118,14 @@ impl Client {
         self.next_request_id += 1;
         self.outstanding = Some(Outstanding {
             request,
-            votes: BTreeMap::new(),
+            votes: Votes::new(),
             started: now,
         });
         request
     }
 
     /// Counts `from`'s reply `value` for request `request_id`. Returns the
-    /// request once more than `f` distinct replicas agree on one value: the
+    /// request once `f + 1` distinct replicas agree on one value: the
     /// client records the latency sample, earns its retry budget and is idle
     /// again. Replies to any other request are ignored.
     pub(crate) fn on_reply(
@@ -138,12 +140,11 @@ impl Client {
         if outstanding.request.id != request_id {
             return None;
         }
-        outstanding.votes.entry(value).or_default().insert(from);
+        outstanding.votes.cast(value, from, ());
         // Every value, not only this one: `f` may have shrunk with the
         // membership since the last reply.
-        if !outstanding.votes.values().any(|voters| voters.len() > f) {
-            return None;
-        }
+        let quorum = ProtocolParams::reply_quorum(f);
+        outstanding.votes.key_reaching(quorum)?;
         let Outstanding {
             request, started, ..
         } = self.outstanding.take()?;
@@ -197,9 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn f_plus_one_distinct_senders_on_one_value_complete_the_request() {
+    fn a_reply_quorum_completes_the_request_once() {
         let mut client = started();
         assert_eq!(client.on_reply(0, 0, 7, F, 1.5), None);
+        assert_eq!(client.on_reply(0, 0, 7, F, 1.7), None);
+        assert_eq!(client.on_reply(1, 0, 8, F, 1.8), None);
         let request = client.on_reply(2, 0, 7, F, 2.0).expect("f + 1 agree");
         assert_eq!((request.client, request.id), (CLIENT_ID_BASE, 0));
         assert_eq!(client.outstanding(), None);
@@ -207,26 +210,6 @@ mod tests {
         // A late reply to the completed request changes nothing.
         assert_eq!(client.on_reply(3, 0, 7, F, 2.5), None);
         assert_eq!(client.completed(), 1);
-    }
-
-    #[test]
-    fn a_duplicate_sender_does_not_complete_the_request() {
-        let mut client = started();
-        for _ in 0..3 {
-            assert_eq!(client.on_reply(1, 0, 7, F, 2.0), None);
-        }
-        assert!(client.outstanding().is_some());
-        assert_eq!(client.completed(), 0);
-    }
-
-    #[test]
-    fn split_values_do_not_complete_the_request() {
-        let mut client = started();
-        assert_eq!(client.on_reply(0, 0, 7, F, 2.0), None);
-        assert_eq!(client.on_reply(1, 0, 8, F, 2.0), None);
-        assert!(client.outstanding().is_some());
-        // The third reply breaks the tie.
-        assert!(client.on_reply(2, 0, 8, F, 2.0).is_some());
     }
 
     #[test]

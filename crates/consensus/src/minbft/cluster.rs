@@ -22,16 +22,16 @@
 //! then recomputes it exactly.
 
 use super::adversary::{equivocate, Adversary, AttackerKind};
+use super::checkpoint::state_transfer_message;
 use super::client::{client_index, Client, TimerAction};
 use super::config::{MinBftConfig, ProtocolParams};
 use super::message::{
     batch_digest, first_log_divergence, ByzantineMode, CommitRecord, ControlMessage, Message,
     Operation, Request, CLIENT_ID_BASE,
 };
-use super::replica::{
-    replica_on_message, state_transfer_message, view_change_vote, Replica, StepOutput,
-};
+use super::replica::{replica_on_message, Replica, StepOutput};
 use super::timers::{self, replica_on_timer, sits_out};
+use super::view_change::view_change_vote;
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
 use crate::metrics::RetryBudgetConfig;
 use crate::net::{Delivery, NetworkConfig, SimNetwork};
@@ -263,10 +263,7 @@ impl MinBftCluster {
             r.pending.len(),
             r.request_first_seen.len(),
             r.prepared.len(),
-            r.view_change_votes
-                .iter()
-                .map(|(view, votes)| (*view, votes.len()))
-                .collect::<std::collections::BTreeMap<_, _>>(),
+            r.view_change_votes,
         )
     }
 

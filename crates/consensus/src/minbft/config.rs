@@ -170,7 +170,7 @@ impl MinBftConfig {
 /// [`crate::threaded::ThreadedServiceConfig`] by the threaded service).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ProtocolParams {
-    /// Commit/checkpoint quorum parameter (`f + 1` votes commit).
+    /// Fault threshold of the checkpoint quorum (`f + 1` matching digests).
     pub f: usize,
     /// Sequences between checkpoints (0 disables checkpoints).
     pub checkpoint_period: u64,
@@ -212,5 +212,17 @@ impl ProtocolParams {
     pub(crate) fn view_change_quorum(&self, n: usize) -> usize {
         n.saturating_sub(crate::hybrid_fault_threshold(n, self.recoveries))
             .max(1)
+    }
+
+    /// Checkpoint quorum: `f + 1` matching announcements, the replica's
+    /// own among them, so at least one comes from a correct replica.
+    pub(crate) fn checkpoint_quorum(&self) -> usize {
+        self.f + 1
+    }
+
+    /// Reply quorum: `f + 1` matching replies. It takes the client plane's
+    /// own fault threshold `f`, not [`ProtocolParams::f`].
+    pub(crate) fn reply_quorum(f: usize) -> usize {
+        f + 1
     }
 }

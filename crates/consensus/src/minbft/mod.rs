@@ -32,21 +32,34 @@
 //! is what makes the simulated throughput saturate and decrease with the
 //! number of replicas as in Fig. 10 of the paper.
 //!
-//! The module is split along the trust boundary. `message`, `config`,
-//! `replica`, `timers` and `client` are the honest protocol core — everything
-//! a live node or client links. `cluster` is the simulated driver and
-//! `adversary` the attacker zoo it owns: no attacker behaviour lives inside
-//! the honest step functions.
+//! The module is split along the trust boundary. The honest protocol core
+//! is everything a live node or client links:
+//!
+//! * `message` and `config` — the wire vocabulary and the quorum sizes;
+//! * `quorum` — the one vote tally every quorum counts on;
+//! * `replica` — the replica's state and its one step function, which
+//!   dispatches to the protocol's phases: `ordering` (request, PREPARE,
+//!   COMMIT, execute), `view_change` (ballots, NEW-VIEW, the refill and the
+//!   reconfiguration vote), `checkpoint` (checkpoints and state transfer)
+//!   and `timers`;
+//! * `client` — the client's side.
+//!
+//! `cluster` is the simulated driver and `adversary` the attacker zoo it
+//! owns: no attacker behaviour lives inside the honest step functions.
 
 mod adversary;
+mod checkpoint;
 mod client;
 mod cluster;
 mod config;
 mod message;
+mod ordering;
+mod quorum;
 mod replica;
 #[cfg(test)]
 mod tests;
 mod timers;
+mod view_change;
 
 pub use adversary::AttackerKind;
 pub(crate) use client::{client_index, Client, TimerAction};

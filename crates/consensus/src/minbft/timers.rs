@@ -10,7 +10,9 @@
 
 use super::config::ProtocolParams;
 use super::message::{ByzantineMode, Message};
-use super::replica::{propose_batch, view_change_vote, window_open, Replica, StepOutput};
+use super::ordering::{propose_pending, window_open};
+use super::replica::{Replica, StepOutput};
+use super::view_change::view_change_vote;
 use crate::SimTime;
 
 /// Seconds between re-announcements of an outstanding state pull, on every
@@ -108,11 +110,7 @@ pub(crate) fn replica_on_timer(
         return false;
     }
     if now >= batch_flush_deadline(replica, params, now) {
-        while !replica.pending.is_empty() && window_open(replica, params) {
-            let take = replica.pending.len().min(params.batch_size.max(1));
-            let batch = replica.pending.drain(..take).collect();
-            propose_batch(replica, batch, out);
-        }
+        propose_pending(replica, params, true, out);
     }
     if now < stall_deadline(replica, timeout) {
         return false;
@@ -120,7 +118,7 @@ pub(crate) fn replica_on_timer(
     // Vote for the highest view anyone has proposed (not just view + 1):
     // voting `own view + 1` fragments the ballots across views when replicas
     // disagree on the current view, and no proposal ever reaches quorum.
-    let highest_proposed = replica.view_change_votes.keys().copied().max().unwrap_or(0);
+    let highest_proposed = replica.view_change_votes.highest_key().unwrap_or(0);
     let new_view = (replica.view + 1).max(highest_proposed);
     replica.voted_view = replica.voted_view.max(new_view);
     replica.request_first_seen.clear();
