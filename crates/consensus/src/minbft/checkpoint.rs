@@ -100,10 +100,8 @@ pub(super) fn handle_checkpoint(
     }
 }
 
-/// The state-transfer message a donor builds from its current state (shared
-/// by the simulated cluster's JOIN / laggard-barrier push and the pull-based
-/// [`Message::StateRequest`] path).
-pub(super) fn state_transfer_message(replica: &Replica) -> Message {
+/// The state-transfer message a donor builds from its current state.
+fn state_transfer_message(replica: &Replica) -> Message {
     Message::StateTransfer {
         epoch: replica.epoch,
         value: replica.value,
@@ -211,7 +209,7 @@ pub(super) fn handle_state_transfer(replica: &mut Replica, transfer: Message) {
     if folded != log_chain || stable_sequence > last_executed {
         return;
     }
-    if epoch != replica.epoch || last_executed < replica.last_executed {
+    if epoch != replica.epoch || last_executed < replica.last_executed.max(replica.epoch_frontier) {
         return;
     }
     // Phase two of a message-driven rebuild: the first transfer covering
@@ -220,7 +218,10 @@ pub(super) fn handle_state_transfer(replica: &mut Replica, transfer: Message) {
     // gone without a replacement. A transfer below the frontier is refused
     // (above): adopting it would roll the replica back past sequences it
     // executed, and if it was their unique live holder the next gap-filling
-    // view change would re-assign them.
+    // view change would re-assign them. So is one below the frontier of the
+    // epoch's reconfiguration: a newcomer or laggard that adopted another
+    // laggard's state would vote in a ballot of laggards (see
+    // `apply_reconfiguration`).
     if replica.pending_rebuild && !replica.needs_state {
         reset_for_recovery(replica);
     }
@@ -330,6 +331,29 @@ mod tests {
         handle_checkpoint(&mut replica, 3, 1, own, &PARAMS);
         assert_eq!(replica.stable_sequence, 1);
         assert_eq!(replica.checkpoint_votes.len(), 0);
+    }
+
+    #[test]
+    fn a_pulling_replica_adopts_only_a_transfer_that_reaches_the_frontier() {
+        use super::super::view_change::apply_reconfiguration;
+        let members = vec![0, 1, 2, 3, 4];
+        let mut newcomer = Replica::newcomer(4, members.clone(), KeyDirectory::new(), 7, 1);
+        // The JOIN: epoch 1, at whose start the members had executed 5.
+        let mut out = StepOutput::default();
+        apply_reconfiguration(&mut newcomer, 1, members.clone(), 5, 0.0, &mut out);
+        let transfer = |last_executed| {
+            let mut donor = Replica::new(0, members.clone(), KeyDirectory::new(), 7);
+            (donor.epoch, donor.last_executed) = (1, last_executed);
+            state_transfer_message(&donor)
+        };
+        // A laggard's state is refused ...
+        handle_state_transfer(&mut newcomer, transfer(4));
+        assert!(newcomer.needs_state);
+        assert_eq!(newcomer.last_executed, 0);
+        // ... and the frontier's adopted.
+        handle_state_transfer(&mut newcomer, transfer(5));
+        assert!(!newcomer.needs_state);
+        assert_eq!(newcomer.last_executed, 5);
     }
 
     #[test]

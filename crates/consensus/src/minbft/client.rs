@@ -21,14 +21,8 @@ pub(crate) fn client_index(id: NodeId) -> Option<usize> {
 /// One client: at most one request in flight, completed once its
 /// [`ProtocolParams::reply_quorum`] of distinct replicas reply with the same
 /// value, and retransmitted every `timeout` until then (through the retry
-/// budget, when one is installed).
-///
-/// Known defect, kept on purpose: a retransmission re-arms `started`, so a
-/// retransmitted request's latency counts from its last send, not its first.
-/// That biases the latency samples low, hides slow requests from a
-/// retransmit-suspect count, and feeds autotune a low p99. Fixing it moves
-/// the simulated autotune decisions, so it waits for the next golden-digest
-/// regeneration.
+/// budget, when one is installed). A request's latency counts from its first
+/// send, however often it was retransmitted.
 #[derive(Debug)]
 pub(crate) struct Client {
     id: NodeId,
@@ -40,12 +34,14 @@ pub(crate) struct Client {
     retry_budget: Option<RetryBudget>,
 }
 
-/// The request in flight, the replies received for it keyed by value, and
-/// when its timer was last armed.
+/// The request in flight, the replies received for it keyed by value, when
+/// it was first sent (the latency sample's start) and when its timer was
+/// last armed.
 #[derive(Debug)]
 struct Outstanding {
     request: Request,
     votes: Votes<u64>,
+    first_sent: SimTime,
     started: SimTime,
 }
 
@@ -119,6 +115,7 @@ impl Client {
         self.outstanding = Some(Outstanding {
             request,
             votes: Votes::new(),
+            first_sent: now,
             started: now,
         });
         request
@@ -146,10 +143,12 @@ impl Client {
         let quorum = ProtocolParams::reply_quorum(f);
         outstanding.votes.key_reaching(quorum)?;
         let Outstanding {
-            request, started, ..
+            request,
+            first_sent,
+            ..
         } = self.outstanding.take()?;
         self.completed += 1;
-        self.latencies.push(now - started);
+        self.latencies.push(now - first_sent);
         if let Some(budget) = self.retry_budget.as_mut() {
             budget.on_success();
         }
@@ -244,6 +243,24 @@ mod tests {
             Client::new(CLIENT_ID_BASE, None).deadline(timeout),
             f64::INFINITY
         );
+    }
+
+    #[test]
+    fn a_retransmitted_requests_latency_counts_from_its_first_send() {
+        let mut client = started();
+        assert!(matches!(
+            client.on_timer(1.5, 0.5),
+            TimerAction::Retransmit(_)
+        ));
+        assert!(matches!(
+            client.on_timer(2.0, 0.5),
+            TimerAction::Retransmit(_)
+        ));
+        // The timer re-armed at the last send; the sample starts at the first.
+        assert_eq!(client.deadline(0.5), 2.5);
+        client.on_reply(0, 0, 7, F, 2.25);
+        client.on_reply(1, 0, 7, F, 2.25);
+        assert_eq!(client.latencies(), &[1.25][..]);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The simulated cluster: replicas, clients, the [`SimNetwork`] and the
 //! event loop that drives them, plus the fault-injection hooks of the
-//! simulation harness. Recovery is the live protocol: `recover_replica`
-//! delivers [`ControlMessage::Recover`] and reads no other replica's state.
-//! Reconfiguration (`add_replica`, `evict_replica`) is still god-mode — it
-//! rewrites every member in place behind the `sync_lagging_replicas`
-//! barrier, which the message-driven `Reconfigure` path has no equivalent
-//! of (see ROADMAP item 3).
+//! simulation harness. Recovery and reconfiguration are the live planes'
+//! protocol: `recover_replica` delivers [`ControlMessage::Recover`], and
+//! `add_replica` / `evict_replica` deliver [`ControlMessage::Reconfigure`]
+//! with the members' execution frontier, in `ThreadedCluster`'s order,
+//! through the one `control` helper. Past building the newcomer, the
+//! cluster writes no replica's membership, epoch, votes or state flags: the
+//! barrier that keeps laggards out of a new epoch's first ballot lives in
+//! the honest core (`view_change::apply_reconfiguration`).
 //!
 //! Clients are [`Client`] values, the same client step the live
 //! [`crate::ClientDriver`] runs; a closed-loop client also holds the
@@ -22,7 +24,6 @@
 //! then recomputes it exactly.
 
 use super::adversary::{equivocate, Adversary, AttackerKind};
-use super::checkpoint::state_transfer_message;
 use super::client::{client_index, Client, TimerAction};
 use super::config::{MinBftConfig, ProtocolParams};
 use super::message::{
@@ -30,14 +31,12 @@ use super::message::{
     Operation, Request, CLIENT_ID_BASE,
 };
 use super::replica::{replica_on_message, Replica, StepOutput};
-use super::timers::{self, replica_on_timer, sits_out};
-use super::view_change::view_change_vote;
+use super::timers::{self, replica_on_timer};
 use crate::crypto::{Digest, KeyDirectory, KeyPair};
 use crate::metrics::RetryBudgetConfig;
 use crate::net::{Delivery, NetworkConfig, SimNetwork};
 use crate::threaded::CONTROL_PLANE_ID;
 use crate::transport::Transport;
-use crate::usig::UsigVerifier;
 use crate::workload::{Arrival, OpStream, WorkloadConfig, WorkloadReport};
 use crate::{hybrid_fault_threshold, NodeId, SimTime};
 use rand::rngs::StdRng;
@@ -480,8 +479,6 @@ impl MinBftCluster {
     /// serving it, its USIG counter continues and no peer is touched.
     /// Returns whether `replica` is a member.
     pub fn recover_replica(&mut self, replica: NodeId) -> bool {
-        let params = self.protocol_params();
-        let now = self.network.now();
         let Some(r) = self.replicas.get_mut(&replica) else {
             return false;
         };
@@ -489,37 +486,24 @@ impl MinBftCluster {
         r.crashed = false;
         r.prepare_hook = None;
         self.adversary.assign(replica, None);
-        let mut out = StepOutput::default();
-        let recover = Message::Control(ControlMessage::Recover);
-        let trace = &mut self.commit_trace;
-        replica_on_message(r, CONTROL_PLANE_ID, recover, now, &params, trace, &mut out);
-        self.adversary
-            .emit(r, out, &self.membership, &mut self.network);
+        self.control(replica, ControlMessage::Recover);
         true
     }
 
-    /// Sends a state transfer to `recipient` (a newcomer, or a laggard the
-    /// reconfiguration barrier sidelined) from the most up-to-date live
-    /// donor. Donors that are crashed or themselves awaiting a transfer
-    /// never push (amnesia must not spread); if no donor exists, the
-    /// recipient stays in `needs_state` and keeps re-announcing its pull.
-    fn send_state_transfer(&mut self, recipient: NodeId) {
-        let donor = self
-            .membership
-            .iter()
-            .copied()
-            .filter(|&id| {
-                id != recipient && !self.replicas[&id].crashed && !self.replicas[&id].needs_state
-            })
-            .max_by_key(|&id| (self.replicas[&id].last_executed, std::cmp::Reverse(id)));
-        if let Some(donor) = donor {
-            let donor = &self.replicas[&donor];
-            let mut out = StepOutput::default();
-            out.outgoing
-                .push((recipient, state_transfer_message(donor)));
-            self.adversary
-                .emit(donor, out, &self.membership, &mut self.network);
-        }
+    /// Delivers `command` to `replica` the way the live control plane does:
+    /// from [`CONTROL_PLANE_ID`], past the crashed/Silent gate, with the
+    /// step's output sent through the adversary.
+    fn control(&mut self, replica: NodeId, command: ControlMessage) {
+        let params = self.protocol_params();
+        let now = self.network.now();
+        let Some(r) = self.replicas.get_mut(&replica) else {
+            return;
+        };
+        let (mut out, command) = (StepOutput::default(), Message::Control(command));
+        let trace = &mut self.commit_trace;
+        replica_on_message(r, CONTROL_PLANE_ID, command, now, &params, trace, &mut out);
+        self.adversary
+            .emit(r, out, &self.membership, &mut self.network);
     }
 
     /// Restarts a crashed replica with its state intact (fail-stop recovery
@@ -535,123 +519,57 @@ impl MinBftCluster {
     }
 
     /// Adds a new replica to the system (the JOIN reconfiguration used by the
-    /// system controller). Returns the new replica's identifier.
+    /// system controller): a [`Replica::newcomer`], then the new epoch's
+    /// [`ControlMessage::Reconfigure`] to every member, the newcomer last —
+    /// the order of `ThreadedCluster::join`. Returns the new replica's
+    /// identifier.
     pub fn add_replica(&mut self) -> NodeId {
         let id = self.next_node_id;
         self.next_node_id += 1;
         let keys = KeyPair::derive(id, self.config.seed);
         self.directory.register(&keys);
         self.membership.push(id);
-        // Refresh every replica's directory and membership through a
-        // lightweight reconfiguration view change.
         self.epoch += 1;
-        let new_membership = self.membership.clone();
-        for replica in self.replicas.values_mut() {
-            replica.membership = new_membership.clone();
-            replica.verifier = UsigVerifier::new(self.directory.clone());
-            // Prepared entries and commit votes are kept: they are genuine
-            // USIG-certified statements, and wiping them would erase the
-            // prepared high-water marks that stop a post-reconfiguration
-            // leader from re-assigning executed sequence numbers. Only the
-            // view-change ballots are reset (they belong to the old epoch).
-            replica.view_change_votes.clear();
-            replica.epoch = self.epoch;
-        }
-        let mut new_replica =
-            Replica::new(id, new_membership, self.directory.clone(), self.config.seed);
-        new_replica.needs_state = true;
-        new_replica.epoch = self.epoch;
-        self.replicas.insert(id, new_replica);
-        self.sync_lagging_replicas();
-        self.reconfiguration_view_change();
-        // State transfer to the newcomer, from the most up-to-date donor.
-        self.send_state_transfer(id);
-        self.view_changes += 1;
+        let (members, directory) = (self.membership.clone(), self.directory.clone());
+        let newcomer =
+            Replica::newcomer(id, members.clone(), directory, self.config.seed, self.epoch);
+        self.replicas.insert(id, newcomer);
+        self.reconfigure(&members);
         id
     }
 
-    /// Evicts a replica from the system (the EVICT reconfiguration).
+    /// Evicts a replica from the system (the EVICT reconfiguration): the new
+    /// epoch's [`ControlMessage::Reconfigure`] to the survivors, then to the
+    /// evicted replica, which leaves the simulation.
     pub fn evict_replica(&mut self, replica: NodeId) {
         self.membership.retain(|&id| id != replica);
+        self.epoch += 1;
+        let mut told = self.membership.clone();
+        told.push(replica);
+        self.reconfigure(&told);
         self.replicas.remove(&replica);
         self.adversary.assign(replica, None);
         self.network.crash(replica);
-        self.epoch += 1;
-        let new_membership = self.membership.clone();
-        for r in self.replicas.values_mut() {
-            r.membership = new_membership.clone();
-            // See `add_replica`: prepared/commit state survives the
-            // reconfiguration, only the view-change ballots reset.
-            r.view_change_votes.clear();
-            r.epoch = self.epoch;
-        }
-        self.sync_lagging_replicas();
-        self.reconfiguration_view_change();
-        self.view_changes += 1;
     }
 
-    /// The reconfiguration state barrier: every live replica whose execution
-    /// frontier lags the cluster's is forced through a state sync
-    /// (`needs_state` + transfer) before the new epoch's first view change.
-    ///
-    /// Without this, resizing the membership can break quorum intersection
-    /// with *old-configuration* commit quorums: a batch committed by `f + 1`
-    /// replicas of the old membership may, after an EVICT, be certified by
-    /// too few survivors to appear in every new-configuration view-change
-    /// ballot — a ballot formed entirely by laggards would then gap-fill the
-    /// committed sequences with no-ops and re-assign their requests
-    /// (cross-configuration split brain; found by the simnet chaos sweep).
-    /// Barring laggards from ballots until they adopt the frontier restores
-    /// the intersection argument: every participating voter's
-    /// `last_executed` covers all compacted-or-committed history, so gap
-    /// filling can only hit sequences no replica executed.
-    fn sync_lagging_replicas(&mut self) {
-        let frontier = self
-            .membership
-            .iter()
+    /// Sends the current epoch and membership to `told`, in order, with the
+    /// execution frontier of the members that are live and hold state.
+    fn reconfigure(&mut self, told: &[NodeId]) {
+        let frontier = (self.membership.iter())
             .filter_map(|id| self.replicas.get(id))
-            .filter(|r| !r.crashed && !r.needs_state)
+            .filter(|r| !r.crashed && !r.awaits_state())
             .map(|r| r.last_executed)
             .max()
             .unwrap_or(0);
-        let laggards: Vec<NodeId> = self
-            .membership
-            .iter()
-            .copied()
-            .filter(|id| {
-                self.replicas
-                    .get(id)
-                    .is_some_and(|r| !r.crashed && !r.needs_state && r.last_executed < frontier)
-            })
-            .collect();
-        for id in laggards {
-            if let Some(r) = self.replicas.get_mut(&id) {
-                r.needs_state = true;
-            }
-            self.send_state_transfer(id);
+        let command = ControlMessage::Reconfigure {
+            epoch: self.epoch,
+            membership: self.membership.clone(),
+            frontier,
+        };
+        for &id in told {
+            self.control(id, command.clone());
         }
-    }
-
-    /// Hands leadership over through an explicit view-change round after a
-    /// reconfiguration. Resizing the membership re-maps `view → leader`, and
-    /// the new mapping may point at a lagging replica whose stale sequence
-    /// counter would re-assign executed sequence numbers; every replica is
-    /// therefore barred from leading its current view, and each healthy
-    /// replica immediately broadcasts a view-change vote so the next view is
-    /// installed (message-driven, no timeout needed) with the quorum's
-    /// high-water marks bounding the new leader's sequence counter.
-    fn reconfiguration_view_change(&mut self) {
-        for &id in &self.membership {
-            let Some(r) = self.replicas.get_mut(&id) else {
-                continue;
-            };
-            r.min_lead_view = r.min_lead_view.max(r.view + 1);
-            if !sits_out(r) {
-                r.voted_view = r.voted_view.max(r.view + 1);
-                let vote = view_change_vote(r, r.view + 1);
-                self.network.broadcast(id, &self.membership, &vote);
-            }
-        }
+        self.view_changes += 1;
     }
 
     /// The earliest pending timer of any node or of the adversary. Event

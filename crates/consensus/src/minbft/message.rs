@@ -240,15 +240,22 @@ pub enum ControlMessage {
     /// counter-reset coordination.
     Recover,
     /// System controller → every replica: install a new configuration
-    /// epoch/membership (the JOIN/EVICT reconfiguration). Replicas bar
-    /// themselves from leading their current view and vote a view change,
-    /// exactly like the simulated cluster's reconfiguration round; a
-    /// replica absent from the new membership marks itself evicted.
+    /// epoch/membership (the JOIN/EVICT reconfiguration, on every plane).
+    /// Replicas bar themselves from leading their current view; a replica
+    /// that has executed up to `frontier` votes the new epoch's first view
+    /// change, one below it pulls state first and adopts only a transfer
+    /// that reaches `frontier`, and a replica absent from the new membership
+    /// marks itself evicted.
     Reconfigure {
         /// The new configuration epoch (must exceed the replica's).
         epoch: u64,
         /// The new membership.
         membership: Vec<NodeId>,
+        /// The execution frontier of the old configuration: the highest
+        /// `last_executed` of any live member not awaiting state. No voter
+        /// of the new epoch may lag it, so no ballot of laggards can
+        /// gap-fill a sequence the old configuration committed.
+        frontier: u64,
     },
     /// Fault injection for tests and controlled scenarios: sets the
     /// replica's Byzantine mode (the intrusion the IDS observes).

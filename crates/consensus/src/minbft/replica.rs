@@ -197,6 +197,10 @@ pub(crate) struct Replica {
     pub(super) min_lead_view: u64,
     /// The configuration epoch (bumped by every JOIN/EVICT).
     pub(crate) epoch: u64,
+    /// The execution frontier the latest [`ControlMessage::Reconfigure`]
+    /// carried: a state transfer below it is refused (see
+    /// [`super::view_change::apply_reconfiguration`]).
+    pub(super) epoch_frontier: u64,
     /// The highest view this replica has broadcast a view-change vote for.
     /// After voting, the replica abandons its current view — it neither
     /// proposes nor accepts PREPAREs/COMMITs until a view ≥ `voted_view` is
@@ -281,6 +285,7 @@ impl Replica {
             last_state_pull: f64::NEG_INFINITY,
             min_lead_view: 0,
             epoch: 0,
+            epoch_frontier: 0,
             voted_view: 0,
             corrupt_execution: false,
             prepare_hook: None,
@@ -289,6 +294,23 @@ impl Replica {
             ui_log: BTreeMap::new(),
             chain_base: digest(b"minbft-genesis"),
         }
+    }
+
+    /// A replica joining a running cluster that is at configuration epoch
+    /// `epoch`: one epoch behind, so the JOIN's [`ControlMessage::Reconfigure`]
+    /// is what moves it into the epoch and sends its first state pull, after
+    /// every peer could have seen the reconfiguration.
+    pub(crate) fn newcomer(
+        id: NodeId,
+        membership: Vec<NodeId>,
+        directory: KeyDirectory,
+        seed: u64,
+        epoch: u64,
+    ) -> Self {
+        let mut replica = Replica::new(id, membership, directory, seed);
+        replica.epoch = epoch - 1;
+        replica.needs_state = true;
+        replica
     }
 
     pub(super) fn may_lead(&self) -> bool {
@@ -420,9 +442,13 @@ pub(crate) fn replica_on_message(
         Message::StateRequest { epoch } => handle_state_request(replica, from, epoch, out),
         transfer @ Message::StateTransfer { .. } => handle_state_transfer(replica, transfer),
         Message::Control(ControlMessage::Recover) => begin_rebuild(replica, time, out),
-        Message::Control(ControlMessage::Reconfigure { epoch, membership }) => {
+        Message::Control(ControlMessage::Reconfigure {
+            epoch,
+            membership,
+            frontier,
+        }) => {
             if epoch > replica.epoch {
-                apply_reconfiguration(replica, epoch, membership, time, out);
+                apply_reconfiguration(replica, epoch, membership, frontier, time, out);
             }
         }
         Message::Control(ControlMessage::Compromise { mode }) => replica.byzantine = mode,

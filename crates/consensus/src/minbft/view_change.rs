@@ -66,13 +66,23 @@ fn forget_unexecuted_proposals(replica: &mut Replica) {
 /// deterministically from the shared seed), drop the old epoch's view-change
 /// ballots, bar leadership of the current view, and either vote the
 /// reconfiguration view change (healthy replicas) or pull state (replicas
-/// still awaiting a transfer). Prepared entries and commit votes survive —
-/// they are genuine USIG-certified statements whose high-water marks stop a
+/// awaiting a transfer). Prepared entries and commit votes survive — they
+/// are genuine USIG-certified statements whose high-water marks stop a
 /// post-reconfiguration leader from re-assigning executed sequence numbers.
+///
+/// The barrier: a replica that has not executed up to `frontier` sits the
+/// epoch's first ballot out and pulls a state that reaches it. Resizing the
+/// membership can break the intersection with *old-configuration* commit
+/// quorums — a batch committed by one of them may, after an EVICT, be held
+/// by too few members to appear in every new ballot, and a ballot of
+/// laggards would gap-fill the committed sequence and re-assign its
+/// requests. With every voter at the frontier, gap filling can only hit
+/// sequences no member executed.
 pub(super) fn apply_reconfiguration(
     replica: &mut Replica,
     epoch: u64,
     membership: Vec<NodeId>,
+    frontier: u64,
     now: SimTime,
     out: &mut StepOutput,
 ) {
@@ -82,6 +92,7 @@ pub(super) fn apply_reconfiguration(
     replica.verifier = UsigVerifier::new(replica.directory.clone());
     replica.membership = membership;
     replica.epoch = epoch;
+    replica.epoch_frontier = frontier;
     replica.view_change_votes.clear();
     // Leadership of the current view is barred below, so the current leader
     // stream ends here; parked entries can never drain.
@@ -91,12 +102,16 @@ pub(super) fn apply_reconfiguration(
         replica.evicted = true;
         return;
     }
+    if replica.last_executed < frontier {
+        replica.needs_state = true;
+    }
     if replica.crashed {
         return;
     }
     if replica.awaits_state() {
-        // A newcomer (or a replica mid-recovery/mid-rebuild) re-pulls state
-        // in the new epoch; its old-epoch StateRequest is void now.
+        // A newcomer, a laggard (or a replica mid-recovery/mid-rebuild)
+        // re-pulls state in the new epoch; its old-epoch StateRequest is
+        // void now.
         pull_state(replica, now, out);
     }
     if !sits_out(replica) {
@@ -314,6 +329,49 @@ mod tests {
             Message::NewView { next_sequence, .. } => Some(*next_sequence),
             _ => None,
         })
+    }
+
+    /// Delivers the `Reconfigure` into epoch 1 with `frontier` to `replica`
+    /// and returns what it broadcast.
+    fn reconfigure(replica: &mut Replica, frontier: u64) -> Vec<Message> {
+        let mut out = StepOutput::default();
+        apply_reconfiguration(replica, 1, vec![0, 1, 2, 3], frontier, 0.0, &mut out);
+        out.broadcast
+    }
+
+    #[test]
+    fn a_replica_below_the_reconfiguration_frontier_pulls_and_casts_no_ballot() {
+        let executed = |id, last_executed| {
+            let mut replica = Replica::new(id, vec![0, 1, 2, 3], KeyDirectory::new(), 7);
+            replica.last_executed = last_executed;
+            replica
+        };
+        // At the frontier: the reconfiguration ballot for view 1.
+        let mut current = executed(2, 5);
+        let sent = reconfigure(&mut current, 5);
+        assert!(!current.needs_state);
+        assert!(matches!(
+            sent.as_slice(),
+            [Message::ViewChange {
+                epoch: 1,
+                new_view: 1,
+                high_sequence: 5,
+                ..
+            }]
+        ));
+        // One below it: a state pull, and no ballot of its own, not even
+        // when a peer's ballot arrives.
+        let mut laggard = executed(1, 4);
+        let sent = reconfigure(&mut laggard, 5);
+        assert!(laggard.needs_state);
+        assert!(matches!(
+            sent.as_slice(),
+            [Message::StateRequest { epoch: 1 }]
+        ));
+        let mut out = StepOutput::default();
+        let vote = (5, 0, Vec::new());
+        handle_view_change(&mut laggard, 2, 1, 1, vote, 0.0, &PARAMS, &mut out);
+        assert_eq!(laggard.view_change_votes.count(1), 1);
     }
 
     #[test]

@@ -621,6 +621,7 @@ impl SocketReplicaNode {
             request_timeout: self.config.request_timeout,
             signature_time: self.config.signature_time,
             tuning: None,
+            progress: Arc::default(),
             trace: Vec::new(),
         };
         node.run(&self.stop, &AtomicBool::new(false))

@@ -45,7 +45,7 @@ use crate::transport::{
 use crate::workload::OpStream;
 use crate::{hybrid_fault_threshold, ByzantineMode, NodeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
@@ -185,6 +185,9 @@ struct Worker {
     thread: JoinHandle<ReplicaSnapshot>,
     kill: Arc<AtomicBool>,
     control: std::sync::mpsc::SyncSender<ControlMessage>,
+    /// The replica's execution frontier, as its loop last published it (see
+    /// [`ReplicaLoop::progress`]).
+    progress: Arc<AtomicU64>,
 }
 
 /// Deliveries one pass of an event loop (a replica's burst, a
@@ -255,6 +258,11 @@ pub(crate) struct ReplicaLoop<T> {
     pub(crate) request_timeout: f64,
     pub(crate) signature_time: f64,
     pub(crate) tuning: Option<Arc<SharedTuning>>,
+    /// Where each pass publishes the replica's `last_executed`, or 0 while
+    /// it awaits state: the frontier a JOIN or EVICT sends (see
+    /// [`ControlMessage::Reconfigure`]). `Relaxed`: the number publishes no
+    /// other data.
+    pub(crate) progress: Arc<AtomicU64>,
     /// Scratch for the commit trace [`replica_on_message`] writes; cleared
     /// after every step.
     pub(crate) trace: Vec<CommitRecord>,
@@ -347,6 +355,13 @@ impl<T: Transport<Message> + WallClock> ReplicaLoop<T> {
             replica_on_timer(&mut self.replica, now, &self.params, timeout, &mut out);
             self.send(out);
         }
+        let replica = &self.replica;
+        let progress = if replica.awaits_state() {
+            0
+        } else {
+            replica.last_executed
+        };
+        self.progress.store(progress, Ordering::Relaxed);
         true
     }
 
@@ -531,8 +546,10 @@ impl ThreadedCluster {
             request_timeout: self.config.request_timeout,
             signature_time: self.config.signature_time,
             tuning: Some(Arc::clone(&self.tuning)),
+            progress: Arc::default(),
             trace: Vec::new(),
         };
+        let progress = Arc::clone(&node.progress);
         let stop = Arc::clone(&self.stop);
         let kill = Arc::new(AtomicBool::new(false));
         let kill_clone = Arc::clone(&kill);
@@ -543,6 +560,7 @@ impl ThreadedCluster {
                 thread,
                 kill,
                 control: control_tx,
+                progress,
             },
         );
     }
@@ -631,10 +649,10 @@ impl ThreadedCluster {
     }
 
     /// JOIN reconfiguration of the running cluster: registers a mailbox for
-    /// a fresh replica, spawns its thread (state-transfer pending), and
-    /// broadcasts the new configuration epoch; existing replicas run the
-    /// reconfiguration view change on receipt. Returns the new replica's
-    /// id.
+    /// a [`Replica::newcomer`], spawns its thread, and sends the new
+    /// configuration epoch to every member, the newcomer last; existing
+    /// replicas run the reconfiguration view change on receipt, and the
+    /// newcomer pulls state. Returns the new replica's id.
     pub fn join(&mut self) -> NodeId {
         let id = self.next_node_id;
         self.next_node_id += 1;
@@ -646,26 +664,22 @@ impl ThreadedCluster {
             members.push(id);
             members.clone()
         };
-        let mut replica = Replica::new(
+        let (directory, seed) = (self.directory.clone(), self.config.seed);
+        self.spawn(Replica::newcomer(
             id,
             membership.clone(),
-            self.directory.clone(),
-            self.config.seed,
-        );
-        // One epoch behind on purpose: the Reconfigure broadcast below is
-        // what advances the newcomer into the new epoch, which also makes
-        // it broadcast its StateRequest *after* every peer could observe
-        // the reconfiguration (per-pair FIFO + the send order here).
-        replica.epoch = self.epoch - 1;
-        replica.needs_state = true;
-        self.spawn(replica);
-        self.broadcast_reconfiguration(&membership);
+            directory,
+            seed,
+            self.epoch,
+        ));
+        self.reconfigure(&membership, None);
         id
     }
 
-    /// EVICT reconfiguration of the running cluster: broadcasts the shrunk
-    /// membership, kills and joins the evicted replica's thread, and
-    /// unregisters its mailbox. Returns `false` for unknown nodes.
+    /// EVICT reconfiguration of the running cluster: sends the shrunk
+    /// membership to the survivors and then to the evicted replica, kills
+    /// and joins the evicted replica's thread, and unregisters its mailbox.
+    /// Returns `false` for unknown nodes.
     pub fn evict(&mut self, node: NodeId) -> bool {
         let membership = {
             let mut members = self.membership.write().expect("membership lock");
@@ -676,15 +690,7 @@ impl ThreadedCluster {
             members.clone()
         };
         self.epoch += 1;
-        // Survivors first, then the evicted replica learns it is out.
-        self.broadcast_reconfiguration(&membership);
-        self.send_control(
-            node,
-            ControlMessage::Reconfigure {
-                epoch: self.epoch,
-                membership: membership.clone(),
-            },
-        );
+        self.reconfigure(&membership, Some(node));
         if let Some(worker) = self.workers.remove(&node) {
             // The kill switch backstops the graceful exit (e.g. a thread
             // that already stopped polling its channels).
@@ -696,15 +702,20 @@ impl ThreadedCluster {
         true
     }
 
-    fn broadcast_reconfiguration(&mut self, membership: &[NodeId]) {
-        for &member in membership {
-            self.send_control(
-                member,
-                ControlMessage::Reconfigure {
-                    epoch: self.epoch,
-                    membership: membership.to_vec(),
-                },
-            );
+    /// Sends the current epoch, `membership` and the members' execution
+    /// frontier (the highest `last_executed` their loops published) to
+    /// every member, then to `evicted`.
+    fn reconfigure(&self, membership: &[NodeId], evicted: Option<NodeId>) {
+        let published = membership.iter().filter_map(|id| self.workers.get(id));
+        let command = ControlMessage::Reconfigure {
+            epoch: self.epoch,
+            membership: membership.to_vec(),
+            frontier: (published.map(|w| w.progress.load(Ordering::Relaxed)))
+                .max()
+                .unwrap_or(0),
+        };
+        for &member in membership.iter().chain(&evicted) {
+            self.send_control(member, command.clone());
         }
     }
 

@@ -251,6 +251,7 @@ fn recorded_loop(
         request_timeout: 0.1,
         signature_time: 0.0,
         tuning: None,
+        progress: Arc::default(),
         trace: Vec::new(),
     };
     (node, deliveries, commands)
@@ -278,6 +279,7 @@ fn a_burst_sends_what_per_step_flushes_send() {
     let reconfigure = ControlMessage::Reconfigure {
         epoch: 1,
         membership: (0..5).collect(),
+        frontier: 0,
     };
     let script = [
         // A unicast (StateTransfer to 3).
@@ -479,4 +481,22 @@ fn a_stalled_request_is_retransmitted_while_replies_flow() {
     driver.pump(true);
     assert_eq!(sent_by(&driver, first), [0, 0], "client 0 retransmits");
     assert_eq!(sent_by(&driver, second), [0, 1], "client 1 completes");
+}
+
+#[test]
+fn the_progress_gauge_reads_last_executed_and_zero_while_awaiting_state() {
+    let params = ThreadedServiceConfig::default().protocol_params(4);
+    let mut replica = live_replica(1);
+    replica.last_executed = 9;
+    let (mut node, _deliveries, commands) = recorded_loop(replica, params);
+    let progress = Arc::clone(&node.progress);
+    assert!(node.pass());
+    assert_eq!(progress.load(Ordering::Relaxed), 9);
+    // Recovered on its control channel, it awaits a transfer: nothing it
+    // executed counts towards a reconfiguration's frontier until one lands.
+    commands
+        .send(ControlMessage::Recover)
+        .expect("control open");
+    assert!(node.pass());
+    assert_eq!(progress.load(Ordering::Relaxed), 0);
 }

@@ -454,6 +454,7 @@ mod tests {
             Message::Control(ControlMessage::Reconfigure {
                 epoch: 2,
                 membership: vec![0, 1, 2, 5],
+                frontier: 19,
             }),
             Message::Control(ControlMessage::Compromise {
                 mode: ByzantineMode::Arbitrary,

@@ -613,6 +613,7 @@ mod wire_roundtrip {
                 1 => ControlMessage::Reconfigure {
                     epoch: s.next(),
                     membership: (0..1 + size % 11).map(|_| s.id()).collect(),
+                    frontier: s.next(),
                 },
                 _ => ControlMessage::Compromise {
                     mode: match seed % 3 {
