@@ -152,9 +152,18 @@ pub(super) fn begin_rebuild(replica: &mut Replica, now: SimTime, out: &mut StepO
     pull_state(replica, now, out);
 }
 
-/// Phase two of the rebuild: wipe the protocol state in place (log and
-/// certificates) while keeping identity, membership, epoch, view and the
-/// USIG, then adopt the transfer that triggered it.
+/// Phase two of the rebuild: wipe the protocol state in place (log, votes,
+/// replies) while keeping identity, membership, epoch, view, the USIG and
+/// the prepared certificates, then adopt the transfer that triggered it.
+///
+/// The certificates survive because they are USIG-certified statements a
+/// compromise cannot have altered (an intrusion corrupts only outgoing
+/// payloads), and because the donor may lag: a replica that voted COMMIT at
+/// a sequence the donor has not reached is, after the rebuild, still one of
+/// the voters every view-change ballot intersects. Wiping them would let
+/// rebuilds on consecutive control ticks erase every copy of a committed
+/// but not yet universal sequence — more amnesiacs than the `recoveries`
+/// slack of [`ProtocolParams::commit_quorum`] covers.
 fn reset_for_recovery(replica: &mut Replica) {
     let mut fresh = Replica::new(
         replica.id,
@@ -171,6 +180,7 @@ fn reset_for_recovery(replica: &mut Replica) {
     // peers may still ask for pre-recovery counters.
     std::mem::swap(&mut fresh.usig, &mut replica.usig);
     std::mem::swap(&mut fresh.ui_log, &mut replica.ui_log);
+    std::mem::swap(&mut fresh.prepared, &mut replica.prepared);
     *replica = fresh;
 }
 
@@ -354,6 +364,33 @@ mod tests {
         handle_state_transfer(&mut newcomer, transfer(5));
         assert!(!newcomer.needs_state);
         assert_eq!(newcomer.last_executed, 5);
+    }
+
+    #[test]
+    fn a_rebuilt_replica_keeps_a_certificate_its_donor_lacks() {
+        use super::super::message::{Operation, Request};
+        let members = vec![0, 1, 2, 3, 4];
+        let batch = vec![Request {
+            client: 10_000,
+            id: 1,
+            operation: Operation::Write(15),
+        }];
+        // Replica 2 voted COMMIT on sequence 15 in view 4, then its node
+        // controller rebuilt it from a donor that executed only 14.
+        let mut replica = Replica::new(2, members.clone(), KeyDirectory::new(), 7);
+        replica.last_executed = 14;
+        replica.prepared.insert(15, (4, batch.clone()));
+        let mut out = StepOutput::default();
+        begin_rebuild(&mut replica, 0.0, &mut out);
+        let mut donor = Replica::new(0, members, KeyDirectory::new(), 7);
+        donor.last_executed = 14;
+        donor.prepared.insert(14, (4, Vec::new()));
+        handle_state_transfer(&mut replica, state_transfer_message(&donor));
+        assert!(!replica.pending_rebuild && !replica.needs_state);
+        // The rebuilt replica still reports the certificate in its ballots,
+        // next to the one it adopted.
+        assert_eq!(replica.prepared.get(&15), Some(&(4, batch)));
+        assert_eq!(replica.prepared.get(&14), Some(&(4, Vec::new())));
     }
 
     #[test]

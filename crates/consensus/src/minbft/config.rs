@@ -181,10 +181,8 @@ pub(crate) struct ProtocolParams {
     /// Maximum proposed-but-unexecuted sequences in flight (0 = unbounded).
     pub pipeline_window: usize,
     /// Replicas that may be mid-recovery concurrently (the cluster's
-    /// `parallel_recoveries` knob). A proactively recovered replica is
-    /// amnesiac about certificates above its adopted snapshot, so the
-    /// commit and view-change quorums are sized so that every ballot
-    /// still intersects a *non-amnesiac* certificate holder (see
+    /// `parallel_recoveries` knob): the `k` of Proposition 1, by which the
+    /// commit and view-change quorums are sized (see
     /// [`ProtocolParams::commit_quorum`] and
     /// [`ProtocolParams::view_change_quorum`]).
     pub recoveries: usize,
@@ -196,10 +194,13 @@ impl ProtocolParams {
     /// where `f_k = hybrid_fault_threshold(n, recoveries)` is the paper's
     /// threshold with the recovery overlap accounted for. Every ballot of
     /// [`ProtocolParams::view_change_quorum`] size then intersects the
-    /// committers in at least `recoveries + 1` voters — one of whom still
-    /// holds the certificate even if `recoveries` committers were
-    /// re-imaged from a snapshot taken before they executed the sequence
-    /// (`c + v >= n + recoveries + 1`). For odd `n` this is the classic
+    /// committers in at least `recoveries + 1` voters
+    /// (`c + v >= n + recoveries + 1`), the paper's `N >= 2f + 1 + k`. Each
+    /// of those voters reports the certificate it voted for: a rebuild keeps
+    /// the replica's own prepared certificates and only merges the donor's
+    /// into them (`checkpoint::reset_for_recovery`), so no number of
+    /// rebuilds, on one control tick or across several, makes a committer
+    /// forget a committed sequence. For odd `n` this is the classic
     /// `f + 1`; for even `n` it is one vote stronger.
     pub(crate) fn commit_quorum(&self, n: usize) -> usize {
         (crate::hybrid_fault_threshold(n, self.recoveries) + self.recoveries + 1).min(n)

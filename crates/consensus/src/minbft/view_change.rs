@@ -151,16 +151,16 @@ pub(super) fn handle_view_change(
         let own = (own_high, replica.stable_sequence, prepared_report(replica));
         replica.view_change_votes.cast(new_view, replica.id, own);
     }
-    // The ballot must intersect every commit quorum in a voter that still
-    // *remembers* the committed certificate: a proactive recovery re-images
-    // a replica from a donor's snapshot, and if the donor lagged, the
-    // recovered committer no longer holds the certificate it once voted
-    // for. Without the recovery slack baked into the quorum pair (see
-    // `ProtocolParams::commit_quorum`), a ballot of laggards plus a freshly
-    // re-imaged committer can no-op fill a committed sequence and re-assign
-    // its batch — a double execution. (Computed over the replica's own
-    // membership view, which may briefly differ from the cluster's during a
-    // reconfiguration.)
+    // The ballot must intersect every commit quorum in a voter that
+    // *remembers* the committed certificate, or it could no-op fill a
+    // committed sequence and re-assign its batch — a double execution. The
+    // quorum pair guarantees the intersection (see
+    // `ProtocolParams::commit_quorum`), and every voter in it remembers: a
+    // proactive recovery re-images a replica from a donor's snapshot but
+    // keeps its own prepared certificates, so a committer rebuilt from a
+    // lagging donor still reports what it voted for. (Computed over the
+    // replica's own membership view, which may briefly differ from the
+    // cluster's during a reconfiguration.)
     let quorum = params.view_change_quorum(replica.membership.len());
     if replica.view_change_votes.count(new_view) < quorum {
         return;
