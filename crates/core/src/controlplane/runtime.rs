@@ -15,7 +15,6 @@ use crate::controller::NodeController;
 use crate::controlplane::actuator::ClusterActuator;
 use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
 use crate::error::Result;
-use crate::node_model::NodeModel;
 use rand::Rng;
 use tolerance_consensus::NodeId;
 
@@ -135,17 +134,6 @@ impl ControlPlane {
         Ok(ControlPlane { config, fleet })
     }
 
-    /// Builds a control plane over an explicit node model (e.g. one whose
-    /// observation model was estimated empirically).
-    ///
-    /// # Errors
-    ///
-    /// Propagates strategy-construction and LP failures.
-    pub(crate) fn with_model(config: ControlPlaneConfig, node_model: NodeModel) -> Result<Self> {
-        let fleet = FleetControlPlane::with_model(config.one_shard_fleet(), node_model)?;
-        Ok(ControlPlane { config, fleet })
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &ControlPlaneConfig {
         &self.config
@@ -160,11 +148,6 @@ impl ControlPlane {
     #[cfg(test)]
     pub(crate) fn controller_of(&self, node: NodeId) -> Option<&NodeController> {
         self.fleet.controller_of(0, node)
-    }
-
-    /// Drops the controller of an evicted node.
-    pub(crate) fn forget(&mut self, node: NodeId) {
-        self.fleet.forget(0, node);
     }
 
     /// One control time-step across both levels

@@ -23,7 +23,7 @@ use crate::metrics::MetricReport;
 use crate::node_model::NodeState;
 use crate::observation::ObservationModel;
 use crate::runtime::{AsMetricReport, MetricScenario, Scenario, ScenarioRegistry};
-use crate::simnet::{FaultKind, ScheduleConfig, SimnetScenario};
+use crate::simnet::{FaultKind, ScheduleConfig, ShardedSimnetScenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -392,7 +392,7 @@ pub fn register_controlled_scenarios(registry: &mut ScenarioRegistry) {
         )) as Box<dyn MetricScenario>)
     });
     registry.register("controlled/sim-intrusion-burst", || {
-        Ok(Box::new(SimnetScenario::new(
+        Ok(Box::new(ShardedSimnetScenario::single_group(
             "controlled/sim-intrusion-burst",
             sim_intrusion_burst_config(),
         )) as Box<dyn MetricScenario>)

@@ -131,7 +131,7 @@ pub fn register_dataplane_scenarios(registry: &mut ScenarioRegistry) {
         )) as Box<dyn MetricScenario>)
     });
     registry.register("dataplane/load-swing", || {
-        Ok(Box::new(crate::simnet::sharded::ShardedSimnetScenario::new(
+        Ok(Box::new(crate::simnet::ShardedSimnetScenario::new(
             "dataplane/load-swing",
             crate::simnet::sharded::load_swing_config(),
         )) as Box<dyn MetricScenario>)

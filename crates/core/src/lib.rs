@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::replication::{ReplicationConfig, ReplicationProblem};
     pub use crate::runtime::{FnScenario, Runner, StrategyKind};
     pub use crate::simnet::{
-        Counterexample, FaultSchedule, ScheduleConfig, ShardedCounterexample, ShardedFaultSchedule,
+        FaultSchedule, ScheduleConfig, ShardedCounterexample, ShardedFaultSchedule,
         ShardedScheduleConfig,
     };
 }

@@ -32,9 +32,9 @@
 use crate::error::Result;
 use crate::observation::ObservationModel;
 use crate::runtime::{MetricScenario, ScenarioRegistry};
-use crate::simnet::scenario::SimnetScenario;
+use crate::simnet::scenario::ShardedSimnetScenario;
 use crate::simnet::schedule::{FaultKind, ScheduleConfig};
-use crate::simnet::sharded::{ShardedScheduleConfig, ShardedSimnetScenario};
+use crate::simnet::sharded::ShardedScheduleConfig;
 use tolerance_consensus::AttackerKind;
 
 /// IDS degradation of a [`FaultEvent::ByzantineFlip`]: a flipped replica
@@ -208,7 +208,7 @@ pub fn register_adversary_scenarios(registry: &mut ScenarioRegistry) {
     for (attacker, condition) in adversary_matrix() {
         let label = format!("adversary/{}/{}", attacker.name(), condition.name());
         registry.register(label.clone(), move || {
-            Ok(Box::new(SimnetScenario::new(
+            Ok(Box::new(ShardedSimnetScenario::single_group(
                 label.clone(),
                 adversary_config(attacker, condition),
             )) as Box<dyn MetricScenario>)

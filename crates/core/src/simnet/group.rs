@@ -1,16 +1,14 @@
 //! The group executor: everything one MinBFT group does under a fault
-//! schedule, written once for both harnesses.
+//! schedule.
 //!
 //! A `Group` is the harness-side state of one simulated
 //! [`MinBftCluster`]: the ground-truth supervisors of the fault schedule,
 //! the per-group oracles, the schedule cursor, the client bookkeeping and
-//! the group's slice of the trace. The single-group harness
-//! ([`crate::simnet::executor`]) owns one, the fleet harness
-//! ([`crate::simnet::sharded`]) one per shard; what differs between them —
-//! the client driver, which control plane is ticked, and the fleet-only
-//! layers — lives in those modules. Nothing here touches a control plane:
+//! the group's slice of the trace. The driver ([`crate::simnet::sharded`])
+//! owns one per shard and adds the client driver, the control plane and
+//! the fleet layers. Nothing here touches a control plane:
 //! schedule-driven recoveries and evictions are buffered as
-//! `PlaneNote`s for the owning harness to drain serially.
+//! `PlaneNote`s for the driver to drain serially.
 
 use crate::controlplane::actuator::ClusterActuator;
 use crate::controlplane::NodeReport;

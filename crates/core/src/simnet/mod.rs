@@ -15,26 +15,23 @@
 //!    under its schedule (fault application, supervisor bookkeeping, IDS
 //!    sampling, the per-group [`oracle`] checks, byte-exact
 //!    [`TraceRecord`]s, settle-phase recoveries, outcome aggregation).
-//! 3. Two **drivers** over it, differing only in the client workload, the
-//!    control plane ticked and the fleet-only layers:
-//!    * `executor` — [`run_schedule`]: one group, the primary `Write`
-//!      client plus burst pool, the one-shard
-//!      [`ControlPlane`](crate::controlplane::ControlPlane);
-//!    * [`sharded`] — [`run_sharded_schedule`]: S groups behind a key
-//!      router from split RNG streams of one seed, routed `Put` pools or
-//!      the open-loop trace [`workload`], the fleet control plane with its
-//!      global recovery budget, cross-shard MultiPut chaos, data-plane
-//!      autotune, and the routing and atomicity oracles. Shards free-run
-//!      between deterministic fleet barriers on the worker pool; the
-//!      report is byte-identical for every worker count.
+//! 3. [`sharded`] — the one **driver** over it, [`run_sharded_schedule`]:
+//!    S groups behind a key router from split RNG streams of one seed,
+//!    routed `Put` pools or the open-loop trace [`workload`], the fleet
+//!    control plane with its global recovery budget, cross-shard MultiPut
+//!    chaos, data-plane autotune, and the routing and atomicity oracles.
+//!    Shards free-run between deterministic fleet barriers on the worker
+//!    pool; the report is byte-identical for every worker count. A single
+//!    group is a one-shard fleet: [`ShardedScheduleConfig::single_group`]
+//!    with [`ShardedFaultSchedule::single_group`], whose shard-0 schedule
+//!    is `FaultSchedule::generate(seed, base)`.
 //! 4. [`oracle`] — agreement, validity, recovery-bound, network-accounting
 //!    and (in the settle phase) liveness checks; routing for fleets.
 //! 5. `shrink` — on violation, one greedy drop-one-event search
-//!    minimizes either kind of schedule and emits a replayable
-//!    [`Counterexample`] / [`ShardedCounterexample`] (seed + schedule
-//!    JSON).
-//! 6. [`scenario`] — [`register_simnet_scenarios`] plugs the harness into
-//!    the PR-1 [`ScenarioRegistry`](crate::runtime::ScenarioRegistry), so
+//!    minimizes the schedules and emits a replayable
+//!    [`ShardedCounterexample`] (seed + schedules + config as JSON).
+//! 6. [`scenario`] — [`ShardedSimnetScenario`] plugs the driver into the
+//!    PR-1 [`ScenarioRegistry`](crate::runtime::ScenarioRegistry), so
 //!    experiment sweeps treat fault intensity like any other grid axis
 //!    (`simnet/*` and `sharded/*` scenarios).
 //! 7. [`adversary`] — the adversary zoo: protocol-aware attacker replicas
@@ -43,7 +40,6 @@
 //!    liveness-after-GST oracle), registered as the `adversary/*` matrix.
 
 pub mod adversary;
-pub(crate) mod executor;
 pub(crate) mod group;
 pub mod oracle;
 pub mod scenario;
@@ -56,51 +52,72 @@ pub use adversary::{
     adversary_config, adversary_matrix, adversary_sharded_config, register_adversary_scenarios,
     NetworkCondition,
 };
-pub use executor::{run_schedule, RunReport};
 pub use group::{SimnetOutcome, TraceRecord};
 pub use oracle::{InvariantKind, Violation};
-pub use scenario::{register_simnet_scenarios, SimnetScenario};
+pub use scenario::{register_sharded_scenarios, register_simnet_scenarios, ShardedSimnetScenario};
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule, ScheduleConfig, ScheduledFault};
 pub use sharded::{
-    find_sharded_counterexample, fleet_scale_config, load_swing_config, register_sharded_scenarios,
-    run_sharded_schedule, run_sharded_schedule_on, sharded_chaos_4_config,
-    sharded_fleet_controlled_config, sharded_multiput_config, AutotuneTickRecord,
-    ShardedCounterexample, ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
-    ShardedSimnetScenario,
+    fleet_scale_config, load_swing_config, run_sharded_schedule, run_sharded_schedule_on,
+    sharded_chaos_4_config, sharded_fleet_controlled_config, sharded_multiput_config,
+    AutotuneTickRecord, ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
 };
-pub use shrink::{find_counterexample, Counterexample};
+pub use shrink::{find_sharded_counterexample, ShardedCounterexample};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde::{Serialize, Value};
 
+    /// A single group under `base` and its schedule for `seed`.
+    fn single_group(
+        seed: u64,
+        base: ScheduleConfig,
+    ) -> (ShardedFaultSchedule, ShardedScheduleConfig) {
+        let config = ShardedScheduleConfig::single_group(base);
+        (ShardedFaultSchedule::single_group(seed, &config), config)
+    }
+
     #[test]
     fn quiet_schedule_passes_all_oracles() {
-        let config = ScheduleConfig {
-            horizon: 12,
-            intensity: 0.0,
-            ..ScheduleConfig::default()
-        };
-        let schedule = FaultSchedule::generate(1, &config);
-        assert!(schedule.events.is_empty());
-        let report = run_schedule(&schedule, &config).unwrap();
+        let (schedule, config) = single_group(
+            1,
+            ScheduleConfig {
+                horizon: 12,
+                intensity: 0.0,
+                ..ScheduleConfig::default()
+            },
+        );
+        assert!(schedule.shards[0].events.is_empty());
+        let report = run_sharded_schedule(&schedule, &config).unwrap();
         assert!(report.violation.is_none(), "{:?}", report.violation);
         assert!(report.outcome.completed > 0);
         assert!(report.outcome.availability > 0.0);
-        assert_eq!(report.trace.len(), 13); // horizon steps + settle record
+        assert_eq!(report.trace[0].len(), 13); // horizon steps + settle record
+    }
+
+    #[test]
+    fn a_single_group_seed_keeps_its_schedule() {
+        let base = ScheduleConfig {
+            intensity: 0.5,
+            ..ScheduleConfig::default()
+        };
+        let (schedule, _) = single_group(11, base.clone());
+        assert_eq!(schedule.seed, 11);
+        assert_eq!(schedule.shards, vec![FaultSchedule::generate(11, &base)]);
     }
 
     #[test]
     fn same_seed_produces_byte_identical_traces() {
-        let config = ScheduleConfig {
-            horizon: 20,
-            intensity: 0.5,
-            ..ScheduleConfig::default()
-        };
-        let schedule = FaultSchedule::generate(11, &config);
-        let a = run_schedule(&schedule, &config).unwrap();
-        let b = run_schedule(&schedule, &config).unwrap();
+        let (schedule, config) = single_group(
+            11,
+            ScheduleConfig {
+                horizon: 20,
+                intensity: 0.5,
+                ..ScheduleConfig::default()
+            },
+        );
+        let a = run_sharded_schedule(&schedule, &config).unwrap();
+        let b = run_sharded_schedule(&schedule, &config).unwrap();
         let json_a = serde_json::to_string(&a.trace).unwrap();
         let json_b = serde_json::to_string(&b.trace).unwrap();
         assert_eq!(json_a, json_b);
@@ -109,27 +126,28 @@ mod tests {
 
     #[test]
     fn injected_double_commit_is_caught_and_shrinks() {
-        let config = ScheduleConfig {
-            horizon: 16,
-            intensity: 0.3,
-            inject_double_commit_at: Some(6),
-            ..ScheduleConfig::default()
-        };
-        let schedule = FaultSchedule::generate(5, &config);
-        let counterexample = find_counterexample(&schedule, &config)
+        let (schedule, config) = single_group(
+            5,
+            ScheduleConfig {
+                horizon: 16,
+                intensity: 0.3,
+                inject_double_commit_at: Some(6),
+                ..ScheduleConfig::default()
+            },
+        );
+        let counterexample = find_sharded_counterexample(&schedule, &config)
             .unwrap()
             .expect("the injected bug must be caught");
         assert_eq!(counterexample.violation.kind, InvariantKind::Agreement);
         // The minimal schedule keeps the injection and little else.
-        assert!(counterexample
-            .schedule
-            .events
+        let events = &counterexample.schedule.shards[0].events;
+        assert!(events
             .iter()
             .any(|e| e.event.kind() == FaultKind::InjectDoubleCommit));
-        assert!(counterexample.schedule.events.len() <= schedule.events.len());
+        assert!(events.len() <= schedule.shards[0].events.len());
         // Round trip through JSON and replay.
         let json = counterexample.to_json().unwrap();
-        let back = Counterexample::from_json(&json).unwrap();
+        let back = ShardedCounterexample::from_json(&json).unwrap();
         let replayed = back.replay().unwrap().expect("replay must violate again");
         assert_eq!(replayed.kind, InvariantKind::Agreement);
     }
@@ -202,11 +220,16 @@ mod tests {
         }
     }
 
-    fn synthetic_counterexample() -> Counterexample {
-        Counterexample {
+    fn synthetic_counterexample() -> ShardedCounterexample {
+        let config = ShardedScheduleConfig {
+            workload: Some(workload::TraceWorkloadConfig::default()),
+            autotune: Some(crate::controlplane::autotune::AutotuneConfig::default()),
+            ..ShardedScheduleConfig::default()
+        };
+        ShardedCounterexample {
             seed: 4,
-            config: ScheduleConfig::default(),
-            schedule: FaultSchedule::scripted(4, Vec::new()),
+            schedule: ShardedFaultSchedule::generate(4, &config),
+            config,
             violation: synthetic_violation(),
         }
     }
@@ -223,30 +246,11 @@ mod tests {
             ("post_gst_liveness_steps", Value::U64(12)),
             ("attackers", Value::Array(Vec::new())),
         ];
-        let single = synthetic_counterexample().to_value();
-        let decode = |json: &str| Counterexample::from_json(json).map(|c| c.to_value());
-        assert_optional_keys(&single, decode, &[], &[]);
-        assert_optional_keys(&single, decode, &["config"], &late_knobs);
-        assert_optional_keys(&single, decode, &["config", "network"], &[]);
-        assert_optional_keys(&single, decode, &["schedule"], &[]);
-        assert_optional_keys(&single, decode, &["violation"], &[]);
-
-        let config = ShardedScheduleConfig {
-            workload: Some(workload::TraceWorkloadConfig::default()),
-            autotune: Some(crate::controlplane::autotune::AutotuneConfig::default()),
-            ..ShardedScheduleConfig::default()
-        };
-        let fleet = ShardedCounterexample {
-            seed: 4,
-            schedule: ShardedFaultSchedule::generate(4, &config),
-            config,
-            violation: synthetic_violation(),
-        }
-        .to_value();
+        let document = synthetic_counterexample().to_value();
         let decode = |json: &str| ShardedCounterexample::from_json(json).map(|c| c.to_value());
-        assert_optional_keys(&fleet, decode, &[], &[]);
+        assert_optional_keys(&document, decode, &[], &[]);
         assert_optional_keys(
-            &fleet,
+            &document,
             decode,
             &["config"],
             &[
@@ -255,17 +259,17 @@ mod tests {
                 ("autotune", Value::Null),
             ],
         );
-        assert_optional_keys(&fleet, decode, &["config", "base"], &late_knobs);
-        assert_optional_keys(&fleet, decode, &["schedule"], &[]);
+        assert_optional_keys(&document, decode, &["config", "base"], &late_knobs);
+        assert_optional_keys(&document, decode, &["schedule"], &[]);
         // Inside the two late-added blocks every field falls back to the
         // block's `Default` (which is what this document holds).
         for block in ["workload", "autotune"] {
             let path = ["config", block];
-            let every_key: Vec<(&str, Value)> = at(&fleet, &path)
+            let every_key: Vec<(&str, Value)> = at(&document, &path)
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.clone()))
                 .collect();
-            assert_optional_keys(&fleet, decode, &path, &every_key);
+            assert_optional_keys(&document, decode, &path, &every_key);
         }
     }
 
@@ -273,8 +277,15 @@ mod tests {
     fn hand_edits_a_derive_cannot_see_are_still_rejected() {
         let counterexample = synthetic_counterexample();
         let json = counterexample.to_json().unwrap();
-        assert_eq!(Counterexample::from_json(&json).unwrap(), counterexample);
-        let error = |json: String| Counterexample::from_json(&json).unwrap_err().to_string();
+        assert_eq!(
+            ShardedCounterexample::from_json(&json).unwrap(),
+            counterexample
+        );
+        let error = |json: String| {
+            ShardedCounterexample::from_json(&json)
+                .unwrap_err()
+                .to_string()
+        };
         // The schedule's seed is what a replay uses: a top-level seed that
         // disagrees would silently describe a different run.
         let mismatch = error(json.replacen("\"seed\": 4", "\"seed\": 5", 1));
@@ -283,6 +294,6 @@ mod tests {
         let lossy = error(json.replace("\"loss_rate\": 0.0005", "\"loss_rate\": 1.5"));
         assert!(lossy.contains("invalid network config"), "{lossy}");
         // Corrupted artifacts error too, however deep the garbage nests.
-        assert!(Counterexample::from_json(&"[".repeat(200_000)).is_err());
+        assert!(ShardedCounterexample::from_json(&"[".repeat(200_000)).is_err());
     }
 }

@@ -1,51 +1,75 @@
 //! Registry integration: fault-injection runs as ordinary scenarios.
 //!
-//! A [`SimnetScenario`] generates a schedule from the seed and executes it,
-//! so the PR-1 runtime can sweep fault intensity across seed grids exactly
-//! like any other workload — and an invariant violation surfaces as a run
-//! error carrying the violated oracle.
+//! A [`ShardedSimnetScenario`] turns the seed into schedules and executes
+//! them, so the PR-1 runtime can sweep fault intensity across seed grids
+//! exactly like any other workload — and an invariant violation surfaces as
+//! a run error carrying the violated oracle.
 
 use crate::error::{CoreError, Result};
-use crate::runtime::{Scenario, ScenarioRegistry};
-use crate::simnet::executor::{run_schedule, RunReport};
-use crate::simnet::schedule::{FaultKind, FaultSchedule, ScheduleConfig};
+use crate::runtime::{MetricScenario, Scenario, ScenarioRegistry};
+use crate::simnet::schedule::{FaultKind, ScheduleConfig};
+use crate::simnet::sharded::{
+    run_sharded_schedule, sharded_chaos_4_config, sharded_fleet_controlled_config,
+    sharded_multiput_config, ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
+};
 
-/// A randomized fault-injection scenario: seed → schedule → run.
+/// A randomized fault-injection scenario: seed → schedules → run under the
+/// full oracle suite.
 #[derive(Debug, Clone)]
-pub struct SimnetScenario {
+pub struct ShardedSimnetScenario {
     label: String,
-    config: ScheduleConfig,
+    config: ShardedScheduleConfig,
+    /// How a seed becomes the run's schedules.
+    generate: fn(u64, &ShardedScheduleConfig) -> ShardedFaultSchedule,
 }
 
-impl SimnetScenario {
-    /// Wraps a schedule configuration under a label.
-    pub fn new(label: impl Into<String>, config: ScheduleConfig) -> Self {
-        SimnetScenario {
+impl ShardedSimnetScenario {
+    /// Wraps a fleet configuration under a label; a seed's schedules come
+    /// from [`ShardedFaultSchedule::generate`].
+    pub fn new(label: impl Into<String>, config: ShardedScheduleConfig) -> Self {
+        ShardedSimnetScenario {
             label: label.into(),
             config,
+            generate: ShardedFaultSchedule::generate,
+        }
+    }
+
+    /// A single MinBFT group under `base`
+    /// ([`ShardedScheduleConfig::single_group`]); a seed's schedule comes
+    /// from [`ShardedFaultSchedule::single_group`].
+    pub fn single_group(label: impl Into<String>, base: ScheduleConfig) -> Self {
+        ShardedSimnetScenario {
+            label: label.into(),
+            config: ShardedScheduleConfig::single_group(base),
+            generate: ShardedFaultSchedule::single_group,
         }
     }
 
     /// The run configuration.
-    pub fn config(&self) -> &ScheduleConfig {
+    pub fn config(&self) -> &ShardedScheduleConfig {
         &self.config
+    }
+
+    /// The schedules the run of `seed` executes.
+    pub fn schedule(&self, seed: u64) -> ShardedFaultSchedule {
+        (self.generate)(seed, &self.config)
     }
 }
 
-impl Scenario for SimnetScenario {
-    type Output = RunReport;
+impl Scenario for ShardedSimnetScenario {
+    type Output = ShardedRunReport;
 
     fn label(&self) -> String {
         self.label.clone()
     }
 
-    fn run(&self, seed: u64) -> Result<RunReport> {
-        let schedule = FaultSchedule::generate(seed, &self.config);
-        let report = run_schedule(&schedule, &self.config)?;
+    fn run(&self, seed: u64) -> Result<ShardedRunReport> {
+        let report = run_sharded_schedule(&self.schedule(seed), &self.config)?;
         if let Some(violation) = &report.violation {
             return Err(CoreError::Invariant(format!(
-                "{violation} (seed {seed}; regenerate the schedule with \
-                 FaultSchedule::generate({seed}, config) to reproduce)"
+                "{violation} (seed {seed} of {}; ShardedSimnetScenario::schedule({seed}) \
+                 regenerates the schedules to reproduce it)",
+                self.label
             )));
         }
         Ok(report)
@@ -60,7 +84,7 @@ fn chaos_config(intensity: f64) -> ScheduleConfig {
     }
 }
 
-/// Registers the built-in simnet scenarios:
+/// Registers the built-in single-group scenarios:
 ///
 /// * `simnet/chaos-light` — sparse faults (≈1 event per 5 steps),
 /// * `simnet/chaos-heavy` — dense faults (≈4 events per 5 steps),
@@ -82,7 +106,36 @@ pub fn register_simnet_scenarios(registry: &mut ScenarioRegistry) {
         ("simnet/partition-churn", partition_churn),
     ] {
         registry.register(name, move || {
-            Ok(Box::new(SimnetScenario::new(name, config.clone())))
+            let scenario = ShardedSimnetScenario::single_group(name, config.clone());
+            Ok(Box::new(scenario) as Box<dyn MetricScenario>)
+        });
+    }
+}
+
+/// Registers the built-in sharded scenarios:
+///
+/// * `sharded/chaos-2` — two shards under the default chaos mix plus the
+///   cross-shard MultiPut driver ([`ShardedScheduleConfig::default`]),
+/// * `sharded/chaos-4` — [`sharded_chaos_4_config`],
+/// * `sharded/multiput` — [`sharded_multiput_config`],
+/// * `sharded/fleet-controlled` — [`sharded_fleet_controlled_config`].
+///
+/// The acceptance sweep in `tests/sharded.rs` drives the *same*
+/// configuration functions, so the CI gate always covers what the
+/// registry ships.
+pub fn register_sharded_scenarios(registry: &mut ScenarioRegistry) {
+    for (name, config) in [
+        ("sharded/chaos-2", ShardedScheduleConfig::default()),
+        ("sharded/chaos-4", sharded_chaos_4_config()),
+        ("sharded/multiput", sharded_multiput_config()),
+        (
+            "sharded/fleet-controlled",
+            sharded_fleet_controlled_config(),
+        ),
+    ] {
+        registry.register(name, move || {
+            let scenario = ShardedSimnetScenario::new(name, config.clone());
+            Ok(Box::new(scenario) as Box<dyn MetricScenario>)
         });
     }
 }

@@ -1,7 +1,9 @@
-//! The fleet harness: deterministic chaos over many MinBFT groups behind a
-//! key router, scheduled event-driven per shard.
+//! The simulation driver: deterministic chaos over one or many MinBFT
+//! groups behind a key router, scheduled event-driven per shard. A single
+//! group is a one-shard fleet ([`ShardedScheduleConfig::single_group`]);
+//! there is no second driver.
 //!
-//! One fleet run wires together:
+//! One run wires together:
 //!
 //! * a [`ShardedSimService`] — S independent simulated MinBFT groups, each
 //!   over its own deterministic network seeded from a **split stream** of
@@ -26,9 +28,8 @@
 //!
 //! # One group executor, scheduled per shard
 //!
-//! What a single group does under its schedule is the shared group
-//! executor (`crate::simnet::group`), the same code the single-group
-//! harness runs. This module adds the fleet-only layers (routing,
+//! What a single group does under its schedule is the group executor
+//! (`crate::simnet::group`). This module adds the fleet layers (routing,
 //! MultiPut, the fleet control plane, autotune) and the schedule: each
 //! shard is an independent **sub-executor** (own cluster, `Group`,
 //! client driver and trace buffer) that free-runs on the persistent
@@ -57,22 +58,23 @@
 //! inline), and the whole report is identical for every count. The trace
 //! depends on `fleet_tick_interval` (configuration), never on the workers.
 //!
-//! On violation, [`find_sharded_counterexample`] shrinks the fleet's
-//! schedules with the shared greedy drop-one-event search and packages a
-//! replayable [`ShardedCounterexample`] (seed + per-shard schedules +
-//! config as JSON).
+//! On violation, [`find_sharded_counterexample`] shrinks the schedules
+//! with a greedy drop-one-event search and packages a replayable
+//! [`ShardedCounterexample`] (seed + per-shard schedules + config as JSON).
+//!
+//! [`find_sharded_counterexample`]: crate::simnet::find_sharded_counterexample
+//! [`ShardedCounterexample`]: crate::simnet::ShardedCounterexample
 
 use crate::controlplane::autotune::{
     Admission, AutotuneConfig, AutotuneController, AutotuneDecision, AutotuneObservation,
 };
 use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::metrics::MetricReport;
-use crate::runtime::{AsMetricReport, MetricScenario, Scenario, ScenarioRegistry, WorkerPool};
+use crate::runtime::{AsMetricReport, WorkerPool};
 use crate::simnet::group::{self, Group, IdsChannel, PlaneNote, SimnetOutcome, TraceRecord};
 use crate::simnet::oracle::{InvariantKind, RoutingChecker, Violation};
 use crate::simnet::schedule::{FaultSchedule, ScheduleConfig, ScheduledFault};
-use crate::simnet::shrink;
 use crate::simnet::workload::{TraceWorkload, TraceWorkloadConfig};
 use serde::{Deserialize, Serialize};
 use tolerance_consensus::crypto::Digest;
@@ -150,6 +152,24 @@ impl Default for ShardedScheduleConfig {
 }
 
 impl ShardedScheduleConfig {
+    /// A single MinBFT group under `base`: one shard whose routed pool
+    /// draws on the whole 64-key space, no MultiPut driver, no trace
+    /// workload, no autotune, and the control plane ticked every step. Every
+    /// single-group run — the smoke and adversary suites, the `simnet/*`
+    /// scenarios, the archived counterexamples — is this one-shard fleet.
+    pub fn single_group(base: ScheduleConfig) -> Self {
+        ShardedScheduleConfig {
+            shards: 1,
+            base,
+            key_space: 64,
+            multi_put_interval: 0,
+            multi_put_keys: 2,
+            fleet_tick_interval: 1,
+            workload: None,
+            autotune: None,
+        }
+    }
+
     fn fleet_config(&self) -> FleetConfig {
         FleetConfig {
             recovery_threshold: self.base.recovery_threshold,
@@ -188,10 +208,30 @@ impl ShardedFaultSchedule {
         }
     }
 
+    /// The schedule of a single group
+    /// ([`ShardedScheduleConfig::single_group`]):
+    /// `FaultSchedule::generate(seed, &config.base)` as shard 0's schedule,
+    /// so a single-group seed names the schedule it always named, where
+    /// [`ShardedFaultSchedule::generate`] would draw shard 0's from the
+    /// seed's split stream.
+    pub fn single_group(seed: u64, config: &ShardedScheduleConfig) -> Self {
+        FaultSchedule::generate(seed, &config.base).into()
+    }
+
     /// Total scheduled events across all shards.
     #[cfg(test)]
     fn total_events(&self) -> usize {
         self.shards.iter().map(|s| s.events.len()).sum()
+    }
+}
+
+impl From<FaultSchedule> for ShardedFaultSchedule {
+    /// A single group's schedule: `schedule` as shard 0's, under its seed.
+    fn from(schedule: FaultSchedule) -> Self {
+        ShardedFaultSchedule {
+            seed: schedule.seed,
+            shards: vec![schedule],
+        }
     }
 }
 
@@ -1108,140 +1148,6 @@ impl<'a> ShardedHarness<'a> {
     }
 }
 
-/// Greedy drop-one-event minimization across the whole fleet (the shared
-/// `shrink_greedy` search over every shard's schedule).
-///
-/// # Errors
-///
-/// Propagates harness construction failures.
-fn shrink_sharded_schedule(
-    schedule: &ShardedFaultSchedule,
-    config: &ShardedScheduleConfig,
-    violation: &Violation,
-) -> Result<(ShardedFaultSchedule, Violation)> {
-    let mut minimal = schedule.clone();
-    let violation = shrink::shrink_greedy(
-        &mut minimal,
-        violation,
-        |fleet| &mut fleet.shards,
-        |candidate| Ok(run_sharded_schedule(candidate, config)?.violation),
-    )?;
-    Ok((minimal, violation))
-}
-
-/// A minimal, replayable description of a fleet-level invariant violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedCounterexample {
-    /// The fleet seed.
-    pub seed: u64,
-    /// The full run configuration.
-    pub config: ShardedScheduleConfig,
-    /// The (shrunk) per-shard schedules that still trigger the violation.
-    pub schedule: ShardedFaultSchedule,
-    /// The violation observed when executing the schedules.
-    pub violation: Violation,
-}
-
-impl ShardedCounterexample {
-    /// Serializes the counterexample to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer failures.
-    pub fn to_json(&self) -> Result<String> {
-        shrink::document_to_json(self)
-    }
-
-    /// Parses a counterexample from JSON (the inverse of
-    /// [`ShardedCounterexample::to_json`]). Fields introduced after
-    /// counterexamples were first emitted (`fleet_tick_interval`,
-    /// `workload`, `autotune`) decode to their defaults when absent, so
-    /// archived documents stay replayable.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed JSON or a document that does not describe a
-    /// sharded counterexample.
-    pub fn from_json(json: &str) -> Result<Self> {
-        shrink::document_from_json(json, |c: &Self| (c.seed, c.schedule.seed, &c.config.base))
-    }
-
-    /// Re-executes the stored schedules and returns the violation the
-    /// replay produces.
-    ///
-    /// # Errors
-    ///
-    /// Propagates harness construction failures.
-    pub fn replay(&self) -> Result<Option<Violation>> {
-        Ok(run_sharded_schedule(&self.schedule, &self.config)?.violation)
-    }
-}
-
-/// Run a fleet schedule and, if it violates an invariant, shrink it and
-/// package the counterexample.
-///
-/// # Errors
-///
-/// Propagates harness construction failures.
-pub fn find_sharded_counterexample(
-    schedule: &ShardedFaultSchedule,
-    config: &ShardedScheduleConfig,
-) -> Result<Option<ShardedCounterexample>> {
-    let Some(violation) = run_sharded_schedule(schedule, config)?.violation else {
-        return Ok(None);
-    };
-    let (schedule, violation) = shrink_sharded_schedule(schedule, config, &violation)?;
-    Ok(Some(ShardedCounterexample {
-        seed: schedule.seed,
-        config: config.clone(),
-        schedule,
-        violation,
-    }))
-}
-
-/// A randomized multi-shard fault-injection scenario: seed → per-shard
-/// schedules → fleet run under the full oracle suite.
-#[derive(Debug, Clone)]
-pub struct ShardedSimnetScenario {
-    label: String,
-    config: ShardedScheduleConfig,
-}
-
-impl ShardedSimnetScenario {
-    /// Wraps a fleet configuration under a label.
-    pub fn new(label: impl Into<String>, config: ShardedScheduleConfig) -> Self {
-        ShardedSimnetScenario {
-            label: label.into(),
-            config,
-        }
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &ShardedScheduleConfig {
-        &self.config
-    }
-}
-
-impl Scenario for ShardedSimnetScenario {
-    type Output = ShardedRunReport;
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn run(&self, seed: u64) -> Result<ShardedRunReport> {
-        let schedule = ShardedFaultSchedule::generate(seed, &self.config);
-        let report = run_sharded_schedule(&schedule, &self.config)?;
-        if let Some(violation) = &report.violation {
-            return Err(CoreError::Invariant(format!(
-                "{violation} (seed {seed}; regenerate the fleet schedule with \
-                 ShardedFaultSchedule::generate({seed}, config) to reproduce)"
-            )));
-        }
-        Ok(report)
-    }
-}
-
 /// The four-shard configuration of the `sharded/chaos-4` scenario:
 /// lighter per-shard chaos over a wider fleet.
 pub fn sharded_chaos_4_config() -> ShardedScheduleConfig {
@@ -1356,34 +1262,6 @@ pub fn load_swing_config() -> ShardedScheduleConfig {
             window_steps: 2,
             ..AutotuneConfig::default()
         }),
-    }
-}
-
-/// Registers the built-in sharded scenarios:
-///
-/// * `sharded/chaos-2` — two shards under the default chaos mix plus the
-///   cross-shard MultiPut driver ([`ShardedScheduleConfig::default`]),
-/// * `sharded/chaos-4` — [`sharded_chaos_4_config`],
-/// * `sharded/multiput` — [`sharded_multiput_config`],
-/// * `sharded/fleet-controlled` — [`sharded_fleet_controlled_config`].
-///
-/// The acceptance sweep in `tests/sharded.rs` drives the *same*
-/// configuration functions, so the CI gate always covers what the
-/// registry ships.
-pub fn register_sharded_scenarios(registry: &mut ScenarioRegistry) {
-    for (name, config) in [
-        ("sharded/chaos-2", ShardedScheduleConfig::default()),
-        ("sharded/chaos-4", sharded_chaos_4_config()),
-        ("sharded/multiput", sharded_multiput_config()),
-        (
-            "sharded/fleet-controlled",
-            sharded_fleet_controlled_config(),
-        ),
-    ] {
-        registry.register(name, move || {
-            let scenario = ShardedSimnetScenario::new(name, config.clone());
-            Ok(Box::new(scenario) as Box<dyn MetricScenario>)
-        });
     }
 }
 

@@ -1,4 +1,8 @@
 use super::*;
+use crate::runtime::ScenarioRegistry;
+use crate::simnet::{
+    find_sharded_counterexample, register_sharded_scenarios, ShardedCounterexample,
+};
 
 fn quick_config() -> ShardedScheduleConfig {
     ShardedScheduleConfig {

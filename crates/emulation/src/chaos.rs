@@ -18,7 +18,8 @@ use rand::SeedableRng;
 use tolerance_consensus::NodeId;
 use tolerance_core::runtime::{Scenario, ScenarioRegistry};
 use tolerance_core::simnet::{
-    run_schedule, FaultEvent, FaultKind, FaultSchedule, RunReport, ScheduleConfig, ScheduledFault,
+    run_sharded_schedule, FaultEvent, FaultKind, FaultSchedule, ScheduleConfig, ScheduledFault,
+    ShardedRunReport, ShardedScheduleConfig,
 };
 use tolerance_core::{CoreError, Result};
 
@@ -133,15 +134,16 @@ impl AttackerCampaignScenario {
 }
 
 impl Scenario for AttackerCampaignScenario {
-    type Output = RunReport;
+    type Output = ShardedRunReport;
 
     fn label(&self) -> String {
         self.label.clone()
     }
 
-    fn run(&self, seed: u64) -> Result<RunReport> {
-        let schedule = self.schedule(seed);
-        let report = run_schedule(&schedule, &self.config)?;
+    /// Runs the campaign's schedule on a single group.
+    fn run(&self, seed: u64) -> Result<ShardedRunReport> {
+        let config = ShardedScheduleConfig::single_group(self.config.clone());
+        let report = run_sharded_schedule(&self.schedule(seed).into(), &config)?;
         if let Some(violation) = &report.violation {
             return Err(CoreError::Invariant(format!(
                 "{violation} (seed {seed} of {})",

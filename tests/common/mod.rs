@@ -6,10 +6,10 @@
 // Each suite uses its own subset.
 #![allow(dead_code)]
 
-use tolerance::core::simnet::{Counterexample, ScheduleConfig};
+use tolerance::core::simnet::{ScheduleConfig, ShardedCounterexample, ShardedScheduleConfig};
 
 /// The pinned single-group counterexamples under
-/// `tests/fixtures/counterexamples/`.
+/// `tests/fixtures/counterexamples/` (one-shard fleet documents).
 pub const ARCHIVED_COUNTEREXAMPLES: [&str; 4] = [
     "expected-double-commit.json",
     "expected-liveness-after-gst.json",
@@ -18,8 +18,8 @@ pub const ARCHIVED_COUNTEREXAMPLES: [&str; 4] = [
 ];
 
 /// Reads and decodes one of the [`ARCHIVED_COUNTEREXAMPLES`].
-pub fn archived_counterexample(name: &str) -> Counterexample {
-    Counterexample::from_json(&read_fixture(&format!("counterexamples/{name}")))
+pub fn archived_counterexample(name: &str) -> ShardedCounterexample {
+    ShardedCounterexample::from_json(&read_fixture(&format!("counterexamples/{name}")))
         .unwrap_or_else(|e| panic!("decode {name}: {e}"))
 }
 
@@ -34,8 +34,8 @@ pub fn read_fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Writes a counterexample document (single-group or fleet — the caller
-/// passes its `to_json()`) where the CI jobs pick it up as an artifact.
+/// Writes a counterexample document (the caller passes its `to_json()`)
+/// where the CI jobs pick it up as an artifact.
 pub fn publish_counterexample(name: &str, json: &str) {
     let dir = std::path::Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -47,7 +47,14 @@ pub fn publish_counterexample(name: &str, json: &str) {
 }
 
 /// The single-group configurations of the smoke suite.
-pub fn smoke_configs() -> Vec<(&'static str, ScheduleConfig)> {
+pub fn smoke_configs() -> Vec<(&'static str, ShardedScheduleConfig)> {
+    smoke_bases()
+        .into_iter()
+        .map(|(name, base)| (name, ShardedScheduleConfig::single_group(base)))
+        .collect()
+}
+
+fn smoke_bases() -> Vec<(&'static str, ScheduleConfig)> {
     vec![
         (
             "light",

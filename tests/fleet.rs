@@ -1,7 +1,7 @@
 //! Acceptance tests of the fleet harness's scheduler: the determinism
 //! contract (byte-identical reports across 1/2/4/8 scheduler workers, on
 //! the default and windowed configurations, the pinned fleet
-//! counterexample and the lifted archived single-group counterexamples),
+//! counterexample and the archived single-group counterexamples),
 //! plus the release-only fleet smoke — a 64-shard × 6-replica sweep under
 //! the full oracle suite and a 256-shard completion check.
 //!
@@ -15,8 +15,8 @@ use tolerance::consensus::sharded::shard_seed;
 use tolerance::core::simnet::oracle::{InvariantKind, Violation};
 use tolerance::core::simnet::{
     find_sharded_counterexample, fleet_scale_config, load_swing_config, run_sharded_schedule,
-    run_sharded_schedule_on, Counterexample, FaultEvent, FaultSchedule, ScheduledFault,
-    ShardedCounterexample, ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
+    run_sharded_schedule_on, FaultEvent, FaultSchedule, ScheduledFault, ShardedCounterexample,
+    ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
 };
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
@@ -74,39 +74,15 @@ fn windowed_fleet_scale_replay_is_byte_identical_across_worker_grid() {
     }
 }
 
-/// Lifts a single-group counterexample into a one-shard fleet: same base
-/// configuration, the archived schedule as shard 0's schedule, no MultiPut
-/// driver. The worker grid must agree on the *whole report* — violation,
-/// step and trace bytes — not merely both fail.
-fn lift_single_group(
-    counterexample: &Counterexample,
-) -> (ShardedFaultSchedule, ShardedScheduleConfig) {
-    let config = ShardedScheduleConfig {
-        shards: 1,
-        base: counterexample.config.clone(),
-        key_space: 64,
-        multi_put_interval: 0,
-        multi_put_keys: 2,
-        fleet_tick_interval: 1,
-        workload: None,
-        autotune: None,
-    };
-    let schedule = ShardedFaultSchedule {
-        seed: counterexample.seed,
-        shards: vec![counterexample.schedule.clone()],
-    };
-    (schedule, config)
-}
-
 #[test]
 fn worker_grid_agrees_on_the_lifted_archived_counterexamples() {
+    // The archived single-group counterexamples are one-shard fleet
+    // documents. The worker grid must agree on the *whole report* —
+    // violation, step and trace bytes — not merely both fail, whether the
+    // archived schedule still violates or now replays green.
     for name in common::ARCHIVED_COUNTEREXAMPLES {
-        let (schedule, config) = lift_single_group(&common::archived_counterexample(name));
-        // Lifting changes the client driving (routed pool clients instead
-        // of the single-group harness's), so the archived violation need
-        // not reproduce — the contract under test is that every worker
-        // count produces the identical report, violating or green.
-        assert_worker_invariant(name, &schedule, &config);
+        let counterexample = common::archived_counterexample(name);
+        assert_worker_invariant(name, &counterexample.schedule, &counterexample.config);
     }
 }
 

@@ -2,14 +2,14 @@
 //!
 //! The determinism suites compare a run with itself; this suite compares
 //! it with the commit that generated `tests/fixtures/report-digests.json`.
-//! Every pinned single-group and fleet configuration is executed on seeds
-//! 0..4 and the `crypto::digest` of the *whole serialized report* (outcome,
-//! trace, violation, `multi_puts`, `autotune`) must equal the committed
-//! one, as must the replay result of every archived counterexample. The
-//! `emulation/*` family pins the serialized `EmulationOutcome` of every
-//! `EvaluationGrid::quick()` cell and of the two non-paper registry
-//! scenarios on seeds 0..2, which gives the closed-loop emulation the same
-//! licence. A change that moves a digest changed simulated behaviour; if
+//! Every pinned single-group (one-shard fleet) and fleet configuration is
+//! executed on seeds 0..4 and the `crypto::digest` of the *whole serialized
+//! report* (outcome, trace, violation, `multi_puts`, `autotune`) must equal
+//! the committed one, as must the replay result of every archived
+//! counterexample. The `emulation/*` family pins the serialized
+//! `EmulationOutcome` of every `EvaluationGrid::quick()` cell and of the two
+//! non-paper registry scenarios on seeds 0..2, which gives the closed-loop
+//! emulation the same licence. A change that moves a digest changed simulated behaviour; if
 //! that is intended, regenerate the fixture in the same commit and say why:
 //!
 //! ```text
@@ -22,9 +22,9 @@ use tolerance::consensus::crypto::digest;
 use tolerance::core::controlplane::scenario::sim_intrusion_burst_config;
 use tolerance::core::runtime::Scenario;
 use tolerance::core::simnet::{
-    adversary_config, adversary_matrix, fleet_scale_config, load_swing_config, run_schedule,
-    run_sharded_schedule, sharded_fleet_controlled_config, sharded_multiput_config, FaultSchedule,
-    ScheduleConfig, ShardedFaultSchedule, ShardedScheduleConfig,
+    adversary_config, adversary_matrix, fleet_scale_config, load_swing_config,
+    run_sharded_schedule, sharded_fleet_controlled_config, sharded_multiput_config,
+    ShardedFaultSchedule, ShardedScheduleConfig,
 };
 use tolerance::emulation::scenarios::{bursty_attacker_config, heterogeneous_nodes_config};
 use tolerance::emulation::{EmulationScenario, EvaluationGrid};
@@ -34,16 +34,19 @@ const EMULATION_SEEDS: std::ops::Range<u64> = 0..3;
 const EMULATION_FAMILY: &str = "emulation/";
 const FIXTURE: &str = "report-digests.json";
 
-fn single_group_configs() -> Vec<(String, ScheduleConfig)> {
-    let mut configs: Vec<(String, ScheduleConfig)> = common::smoke_configs()
+fn single_group_configs() -> Vec<(String, ShardedScheduleConfig)> {
+    let mut configs: Vec<(String, ShardedScheduleConfig)> = common::smoke_configs()
         .into_iter()
         .map(|(name, config)| (name.to_string(), config))
         .collect();
-    configs.push(("sim-intrusion-burst".into(), sim_intrusion_burst_config()));
+    configs.push((
+        "sim-intrusion-burst".into(),
+        ShardedScheduleConfig::single_group(sim_intrusion_burst_config()),
+    ));
     for (attacker, condition) in adversary_matrix() {
         configs.push((
             format!("adversary-{}-{}", attacker.name(), condition.name()),
-            adversary_config(attacker, condition),
+            ShardedScheduleConfig::single_group(adversary_config(attacker, condition)),
         ));
     }
     configs
@@ -65,8 +68,8 @@ fn simnet_digests() -> Vec<(String, u64)> {
     let mut digests = Vec::new();
     for (name, config) in single_group_configs() {
         for seed in SEEDS {
-            let schedule = FaultSchedule::generate(seed, &config);
-            let report = run_schedule(&schedule, &config).expect("harness constructs");
+            let schedule = ShardedFaultSchedule::single_group(seed, &config);
+            let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
             let json = serde_json::to_string(&report).expect("serializable");
             digests.push((
                 format!("single/{name}/seed{seed}"),

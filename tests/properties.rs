@@ -1375,8 +1375,8 @@ mod counterexample_documents {
 
     use proptest::prelude::*;
     use tolerance::core::simnet::{
-        Counterexample, FaultKind, FaultSchedule, InvariantKind, ScheduleConfig,
-        ShardedCounterexample, ShardedFaultSchedule, ShardedScheduleConfig, Violation,
+        FaultKind, InvariantKind, ScheduleConfig, ShardedCounterexample, ShardedFaultSchedule,
+        ShardedScheduleConfig, Violation,
     };
 
     const EVERY_KIND: [FaultKind; 10] = [
@@ -1413,28 +1413,23 @@ mod counterexample_documents {
                 detail: "synthetic \"quoted\"\n".into(),
             };
 
-            let single = Counterexample {
-                seed,
-                schedule: FaultSchedule::generate(seed, &base),
-                config: base.clone(),
-                violation: violation.clone(),
-            };
-            let json = single.to_json().expect("serializes");
-            let back = Counterexample::from_json(&json).expect("parses back");
-            prop_assert_eq!(&back, &single);
-            prop_assert_eq!(back.to_json().expect("serializes"), json);
-
-            let config = ShardedScheduleConfig { shards, base, ..ShardedScheduleConfig::default() };
-            let fleet = ShardedCounterexample {
-                seed,
-                schedule: ShardedFaultSchedule::generate(seed, &config),
-                config,
-                violation,
-            };
-            let json = fleet.to_json().expect("serializes");
-            let back = ShardedCounterexample::from_json(&json).expect("parses back");
-            prop_assert_eq!(&back, &fleet);
-            prop_assert_eq!(back.to_json().expect("serializes"), json);
+            let single = ShardedScheduleConfig::single_group(base.clone());
+            let fleet = ShardedScheduleConfig { shards, base, ..ShardedScheduleConfig::default() };
+            for (config, schedule) in [
+                (single.clone(), ShardedFaultSchedule::single_group(seed, &single)),
+                (fleet.clone(), ShardedFaultSchedule::generate(seed, &fleet)),
+            ] {
+                let document = ShardedCounterexample {
+                    seed,
+                    config,
+                    schedule,
+                    violation: violation.clone(),
+                };
+                let json = document.to_json().expect("serializes");
+                let back = ShardedCounterexample::from_json(&json).expect("parses back");
+                prop_assert_eq!(&back, &document);
+                prop_assert_eq!(back.to_json().expect("serializes"), json);
+            }
         }
     }
 }

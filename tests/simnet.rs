@@ -15,10 +15,10 @@ use tolerance::consensus::{AttackerKind, ByzantineMode};
 use tolerance::core::controlplane::scenario::sim_intrusion_burst_config;
 use tolerance::core::runtime::{Runner, Scenario};
 use tolerance::core::simnet::{
-    adversary_config, adversary_matrix, adversary_sharded_config, find_counterexample,
-    find_sharded_counterexample, run_schedule, run_sharded_schedule, Counterexample, FaultEvent,
-    FaultKind, FaultSchedule, InvariantKind, NetworkCondition, ScheduleConfig, ScheduledFault,
-    ShardedFaultSchedule, SimnetScenario,
+    adversary_config, adversary_matrix, adversary_sharded_config, find_sharded_counterexample,
+    run_sharded_schedule, FaultEvent, FaultKind, FaultSchedule, InvariantKind, NetworkCondition,
+    ScheduleConfig, ScheduledFault, ShardedCounterexample, ShardedFaultSchedule,
+    ShardedScheduleConfig, ShardedSimnetScenario,
 };
 use tolerance::emulation::builtin_registry;
 
@@ -37,13 +37,13 @@ fn randomized_schedules_pass_all_invariant_oracles() {
     let mut runs = 0;
     for (name, config) in smoke_configs() {
         for seed in smoke_seeds() {
-            let schedule = FaultSchedule::generate(seed, &config);
-            kinds.extend(schedule.kinds());
-            let report = run_schedule(&schedule, &config).expect("harness constructs");
+            let schedule = ShardedFaultSchedule::single_group(seed, &config);
+            kinds.extend(schedule.shards[0].kinds());
+            let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
             if let Some(violation) = &report.violation {
                 // Shrink and publish before failing, so CI uploads the
                 // replayable counterexample.
-                if let Ok(Some(counterexample)) = find_counterexample(&schedule, &config) {
+                if let Ok(Some(counterexample)) = find_sharded_counterexample(&schedule, &config) {
                     publish_counterexample(
                         &format!("{name}-seed{seed}"),
                         &counterexample.to_json().expect("serializable"),
@@ -72,7 +72,7 @@ fn randomized_schedules_pass_all_invariant_oracles() {
 
 #[test]
 fn identical_seed_is_byte_identical_across_thread_counts() {
-    let scenario = SimnetScenario::new(
+    let scenario = ShardedSimnetScenario::single_group(
         "simnet/replay",
         ScheduleConfig {
             horizon: 30,
@@ -104,14 +104,14 @@ fn identical_seed_is_byte_identical_across_thread_counts() {
 fn injected_double_commit_is_caught_shrunk_and_replayable() {
     // The deliberately injected implementation bug (test-only Byzantine
     // mode): a replica corrupts its execution while claiming to be correct.
-    let config = ScheduleConfig {
+    let config = ShardedScheduleConfig::single_group(ScheduleConfig {
         horizon: 16,
         intensity: 0.4,
         inject_double_commit_at: Some(5),
         ..ScheduleConfig::default()
-    };
-    let schedule = FaultSchedule::generate(11, &config);
-    let counterexample = find_counterexample(&schedule, &config)
+    });
+    let schedule = ShardedFaultSchedule::single_group(11, &config);
+    let counterexample = find_sharded_counterexample(&schedule, &config)
         .expect("harness constructs")
         .expect("the injected double commit must be caught");
     assert_eq!(
@@ -121,16 +121,15 @@ fn injected_double_commit_is_caught_shrunk_and_replayable() {
     );
     // Greedy shrinking keeps the injection and drops chaff: the minimal
     // schedule is no larger than the original and still replays.
-    assert!(counterexample.schedule.events.len() <= schedule.events.len());
-    assert!(counterexample
-        .schedule
-        .events
+    let events = &counterexample.schedule.shards[0].events;
+    assert!(events.len() <= schedule.shards[0].events.len());
+    assert!(events
         .iter()
         .any(|e| e.event.kind() == FaultKind::InjectDoubleCommit));
-    // One command to reproduce: JSON → Counterexample → replay.
+    // One command to reproduce: JSON → ShardedCounterexample → replay.
     let json = counterexample.to_json().expect("serializes");
     publish_counterexample("expected-double-commit", &json);
-    let restored = Counterexample::from_json(&json).expect("parses back");
+    let restored = ShardedCounterexample::from_json(&json).expect("parses back");
     assert_eq!(restored, counterexample);
     let replayed = restored
         .replay()
@@ -165,7 +164,7 @@ fn controlled_intrusion_sweep_passes_all_oracles_across_300_runs() {
     // simulated cluster here, under intrusion-heavy chaos schedules, with
     // agreement/validity/recovery-bound/network-accounting checked after
     // every step and liveness at settle — 300 seeds.
-    let scenario = SimnetScenario::new(
+    let scenario = ShardedSimnetScenario::single_group(
         "controlled/sim-intrusion-burst",
         sim_intrusion_burst_config(),
     );
@@ -195,7 +194,7 @@ fn pipelined_chaos_sweep_passes_all_oracles_across_300_runs() {
     // agreement/validity/recovery-bound/network-accounting after every
     // step, liveness at settle. Multiple in-flight sequences must survive
     // partitions, crashes, Byzantine flips and membership churn.
-    let scenario = SimnetScenario::new(
+    let scenario = ShardedSimnetScenario::single_group(
         "simnet/pipelined-chaos",
         ScheduleConfig {
             horizon: 40,
@@ -342,17 +341,17 @@ fn adversary_matrix_sweep_passes_all_oracles_across_300_runs() {
     let mut attackers_seen: BTreeSet<&'static str> = BTreeSet::new();
     let mut runs = 0;
     for (attacker, condition) in adversary_matrix() {
-        let config = adversary_config(attacker, condition);
+        let config = ShardedScheduleConfig::single_group(adversary_config(attacker, condition));
         for seed in 0..20u64 {
-            let schedule = FaultSchedule::generate(seed, &config);
-            for fault in &schedule.events {
+            let schedule = ShardedFaultSchedule::single_group(seed, &config);
+            for fault in &schedule.shards[0].events {
                 if let FaultEvent::AdoptAttacker { attacker, .. } = fault.event {
                     attackers_seen.insert(attacker.name());
                 }
             }
-            let report = run_schedule(&schedule, &config).expect("harness constructs");
+            let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
             if let Some(violation) = &report.violation {
-                if let Ok(Some(counterexample)) = find_counterexample(&schedule, &config) {
+                if let Ok(Some(counterexample)) = find_sharded_counterexample(&schedule, &config) {
                     publish_counterexample(
                         &format!(
                             "adversary-{}-{}-seed{seed}",
@@ -430,10 +429,10 @@ fn each_attacker_variant_survives_a_scripted_adoption() {
     // positive compromise-to-recovery delay (the variant's degraded IDS
     // signature made the compromise *observable*, not invisible).
     for &attacker in &AttackerKind::ALL {
-        let config = ScheduleConfig {
+        let config = ShardedScheduleConfig::single_group(ScheduleConfig {
             horizon: 20,
             ..ScheduleConfig::default()
-        };
+        });
         let mut events = vec![
             ScheduledFault {
                 step: 2,
@@ -457,8 +456,8 @@ fn each_attacker_variant_survives_a_scripted_adoption() {
                 event: FaultEvent::RecoverReplica { node: 3 },
             });
         }
-        let schedule = FaultSchedule::scripted(9, events);
-        let report = run_schedule(&schedule, &config).expect("harness constructs");
+        let schedule = FaultSchedule::scripted(9, events).into();
+        let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
         assert!(
             report.violation.is_none(),
             "{}: {:?}",
@@ -485,10 +484,10 @@ fn byzantine_flip_perturbs_the_ids_observation_stream() {
     // controllers could never see. It now degrades the alert signature
     // (λ = BYZANTINE_FLIP_IDS_LAMBDA) and marks the compromise, so the
     // recovery at step 9 records a positive compromise-to-recovery delay.
-    let config = ScheduleConfig {
+    let config = ShardedScheduleConfig::single_group(ScheduleConfig {
         horizon: 20,
         ..ScheduleConfig::default()
-    };
+    });
     let schedule = FaultSchedule::scripted(
         4,
         vec![
@@ -504,8 +503,9 @@ fn byzantine_flip_perturbs_the_ids_observation_stream() {
                 event: FaultEvent::RecoverReplica { node: 1 },
             },
         ],
-    );
-    let report = run_schedule(&schedule, &config).expect("harness constructs");
+    )
+    .into();
+    let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(
         report.outcome.mean_recovery_steps > 0.0,
@@ -522,13 +522,13 @@ fn pre_gst_crash_majority_triggers_the_liveness_after_gst_oracle() {
     // unreachable, so requests submitted before GST can never commit —
     // the oracle must flag it, the shrinker must converge on a still-dead
     // kernel, and the counterexample must replay from JSON.
-    let config = ScheduleConfig {
+    let config = ShardedScheduleConfig::single_group(ScheduleConfig {
         horizon: 30,
         delta_r: 100,
         gst: Some(4),
         post_gst_liveness_steps: 8,
         ..ScheduleConfig::default()
-    };
+    });
     let schedule = FaultSchedule::scripted(
         0,
         (1..=3)
@@ -537,14 +537,15 @@ fn pre_gst_crash_majority_triggers_the_liveness_after_gst_oracle() {
                 event: FaultEvent::CrashReplica { node },
             })
             .collect(),
-    );
-    let report = run_schedule(&schedule, &config).expect("harness constructs");
+    )
+    .into();
+    let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
     let violation = report
         .violation
         .expect("a dead commit quorum must trip the liveness-after-GST oracle");
     assert_eq!(violation.kind, InvariantKind::LivenessAfterGst);
 
-    let counterexample = find_counterexample(&schedule, &config)
+    let counterexample = find_sharded_counterexample(&schedule, &config)
         .expect("harness constructs")
         .expect("the violation must survive shrinking");
     assert_eq!(
@@ -558,19 +559,18 @@ fn pre_gst_crash_majority_triggers_the_liveness_after_gst_oracle() {
     // the post-GST network is reliable but MinBFT does not retransmit a
     // wedged ballot. Dropping either remaining crash leaves 4 alive and
     // the run commits again, so the kernel is minimal.
+    let events = &counterexample.schedule.shards[0].events;
     assert_eq!(
-        counterexample.schedule.events.len(),
+        events.len(),
         2,
         "dropping either crash restores the view-change quorum"
     );
-    assert!(counterexample
-        .schedule
-        .events
+    assert!(events
         .iter()
         .all(|fault| matches!(fault.event, FaultEvent::CrashReplica { .. })));
     let json = counterexample.to_json().expect("serializes");
     publish_counterexample("expected-liveness-after-gst", &json);
-    let restored = Counterexample::from_json(&json).expect("parses back");
+    let restored = ShardedCounterexample::from_json(&json).expect("parses back");
     assert_eq!(restored, counterexample);
     let replayed = restored
         .replay()
@@ -584,10 +584,13 @@ fn adversary_runs_are_deterministic_in_the_seed() {
     // The replay guarantee extends to the new schedule machinery: a GST
     // configuration with attacker adoption produces byte-identical traces
     // across runs, and its schedule JSON round-trips stably.
-    let config = adversary_config(AttackerKind::EquivocatingLeader, NetworkCondition::Gst);
-    let schedule = FaultSchedule::generate(7, &config);
-    let a = run_schedule(&schedule, &config).expect("harness constructs");
-    let b = run_schedule(&schedule, &config).expect("harness constructs");
+    let config = ShardedScheduleConfig::single_group(adversary_config(
+        AttackerKind::EquivocatingLeader,
+        NetworkCondition::Gst,
+    ));
+    let schedule = ShardedFaultSchedule::single_group(7, &config);
+    let a = run_sharded_schedule(&schedule, &config).expect("harness constructs");
+    let b = run_sharded_schedule(&schedule, &config).expect("harness constructs");
     assert_eq!(
         serde_json::to_string(&a.trace).expect("serializable"),
         serde_json::to_string(&b.trace).expect("serializable")
@@ -635,9 +638,12 @@ fn pinned_amnesiac_recovery_counterexample_cannot_regress() {
     // grew to n - f + `parallel_recoveries` so every ballot intersects the
     // surviving certificate holders. This replays the exact generated
     // schedule that caught it.
-    let config = adversary_config(AttackerKind::LyingDonor, NetworkCondition::Gst);
-    let schedule = FaultSchedule::generate(19, &config);
-    let report = run_schedule(&schedule, &config).expect("harness constructs");
+    let config = ShardedScheduleConfig::single_group(adversary_config(
+        AttackerKind::LyingDonor,
+        NetworkCondition::Gst,
+    ));
+    let schedule = ShardedFaultSchedule::single_group(19, &config);
+    let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
     assert!(
         report.violation.is_none(),
         "the amnesiac-recovery bug is back: {:?}",
@@ -669,8 +675,9 @@ fn pinned_amnesiac_recovery_counterexample_cannot_regress() {
                 event: FaultEvent::ClientBurst { requests: 3 },
             },
         ],
-    );
-    let report = run_schedule(&kernel, &config).expect("harness constructs");
+    )
+    .into();
+    let report = run_sharded_schedule(&kernel, &config).expect("harness constructs");
     assert!(
         report.violation.is_none(),
         "the shrunk amnesiac-recovery kernel violates again: {:?}",
@@ -690,7 +697,7 @@ fn pinned_rebuilding_leader_amnesia_counterexample_cannot_regress() {
     // before a ballot of the forgetful re-assigned the sequences. Fixed in
     // the honest core: a replica with a rebuild pending neither proposes
     // nor votes COMMIT (`Replica::awaits_state`).
-    let config = ScheduleConfig {
+    let config = ShardedScheduleConfig::single_group(ScheduleConfig {
         horizon: 40,
         intensity: 0.5,
         enabled: ScheduleConfig::default()
@@ -699,10 +706,10 @@ fn pinned_rebuilding_leader_amnesia_counterexample_cannot_regress() {
             .filter(|kind| !matches!(kind, FaultKind::AddReplica | FaultKind::EvictReplica))
             .collect(),
         ..ScheduleConfig::default()
-    };
+    });
     for seed in [257, 904] {
-        let schedule = FaultSchedule::generate(seed, &config);
-        let report = run_schedule(&schedule, &config).expect("harness constructs");
+        let schedule = ShardedFaultSchedule::single_group(seed, &config);
+        let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
         assert!(
             report.violation.is_none(),
             "seed {seed}: the rebuilding-leader amnesia is back: {:?}",
@@ -714,7 +721,7 @@ fn pinned_rebuilding_leader_amnesia_counterexample_cannot_regress() {
 
 #[test]
 fn scenario_runs_surface_violations_as_invariant_errors() {
-    let scenario = SimnetScenario::new(
+    let scenario = ShardedSimnetScenario::single_group(
         "simnet/injected",
         ScheduleConfig {
             horizon: 12,
@@ -748,8 +755,8 @@ fn pinned_evict_during_rebuild_counterexample_cannot_regress() {
         .into_iter()
         .find(|(name, _)| *name == "heavy")
         .expect("the smoke suite has a heavy configuration");
-    let schedule = FaultSchedule::generate(575, &config);
-    let report = run_schedule(&schedule, &config).expect("harness constructs");
+    let schedule = ShardedFaultSchedule::single_group(575, &config);
+    let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
     assert!(
         report.violation.is_none(),
         "the evict-during-rebuild violation is back: {:?}",
@@ -801,9 +808,10 @@ fn pinned_join_under_a_delay_storm_counterexample_cannot_regress() {
                 event: FaultEvent::AddReplica,
             },
         ],
-    );
-    for schedule in [kernel, FaultSchedule::generate(4588, &config)] {
-        let report = run_schedule(&schedule, &config).expect("harness constructs");
+    )
+    .into();
+    for schedule in [kernel, ShardedFaultSchedule::single_group(4588, &config)] {
+        let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
         assert!(
             report.violation.is_none(),
             "the join-under-a-delay-storm violation is back: {:?}",
@@ -813,30 +821,30 @@ fn pinned_join_under_a_delay_storm_counterexample_cannot_regress() {
     }
 }
 
-/// The wide reconfiguration net: seeds 0..5000 of the five smoke
-/// configurations plus `sim-intrusion-burst` (30,000 runs), and of the five
+/// The wide reconfiguration net: seeds 0..10000 of the five smoke
+/// configurations plus `sim-intrusion-burst` (60,000 runs), and of the five
 /// with the system controller off, so every JOIN and EVICT is a scheduled
-/// fault (25,000 runs) — 55,000 runs under the full oracle suite, none of
-/// which may raise a violation. Too slow for the per-push suite: it takes
-/// 111 s in release on a 2-thread Intel Xeon host, one worker per thread;
-/// CI's `control-smoke` job runs it by name.
+/// fault (50,000 runs) — 110,000 single-group runs under the full oracle
+/// suite, none of which may raise a violation. Too slow for the per-push
+/// suite: it takes about 215 s in release on a 2-thread Intel Xeon host,
+/// one worker per thread; CI's `control-smoke` job runs it by name.
 #[test]
-#[ignore = "nightly-sized: 55,000 runs"]
-fn wide_reconfiguration_sweep_passes_all_oracles_across_55000_runs() {
-    let mut configs: Vec<(String, ScheduleConfig)> = smoke_configs()
+#[ignore = "nightly-sized: 110,000 runs"]
+fn wide_reconfiguration_sweep_passes_all_oracles_across_110000_runs() {
+    let mut configs: Vec<(String, ShardedScheduleConfig)> = smoke_configs()
         .into_iter()
         .map(|(name, config)| (name.to_string(), config))
         .collect();
-    configs.push(("sim-intrusion-burst".into(), sim_intrusion_burst_config()));
-    for (name, config) in smoke_configs() {
-        let config = ScheduleConfig {
-            system_controller: false,
-            ..config
-        };
+    configs.push((
+        "sim-intrusion-burst".into(),
+        ShardedScheduleConfig::single_group(sim_intrusion_burst_config()),
+    ));
+    for (name, mut config) in smoke_configs() {
+        config.base.system_controller = false;
         configs.push((format!("{name}/no-system-controller"), config));
     }
     let runs: Vec<(usize, u64)> = (0..configs.len())
-        .flat_map(|config| (0..5000).map(move |seed| (config, seed)))
+        .flat_map(|config| (0..10_000).map(move |seed| (config, seed)))
         .collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -851,8 +859,9 @@ fn wide_reconfiguration_sweep_passes_all_oracles_across_55000_runs() {
                             return found;
                         };
                         let (name, config) = &configs[config];
-                        let schedule = FaultSchedule::generate(seed, config);
-                        let report = run_schedule(&schedule, config).expect("harness constructs");
+                        let schedule = ShardedFaultSchedule::single_group(seed, config);
+                        let report =
+                            run_sharded_schedule(&schedule, config).expect("harness constructs");
                         if let Some(violation) = report.violation {
                             found.push(format!("{name} seed {seed}: {violation}"));
                         }
