@@ -622,7 +622,7 @@ mod tests {
 
     #[test]
     fn schedules_serialize_to_parseable_json() {
-        // Typed decoding is covered by `Counterexample::from_json`; here we
+        // Typed decoding is covered by `ShardedCounterexample::from_json`; here we
         // check the rendered document is well-formed and stable.
         let schedule = FaultSchedule::generate(
             3,

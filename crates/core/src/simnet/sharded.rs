@@ -1,7 +1,6 @@
 //! The simulation driver: deterministic chaos over one or many MinBFT
 //! groups behind a key router, scheduled event-driven per shard. A single
-//! group is a one-shard fleet ([`ShardedScheduleConfig::single_group`]);
-//! there is no second driver.
+//! group is a one-shard fleet ([`ShardedScheduleConfig::single_group`]).
 //!
 //! One run wires together:
 //!

@@ -774,11 +774,14 @@ fn pinned_evict_during_rebuild_counterexample_cannot_regress() {
 fn pinned_join_under_a_delay_storm_counterexample_cannot_regress() {
     // The kernel that broke agreement when JOIN first reached the replicas
     // as a `Reconfigure` without the execution frontier (`light` seed 4588,
-    // shrunk to four events): the loss storm leaves laggards, the newcomer
-    // adopts a laggard's state under the delay storm, joins a ballot of
-    // laggards and recovered replicas, and that ballot gap-fills sequences
-    // 6-13, which had committed. The frontier barrier refuses the laggard's
-    // transfer and keeps the laggards out of the ballot.
+    // shrunk to four events on the retired single-group driver): the loss
+    // storm leaves laggards, the newcomer adopts a laggard's state under the
+    // delay storm, joins a ballot of laggards and recovered replicas, and
+    // that ballot gap-fills sequences 6-13, which had committed. On the one
+    // driver both schedules replay clean even with the frontier forced to 0,
+    // so this pin no longer guards the barrier;
+    // `pinned_join_after_a_partitioned_laggard_counterexample_cannot_regress`
+    // does.
     let (_, config) = smoke_configs()
         .into_iter()
         .find(|(name, _)| *name == "light")
@@ -821,12 +824,129 @@ fn pinned_join_under_a_delay_storm_counterexample_cannot_regress() {
     }
 }
 
+#[test]
+fn pinned_rebuild_amnesia_across_ticks_counterexample_cannot_regress() {
+    // `heavy` seed 1587, shrunk to nine events with no JOIN and no EVICT:
+    // replica 0 executes sequence 15 on the view-4 commit quorum {0, 2, 4};
+    // the node controllers rebuild replica 2 and, one tick later, replica 4,
+    // each from a donor that executed only 14; replica 0 crashes, and the
+    // view-7 ballot {1, 2, 3, 4} holds no certificate for 15, so it
+    // gap-fills the sequence with an empty batch and re-proposes the batch
+    // at 17. The quorum pair counts the rebuilt per control tick; a
+    // committed sequence outlived two. Fixed in the honest core: a rebuild
+    // keeps the replica's own prepared certificates
+    // (`checkpoint::reset_for_recovery`).
+    let (_, config) = smoke_configs()
+        .into_iter()
+        .find(|(name, _)| *name == "heavy")
+        .expect("the smoke suite has a heavy configuration");
+    let at = |step, event| ScheduledFault { step, event };
+    let kernel = FaultSchedule::scripted(
+        1587,
+        vec![
+            at(
+                0,
+                FaultEvent::LossStorm {
+                    loss_rate: 0.2971417587491775,
+                },
+            ),
+            at(2, FaultEvent::RestoreNetwork),
+            at(
+                3,
+                FaultEvent::IntrusionBurst {
+                    node: 0,
+                    mode: ByzantineMode::Silent,
+                },
+            ),
+            at(7, FaultEvent::RecoverReplica { node: 0 }),
+            at(
+                7,
+                FaultEvent::LossStorm {
+                    loss_rate: 0.2940143149824207,
+                },
+            ),
+            at(9, FaultEvent::RestoreNetwork),
+            at(9, FaultEvent::ClientBurst { requests: 3 }),
+            at(
+                10,
+                FaultEvent::LossStorm {
+                    loss_rate: 0.23789338493267076,
+                },
+            ),
+            at(12, FaultEvent::CrashReplica { node: 0 }),
+        ],
+    )
+    .into();
+    for schedule in [kernel, ShardedFaultSchedule::single_group(1587, &config)] {
+        let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
+        assert!(
+            report.violation.is_none(),
+            "the rebuild amnesia across ticks is back: {:?}",
+            report.violation
+        );
+        assert!(report.outcome.completed > 0);
+    }
+}
+
+#[test]
+fn pinned_join_after_a_partitioned_laggard_counterexample_cannot_regress() {
+    // The frontier barrier's kernel on the one driver: `full-stack` seed
+    // 2915, shrunk to twelve events, breaks agreement (step 20, log position
+    // 18) when `Reconfigure` carries no execution frontier. Replicas 1 and 4
+    // stop at sequence 17 (4 behind the partition), the JOIN at step 15
+    // hands newcomer 6 a laggard's state, replica 0 crashes and is evicted,
+    // and after the JOIN at step 19 the laggards 1, 4, 6 and 7 are four of
+    // six members — a view-change quorum of their own, which re-assigns the
+    // sequences replicas 2 and 3 committed past 17. The frontier marks every
+    // replica below it as pulling, so none of them votes, and refuses a
+    // laggard's transfer.
+    let (_, config) = smoke_configs()
+        .into_iter()
+        .find(|(name, _)| *name == "full-stack")
+        .expect("the smoke suite has a full-stack configuration");
+    let at = |step, event| ScheduledFault { step, event };
+    let delay_storm = |latency, jitter| FaultEvent::DelayStorm { latency, jitter };
+    let kernel = FaultSchedule::scripted(
+        2915,
+        vec![
+            at(1, FaultEvent::AddReplica),
+            at(2, delay_storm(0.025173833910137618, 0.03906889132179922)),
+            at(3, FaultEvent::ClientBurst { requests: 2 }),
+            at(5, FaultEvent::EvictReplica { node: None }),
+            at(8, delay_storm(0.05103073898679131, 0.0341732659600696)),
+            at(9, FaultEvent::ClientBurst { requests: 2 }),
+            at(12, FaultEvent::RestoreNetwork),
+            at(
+                13,
+                FaultEvent::Partition {
+                    group_a: vec![4],
+                    group_b: vec![0, 3, 2, 1],
+                },
+            ),
+            at(15, FaultEvent::AddReplica),
+            at(16, FaultEvent::Heal),
+            at(16, FaultEvent::CrashReplica { node: 0 }),
+            at(19, FaultEvent::AddReplica),
+        ],
+    )
+    .into();
+    for schedule in [kernel, ShardedFaultSchedule::single_group(2915, &config)] {
+        let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
+        assert!(
+            report.violation.is_none(),
+            "the join after a partitioned laggard violates again: {:?}",
+            report.violation
+        );
+        assert!(report.outcome.completed > 0);
+    }
+}
+
 /// The wide reconfiguration net: seeds 0..10000 of the five smoke
 /// configurations plus `sim-intrusion-burst` (60,000 runs), and of the five
 /// with the system controller off, so every JOIN and EVICT is a scheduled
 /// fault (50,000 runs) — 110,000 single-group runs under the full oracle
 /// suite, none of which may raise a violation. Too slow for the per-push
-/// suite: it takes about 215 s in release on a 2-thread Intel Xeon host,
+/// suite: it takes 242 s in release on a 2-thread Intel Xeon host,
 /// one worker per thread; CI's `control-smoke` job runs it by name.
 #[test]
 #[ignore = "nightly-sized: 110,000 runs"]
