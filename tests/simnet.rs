@@ -841,15 +841,11 @@ fn pinned_rebuild_amnesia_across_ticks_counterexample_cannot_regress() {
         .find(|(name, _)| *name == "heavy")
         .expect("the smoke suite has a heavy configuration");
     let at = |step, event| ScheduledFault { step, event };
+    let loss_storm = |loss_rate| FaultEvent::LossStorm { loss_rate };
     let kernel = FaultSchedule::scripted(
         1587,
         vec![
-            at(
-                0,
-                FaultEvent::LossStorm {
-                    loss_rate: 0.2971417587491775,
-                },
-            ),
+            at(0, loss_storm(0.2971417587491775)),
             at(2, FaultEvent::RestoreNetwork),
             at(
                 3,
@@ -859,20 +855,10 @@ fn pinned_rebuild_amnesia_across_ticks_counterexample_cannot_regress() {
                 },
             ),
             at(7, FaultEvent::RecoverReplica { node: 0 }),
-            at(
-                7,
-                FaultEvent::LossStorm {
-                    loss_rate: 0.2940143149824207,
-                },
-            ),
+            at(7, loss_storm(0.2940143149824207)),
             at(9, FaultEvent::RestoreNetwork),
             at(9, FaultEvent::ClientBurst { requests: 3 }),
-            at(
-                10,
-                FaultEvent::LossStorm {
-                    loss_rate: 0.23789338493267076,
-                },
-            ),
+            at(10, loss_storm(0.23789338493267076)),
             at(12, FaultEvent::CrashReplica { node: 0 }),
         ],
     )
