@@ -152,39 +152,46 @@ mod tests {
         assert_eq!(replayed.kind, InvariantKind::Agreement);
     }
 
-    /// The object at `path` below `value`.
+    /// The object at `path` below `value`; a numeric step indexes an array.
     fn at<'a>(value: &'a Value, path: &[&str]) -> &'a [(String, Value)] {
-        let Value::Object(entries) = value else {
-            panic!("expected an object above {path:?}")
-        };
-        match path {
-            [] => entries,
-            [head, rest @ ..] => at(
+        match (value, path) {
+            (Value::Object(entries), []) => entries,
+            (Value::Object(entries), [head, rest @ ..]) => at(
                 &entries.iter().find(|(k, _)| k == head).expect("path").1,
                 rest,
             ),
+            (Value::Array(items), [head, rest @ ..]) => {
+                at(&items[head.parse::<usize>().expect("index")], rest)
+            }
+            _ => panic!("expected an object above {path:?}"),
         }
     }
 
     /// `value` without the entry `key` of the object at `path`.
     fn without(value: &Value, path: &[&str], key: &str) -> Value {
-        let Value::Object(entries) = value else {
-            panic!("expected an object above {path:?}")
+        let step = |here: &str, v: &Value| match path {
+            [head, rest @ ..] if here == *head => without(v, rest, key),
+            _ => v.clone(),
         };
-        Value::Object(match path {
-            [] => entries.iter().filter(|(k, _)| k != key).cloned().collect(),
-            [head, rest @ ..] => entries
-                .iter()
-                .map(|(k, v)| {
-                    let v = if k == head {
-                        without(v, rest, key)
-                    } else {
-                        v.clone()
-                    };
-                    (k.clone(), v)
-                })
-                .collect(),
-        })
+        match (value, path) {
+            (Value::Object(entries), []) => {
+                Value::Object(entries.iter().filter(|(k, _)| k != key).cloned().collect())
+            }
+            (Value::Object(entries), _) => Value::Object(
+                entries
+                    .iter()
+                    .map(|(k, v)| (k.clone(), step(k, v)))
+                    .collect(),
+            ),
+            (Value::Array(items), [_, ..]) => Value::Array(
+                items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| step(&i.to_string(), v))
+                    .collect(),
+            ),
+            _ => panic!("expected an object above {path:?}"),
+        }
     }
 
     /// Removes each key of the object at `path` in turn: the document must
@@ -260,7 +267,10 @@ mod tests {
             ],
         );
         assert_optional_keys(&document, decode, &["config", "base"], &late_knobs);
+        assert_optional_keys(&document, decode, &["config", "base", "network"], &[]);
         assert_optional_keys(&document, decode, &["schedule"], &[]);
+        assert_optional_keys(&document, decode, &["schedule", "shards", "0"], &[]);
+        assert_optional_keys(&document, decode, &["violation"], &[]);
         // Inside the two late-added blocks every field falls back to the
         // block's `Default` (which is what this document holds).
         for block in ["workload", "autotune"] {
