@@ -156,14 +156,21 @@ pub(super) fn begin_rebuild(replica: &mut Replica, now: SimTime, out: &mut StepO
 /// replies) while keeping identity, membership, epoch, view, the USIG and
 /// the prepared certificates, then adopt the transfer that triggered it.
 ///
-/// The certificates survive because they are USIG-certified statements a
-/// compromise cannot have altered (an intrusion corrupts only outgoing
-/// payloads), and because the donor may lag: a replica that voted COMMIT at
-/// a sequence the donor has not reached is, after the rebuild, still one of
-/// the voters every view-change ballot intersects. Wiping them would let
-/// rebuilds on consecutive control ticks erase every copy of a committed
-/// but not yet universal sequence — more amnesiacs than the `recoveries`
-/// slack of [`ProtocolParams::commit_quorum`] covers.
+/// The certificates survive because the donor may lag: a replica that voted
+/// COMMIT at a sequence the donor has not reached is, after the rebuild,
+/// still one of the voters every view-change ballot intersects. Wiping them
+/// would let rebuilds on consecutive control ticks erase every copy of a
+/// committed but not yet universal sequence — more amnesiacs than the
+/// `recoveries` slack of [`ProtocolParams::commit_quorum`] covers.
+///
+/// Keeping them is sound under the adversary model, not by the USIG: an
+/// entry stores no UI and nothing re-checks it (the view change and the
+/// refill trust what a voter reports), so it is only as clean as the
+/// replica's memory. The simulator's intrusions corrupt outgoing payloads
+/// alone (`adversary::corrupt`), which leaves `prepared` as the honest core
+/// wrote it. An intrusion that rewrites memory — possible on the live
+/// planes — would carry its entries through the recovery meant to clean
+/// the replica.
 fn reset_for_recovery(replica: &mut Replica) {
     let mut fresh = Replica::new(
         replica.id,

@@ -200,8 +200,10 @@ impl ProtocolParams {
     /// the replica's own prepared certificates and only merges the donor's
     /// into them (`checkpoint::reset_for_recovery`), so no number of
     /// rebuilds, on one control tick or across several, makes a committer
-    /// forget a committed sequence. For odd `n` this is the classic
-    /// `f + 1`; for even `n` it is one vote stronger.
+    /// forget a committed sequence. That rests on the adversary model
+    /// (an intrusion corrupts outgoing messages, not the replica's memory),
+    /// not on the USIG: the kept entries carry no UI. For odd `n` this is
+    /// the classic `f + 1`; for even `n` it is one vote stronger.
     pub(crate) fn commit_quorum(&self, n: usize) -> usize {
         (crate::hybrid_fault_threshold(n, self.recoveries) + self.recoveries + 1).min(n)
     }

@@ -158,7 +158,10 @@ pub(super) fn handle_view_change(
     // `ProtocolParams::commit_quorum`), and every voter in it remembers: a
     // proactive recovery re-images a replica from a donor's snapshot but
     // keeps its own prepared certificates, so a committer rebuilt from a
-    // lagging donor still reports what it voted for. (Computed over the
+    // lagging donor still reports what it voted for. Reports are trusted,
+    // not re-verified: this holds while an intrusion corrupts only outgoing
+    // messages, as the simulator's adversary does, and leaves the memory
+    // the recovery keeps as the honest core wrote it. (Computed over the
     // replica's own membership view, which may briefly differ from the
     // cluster's during a reconfiguration.)
     let quorum = params.view_change_quorum(replica.membership.len());
