@@ -456,6 +456,69 @@ mod tests {
         assert!(violation.to_string().contains("routing"));
     }
 
+    /// The single-register `Write` path under faults. The fleet driver's
+    /// clients send routed `Put`s, so this is the oracle-checked run that
+    /// takes `Write`s (and the `value` register) through a lossy network,
+    /// rebuilds of a different replica every third tick from donors that
+    /// may lag, state transfer across checkpoints and a crash. Every tick
+    /// passes the oracles, and the replicas that settle at the highest
+    /// frontier hold the same register.
+    #[test]
+    fn writes_pass_the_oracles_through_rebuilds_on_consecutive_ticks() {
+        let lossy = NetworkConfig {
+            latency: 0.002,
+            jitter: 0.001,
+            loss_rate: 0.2,
+        };
+        for seed in 0..24u32 {
+            let mut cluster = MinBftCluster::new(MinBftConfig {
+                initial_replicas: 6,
+                checkpoint_period: 4,
+                network: lossy,
+                seed: u64::from(seed),
+                ..MinBftConfig::default()
+            });
+            let mut checker = InvariantChecker::default();
+            let client = cluster.add_client();
+            for tick in 0..30u32 {
+                if !cluster.has_outstanding_request(client) {
+                    let request = cluster.submit(client, Operation::Write(u64::from(tick) + 1));
+                    checker.record_submission(request.digest());
+                }
+                if tick % 3 == 2 && tick < 24 {
+                    cluster.recover_replica((seed + tick / 3) % 6);
+                }
+                if tick == 13 {
+                    cluster.crash_replica((seed + 3) % 6);
+                }
+                if tick == 20 {
+                    cluster.set_network_config(NetworkConfig {
+                        loss_rate: 0.0,
+                        ..lossy
+                    });
+                }
+                cluster.run_until(cluster.now() + 1.0);
+                assert_eq!(checker.check_logs(&cluster, tick), None, "seed {seed}");
+                assert_eq!(checker.check_network(&cluster, tick), None, "seed {seed}");
+            }
+            cluster.run_until_quiet(cluster.now() + 60.0);
+            assert_eq!(checker.check_logs(&cluster, 30), None, "seed {seed}");
+            let live: Vec<NodeId> = (cluster.membership().iter().copied())
+                .filter(|&id| !cluster.is_crashed(id) && !cluster.needs_state(id))
+                .collect();
+            let frontier = (live.iter())
+                .filter_map(|&id| cluster.executed_len(id))
+                .max()
+                .expect("a live replica");
+            let values: HashSet<Option<u64>> = (live.iter().copied())
+                .filter(|&id| cluster.executed_len(id) == Some(frontier))
+                .map(|id| cluster.replica_value(id))
+                .collect();
+            assert_eq!(values.len(), 1, "seed {seed}: {values:?}");
+            assert!(cluster.completed_requests(client) > 0, "seed {seed}");
+        }
+    }
+
     #[test]
     fn unsubmitted_digests_break_validity() {
         let mut cluster = cluster();
