@@ -201,6 +201,39 @@ mod tests {
     }
 
     #[test]
+    fn batching_completes_more_requests_at_the_same_signature_cost() {
+        // At the same closed-loop workload and a visible USIG signature
+        // cost, batch 16 amortizes one signature over many requests and
+        // completes more of them than batch 1.
+        let seed = 7;
+        let completed = |batch_size| {
+            let mut cluster = MinBftCluster::new(
+                MinBftConfig {
+                    seed,
+                    initial_replicas: 4,
+                    batch_size,
+                    batch_delay: 0.05,
+                    signature_time: 0.002,
+                    checkpoint_period: 50,
+                    ..MinBftConfig::default()
+                }
+                .clamped(),
+            );
+            cluster
+                .run_workload(&WorkloadConfig {
+                    clients: 16,
+                    arrival: Arrival::Closed,
+                    duration: 1.0,
+                    seed: seed ^ 0x6461_7461_706c_616e,
+                    ..WorkloadConfig::default()
+                })
+                .completed_requests
+        };
+        let (b1, b16) = (completed(1), completed(16));
+        assert!(b16 > b1, "batch 16 must outperform batch 1: {b16} vs {b1}");
+    }
+
+    #[test]
     fn workload_runs_are_deterministic_in_the_seed() {
         let run = |seed: u64| {
             let mut cluster = MinBftCluster::new(MinBftConfig {

@@ -16,9 +16,15 @@
 //! JOIN spares to the *neediest* shard — the one with the fewest healthy
 //! replicas — subject to per-shard and fleet-wide membership bounds.
 //!
-//! This is the only implementation of the two control laws: the
-//! single-cluster [`ControlPlane`](super::ControlPlane) that steers the
-//! live service is its one-shard view.
+//! The single-cluster [`ControlPlane`](super::ControlPlane) that steers the
+//! live service is its one-shard view, so the live planes and the simnet
+//! harness share this implementation of the two control laws. The Table-7
+//! emulation loop (`tolerance_emulation::Emulation::step`) does not: it
+//! enforces the k-slot budget with a rule of its own, which ranks requesters
+//! by the belief *after* the recovery reset (so TOLERANCE requesters tie and
+//! fall back to node order) and drops the losers without
+//! [`NodeController::notify_deferred`], leaving their BTR clock and belief
+//! reset as if they had been recovered.
 
 use crate::controller::{NodeController, SystemController};
 use crate::controlplane::actuator::ClusterActuator;

@@ -22,9 +22,9 @@
 //!   all actuated through whichever [`actuator::ClusterActuator`] is
 //!   plugged in. The simnet executor drives the *same* `tick` as the live
 //!   threaded scenario.
-//! * `scenario::ControlledServiceScenario` — the `controlled/*` registry
-//!   scenarios: a threaded MinBFT service under a scripted intrusion burst
-//!   with the control plane closing the loop live, plus the simnet twin
+//! * [`scenario::run_controlled_service`] — a threaded MinBFT service under
+//!   a scripted intrusion burst with the control plane closing the loop
+//!   live, plus the simnet twin ([`scenario::sim_intrusion_burst_config`])
 //!   that passes the full oracle suite.
 //! * `fleet::FleetControlPlane` — the sharded-fleet runtime: per-shard
 //!   node controllers competing for one **global** recovery budget `k`
@@ -50,6 +50,6 @@ pub use autotune::{
 };
 pub use runtime::{ControlPlane, ControlPlaneConfig, NodeReport};
 pub use scenario::{
-    register_controlled_scenarios, run_controlled_service, sim_intrusion_burst_config,
-    ControlledServiceConfig, ControlledServiceReport, IntrusionEvent, IntrusionMode,
+    run_controlled_service, sim_intrusion_burst_config, ControlledServiceConfig,
+    ControlledServiceReport, IntrusionEvent, IntrusionMode,
 };

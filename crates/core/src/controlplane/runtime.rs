@@ -5,11 +5,12 @@
 //! observation channel, the k-parallel-recovery constraint of
 //! Proposition 1, crash eviction and the Algorithm-2 replication decision —
 //! all actuated through a pluggable [`ClusterActuator`]. It is the
-//! one-shard view of the `FleetControlPlane`, which holds the only
-//! implementation of both laws, so the live controlled scenarios
-//! (wall-clock, threaded cluster) and the simnet harnesses (deterministic,
-//! simulated clusters) run the same code — the paper's claim that one
-//! control architecture steers the real service.
+//! one-shard view of the `FleetControlPlane`, so the live controlled
+//! service (wall-clock, threaded cluster) and the simnet harness
+//! (deterministic, simulated clusters) run the same code for both laws —
+//! the paper's claim that one control architecture steers the real
+//! service. The Table-7 emulation loop is the exception: it keeps its own
+//! k-slot rule, which differs from this one (see the `fleet` module docs).
 
 use crate::controller::NodeController;
 use crate::controlplane::actuator::ClusterActuator;

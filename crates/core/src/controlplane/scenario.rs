@@ -1,7 +1,7 @@
-//! The `controlled/*` scenarios: the live two-level loop as a sweepable
-//! workload.
+//! The controlled service: the live two-level loop under a scripted
+//! intrusion workload.
 //!
-//! `ControlledServiceScenario` runs the **threaded** MinBFT service under
+//! [`run_controlled_service`] runs the **threaded** MinBFT service under
 //! a scripted intrusion schedule while the [`ControlPlane`] closes the loop
 //! in real time: every `control_interval` seconds each replica's IDS
 //! observation channel emits a batch of weighted alert events (sampled from
@@ -11,19 +11,17 @@
 //! and the system controller evicts crashed replicas and restores `n`
 //! through JOIN — all over the running cluster's transport.
 //!
-//! The simnet twin (`controlled/sim-intrusion-burst`, registered by
-//! [`register_controlled_scenarios`]) exercises the *same*
-//! [`ControlPlane::tick`] against the simulated cluster under the full
-//! agreement/validity/recovery-bound oracle suite, which is what makes the
-//! live loop trustworthy.
+//! The simnet twin ([`sim_intrusion_burst_config`] run as a
+//! [`ShardedSimnetScenario`](crate::simnet::ShardedSimnetScenario))
+//! exercises the *same* [`ControlPlane::tick`] against the simulated
+//! cluster under the full agreement/validity/recovery-bound oracle suite,
+//! which is what makes the live loop trustworthy.
 
 use crate::controlplane::runtime::{ControlPlane, ControlPlaneConfig, NodeReport};
 use crate::error::Result;
-use crate::metrics::MetricReport;
 use crate::node_model::NodeState;
 use crate::observation::ObservationModel;
-use crate::runtime::{AsMetricReport, MetricScenario, Scenario, ScenarioRegistry};
-use crate::simnet::{FaultKind, ScheduleConfig, ShardedSimnetScenario};
+use crate::simnet::{FaultKind, ScheduleConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -150,54 +148,6 @@ pub struct ControlledServiceReport {
     pub final_replicas: usize,
     /// Whether the final replica logs were prefix-consistent.
     pub consistent: bool,
-}
-
-impl AsMetricReport for ControlledServiceReport {
-    fn metric_report(&self) -> MetricReport {
-        MetricReport {
-            availability: if self.consistent && self.completed_requests > 0 {
-                1.0
-            } else {
-                0.0
-            },
-            time_to_recovery: self.mean_recovery_latency.unwrap_or(0.0),
-            recovery_frequency: if self.duration > 0.0 {
-                self.recoveries as f64 / self.duration
-            } else {
-                0.0
-            },
-            steps: self.completed_requests,
-        }
-    }
-}
-
-/// A sweepable controlled threaded-service scenario.
-#[derive(Debug, Clone)]
-struct ControlledServiceScenario {
-    label: String,
-    config: ControlledServiceConfig,
-}
-
-impl ControlledServiceScenario {
-    /// Wraps a configuration under a label.
-    pub fn new(label: impl Into<String>, config: ControlledServiceConfig) -> Self {
-        ControlledServiceScenario {
-            label: label.into(),
-            config,
-        }
-    }
-}
-
-impl Scenario for ControlledServiceScenario {
-    type Output = ControlledServiceReport;
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn run(&self, seed: u64) -> Result<ControlledServiceReport> {
-        run_controlled_service(&self.config, seed)
-    }
 }
 
 /// Runs the threaded service under the scripted intrusion schedule with the
@@ -366,65 +316,22 @@ pub fn sim_intrusion_burst_config() -> ScheduleConfig {
     }
 }
 
-/// Registers the built-in controlled scenarios:
-///
-/// * `controlled/intrusion-burst` — the live loop on ThreadedTransport:
-///   intrusion + crash injections, node controller recovering, system
-///   controller restoring `n` via JOIN (wall-clock).
-/// * `controlled/uncontrolled-baseline` — the same injections with the
-///   control plane off (the comparison cell of the `control_loop` bench).
-/// * `controlled/sim-intrusion-burst` — the deterministic twin on
-///   SimNetwork under the full simnet oracle suite.
-pub fn register_controlled_scenarios(registry: &mut ScenarioRegistry) {
-    registry.register_wall_clock("controlled/intrusion-burst", || {
-        Ok(Box::new(ControlledServiceScenario::new(
-            "controlled/intrusion-burst",
-            ControlledServiceConfig::default(),
-        )) as Box<dyn MetricScenario>)
-    });
-    registry.register_wall_clock("controlled/uncontrolled-baseline", || {
-        Ok(Box::new(ControlledServiceScenario::new(
-            "controlled/uncontrolled-baseline",
-            ControlledServiceConfig {
-                controller: false,
-                ..ControlledServiceConfig::default()
-            },
-        )) as Box<dyn MetricScenario>)
-    });
-    registry.register("controlled/sim-intrusion-burst", || {
-        Ok(Box::new(ShardedSimnetScenario::single_group(
-            "controlled/sim-intrusion-burst",
-            sim_intrusion_burst_config(),
-        )) as Box<dyn MetricScenario>)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::Runner;
-
-    #[test]
-    fn controlled_scenarios_register() {
-        let mut registry = ScenarioRegistry::new();
-        register_controlled_scenarios(&mut registry);
-        for name in [
-            "controlled/intrusion-burst",
-            "controlled/uncontrolled-baseline",
-            "controlled/sim-intrusion-burst",
-        ] {
-            assert!(registry.contains(name), "missing {name}");
-        }
-    }
+    use crate::simnet::ShardedSimnetScenario;
 
     #[test]
     fn sim_twin_passes_the_oracles_in_a_quick_sweep() {
-        let mut registry = ScenarioRegistry::new();
-        register_controlled_scenarios(&mut registry);
-        let run = registry
-            .run("controlled/sim-intrusion-burst", &Runner::serial(), &[0, 1])
+        let scenario = ShardedSimnetScenario::single_group(
+            "controlled/sim-intrusion-burst",
+            sim_intrusion_burst_config(),
+        );
+        let reports = Runner::serial()
+            .run_seeds(&scenario, &[0, 1])
             .expect("oracle-checked controlled runs pass");
-        assert_eq!(run.reports.len(), 2);
+        assert_eq!(reports.len(), 2);
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub enum CoreError {
     Solver(String),
     /// An error bubbled up from the probability/Markov layer.
     Markov(String),
-    /// A scenario name was not found in the
-    /// [`ScenarioRegistry`](crate::runtime::ScenarioRegistry).
-    UnknownScenario(String),
     /// A fault-injection run violated one of the invariant oracles of
     /// [`simnet`](crate::simnet); the string describes the violated
     /// invariant and the step at which it broke.
@@ -44,9 +41,6 @@ impl fmt::Display for CoreError {
             ),
             CoreError::Solver(why) => write!(f, "solver failure: {why}"),
             CoreError::Markov(why) => write!(f, "probability computation failed: {why}"),
-            CoreError::UnknownScenario(name) => {
-                write!(f, "no scenario named `{name}` is registered")
-            }
             CoreError::Invariant(detail) => {
                 write!(f, "invariant violation: {detail}")
             }

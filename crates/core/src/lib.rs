@@ -20,8 +20,9 @@
 //!   both loops on a *running* cluster: the [`controlplane::ClusterActuator`]
 //!   actuation interface (recovery, JOIN/EVICT) implemented by the simulated
 //!   and the threaded MinBFT cluster, the shared
-//!   [`controlplane::ControlPlane::tick`], and the sweepable `controlled/*`
-//!   scenarios with a live intrusion-burst workload.
+//!   [`controlplane::ControlPlane::tick`], and the controlled service
+//!   ([`controlplane::run_controlled_service`]) with a live intrusion-burst
+//!   workload.
 //! * **Baselines** ([`baselines`]) — the NO-RECOVERY, PERIODIC and
 //!   PERIODIC-ADAPTIVE strategies of state-of-the-art intrusion-tolerant
 //!   systems that the paper compares against (Section VIII-B).
@@ -39,9 +40,10 @@
 //! * **Scenario runtime** ([`runtime`]) — the shared experiment engine: a
 //!   [`runtime::Scenario`] abstraction, a parallel [`runtime::Runner`]
 //!   executing seed/parameter grids deterministically, cross-seed
-//!   [`runtime::MetricSummary`] aggregation, a [`runtime::ScenarioRegistry`]
-//!   of named workloads, and the shared strategy factories
-//!   ([`runtime::StrategyKind`] / [`runtime::NodeStrategy`]).
+//!   [`runtime::MetricSummary`] aggregation, and the shared strategy
+//!   factories ([`runtime::StrategyKind`] / [`runtime::NodeStrategy`]). A
+//!   scenario is a value handed to [`runtime::Runner::run_seeds`] or
+//!   [`runtime::Runner::run_cells`]; that is the one way to run one.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,7 +52,6 @@ pub mod algorithms;
 pub mod baselines;
 pub mod controller;
 pub mod controlplane;
-pub mod dataplane;
 pub mod error;
 pub mod metrics;
 pub mod node_model;

@@ -20,21 +20,24 @@
 //! * [`MetricSummary`] — the mean / 95%-CI aggregation of
 //!   [`MetricReport`](crate::metrics::MetricReport)s that every table of the
 //!   paper repeats.
-//! * [`ScenarioRegistry`] — named scenario factories, so new workloads
-//!   (bursty attackers, heterogeneous fleets, …) are declared as data
-//!   instead of new run loops.
 //! * [`StrategyKind`] / [`NodeStrategy`] — the shared construction of the
 //!   per-node decision maker (TOLERANCE controller or baseline) and the
 //!   system controller, previously duplicated by every caller.
+//!
+//! There is one way to run a scenario: build it as a value —
+//! `EmulationScenario`, [`ShardedSimnetScenario`](crate::simnet::ShardedSimnetScenario),
+//! `AttackerCampaignScenario` or an [`FnScenario`] — and hand it to
+//! [`Runner::run_seeds`] (one scenario) or [`Runner::run_cells`] (a slice
+//! of them). Each scenario keeps its own output type; nothing looks a
+//! scenario up by name, and nothing converts outputs into a common
+//! currency.
 
 mod pool;
-mod registry;
 mod runner;
 mod strategy;
 mod summary;
 
 pub(crate) use pool::WorkerPool;
-pub use registry::{AsMetricReport, MetricScenario, ScenarioRegistry, ScenarioRun};
 pub use runner::{ExecutionMode, FnScenario, Runner, Scenario};
 pub use strategy::{NodeStrategy, NodeStrategyConfig, StrategyKind};
 pub use summary::MetricSummary;

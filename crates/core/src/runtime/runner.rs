@@ -14,7 +14,7 @@ pub trait Scenario: Sync {
     /// The outcome of one run.
     type Output: Send;
 
-    /// A short human-readable label used in reports and registries.
+    /// A short human-readable label used in reports and error messages.
     fn label(&self) -> String;
 
     /// Executes one run.

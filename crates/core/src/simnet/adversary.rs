@@ -2,7 +2,8 @@
 //!
 //! This module turns the consensus layer's [`AttackerKind`] strategies into
 //! simnet chaos. Each cell of the matrix pairs one attacker variant with one
-//! network condition and runs as an ordinary registered scenario under the
+//! network condition and runs as an ordinary
+//! [`ShardedSimnetScenario`](crate::simnet::ShardedSimnetScenario) under the
 //! full oracle suite:
 //!
 //! * **Attacker axis** — the five protocol-aware strategies of
@@ -31,8 +32,6 @@
 
 use crate::error::Result;
 use crate::observation::ObservationModel;
-use crate::runtime::{MetricScenario, ScenarioRegistry};
-use crate::simnet::scenario::ShardedSimnetScenario;
 use crate::simnet::schedule::{FaultKind, ScheduleConfig};
 use crate::simnet::sharded::ShardedScheduleConfig;
 use tolerance_consensus::AttackerKind;
@@ -185,7 +184,7 @@ pub fn adversary_sharded_config(
 }
 
 /// Every `(attacker, condition)` cell, attacker-major — the iteration
-/// order of [`register_adversary_scenarios`] and of the CI sweep.
+/// order of the CI sweep.
 pub fn adversary_matrix() -> Vec<(AttackerKind, NetworkCondition)> {
     let mut cells = Vec::with_capacity(AttackerKind::ALL.len() * NetworkCondition::ALL.len());
     for &attacker in &AttackerKind::ALL {
@@ -194,33 +193,6 @@ pub fn adversary_matrix() -> Vec<(AttackerKind, NetworkCondition)> {
         }
     }
     cells
-}
-
-/// Registers the full adversary matrix:
-///
-/// * `adversary/<attacker>/<condition>` — single MinBFT group,
-/// * `adversary/sharded/<attacker>/<condition>` — two routed groups,
-///
-/// for every attacker of [`AttackerKind::ALL`] × every condition of
-/// [`NetworkCondition::ALL`] (30 scenarios). The acceptance sweep in
-/// `tests/simnet.rs` drives the same configuration functions.
-pub fn register_adversary_scenarios(registry: &mut ScenarioRegistry) {
-    for (attacker, condition) in adversary_matrix() {
-        let label = format!("adversary/{}/{}", attacker.name(), condition.name());
-        registry.register(label.clone(), move || {
-            Ok(Box::new(ShardedSimnetScenario::single_group(
-                label.clone(),
-                adversary_config(attacker, condition),
-            )) as Box<dyn MetricScenario>)
-        });
-        let sharded_label = format!("adversary/sharded/{}/{}", attacker.name(), condition.name());
-        registry.register(sharded_label.clone(), move || {
-            Ok(Box::new(ShardedSimnetScenario::new(
-                sharded_label.clone(),
-                adversary_sharded_config(attacker, condition),
-            )) as Box<dyn MetricScenario>)
-        });
-    }
 }
 
 #[cfg(test)]
@@ -263,18 +235,6 @@ mod tests {
         let mut dedup = cells.clone();
         dedup.dedup();
         assert_eq!(dedup.len(), cells.len());
-    }
-
-    #[test]
-    fn registered_labels_match_the_matrix() {
-        let mut registry = ScenarioRegistry::new();
-        register_adversary_scenarios(&mut registry);
-        assert_eq!(registry.len(), 30);
-        assert!(registry.contains("adversary/equivocating-leader/gst"));
-        assert!(registry.contains("adversary/sharded/lying-donor/storm"));
-        assert!(registry
-            .deterministic_names()
-            .contains(&"adversary/reply-suppression/sync"));
     }
 
     #[test]

@@ -13,10 +13,8 @@
 use crate::controlplane::actuator::ClusterActuator;
 use crate::controlplane::NodeReport;
 use crate::error::Result;
-use crate::metrics::MetricReport;
 use crate::node_model::{NodeModel, NodeParameters, NodeState};
 use crate::observation::ObservationModel;
-use crate::runtime::AsMetricReport;
 use crate::simnet::adversary;
 use crate::simnet::oracle::{InvariantChecker, InvariantKind, Violation};
 use crate::simnet::schedule::{FaultEvent, ScheduleConfig, ScheduledFault};
@@ -70,21 +68,6 @@ pub struct SimnetOutcome {
     pub committed_sequences: u64,
     /// Completed / issued.
     pub availability: f64,
-}
-
-impl AsMetricReport for SimnetOutcome {
-    fn metric_report(&self) -> MetricReport {
-        MetricReport {
-            availability: self.availability,
-            time_to_recovery: self.mean_recovery_steps,
-            recovery_frequency: if self.steps == 0 {
-                0.0
-            } else {
-                self.recoveries as f64 / self.steps as f64
-            },
-            steps: self.steps,
-        }
-    }
 }
 
 /// The aggregate outcome of `groups` after `steps` executed steps.

@@ -30,14 +30,15 @@
 //! 5. `shrink` — on violation, one greedy drop-one-event search
 //!    minimizes the schedules and emits a replayable
 //!    [`ShardedCounterexample`] (seed + schedules + config as JSON).
-//! 6. [`scenario`] — [`ShardedSimnetScenario`] plugs the driver into the
-//!    PR-1 [`ScenarioRegistry`](crate::runtime::ScenarioRegistry), so
-//!    experiment sweeps treat fault intensity like any other grid axis
-//!    (`simnet/*` and `sharded/*` scenarios).
+//! 6. [`scenario`] — [`ShardedSimnetScenario`] is a configuration as a
+//!    [`Scenario`](crate::runtime::Scenario) value; handing it to
+//!    [`Runner::run_seeds`](crate::runtime::Runner::run_seeds) is the one
+//!    way to sweep fault intensity over seeds like any other grid axis.
 //! 7. [`adversary`] — the adversary zoo: protocol-aware attacker replicas
 //!    ([`FaultEvent::AdoptAttacker`]) crossed with network conditions
 //!    including partial synchrony (GST schedules with the
-//!    liveness-after-GST oracle), registered as the `adversary/*` matrix.
+//!    liveness-after-GST oracle), as the [`adversary_matrix`] of
+//!    [`adversary_config`] / [`adversary_sharded_config`] cells.
 
 pub mod adversary;
 pub(crate) mod group;
@@ -49,12 +50,11 @@ pub(crate) mod shrink;
 pub mod workload;
 
 pub use adversary::{
-    adversary_config, adversary_matrix, adversary_sharded_config, register_adversary_scenarios,
-    NetworkCondition,
+    adversary_config, adversary_matrix, adversary_sharded_config, NetworkCondition,
 };
 pub use group::{SimnetOutcome, TraceRecord};
 pub use oracle::{InvariantKind, Violation};
-pub use scenario::{register_sharded_scenarios, register_simnet_scenarios, ShardedSimnetScenario};
+pub use scenario::ShardedSimnetScenario;
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule, ScheduleConfig, ScheduledFault};
 pub use sharded::{
     fleet_scale_config, load_swing_config, run_sharded_schedule, run_sharded_schedule_on,

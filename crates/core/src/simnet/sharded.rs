@@ -69,8 +69,7 @@ use crate::controlplane::autotune::{
 };
 use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
 use crate::error::Result;
-use crate::metrics::MetricReport;
-use crate::runtime::{AsMetricReport, WorkerPool};
+use crate::runtime::WorkerPool;
 use crate::simnet::group::{self, Group, IdsChannel, PlaneNote, SimnetOutcome, TraceRecord};
 use crate::simnet::oracle::{InvariantKind, RoutingChecker, Violation};
 use crate::simnet::schedule::{FaultSchedule, ScheduleConfig, ScheduledFault};
@@ -262,12 +261,6 @@ pub struct ShardedRunReport {
     pub autotune: Vec<Vec<AutotuneTickRecord>>,
     /// The first invariant violation, if any (the run stops there).
     pub violation: Option<Violation>,
-}
-
-impl AsMetricReport for ShardedRunReport {
-    fn metric_report(&self) -> MetricReport {
-        self.outcome.metric_report()
-    }
 }
 
 /// Executes `schedule` against a freshly built fleet configured by
@@ -1225,7 +1218,7 @@ pub fn fleet_scale_config(shards: usize) -> ShardedScheduleConfig {
     }
 }
 
-/// The `dataplane/load-swing` configuration: the self-tuning data plane
+/// The load-swing configuration: the self-tuning data plane
 /// under a **10x** diurnal offered-load swing. Two shards take the seeded
 /// open-loop trace workload with amplitude `9/11` — peak rate
 /// `(1 + 9/11) / (1 - 9/11) = 10` times the trough — under light chaos,

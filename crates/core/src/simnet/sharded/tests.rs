@@ -1,8 +1,5 @@
 use super::*;
-use crate::runtime::ScenarioRegistry;
-use crate::simnet::{
-    find_sharded_counterexample, register_sharded_scenarios, ShardedCounterexample,
-};
+use crate::simnet::{find_sharded_counterexample, ShardedCounterexample};
 
 fn quick_config() -> ShardedScheduleConfig {
     ShardedScheduleConfig {
@@ -260,28 +257,6 @@ fn autotune_config_round_trips_through_counterexample_json() {
     let back = ShardedCounterexample::from_json(&json).unwrap();
     assert_eq!(back, counterexample);
     assert_eq!(back.config.autotune, counterexample.config.autotune);
-}
-
-#[test]
-fn sharded_scenarios_register_and_run() {
-    let mut registry = ScenarioRegistry::new();
-    register_sharded_scenarios(&mut registry);
-    for name in [
-        "sharded/chaos-2",
-        "sharded/chaos-4",
-        "sharded/multiput",
-        "sharded/fleet-controlled",
-    ] {
-        assert!(registry.contains(name), "missing {name}");
-        assert!(
-            registry.deterministic_names().contains(&name),
-            "{name} must replay"
-        );
-    }
-    let run = registry
-        .run("sharded/chaos-2", &crate::runtime::Runner::serial(), &[0])
-        .expect("the fleet run passes the oracle suite");
-    assert_eq!(run.reports.len(), 1);
 }
 
 #[test]

@@ -16,7 +16,7 @@ use crate::containers::ContainerCatalog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tolerance_consensus::NodeId;
-use tolerance_core::runtime::{Scenario, ScenarioRegistry};
+use tolerance_core::runtime::Scenario;
 use tolerance_core::simnet::{
     run_sharded_schedule, FaultEvent, FaultKind, FaultSchedule, ScheduleConfig, ScheduledFault,
     ShardedRunReport, ShardedScheduleConfig,
@@ -88,7 +88,7 @@ fn attacker_driven_intrusions(
 /// An attacker-campaign scenario: network/crash/churn chaos from the core
 /// generator plus intrusion timing from the emulated attacker playbooks.
 #[derive(Debug, Clone)]
-struct AttackerCampaignScenario {
+pub struct AttackerCampaignScenario {
     label: String,
     config: ScheduleConfig,
     intrusion_probability: f64,
@@ -154,20 +154,6 @@ impl Scenario for AttackerCampaignScenario {
     }
 }
 
-/// Registers the attacker-driven chaos scenarios.
-pub(crate) fn register_chaos_scenarios(registry: &mut ScenarioRegistry) {
-    registry.register("simnet/attacker-campaign", || {
-        Ok(Box::new(AttackerCampaignScenario::new(
-            "simnet/attacker-campaign",
-            ScheduleConfig {
-                intensity: 0.3,
-                ..ScheduleConfig::default()
-            },
-            0.2,
-        )))
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,12 +203,5 @@ mod tests {
             let report = scenario.run(seed).unwrap();
             assert!(report.outcome.completed > 0, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn chaos_scenarios_register() {
-        let mut registry = ScenarioRegistry::new();
-        register_chaos_scenarios(&mut registry);
-        assert!(registry.contains("simnet/attacker-campaign"));
     }
 }

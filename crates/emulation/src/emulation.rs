@@ -65,8 +65,9 @@ pub struct EmulationConfig {
     /// value the paper reports in Fig. 13b.
     pub recovery_threshold: f64,
     /// How the attacker's intrusion pressure evolves over time (the paper
-    /// uses [`AttackProfile::Constant`]; the scenario registry adds bursty
-    /// campaigns).
+    /// uses [`AttackProfile::Constant`];
+    /// [`bursty_attacker_config`](crate::scenarios::bursty_attacker_config)
+    /// adds bursty campaigns).
     pub attack_profile: AttackProfile,
     /// Heterogeneity of the node fleet: each node's attack and
     /// compromised-crash probabilities are scaled by an independent factor

@@ -14,7 +14,7 @@
 
 use crate::emulation::{Emulation, EmulationConfig, EmulationOutcome, StrategyKind};
 use serde::{Deserialize, Serialize};
-use tolerance_core::runtime::{AsMetricReport, MetricSummary, Runner, Scenario};
+use tolerance_core::runtime::{MetricSummary, Runner, Scenario};
 
 /// One cell of an evaluation grid: a full emulation configuration whose
 /// seed is supplied per run by the [`Runner`].
@@ -52,12 +52,6 @@ impl Scenario for EmulationScenario {
         let mut config = self.config.clone();
         config.seed = seed;
         Emulation::new(config)?.run()
-    }
-}
-
-impl AsMetricReport for EmulationOutcome {
-    fn metric_report(&self) -> tolerance_core::metrics::MetricReport {
-        self.metrics
     }
 }
 
@@ -166,7 +160,7 @@ impl EvaluationGrid {
             .map(|(cell, cell_outcomes)| {
                 let reports: Vec<_> = cell_outcomes
                     .iter()
-                    .map(AsMetricReport::metric_report)
+                    .map(|outcome| outcome.metrics)
                     .collect();
                 let summary = MetricSummary::from_reports(&reports)?;
                 let config = cell.config();

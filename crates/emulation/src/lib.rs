@@ -15,9 +15,10 @@
 //!   dataset), and the additional infrastructure metrics of Fig. 18.
 //! * `attacker` — the multi-step attacker that works through each
 //!   container's intrusion playbook and then behaves arbitrarily.
-//! * `chaos` — attacker-driven fault schedules for the simnet harness
-//!   (`tolerance_core::simnet`): intrusion timing follows the container
-//!   playbooks instead of uniform sampling.
+//! * `chaos` — [`AttackerCampaignScenario`]: attacker-driven fault
+//!   schedules for the simnet harness (`tolerance_core::simnet`), whose
+//!   intrusion timing follows the container playbooks instead of uniform
+//!   sampling.
 //! * [`emulation`] — the closed-loop emulation combining nodes, attackers,
 //!   controllers and (optionally) the MinBFT cluster, producing the
 //!   `T(A)`, `T(R)`, `F(R)` metrics. There is no background-client module:
@@ -26,9 +27,9 @@
 //! * [`eval`] — the Table 7 / Fig. 12 comparison harness (TOLERANCE vs the
 //!   NO-RECOVERY, PERIODIC and PERIODIC-ADAPTIVE baselines over seeds),
 //!   executed through the shared scenario runtime of `tolerance-core`.
-//! * [`scenarios`] — the built-in scenario catalogue: the paper's grid as
-//!   named registry entries plus workloads beyond the paper (bursty
-//!   attacker campaigns, heterogeneous fleets).
+//! * [`scenarios`] — emulation workloads beyond the paper's grid (bursty
+//!   attacker campaigns, heterogeneous fleets), run as
+//!   [`EmulationScenario`]s like the grid's cells.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,8 +43,8 @@ mod ids;
 pub mod scenarios;
 
 pub use attacker::{AttackProfile, Attacker};
+pub use chaos::AttackerCampaignScenario;
 pub use containers::{ContainerCatalog, ContainerConfig};
 pub use emulation::{Emulation, EmulationConfig, EmulationOutcome, StrategyKind};
 pub use eval::{EmulationScenario, EvaluationGrid};
 pub use ids::{IdsModel, MetricKind, TraceDataset};
-pub use scenarios::builtin_registry;

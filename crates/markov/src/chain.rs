@@ -1,8 +1,8 @@
 //! Finite discrete-time Markov chains.
 //!
 //! Provides the analysis primitives of Appendix F of the paper: mean hitting
-//! times (mean time to failure, Fig. 6a), reliability functions computed from
-//! the Chapman–Kolmogorov equation (Fig. 6b) and stationary distributions.
+//! times (mean time to failure, Fig. 6a) and reliability functions computed
+//! from the Chapman–Kolmogorov equation (Fig. 6b).
 
 use crate::error::{MarkovError, Result};
 use crate::linalg::Matrix;
@@ -223,32 +223,6 @@ impl MarkovChain {
         }
         Ok(curve)
     }
-
-    /// Stationary distribution computed by power iteration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::NoSolution`] if power iteration does not
-    /// converge within `max_iterations` (e.g. for periodic chains).
-    pub fn stationary_distribution(
-        &self,
-        max_iterations: usize,
-        tolerance: f64,
-    ) -> Result<Vec<f64>> {
-        let n = self.num_states();
-        let mut dist = vec![1.0 / n as f64; n];
-        for _ in 0..max_iterations {
-            let next = self.transition.vec_mul(&dist)?;
-            let diff: f64 = next.iter().zip(&dist).map(|(a, b)| (a - b).abs()).sum();
-            dist = next;
-            if diff < tolerance {
-                return Ok(dist);
-            }
-        }
-        Err(MarkovError::NoSolution(
-            "power iteration did not converge".into(),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -338,14 +312,5 @@ mod tests {
         .unwrap();
         let dist = chain.propagate(&[1.0, 0.0, 0.0], 25).unwrap();
         assert_close(dist.iter().sum::<f64>(), 1.0, 1e-9);
-    }
-
-    #[test]
-    fn stationary_distribution_of_ergodic_chain() {
-        let chain = MarkovChain::new(vec![vec![0.5, 0.5], vec![0.25, 0.75]]).unwrap();
-        let pi = chain.stationary_distribution(10_000, 1e-12).unwrap();
-        // Solve pi P = pi: pi = (1/3, 2/3).
-        assert_close(pi[0], 1.0 / 3.0, 1e-6);
-        assert_close(pi[1], 2.0 / 3.0, 1e-6);
     }
 }

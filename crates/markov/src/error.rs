@@ -34,7 +34,7 @@ pub enum MarkovError {
     /// A linear system was singular (or numerically close to singular).
     SingularMatrix,
     /// The requested quantity does not exist (e.g. hitting time of an
-    /// unreachable set, stationary distribution of a periodic chain).
+    /// unreachable set).
     NoSolution(String),
     /// An empty input was provided where at least one element is required.
     EmptyInput(&'static str),

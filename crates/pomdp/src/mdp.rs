@@ -1,8 +1,8 @@
 //! Finite fully observed Markov decision processes.
 //!
-//! Used both as the underlying model of the replication CMDP (Problem 2) and
-//! as a building block of the POMDP solvers. Costs are minimized throughout,
-//! matching the paper's cost-based objectives (Eqs. 5 and 9).
+//! The underlying model of the replication CMDP (Problem 2,
+//! [`Cmdp`](crate::cmdp::Cmdp)). Costs are minimized throughout, matching
+//! the paper's cost-based objectives (Eqs. 5 and 9).
 
 use crate::error::{PomdpError, Result};
 
@@ -20,18 +20,6 @@ pub struct Mdp {
     num_actions: usize,
     transition: Vec<Vec<Vec<f64>>>,
     cost: Vec<Vec<f64>>,
-}
-
-/// The result of solving an MDP: a deterministic policy and its value
-/// function.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MdpSolution {
-    /// `policy[s]` is the optimal action in state `s`.
-    pub policy: Vec<usize>,
-    /// `value[s]` is the optimal (discounted or relative) value of state `s`.
-    pub value: Vec<f64>,
-    /// Number of iterations the solver performed.
-    pub iterations: usize,
 }
 
 impl Mdp {
@@ -113,161 +101,6 @@ impl Mdp {
     pub fn cost(&self, state: usize, action: usize) -> f64 {
         self.cost[state][action]
     }
-
-    /// Solves the discounted-cost MDP by value iteration.
-    ///
-    /// # Errors
-    ///
-    /// * [`PomdpError::InvalidParameter`] if `discount` is outside `(0, 1)`.
-    /// * [`PomdpError::DidNotConverge`] if the residual does not drop below
-    ///   `tolerance` within `max_iterations`.
-    pub fn solve_discounted(
-        &self,
-        discount: f64,
-        tolerance: f64,
-        max_iterations: usize,
-    ) -> Result<MdpSolution> {
-        if !(0.0 < discount && discount < 1.0) {
-            return Err(PomdpError::InvalidParameter {
-                name: "discount",
-                reason: format!("must lie in (0, 1), got {discount}"),
-            });
-        }
-        let mut value = vec![0.0; self.num_states];
-        for iteration in 1..=max_iterations {
-            let (next_value, _) = self.bellman_backup(&value, discount);
-            let residual = next_value
-                .iter()
-                .zip(&value)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            value = next_value;
-            if residual < tolerance {
-                let (_, policy) = self.bellman_backup(&value, discount);
-                return Ok(MdpSolution {
-                    policy,
-                    value,
-                    iterations: iteration,
-                });
-            }
-        }
-        Err(PomdpError::DidNotConverge("value iteration"))
-    }
-
-    /// Solves the average-cost MDP by relative value iteration, returning the
-    /// gain (average cost per step) as `value[num_states]`-style metadata via
-    /// [`MdpSolution::value`] holding the bias vector and the returned tuple's
-    /// second element being the gain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PomdpError::DidNotConverge`] if the span of the update does
-    /// not contract below `tolerance` within `max_iterations`.
-    pub fn solve_average_cost(
-        &self,
-        tolerance: f64,
-        max_iterations: usize,
-    ) -> Result<(MdpSolution, f64)> {
-        let mut value = vec![0.0; self.num_states];
-        let reference_state = 0usize;
-        for iteration in 1..=max_iterations {
-            let (mut next_value, policy) = self.bellman_backup(&value, 1.0);
-            let gain = next_value[reference_state] - value[reference_state];
-            // Span seminorm for convergence of relative value iteration.
-            let diffs: Vec<f64> = next_value.iter().zip(&value).map(|(a, b)| a - b).collect();
-            let span = diffs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                - diffs.iter().cloned().fold(f64::INFINITY, f64::min);
-            // Re-center to keep values bounded.
-            let offset = next_value[reference_state];
-            for v in next_value.iter_mut() {
-                *v -= offset;
-            }
-            value = next_value;
-            if span < tolerance {
-                return Ok((
-                    MdpSolution {
-                        policy,
-                        value,
-                        iterations: iteration,
-                    },
-                    gain,
-                ));
-            }
-        }
-        Err(PomdpError::DidNotConverge("relative value iteration"))
-    }
-
-    /// One Bellman backup: returns the improved value function and the greedy
-    /// policy with respect to `value`.
-    pub fn bellman_backup(&self, value: &[f64], discount: f64) -> (Vec<f64>, Vec<usize>) {
-        let mut next_value = vec![0.0; self.num_states];
-        let mut policy = vec![0usize; self.num_states];
-        for s in 0..self.num_states {
-            let mut best = f64::INFINITY;
-            let mut best_action = 0;
-            for a in 0..self.num_actions {
-                let expected: f64 = self.transition[a][s]
-                    .iter()
-                    .zip(value)
-                    .map(|(p, v)| p * v)
-                    .sum();
-                let q = self.cost[s][a] + discount * expected;
-                if q < best {
-                    best = q;
-                    best_action = a;
-                }
-            }
-            next_value[s] = best;
-            policy[s] = best_action;
-        }
-        (next_value, policy)
-    }
-
-    /// Evaluates the long-run average cost of a stationary (possibly
-    /// randomized) policy `policy[s][a]` by simulation-free policy evaluation
-    /// on the induced Markov chain, using the stationary distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PomdpError::InvalidModel`] if the policy has the wrong shape
-    /// or rows that are not distributions, and propagates convergence errors
-    /// from the stationary-distribution computation.
-    pub fn average_cost_of_policy(&self, policy: &[Vec<f64>]) -> Result<f64> {
-        if policy.len() != self.num_states || policy.iter().any(|row| row.len() != self.num_actions)
-        {
-            return Err(PomdpError::InvalidModel(
-                "policy must have shape [states][actions]".into(),
-            ));
-        }
-        // Induced chain and expected immediate cost.
-        let mut rows = Vec::with_capacity(self.num_states);
-        let mut immediate = vec![0.0; self.num_states];
-        for s in 0..self.num_states {
-            let row_sum: f64 = policy[s].iter().sum();
-            if (row_sum - 1.0).abs() > 1e-6 || policy[s].iter().any(|&p| p < 0.0) {
-                return Err(PomdpError::InvalidModel(format!(
-                    "policy row {s} is not a probability distribution"
-                )));
-            }
-            let mut row = vec![0.0; self.num_states];
-            for (a, &pa) in policy[s].iter().enumerate().take(self.num_actions) {
-                if pa == 0.0 {
-                    continue;
-                }
-                immediate[s] += pa * self.cost[s][a];
-                for (value, &p) in row.iter_mut().zip(&self.transition[a][s]) {
-                    *value += pa * p;
-                }
-            }
-            rows.push(row);
-        }
-        let chain = tolerance_markov::chain::MarkovChain::new(rows)
-            .map_err(|e| PomdpError::InvalidModel(e.to_string()))?;
-        let stationary = chain
-            .stationary_distribution(100_000, 1e-10)
-            .map_err(|_| PomdpError::DidNotConverge("stationary distribution"))?;
-        Ok(stationary.iter().zip(&immediate).map(|(p, c)| p * c).sum())
-    }
 }
 
 #[cfg(test)]
@@ -310,66 +143,6 @@ mod tests {
         // Ragged transition.
         let bad = Mdp::new(vec![vec![vec![1.0, 0.0]]], vec![vec![0.0], vec![0.0]]);
         assert!(bad.is_err());
-    }
-
-    #[test]
-    fn discounted_value_iteration_prefers_repair_when_broken() {
-        let mdp = repair_mdp(0.1);
-        let solution = mdp.solve_discounted(0.95, 1e-9, 10_000).unwrap();
-        assert_eq!(solution.policy[0], 0, "should wait while working");
-        assert_eq!(solution.policy[1], 1, "should repair when broken");
-        // Value of the broken state must exceed the working state.
-        assert!(solution.value[1] > solution.value[0]);
-    }
-
-    #[test]
-    fn discounted_value_matches_analytic_for_absorbing_costless_chain() {
-        // Single state, single action, cost 1 per step: V = 1 / (1 - gamma).
-        let mdp = Mdp::new(vec![vec![vec![1.0]]], vec![vec![1.0]]).unwrap();
-        let solution = mdp.solve_discounted(0.9, 1e-10, 100_000).unwrap();
-        assert_close(solution.value[0], 10.0, 1e-6);
-    }
-
-    #[test]
-    fn discount_must_be_in_unit_interval() {
-        let mdp = repair_mdp(0.1);
-        assert!(mdp.solve_discounted(1.0, 1e-6, 100).is_err());
-        assert!(mdp.solve_discounted(0.0, 1e-6, 100).is_err());
-        assert!(matches!(
-            mdp.solve_discounted(0.999999, 1e-12, 1),
-            Err(PomdpError::DidNotConverge(_))
-        ));
-    }
-
-    #[test]
-    fn average_cost_solution_and_policy_evaluation_agree() {
-        let mdp = repair_mdp(0.2);
-        let (solution, gain) = mdp.solve_average_cost(1e-10, 100_000).unwrap();
-        // Evaluate the deterministic optimal policy explicitly.
-        let policy_matrix: Vec<Vec<f64>> = solution
-            .policy
-            .iter()
-            .map(|&a| {
-                let mut row = vec![0.0; 2];
-                row[a] = 1.0;
-                row
-            })
-            .collect();
-        let evaluated = mdp.average_cost_of_policy(&policy_matrix).unwrap();
-        assert_close(evaluated, gain, 1e-6);
-        // The always-wait policy is worse (it eventually sits broken forever).
-        let wait_policy = vec![vec![1.0, 0.0], vec![1.0, 0.0]];
-        let wait_cost = mdp.average_cost_of_policy(&wait_policy).unwrap();
-        assert!(wait_cost > gain);
-    }
-
-    #[test]
-    fn policy_evaluation_validates_input() {
-        let mdp = repair_mdp(0.2);
-        assert!(mdp.average_cost_of_policy(&[vec![1.0, 0.0]]).is_err());
-        assert!(mdp
-            .average_cost_of_policy(&[vec![0.5, 0.2], vec![1.0, 0.0]])
-            .is_err());
     }
 
     #[test]

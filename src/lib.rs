@@ -8,7 +8,7 @@
 //! * [`optim`] — black-box optimizers (SPSA, CEM, DE, Bayesian
 //!   optimization, PPO) and a simplex LP solver.
 //! * [`pomdp`] — finite POMDP/MDP/CMDP models, belief updates,
-//!   exact solvers (incremental pruning, value iteration) and the
+//!   exact solvers (value iteration with incremental pruning) and the
 //!   constrained-MDP occupation-measure LP.
 //! * [`consensus`] — a discrete-event network simulator and the
 //!   reconfigurable MinBFT protocol.

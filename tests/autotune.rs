@@ -10,7 +10,7 @@
 //!   end (controller thread → [`SharedTuning`] atomics → replica batching
 //!   and client concurrency);
 //! - the release-only 300-seed chaos sweep of the tuned
-//!   `dataplane/load-swing` scenario under the full fleet oracle suite
+//!   `load_swing_config` fleet under the full fleet oracle suite
 //!   (the CI `autotune-smoke` job; violations publish replayable
 //!   counterexamples to `target/simnet-counterexamples/`).
 
@@ -335,7 +335,7 @@ fn tuned_load_swing_sweep_passes_the_full_oracle_suite() {
                     &counterexample.to_json().expect("serializable"),
                 );
             }
-            panic!("dataplane/load-swing seed {seed}: {violation}");
+            panic!("load-swing seed {seed}: {violation}");
         }
         assert!(
             report

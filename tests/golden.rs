@@ -8,7 +8,7 @@
 //! the committed one, as must the replay result of every archived
 //! counterexample. The `emulation/*` family pins the serialized
 //! `EmulationOutcome` of every `EvaluationGrid::quick()` cell and of the two
-//! non-paper registry scenarios on seeds 0..2, which gives the closed-loop
+//! non-paper emulation scenarios on seeds 0..2, which gives the closed-loop
 //! emulation the same licence. A change that moves a digest changed simulated behaviour; if
 //! that is intended, regenerate the fixture in the same commit and say why:
 //!
@@ -99,7 +99,7 @@ fn simnet_digests() -> Vec<(String, u64)> {
 }
 
 /// Every pinned emulation run as `(name, digest of the serialized
-/// outcome)`: the quick Table-7 grid, then the two registry scenarios that
+/// outcome)`: the quick Table-7 grid, then the two non-paper scenarios that
 /// leave the paper's setting (attack profile, parameter jitter).
 fn emulation_digests() -> Vec<(String, u64)> {
     let mut cells: Vec<(String, EmulationScenario)> = EvaluationGrid::quick()

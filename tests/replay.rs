@@ -5,15 +5,22 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tolerance::core::controlplane::sim_intrusion_burst_config;
+use tolerance::core::metrics::MetricReport;
 use tolerance::core::prelude::{
     Alg1, Alg1Config, NodeModel, NodeParameters, ObservationModel, OptimizerKind, RecoveryConfig,
     RecoveryProblem, ThresholdStrategy,
 };
-use tolerance::core::runtime::{Runner, Scenario, ScenarioRegistry};
-use tolerance::emulation::scenarios::{
-    bursty_attacker_config, heterogeneous_nodes_config, register_config,
+use tolerance::core::runtime::{Runner, Scenario};
+use tolerance::core::simnet::{
+    adversary_config, adversary_matrix, adversary_sharded_config, load_swing_config,
+    sharded_chaos_4_config, sharded_fleet_controlled_config, sharded_multiput_config, FaultKind,
+    ScheduleConfig, ShardedScheduleConfig, ShardedSimnetScenario,
 };
-use tolerance::emulation::{builtin_registry, EmulationScenario, EvaluationGrid};
+use tolerance::emulation::scenarios::{bursty_attacker_config, heterogeneous_nodes_config};
+use tolerance::emulation::{
+    AttackProfile, AttackerCampaignScenario, EmulationConfig, EmulationScenario, EvaluationGrid,
+};
 use tolerance::optim::bayesian::{BayesianOptimization, BoConfig};
 use tolerance::optim::cem::{CemConfig, CrossEntropyMethod};
 use tolerance::optim::de::{DeConfig, DifferentialEvolution};
@@ -76,62 +83,133 @@ fn scenario_runs_are_deterministic_in_the_seed() {
     );
 }
 
-#[test]
-fn registry_scenarios_replay_identically_across_execution_modes() {
-    let registry = builtin_registry();
-    let seeds: Vec<u64> = (0..4).collect();
-    // Wall-clock scenarios (the live threaded control loop) are registered
-    // as non-deterministic and carry no replay guarantee.
-    for name in registry.deterministic_names() {
-        let serial = registry.run(name, &Runner::serial(), &seeds).unwrap();
-        let parallel = registry
-            .run(name, &Runner::with_threads(3), &seeds)
-            .unwrap();
-        assert_eq!(serial.reports, parallel.reports, "{name}");
-        assert_eq!(serial.summary, parallel.summary, "{name}");
+/// The paper's four strategies at `N_1 = 6`, `Δ_R = 15` and the two
+/// workloads beyond the paper's grid, all with a 300-step horizon.
+fn emulation_scenarios() -> Vec<EmulationScenario> {
+    let paper = EvaluationGrid {
+        initial_nodes: vec![6],
+        delta_r: vec![Some(15)],
+        horizon: 300,
+        ..EvaluationGrid::default()
+    };
+    let mut cells = paper.cells();
+    cells.push(EmulationScenario::new(bursty_attacker_config()));
+    cells.push(EmulationScenario::new(heterogeneous_nodes_config()));
+    cells
+}
+
+/// Every fleet and single-group fault-injection configuration the crates
+/// ship: three chaos mixes, four fleets, the 30 adversary cells, the
+/// controlled loop's simnet twin and the autotuned load swing.
+fn simnet_scenarios() -> Vec<ShardedSimnetScenario> {
+    let chaos = |intensity| ScheduleConfig {
+        intensity,
+        ..ScheduleConfig::default()
+    };
+    let partition_churn = ScheduleConfig {
+        intensity: 0.6,
+        enabled: vec![
+            FaultKind::Partition,
+            FaultKind::AddReplica,
+            FaultKind::EvictReplica,
+            FaultKind::ClientBurst,
+        ],
+        ..ScheduleConfig::default()
+    };
+    let mut scenarios = vec![
+        ShardedSimnetScenario::single_group("simnet/chaos-light", chaos(0.2)),
+        ShardedSimnetScenario::single_group("simnet/chaos-heavy", chaos(0.8)),
+        ShardedSimnetScenario::single_group("simnet/partition-churn", partition_churn),
+        ShardedSimnetScenario::new("sharded/chaos-2", ShardedScheduleConfig::default()),
+        ShardedSimnetScenario::new("sharded/chaos-4", sharded_chaos_4_config()),
+        ShardedSimnetScenario::new("sharded/multiput", sharded_multiput_config()),
+        ShardedSimnetScenario::new(
+            "sharded/fleet-controlled",
+            sharded_fleet_controlled_config(),
+        ),
+    ];
+    for (attacker, condition) in adversary_matrix() {
+        let cell = format!("{}/{}", attacker.name(), condition.name());
+        scenarios.push(ShardedSimnetScenario::single_group(
+            format!("adversary/{cell}"),
+            adversary_config(attacker, condition),
+        ));
+        scenarios.push(ShardedSimnetScenario::new(
+            format!("adversary/sharded/{cell}"),
+            adversary_sharded_config(attacker, condition),
+        ));
     }
+    scenarios.push(ShardedSimnetScenario::single_group(
+        "controlled/sim-intrusion-burst",
+        sim_intrusion_burst_config(),
+    ));
+    scenarios.push(ShardedSimnetScenario::new(
+        "load-swing",
+        load_swing_config(),
+    ));
+    scenarios
+}
+
+/// Runs every cell on `seeds` serially and on three workers; each cell's
+/// outputs must be equal. Returns the number of cells.
+fn assert_replays_across_execution_modes<S>(cells: &[S], seeds: &[u64]) -> usize
+where
+    S: Scenario,
+    S::Output: PartialEq + std::fmt::Debug,
+{
+    let serial = Runner::serial().run_cells(cells, seeds).unwrap();
+    let parallel = Runner::with_threads(3).run_cells(cells, seeds).unwrap();
+    for ((cell, serial), parallel) in cells.iter().zip(&serial).zip(&parallel) {
+        assert_eq!(serial, parallel, "{}", cell.label());
+    }
+    cells.len()
 }
 
 #[test]
-fn non_paper_scenarios_are_registered_and_runnable() {
-    let registry = builtin_registry();
-    assert!(registry.contains("bursty-attacker"));
-    assert!(registry.contains("heterogeneous-nodes"));
+fn every_deterministic_scenario_replays_identically_across_execution_modes() {
+    let seeds: Vec<u64> = (0..4).collect();
+    let campaign = AttackerCampaignScenario::new(
+        "simnet/attacker-campaign",
+        ScheduleConfig {
+            intensity: 0.3,
+            ..ScheduleConfig::default()
+        },
+        0.2,
+    );
+    let cells = assert_replays_across_execution_modes(&emulation_scenarios(), &seeds)
+        + assert_replays_across_execution_modes(&simnet_scenarios(), &seeds)
+        + assert_replays_across_execution_modes(&[campaign], &seeds);
+    assert_eq!(cells, 46);
+}
 
-    let bursty = registry
-        .run("bursty-attacker", &Runner::parallel(), &[0, 1])
-        .unwrap();
-    let heterogeneous = registry
-        .run("heterogeneous-nodes", &Runner::parallel(), &[0, 1])
-        .unwrap();
-    let paper = registry
-        .run("paper/tolerance", &Runner::parallel(), &[0, 1])
-        .unwrap();
+#[test]
+fn non_paper_scenarios_change_the_closed_loop_outcome() {
+    // The paper's TOLERANCE cell: constant attack pressure, identical nodes.
+    let paper = EmulationConfig {
+        attack_profile: AttackProfile::Constant,
+        parameter_jitter: 0.0,
+        ..bursty_attacker_config()
+    };
+    let cells = [
+        paper,
+        bursty_attacker_config(),
+        heterogeneous_nodes_config(),
+    ]
+    .map(EmulationScenario::new);
+    let reports: Vec<Vec<MetricReport>> = Runner::parallel()
+        .run_cells(&cells, &[0, 1])
+        .unwrap()
+        .iter()
+        .map(|outcomes| outcomes.iter().map(|outcome| outcome.metrics).collect())
+        .collect();
 
     // The novel workloads genuinely change the closed-loop dynamics.
-    assert_ne!(bursty.reports, paper.reports);
-    assert_ne!(heterogeneous.reports, paper.reports);
-    for run in [&bursty, &heterogeneous, &paper] {
-        for report in &run.reports {
-            assert!((0.0..=1.0).contains(&report.availability));
-            assert!(report.time_to_recovery >= 0.0);
-        }
+    assert_ne!(reports[1], reports[0], "bursty vs constant pressure");
+    assert_ne!(reports[2], reports[0], "heterogeneous vs identical nodes");
+    for report in reports.iter().flatten() {
+        assert!((0.0..=1.0).contains(&report.availability));
+        assert!(report.time_to_recovery >= 0.0);
     }
-}
-
-#[test]
-fn custom_configs_can_be_registered_alongside_builtins() {
-    let mut registry = ScenarioRegistry::new();
-    register_config(
-        &mut registry,
-        "custom/heterogeneous",
-        heterogeneous_nodes_config(),
-    );
-    let run = registry
-        .run("custom/heterogeneous", &Runner::serial(), &[7])
-        .unwrap();
-    assert_eq!(run.reports.len(), 1);
-    assert!(run.label.starts_with("tolerance/"));
 }
 
 /// Algorithm 1's objective written against the public rollout, without a

@@ -21,9 +21,9 @@ use tolerance::core::simnet::{
 };
 
 /// The three fleet configurations of the sweep — the *same* configuration
-/// functions the scenario registry ships (`sharded/chaos-2` via the
-/// default, `sharded/chaos-4`, `sharded/fleet-controlled`), so this gate
-/// always covers what registry users run.
+/// functions the crate ships (the default, `sharded_chaos_4_config`,
+/// `sharded_fleet_controlled_config`), so this gate always covers what
+/// their users run.
 fn sweep_configs() -> Vec<(&'static str, ShardedScheduleConfig)> {
     vec![
         ("sharded-default", ShardedScheduleConfig::default()),

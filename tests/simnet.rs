@@ -20,7 +20,6 @@ use tolerance::core::simnet::{
     ScheduleConfig, ScheduledFault, ShardedCounterexample, ShardedFaultSchedule,
     ShardedScheduleConfig, ShardedSimnetScenario,
 };
-use tolerance::emulation::builtin_registry;
 
 /// The fixed seed set of the smoke suite (the CI job runs exactly this).
 fn smoke_seeds() -> Vec<u64> {
@@ -136,25 +135,6 @@ fn injected_double_commit_is_caught_shrunk_and_replayable() {
         .expect("replay constructs")
         .expect("replay violates again");
     assert_eq!(replayed.kind, InvariantKind::Agreement);
-}
-
-#[test]
-fn registry_sweeps_simnet_scenarios_like_any_grid_axis() {
-    let registry = builtin_registry();
-    for name in [
-        "simnet/chaos-light",
-        "simnet/partition-churn",
-        "simnet/attacker-campaign",
-    ] {
-        assert!(registry.contains(name), "missing {name}");
-    }
-    let run = registry
-        .run("simnet/chaos-light", &Runner::with_threads(2), &[0, 1, 2])
-        .expect("registry sweep passes the oracles");
-    assert_eq!(run.reports.len(), 3);
-    for report in &run.reports {
-        assert!((0.0..=1.0).contains(&report.availability));
-    }
 }
 
 #[test]
