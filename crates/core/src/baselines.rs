@@ -131,6 +131,14 @@ impl RecoveryStrategy {
     pub fn notify_recovered(&mut self) {
         self.steps_since_recovery = 0;
     }
+
+    /// Re-arms the schedule after its recovery request was deferred (it lost
+    /// the k-slot budget): the baseline is due again on the next step.
+    pub fn notify_deferred(&mut self) {
+        if let Some(period) = self.delta_r {
+            self.steps_since_recovery = period.saturating_sub(1);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +205,18 @@ mod tests {
         assert_eq!(strategy.decide(), RecoveryDecision::Wait);
         assert_eq!(strategy.decide(), RecoveryDecision::Wait);
         assert_eq!(strategy.decide(), RecoveryDecision::Recover);
+    }
+
+    #[test]
+    fn a_deferred_periodic_request_fires_on_the_next_step() {
+        let mut strategy = RecoveryStrategy::new(BaselineKind::Periodic, Some(5), 3.0);
+        let first = (1..=5).find(|_| strategy.decide() == RecoveryDecision::Recover);
+        assert_eq!(first, Some(5));
+        strategy.notify_deferred();
+        // Due again at once, not Δ_R steps later; a granted recovery then
+        // restarts the period.
+        assert_eq!(strategy.decide(), RecoveryDecision::Recover);
+        assert_eq!(strategy.decide(), RecoveryDecision::Wait);
     }
 
     #[test]

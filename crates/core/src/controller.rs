@@ -9,6 +9,9 @@
 //!   nodes (Eq. 8), evicts nodes that failed to report (crashed) and decides
 //!   whether to add a node (the threshold-mixture rule of Theorem 2 computed
 //!   by Algorithm 2).
+//! * [`allocate_recoveries`] — the k-parallel-recovery budget of
+//!   Proposition 1, the one rule by which every closed loop (the fleet and
+//!   live control planes, the Table-7 emulation) grants recovery requests.
 
 use crate::node_model::{NodeAction, NodeModel};
 use crate::recovery::ThresholdStrategy;
@@ -182,6 +185,35 @@ impl NodeController {
     }
 }
 
+/// Grants recovery requests within the k-slot budget of Proposition 1.
+///
+/// `requests` pairs each requester's key with the belief its request was
+/// decided on, and is sorted into rank order: highest belief first, ties by
+/// key ascending. In that order, while fewer than `k.max(1)` requests have
+/// been granted, `recover` actuates a request; a refusal (`Ok(false)`) uses
+/// up no slot. Returns the recovered keys and the deferred ones (refused or
+/// over the budget), each in rank order.
+///
+/// # Errors
+///
+/// Stops at the first error of `recover`.
+pub fn allocate_recoveries<K: Ord + Copy, E>(
+    requests: &mut [(K, f64)],
+    k: usize,
+    mut recover: impl FnMut(K) -> std::result::Result<bool, E>,
+) -> std::result::Result<(Vec<K>, Vec<K>), E> {
+    requests.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let (mut recovered, mut deferred) = (Vec::new(), Vec::new());
+    for &(key, _) in requests.iter() {
+        if recovered.len() < k.max(1) && recover(key)? {
+            recovered.push(key);
+        } else {
+            deferred.push(key);
+        }
+    }
+    Ok((recovered, deferred))
+}
+
 /// The decision of the system controller for one time-step.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SystemDecision {
@@ -341,6 +373,31 @@ mod tests {
         controller.notify_recovered();
         assert_eq!(controller.steps_since_recovery, 0);
         assert!((controller.belief() - 0.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_budget_breaks_a_belief_tie_by_key_and_skips_refusals() {
+        let mut requests = [(3, 0.5), (1, 0.9), (2, 0.5), (0, 0.7)];
+        // Key 0 refuses: it takes no slot, so 1 and the tie's lower key 2
+        // recover and the tie's higher key 3 is deferred.
+        assert_eq!(
+            allocate_recoveries(&mut requests, 2, |key| Ok::<_, ()>(key != 0)),
+            Ok((vec![1, 2], vec![0, 3]))
+        );
+        assert_eq!(requests.map(|(key, _)| key), [1, 0, 2, 3]);
+        // k = 0 still grants one slot; an actuation error stops the budget.
+        assert_eq!(
+            allocate_recoveries(&mut requests, 0, |_| Ok::<_, ()>(true)),
+            Ok((vec![1], vec![0, 2, 3]))
+        );
+        assert_eq!(
+            allocate_recoveries(&mut requests, 2, |key| if key == 0 {
+                Err(key)
+            } else {
+                Ok(true)
+            }),
+            Err(0)
+        );
     }
 
     #[test]

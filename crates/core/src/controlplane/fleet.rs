@@ -18,70 +18,21 @@
 //!
 //! The single-cluster [`ControlPlane`](super::ControlPlane) that steers the
 //! live service is its one-shard view, so the live planes and the simnet
-//! harness share this implementation of the two control laws. The Table-7
-//! emulation loop (`tolerance_emulation::Emulation::step`) does not: it
-//! enforces the k-slot budget with a rule of its own, which ranks requesters
-//! by the belief *after* the recovery reset (so TOLERANCE requesters tie and
-//! fall back to node order) and drops the losers without
-//! [`NodeController::notify_deferred`], leaving their BTR clock and belief
-//! reset as if they had been recovered.
+//! harness share this implementation of the two control laws, and the k-slot
+//! budget itself is [`allocate_recoveries`], which the Table-7 emulation loop
+//! calls too: every closed loop grants recoveries by the one rule.
 
-use crate::controller::{NodeController, SystemController};
+use crate::controller::{allocate_recoveries, NodeController, SystemController};
 use crate::controlplane::actuator::ClusterActuator;
-use crate::controlplane::runtime::NodeReport;
+use crate::controlplane::runtime::{ControlPlaneConfig, NodeReport};
 use crate::error::Result;
-use crate::node_model::{NodeAction, NodeModel, NodeParameters};
-use crate::observation::ObservationModel;
+use crate::node_model::{NodeAction, NodeModel};
 use crate::recovery::ThresholdStrategy;
 use crate::replication::{ReplicationConfig, ReplicationProblem};
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use tolerance_consensus::NodeId;
-
-/// Configuration of a [`FleetControlPlane`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub(crate) struct FleetConfig {
-    /// Belief threshold of the node controllers.
-    pub recovery_threshold: f64,
-    /// BTR period `Δ_R` (maximum steps between recoveries of one node).
-    pub delta_r: Option<u32>,
-    /// The **global** parallel-recovery budget `k`: at most this many
-    /// recoveries actuate per tick across the whole fleet.
-    pub parallel_recoveries: usize,
-    /// Whether the fleet-level system controller (Algorithm 2 over the
-    /// concatenated belief report) runs.
-    pub system_controller: bool,
-    /// Smallest membership any single shard may shrink to.
-    pub min_replicas_per_shard: usize,
-    /// Largest membership any single shard may grow to.
-    pub max_replicas_per_shard: usize,
-    /// The fleet's spare budget: JOINs stop once the total replica count
-    /// across shards reaches this.
-    pub max_total_replicas: usize,
-    /// Fault threshold `f` the replication problem is solved for.
-    pub fault_threshold: usize,
-    /// Availability target of the replication CMDP.
-    pub availability_target: f64,
-    /// Per-step node survival probability of the replication CMDP.
-    pub node_survival_probability: f64,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            recovery_threshold: 0.76,
-            delta_r: Some(12),
-            parallel_recoveries: 1,
-            system_controller: true,
-            min_replicas_per_shard: 4,
-            max_replicas_per_shard: 8,
-            max_total_replicas: 16,
-            fault_threshold: 1,
-            availability_target: 0.9,
-            node_survival_probability: 0.95,
-        }
-    }
-}
 
 /// What one fleet tick did. Nodes are addressed as `(shard, node)`.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -109,7 +60,12 @@ pub(crate) struct FleetTickReport {
 /// The fleet control runtime (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct FleetControlPlane {
-    config: FleetConfig,
+    /// The control laws' parameters; `parallel_recoveries` is the **global**
+    /// budget `k` and the membership bounds hold per shard.
+    config: ControlPlaneConfig,
+    /// The fleet's spare budget: JOINs stop once the total replica count
+    /// across shards reaches this.
+    max_total_replicas: usize,
     node_model: NodeModel,
     strategy: ThresholdStrategy,
     controllers: BTreeMap<(usize, NodeId), NodeController>,
@@ -117,28 +73,21 @@ pub(crate) struct FleetControlPlane {
 }
 
 impl FleetControlPlane {
-    /// Builds a fleet control plane over the paper's default node and
-    /// observation models.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction and LP failures.
-    pub fn new(config: FleetConfig) -> Result<Self> {
-        let alert_model = ObservationModel::paper_default();
-        let node_model = NodeModel::new(NodeParameters::default(), alert_model)?;
-        Self::with_model(config, node_model)
-    }
-
-    /// Builds a fleet control plane over an explicit node model.
+    /// Builds a fleet control plane over an explicit node model; the system
+    /// controller solves the replication CMDP for `max_total_replicas`.
     ///
     /// # Errors
     ///
     /// Propagates strategy-construction and LP failures.
-    pub(crate) fn with_model(config: FleetConfig, node_model: NodeModel) -> Result<Self> {
+    pub(crate) fn with_model(
+        config: ControlPlaneConfig,
+        max_total_replicas: usize,
+        node_model: NodeModel,
+    ) -> Result<Self> {
         let strategy = ThresholdStrategy::new(vec![config.recovery_threshold], config.delta_r)?;
         let system = if config.system_controller {
             let strategy = ReplicationProblem::new(ReplicationConfig {
-                s_max: config.max_total_replicas,
+                s_max: max_total_replicas,
                 fault_threshold: config.fault_threshold.max(1),
                 availability_target: config.availability_target,
                 node_survival_probability: config.node_survival_probability,
@@ -150,11 +99,17 @@ impl FleetControlPlane {
         };
         Ok(FleetControlPlane {
             config,
+            max_total_replicas,
             node_model,
             strategy,
             controllers: BTreeMap::new(),
             system,
         })
+    }
+
+    /// The configuration in force.
+    pub(crate) fn config(&self) -> &ControlPlaneConfig {
+        &self.config
     }
 
     /// The node controller of `(shard, node)`, creating it on first access.
@@ -210,7 +165,7 @@ impl FleetControlPlane {
         // Local level: fold every shard's observations through its node
         // controllers and collect the fleet-wide recovery requests with
         // their deciding beliefs.
-        let mut requests: Vec<(usize, NodeId, f64)> = Vec::new();
+        let mut requests: Vec<((usize, NodeId), f64)> = Vec::new();
         for (shard, shard_observations) in observations.iter().enumerate() {
             let shard_observations = shard_observations.as_ref();
             let mut beliefs: Vec<(NodeId, Option<f64>)> =
@@ -236,32 +191,28 @@ impl FleetControlPlane {
                     // already reset to the attack prior when the decision
                     // fired, which would make every requester tie and
                     // degrade the k-slot priority to node-id order.
-                    requests.push((shard, id, controller.last_request_belief()));
+                    requests.push(((shard, id), controller.last_request_belief()));
                 }
             }
             report.beliefs.push(beliefs);
         }
-        // Global budget: highest deciding beliefs first, fleet-wide; at
-        // most k recoveries actuate per tick (Proposition 1), refusals do
-        // not consume a slot (one un-actuatable node cannot starve the
-        // others), and everything else is deferred (re-fires next tick).
-        requests.sort_by(|a, b| {
-            b.2.total_cmp(&a.2)
-                .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
-        });
-        report.requested = requests.iter().map(|&(shard, id, _)| (shard, id)).collect();
-        let slots = self.config.parallel_recoveries.max(1);
-        for (shard, id, _) in requests {
-            if report.recovered.len() < slots && actuators[shard].recover(id) {
-                if let Some(controller) = self.controllers.get_mut(&(shard, id)) {
-                    controller.notify_recovered();
-                }
-                report.recovered.push((shard, id));
-            } else {
-                if let Some(controller) = self.controllers.get_mut(&(shard, id)) {
-                    controller.notify_deferred();
-                }
-                report.deferred.push((shard, id));
+        // Global budget (Proposition 1), fleet-wide; a deferred request
+        // re-fires next tick.
+        let Ok(allocation) = allocate_recoveries(
+            &mut requests,
+            self.config.parallel_recoveries,
+            |(shard, id)| Ok::<_, Infallible>(actuators[shard].recover(id)),
+        );
+        (report.recovered, report.deferred) = allocation;
+        report.requested = requests.iter().map(|&(key, _)| key).collect();
+        for key in &report.recovered {
+            if let Some(controller) = self.controllers.get_mut(key) {
+                controller.notify_recovered();
+            }
+        }
+        for key in &report.deferred {
+            if let Some(controller) = self.controllers.get_mut(key) {
+                controller.notify_deferred();
             }
         }
         // Global level: one system controller over the concatenated belief
@@ -286,7 +237,7 @@ impl FleetControlPlane {
             evict.sort_unstable();
             for (shard, id) in evict {
                 if actuators[shard].contains(id)
-                    && actuators[shard].replica_count() > self.config.min_replicas_per_shard
+                    && actuators[shard].replica_count() > self.config.min_replicas
                     && actuators[shard].evict(id)
                 {
                     self.controllers.remove(&(shard, id));
@@ -295,7 +246,7 @@ impl FleetControlPlane {
             }
             if decision.add_node {
                 let total: usize = actuators.iter().map(|a| a.replica_count()).sum();
-                if total < self.config.max_total_replicas {
+                if total < self.max_total_replicas {
                     // Neediest shard: fewest healthy-looking reporters,
                     // ties broken by smallest membership then shard index.
                     let target = report
@@ -303,7 +254,7 @@ impl FleetControlPlane {
                         .iter()
                         .enumerate()
                         .filter(|&(shard, _)| {
-                            actuators[shard].replica_count() < self.config.max_replicas_per_shard
+                            actuators[shard].replica_count() < self.config.max_replicas
                         })
                         .min_by_key(|&(shard, beliefs)| {
                             let healthy = beliefs
@@ -329,6 +280,8 @@ impl FleetControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_model::NodeParameters;
+    use crate::observation::ObservationModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -376,14 +329,21 @@ mod tests {
         }
     }
 
+    /// A fleet plane over the paper's node model.
+    fn plane(config: ControlPlaneConfig, max_total_replicas: usize) -> FleetControlPlane {
+        let model =
+            NodeModel::new(NodeParameters::default(), ObservationModel::paper_default()).unwrap();
+        FleetControlPlane::with_model(config, max_total_replicas, model).unwrap()
+    }
+
     fn fleet(k: usize, system: bool) -> FleetControlPlane {
-        FleetControlPlane::new(FleetConfig {
+        let config = ControlPlaneConfig {
             parallel_recoveries: k,
             system_controller: system,
             delta_r: None,
-            ..FleetConfig::default()
-        })
-        .unwrap()
+            ..ControlPlaneConfig::default()
+        };
+        plane(config, 16)
     }
 
     /// Events observations for a two-shard fleet: shard 0 node 1 sees a
@@ -496,11 +456,10 @@ mod tests {
 
     #[test]
     fn fleet_system_level_evicts_across_shards_and_joins_the_neediest() {
-        let mut plane = FleetControlPlane::new(FleetConfig {
+        let config = ControlPlaneConfig {
             system_controller: true,
-            min_replicas_per_shard: 3,
-            max_replicas_per_shard: 8,
-            max_total_replicas: 12,
+            min_replicas: 3,
+            max_replicas: 8,
             // f = 4 over the 8-replica fleet with a strict availability
             // target: Algorithm 2 adds whenever ≤ 6 nodes are estimated
             // healthy — exactly the fleet's state once one replica stops
@@ -508,9 +467,9 @@ mod tests {
             // prompt and drift-free.
             fault_threshold: 4,
             availability_target: 0.98,
-            ..FleetConfig::default()
-        })
-        .unwrap();
+            ..ControlPlaneConfig::default()
+        };
+        let mut plane = plane(config, 12);
         let mut shards = [FakeShard::new(4), FakeShard::new(4)];
         let mut rng = StdRng::seed_from_u64(3);
         // Shard 1's node 2 stops reporting: the fleet controller must evict

@@ -30,7 +30,10 @@
 //!   node controllers competing for one **global** recovery budget `k`
 //!   (priority by deciding belief across shards), and one system
 //!   controller per fleet evicting crashed replicas wherever they live and
-//!   allocating JOIN spares to the neediest shard.
+//!   allocating JOIN spares to the neediest shard. Its budget is
+//!   [`crate::controller::allocate_recoveries`], the one k-slot rule of
+//!   every closed loop: this runtime on the live and simnet planes, and the
+//!   Table-7 emulation loop.
 //! * [`autotune::AutotuneController`] — the *third* feedback loop, on the
 //!   data plane itself: AIMD on leader batching and client concurrency
 //!   (re-clamped online through the batch-fragmentation floor), retry

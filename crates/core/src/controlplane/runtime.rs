@@ -9,13 +9,16 @@
 //! service (wall-clock, threaded cluster) and the simnet harness
 //! (deterministic, simulated clusters) run the same code for both laws —
 //! the paper's claim that one control architecture steers the real
-//! service. The Table-7 emulation loop is the exception: it keeps its own
-//! k-slot rule, which differs from this one (see the `fleet` module docs).
+//! service. Its k-slot budget is
+//! [`allocate_recoveries`](crate::controller::allocate_recoveries), the one
+//! rule every closed loop, the Table-7 emulation included, recovers by.
 
 use crate::controller::NodeController;
 use crate::controlplane::actuator::ClusterActuator;
-use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
+use crate::controlplane::fleet::FleetControlPlane;
 use crate::error::Result;
+use crate::node_model::{NodeModel, NodeParameters};
+use crate::observation::ObservationModel;
 use rand::Rng;
 use tolerance_consensus::NodeId;
 
@@ -27,13 +30,16 @@ pub struct ControlPlaneConfig {
     /// BTR period `Δ_R` (maximum steps between recoveries of one node).
     pub delta_r: Option<u32>,
     /// Parallel-recovery constraint `k` of Proposition 1 (at most this
-    /// many recoveries actuate per tick; the rest re-request next tick).
+    /// many recoveries actuate per tick, across a whole fleet; the rest
+    /// re-request next tick).
     pub parallel_recoveries: usize,
     /// Whether the global replication controller (Algorithm 2) runs.
     pub system_controller: bool,
-    /// Smallest membership the system controller may shrink to.
+    /// Smallest membership the system controller may shrink a group (each
+    /// shard of a fleet) to.
     pub min_replicas: usize,
-    /// Largest membership the system controller may grow to.
+    /// Largest membership the system controller may grow a group (each
+    /// shard of a fleet) to.
     pub max_replicas: usize,
     /// Fault threshold `f` the replication problem of Algorithm 2 is solved
     /// for (`N_t ≥ 2f + 1 + k`, Proposition 1).
@@ -56,25 +62,6 @@ impl Default for ControlPlaneConfig {
             fault_threshold: 1,
             availability_target: 0.9,
             node_survival_probability: 0.95,
-        }
-    }
-}
-
-impl ControlPlaneConfig {
-    /// The one-shard fleet this configuration describes: the fleet-wide
-    /// spare budget is the group's own membership bound.
-    fn one_shard_fleet(&self) -> FleetConfig {
-        FleetConfig {
-            recovery_threshold: self.recovery_threshold,
-            delta_r: self.delta_r,
-            parallel_recoveries: self.parallel_recoveries,
-            system_controller: self.system_controller,
-            min_replicas_per_shard: self.min_replicas,
-            max_replicas_per_shard: self.max_replicas,
-            max_total_replicas: self.max_replicas,
-            fault_threshold: self.fault_threshold,
-            availability_target: self.availability_target,
-            node_survival_probability: self.node_survival_probability,
         }
     }
 }
@@ -119,7 +106,6 @@ pub struct TickReport {
 /// `FleetControlPlane` (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
-    config: ControlPlaneConfig,
     fleet: FleetControlPlane,
 }
 
@@ -131,13 +117,17 @@ impl ControlPlane {
     ///
     /// Propagates model-construction and LP failures.
     pub fn new(config: ControlPlaneConfig) -> Result<Self> {
-        let fleet = FleetControlPlane::new(config.one_shard_fleet())?;
-        Ok(ControlPlane { config, fleet })
+        let node_model =
+            NodeModel::new(NodeParameters::default(), ObservationModel::paper_default())?;
+        // One shard: the fleet-wide spare budget is the group's own bound.
+        let max_total_replicas = config.max_replicas;
+        let fleet = FleetControlPlane::with_model(config, max_total_replicas, node_model)?;
+        Ok(ControlPlane { fleet })
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &ControlPlaneConfig {
-        &self.config
+        self.fleet.config()
     }
 
     /// The node controller of `node`, creating it on first access.

@@ -152,10 +152,13 @@ impl NodeStrategy {
         }
     }
 
-    /// The belief reported to the system controller; baselines report the
-    /// prior so eviction handling works uniformly.
-    pub fn reported_belief(&self, prior: f64) -> f64 {
-        self.belief().unwrap_or(prior)
+    /// The belief the latest recovery request was decided on (`belief()`
+    /// already reads the post-recovery prior); baselines track none.
+    pub fn request_belief(&self) -> Option<f64> {
+        match self {
+            NodeStrategy::Tolerance(controller) => Some(controller.last_request_belief()),
+            NodeStrategy::Baseline(_) => None,
+        }
     }
 
     /// Whether the strategy's replication heuristic wants an extra node
@@ -172,6 +175,15 @@ impl NodeStrategy {
         match self {
             NodeStrategy::Tolerance(controller) => controller.notify_recovered(),
             NodeStrategy::Baseline(baseline) => baseline.notify_recovered(),
+        }
+    }
+
+    /// Re-arms the strategy after its recovery request was deferred, so it
+    /// requests again on the next step.
+    pub fn notify_deferred(&mut self) {
+        match self {
+            NodeStrategy::Tolerance(controller) => controller.notify_deferred(),
+            NodeStrategy::Baseline(baseline) => baseline.notify_deferred(),
         }
     }
 }
@@ -238,7 +250,7 @@ mod tests {
             2
         );
         assert_eq!(periodic.belief(), None);
-        assert_eq!(periodic.reported_belief(0.1), 0.1);
+        assert_eq!(periodic.request_belief(), None);
     }
 
     #[test]

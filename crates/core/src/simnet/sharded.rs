@@ -67,7 +67,8 @@
 use crate::controlplane::autotune::{
     Admission, AutotuneConfig, AutotuneController, AutotuneDecision, AutotuneObservation,
 };
-use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
+use crate::controlplane::fleet::FleetControlPlane;
+use crate::controlplane::runtime::ControlPlaneConfig;
 use crate::error::Result;
 use crate::runtime::WorkerPool;
 use crate::simnet::group::{self, Group, IdsChannel, PlaneNote, SimnetOutcome, TraceRecord};
@@ -168,16 +169,15 @@ impl ShardedScheduleConfig {
         }
     }
 
-    fn fleet_config(&self) -> FleetConfig {
-        FleetConfig {
+    fn fleet_config(&self) -> ControlPlaneConfig {
+        ControlPlaneConfig {
             recovery_threshold: self.base.recovery_threshold,
             delta_r: Some(self.base.delta_r),
             parallel_recoveries: self.base.parallel_recoveries,
             system_controller: self.base.system_controller,
-            min_replicas_per_shard: 4,
-            max_replicas_per_shard: self.base.max_replicas,
-            max_total_replicas: self.base.max_replicas * self.shards.max(1),
-            fault_threshold: self.base.fault_threshold().max(1),
+            min_replicas: 4,
+            max_replicas: self.base.max_replicas,
+            fault_threshold: self.base.fault_threshold(),
             availability_target: 0.9,
             node_survival_probability: 0.95,
         }
@@ -399,7 +399,8 @@ impl<'a> ShardedHarness<'a> {
             clients_per_shard: 4,
         });
         let (ids, node_model) = IdsChannel::new(schedule.seed)?;
-        let plane = FleetControlPlane::with_model(config.fleet_config(), node_model)?;
+        let max_total = config.base.max_replicas * config.shards.max(1);
+        let plane = FleetControlPlane::with_model(config.fleet_config(), max_total, node_model)?;
         let partitioner = *service.partitioner();
         let states: Vec<ShardState> = (0..service.num_shards())
             .map(|shard| {

@@ -30,13 +30,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tolerance_consensus::minbft::{MinBftCluster, MinBftConfig, Operation};
-use tolerance_consensus::NetworkConfig;
+use tolerance_consensus::NodeId;
 use tolerance_core::baselines::RecoveryDecision;
-use tolerance_core::controller::SystemController;
+use tolerance_core::controller::{allocate_recoveries, SystemController};
 use tolerance_core::metrics::{EvaluationMetrics, MetricReport};
 use tolerance_core::node_model::{NodeModel, NodeParameters, NodeState};
 use tolerance_core::replication::ReplicationConfig;
 use tolerance_core::runtime::{NodeStrategy, NodeStrategyConfig};
+use tolerance_core::Result;
 
 pub use tolerance_core::runtime::StrategyKind;
 
@@ -122,6 +123,9 @@ pub struct EmulationOutcome {
 
 /// Per-node runtime state inside the emulation.
 struct EmulatedNode {
+    /// The node's id in a mirrored [`MinBftCluster`], which never shifts: the
+    /// cluster's next id when the node was added; a rebuild keeps it.
+    replica: NodeId,
     /// Catalogue position of the replica's container: indexes
     /// `Emulation::catalog` and `Emulation::ids_models`.
     container: usize,
@@ -161,7 +165,7 @@ impl Emulation {
     /// # Errors
     ///
     /// Propagates model-construction and LP failures from `tolerance-core`.
-    pub fn new(config: EmulationConfig) -> tolerance_core::Result<Self> {
+    pub fn new(config: EmulationConfig) -> Result<Self> {
         let catalog = ContainerCatalog::paper_catalog();
         let ids_models = IdsModel::for_catalog(&catalog)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -186,8 +190,8 @@ impl Emulation {
             time_step: 0,
             config,
         };
-        for _ in 0..emulation.config.initial_nodes {
-            let node = emulation.build_node(&mut rng)?;
+        for replica in 0..emulation.config.initial_nodes {
+            let node = emulation.build_node(replica as NodeId, &mut rng)?;
             emulation.nodes.push(node);
         }
         Ok(emulation)
@@ -225,7 +229,7 @@ impl Emulation {
         }
     }
 
-    fn build_node(&self, rng: &mut StdRng) -> tolerance_core::Result<EmulatedNode> {
+    fn build_node(&self, replica: NodeId, rng: &mut StdRng) -> Result<EmulatedNode> {
         let container = self.catalog.sample_position(rng);
         // The observation model was validated when `ids_models` was built;
         // the parameters differ per node in a jittered fleet.
@@ -253,6 +257,7 @@ impl Emulation {
             },
         )?;
         Ok(EmulatedNode {
+            replica,
             container,
             state: NodeState::Healthy,
             attacker: Attacker::new(parameters.p_attack),
@@ -267,7 +272,7 @@ impl Emulation {
     /// # Errors
     ///
     /// Propagates node-construction failures when nodes are added mid-run.
-    pub fn run(&mut self) -> tolerance_core::Result<EmulationOutcome> {
+    pub fn run(&mut self) -> Result<EmulationOutcome> {
         for _ in 0..self.config.horizon {
             self.step(None)?;
         }
@@ -283,17 +288,8 @@ impl Emulation {
     /// # Errors
     ///
     /// Propagates node-construction failures.
-    pub fn run_with_consensus(
-        &mut self,
-        steps: u32,
-    ) -> tolerance_core::Result<(EmulationOutcome, f64)> {
-        let mut cluster = MinBftCluster::new(MinBftConfig {
-            initial_replicas: self.config.initial_nodes,
-            parallel_recoveries: self.config.parallel_recoveries,
-            network: NetworkConfig::default(),
-            seed: self.config.seed,
-            ..MinBftConfig::default()
-        });
+    pub fn run_with_consensus(&mut self, steps: u32) -> Result<(EmulationOutcome, f64)> {
+        let mut cluster = self.mirrored_cluster();
         let client = cluster.add_client();
         let mut issued = 0u64;
         for step in 0..steps {
@@ -316,6 +312,17 @@ impl Emulation {
         Ok((self.finish(), success_rate))
     }
 
+    /// A MinBFT cluster over this run's initial nodes, for [`Emulation::step`]
+    /// to mirror.
+    fn mirrored_cluster(&self) -> MinBftCluster {
+        MinBftCluster::new(MinBftConfig {
+            initial_replicas: self.config.initial_nodes,
+            parallel_recoveries: self.config.parallel_recoveries,
+            seed: self.config.seed,
+            ..MinBftConfig::default()
+        })
+    }
+
     fn finish(&mut self) -> EmulationOutcome {
         // Charge intrusions that were never recovered.
         for node in &self.nodes {
@@ -333,11 +340,11 @@ impl Emulation {
     }
 
     /// Executes one time-step of the closed loop.
-    fn step(&mut self, mut cluster: Option<&mut MinBftCluster>) -> tolerance_core::Result<()> {
+    fn step(&mut self, mut cluster: Option<&mut MinBftCluster>) -> Result<()> {
         self.time_step += 1;
         let time_step = self.time_step;
         let fault_threshold = self.config.fault_threshold();
-        let mut recovery_requests: Vec<(usize, f64)> = Vec::new();
+        let mut requests: Vec<(usize, f64)> = Vec::new();
         let mut baseline_wants_node = false;
         let mut reports: Vec<Option<f64>> = Vec::with_capacity(self.nodes.len());
 
@@ -357,8 +364,8 @@ impl Emulation {
                     if let (Some(cluster), Some(behavior)) =
                         (cluster.as_deref_mut(), node.attacker.behavior())
                     {
-                        if cluster.membership().contains(&(index as u32)) {
-                            cluster.set_byzantine(index as u32, behavior.byzantine_mode());
+                        if cluster.membership().contains(&node.replica) {
+                            cluster.set_byzantine(node.replica, behavior.byzantine_mode());
                         }
                     }
                 }
@@ -391,45 +398,21 @@ impl Emulation {
             if node.strategy.wants_additional_node(alerts as f64) {
                 baseline_wants_node = true;
             }
-            // Baselines report no belief; `reported_belief` approximates
-            // with the prior so eviction handling still works uniformly.
-            reports.push(Some(
-                node.strategy
-                    .reported_belief(self.config.node_parameters.p_attack),
-            ));
+            reports.push(node.strategy.belief());
             if decision == RecoveryDecision::Recover {
-                let belief = node.strategy.belief().unwrap_or(1.0);
-                recovery_requests.push((index, belief));
+                // Baselines track no belief: they tie and rank by index.
+                requests.push((index, node.strategy.request_belief().unwrap_or(1.0)));
             }
         }
 
-        // --- Enforce at most k parallel recoveries, preferring the highest
-        //     beliefs (the implementation-level constraint of Problem 1). ---
-        recovery_requests.sort_by(|a, b| b.1.total_cmp(&a.1));
-        recovery_requests.truncate(self.config.parallel_recoveries.max(1));
-        let recoveries_started = recovery_requests.len();
-        for (index, _) in &recovery_requests {
-            let node = &mut self.nodes[*index];
-            if let Some(started) = node.compromise_started.take() {
-                self.metrics.record_recovery_delay(time_step - started);
-            }
-            // The replica is replaced by a fresh, randomly drawn container.
-            let rebuilt = {
-                let mut rng = StdRng::seed_from_u64(self.rng.random::<u64>());
-                self.build_node(&mut rng)?
-            };
-            let was_controller = self.nodes[*index].strategy.is_controller();
-            self.nodes[*index] = rebuilt;
-            if !was_controller {
-                // Baselines restart their period after an actual recovery.
-                self.nodes[*index].strategy.notify_recovered();
-            }
-            self.recoveries += 1;
-            if let Some(cluster) = cluster.as_deref_mut() {
-                if cluster.membership().contains(&(*index as u32)) {
-                    cluster.recover_replica(*index as u32);
-                }
-            }
+        // --- At most k parallel recoveries (Proposition 1); a deferred
+        //     requester re-requests on the next step. ---
+        let k = self.config.parallel_recoveries;
+        let (recovered, deferred) = allocate_recoveries(&mut requests, k, |index| {
+            self.rebuild(index, cluster.as_deref_mut())
+        })?;
+        for index in deferred {
+            self.nodes[index].strategy.notify_deferred();
         }
 
         // --- Global level: evictions and additions. ---
@@ -441,11 +424,11 @@ impl Emulation {
             evict.sort_unstable_by(|a, b| b.cmp(a));
             for index in evict {
                 if index < self.nodes.len() {
-                    self.nodes.remove(index);
+                    let replica = self.nodes.remove(index).replica;
                     self.nodes_evicted += 1;
                     if let Some(cluster) = cluster.as_deref_mut() {
-                        if cluster.membership().contains(&(index as u32)) {
-                            cluster.evict_replica(index as u32);
+                        if cluster.membership().contains(&replica) {
+                            cluster.evict_replica(replica);
                         }
                     }
                 }
@@ -462,8 +445,9 @@ impl Emulation {
         }
         if added {
             let new_node = {
+                let replica = (self.config.initial_nodes as u64 + self.nodes_added) as NodeId;
                 let mut rng = StdRng::seed_from_u64(self.rng.random::<u64>());
-                self.build_node(&mut rng)?
+                self.build_node(replica, &mut rng)?
             };
             self.nodes.push(new_node);
             self.nodes_added += 1;
@@ -479,8 +463,29 @@ impl Emulation {
             .filter(|n| n.state != NodeState::Healthy)
             .count();
         self.metrics
-            .record_step(failed_nodes, fault_threshold, recoveries_started);
+            .record_step(failed_nodes, fault_threshold, recovered.len());
         Ok(())
+    }
+
+    /// Recovers the node at `index`: its replica is replaced by a fresh,
+    /// randomly drawn container under the same replica id. Never refused.
+    fn rebuild(&mut self, index: usize, cluster: Option<&mut MinBftCluster>) -> Result<bool> {
+        if let Some(started) = self.nodes[index].compromise_started.take() {
+            self.metrics.record_recovery_delay(self.time_step - started);
+        }
+        let replica = self.nodes[index].replica;
+        let seed = self.rng.random::<u64>();
+        let mut rebuilt = self.build_node(replica, &mut StdRng::seed_from_u64(seed))?;
+        if !rebuilt.strategy.is_controller() {
+            // Baselines restart their period after an actual recovery.
+            rebuilt.strategy.notify_recovered();
+        }
+        self.nodes[index] = rebuilt;
+        self.recoveries += 1;
+        if let Some(cluster) = cluster {
+            cluster.recover_replica(replica);
+        }
+        Ok(true)
     }
 }
 
@@ -488,6 +493,7 @@ impl Emulation {
 mod tests {
     use super::*;
     use tolerance_core::baselines::BaselineKind;
+    use tolerance_core::observation::ObservationModel;
 
     fn config(strategy: StrategyKind, delta_r: Option<u32>, seed: u64) -> EmulationConfig {
         EmulationConfig {
@@ -681,6 +687,91 @@ mod tests {
             "the adaptive baseline should add nodes on alert bursts"
         );
         assert!(outcome.final_nodes <= 13);
+    }
+
+    #[test]
+    fn one_slot_goes_to_the_higher_deciding_belief_and_the_loser_requests_again() {
+        // k = 1 and two compromised nodes whose controllers see through a
+        // blind IDS model (equal alert distributions): a belief follows the
+        // transition prediction alone, so each deciding belief is known
+        // before the step. Node 0 crosses the threshold this step; node 1
+        // crossed one step earlier and was deferred, so it decides higher.
+        let mut emulation = Emulation::new(EmulationConfig {
+            initial_nodes: 3,
+            ..config(StrategyKind::Tolerance, None, 0)
+        })
+        .unwrap();
+        emulation.system_controller = None;
+        let support = emulation.ids_models[0]
+            .observation_model()
+            .healthy_distribution()
+            .len();
+        let blind = vec![1.0 / support as f64; support];
+        let blind = ObservationModel::from_distributions(blind.clone(), blind).unwrap();
+        let model = NodeModel::new_unchecked(NodeParameters::default(), blind);
+        let node_config = NodeStrategyConfig {
+            recovery_threshold: 0.76,
+            delta_r: None,
+            initial_phase: 0,
+        };
+        let mut below = StrategyKind::Tolerance
+            .build_node_strategy(model, 0.0, &node_config)
+            .unwrap();
+        loop {
+            let mut next = below.clone();
+            if next.observe_and_decide(0) == RecoveryDecision::Recover {
+                break;
+            }
+            below = next;
+        }
+        let mut deferred = below.clone();
+        deferred.observe_and_decide(0);
+        deferred.notify_deferred();
+        let decides_on = |strategy: &NodeStrategy| {
+            let mut next = strategy.clone();
+            assert_eq!(next.observe_and_decide(0), RecoveryDecision::Recover);
+            next.request_belief().unwrap()
+        };
+        let (lower, higher) = (decides_on(&below), decides_on(&deferred));
+        assert!(lower < higher, "{lower} vs {higher}");
+        for (node, strategy) in emulation.nodes.iter_mut().zip([below, deferred]) {
+            node.strategy = strategy;
+            node.state = NodeState::Compromised;
+            node.parameters.p_crash_compromised = 0.0;
+        }
+        emulation.nodes[2].state = NodeState::Crashed;
+
+        emulation.step(None).unwrap();
+        assert_eq!(emulation.recoveries, 1);
+        assert_eq!(emulation.nodes[1].state, NodeState::Healthy, "rebuilt");
+        let loser = &emulation.nodes[0].strategy;
+        assert_eq!(loser.request_belief(), Some(lower));
+        assert_eq!(loser.belief(), Some(lower), "the deferral restores it");
+
+        emulation.step(None).unwrap();
+        assert_eq!(emulation.recoveries, 2);
+        assert_eq!(
+            emulation.nodes[0].state,
+            NodeState::Healthy,
+            "the deferred node requests and recovers on the next step"
+        );
+    }
+
+    #[test]
+    fn a_mirrored_cluster_keeps_the_emulated_replica_ids() {
+        // Evictions shift the emulation's node indices but never the
+        // cluster's replica ids: every step must address the same replicas.
+        for seed in 0..20 {
+            let mut emulation =
+                Emulation::new(config(StrategyKind::Tolerance, None, seed)).unwrap();
+            let mut cluster = emulation.mirrored_cluster();
+            for step in 0..200 {
+                emulation.step(Some(&mut cluster)).unwrap();
+                cluster.run_until_quiet(cluster.now() + 2.0);
+                let replicas: Vec<NodeId> = emulation.nodes.iter().map(|n| n.replica).collect();
+                assert_eq!(cluster.membership(), replicas, "seed {seed}, step {step}");
+            }
+        }
     }
 
     #[test]
