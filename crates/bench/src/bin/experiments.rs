@@ -27,10 +27,26 @@ use rand::SeedableRng;
 use serde::Serialize;
 use tolerance_bench::{sparkline, write_json};
 use tolerance_consensus::workload::{Arrival, WorkloadConfig};
-use tolerance_core::node_model::NodeState;
 use tolerance_core::prelude::*;
 use tolerance_emulation::{ContainerCatalog, EvaluationGrid, IdsModel, TraceDataset};
 use tolerance_markov::stats::SummaryStatistics;
+
+/// Every name `main` runs. Anything else is rejected: an unknown name would
+/// run nothing and exit 0, which must not pass for a finished experiment.
+const EXPERIMENTS: [&str; 17] = [
+    "fig4", "fig5", "fig6", "table2", "fig7", "fig8", "fig9", "fig10", "fig11", "table7", "fig12",
+    "fig13", "fig14", "fig15", "fig16", "fig18", "all",
+];
+
+/// The experiment the first non-flag argument names (`all` when there is
+/// none), or `None` when it names no experiment.
+fn experiment_name(args: &[String]) -> Option<&str> {
+    let name = args
+        .iter()
+        .find(|a| !a.starts_with("--"))
+        .map_or("all", String::as_str);
+    EXPERIMENTS.contains(&name).then_some(name)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,11 +56,13 @@ fn main() {
     } else {
         Runner::parallel()
     };
-    let experiment = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let Some(experiment) = experiment_name(&args) else {
+        eprintln!(
+            "usage: experiments [{}] [--full] [--serial]",
+            EXPERIMENTS.join("|")
+        );
+        std::process::exit(2);
+    };
 
     let run = |name: &str| experiment == name || experiment == "all";
 
@@ -811,9 +829,23 @@ fn fig18(full: bool) {
     save("fig18_metric_divergences", &serializable);
 }
 
-// Silence the unused-import warning for NodeState, which is used only in some
-// configurations of the harness.
-#[allow(dead_code)]
-fn _observation_reference(state: NodeState) -> NodeState {
-    state
+#[cfg(test)]
+mod tests {
+    use super::experiment_name;
+
+    fn name(args: &[&str]) -> Option<String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        experiment_name(&args).map(str::to_string)
+    }
+
+    #[test]
+    fn an_unknown_experiment_name_is_rejected() {
+        assert_eq!(name(&[]), Some("all".into()));
+        assert_eq!(name(&["--full", "--serial"]), Some("all".into()));
+        assert_eq!(name(&["--full", "table7"]), Some("table7".into()));
+        assert_eq!(name(&["fig12", "--serial"]), Some("fig12".into()));
+        for unknown in ["fig99", "tabel7", "fig3", "fig17", "Fig4", ""] {
+            assert_eq!(name(&[unknown]), None, "{unknown:?}");
+        }
+    }
 }

@@ -1,11 +1,9 @@
 //! # `tolerance-bench`
 //!
-//! The benchmark harness of the TOLERANCE reproduction. The `experiments`
-//! binary regenerates every table and figure of the paper's evaluation
-//! (`cargo run -p tolerance-bench --release --bin experiments -- <experiment>`),
-//! and the Criterion benches measure the performance-sensitive pieces
-//! (Algorithm 2's LP as a function of `s_max`, MinBFT throughput, belief
-//! updates and the Algorithm 1 optimizers).
+//! The experiments of the TOLERANCE reproduction: the `experiments` binary
+//! regenerates every table and figure of the paper's evaluation
+//! (`cargo run -p tolerance-bench --release --bin experiments -- <experiment>`).
+//! Performance is measured by the separate `benchmark/` package.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -4,12 +4,8 @@
 //! *observations* to live next to the things being observed: the simulated
 //! cluster, the threaded service and the socket service all count requests
 //! and measure latency here, and the controller in `core` consumes the
-//! resulting snapshots. Three primitives:
+//! resulting snapshots. Two primitives:
 //!
-//! * [`WindowedCounter`] — per-window event counts with **exact** window
-//!   rotation: recording into window `w` drops precisely the buckets whose
-//!   index is `≤ w - span`, nothing more, nothing less (property-tested in
-//!   `tests/properties.rs`).
 //! * [`LatencyHistogram`] — a log-scale histogram (quarter-octave buckets
 //!   above a 1 µs resolution floor) with exact `count`/`sum`/`max`
 //!   side-channels. Quantiles are monotone in `q`, never exceed the
@@ -29,7 +25,6 @@
 //! iteration.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -42,76 +37,6 @@ const BUCKETS_PER_OCTAVE: f64 = 4.0;
 /// Bucket index cap (covers latencies beyond 10^5 seconds — effectively
 /// unbounded for this codebase while keeping arithmetic finite).
 const MAX_BUCKET: i64 = 40 * 4;
-
-/// Per-window event counts with exact rotation.
-///
-/// Windows are identified by a monotone `u64` index (the caller derives it
-/// from time or step: `window = step / window_len`). The counter retains
-/// the most recent `span` windows; recording into a newer window expires
-/// exactly the buckets older than `window - span + 1`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowedCounter {
-    span: u64,
-    /// Live buckets in ascending window order: `(window_index, count)`.
-    buckets: VecDeque<(u64, u64)>,
-}
-
-impl WindowedCounter {
-    /// Creates a counter retaining `span` windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `span` is zero (a counter with no retention is a bug at
-    /// the call site, not a degenerate configuration).
-    pub fn new(span: u64) -> Self {
-        assert!(span > 0, "windowed counter needs at least one window");
-        WindowedCounter {
-            span,
-            buckets: VecDeque::new(),
-        }
-    }
-
-    /// Adds `count` events to `window`, rotating out expired buckets.
-    /// Recording into a window older than the newest live one is ignored
-    /// (late data from an already-expired window must not resurrect it).
-    pub fn record(&mut self, window: u64, count: u64) {
-        if let Some(&(newest, _)) = self.buckets.back() {
-            if window < newest {
-                return;
-            }
-        }
-        self.rotate(window);
-        match self.buckets.back_mut() {
-            Some((index, total)) if *index == window => *total += count,
-            _ => self.buckets.push_back((window, count)),
-        }
-    }
-
-    /// Drops exactly the buckets that fall outside the retention span of
-    /// `window` (i.e. indices `< window.saturating_sub(span - 1)`).
-    pub fn rotate(&mut self, window: u64) {
-        let oldest_live = window.saturating_sub(self.span - 1);
-        while matches!(self.buckets.front(), Some(&(index, _)) if index < oldest_live) {
-            self.buckets.pop_front();
-        }
-    }
-
-    /// Total events across the live windows.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().map(|&(_, count)| count).sum()
-    }
-
-    /// The live `(window, count)` buckets in ascending window order (the
-    /// observability hook of the rotation property tests).
-    pub fn live(&self) -> Vec<(u64, u64)> {
-        self.buckets.iter().copied().collect()
-    }
-
-    /// The retention span in windows.
-    pub fn span(&self) -> u64 {
-        self.span
-    }
-}
 
 /// A log-scale latency histogram with exact max/count/sum side-channels.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -405,24 +330,6 @@ impl SharedTuning {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn windowed_counter_rotates_exactly() {
-        let mut counter = WindowedCounter::new(3);
-        counter.record(0, 5);
-        counter.record(1, 7);
-        counter.record(2, 1);
-        assert_eq!(counter.total(), 13);
-        // Window 3 expires exactly window 0.
-        counter.record(3, 2);
-        assert_eq!(counter.live(), vec![(1, 7), (2, 1), (3, 2)]);
-        // A jump far ahead expires everything else.
-        counter.record(10, 4);
-        assert_eq!(counter.live(), vec![(10, 4)]);
-        // Late data from an expired window is ignored.
-        counter.record(2, 100);
-        assert_eq!(counter.total(), 4);
-    }
 
     #[test]
     fn histogram_quantiles_bracket_the_samples() {

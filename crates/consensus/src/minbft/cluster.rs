@@ -242,30 +242,6 @@ impl MinBftCluster {
         self.replicas.get(&replica).is_some_and(|r| r.crashed)
     }
 
-    /// A one-line diagnostic summary of a replica's protocol state (for
-    /// harness debugging output).
-    pub fn debug_replica(&self, replica: NodeId) -> String {
-        let Some(r) = self.replicas.get(&replica) else {
-            return format!("replica {replica}: gone");
-        };
-        format!(
-            "replica {replica}: view {} voted {} min_lead {} epoch {} last_exec {} next_seq {} \
-             stable {} log_start {} pending {} first_seen {} prepared {} vc_votes {:?}",
-            r.view,
-            r.voted_view,
-            r.min_lead_view,
-            r.epoch,
-            r.last_executed,
-            r.next_sequence,
-            r.stable_sequence,
-            r.log_start,
-            r.pending.len(),
-            r.request_first_seen.len(),
-            r.prepared.len(),
-            r.view_change_votes,
-        )
-    }
-
     /// Whether a replica is still waiting for a state transfer after a
     /// recovery or join.
     pub fn needs_state(&self, replica: NodeId) -> bool {

@@ -356,52 +356,82 @@ fn partial_batches_flush_after_the_batch_delay() {
 
 #[test]
 fn checkpoints_compact_the_log_and_bound_retained_state() {
-    // Satellite-1 regression: with checkpoint period P, a long run's
-    // retained log must stay below 2 * P on every replica (the previous
-    // implementation never pruned `checkpoints` or the message log).
-    let period = 10u64;
-    let mut cluster = MinBftCluster::new(MinBftConfig {
+    // With checkpoint period P sequences of up to B requests each, a long
+    // run's retained log must stay below 2·P·B requests and every
+    // per-sequence structure below 2·P on every replica (the first
+    // implementation never pruned `checkpoints` or the message log). Two
+    // inputs: single requests at P = 10, and 64 closed loops at B = 64,
+    // P = 50 behind a visible signing cost.
+    let network = NetworkConfig {
+        latency: 0.002,
+        jitter: 0.001,
+        loss_rate: 0.0,
+    };
+    let singles = MinBftConfig {
         initial_replicas: 4,
-        checkpoint_period: period,
-        network: NetworkConfig {
-            latency: 0.002,
-            jitter: 0.001,
-            loss_rate: 0.0,
-        },
+        checkpoint_period: 10,
+        network,
         ..MinBftConfig::default()
-    });
-    cluster.run_workload(&closed_loop(2, 30.0));
-    let total = cluster.executed_len(0).unwrap();
-    assert!(total > 6 * period, "run too short to compact: {total}");
-    for &r in &[0, 1, 2, 3] {
-        let stats = cluster.retained_stats(r).unwrap();
-        assert!(
-            stats.log_start > 0,
-            "replica {r} never compacted: {stats:?}"
-        );
-        let bound = (2 * period) as usize;
-        assert!(
-            stats.retained_log < bound,
-            "replica {r} retained log {} >= {bound}",
-            stats.retained_log
-        );
-        assert!(
-            stats.prepared < bound,
-            "replica {r} prepared {} >= {bound}",
-            stats.prepared
-        );
-        assert!(
-            stats.commit_votes < bound,
-            "replica {r} commit votes {} >= {bound}",
-            stats.commit_votes
-        );
-        assert!(
-            stats.checkpoint_votes < bound,
-            "replica {r} checkpoint ballots {} >= {bound}",
-            stats.checkpoint_votes
-        );
+    };
+    let batched = MinBftConfig {
+        initial_replicas: 4,
+        checkpoint_period: 50,
+        batch_size: 64,
+        batch_delay: 0.1,
+        signature_time: 0.002,
+        request_timeout: 10.0,
+        network,
+        seed: 7,
+        ..MinBftConfig::default()
+    };
+    let batched_load = WorkloadConfig {
+        clients: 64,
+        arrival: Arrival::Closed,
+        duration: 4.0,
+        key_space: 256,
+        write_ratio: 0.5,
+        seed: 11,
+    };
+    for (config, workload, min_executed) in [
+        (singles, closed_loop(2, 30.0), 61),
+        (batched, batched_load, 2_000),
+    ] {
+        let period = config.checkpoint_period as usize;
+        let log_bound = 2 * period * config.batch_size;
+        let mut cluster = MinBftCluster::new(config);
+        cluster.run_workload(&workload);
+        let total = cluster.executed_len(0).unwrap();
+        assert!(total >= min_executed, "run too short to compact: {total}");
+        for &r in &[0, 1, 2, 3] {
+            let stats = cluster.retained_stats(r).unwrap();
+            assert!(
+                stats.log_start > 0,
+                "replica {r} never compacted: {stats:?}"
+            );
+            assert!(
+                stats.retained_log < log_bound,
+                "replica {r} retained log {} >= {log_bound}",
+                stats.retained_log
+            );
+            let bound = 2 * period;
+            assert!(
+                stats.prepared < bound,
+                "replica {r} prepared {} >= {bound}",
+                stats.prepared
+            );
+            assert!(
+                stats.commit_votes < bound,
+                "replica {r} commit votes {} >= {bound}",
+                stats.commit_votes
+            );
+            assert!(
+                stats.checkpoint_votes < bound,
+                "replica {r} checkpoint ballots {} >= {bound}",
+                stats.checkpoint_votes
+            );
+        }
+        assert!(cluster.logs_are_consistent());
     }
-    assert!(cluster.logs_are_consistent());
 }
 
 #[test]

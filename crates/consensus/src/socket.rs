@@ -51,7 +51,7 @@ use crate::crypto::{KeyDirectory, KeyPair};
 use crate::minbft::{ControlMessage, Message, Replica};
 use crate::net::Delivery;
 use crate::threaded::{ReplicaLoop, ReplicaSnapshot, ThreadedServiceConfig};
-use crate::transport::{Outgoing, Transport, TransportStats, WallClock};
+use crate::transport::{Outgoing, Transport, WallClock};
 use crate::wire::{encode_frame_into, FrameBuffer, FRAME_HEADER_LEN};
 use crate::NodeId;
 use std::collections::HashMap;
@@ -628,142 +628,78 @@ impl SocketReplicaNode {
     }
 }
 
-/// Assembles a socket service on loopback, all in this process: one
-/// [`SocketReplicaNode`] per replica (own listener, own ephemeral port), the
-/// client population on one more transport (the hub), every replica dialing
-/// every other replica and (once per client id) the hub, the hub dialing
-/// every replica — so every protocol message crosses a real TCP socket.
-fn loopback_mesh(
-    config: &ThreadedServiceConfig,
-) -> (
-    Vec<SocketReplicaNode>,
-    SocketTransport,
-    crate::threaded::ClientDriver<SocketHandle>,
-) {
-    use crate::threaded::{ClientDriver, MembershipView};
-    use crate::workload::OpStream;
-
-    let membership: Vec<NodeId> = (0..config.replicas as NodeId).collect();
-    let mut nodes: Vec<SocketReplicaNode> = membership
-        .iter()
-        .map(|&id| {
-            SocketReplicaNode::bind(id, membership.clone(), "127.0.0.1:0", config)
-                .expect("bind replica listener")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = nodes.iter().map(SocketReplicaNode::local_addr).collect();
-
-    let mut hub = SocketTransport::bind("127.0.0.1:0", config.channel_capacity)
-        .expect("bind client hub listener");
-    let client_ids: Vec<NodeId> = (0..config.clients)
-        .map(|i| crate::minbft::CLIENT_ID_BASE + i as NodeId)
-        .collect();
-    let mailbox = hub.register_shared(&client_ids);
-    let hub_addr = hub.local_addr();
-
-    for (i, node) in nodes.iter_mut().enumerate() {
-        for (j, &addr) in addrs.iter().enumerate() {
-            if i != j {
-                node.add_peer(j as NodeId, addr);
-            }
-        }
-        for &client in &client_ids {
-            node.add_peer(client, hub_addr);
-        }
-    }
-    for (j, &addr) in addrs.iter().enumerate() {
-        hub.add_peer(j as NodeId, addr);
-    }
-
-    let streams: Vec<OpStream> = (0..config.clients)
-        .map(|i| {
-            OpStream::new(
-                config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                config.key_space,
-                config.write_ratio,
-            )
-        })
-        .collect();
-    let driver = ClientDriver::over_transport(
-        hub.handle(),
-        mailbox,
-        MembershipView::fixed(membership),
-        streams,
-        config.request_timeout,
-    );
-    (nodes, hub, driver)
-}
-
-/// Runs the full service — replicas and clients — inside this process, but
-/// with every replica behind its own [`SocketTransport`], so all protocol
-/// traffic pays wire encoding plus real loopback TCP. The socket
-/// counterpart of [`crate::threaded::run_threaded_service`], measured by
-/// the throughput bench as the socket-vs-channel axis.
-///
-/// # Panics
-///
-/// Panics when a listener cannot bind or a replica thread dies.
-pub fn run_socket_service(
-    config: &ThreadedServiceConfig,
-) -> crate::threaded::ThreadedServiceReport {
-    let (nodes, hub, mut driver) = loopback_mesh(config);
-    let stops: Vec<Arc<AtomicBool>> = nodes.iter().map(SocketReplicaNode::stop_flag).collect();
-    let workers: Vec<JoinHandle<(ReplicaSnapshot, SocketStats)>> = nodes
-        .into_iter()
-        .map(|mut node| {
-            std::thread::spawn(move || {
-                let snapshot = node.run();
-                (snapshot, node.stats())
-            })
-        })
-        .collect();
-
-    let start = Instant::now();
-    driver.run_for(config.duration);
-    let duration = start.elapsed().as_secs_f64();
-    driver.drain(10.0);
-    let report = driver.report();
-
-    for stop in &stops {
-        stop.store(true, Ordering::Relaxed);
-    }
-    let mut snapshots = Vec::new();
-    let mut sent = 0u64;
-    let mut dropped = 0u64;
-    for worker in workers {
-        let (snapshot, stats) = worker.join().expect("replica thread");
-        snapshots.push(snapshot);
-        sent += stats.sent;
-        dropped += stats.dropped;
-    }
-    let hub_stats = hub.stats();
-    sent += hub_stats.sent;
-    dropped += hub_stats.dropped;
-
-    crate::threaded::ThreadedServiceReport {
-        replicas: config.replicas,
-        clients: config.clients,
-        completed_requests: report.completed,
-        duration,
-        requests_per_second: report.completed as f64 / duration.max(1e-9),
-        mean_latency: report.mean_latency(),
-        consistent: crate::threaded::snapshots_consistent(&snapshots),
-        max_retained_log: snapshots
-            .iter()
-            .map(|s| s.executed.len())
-            .max()
-            .unwrap_or(0),
-        max_executed: snapshots.iter().map(|s| s.last_executed).max().unwrap_or(0),
-        transport: TransportStats { sent, dropped },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::threaded::snapshots_consistent;
     use crate::wire::encode_frame;
     use std::io::Read;
+
+    /// Assembles a socket service on loopback, all in this process: one
+    /// [`SocketReplicaNode`] per replica (own listener, own ephemeral port), the
+    /// client population on one more transport (the hub), every replica dialing
+    /// every other replica and (once per client id) the hub, the hub dialing
+    /// every replica — so every protocol message crosses a real TCP socket.
+    fn loopback_mesh(
+        config: &ThreadedServiceConfig,
+    ) -> (
+        Vec<SocketReplicaNode>,
+        SocketTransport,
+        crate::threaded::ClientDriver<SocketHandle>,
+    ) {
+        use crate::threaded::{ClientDriver, MembershipView};
+        use crate::workload::OpStream;
+
+        let membership: Vec<NodeId> = (0..config.replicas as NodeId).collect();
+        let mut nodes: Vec<SocketReplicaNode> = membership
+            .iter()
+            .map(|&id| {
+                SocketReplicaNode::bind(id, membership.clone(), "127.0.0.1:0", config)
+                    .expect("bind replica listener")
+            })
+            .collect();
+        let addrs: Vec<SocketAddr> = nodes.iter().map(SocketReplicaNode::local_addr).collect();
+
+        let mut hub = SocketTransport::bind("127.0.0.1:0", config.channel_capacity)
+            .expect("bind client hub listener");
+        let client_ids: Vec<NodeId> = (0..config.clients)
+            .map(|i| crate::minbft::CLIENT_ID_BASE + i as NodeId)
+            .collect();
+        let mailbox = hub.register_shared(&client_ids);
+        let hub_addr = hub.local_addr();
+
+        for (i, node) in nodes.iter_mut().enumerate() {
+            for (j, &addr) in addrs.iter().enumerate() {
+                if i != j {
+                    node.add_peer(j as NodeId, addr);
+                }
+            }
+            for &client in &client_ids {
+                node.add_peer(client, hub_addr);
+            }
+        }
+        for (j, &addr) in addrs.iter().enumerate() {
+            hub.add_peer(j as NodeId, addr);
+        }
+
+        let streams: Vec<OpStream> = (0..config.clients)
+            .map(|i| {
+                OpStream::new(
+                    config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    config.key_space,
+                    config.write_ratio,
+                )
+            })
+            .collect();
+        let driver = ClientDriver::over_transport(
+            hub.handle(),
+            mailbox,
+            MembershipView::fixed(membership),
+            streams,
+            config.request_timeout,
+        );
+        (nodes, hub, driver)
+    }
 
     fn loopback(capacity: usize) -> SocketTransport {
         SocketTransport::bind("127.0.0.1:0", capacity).expect("bind loopback")

@@ -133,33 +133,6 @@ impl ThreadedServiceConfig {
     }
 }
 
-/// Outcome of a threaded service run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ThreadedServiceReport {
-    /// Replica thread count.
-    pub replicas: usize,
-    /// Client count.
-    pub clients: usize,
-    /// Requests completed by an f+1 reply quorum.
-    pub completed_requests: u64,
-    /// Actual wall-clock duration in seconds.
-    pub duration: f64,
-    /// Completed requests per wall-clock second.
-    pub requests_per_second: f64,
-    /// Mean request latency in seconds.
-    pub mean_latency: f64,
-    /// Whether every pair of replica logs agreed on their overlapping
-    /// positions at shutdown (offset-aware prefix consistency).
-    pub consistent: bool,
-    /// Largest retained (post-compaction) executed-log suffix across
-    /// replicas at shutdown.
-    pub max_retained_log: usize,
-    /// Highest executed sequence across replicas at shutdown.
-    pub max_executed: u64,
-    /// Transport counters (sent / dropped-by-backpressure).
-    pub transport: TransportStats,
-}
-
 /// Final state a replica thread reports at shutdown.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReplicaSnapshot {
@@ -1026,41 +999,6 @@ pub fn snapshots_consistent(snapshots: &[ReplicaSnapshot]) -> bool {
         }
     }
     true
-}
-
-/// Runs a MinBFT cluster as a concurrent service — one thread per replica
-/// over bounded channels — under a closed-loop client workload, and reports
-/// wall-clock throughput plus the shutdown consistency check.
-///
-/// # Panics
-///
-/// Panics if the configuration asks for fewer than 2 replicas or no
-/// clients.
-pub fn run_threaded_service(config: &ThreadedServiceConfig) -> ThreadedServiceReport {
-    let mut cluster = ThreadedCluster::new(config);
-    let mut driver = ClientDriver::new(&mut cluster, config.clients);
-    let start = Instant::now();
-    driver.run_for(config.duration);
-    let duration = start.elapsed().as_secs_f64();
-    let report = driver.report();
-    let stats = cluster.stats();
-    let snapshots = cluster.shutdown();
-    ThreadedServiceReport {
-        replicas: config.replicas,
-        clients: config.clients,
-        completed_requests: report.completed,
-        duration,
-        requests_per_second: report.completed as f64 / duration.max(1e-9),
-        mean_latency: report.mean_latency(),
-        consistent: snapshots_consistent(&snapshots),
-        max_retained_log: snapshots
-            .iter()
-            .map(|s| s.executed.len())
-            .max()
-            .unwrap_or(0),
-        max_executed: snapshots.iter().map(|s| s.last_executed).max().unwrap_or(0),
-        transport: stats,
-    }
 }
 
 #[cfg(test)]

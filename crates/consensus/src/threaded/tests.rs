@@ -3,6 +3,59 @@ use crate::minbft::{Operation, Request};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::SyncSender;
 
+/// Outcome of a threaded service run.
+#[derive(Debug)]
+struct ThreadedServiceReport {
+    /// Requests completed by an f+1 reply quorum.
+    completed_requests: u64,
+    /// Completed requests per wall-clock second.
+    requests_per_second: f64,
+    /// Mean request latency in seconds.
+    mean_latency: f64,
+    /// Whether every pair of replica logs agreed on their overlapping
+    /// positions at shutdown (offset-aware prefix consistency).
+    consistent: bool,
+    /// Largest retained (post-compaction) executed-log suffix across
+    /// replicas at shutdown.
+    max_retained_log: usize,
+    /// Highest executed sequence across replicas at shutdown.
+    max_executed: u64,
+    /// Transport counters (sent / dropped-by-backpressure).
+    transport: TransportStats,
+}
+
+/// Runs a MinBFT cluster as a concurrent service — one thread per replica
+/// over bounded channels — under a closed-loop client workload, and reports
+/// wall-clock throughput plus the shutdown consistency check.
+///
+/// # Panics
+///
+/// Panics if the configuration asks for fewer than 2 replicas or no
+/// clients.
+fn run_threaded_service(config: &ThreadedServiceConfig) -> ThreadedServiceReport {
+    let mut cluster = ThreadedCluster::new(config);
+    let mut driver = ClientDriver::new(&mut cluster, config.clients);
+    let start = Instant::now();
+    driver.run_for(config.duration);
+    let duration = start.elapsed().as_secs_f64();
+    let report = driver.report();
+    let stats = cluster.stats();
+    let snapshots = cluster.shutdown();
+    ThreadedServiceReport {
+        completed_requests: report.completed,
+        requests_per_second: report.completed as f64 / duration.max(1e-9),
+        mean_latency: report.mean_latency(),
+        consistent: snapshots_consistent(&snapshots),
+        max_retained_log: snapshots
+            .iter()
+            .map(|s| s.executed.len())
+            .max()
+            .unwrap_or(0),
+        max_executed: snapshots.iter().map(|s| s.last_executed).max().unwrap_or(0),
+        transport: stats,
+    }
+}
+
 #[test]
 fn threaded_cluster_serves_requests_with_consistent_logs() {
     let report = run_threaded_service(&ThreadedServiceConfig {
@@ -42,6 +95,35 @@ fn threaded_checkpoints_compact_replica_logs() {
             report.max_retained_log,
             report.max_executed
         );
+    }
+}
+
+#[test]
+#[ignore = "wall-clock; CI socket-smoke runs it by name"]
+fn pipeline_windows_serve_consistently_and_window_4_outruns_window_1() {
+    // Batch 1 at a 2 ms USIG signing cost, paid by a real sleep on the
+    // replica thread: window 1 stacks sign + round trip per sequence, a
+    // wider window overlaps them. The speedup needs 4 replica threads and
+    // the client driver to run at once, so it is checked only on hosts with
+    // at least 4 hardware threads.
+    let rate = |pipeline_window| {
+        let report = run_threaded_service(&ThreadedServiceConfig {
+            replicas: 4,
+            clients: 8,
+            batch_size: 1,
+            pipeline_window,
+            signature_time: 0.002,
+            checkpoint_period: 100,
+            duration: 0.4,
+            ..ThreadedServiceConfig::default()
+        });
+        assert!(report.consistent, "window {pipeline_window}: {report:?}");
+        assert!(report.completed_requests > 0, "window {pipeline_window}");
+        report.requests_per_second
+    };
+    let [w1, w4, _] = [1, 4, 8].map(rate);
+    if std::thread::available_parallelism().map_or(1, usize::from) >= 4 {
+        assert!(w4 >= 1.5 * w1, "window 4 {w4:.1} req/s vs window 1 {w1:.1}");
     }
 }
 

@@ -202,35 +202,69 @@ mod tests {
 
     #[test]
     fn batching_completes_more_requests_at_the_same_signature_cost() {
-        // At the same closed-loop workload and a visible USIG signature
-        // cost, batch 16 amortizes one signature over many requests and
-        // completes more of them than batch 1.
-        let seed = 7;
-        let completed = |batch_size| {
-            let mut cluster = MinBftCluster::new(
-                MinBftConfig {
-                    seed,
-                    initial_replicas: 4,
-                    batch_size,
-                    batch_delay: 0.05,
-                    signature_time: 0.002,
-                    checkpoint_period: 50,
-                    ..MinBftConfig::default()
-                }
-                .clamped(),
-            );
-            cluster
-                .run_workload(&WorkloadConfig {
-                    clients: 16,
-                    arrival: Arrival::Closed,
-                    duration: 1.0,
-                    seed: seed ^ 0x6461_7461_706c_616e,
-                    ..WorkloadConfig::default()
-                })
-                .completed_requests
+        // The same closed loop at every batch size and a visible USIG
+        // signature cost: a batch amortizes one signature and one quorum
+        // round over its requests, so it completes more of them, with
+        // consistent logs at every batch size.
+        let completed = |config: MinBftConfig, workload: &WorkloadConfig| {
+            let batch_size = config.batch_size;
+            let mut cluster = MinBftCluster::new(config);
+            let report = cluster.run_workload(workload);
+            assert!(cluster.logs_are_consistent(), "batch {batch_size}");
+            report.completed_requests
         };
-        let (b1, b16) = (completed(1), completed(16));
+        // 16 clients on a clamped, checkpointing cluster: batch 16 beats 1.
+        let small = |batch_size| {
+            let config = MinBftConfig {
+                seed: 7,
+                initial_replicas: 4,
+                batch_size,
+                batch_delay: 0.05,
+                signature_time: 0.002,
+                checkpoint_period: 50,
+                ..MinBftConfig::default()
+            };
+            let workload = WorkloadConfig {
+                clients: 16,
+                arrival: Arrival::Closed,
+                duration: 1.0,
+                seed: 7 ^ 0x6461_7461_706c_616e,
+                ..WorkloadConfig::default()
+            };
+            completed(config.clamped(), &workload)
+        };
+        let (b1, b16) = (small(1), small(16));
         assert!(b16 > b1, "batch 16 must outperform batch 1: {b16} vs {b1}");
+        // 64 clients, batch 1 to 256: batch 64 completes at least 5x batch 1.
+        let wide = |batch_size| {
+            let config = MinBftConfig {
+                initial_replicas: 4,
+                batch_size,
+                // Above batch_size x per-message cost, so the age-based
+                // flush does not fragment a batch before it fills.
+                batch_delay: 0.1,
+                checkpoint_period: 0,
+                signature_time: 0.002,
+                // Saturated closed loops push latency past the protocol
+                // timeout; this measures the data plane, not view changes.
+                request_timeout: 10.0,
+                network: quiet_network(),
+                seed: 7,
+                ..MinBftConfig::default()
+            };
+            let workload = WorkloadConfig {
+                clients: 64,
+                arrival: Arrival::Closed,
+                duration: 1.0,
+                key_space: 64,
+                write_ratio: 0.5,
+                seed: 7,
+            };
+            completed(config, &workload)
+        };
+        let [b1, b16, b64, _] = [1, 16, 64, 256].map(wide);
+        assert!(b16 > b1, "batch 16 must outperform batch 1: {b16} vs {b1}");
+        assert!(b64 >= 5 * b1, "batch 64 {b64} vs batch 1 {b1}");
     }
 
     #[test]

@@ -538,49 +538,6 @@ impl Group {
             }
         }
     }
-
-    /// The `SIMNET_DEBUG` diagnostics of one group (`label` names the step
-    /// or settle round, and the shard in a fleet): per-replica protocol
-    /// state, the clients still waiting and, on a violation, every replica's
-    /// log and the full commit trace.
-    pub(crate) fn debug_dump(
-        &self,
-        label: &str,
-        cluster: &MinBftCluster,
-        violation: Option<&Violation>,
-    ) {
-        for &id in cluster.membership() {
-            eprintln!(
-                "  {label} {} crashed {} needs_state {} byz {:?}",
-                cluster.debug_replica(id),
-                cluster.is_crashed(id),
-                cluster.needs_state(id),
-                cluster.byzantine_mode(id),
-            );
-        }
-        eprintln!("  {label} outstanding {:?}", self.outstanding(cluster));
-        if violation.is_none() {
-            return;
-        }
-        for &id in cluster.membership() {
-            if let (Some(log), Some(start)) =
-                (cluster.executed_log(id), cluster.executed_log_start(id))
-            {
-                let log: Vec<(u64, u64)> =
-                    (start..).zip(log.iter().map(|d| d.0 % 100_000)).collect();
-                eprintln!("  {label} replica {id} log: {log:?}");
-            }
-        }
-        for r in cluster.commit_trace() {
-            eprintln!(
-                "  {label} commit: replica {} view {} seq {} digest {}",
-                r.replica,
-                r.view,
-                r.sequence,
-                r.digest.0 % 100_000
-            );
-        }
-    }
 }
 
 /// The harness-side actuator: the control planes actuate through this

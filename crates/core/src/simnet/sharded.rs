@@ -383,8 +383,6 @@ struct ShardedHarness<'a> {
     next_tx: u64,
     /// How many shards advance concurrently inside a parallel phase.
     workers: usize,
-    /// Whether `SIMNET_DEBUG` diagnostics print (read once, here).
-    debug: bool,
 }
 
 impl<'a> ShardedHarness<'a> {
@@ -439,7 +437,6 @@ impl<'a> ShardedHarness<'a> {
             transactions: Vec::new(),
             next_tx: 1,
             workers,
-            debug: std::env::var_os("SIMNET_DEBUG").is_some(),
         })
     }
 
@@ -932,9 +929,6 @@ impl<'a> ShardedHarness<'a> {
         });
         for round in 0..10 {
             self.settle_round();
-            if self.debug {
-                self.debug_dump(&format!("settle round {round}"), None);
-            }
             if !self.any_outstanding() && round > 0 {
                 break;
             }
@@ -1025,16 +1019,6 @@ impl<'a> ShardedHarness<'a> {
         None
     }
 
-    /// The group executor's `SIMNET_DEBUG` dump, once per shard.
-    fn debug_dump(&self, label: &str, violation: Option<&Violation>) {
-        for (shard, state) in self.states.iter().enumerate() {
-            let label = format!("{label} shard {shard}");
-            state
-                .group
-                .debug_dump(&label, self.service.shard(shard), violation);
-        }
-    }
-
     /// Executes the schedule. The result is a pure function of
     /// `(seed, config)` — never of the worker count (see the module docs
     /// for the barrier/phase structure).
@@ -1087,11 +1071,7 @@ impl<'a> ShardedHarness<'a> {
             let resolved = if local_checks {
                 self.resolve_window(window_end)
             } else {
-                let found = self.check_invariants(step);
-                if self.debug {
-                    self.debug_dump(&format!("step {step}"), found.as_ref());
-                }
-                found.map(|v| (step, v))
+                self.check_invariants(step).map(|v| (step, v))
             };
             match resolved {
                 Some((violating_step, found)) => {
@@ -1228,8 +1208,8 @@ pub fn fleet_scale_config(shards: usize) -> ShardedScheduleConfig {
 /// floor), concurrency capping the pool, and backpressure deciding
 /// admission. The autotune cost model matches the simulated cluster
 /// (`ScheduleConfig::minbft_config` defaults), so the actuated pair is
-/// exactly the validated pair. The bench suite drives the same swing
-/// against the static grid to produce the adaptive-vs-static frontier.
+/// exactly the validated pair. `tests/autotune.rs` drives a diurnal swing
+/// against the static grid to check the adaptive-vs-static frontier.
 pub fn load_swing_config() -> ShardedScheduleConfig {
     ShardedScheduleConfig {
         shards: 2,

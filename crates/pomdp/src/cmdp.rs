@@ -1,7 +1,7 @@
 //! Constrained Markov decision processes and the occupation-measure LP.
 //!
 //! Problem 2 of the paper (optimal replication factor) is a CMDP with the
-//! long-run average cost criterion and an average-availability constraint.
+//! long-run average-cost objective and an average-availability constraint.
 //! Algorithm 2 solves it exactly through the linear program (14):
 //!
 //! ```text
@@ -62,7 +62,7 @@ pub struct CmdpSolution {
     pub lp_pivots: usize,
 }
 
-/// A constrained MDP with the average-cost criterion.
+/// A constrained MDP with the average-cost objective.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cmdp {
     mdp: Mdp,

@@ -177,7 +177,7 @@ impl IncrementalPruning {
     /// # Errors
     ///
     /// * [`PomdpError::InvalidParameter`] if the discount is 1 (the
-    ///   infinite-horizon discounted criterion requires a discount below 1).
+    ///   infinite-horizon discounted objective requires a discount below 1).
     /// * [`PomdpError::DidNotConverge`] if `max_iterations` is exhausted.
     pub fn solve_infinite_horizon(
         &self,

@@ -8,7 +8,7 @@
 //! replication policy is a (mixture of) state threshold(s). This module
 //! provides the corresponding checks, which the core crate uses both to
 //! validate model parameters and to verify the structure of computed
-//! policies in tests and benches.
+//! policies in tests.
 
 /// Returns `true` if the matrix (given as rows) is totally positive of order
 /// 2: every 2x2 minor is non-negative, i.e.

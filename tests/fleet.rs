@@ -59,18 +59,16 @@ fn event_driven_replay_is_byte_identical_across_worker_grid() {
 
 #[test]
 fn windowed_fleet_scale_replay_is_byte_identical_across_worker_grid() {
-    // The fleet/scale cadence: 16 shards free-running in four-step windows
-    // under the open-loop trace workload.
-    let config = fleet_scale_config(16);
-    for seed in 0..2u64 {
+    // The fleet/scale cadence: 4 and 16 shards free-running in four-step
+    // windows under the open-loop trace workload (64 shards: the release
+    // fleet smoke below).
+    for (shards, seed) in [(16, 0u64), (16, 1), (4, 0)] {
+        let config = fleet_scale_config(shards);
         let schedule = ShardedFaultSchedule::generate(seed, &config);
-        let report = assert_worker_invariant(&format!("scale-16 seed {seed}"), &schedule, &config);
-        assert!(
-            report.violation.is_none(),
-            "scale-16 seed {seed}: {:?}",
-            report.violation
-        );
-        assert!(report.outcome.completed > 0);
+        let name = format!("scale-{shards} seed {seed}");
+        let report = assert_worker_invariant(&name, &schedule, &config);
+        assert!(report.violation.is_none(), "{name}: {:?}", report.violation);
+        assert!(report.outcome.completed > 0, "{name}");
     }
 }
 
@@ -192,11 +190,13 @@ fn fleet_smoke_64_shards_passes_the_full_oracle_suite() {
     // The CI fleet smoke: a 64-shard × 6-replica sweep under
     // the full oracle suite (per-shard agreement/validity/recovery-bound/
     // network accounting, fleet routing, settle liveness and MultiPut
-    // atomicity). Violations shrink and publish like the sharded sweep.
+    // atomicity), each seed byte-identical across the worker grid.
+    // Violations shrink and publish like the sharded sweep.
     let config = fleet_scale_config(64);
     for seed in 0..3u64 {
         let schedule = ShardedFaultSchedule::generate(seed, &config);
-        let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
+        let name = format!("fleet/scale-64 seed {seed}");
+        let report = assert_worker_invariant(&name, &schedule, &config);
         if let Some(violation) = &report.violation {
             if let Ok(Some(counterexample)) = find_sharded_counterexample(&schedule, &config) {
                 common::publish_counterexample(
@@ -204,16 +204,13 @@ fn fleet_smoke_64_shards_passes_the_full_oracle_suite() {
                     &counterexample.to_json().expect("serializable"),
                 );
             }
-            panic!("fleet/scale-64 seed {seed}: {violation}");
+            panic!("{name}: {violation}");
         }
         assert!(
             report.outcome.completed > 0,
-            "fleet/scale-64 seed {seed}: no requests completed"
+            "{name}: no requests completed"
         );
-        assert!(
-            report.multi_puts.1 > 0,
-            "fleet/scale-64 seed {seed}: no MultiPut committed"
-        );
+        assert!(report.multi_puts.1 > 0, "{name}: no MultiPut committed");
     }
 }
 

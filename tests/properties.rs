@@ -1130,13 +1130,12 @@ mod adversary_usig {
 }
 
 mod autotune_metrics {
-    //! The windowed-metrics primitives feeding the data-plane autotune
-    //! loop (PR-9 satellite): quantiles behave like quantiles, window
-    //! rotation drops exactly the expired buckets, and histogram merging
-    //! is recording the union.
+    //! The latency histogram feeding the data-plane autotune loop:
+    //! quantiles behave like quantiles, and histogram merging is recording
+    //! the union.
 
     use proptest::prelude::*;
-    use tolerance::consensus::metrics::{LatencyHistogram, WindowedCounter};
+    use tolerance::consensus::metrics::LatencyHistogram;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -1172,45 +1171,6 @@ mod autotune_metrics {
             }
             // q = 1.0 is exactly the maximum (the side-channel clamp).
             prop_assert!((histogram.quantile(1.0) - max).abs() < 1e-12);
-        }
-
-        #[test]
-        fn window_rotation_drops_exactly_the_expired_buckets(
-            span in 1u64..8,
-            records in proptest::collection::vec((0u64..32, 1u64..100), 1..60),
-        ) {
-            let mut counter = WindowedCounter::new(span);
-            // Reference: the journal of *accepted* records. The counter
-            // ignores records older than the newest window it has seen
-            // (late data must not resurrect an expired bucket); everything
-            // else is accepted, and intermediate rotations only ever drop
-            // buckets the final rotation would drop too (the expiry
-            // threshold is monotone in the window index).
-            let mut journal: Vec<(u64, u64)> = Vec::new();
-            let mut newest = 0u64;
-            for &(window, count) in &records {
-                counter.record(window, count);
-                if window >= newest {
-                    newest = window;
-                    journal.push((window, count));
-                }
-            }
-            counter.rotate(newest);
-            let oldest_live = newest.saturating_sub(span - 1);
-            let expected: u64 = journal
-                .iter()
-                .filter(|(window, _)| *window >= oldest_live)
-                .map(|(_, count)| count)
-                .sum();
-            prop_assert!(
-                counter.total() == expected,
-                "rotation to window {newest} with span {span} kept the wrong \
-                 buckets: total {} expected {expected}",
-                counter.total()
-            );
-            for (window, _) in counter.live() {
-                prop_assert!(window >= oldest_live, "expired window {window} survived");
-            }
         }
 
         #[test]
