@@ -10,10 +10,12 @@
 //! * **PERIODIC-ADAPTIVE** — recovers every `Δ_R` steps and adds a node when
 //!   the observed alert count exceeds twice its mean (SITAR, ITSI, ITUA).
 //!
-//! TOLERANCE itself is represented by [`crate::controller::NodeController`] /
-//! [`crate::controller::SystemController`]; the enum here gives the
-//! emulation a uniform way to instantiate any of the four per-node recovery
-//! policies plus the matching replication behaviour.
+//! A baseline decides in [`NodeAction`]s, like TOLERANCE's
+//! [`crate::controller::NodeController`], so a control plane holds either
+//! behind one [`crate::runtime::NodeStrategy`]. Baselines run with the
+//! system controller off: their replication behaviour is
+//! PERIODIC-ADAPTIVE's node-addition wish, which the plane's tick turns into
+//! a JOIN.
 
 use crate::node_model::NodeAction;
 use serde::{Deserialize, Serialize};
@@ -36,24 +38,6 @@ impl BaselineKind {
             BaselineKind::NoRecovery => "no-recovery",
             BaselineKind::Periodic => "periodic",
             BaselineKind::PeriodicAdaptive => "periodic-adaptive",
-        }
-    }
-}
-
-/// The per-step decision of a recovery strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecoveryDecision {
-    /// Leave the replica running.
-    Wait,
-    /// Recover the replica.
-    Recover,
-}
-
-impl From<NodeAction> for RecoveryDecision {
-    fn from(action: NodeAction) -> Self {
-        match action {
-            NodeAction::Wait => RecoveryDecision::Wait,
-            NodeAction::Recover => RecoveryDecision::Recover,
         }
     }
 }
@@ -93,26 +77,21 @@ impl RecoveryStrategy {
         self
     }
 
-    /// The baseline kind.
-    pub fn kind(&self) -> BaselineKind {
-        self.kind
-    }
-
     /// The per-step recovery decision of the baseline. Baselines ignore the
     /// alert count for recovery purposes — they are driven purely by time —
     /// which is exactly why their time-to-recovery is an order of magnitude
     /// larger than TOLERANCE's (Fig. 12).
-    pub fn decide(&mut self) -> RecoveryDecision {
+    pub fn decide(&mut self) -> NodeAction {
         match self.kind {
-            BaselineKind::NoRecovery => RecoveryDecision::Wait,
+            BaselineKind::NoRecovery => NodeAction::Wait,
             BaselineKind::Periodic | BaselineKind::PeriodicAdaptive => match self.delta_r {
                 Some(period) if period > 0 && self.steps_since_recovery + 1 >= period => {
                     self.steps_since_recovery = 0;
-                    RecoveryDecision::Recover
+                    NodeAction::Recover
                 }
                 _ => {
                     self.steps_since_recovery += 1;
-                    RecoveryDecision::Wait
+                    NodeAction::Wait
                 }
             },
         }
@@ -156,7 +135,7 @@ mod tests {
     fn no_recovery_never_recovers_or_adds() {
         let mut strategy = RecoveryStrategy::new(BaselineKind::NoRecovery, Some(5), 3.0);
         for _ in 0..100 {
-            assert_eq!(strategy.decide(), RecoveryDecision::Wait);
+            assert_eq!(strategy.decide(), NodeAction::Wait);
         }
         assert!(!strategy.wants_additional_node(100.0));
     }
@@ -164,15 +143,15 @@ mod tests {
     #[test]
     fn periodic_recovers_every_delta_r_steps() {
         let mut strategy = RecoveryStrategy::new(BaselineKind::Periodic, Some(5), 3.0);
-        let decisions: Vec<RecoveryDecision> = (0..15).map(|_| strategy.decide()).collect();
+        let decisions: Vec<NodeAction> = (0..15).map(|_| strategy.decide()).collect();
         let recoveries = decisions
             .iter()
-            .filter(|d| **d == RecoveryDecision::Recover)
+            .filter(|d| **d == NodeAction::Recover)
             .count();
         assert_eq!(recoveries, 3, "one recovery per 5 steps over 15 steps");
         // Recoveries are evenly spaced.
-        assert_eq!(decisions[4], RecoveryDecision::Recover);
-        assert_eq!(decisions[9], RecoveryDecision::Recover);
+        assert_eq!(decisions[4], NodeAction::Recover);
+        assert_eq!(decisions[9], NodeAction::Recover);
         assert!(
             !strategy.wants_additional_node(100.0),
             "periodic never adds nodes"
@@ -183,7 +162,7 @@ mod tests {
     fn periodic_with_infinite_period_degenerates_to_no_recovery() {
         let mut strategy = RecoveryStrategy::new(BaselineKind::Periodic, None, 3.0);
         for _ in 0..50 {
-            assert_eq!(strategy.decide(), RecoveryDecision::Wait);
+            assert_eq!(strategy.decide(), NodeAction::Wait);
         }
     }
 
@@ -202,32 +181,20 @@ mod tests {
         strategy.decide();
         strategy.notify_recovered();
         // After the reset it takes a full period again before recovering.
-        assert_eq!(strategy.decide(), RecoveryDecision::Wait);
-        assert_eq!(strategy.decide(), RecoveryDecision::Wait);
-        assert_eq!(strategy.decide(), RecoveryDecision::Recover);
+        assert_eq!(strategy.decide(), NodeAction::Wait);
+        assert_eq!(strategy.decide(), NodeAction::Wait);
+        assert_eq!(strategy.decide(), NodeAction::Recover);
     }
 
     #[test]
     fn a_deferred_periodic_request_fires_on_the_next_step() {
         let mut strategy = RecoveryStrategy::new(BaselineKind::Periodic, Some(5), 3.0);
-        let first = (1..=5).find(|_| strategy.decide() == RecoveryDecision::Recover);
+        let first = (1..=5).find(|_| strategy.decide() == NodeAction::Recover);
         assert_eq!(first, Some(5));
         strategy.notify_deferred();
         // Due again at once, not Δ_R steps later; a granted recovery then
         // restarts the period.
-        assert_eq!(strategy.decide(), RecoveryDecision::Recover);
-        assert_eq!(strategy.decide(), RecoveryDecision::Wait);
-    }
-
-    #[test]
-    fn conversion_from_node_action() {
-        assert_eq!(
-            RecoveryDecision::from(NodeAction::Wait),
-            RecoveryDecision::Wait
-        );
-        assert_eq!(
-            RecoveryDecision::from(NodeAction::Recover),
-            RecoveryDecision::Recover
-        );
+        assert_eq!(strategy.decide(), NodeAction::Recover);
+        assert_eq!(strategy.decide(), NodeAction::Wait);
     }
 }

@@ -188,11 +188,12 @@ impl NodeController {
 /// Grants recovery requests within the k-slot budget of Proposition 1.
 ///
 /// `requests` pairs each requester's key with the belief its request was
-/// decided on, and is sorted into rank order: highest belief first, ties by
-/// key ascending. In that order, while fewer than `k.max(1)` requests have
-/// been granted, `recover` actuates a request; a refusal (`Ok(false)`) uses
-/// up no slot. Returns the recovered keys and the deferred ones (refused or
-/// over the budget), each in rank order.
+/// decided on. They are ranked highest belief first, ties by key ascending;
+/// in that order, while fewer than `k.max(1)` requests have been granted,
+/// `recover` actuates a request, and a refusal (`Ok(false)`) uses up no
+/// slot. Returns how many were granted: `requests` ends with the granted
+/// requests first and the deferred ones (refused or over the budget) after
+/// them, each in rank order.
 ///
 /// # Errors
 ///
@@ -201,17 +202,16 @@ pub fn allocate_recoveries<K: Ord + Copy, E>(
     requests: &mut [(K, f64)],
     k: usize,
     mut recover: impl FnMut(K) -> std::result::Result<bool, E>,
-) -> std::result::Result<(Vec<K>, Vec<K>), E> {
+) -> std::result::Result<usize, E> {
     requests.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let (mut recovered, mut deferred) = (Vec::new(), Vec::new());
-    for &(key, _) in requests.iter() {
-        if recovered.len() < k.max(1) && recover(key)? {
-            recovered.push(key);
-        } else {
-            deferred.push(key);
+    let mut granted = 0;
+    for index in 0..requests.len() {
+        if granted < k.max(1) && recover(requests[index].0)? {
+            requests[granted..=index].rotate_right(1);
+            granted += 1;
         }
     }
-    Ok((recovered, deferred))
+    Ok(granted)
 }
 
 /// The decision of the system controller for one time-step.
@@ -382,14 +382,15 @@ mod tests {
         // recover and the tie's higher key 3 is deferred.
         assert_eq!(
             allocate_recoveries(&mut requests, 2, |key| Ok::<_, ()>(key != 0)),
-            Ok((vec![1, 2], vec![0, 3]))
+            Ok(2)
         );
-        assert_eq!(requests.map(|(key, _)| key), [1, 0, 2, 3]);
+        assert_eq!(requests.map(|(key, _)| key), [1, 2, 0, 3]);
         // k = 0 still grants one slot; an actuation error stops the budget.
         assert_eq!(
             allocate_recoveries(&mut requests, 0, |_| Ok::<_, ()>(true)),
-            Ok((vec![1], vec![0, 2, 3]))
+            Ok(1)
         );
+        assert_eq!(requests.map(|(key, _)| key), [1, 0, 2, 3]);
         assert_eq!(
             allocate_recoveries(&mut requests, 2, |key| if key == 0 {
                 Err(key)

@@ -1,26 +1,23 @@
 //! The fleet-level control plane of the sharded service: one global
 //! recovery budget, one system controller, many MinBFT groups.
 //!
-//! Each shard keeps its own per-node belief controllers (the local control
-//! level is unchanged), but the **k-parallel-recovery budget of
-//! Proposition 1 is allocated fleet-wide**: every tick the recovery
-//! requests of all shards compete for the same `k` slots, prioritized by
-//! the *deciding* belief — so an intrusion burst in shard A cannot starve
-//! recovery in shard B beyond the shared budget, and a deferred request
-//! (lost the priority sort, or refused by the actuator) genuinely re-fires
-//! on the next tick through [`NodeController::notify_deferred`].
+//! Each node keeps its own strategy (the local level), but the
+//! **k-parallel-recovery budget of Proposition 1 is fleet-wide**: the
+//! requests of all shards compete for the same `k` slots by *deciding*
+//! belief, and a deferred one re-fires on the next tick
+//! ([`NodeStrategy::notify_deferred`]). **One** [`SystemController`] sees the
+//! concatenated belief report, evicts non-reporting (crashed) replicas
+//! wherever they live, and sends each JOIN to the *neediest* shard (fewest
+//! healthy replicas) within per-shard and fleet-wide bounds. With it off, the
+//! baselines' node-addition wish (PERIODIC-ADAPTIVE) decides the JOINs.
 //!
-//! The global level likewise runs **one** [`SystemController`] per fleet:
-//! it sees the concatenated belief report of every shard, evicts
-//! non-reporting (crashed) replicas wherever they live, and allocates
-//! JOIN spares to the *neediest* shard — the one with the fewest healthy
-//! replicas — subject to per-shard and fleet-wide membership bounds.
-//!
-//! The single-cluster [`ControlPlane`](super::ControlPlane) that steers the
-//! live service is its one-shard view, so the live planes and the simnet
-//! harness share this implementation of the two control laws, and the k-slot
-//! budget itself is [`allocate_recoveries`], which the Table-7 emulation loop
-//! calls too: every closed loop grants recoveries by the one rule.
+//! The single-cluster [`ControlPlane`](super::ControlPlane) is its one-shard
+//! view, and every closed loop runs this tick — the live planes, the simnet
+//! harness and the Table-7 emulation — so it is the one caller of
+//! [`allocate_recoveries`] and [`SystemController::decide`]. A node's
+//! strategy is the plane's default belief controller unless its plant
+//! installed another (the emulation's TOLERANCE controllers over each
+//! container's IDS model, or a baseline).
 
 use crate::controller::{allocate_recoveries, NodeController, SystemController};
 use crate::controlplane::actuator::ClusterActuator;
@@ -29,25 +26,21 @@ use crate::error::Result;
 use crate::node_model::{NodeAction, NodeModel};
 use crate::recovery::ThresholdStrategy;
 use crate::replication::{ReplicationConfig, ReplicationProblem};
+use crate::runtime::NodeStrategy;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use tolerance_consensus::NodeId;
 
-/// What one fleet tick did. Nodes are addressed as `(shard, node)`.
+/// What one fleet tick did, besides its recovery requests, which the plane
+/// keeps until the next tick ([`FleetControlPlane::requested`]). Nodes are
+/// addressed as `(shard, node)`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct FleetTickReport {
-    /// Per-shard, per-node beliefs after the update, in observation order
-    /// (`None` = the node failed to report).
-    pub beliefs: Vec<Vec<(NodeId, Option<f64>)>>,
-    /// Recovery requests this tick (before the global k-truncation), in
-    /// deciding-belief priority order.
-    pub requested: Vec<(usize, NodeId)>,
-    /// Recoveries actuated within the global budget.
-    pub recovered: Vec<(usize, NodeId)>,
-    /// Requests deferred to the next tick (budget exhausted or actuator
-    /// refused).
-    pub deferred: Vec<(usize, NodeId)>,
+    /// Every node's belief after the update, shard-major in observation
+    /// order (`None` = the node failed to report, or its strategy tracks no
+    /// belief).
+    pub beliefs: Vec<(NodeId, Option<f64>)>,
     /// Nodes evicted by the system controller.
     pub evicted: Vec<(usize, NodeId)>,
     /// The shard that received a JOIN this tick, with the new replica.
@@ -68,8 +61,14 @@ pub(crate) struct FleetControlPlane {
     max_total_replicas: usize,
     node_model: NodeModel,
     strategy: ThresholdStrategy,
-    controllers: BTreeMap<(usize, NodeId), NodeController>,
+    controllers: BTreeMap<(usize, NodeId), NodeStrategy>,
     system: Option<SystemController>,
+    /// The last tick's recovery requests with their deciding beliefs, the
+    /// `granted` ones first; like `reports`, the system controller's input,
+    /// kept between ticks for its allocation.
+    requests: Vec<((usize, NodeId), f64)>,
+    granted: usize,
+    reports: Vec<Option<f64>>,
 }
 
 impl FleetControlPlane {
@@ -104,6 +103,9 @@ impl FleetControlPlane {
             strategy,
             controllers: BTreeMap::new(),
             system,
+            requests: Vec::new(),
+            granted: 0,
+            reports: Vec::new(),
         })
     }
 
@@ -112,24 +114,80 @@ impl FleetControlPlane {
         &self.config
     }
 
-    /// The node controller of `(shard, node)`, creating it on first access.
-    pub fn controller(&mut self, shard: usize, node: NodeId) -> &mut NodeController {
-        let node_model = &self.node_model;
-        let strategy = &self.strategy;
-        self.controllers
-            .entry((shard, node))
-            .or_insert_with(|| NodeController::new(node_model.clone(), strategy.clone()))
+    /// The strategy of `(shard, node)`, creating the plane's default belief
+    /// controller on first access.
+    pub fn controller(&mut self, shard: usize, node: NodeId) -> &mut NodeStrategy {
+        let (model, strategy) = (&self.node_model, &self.strategy);
+        self.controllers.entry((shard, node)).or_insert_with(|| {
+            NodeStrategy::Tolerance(Box::new(NodeController::new(
+                model.clone(),
+                strategy.clone(),
+            )))
+        })
     }
 
-    /// Read-only view of a node's controller, if it exists.
+    /// Read-only view of a node's strategy, if it exists.
     #[cfg(test)]
-    pub(crate) fn controller_of(&self, shard: usize, node: NodeId) -> Option<&NodeController> {
+    pub(crate) fn controller_of(&self, shard: usize, node: NodeId) -> Option<&NodeStrategy> {
         self.controllers.get(&(shard, node))
     }
 
-    /// Drops the controller of an evicted node.
+    /// Drops the strategy of an evicted node.
     pub(crate) fn forget(&mut self, shard: usize, node: NodeId) {
         self.controllers.remove(&(shard, node));
+    }
+
+    /// The last tick's recovery requests (before the global k-truncation):
+    /// the recovered ones first, then the deferred ones, each in
+    /// deciding-belief priority order.
+    pub(crate) fn requested(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        self.requests.iter().map(|&(key, _)| key)
+    }
+
+    /// The last tick's recoveries, actuated within the global budget.
+    pub(crate) fn recovered(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        self.requested().take(self.granted)
+    }
+
+    /// The local level of one shard: folds each node's observation through
+    /// its strategy (one lookup per node), appends the node's belief to
+    /// `beliefs` and its recovery request, if any, to the tick's. Returns
+    /// whether a node wishes for an extra node (PERIODIC-ADAPTIVE's
+    /// `o_t ≥ 2 E[O_t]`, tested per event of a stream).
+    fn observe_shard(
+        &mut self,
+        shard: usize,
+        observations: &[(NodeId, NodeReport<'_>)],
+        beliefs: &mut Vec<(NodeId, Option<f64>)>,
+    ) -> bool {
+        let mut wants_node = false;
+        for &(id, observation) in observations {
+            let node = self.controller(shard, id);
+            let action = match observation {
+                NodeReport::Silent => {
+                    beliefs.push((id, None));
+                    continue;
+                }
+                NodeReport::Sample(alerts) => {
+                    wants_node |= node.wants_additional_node(alerts as f64);
+                    node.observe_and_decide(alerts)
+                }
+                NodeReport::Events(events) => {
+                    wants_node |= events.iter().any(|&e| node.wants_additional_node(e as f64));
+                    node.observe_events(events)
+                }
+            };
+            beliefs.push((id, node.belief()));
+            // Priority by the *deciding* belief: `belief()` was already reset
+            // to the attack prior when the decision fired. A baseline tracks
+            // no belief: baselines tie and rank by key.
+            let request =
+                (action == NodeAction::Recover).then(|| node.request_belief().unwrap_or(1.0));
+            if let Some(belief) = request {
+                self.requests.push(((shard, id), belief));
+            }
+        }
+        wants_node
     }
 
     /// One control time-step across the whole fleet
@@ -161,116 +219,89 @@ impl FleetControlPlane {
             actuators.len(),
             "one actuator per shard"
         );
-        let mut report = FleetTickReport::default();
-        // Local level: fold every shard's observations through its node
-        // controllers and collect the fleet-wide recovery requests with
-        // their deciding beliefs.
-        let mut requests: Vec<((usize, NodeId), f64)> = Vec::new();
+        let shard_sizes = || observations.iter().map(|o| o.as_ref().len());
+        let mut report = FleetTickReport {
+            beliefs: Vec::with_capacity(shard_sizes().sum()),
+            ..FleetTickReport::default()
+        };
+        self.requests.clear();
+        let mut wants_node = false;
         for (shard, shard_observations) in observations.iter().enumerate() {
-            let shard_observations = shard_observations.as_ref();
-            let mut beliefs: Vec<(NodeId, Option<f64>)> =
-                Vec::with_capacity(shard_observations.len());
-            for &(id, observation) in shard_observations {
-                let action = match observation {
-                    NodeReport::Silent => {
-                        beliefs.push((id, None));
-                        continue;
-                    }
-                    NodeReport::Sample(alerts) => {
-                        self.controller(shard, id).observe_and_decide(alerts)
-                    }
-                    NodeReport::Events(events) => self.controller(shard, id).observe_events(events),
-                };
-                let controller = self
-                    .controllers
-                    .get(&(shard, id))
-                    .expect("controller exists");
-                beliefs.push((id, Some(controller.belief())));
-                if action == NodeAction::Recover {
-                    // Priority by the *deciding* belief: `belief()` was
-                    // already reset to the attack prior when the decision
-                    // fired, which would make every requester tie and
-                    // degrade the k-slot priority to node-id order.
-                    requests.push(((shard, id), controller.last_request_belief()));
-                }
-            }
-            report.beliefs.push(beliefs);
+            wants_node |=
+                self.observe_shard(shard, shard_observations.as_ref(), &mut report.beliefs);
         }
         // Global budget (Proposition 1), fleet-wide; a deferred request
         // re-fires next tick.
-        let Ok(allocation) = allocate_recoveries(
-            &mut requests,
+        let Ok(granted) = allocate_recoveries(
+            &mut self.requests,
             self.config.parallel_recoveries,
             |(shard, id)| Ok::<_, Infallible>(actuators[shard].recover(id)),
         );
-        (report.recovered, report.deferred) = allocation;
-        report.requested = requests.iter().map(|&(key, _)| key).collect();
-        for key in &report.recovered {
-            if let Some(controller) = self.controllers.get_mut(key) {
-                controller.notify_recovered();
-            }
-        }
-        for key in &report.deferred {
-            if let Some(controller) = self.controllers.get_mut(key) {
-                controller.notify_deferred();
+        self.granted = granted;
+        for (index, &(key, _)) in self.requests.iter().enumerate() {
+            if let Some(node) = self.controllers.get_mut(&key) {
+                if index < granted {
+                    node.notify_recovered();
+                } else {
+                    node.notify_deferred();
+                }
             }
         }
         // Global level: one system controller over the concatenated belief
-        // report. Evictions route back to the owning shard; the JOIN spare
-        // goes to the neediest shard.
-        if let Some(system) = &mut self.system {
-            let mut index_map: Vec<(usize, NodeId)> = Vec::new();
-            let mut reports: Vec<Option<f64>> = Vec::new();
-            for (shard, beliefs) in report.beliefs.iter().enumerate() {
-                for &(id, belief) in beliefs {
-                    index_map.push((shard, id));
-                    reports.push(belief);
-                }
-            }
-            let decision = system.decide(&reports, rng);
-            report.estimated_healthy = Some(decision.estimated_healthy);
-            let mut evict: Vec<(usize, NodeId)> = decision
-                .evict
-                .iter()
-                .filter_map(|&index| index_map.get(index).copied())
-                .collect();
-            evict.sort_unstable();
-            for (shard, id) in evict {
-                if actuators[shard].contains(id)
-                    && actuators[shard].replica_count() > self.config.min_replicas
-                    && actuators[shard].evict(id)
-                {
-                    self.controllers.remove(&(shard, id));
-                    report.evicted.push((shard, id));
-                }
-            }
-            if decision.add_node {
-                let total: usize = actuators.iter().map(|a| a.replica_count()).sum();
-                if total < self.max_total_replicas {
-                    // Neediest shard: fewest healthy-looking reporters,
-                    // ties broken by smallest membership then shard index.
-                    let target = report
-                        .beliefs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(shard, _)| {
-                            actuators[shard].replica_count() < self.config.max_replicas
-                        })
-                        .min_by_key(|&(shard, beliefs)| {
-                            let healthy = beliefs
-                                .iter()
-                                .filter(|(_, b)| b.is_some_and(|b| b < 0.5))
-                                .count();
-                            (healthy, actuators[shard].replica_count(), shard)
-                        })
-                        .map(|(shard, _)| shard);
-                    if let Some(shard) = target {
-                        if let Some(id) = actuators[shard].join() {
-                            self.controller(shard, id);
-                            report.joined = Some((shard, id));
-                        }
+        // report, evictions routed back to the owning shard; without it, the
+        // baselines' wish. The JOIN goes to the neediest shard.
+        let add_node = match &mut self.system {
+            None => wants_node,
+            Some(system) => {
+                self.reports.clear();
+                self.reports
+                    .extend(report.beliefs.iter().map(|&(_, belief)| belief));
+                let decision = system.decide(&self.reports, rng);
+                report.estimated_healthy = Some(decision.estimated_healthy);
+                let shard_of = |index| {
+                    let mut end = 0;
+                    shard_sizes().position(|size| {
+                        end += size;
+                        index < end
+                    })
+                };
+                let mut evict: Vec<(usize, NodeId)> = decision
+                    .evict
+                    .iter()
+                    .filter_map(|&index| Some((shard_of(index)?, report.beliefs[index].0)))
+                    .collect();
+                evict.sort_unstable();
+                for (shard, id) in evict {
+                    if actuators[shard].contains(id)
+                        && actuators[shard].replica_count() > self.config.min_replicas
+                        && actuators[shard].evict(id)
+                    {
+                        self.controllers.remove(&(shard, id));
+                        report.evicted.push((shard, id));
                     }
                 }
+                decision.add_node
+            }
+        };
+        if add_node
+            && actuators.iter().map(|a| a.replica_count()).sum::<usize>() < self.max_total_replicas
+        {
+            // Neediest shard: fewest healthy-looking reporters, ties broken
+            // by smallest membership then shard index.
+            let mut start = 0;
+            let target = shard_sizes()
+                .enumerate()
+                .filter_map(|(shard, size)| {
+                    let beliefs = &report.beliefs[start..start + size];
+                    start += size;
+                    let members = actuators[shard].replica_count();
+                    let healthy = beliefs.iter().filter(|(_, b)| b.is_some_and(|b| b < 0.5));
+                    (members < self.config.max_replicas).then(|| (healthy.count(), members, shard))
+                })
+                .min();
+            if let Some((_, _, shard)) = target {
+                // The new node's strategy is made at its first report.
+                report.joined = actuators[shard].join().map(|id| (shard, id));
             }
         }
         report
@@ -280,8 +311,10 @@ impl FleetControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::BaselineKind;
     use crate::node_model::NodeParameters;
     use crate::observation::ObservationModel;
+    use crate::runtime::{NodeStrategyConfig, StrategyKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -346,6 +379,14 @@ mod tests {
         plane(config, 16)
     }
 
+    /// The last tick's requested, recovered and deferred nodes.
+    fn requests(plane: &FleetControlPlane) -> [Vec<(usize, NodeId)>; 3] {
+        let requested: Vec<_> = plane.requested().collect();
+        let recovered: Vec<_> = plane.recovered().collect();
+        let deferred = requested[recovered.len()..].to_vec();
+        [requested, recovered, deferred]
+    }
+
     /// Events observations for a two-shard fleet: shard 0 node 1 sees a
     /// dense burst, shard 1 node 2 a slightly sparser one; everyone else is
     /// quiet.
@@ -389,37 +430,40 @@ mod tests {
         let hot = [10u64, 10, 10, 10, 10, 10];
         let warm = [10u64, 10, 10, 10];
         let quiet = [0u64];
-        let mut first: Option<FleetTickReport> = None;
+        let mut first = None;
         for _ in 0..10 {
             let observations = two_shard_observations(&shards, &hot, &warm, &quiet);
             let (left, right) = shards.split_at_mut(1);
             let mut actuators: Vec<&mut dyn ClusterActuator> = vec![&mut left[0], &mut right[0]];
-            let tick = plane.tick(&observations, &mut actuators, &mut rng);
-            if tick.requested.len() >= 2 {
+            plane.tick(&observations, &mut actuators, &mut rng);
+            let tick = requests(&plane);
+            if tick[0].len() >= 2 {
                 first = Some(tick);
                 break;
             }
             assert!(
-                tick.recovered.len() <= 1,
+                tick[1].len() <= 1,
                 "the global k = 1 budget bounds per-tick recoveries"
             );
         }
-        let first = first.expect("both compromises must eventually request");
+        let [requested, recovered, deferred] =
+            first.expect("both compromises must eventually request");
         // Priority order: the denser burst (shard 0, node 1) decided on a
         // higher belief and wins the single slot.
-        assert_eq!(first.requested[0], (0, 1));
-        assert_eq!(first.recovered, vec![(0, 1)]);
-        assert!(first.deferred.contains(&(1, 2)), "{first:?}");
+        assert_eq!(requested[0], (0, 1));
+        assert_eq!(recovered, vec![(0, 1)]);
+        assert!(deferred.contains(&(1, 2)), "{deferred:?}");
 
         // The deferred shard re-fires immediately on the next tick and now
         // wins the freed slot.
         let observations = two_shard_observations(&shards, &quiet, &quiet, &quiet);
         let (left, right) = shards.split_at_mut(1);
         let mut actuators: Vec<&mut dyn ClusterActuator> = vec![&mut left[0], &mut right[0]];
-        let tick = plane.tick(&observations, &mut actuators, &mut rng);
+        plane.tick(&observations, &mut actuators, &mut rng);
+        let [_, recovered, _] = requests(&plane);
         assert!(
-            tick.recovered.contains(&(1, 2)),
-            "the deferred shard must recover next tick: {tick:?}"
+            recovered.contains(&(1, 2)),
+            "the deferred shard must recover next tick: {recovered:?}"
         );
         assert_eq!(shards[0].recovered, vec![1]);
         assert_eq!(shards[1].recovered, vec![2]);
@@ -439,11 +483,12 @@ mod tests {
             let observations = two_shard_observations(&shards, &hot, &warm, &quiet);
             let (left, right) = shards.split_at_mut(1);
             let mut actuators: Vec<&mut dyn ClusterActuator> = vec![&mut left[0], &mut right[0]];
-            let tick = plane.tick(&observations, &mut actuators, &mut rng);
-            if tick.recovered.contains(&(1, 2)) {
+            plane.tick(&observations, &mut actuators, &mut rng);
+            let [_, recovered, deferred] = requests(&plane);
+            if recovered.contains(&(1, 2)) {
                 // Shard 0's refusal must not have eaten the only slot.
                 recovered_other = true;
-                assert!(tick.deferred.contains(&(0, 1)), "{tick:?}");
+                assert!(deferred.contains(&(0, 1)), "{deferred:?}");
                 break;
             }
         }
@@ -516,5 +561,106 @@ mod tests {
             Some(1),
             "the JOIN spare must go to the shard that lost a member"
         );
+    }
+
+    /// A PERIODIC-ADAPTIVE node whose healthy mean is 2 alerts: a sample
+    /// of 4 or more is a burst.
+    fn periodic_adaptive() -> NodeStrategy {
+        let model =
+            NodeModel::new(NodeParameters::default(), ObservationModel::paper_default()).unwrap();
+        let config = NodeStrategyConfig {
+            recovery_threshold: 0.76,
+            delta_r: Some(15),
+            initial_phase: 0,
+        };
+        StrategyKind::Baseline(BaselineKind::PeriodicAdaptive)
+            .build_node_strategy(model, 2.0, &config)
+            .unwrap()
+    }
+
+    /// Node 0 of every shard sees `alerts`, every other node none.
+    fn bursts(shards: &[FakeShard], alerts: u64) -> Vec<Vec<(NodeId, NodeReport<'static>)>> {
+        shards
+            .iter()
+            .map(|fake| {
+                let report = |id| NodeReport::Sample(if id == 0 { alerts } else { 0 });
+                fake.members.iter().map(|&id| (id, report(id))).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn baseline_join_wish_adds_one_node_per_tick_within_both_bounds() {
+        // With the system controller off, the baselines' node-addition wish
+        // is the global decision: one JOIN per tick while a node sees a
+        // burst, until the shard reaches `max_replicas` or the fleet its
+        // `max_total_replicas`.
+        let config = ControlPlaneConfig {
+            system_controller: false,
+            max_replicas: 6,
+            delta_r: None,
+            ..ControlPlaneConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut plane = plane(config.clone(), 16);
+        let mut shards = [FakeShard::new(4)];
+        *plane.controller(0, 0) = periodic_adaptive();
+        let joins: Vec<bool> = (0..4)
+            .map(|_| {
+                let observations = bursts(&shards, 10);
+                let mut actuators: Vec<&mut FakeShard> = shards.iter_mut().collect();
+                plane
+                    .tick(&observations, &mut actuators, &mut rng)
+                    .joined
+                    .is_some()
+            })
+            .collect();
+        assert_eq!(joins, [true, true, false, false], "max_replicas = 6");
+        assert_eq!(shards[0].replica_count(), 6);
+        // A quiet step wishes for nothing.
+        let mut plane = self::plane(config.clone(), 16);
+        let mut quiet = [FakeShard::new(4)];
+        *plane.controller(0, 0) = periodic_adaptive();
+        let observations = bursts(&quiet, 3);
+        let mut actuators: Vec<&mut FakeShard> = quiet.iter_mut().collect();
+        assert_eq!(
+            plane.tick(&observations, &mut actuators, &mut rng).joined,
+            None
+        );
+
+        // Two shards of 4 under a fleet budget of 9: one JOIN in all.
+        let mut plane = self::plane(config.clone(), 9);
+        let mut shards = [FakeShard::new(4), FakeShard::new(4)];
+        *plane.controller(0, 0) = periodic_adaptive();
+        *plane.controller(1, 0) = periodic_adaptive();
+        let mut joined = 0;
+        for _ in 0..4 {
+            let observations = bursts(&shards, 10);
+            let mut actuators: Vec<&mut FakeShard> = shards.iter_mut().collect();
+            joined += usize::from(
+                plane
+                    .tick(&observations, &mut actuators, &mut rng)
+                    .joined
+                    .is_some(),
+            );
+        }
+        assert_eq!(joined, 1, "max_total_replicas = 9");
+        assert_eq!(
+            shards.iter().map(FakeShard::replica_count).sum::<usize>(),
+            9
+        );
+
+        // TOLERANCE controllers have no wish: the same bursts join nothing.
+        let mut plane = self::plane(config, 16);
+        let mut shards = [FakeShard::new(4)];
+        for _ in 0..6 {
+            let observations = bursts(&shards, 10);
+            let mut actuators: Vec<&mut FakeShard> = shards.iter_mut().collect();
+            assert_eq!(
+                plane.tick(&observations, &mut actuators, &mut rng).joined,
+                None
+            );
+        }
+        assert_eq!(shards[0].replica_count(), 4);
     }
 }

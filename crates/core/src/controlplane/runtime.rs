@@ -1,24 +1,20 @@
-//! The transport-agnostic control runtime: one `tick` for both clusters.
+//! The transport-agnostic control runtime: one `tick` for every plant.
 //!
-//! A [`ControlPlane`] advances both control levels of one MinBFT group by
-//! one time-step per [`ControlPlane::tick`]: belief updates from the IDS
-//! observation channel, the k-parallel-recovery constraint of
-//! Proposition 1, crash eviction and the Algorithm-2 replication decision —
-//! all actuated through a pluggable [`ClusterActuator`]. It is the
-//! one-shard view of the `FleetControlPlane`, so the live controlled
-//! service (wall-clock, threaded cluster) and the simnet harness
-//! (deterministic, simulated clusters) run the same code for both laws —
-//! the paper's claim that one control architecture steers the real
-//! service. Its k-slot budget is
-//! [`allocate_recoveries`](crate::controller::allocate_recoveries), the one
-//! rule every closed loop, the Table-7 emulation included, recovers by.
+//! A [`ControlPlane`] advances both control levels of one group per
+//! [`ControlPlane::tick`]: node strategies fold their [`NodeReport`]s, the
+//! k-slot budget of Proposition 1 grants recoveries, and the system
+//! controller (Algorithm 2) evicts and joins, all through a
+//! [`ClusterActuator`]. It is the one-shard `FleetControlPlane`; its plants
+//! are the live threaded cluster, the simnet harness and the Table-7
+//! emulation's testbed, which installs its strategies through
+//! [`ControlPlane::controller`].
 
-use crate::controller::NodeController;
 use crate::controlplane::actuator::ClusterActuator;
 use crate::controlplane::fleet::FleetControlPlane;
 use crate::error::Result;
 use crate::node_model::{NodeModel, NodeParameters};
 use crate::observation::ObservationModel;
+use crate::runtime::NodeStrategy;
 use rand::Rng;
 use tolerance_consensus::NodeId;
 
@@ -33,13 +29,14 @@ pub struct ControlPlaneConfig {
     /// many recoveries actuate per tick, across a whole fleet; the rest
     /// re-request next tick).
     pub parallel_recoveries: usize,
-    /// Whether the global replication controller (Algorithm 2) runs.
+    /// Whether the global replication controller (Algorithm 2) runs; without
+    /// it, the baselines' node-addition wish decides the JOINs.
     pub system_controller: bool,
     /// Smallest membership the system controller may shrink a group (each
     /// shard of a fleet) to.
     pub min_replicas: usize,
-    /// Largest membership the system controller may grow a group (each
-    /// shard of a fleet) to.
+    /// Largest membership a JOIN may grow a group (each shard of a fleet)
+    /// to.
     pub max_replicas: usize,
     /// Fault threshold `f` the replication problem of Algorithm 2 is solved
     /// for (`N_t ≥ 2f + 1 + k`, Proposition 1).
@@ -84,10 +81,9 @@ pub enum NodeReport<'a> {
 /// What one control tick did.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TickReport {
-    /// Per-node compromise beliefs after the update — exactly the report
-    /// vector the system controller consumed, so a node whose recovery was
-    /// requested this tick already shows the post-recovery prior
-    /// (`None` = no report).
+    /// Per-node compromise beliefs after the update, the report vector the
+    /// system controller consumed: a requester already shows the
+    /// post-recovery prior (`None` = no report, or a baseline's).
     pub beliefs: Vec<(NodeId, Option<f64>)>,
     /// Nodes whose controllers requested a recovery this tick (before the
     /// k-truncation).
@@ -96,7 +92,7 @@ pub struct TickReport {
     pub recovered: Vec<NodeId>,
     /// Nodes evicted by the system controller (crash eviction).
     pub evicted: Vec<NodeId>,
-    /// Replica joined by the system controller, if any.
+    /// Replica joined this tick, if any.
     pub joined: Option<NodeId>,
     /// The expected-healthy estimate the system controller acted on.
     pub estimated_healthy: Option<usize>,
@@ -130,22 +126,24 @@ impl ControlPlane {
         self.fleet.config()
     }
 
-    /// The node controller of `node`, creating it on first access.
-    pub fn controller(&mut self, node: NodeId) -> &mut NodeController {
+    /// The strategy of `node`, created on first access as the plane's
+    /// default belief controller (the paper's node model at
+    /// `recovery_threshold`). A plant installs its own by assigning to it.
+    /// A baseline reports no belief, which a system controller reads as a
+    /// crash: baselines run with `system_controller: false`.
+    pub fn controller(&mut self, node: NodeId) -> &mut NodeStrategy {
         self.fleet.controller(0, node)
     }
 
-    /// Read-only view of a node's controller, if it exists.
+    /// Read-only view of a node's strategy, if it exists.
     #[cfg(test)]
-    pub(crate) fn controller_of(&self, node: NodeId) -> Option<&NodeController> {
+    pub(crate) fn controller_of(&self, node: NodeId) -> Option<&NodeStrategy> {
         self.fleet.controller_of(0, node)
     }
 
-    /// One control time-step across both levels
-    /// (`FleetControlPlane::tick` at one shard).
-    ///
-    /// `observations` lists the current membership **in membership order**
-    /// with each node's IDS input.
+    /// One control time-step across both levels (`FleetControlPlane::tick`
+    /// at one shard); `observations` lists the membership **in membership
+    /// order** with each node's IDS input.
     pub fn tick<A: ClusterActuator + ?Sized, R: Rng + ?Sized>(
         &mut self,
         observations: &[(NodeId, NodeReport<'_>)],
@@ -155,9 +153,9 @@ impl ControlPlane {
         let tick = self.fleet.tick(&[observations], &mut [actuator], rng);
         let node = |(_, id): (usize, NodeId)| id;
         TickReport {
-            beliefs: tick.beliefs.into_iter().next().unwrap_or_default(),
-            requested: tick.requested.into_iter().map(node).collect(),
-            recovered: tick.recovered.into_iter().map(node).collect(),
+            beliefs: tick.beliefs,
+            requested: self.fleet.requested().map(node).collect(),
+            recovered: self.fleet.recovered().map(node).collect(),
             evicted: tick.evicted.into_iter().map(node).collect(),
             joined: tick.joined.map(node),
             estimated_healthy: tick.estimated_healthy,
@@ -250,7 +248,7 @@ mod tests {
         assert_eq!(cluster.recovered.len(), 1);
         // The recovered node's belief reset to the attack prior.
         let id = cluster.recovered[0];
-        assert!(plane.controller_of(id).unwrap().belief() < 0.2);
+        assert!(plane.controller_of(id).unwrap().belief().unwrap() < 0.2);
     }
 
     #[test]

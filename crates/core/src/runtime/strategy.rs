@@ -1,18 +1,13 @@
-//! Shared construction of the control strategies under evaluation.
-//!
-//! Every layer that runs the closed loop — the emulated testbed, the
-//! comparison harness, the experiment binary — needs the same two factories:
-//! "give me the per-node decision maker for this strategy" and "give me the
-//! system controller for this strategy". Before the runtime existed each
-//! caller re-implemented the `match` over [`StrategyKind`]; it lives here
-//! once now.
+//! The per-node decision makers under evaluation: a [`NodeStrategy`] is what
+//! a control plane holds per node, TOLERANCE's belief controller or a
+//! baseline, built by [`StrategyKind::build_node_strategy`]. The system
+//! controller is the plane's own (TOLERANCE runs it; the baselines do not).
 
-use crate::baselines::{BaselineKind, RecoveryDecision, RecoveryStrategy};
-use crate::controller::{NodeController, SystemController};
+use crate::baselines::{BaselineKind, RecoveryStrategy};
+use crate::controller::NodeController;
 use crate::error::Result;
-use crate::node_model::NodeModel;
+use crate::node_model::{NodeAction, NodeModel};
 use crate::recovery::ThresholdStrategy;
-use crate::replication::{ReplicationConfig, ReplicationProblem};
 use serde::{Deserialize, Serialize};
 
 /// Which control strategy a scenario runs.
@@ -44,13 +39,9 @@ impl StrategyKind {
         ]
     }
 
-    /// Builds the per-node decision maker for this strategy.
-    ///
-    /// * `model` — the node's POMDP model (built from its container's
-    ///   observation model).
-    /// * `expected_alerts` — the healthy-state mean alert count, used by the
-    ///   PERIODIC-ADAPTIVE replication heuristic.
-    /// * `config` — threshold, BTR period and period phase.
+    /// Builds the per-node decision maker for this strategy over the node's
+    /// POMDP `model`; `expected_alerts`, the healthy-state mean alert count,
+    /// is PERIODIC-ADAPTIVE's burst reference.
     ///
     /// # Errors
     ///
@@ -80,38 +71,16 @@ impl StrategyKind {
             )),
         }
     }
-
-    /// Builds the system controller for this strategy: TOLERANCE solves the
-    /// replication CMDP with Algorithm 2 up front (the training phase of
-    /// Section X); baselines manage no replication factor and get `None`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction and LP failures.
-    pub fn build_system_controller(
-        self,
-        replication: ReplicationConfig,
-    ) -> Result<Option<SystemController>> {
-        match self {
-            StrategyKind::Tolerance => {
-                let problem = ReplicationProblem::new(replication)?;
-                Ok(Some(SystemController::new(problem.solve()?)))
-            }
-            StrategyKind::Baseline(_) => Ok(None),
-        }
-    }
 }
 
 /// Node-level strategy parameters shared by all scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeStrategyConfig {
-    /// Belief threshold of the TOLERANCE node controllers (Fig. 13b reports
-    /// 0.76).
+    /// Belief threshold of the TOLERANCE node controllers (0.76, Fig. 13b).
     pub recovery_threshold: f64,
     /// BTR period `Δ_R` (`None` = ∞).
     pub delta_r: Option<u32>,
-    /// Offset within the recovery period, staggering periodic baselines
-    /// across nodes.
+    /// Offset within the recovery period, staggering the periodic baselines.
     pub initial_phase: u32,
 }
 
@@ -119,27 +88,29 @@ pub struct NodeStrategyConfig {
 /// controller or a baseline recovery schedule, behind one uniform API.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeStrategy {
-    /// The belief-threshold node controller (Theorem 1). Boxed: the
-    /// controller carries its incremental belief tracker, which dwarfs the
-    /// baseline variant.
+    /// The belief-threshold node controller (Theorem 1), boxed: its belief
+    /// tracker dwarfs the baseline variant.
     Tolerance(Box<NodeController>),
     /// A baseline recovery schedule (Section VIII-B).
     Baseline(RecoveryStrategy),
 }
 
 impl NodeStrategy {
-    /// Whether this is the TOLERANCE belief controller.
-    pub fn is_controller(&self) -> bool {
-        matches!(self, NodeStrategy::Tolerance(_))
-    }
-
     /// Processes one time-step: consumes the weighted alert count and
     /// returns the recovery decision.
-    pub fn observe_and_decide(&mut self, weighted_alerts: u64) -> RecoveryDecision {
+    pub fn observe_and_decide(&mut self, weighted_alerts: u64) -> NodeAction {
         match self {
-            NodeStrategy::Tolerance(controller) => {
-                RecoveryDecision::from(controller.observe_and_decide(weighted_alerts))
-            }
+            NodeStrategy::Tolerance(controller) => controller.observe_and_decide(weighted_alerts),
+            NodeStrategy::Baseline(baseline) => baseline.decide(),
+        }
+    }
+
+    /// Processes one time-step observed as a stream of weighted alert
+    /// events ([`NodeController::observe_events`]); a baseline decides by
+    /// its schedule alone.
+    pub fn observe_events(&mut self, events: &[u64]) -> NodeAction {
+        match self {
+            NodeStrategy::Tolerance(controller) => controller.observe_events(events),
             NodeStrategy::Baseline(baseline) => baseline.decide(),
         }
     }
@@ -220,7 +191,7 @@ mod tests {
         let strategy = StrategyKind::Tolerance
             .build_node_strategy(model(), 1.0, &config(None))
             .unwrap();
-        assert!(strategy.is_controller());
+        assert!(matches!(strategy, NodeStrategy::Tolerance(_)));
         assert!(strategy.belief().is_some());
         assert!(!strategy.wants_additional_node(100.0));
     }
@@ -230,8 +201,7 @@ mod tests {
         let mut tolerance = StrategyKind::Tolerance
             .build_node_strategy(model(), 1.0, &config(None))
             .unwrap();
-        let recovered =
-            (0..20).any(|_| tolerance.observe_and_decide(10) == RecoveryDecision::Recover);
+        let recovered = (0..20).any(|_| tolerance.observe_and_decide(10) == NodeAction::Recover);
         assert!(
             recovered,
             "sustained max alerts must trigger the controller"
@@ -240,12 +210,11 @@ mod tests {
         let mut periodic = StrategyKind::Baseline(BaselineKind::Periodic)
             .build_node_strategy(model(), 1.0, &config(Some(5)))
             .unwrap();
-        let decisions: Vec<RecoveryDecision> =
-            (0..10).map(|_| periodic.observe_and_decide(10)).collect();
+        let decisions: Vec<NodeAction> = (0..10).map(|_| periodic.observe_and_decide(10)).collect();
         assert_eq!(
             decisions
                 .iter()
-                .filter(|d| **d == RecoveryDecision::Recover)
+                .filter(|d| **d == NodeAction::Recover)
                 .count(),
             2
         );
@@ -263,24 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn system_controller_only_for_tolerance() {
-        let replication = ReplicationConfig {
-            s_max: 10,
-            fault_threshold: 2,
-            availability_target: 0.9,
-            node_survival_probability: 0.95,
-        };
-        assert!(StrategyKind::Tolerance
-            .build_system_controller(replication)
-            .unwrap()
-            .is_some());
-        assert!(StrategyKind::Baseline(BaselineKind::Periodic)
-            .build_system_controller(replication)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
     fn btr_thresholds_span_the_period() {
         let mut strategy = StrategyKind::Tolerance
             .build_node_strategy(model(), 1.0, &config(Some(5)))
@@ -288,7 +239,7 @@ mod tests {
         // With quiet observations the BTR constraint forces a recovery at
         // the period boundary.
         let recoveries = (0..25)
-            .filter(|_| strategy.observe_and_decide(0) == RecoveryDecision::Recover)
+            .filter(|_| strategy.observe_and_decide(0) == NodeAction::Recover)
             .count();
         assert!(
             recoveries >= 4,
@@ -312,8 +263,8 @@ mod tests {
             .unwrap();
         periodic.observe_and_decide(0);
         periodic.notify_recovered();
-        assert_eq!(periodic.observe_and_decide(0), RecoveryDecision::Wait);
-        assert_eq!(periodic.observe_and_decide(0), RecoveryDecision::Wait);
-        assert_eq!(periodic.observe_and_decide(0), RecoveryDecision::Recover);
+        assert_eq!(periodic.observe_and_decide(0), NodeAction::Wait);
+        assert_eq!(periodic.observe_and_decide(0), NodeAction::Wait);
+        assert_eq!(periodic.observe_and_decide(0), NodeAction::Recover);
     }
 }

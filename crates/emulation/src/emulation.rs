@@ -3,11 +3,16 @@
 //! One emulation run reproduces the paper's evaluation setup (Section
 //! VIII-A): it starts with `N_1` nodes, each running a replica drawn from the
 //! container catalogue; at every (logical 60-second) time-step the attacker
-//! progresses intrusions, the IDS emits weighted alert counts, the node
-//! controllers (or a baseline strategy) decide which replicas to recover, and
-//! the system controller (for TOLERANCE) decides whether to add a node and
-//! evicts crashed nodes. The run produces the three metrics of Section III-C
-//! — `T(A)`, `T(R)` and `F(R)` — that populate Table 7 / Fig. 12.
+//! progresses intrusions and the IDS emits weighted alert counts. The run
+//! produces the three metrics of Section III-C — `T(A)`, `T(R)` and `F(R)` —
+//! that populate Table 7 / Fig. 12.
+//!
+//! The emulated testbed is a plant of the [`ControlPlane`] that steers the
+//! live service: it reports each node's alerts (silence, once crashed) as a
+//! [`NodeReport`], installs each node's strategy (a TOLERANCE controller over
+//! its container's IDS model, or a baseline) and actuates the plane's
+//! recoveries, evictions and JOINs as a [`ClusterActuator`]. A step is
+//! "advance the testbed, tick the plane, record the metrics".
 //!
 //! The loop simulates only what its outputs depend on. The testbed's
 //! background clients (Poisson arrivals, `λ = 20`, mean stay `μ = 4` steps)
@@ -19,9 +24,10 @@
 //! The consensus protocol itself does not need to run inside the metric loop
 //! (the metrics only depend on node states and controller decisions), but
 //! [`Emulation::run_with_consensus`] drives a real MinBFT cluster alongside
-//! the loop — mirroring recoveries, additions and evictions, injecting the
-//! attacker's Byzantine behaviour, and issuing client requests — to check
-//! end-to-end that the controlled system keeps providing correct service.
+//! the loop — mirroring each actuation through the cluster's own
+//! [`ClusterActuator`], injecting the attacker's Byzantine behaviour, and
+//! issuing client requests — to check end-to-end that the controlled system
+//! keeps providing correct service.
 
 use crate::attacker::{AttackProfile, Attacker};
 use crate::containers::ContainerCatalog;
@@ -31,11 +37,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tolerance_consensus::minbft::{MinBftCluster, MinBftConfig, Operation};
 use tolerance_consensus::NodeId;
-use tolerance_core::baselines::RecoveryDecision;
-use tolerance_core::controller::{allocate_recoveries, SystemController};
+use tolerance_core::controlplane::{ClusterActuator, ControlPlane, ControlPlaneConfig, NodeReport};
 use tolerance_core::metrics::{EvaluationMetrics, MetricReport};
 use tolerance_core::node_model::{NodeModel, NodeParameters, NodeState};
-use tolerance_core::replication::ReplicationConfig;
 use tolerance_core::runtime::{NodeStrategy, NodeStrategyConfig};
 use tolerance_core::Result;
 
@@ -111,7 +115,7 @@ impl EmulationConfig {
 pub struct EmulationOutcome {
     /// The three evaluation metrics.
     pub metrics: MetricReport,
-    /// Nodes added by the system controller during the run.
+    /// Nodes added (JOINs) during the run.
     pub nodes_added: u64,
     /// Nodes evicted (crashed) during the run.
     pub nodes_evicted: u64,
@@ -123,38 +127,48 @@ pub struct EmulationOutcome {
 
 /// Per-node runtime state inside the emulation.
 struct EmulatedNode {
-    /// The node's id in a mirrored [`MinBftCluster`], which never shifts: the
-    /// cluster's next id when the node was added; a rebuild keeps it.
+    /// The node's id in the plane and in a mirrored [`MinBftCluster`]:
+    /// `0..N_1`, then `N_1 + nodes_added` for a JOIN; a rebuild keeps it.
     replica: NodeId,
     /// Catalogue position of the replica's container: indexes
-    /// `Emulation::catalog` and `Emulation::ids_models`.
+    /// `Testbed::catalog` and `Testbed::ids_models`.
     container: usize,
     state: NodeState,
     attacker: Attacker,
-    strategy: NodeStrategy,
-    /// The node's own transition parameters (heterogeneous fleets jitter
-    /// them per node): the plant draws attacks and crashes from the same
-    /// values the node's controller models. The attack profile scales
-    /// `p_attack` per step.
+    /// The node's own (in a heterogeneous fleet, jittered) transition
+    /// parameters, which its controller models too.
     parameters: NodeParameters,
     /// Time-step at which the current compromise started (for `T(R)`).
     compromise_started: Option<u64>,
 }
 
-/// The closed-loop emulation.
-pub struct Emulation {
+/// The emulated testbed: the plant the control plane steers.
+struct Testbed {
     config: EmulationConfig,
     catalog: ContainerCatalog,
     /// One validated IDS model per catalogue entry, in catalogue order.
     ids_models: Vec<IdsModel>,
+    /// The plant's stream: attacks, crashes, alerts, rebuilds and JOINs.
     rng: StdRng,
+    /// The membership, in replica-id order.
     nodes: Vec<EmulatedNode>,
-    system_controller: Option<SystemController>,
+    /// The strategies of the nodes built since the plane last took them.
+    fresh: Vec<(NodeId, NodeStrategy)>,
     metrics: EvaluationMetrics,
     nodes_added: u64,
     nodes_evicted: u64,
     recoveries: u64,
     time_step: u64,
+}
+
+/// The closed-loop emulation.
+pub struct Emulation {
+    testbed: Testbed,
+    plane: ControlPlane,
+    /// The system controller's stream, apart from the plant's.
+    rng: StdRng,
+    /// This step's node reports, kept between steps for its allocation.
+    reports: Vec<(NodeId, NodeReport<'static>)>,
 }
 
 impl Emulation {
@@ -165,24 +179,34 @@ impl Emulation {
     /// # Errors
     ///
     /// Propagates model-construction and LP failures from `tolerance-core`.
+    /// All a rebuild or a JOIN could fail on is checked here, once: the base
+    /// node parameters (a jittered draw outside Theorem 1 falls back to
+    /// them) and the recovery threshold (by `ControlPlane::new`).
     pub fn new(config: EmulationConfig) -> Result<Self> {
-        let catalog = ContainerCatalog::paper_catalog();
-        let ids_models = IdsModel::for_catalog(&catalog)?;
-        let mut rng = StdRng::seed_from_u64(config.seed);
-
-        let system_controller = config.strategy.build_system_controller(ReplicationConfig {
-            s_max: config.max_nodes,
+        config.node_parameters.validate_theorem1()?;
+        // A system controller for TOLERANCE only, over `s_max = max_nodes`,
+        // Appendix E's `f` and the per-step survival `1 − p_A / 2`.
+        let plane = ControlPlane::new(ControlPlaneConfig {
+            recovery_threshold: config.recovery_threshold,
+            delta_r: config.delta_r,
+            parallel_recoveries: config.parallel_recoveries,
+            system_controller: config.strategy == StrategyKind::Tolerance,
+            // No floor: every crashed node is evicted, however few remain.
+            min_replicas: 0,
+            max_replicas: config.max_nodes,
             fault_threshold: config.fault_threshold(),
             availability_target: config.availability_target,
             node_survival_probability: 1.0 - config.node_parameters.p_attack / 2.0,
         })?;
-
-        let mut emulation = Emulation {
+        let catalog = ContainerCatalog::paper_catalog();
+        let ids_models = IdsModel::for_catalog(&catalog)?;
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut testbed = Testbed {
             catalog,
             ids_models,
             rng: StdRng::seed_from_u64(config.seed.wrapping_add(1)),
             nodes: Vec::new(),
-            system_controller,
+            fresh: Vec::new(),
             metrics: EvaluationMetrics::new(),
             nodes_added: 0,
             nodes_evicted: 0,
@@ -190,18 +214,132 @@ impl Emulation {
             time_step: 0,
             config,
         };
-        for replica in 0..emulation.config.initial_nodes {
-            let node = emulation.build_node(replica as NodeId, &mut rng)?;
-            emulation.nodes.push(node);
+        for replica in 0..testbed.config.initial_nodes {
+            let node = testbed.build_node(replica as NodeId, &mut rng, false);
+            testbed.nodes.push(node);
         }
+        let mut emulation = Emulation {
+            testbed,
+            plane,
+            rng: StdRng::seed_from_u64(rng.random()),
+            reports: Vec::new(),
+        };
+        emulation.install_fresh_strategies();
         Ok(emulation)
     }
 
     /// The configuration of this run.
     pub fn config(&self) -> &EmulationConfig {
-        &self.config
+        &self.testbed.config
     }
 
+    /// Runs the emulation to its horizon and returns the outcome.
+    pub fn run(&mut self) -> EmulationOutcome {
+        for _ in 0..self.testbed.config.horizon {
+            self.step(None);
+        }
+        self.finish()
+    }
+
+    /// Runs the emulation while driving a real MinBFT cluster: recoveries,
+    /// additions and evictions are mirrored into the cluster, the attacker's
+    /// post-compromise behaviour is injected as Byzantine faults, and a
+    /// client issues one write request per step. Returns the outcome plus the
+    /// fraction of client requests that completed correctly.
+    pub fn run_with_consensus(&mut self, steps: u32) -> (EmulationOutcome, f64) {
+        let mut cluster = self.mirrored_cluster();
+        let client = cluster.add_client();
+        let mut issued = 0u64;
+        for step in 0..steps {
+            self.step(Some(&mut cluster));
+            // Closed-loop client: only issue a new request once the previous
+            // one has been answered (it may span several steps while the
+            // cluster recovers or changes views).
+            if !cluster.has_outstanding_request(client) {
+                cluster.submit(client, Operation::Write(step as u64));
+                issued += 1;
+            }
+            cluster.run_until_quiet(cluster.now() + 2.0);
+        }
+        let completed = cluster.completed_requests(client);
+        let success_rate = if issued == 0 {
+            1.0
+        } else {
+            completed as f64 / issued as f64
+        };
+        (self.finish(), success_rate)
+    }
+
+    /// A MinBFT cluster over this run's initial nodes, for [`Emulation::step`]
+    /// to mirror.
+    fn mirrored_cluster(&self) -> MinBftCluster {
+        let config = &self.testbed.config;
+        MinBftCluster::new(MinBftConfig {
+            initial_replicas: config.initial_nodes,
+            parallel_recoveries: config.parallel_recoveries,
+            seed: config.seed,
+            ..MinBftConfig::default()
+        })
+    }
+
+    fn finish(&mut self) -> EmulationOutcome {
+        let testbed = &mut self.testbed;
+        // Charge intrusions that were never recovered.
+        for _ in testbed
+            .nodes
+            .iter()
+            .filter(|n| n.compromise_started.is_some())
+        {
+            testbed.metrics.record_unrecovered_intrusion();
+        }
+        EmulationOutcome {
+            metrics: testbed.metrics.report(),
+            nodes_added: testbed.nodes_added,
+            nodes_evicted: testbed.nodes_evicted,
+            recoveries: testbed.recoveries,
+            final_nodes: testbed.nodes.len(),
+        }
+    }
+
+    /// One time-step of the closed loop: advance the testbed, tick the
+    /// control plane over its reports (a mirrored cluster takes the same
+    /// actuations through its own [`ClusterActuator`]), record the metrics.
+    fn step(&mut self, mut cluster: Option<&mut MinBftCluster>) {
+        self.testbed
+            .advance(&mut self.reports, cluster.as_deref_mut());
+        let tick = self
+            .plane
+            .tick(&self.reports, &mut self.testbed, &mut self.rng);
+        self.install_fresh_strategies();
+        if let Some(cluster) = cluster {
+            for &node in &tick.recovered {
+                ClusterActuator::recover(cluster, node);
+            }
+            for &node in &tick.evicted {
+                ClusterActuator::evict(cluster, node);
+            }
+            if tick.joined.is_some() {
+                ClusterActuator::join(cluster);
+            }
+        }
+        let testbed = &mut self.testbed;
+        let failed = testbed
+            .nodes
+            .iter()
+            .filter(|n| n.state != NodeState::Healthy);
+        let (failed, f) = (failed.count(), testbed.config.fault_threshold());
+        testbed.metrics.record_step(failed, f, tick.recovered.len());
+    }
+
+    /// Hands the strategies of newly built nodes to the plane.
+    fn install_fresh_strategies(&mut self) {
+        for (node, strategy) in self.testbed.fresh.drain(..) {
+            *self.plane.controller(node) = strategy;
+        }
+    }
+}
+
+impl Testbed {
     /// Draws one node's transition parameters; heterogeneous fleets scale
     /// the attack-related probabilities per node.
     fn sample_node_parameters(&self, rng: &mut StdRng) -> NodeParameters {
@@ -229,128 +367,55 @@ impl Emulation {
         }
     }
 
-    fn build_node(&self, replica: NodeId, rng: &mut StdRng) -> Result<EmulatedNode> {
+    /// Builds a healthy node under `replica` and queues its strategy for
+    /// the plane. A rebuilt node's baseline restarts its period; a new one
+    /// starts at a random phase, staggering the periodic recoveries so that
+    /// the k-parallel-recovery constraint is not hit by every node at once.
+    fn build_node(&mut self, replica: NodeId, rng: &mut StdRng, rebuilt: bool) -> EmulatedNode {
         let container = self.catalog.sample_position(rng);
         // The observation model was validated when `ids_models` was built;
         // the parameters differ per node in a jittered fleet.
         let observations = self.ids_models[container].observation_model();
         let parameters = self.sample_node_parameters(rng);
-        parameters.validate_theorem1()?;
         let model = NodeModel::new_unchecked(parameters, observations.clone());
-        let expected_alerts = observations.mean(NodeState::Healthy);
-        // Stagger the periodic-recovery phases across nodes so that the
-        // k-parallel-recovery constraint is not hit by every node requesting
-        // recovery in the same step.
         let initial_phase = match self.config.strategy {
-            StrategyKind::Tolerance => 0,
-            StrategyKind::Baseline(_) => {
+            StrategyKind::Baseline(_) if !rebuilt => {
                 rng.random_range(0..self.config.delta_r.unwrap_or(1).max(1))
             }
+            _ => 0,
         };
-        let strategy = self.config.strategy.build_node_strategy(
-            model,
-            expected_alerts,
-            &NodeStrategyConfig {
-                recovery_threshold: self.config.recovery_threshold,
-                delta_r: self.config.delta_r,
-                initial_phase,
-            },
-        )?;
-        Ok(EmulatedNode {
+        let node_config = NodeStrategyConfig {
+            recovery_threshold: self.config.recovery_threshold,
+            delta_r: self.config.delta_r,
+            initial_phase,
+        };
+        let strategy = (self.config.strategy)
+            .build_node_strategy(model, observations.mean(NodeState::Healthy), &node_config)
+            .expect("Emulation::new validated the recovery threshold");
+        self.fresh.push((replica, strategy));
+        EmulatedNode {
             replica,
             container,
             state: NodeState::Healthy,
             attacker: Attacker::new(parameters.p_attack),
-            strategy,
             parameters,
             compromise_started: None,
-        })
-    }
-
-    /// Runs the emulation to its horizon and returns the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates node-construction failures when nodes are added mid-run.
-    pub fn run(&mut self) -> Result<EmulationOutcome> {
-        for _ in 0..self.config.horizon {
-            self.step(None)?;
-        }
-        Ok(self.finish())
-    }
-
-    /// Runs the emulation while driving a real MinBFT cluster: recoveries,
-    /// additions and evictions are mirrored into the cluster, the attacker's
-    /// post-compromise behaviour is injected as Byzantine faults, and a
-    /// client issues one write request per step. Returns the outcome plus the
-    /// fraction of client requests that completed correctly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates node-construction failures.
-    pub fn run_with_consensus(&mut self, steps: u32) -> Result<(EmulationOutcome, f64)> {
-        let mut cluster = self.mirrored_cluster();
-        let client = cluster.add_client();
-        let mut issued = 0u64;
-        for step in 0..steps {
-            self.step(Some(&mut cluster))?;
-            // Closed-loop client: only issue a new request once the previous
-            // one has been answered (it may span several steps while the
-            // cluster recovers or changes views).
-            if !cluster.has_outstanding_request(client) {
-                cluster.submit(client, Operation::Write(step as u64));
-                issued += 1;
-            }
-            cluster.run_until_quiet(cluster.now() + 2.0);
-        }
-        let completed = cluster.completed_requests(client);
-        let success_rate = if issued == 0 {
-            1.0
-        } else {
-            completed as f64 / issued as f64
-        };
-        Ok((self.finish(), success_rate))
-    }
-
-    /// A MinBFT cluster over this run's initial nodes, for [`Emulation::step`]
-    /// to mirror.
-    fn mirrored_cluster(&self) -> MinBftCluster {
-        MinBftCluster::new(MinBftConfig {
-            initial_replicas: self.config.initial_nodes,
-            parallel_recoveries: self.config.parallel_recoveries,
-            seed: self.config.seed,
-            ..MinBftConfig::default()
-        })
-    }
-
-    fn finish(&mut self) -> EmulationOutcome {
-        // Charge intrusions that were never recovered.
-        for node in &self.nodes {
-            if node.compromise_started.is_some() {
-                self.metrics.record_unrecovered_intrusion();
-            }
-        }
-        EmulationOutcome {
-            metrics: self.metrics.report(),
-            nodes_added: self.nodes_added,
-            nodes_evicted: self.nodes_evicted,
-            recoveries: self.recoveries,
-            final_nodes: self.nodes.len(),
         }
     }
 
-    /// Executes one time-step of the closed loop.
-    fn step(&mut self, mut cluster: Option<&mut MinBftCluster>) -> Result<()> {
+    /// Advances every node by one time-step — attacker, crash, IDS — and
+    /// writes the control plane's input to `reports`: each node's alert
+    /// sample, or silence once it crashed.
+    fn advance(
+        &mut self,
+        reports: &mut Vec<(NodeId, NodeReport<'static>)>,
+        mut cluster: Option<&mut MinBftCluster>,
+    ) {
         self.time_step += 1;
         let time_step = self.time_step;
-        let fault_threshold = self.config.fault_threshold();
-        let mut requests: Vec<(usize, f64)> = Vec::new();
-        let mut baseline_wants_node = false;
-        let mut reports: Vec<Option<f64>> = Vec::with_capacity(self.nodes.len());
-
-        // --- Per-node dynamics: attacker, IDS, local decision. ---
         let attack_factor = self.config.attack_profile.intensity_factor(time_step);
-        for (index, node) in self.nodes.iter_mut().enumerate() {
+        reports.clear();
+        for node in &mut self.nodes {
             let container = &self.catalog.containers()[node.container];
 
             // Attacker progression (the profile modulates the per-step
@@ -381,111 +446,65 @@ impl Emulation {
                 node.state = NodeState::Crashed;
             }
 
-            // IDS observation.
+            // IDS observation; a crashed node's sample is drawn too, and
+            // it reports nothing.
             let step_intensity = node.attacker.step_intensity(container);
             let alerts = self.ids_models[node.container].sample_alerts(
                 node.state,
                 step_intensity,
                 &mut self.rng,
             );
-
-            // Local decision.
-            if node.state == NodeState::Crashed {
-                reports.push(None);
-                continue;
-            }
-            let decision = node.strategy.observe_and_decide(alerts);
-            if node.strategy.wants_additional_node(alerts as f64) {
-                baseline_wants_node = true;
-            }
-            reports.push(node.strategy.belief());
-            if decision == RecoveryDecision::Recover {
-                // Baselines track no belief: they tie and rank by index.
-                requests.push((index, node.strategy.request_belief().unwrap_or(1.0)));
-            }
-        }
-
-        // --- At most k parallel recoveries (Proposition 1); a deferred
-        //     requester re-requests on the next step. ---
-        let k = self.config.parallel_recoveries;
-        let (recovered, deferred) = allocate_recoveries(&mut requests, k, |index| {
-            self.rebuild(index, cluster.as_deref_mut())
-        })?;
-        for index in deferred {
-            self.nodes[index].strategy.notify_deferred();
-        }
-
-        // --- Global level: evictions and additions. ---
-        let mut added = false;
-        if let Some(system) = self.system_controller.as_mut() {
-            let decision = system.decide(&reports, &mut self.rng);
-            // Evict crashed nodes (highest index first so removal is stable).
-            let mut evict = decision.evict.clone();
-            evict.sort_unstable_by(|a, b| b.cmp(a));
-            for index in evict {
-                if index < self.nodes.len() {
-                    let replica = self.nodes.remove(index).replica;
-                    self.nodes_evicted += 1;
-                    if let Some(cluster) = cluster.as_deref_mut() {
-                        if cluster.membership().contains(&replica) {
-                            cluster.evict_replica(replica);
-                        }
-                    }
-                }
-            }
-            if decision.add_node && self.nodes.len() < self.config.max_nodes {
-                added = true;
-            }
-        } else {
-            // Baselines: crashed nodes simply stay (they do not manage the
-            // replication factor); PERIODIC-ADAPTIVE may add a node.
-            if baseline_wants_node && self.nodes.len() < self.config.max_nodes {
-                added = true;
-            }
-        }
-        if added {
-            let new_node = {
-                let replica = (self.config.initial_nodes as u64 + self.nodes_added) as NodeId;
-                let mut rng = StdRng::seed_from_u64(self.rng.random::<u64>());
-                self.build_node(replica, &mut rng)?
+            let report = match node.state {
+                NodeState::Crashed => NodeReport::Silent,
+                _ => NodeReport::Sample(alerts),
             };
-            self.nodes.push(new_node);
-            self.nodes_added += 1;
-            if let Some(cluster) = cluster {
-                cluster.add_replica();
-            }
+            reports.push((node.replica, report));
         }
-
-        // --- Record the step metrics. ---
-        let failed_nodes = self
-            .nodes
-            .iter()
-            .filter(|n| n.state != NodeState::Healthy)
-            .count();
-        self.metrics
-            .record_step(failed_nodes, fault_threshold, recovered.len());
-        Ok(())
     }
 
-    /// Recovers the node at `index`: its replica is replaced by a fresh,
-    /// randomly drawn container under the same replica id. Never refused.
-    fn rebuild(&mut self, index: usize, cluster: Option<&mut MinBftCluster>) -> Result<bool> {
-        if let Some(started) = self.nodes[index].compromise_started.take() {
+    fn index_of(&self, replica: NodeId) -> Option<usize> {
+        self.nodes.iter().position(|node| node.replica == replica)
+    }
+}
+
+/// The testbed's actuation, never refused: a recovery replaces the node's
+/// replica by a fresh, randomly drawn container under the same replica id,
+/// a JOIN adds a node under the next id, an eviction removes the node.
+impl ClusterActuator for Testbed {
+    fn replica_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn contains(&self, node: NodeId) -> bool {
+        self.index_of(node).is_some()
+    }
+
+    fn recover(&mut self, node: NodeId) -> bool {
+        let Some(index) = self.index_of(node) else {
+            return false;
+        };
+        if let Some(started) = self.nodes[index].compromise_started {
             self.metrics.record_recovery_delay(self.time_step - started);
         }
-        let replica = self.nodes[index].replica;
-        let seed = self.rng.random::<u64>();
-        let mut rebuilt = self.build_node(replica, &mut StdRng::seed_from_u64(seed))?;
-        if !rebuilt.strategy.is_controller() {
-            // Baselines restart their period after an actual recovery.
-            rebuilt.strategy.notify_recovered();
-        }
-        self.nodes[index] = rebuilt;
+        let mut rng = StdRng::seed_from_u64(self.rng.random());
+        self.nodes[index] = self.build_node(node, &mut rng, true);
         self.recoveries += 1;
-        if let Some(cluster) = cluster {
-            cluster.recover_replica(replica);
-        }
-        Ok(true)
+        true
+    }
+
+    fn join(&mut self) -> Option<NodeId> {
+        let replica = (self.config.initial_nodes as u64 + self.nodes_added) as NodeId;
+        let mut rng = StdRng::seed_from_u64(self.rng.random());
+        let node = self.build_node(replica, &mut rng, false);
+        self.nodes.push(node);
+        self.nodes_added += 1;
+        Some(replica)
+    }
+
+    fn evict(&mut self, node: NodeId) -> bool {
+        let evicted = self.index_of(node).map(|index| self.nodes.remove(index));
+        self.nodes_evicted += u64::from(evicted.is_some());
+        evicted.is_some()
     }
 }
 
@@ -493,6 +512,7 @@ impl Emulation {
 mod tests {
     use super::*;
     use tolerance_core::baselines::BaselineKind;
+    use tolerance_core::node_model::NodeAction;
     use tolerance_core::observation::ObservationModel;
 
     fn config(strategy: StrategyKind, delta_r: Option<u32>, seed: u64) -> EmulationConfig {
@@ -528,7 +548,7 @@ mod tests {
     #[test]
     fn tolerance_run_keeps_high_availability_and_low_ttr() {
         let mut emulation = Emulation::new(config(StrategyKind::Tolerance, None, 1)).unwrap();
-        let outcome = emulation.run().unwrap();
+        let outcome = emulation.run();
         assert!(
             outcome.metrics.availability > 0.9,
             "TOLERANCE availability {} too low",
@@ -554,7 +574,7 @@ mod tests {
         cfg.node_parameters.p_crash_healthy = 0.3;
         cfg.node_parameters.p_crash_compromised = 0.9;
         cfg.horizon = 20;
-        let outcome = Emulation::new(cfg).unwrap().run().unwrap();
+        let outcome = Emulation::new(cfg).unwrap().run();
         assert!((0.0..=1.0).contains(&outcome.metrics.availability));
     }
 
@@ -568,13 +588,13 @@ mod tests {
         cfg.node_parameters.p_crash_compromised = 0.25;
         let mut emulation = Emulation::new(cfg).unwrap();
         let trials = 4000;
-        let mut crashes = vec![0u32; emulation.nodes.len()];
+        let mut crashes = vec![0u32; emulation.testbed.nodes.len()];
         for _ in 0..trials {
-            for node in &mut emulation.nodes {
+            for node in &mut emulation.testbed.nodes {
                 node.state = NodeState::Compromised;
             }
-            emulation.step(None).unwrap();
-            for (count, node) in crashes.iter_mut().zip(&emulation.nodes) {
+            emulation.step(None);
+            for (count, node) in crashes.iter_mut().zip(&emulation.testbed.nodes) {
                 *count += u32::from(node.state == NodeState::Crashed);
             }
         }
@@ -582,7 +602,7 @@ mod tests {
             .iter()
             .map(|&count| f64::from(count) / f64::from(trials))
             .collect();
-        for (rate, node) in rates.iter().zip(&emulation.nodes) {
+        for (rate, node) in rates.iter().zip(&emulation.testbed.nodes) {
             let modelled = node.parameters.p_crash_compromised;
             assert!(
                 (rate - modelled).abs() < 0.03,
@@ -600,10 +620,10 @@ mod tests {
     #[test]
     fn prebuilt_ids_models_equal_for_container() {
         let emulation = Emulation::new(config(StrategyKind::Tolerance, None, 0)).unwrap();
-        let containers = emulation.catalog.containers();
+        let containers = emulation.testbed.catalog.containers();
         assert_eq!(containers.len(), 10);
-        assert_eq!(emulation.ids_models.len(), containers.len());
-        for (prebuilt, container) in emulation.ids_models.iter().zip(containers) {
+        assert_eq!(emulation.testbed.ids_models.len(), containers.len());
+        for (prebuilt, container) in emulation.testbed.ids_models.iter().zip(containers) {
             assert_eq!(*prebuilt, IdsModel::for_container(container));
         }
     }
@@ -611,14 +631,14 @@ mod tests {
     #[test]
     fn rebuilt_nodes_reuse_the_prebuilt_model() {
         let mut emulation = Emulation::new(config(StrategyKind::Tolerance, Some(15), 7)).unwrap();
-        let outcome = emulation.run().unwrap();
+        let outcome = emulation.run();
         assert!(outcome.recoveries > 0, "the run must rebuild nodes");
         let mut containers_seen = std::collections::HashSet::new();
-        for node in &emulation.nodes {
+        for node in &emulation.testbed.nodes {
             // The model a node's alerts are sampled from is its own
             // container's (catalogue positions are 0-based, ids 1-based).
-            let container = &emulation.catalog.containers()[node.container];
-            let ids = &emulation.ids_models[node.container];
+            let container = &emulation.testbed.catalog.containers()[node.container];
+            let ids = &emulation.testbed.ids_models[node.container];
             assert_eq!(*ids, IdsModel::for_container(container));
             containers_seen.insert(container.id);
         }
@@ -633,7 +653,7 @@ mod tests {
             2,
         ))
         .unwrap();
-        let outcome = emulation.run().unwrap();
+        let outcome = emulation.run();
         assert!(
             outcome.metrics.availability < 0.5,
             "NO-RECOVERY availability {} should collapse",
@@ -641,6 +661,9 @@ mod tests {
         );
         assert_eq!(outcome.recoveries, 0);
         assert_eq!(outcome.metrics.recovery_frequency, 0.0);
+        // A baseline runs no system controller: crashed nodes stay.
+        assert_eq!(outcome.nodes_added, 0);
+        assert_eq!(outcome.nodes_evicted, 0);
         // Unrecovered intrusions are charged the cap.
         assert!(outcome.metrics.time_to_recovery > 500.0);
     }
@@ -648,21 +671,21 @@ mod tests {
     #[test]
     fn periodic_baseline_sits_between_tolerance_and_no_recovery() {
         let mut tolerance = Emulation::new(config(StrategyKind::Tolerance, Some(15), 3)).unwrap();
-        let tolerance_outcome = tolerance.run().unwrap();
+        let tolerance_outcome = tolerance.run();
         let mut periodic = Emulation::new(config(
             StrategyKind::Baseline(BaselineKind::Periodic),
             Some(15),
             3,
         ))
         .unwrap();
-        let periodic_outcome = periodic.run().unwrap();
+        let periodic_outcome = periodic.run();
         let mut none = Emulation::new(config(
             StrategyKind::Baseline(BaselineKind::NoRecovery),
             Some(15),
             3,
         ))
         .unwrap();
-        let none_outcome = none.run().unwrap();
+        let none_outcome = none.run();
 
         assert!(periodic_outcome.metrics.availability > none_outcome.metrics.availability);
         assert!(
@@ -681,11 +704,12 @@ mod tests {
             4,
         ))
         .unwrap();
-        let outcome = adaptive.run().unwrap();
+        let outcome = adaptive.run();
         assert!(
             outcome.nodes_added > 0,
             "the adaptive baseline should add nodes on alert bursts"
         );
+        assert_eq!(outcome.nodes_evicted, 0, "baselines evict nothing");
         assert!(outcome.final_nodes <= 13);
     }
 
@@ -701,8 +725,12 @@ mod tests {
             ..config(StrategyKind::Tolerance, None, 0)
         })
         .unwrap();
-        emulation.system_controller = None;
-        let support = emulation.ids_models[0]
+        emulation.plane = ControlPlane::new(ControlPlaneConfig {
+            system_controller: false,
+            ..emulation.plane.config().clone()
+        })
+        .unwrap();
+        let support = emulation.testbed.ids_models[0]
             .observation_model()
             .healthy_distribution()
             .len();
@@ -719,7 +747,7 @@ mod tests {
             .unwrap();
         loop {
             let mut next = below.clone();
-            if next.observe_and_decide(0) == RecoveryDecision::Recover {
+            if next.observe_and_decide(0) == NodeAction::Recover {
                 break;
             }
             below = next;
@@ -729,29 +757,33 @@ mod tests {
         deferred.notify_deferred();
         let decides_on = |strategy: &NodeStrategy| {
             let mut next = strategy.clone();
-            assert_eq!(next.observe_and_decide(0), RecoveryDecision::Recover);
+            assert_eq!(next.observe_and_decide(0), NodeAction::Recover);
             next.request_belief().unwrap()
         };
         let (lower, higher) = (decides_on(&below), decides_on(&deferred));
         assert!(lower < higher, "{lower} vs {higher}");
-        for (node, strategy) in emulation.nodes.iter_mut().zip([below, deferred]) {
-            node.strategy = strategy;
+        for (node, strategy) in emulation.testbed.nodes.iter_mut().zip([below, deferred]) {
+            *emulation.plane.controller(node.replica) = strategy;
             node.state = NodeState::Compromised;
             node.parameters.p_crash_compromised = 0.0;
         }
-        emulation.nodes[2].state = NodeState::Crashed;
+        emulation.testbed.nodes[2].state = NodeState::Crashed;
 
-        emulation.step(None).unwrap();
-        assert_eq!(emulation.recoveries, 1);
-        assert_eq!(emulation.nodes[1].state, NodeState::Healthy, "rebuilt");
-        let loser = &emulation.nodes[0].strategy;
+        emulation.step(None);
+        assert_eq!(emulation.testbed.recoveries, 1);
+        assert_eq!(
+            emulation.testbed.nodes[1].state,
+            NodeState::Healthy,
+            "rebuilt"
+        );
+        let loser = emulation.plane.controller(0);
         assert_eq!(loser.request_belief(), Some(lower));
         assert_eq!(loser.belief(), Some(lower), "the deferral restores it");
 
-        emulation.step(None).unwrap();
-        assert_eq!(emulation.recoveries, 2);
+        emulation.step(None);
+        assert_eq!(emulation.testbed.recoveries, 2);
         assert_eq!(
-            emulation.nodes[0].state,
+            emulation.testbed.nodes[0].state,
             NodeState::Healthy,
             "the deferred node requests and recovers on the next step"
         );
@@ -766,9 +798,10 @@ mod tests {
                 Emulation::new(config(StrategyKind::Tolerance, None, seed)).unwrap();
             let mut cluster = emulation.mirrored_cluster();
             for step in 0..200 {
-                emulation.step(Some(&mut cluster)).unwrap();
+                emulation.step(Some(&mut cluster));
                 cluster.run_until_quiet(cluster.now() + 2.0);
-                let replicas: Vec<NodeId> = emulation.nodes.iter().map(|n| n.replica).collect();
+                let replicas: Vec<NodeId> =
+                    emulation.testbed.nodes.iter().map(|n| n.replica).collect();
                 assert_eq!(cluster.membership(), replicas, "seed {seed}, step {step}");
             }
         }
@@ -784,7 +817,7 @@ mod tests {
             ..EmulationConfig::default()
         })
         .unwrap();
-        let (outcome, success_rate) = emulation.run_with_consensus(40).unwrap();
+        let (outcome, success_rate) = emulation.run_with_consensus(40);
         assert!(outcome.metrics.availability > 0.8);
         assert!(
             success_rate > 0.8,
@@ -803,9 +836,9 @@ mod tests {
             ..EmulationConfig::default()
         })
         .unwrap();
-        let outcome = emulation.run().unwrap();
+        let outcome = emulation.run();
         assert!(outcome.final_nodes <= 10);
-        assert!(emulation.nodes.len() <= 10);
+        assert!(emulation.testbed.nodes.len() <= 10);
         assert_eq!(emulation.config().max_nodes, 10);
     }
 }

@@ -51,7 +51,7 @@ impl Scenario for EmulationScenario {
     fn run(&self, seed: u64) -> tolerance_core::Result<EmulationOutcome> {
         let mut config = self.config.clone();
         config.seed = seed;
-        Emulation::new(config)?.run()
+        Ok(Emulation::new(config)?.run())
     }
 }
 

@@ -29,7 +29,7 @@ fn main() -> tolerance::core::Result<()> {
             seed: 20,
             ..EmulationConfig::default()
         };
-        let outcome = Emulation::new(config)?.run()?;
+        let outcome = Emulation::new(config)?.run();
         println!(
             "{:<20} {:>8.3} {:>8.1} {:>8.3} {:>10}",
             strategy.name(),

@@ -118,7 +118,7 @@ fn emulation_reproduces_the_papers_qualitative_ranking() {
             seed: 7,
             ..EmulationConfig::default()
         };
-        let outcome = Emulation::new(config).unwrap().run().unwrap();
+        let outcome = Emulation::new(config).unwrap().run();
         results.push((strategy.name(), outcome.metrics));
     }
     let availability = |name: &str| {
@@ -155,7 +155,7 @@ fn controllers_drive_a_consensus_cluster_correctly() {
         ..EmulationConfig::default()
     })
     .unwrap();
-    let (outcome, success_rate) = emulation.run_with_consensus(30).unwrap();
+    let (outcome, success_rate) = emulation.run_with_consensus(30);
     assert!(success_rate > 0.8, "request success rate {success_rate}");
     assert!(outcome.metrics.availability > 0.7);
 }
