@@ -65,9 +65,8 @@ impl RecoveryStrategy {
     }
 
     /// Offsets the position within the recovery period, staggering periodic
-    /// recoveries across nodes so that at most a few replicas recover in the
-    /// same time-step (how proactive-recovery systems schedule their
-    /// rejuvenation windows).
+    /// recoveries across nodes (how proactive-recovery systems schedule
+    /// their rejuvenation windows).
     pub(crate) fn with_initial_phase(mut self, offset: u32) -> Self {
         if let Some(period) = self.delta_r {
             if period > 0 {

@@ -10,8 +10,9 @@
 //!   whether to add a node (the threshold-mixture rule of Theorem 2 computed
 //!   by Algorithm 2).
 //! * [`allocate_recoveries`] — the k-parallel-recovery budget of
-//!   Proposition 1, the one rule by which every closed loop (the fleet and
-//!   live control planes, the Table-7 emulation) grants recovery requests.
+//!   Proposition 1. Both it and [`SystemController::decide`] run inside the
+//!   control plane's tick, the one loop the live and simulated clusters and
+//!   the Table-7 emulation all run.
 
 use crate::node_model::{NodeAction, NodeModel};
 use crate::recovery::ThresholdStrategy;

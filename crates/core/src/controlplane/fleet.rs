@@ -1,23 +1,19 @@
 //! The fleet-level control plane of the sharded service: one global
 //! recovery budget, one system controller, many MinBFT groups.
 //!
-//! Each node keeps its own strategy (the local level), but the
-//! **k-parallel-recovery budget of Proposition 1 is fleet-wide**: the
-//! requests of all shards compete for the same `k` slots by *deciding*
-//! belief, and a deferred one re-fires on the next tick
-//! ([`NodeStrategy::notify_deferred`]). **One** [`SystemController`] sees the
-//! concatenated belief report, evicts non-reporting (crashed) replicas
-//! wherever they live, and sends each JOIN to the *neediest* shard (fewest
-//! healthy replicas) within per-shard and fleet-wide bounds. With it off, the
-//! baselines' node-addition wish (PERIODIC-ADAPTIVE) decides the JOINs.
+//! Each node keeps its own strategy — the plane's default belief controller
+//! unless its plant installed another (the emulation's TOLERANCE controllers
+//! or baselines) — but the **k-slot budget of Proposition 1 is fleet-wide**:
+//! the requests of all shards compete for the same `k` slots by *deciding*
+//! belief. **One** [`SystemController`] sees the concatenated belief report,
+//! evicts non-reporting (crashed) replicas wherever they live, and sends
+//! each JOIN to the *neediest* shard within per-shard and fleet-wide bounds;
+//! with it off, the baselines' node-addition wish decides the JOINs.
 //!
 //! The single-cluster [`ControlPlane`](super::ControlPlane) is its one-shard
 //! view, and every closed loop runs this tick — the live planes, the simnet
 //! harness and the Table-7 emulation — so it is the one caller of
-//! [`allocate_recoveries`] and [`SystemController::decide`]. A node's
-//! strategy is the plane's default belief controller unless its plant
-//! installed another (the emulation's TOLERANCE controllers over each
-//! container's IDS model, or a baseline).
+//! [`allocate_recoveries`] and [`SystemController::decide`].
 
 use crate::controller::{allocate_recoveries, NodeController, SystemController};
 use crate::controlplane::actuator::ClusterActuator;
@@ -32,23 +28,23 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use tolerance_consensus::NodeId;
 
-/// What one fleet tick did, besides its recovery requests, which the plane
-/// keeps until the next tick ([`FleetControlPlane::requested`]). Nodes are
-/// addressed as `(shard, node)`.
+/// What one fleet tick did, nodes addressed as `(shard, node)`; the plane
+/// keeps its recovery requests ([`FleetControlPlane::requests`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct FleetTickReport {
     /// Every node's belief after the update, shard-major in observation
-    /// order (`None` = the node failed to report, or its strategy tracks no
-    /// belief).
+    /// order (`None` = silent, or a baseline's).
     pub beliefs: Vec<(NodeId, Option<f64>)>,
     /// Nodes evicted by the system controller.
     pub evicted: Vec<(usize, NodeId)>,
     /// The shard that received a JOIN this tick, with the new replica.
     pub joined: Option<(usize, NodeId)>,
-    /// The fleet-wide expected-healthy estimate the system controller
-    /// acted on.
+    /// The expected-healthy estimate the system controller acted on.
     pub estimated_healthy: Option<usize>,
 }
+
+/// A recovery request: the node and the belief it was decided on.
+pub(crate) type Request = ((usize, NodeId), f64);
 
 /// The fleet control runtime (see the module docs).
 #[derive(Debug, Clone)]
@@ -66,7 +62,7 @@ pub(crate) struct FleetControlPlane {
     /// The last tick's recovery requests with their deciding beliefs, the
     /// `granted` ones first; like `reports`, the system controller's input,
     /// kept between ticks for its allocation.
-    requests: Vec<((usize, NodeId), f64)>,
+    requests: Vec<Request>,
     granted: usize,
     reports: Vec<Option<f64>>,
 }
@@ -137,16 +133,10 @@ impl FleetControlPlane {
         self.controllers.remove(&(shard, node));
     }
 
-    /// The last tick's recovery requests (before the global k-truncation):
-    /// the recovered ones first, then the deferred ones, each in
-    /// deciding-belief priority order.
-    pub(crate) fn requested(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
-        self.requests.iter().map(|&(key, _)| key)
-    }
-
-    /// The last tick's recoveries, actuated within the global budget.
-    pub(crate) fn recovered(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
-        self.requested().take(self.granted)
+    /// The last tick's recovery requests with their deciding beliefs: the
+    /// recovered ones and the deferred ones, each in priority order.
+    pub(crate) fn requests(&self) -> (&[Request], &[Request]) {
+        self.requests.split_at(self.granted)
     }
 
     /// The local level of one shard: folds each node's observation through
@@ -191,18 +181,15 @@ impl FleetControlPlane {
     }
 
     /// One control time-step across the whole fleet
-    /// ([`super::ControlPlane::tick`] is this at one shard).
-    ///
-    /// `observations[s]` lists shard `s`'s membership **in membership
-    /// order** with each node's IDS input (the system controller's eviction
-    /// decision indexes into the concatenation, and the deterministic
-    /// simnet path replays `rng` draws in this order); `actuators[s]` is
-    /// that shard's actuation surface. The two slices must have the same
-    /// length (one entry per shard).
+    /// ([`super::ControlPlane::tick`] is this at one shard). `observations[s]`
+    /// lists shard `s`'s membership **in membership order** with each node's
+    /// IDS input (the eviction decision indexes into the concatenation, and
+    /// the deterministic simnet path replays `rng` draws in this order);
+    /// `actuators[s]` is that shard's actuation surface.
     ///
     /// # Panics
     ///
-    /// Panics when the slice lengths disagree.
+    /// Panics unless there is one actuator per shard.
     pub fn tick<'a, O, A, R>(
         &mut self,
         observations: &[O],
@@ -300,7 +287,7 @@ impl FleetControlPlane {
                 })
                 .min();
             if let Some((_, _, shard)) = target {
-                // The new node's strategy is made at its first report.
+                // The new node's strategy is made on its first tick.
                 report.joined = actuators[shard].join().map(|id| (shard, id));
             }
         }
@@ -381,10 +368,9 @@ mod tests {
 
     /// The last tick's requested, recovered and deferred nodes.
     fn requests(plane: &FleetControlPlane) -> [Vec<(usize, NodeId)>; 3] {
-        let requested: Vec<_> = plane.requested().collect();
-        let recovered: Vec<_> = plane.recovered().collect();
-        let deferred = requested[recovered.len()..].to_vec();
-        [requested, recovered, deferred]
+        let (recovered, deferred) = plane.requests();
+        let keys = |requests: &[Request]| requests.iter().map(|&(key, _)| key).collect();
+        [keys(&plane.requests), keys(recovered), keys(deferred)]
     }
 
     /// Events observations for a two-shard fleet: shard 0 node 1 sees a

@@ -26,14 +26,13 @@
 //!   a scripted intrusion burst with the control plane closing the loop
 //!   live, plus the simnet twin ([`scenario::sim_intrusion_burst_config`])
 //!   that passes the full oracle suite.
-//! * `fleet::FleetControlPlane` — the sharded-fleet runtime: per-shard
-//!   node controllers competing for one **global** recovery budget `k`
-//!   (priority by deciding belief across shards), and one system
-//!   controller per fleet evicting crashed replicas wherever they live and
-//!   allocating JOIN spares to the neediest shard. Its budget is
-//!   [`crate::controller::allocate_recoveries`], the one k-slot rule of
-//!   every closed loop: this runtime on the live and simnet planes, and the
-//!   Table-7 emulation loop.
+//! * `fleet::FleetControlPlane` — the sharded-fleet runtime: per-node
+//!   strategies (TOLERANCE controllers or baselines) competing for one
+//!   **global** recovery budget `k` (priority by deciding belief across
+//!   shards), and one system controller per fleet evicting crashed
+//!   replicas wherever they live and allocating JOIN spares to the neediest
+//!   shard. Its tick is the one closed loop: the live and simnet planes and
+//!   the Table-7 emulation's testbed are all its plants.
 //! * [`autotune::AutotuneController`] — the *third* feedback loop, on the
 //!   data plane itself: AIMD on leader batching and client concurrency
 //!   (re-clamped online through the batch-fragmentation floor), retry

@@ -6,11 +6,10 @@
 //! controller (Algorithm 2) evicts and joins, all through a
 //! [`ClusterActuator`]. It is the one-shard `FleetControlPlane`; its plants
 //! are the live threaded cluster, the simnet harness and the Table-7
-//! emulation's testbed, which installs its strategies through
-//! [`ControlPlane::controller`].
+//! emulation's testbed.
 
 use crate::controlplane::actuator::ClusterActuator;
-use crate::controlplane::fleet::FleetControlPlane;
+use crate::controlplane::fleet::{FleetControlPlane, Request};
 use crate::error::Result;
 use crate::node_model::{NodeModel, NodeParameters};
 use crate::observation::ObservationModel;
@@ -135,12 +134,6 @@ impl ControlPlane {
         self.fleet.controller(0, node)
     }
 
-    /// Read-only view of a node's strategy, if it exists.
-    #[cfg(test)]
-    pub(crate) fn controller_of(&self, node: NodeId) -> Option<&NodeStrategy> {
-        self.fleet.controller_of(0, node)
-    }
-
     /// One control time-step across both levels (`FleetControlPlane::tick`
     /// at one shard); `observations` lists the membership **in membership
     /// order** with each node's IDS input.
@@ -151,13 +144,14 @@ impl ControlPlane {
         rng: &mut R,
     ) -> TickReport {
         let tick = self.fleet.tick(&[observations], &mut [actuator], rng);
-        let node = |(_, id): (usize, NodeId)| id;
+        let (recovered, deferred) = self.fleet.requests();
+        let node = |&((_, id), _): &Request| id;
         TickReport {
             beliefs: tick.beliefs,
-            requested: self.fleet.requested().map(node).collect(),
-            recovered: self.fleet.recovered().map(node).collect(),
-            evicted: tick.evicted.into_iter().map(node).collect(),
-            joined: tick.joined.map(node),
+            requested: recovered.iter().chain(deferred).map(node).collect(),
+            recovered: recovered.iter().map(node).collect(),
+            evicted: tick.evicted.iter().map(|&(_, id)| id).collect(),
+            joined: tick.joined.map(|(_, id)| id),
             estimated_healthy: tick.estimated_healthy,
         }
     }
@@ -248,7 +242,7 @@ mod tests {
         assert_eq!(cluster.recovered.len(), 1);
         // The recovered node's belief reset to the attack prior.
         let id = cluster.recovered[0];
-        assert!(plane.controller_of(id).unwrap().belief().unwrap() < 0.2);
+        assert!(plane.fleet.controller_of(0, id).unwrap().belief().unwrap() < 0.2);
     }
 
     #[test]
@@ -325,7 +319,10 @@ mod tests {
             if tick.evicted.contains(&2) {
                 evicted = true;
                 assert!(!cluster.contains(2));
-                assert!(plane.controller_of(2).is_none(), "controller dropped");
+                assert!(
+                    plane.fleet.controller_of(0, 2).is_none(),
+                    "controller dropped"
+                );
             }
             if tick.joined.is_some() {
                 joined = true;

@@ -20,9 +20,9 @@
 //! * [`MetricSummary`] — the mean / 95%-CI aggregation of
 //!   [`MetricReport`](crate::metrics::MetricReport)s that every table of the
 //!   paper repeats.
-//! * [`StrategyKind`] / [`NodeStrategy`] — the shared construction of the
-//!   per-node decision maker (TOLERANCE controller or baseline) and the
-//!   system controller, previously duplicated by every caller.
+//! * [`StrategyKind`] / [`NodeStrategy`] — the per-node decision maker
+//!   (TOLERANCE controller or baseline) a control plane holds for each
+//!   node, and its one factory.
 //!
 //! There is one way to run a scenario: build it as a value —
 //! `EmulationScenario`, [`ShardedSimnetScenario`](crate::simnet::ShardedSimnetScenario),

@@ -130,8 +130,7 @@ struct EmulatedNode {
     /// The node's id in the plane and in a mirrored [`MinBftCluster`]:
     /// `0..N_1`, then `N_1 + nodes_added` for a JOIN; a rebuild keeps it.
     replica: NodeId,
-    /// Catalogue position of the replica's container: indexes
-    /// `Testbed::catalog` and `Testbed::ids_models`.
+    /// Catalogue position of the replica's container (`Testbed::ids_models`).
     container: usize,
     state: NodeState,
     attacker: Attacker,
@@ -178,9 +177,9 @@ impl Emulation {
     ///
     /// # Errors
     ///
-    /// Propagates model-construction and LP failures from `tolerance-core`.
-    /// All a rebuild or a JOIN could fail on is checked here, once: the base
-    /// node parameters (a jittered draw outside Theorem 1 falls back to
+    /// Propagates model-construction and LP failures from `tolerance-core`,
+    /// and checks here, once, all a rebuild or a JOIN could fail on: the
+    /// base node parameters (a jittered draw outside Theorem 1 falls back to
     /// them) and the recovery threshold (by `ControlPlane::new`).
     pub fn new(config: EmulationConfig) -> Result<Self> {
         config.node_parameters.validate_theorem1()?;
@@ -270,8 +269,7 @@ impl Emulation {
         (self.finish(), success_rate)
     }
 
-    /// A MinBFT cluster over this run's initial nodes, for [`Emulation::step`]
-    /// to mirror.
+    /// A MinBFT cluster over this run's initial nodes, for `step` to mirror.
     fn mirrored_cluster(&self) -> MinBftCluster {
         let config = &self.testbed.config;
         MinBftCluster::new(MinBftConfig {
@@ -285,12 +283,10 @@ impl Emulation {
     fn finish(&mut self) -> EmulationOutcome {
         let testbed = &mut self.testbed;
         // Charge intrusions that were never recovered.
-        for _ in testbed
-            .nodes
-            .iter()
-            .filter(|n| n.compromise_started.is_some())
-        {
-            testbed.metrics.record_unrecovered_intrusion();
+        for node in &testbed.nodes {
+            if node.compromise_started.is_some() {
+                testbed.metrics.record_unrecovered_intrusion();
+            }
         }
         EmulationOutcome {
             metrics: testbed.metrics.report(),
@@ -323,12 +319,12 @@ impl Emulation {
             }
         }
         let testbed = &mut self.testbed;
-        let failed = testbed
-            .nodes
-            .iter()
-            .filter(|n| n.state != NodeState::Healthy);
-        let (failed, f) = (failed.count(), testbed.config.fault_threshold());
-        testbed.metrics.record_step(failed, f, tick.recovered.len());
+        let failed = |node: &&EmulatedNode| node.state != NodeState::Healthy;
+        let failed = testbed.nodes.iter().filter(failed).count();
+        let fault_threshold = testbed.config.fault_threshold();
+        testbed
+            .metrics
+            .record_step(failed, fault_threshold, tick.recovered.len());
     }
 
     /// Hands the strategies of newly built nodes to the plane.

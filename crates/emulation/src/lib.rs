@@ -19,9 +19,10 @@
 //!   schedules for the simnet harness (`tolerance_core::simnet`), whose
 //!   intrusion timing follows the container playbooks instead of uniform
 //!   sampling.
-//! * [`emulation`] — the closed-loop emulation combining nodes, attackers,
-//!   controllers and (optionally) the MinBFT cluster, producing the
-//!   `T(A)`, `T(R)`, `F(R)` metrics. There is no background-client module:
+//! * [`emulation`] — the closed-loop emulation: a testbed of nodes and
+//!   attackers steered as a plant by the control plane of
+//!   `tolerance-core` (optionally mirrored into a MinBFT cluster),
+//!   producing the `T(A)`, `T(R)`, `F(R)` metrics. There is no background-client module:
 //!   the testbed's client load is part of the estimated `Ẑ` the `ids`
 //!   models reproduce, not a process the loop steps.
 //! * [`eval`] — the Table 7 / Fig. 12 comparison harness (TOLERANCE vs the
