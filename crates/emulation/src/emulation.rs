@@ -130,7 +130,8 @@ struct EmulatedNode {
     /// The node's id in the plane and in a mirrored [`MinBftCluster`]:
     /// `0..N_1`, then `N_1 + nodes_added` for a JOIN; a rebuild keeps it.
     replica: NodeId,
-    /// Catalogue position of the replica's container (`Testbed::ids_models`).
+    /// Catalogue position of the replica's container: indexes
+    /// `Testbed::catalog` and `Testbed::ids_models`.
     container: usize,
     state: NodeState,
     attacker: Attacker,
