@@ -18,7 +18,6 @@ use crate::node_model::{NodeAction, NodeModel};
 use crate::recovery::ThresholdStrategy;
 use crate::replication::{ReplicationProblem, ReplicationStrategy};
 use rand::Rng;
-use tolerance_pomdp::{Belief, IncrementalBelief};
 
 /// The per-node controller of the local control level.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,11 +33,6 @@ pub struct NodeController {
     /// deferred actuation can restore the controller's urgency (see
     /// [`NodeController::notify_deferred`]).
     last_request_belief: f64,
-    /// Lazily built incremental tracker over the operational POMDP
-    /// ([`NodeModel::to_pomdp`]) for event-stream observations: one
-    /// `O(|S|²)` prediction per time-step, one `O(|S|)` correction per IDS
-    /// event (see [`NodeController::observe_events`]).
-    event_tracker: Option<IncrementalBelief>,
 }
 
 impl NodeController {
@@ -55,7 +49,6 @@ impl NodeController {
             recoveries: 0,
             steps: 0,
             last_request_belief: initial_belief,
-            event_tracker: None,
         }
     }
 
@@ -83,70 +76,22 @@ impl NodeController {
     }
 
     /// Processes one time-step: updates the belief from the weighted alert
-    /// count and returns the action the node should execute.
+    /// count and returns the action the node should execute. A sample is a
+    /// one-event stream ([`NodeController::observe_events`]).
     pub fn observe_and_decide(&mut self, weighted_alerts: u64) -> NodeAction {
+        self.observe_events(std::slice::from_ref(&weighted_alerts))
+    }
+
+    /// Processes one time-step observed as the weighted IDS alert events
+    /// since the last control decision: the belief takes one prediction under
+    /// the previous action and one Bayes correction per event
+    /// ([`NodeModel::belief_update_events`]), then the threshold rule
+    /// decides. An empty batch is a quiet step, prediction only.
+    pub fn observe_events(&mut self, events: &[u64]) -> NodeAction {
         self.steps += 1;
         self.belief = self
             .model
-            .belief_update(self.belief, self.previous_action, weighted_alerts);
-        self.decide_from_belief()
-    }
-
-    /// Processes one time-step driven by an *event stream*: a batch of
-    /// weighted IDS alert events observed since the last control decision
-    /// (the online observation channel of the live control plane). The
-    /// belief folds the batch through the incremental tracker of
-    /// [`tolerance_pomdp::IncrementalBelief`] — one transition prediction
-    /// for the step, then an `O(|S|)` likelihood correction per event —
-    /// instead of re-running the full update for every alert.
-    ///
-    /// An empty batch is a quiet step and equivalent to prediction only.
-    pub fn observe_events(&mut self, events: &[u64]) -> NodeAction {
-        self.steps += 1;
-        let support = self.model.observations().support_size();
-        if self.event_tracker.is_none() {
-            // eta/discount only shape the cost model, which the belief
-            // recursion never reads; any valid pair works here.
-            self.event_tracker = self
-                .model
-                .to_pomdp(1.0, 0.9)
-                .ok()
-                .and_then(|pomdp| IncrementalBelief::new(&pomdp, Belief::uniform(2)).ok());
-        }
-        match self.event_tracker.as_mut() {
-            Some(tracker) => {
-                let prior =
-                    Belief::new(vec![1.0 - self.belief, self.belief]).unwrap_or(Belief::uniform(2));
-                let _ = tracker.reset(prior);
-                let action = match self.previous_action {
-                    NodeAction::Wait => 0,
-                    NodeAction::Recover => 1,
-                };
-                let _ = tracker.predict(action);
-                for &event in events {
-                    // An impossible event (zero likelihood everywhere) is
-                    // skipped; assumption D of Theorem 1 rules it out for
-                    // validated models.
-                    let _ = tracker.correct((event as usize).min(support.saturating_sub(1)));
-                }
-                self.belief = tracker.probability(1);
-            }
-            None => {
-                // Degenerate models without a POMDP form: treat each event
-                // as its own micro-step of the scalar recursion.
-                let mut action = self.previous_action;
-                for &event in events {
-                    self.belief = self.model.belief_update(self.belief, action, event);
-                    action = NodeAction::Wait;
-                }
-            }
-        }
-        self.decide_from_belief()
-    }
-
-    /// Applies the threshold decision to the current belief and performs
-    /// the post-decision bookkeeping shared by both observation paths.
-    fn decide_from_belief(&mut self) -> NodeAction {
+            .belief_update_events(self.belief, self.previous_action, events);
         let action = self.strategy.decide(self.belief, self.steps_since_recovery);
         match action {
             NodeAction::Recover => {
@@ -334,24 +279,15 @@ mod tests {
 
     #[test]
     fn event_stream_observation_matches_the_scalar_recursion() {
-        // One event per step must agree with the per-step scalar update up
-        // to the conditioning difference between the two forms (the scalar
-        // recursion conditions the predicted vector on not crashing, the
-        // operational POMDP conditions each transition row — the faithful
-        // approximation documented on `NodeModel::to_pomdp`). A dense alert
-        // burst must push the belief over the threshold just like
+        // One event per step is the per-step scalar update, bit for bit; a
+        // dense alert burst pushes the belief over the threshold just like
         // sustained samples.
         let mut scalar = node_controller(0.99);
         let mut streamed = node_controller(0.99);
-        for alerts in [0u64, 3, 7, 1, 10, 10] {
+        for alerts in [0u64, 3, 7, 1, 10, 10, 11, 99] {
             scalar.observe_and_decide(alerts);
             streamed.observe_events(&[alerts]);
-            assert!(
-                (scalar.belief() - streamed.belief()).abs() < 1e-3,
-                "scalar {} vs streamed {}",
-                scalar.belief(),
-                streamed.belief()
-            );
+            assert_eq!(scalar.belief().to_bits(), streamed.belief().to_bits());
         }
 
         let mut controller = node_controller(0.8);

@@ -32,15 +32,10 @@ use tolerance_consensus::NodeId;
 /// keeps its recovery requests ([`FleetControlPlane::requests`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct FleetTickReport {
-    /// Every node's belief after the update, shard-major in observation
-    /// order (`None` = silent, or a baseline's).
-    pub beliefs: Vec<(NodeId, Option<f64>)>,
     /// Nodes evicted by the system controller.
     pub evicted: Vec<(usize, NodeId)>,
     /// The shard that received a JOIN this tick, with the new replica.
     pub joined: Option<(usize, NodeId)>,
-    /// The expected-healthy estimate the system controller acted on.
-    pub estimated_healthy: Option<usize>,
 }
 
 /// A recovery request: the node and the belief it was decided on.
@@ -60,10 +55,12 @@ pub(crate) struct FleetControlPlane {
     controllers: BTreeMap<(usize, NodeId), NodeStrategy>,
     system: Option<SystemController>,
     /// The last tick's recovery requests with their deciding beliefs, the
-    /// `granted` ones first; like `reports`, the system controller's input,
-    /// kept between ticks for its allocation.
+    /// `granted` ones first.
     requests: Vec<Request>,
     granted: usize,
+    /// The last tick's beliefs, shard-major in observation order (`None` =
+    /// silent, or a baseline's): the system controller's input, kept
+    /// between ticks for its allocation like `requests`.
     reports: Vec<Option<f64>>,
 }
 
@@ -110,6 +107,11 @@ impl FleetControlPlane {
         &self.config
     }
 
+    /// Installs `strategy` as the strategy of `(shard, node)`.
+    pub(crate) fn install(&mut self, shard: usize, node: NodeId, strategy: NodeStrategy) {
+        self.controllers.insert((shard, node), strategy);
+    }
+
     /// The strategy of `(shard, node)`, creating the plane's default belief
     /// controller on first access.
     pub fn controller(&mut self, shard: usize, node: NodeId) -> &mut NodeStrategy {
@@ -140,41 +142,33 @@ impl FleetControlPlane {
     }
 
     /// The local level of one shard: folds each node's observation through
-    /// its strategy (one lookup per node), appends the node's belief to
-    /// `beliefs` and its recovery request, if any, to the tick's. Returns
-    /// whether a node wishes for an extra node (PERIODIC-ADAPTIVE's
-    /// `o_t ≥ 2 E[O_t]`, tested per event of a stream).
-    fn observe_shard(
-        &mut self,
-        shard: usize,
-        observations: &[(NodeId, NodeReport<'_>)],
-        beliefs: &mut Vec<(NodeId, Option<f64>)>,
-    ) -> bool {
+    /// its strategy (one lookup per node; a sample is a one-event stream),
+    /// appends the node's belief to `reports` and its recovery request, if
+    /// any, to the tick's. Returns whether a node wishes for an extra node
+    /// (PERIODIC-ADAPTIVE's `o_t ≥ 2 E[O_t]`, tested per event).
+    fn observe_shard(&mut self, shard: usize, observations: &[(NodeId, NodeReport<'_>)]) -> bool {
         let mut wants_node = false;
-        for &(id, observation) in observations {
-            let node = self.controller(shard, id);
-            let action = match observation {
+        for (id, observation) in observations {
+            let events = match observation {
                 NodeReport::Silent => {
-                    beliefs.push((id, None));
+                    self.reports.push(None);
                     continue;
                 }
-                NodeReport::Sample(alerts) => {
-                    wants_node |= node.wants_additional_node(alerts as f64);
-                    node.observe_and_decide(alerts)
-                }
-                NodeReport::Events(events) => {
-                    wants_node |= events.iter().any(|&e| node.wants_additional_node(e as f64));
-                    node.observe_events(events)
-                }
+                NodeReport::Sample(alerts) => std::slice::from_ref(alerts),
+                NodeReport::Events(events) => events,
             };
-            beliefs.push((id, node.belief()));
+            let node = self.controller(shard, *id);
+            wants_node |= events.iter().any(|&e| node.wants_additional_node(e as f64));
+            let action = node.observe_events(events);
+            let belief = node.belief();
             // Priority by the *deciding* belief: `belief()` was already reset
             // to the attack prior when the decision fired. A baseline tracks
             // no belief: baselines tie and rank by key.
             let request =
                 (action == NodeAction::Recover).then(|| node.request_belief().unwrap_or(1.0));
+            self.reports.push(belief);
             if let Some(belief) = request {
-                self.requests.push(((shard, id), belief));
+                self.requests.push(((shard, *id), belief));
             }
         }
         wants_node
@@ -206,16 +200,12 @@ impl FleetControlPlane {
             actuators.len(),
             "one actuator per shard"
         );
-        let shard_sizes = || observations.iter().map(|o| o.as_ref().len());
-        let mut report = FleetTickReport {
-            beliefs: Vec::with_capacity(shard_sizes().sum()),
-            ..FleetTickReport::default()
-        };
+        let mut report = FleetTickReport::default();
         self.requests.clear();
+        self.reports.clear();
         let mut wants_node = false;
         for (shard, shard_observations) in observations.iter().enumerate() {
-            wants_node |=
-                self.observe_shard(shard, shard_observations.as_ref(), &mut report.beliefs);
+            wants_node |= self.observe_shard(shard, shard_observations.as_ref());
         }
         // Global budget (Proposition 1), fleet-wide; a deferred request
         // re-fires next tick.
@@ -240,22 +230,17 @@ impl FleetControlPlane {
         let add_node = match &mut self.system {
             None => wants_node,
             Some(system) => {
-                self.reports.clear();
-                self.reports
-                    .extend(report.beliefs.iter().map(|&(_, belief)| belief));
                 let decision = system.decide(&self.reports, rng);
-                report.estimated_healthy = Some(decision.estimated_healthy);
-                let shard_of = |index| {
-                    let mut end = 0;
-                    shard_sizes().position(|size| {
-                        end += size;
-                        index < end
-                    })
+                let keys = || {
+                    observations
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(shard, o)| o.as_ref().iter().map(move |&(id, _)| (shard, id)))
                 };
                 let mut evict: Vec<(usize, NodeId)> = decision
                     .evict
                     .iter()
-                    .filter_map(|&index| Some((shard_of(index)?, report.beliefs[index].0)))
+                    .filter_map(|&index| keys().nth(index))
                     .collect();
                 evict.sort_unstable();
                 for (shard, id) in evict {
@@ -276,13 +261,15 @@ impl FleetControlPlane {
             // Neediest shard: fewest healthy-looking reporters, ties broken
             // by smallest membership then shard index.
             let mut start = 0;
-            let target = shard_sizes()
+            let target = observations
+                .iter()
                 .enumerate()
-                .filter_map(|(shard, size)| {
-                    let beliefs = &report.beliefs[start..start + size];
+                .filter_map(|(shard, o)| {
+                    let size = o.as_ref().len();
+                    let beliefs = &self.reports[start..start + size];
                     start += size;
                     let members = actuators[shard].replica_count();
-                    let healthy = beliefs.iter().filter(|(_, b)| b.is_some_and(|b| b < 0.5));
+                    let healthy = beliefs.iter().filter(|b| b.is_some_and(|b| b < 0.5));
                     (members < self.config.max_replicas).then(|| (healthy.count(), members, shard))
                 })
                 .min();
@@ -590,7 +577,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut plane = plane(config.clone(), 16);
         let mut shards = [FakeShard::new(4)];
-        *plane.controller(0, 0) = periodic_adaptive();
+        plane.install(0, 0, periodic_adaptive());
         let joins: Vec<bool> = (0..4)
             .map(|_| {
                 let observations = bursts(&shards, 10);
@@ -606,7 +593,7 @@ mod tests {
         // A quiet step wishes for nothing.
         let mut plane = self::plane(config.clone(), 16);
         let mut quiet = [FakeShard::new(4)];
-        *plane.controller(0, 0) = periodic_adaptive();
+        plane.install(0, 0, periodic_adaptive());
         let observations = bursts(&quiet, 3);
         let mut actuators: Vec<&mut FakeShard> = quiet.iter_mut().collect();
         assert_eq!(
@@ -617,8 +604,8 @@ mod tests {
         // Two shards of 4 under a fleet budget of 9: one JOIN in all.
         let mut plane = self::plane(config.clone(), 9);
         let mut shards = [FakeShard::new(4), FakeShard::new(4)];
-        *plane.controller(0, 0) = periodic_adaptive();
-        *plane.controller(1, 0) = periodic_adaptive();
+        plane.install(0, 0, periodic_adaptive());
+        plane.install(1, 0, periodic_adaptive());
         let mut joined = 0;
         for _ in 0..4 {
             let observations = bursts(&shards, 10);

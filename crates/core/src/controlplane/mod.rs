@@ -15,13 +15,13 @@
 //!   [`tolerance_consensus::ThreadedCluster`] (control messages on the
 //!   transport, wall-clock).
 //! * [`runtime::ControlPlane`] — the transport-agnostic control runtime:
-//!   per-replica belief tracking (single alert samples or whole IDS event
-//!   streams through the incremental tracker of
-//!   [`tolerance_pomdp::IncrementalBelief`]), the k-parallel-recovery
-//!   constraint of Proposition 1, and the Algorithm-2 replication decision,
-//!   all actuated through whichever [`actuator::ClusterActuator`] is
-//!   plugged in. The simnet executor drives the *same* `tick` as the live
-//!   threaded scenario.
+//!   per-replica belief tracking (one Eq. 4 filter,
+//!   [`crate::node_model::NodeModel::belief_update_events`], over whole IDS
+//!   event streams; a single alert sample is a one-event stream), the
+//!   k-parallel-recovery constraint of Proposition 1, and the Algorithm-2
+//!   replication decision, all actuated through whichever
+//!   [`actuator::ClusterActuator`] is plugged in. The simnet executor drives
+//!   the *same* `tick`, and the same filter, as the live threaded scenario.
 //! * [`scenario::run_controlled_service`] — a threaded MinBFT service under
 //!   a scripted intrusion burst with the control plane closing the loop
 //!   live, plus the simnet twin ([`scenario::sim_intrusion_burst_config`])

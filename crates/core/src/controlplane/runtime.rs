@@ -9,7 +9,7 @@
 //! emulation's testbed.
 
 use crate::controlplane::actuator::ClusterActuator;
-use crate::controlplane::fleet::{FleetControlPlane, Request};
+use crate::controlplane::fleet::FleetControlPlane;
 use crate::error::Result;
 use crate::node_model::{NodeModel, NodeParameters};
 use crate::observation::ObservationModel;
@@ -69,32 +69,24 @@ pub enum NodeReport<'a> {
     /// it as evictable (Section V-B).
     Silent,
     /// One weighted IDS-alert sample for the whole time-step (the simnet
-    /// path — one deterministic draw per step).
+    /// and emulation path — one deterministic draw per step): the
+    /// allocation-free spelling of `Events(&[alerts])`.
     Sample(u64),
     /// The stream of weighted IDS-alert events observed since the previous
-    /// tick (the live path — folded through the incremental belief tracker
-    /// at `O(|S|)` per event).
+    /// tick (the live path): one belief prediction for the tick, then one
+    /// `O(1)` Bayes correction per event.
     Events(&'a [u64]),
 }
 
-/// What one control tick did.
+/// What one control tick actuated.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TickReport {
-    /// Per-node compromise beliefs after the update, the report vector the
-    /// system controller consumed: a requester already shows the
-    /// post-recovery prior (`None` = no report, or a baseline's).
-    pub beliefs: Vec<(NodeId, Option<f64>)>,
-    /// Nodes whose controllers requested a recovery this tick (before the
-    /// k-truncation).
-    pub requested: Vec<NodeId>,
     /// Nodes whose recovery was actuated successfully.
     pub recovered: Vec<NodeId>,
     /// Nodes evicted by the system controller (crash eviction).
     pub evicted: Vec<NodeId>,
     /// Replica joined this tick, if any.
     pub joined: Option<NodeId>,
-    /// The expected-healthy estimate the system controller acted on.
-    pub estimated_healthy: Option<usize>,
 }
 
 /// The two-level control runtime of one group: shard 0 of a one-shard
@@ -127,11 +119,16 @@ impl ControlPlane {
 
     /// The strategy of `node`, created on first access as the plane's
     /// default belief controller (the paper's node model at
-    /// `recovery_threshold`). A plant installs its own by assigning to it.
-    /// A baseline reports no belief, which a system controller reads as a
-    /// crash: baselines run with `system_controller: false`.
+    /// `recovery_threshold`).
     pub fn controller(&mut self, node: NodeId) -> &mut NodeStrategy {
         self.fleet.controller(0, node)
+    }
+
+    /// Installs a plant's own strategy for `node`. A baseline reports no
+    /// belief, which a system controller reads as a crash: baselines run
+    /// with `system_controller: false`.
+    pub fn install(&mut self, node: NodeId, strategy: NodeStrategy) {
+        self.fleet.install(0, node, strategy);
     }
 
     /// One control time-step across both levels (`FleetControlPlane::tick`
@@ -144,15 +141,11 @@ impl ControlPlane {
         rng: &mut R,
     ) -> TickReport {
         let tick = self.fleet.tick(&[observations], &mut [actuator], rng);
-        let (recovered, deferred) = self.fleet.requests();
-        let node = |&((_, id), _): &Request| id;
+        let (recovered, _) = self.fleet.requests();
         TickReport {
-            beliefs: tick.beliefs,
-            requested: recovered.iter().chain(deferred).map(node).collect(),
-            recovered: recovered.iter().map(node).collect(),
+            recovered: recovered.iter().map(|&((_, id), _)| id).collect(),
             evicted: tick.evicted.iter().map(|&(_, id)| id).collect(),
             joined: tick.joined.map(|(_, id)| id),
-            estimated_healthy: tick.estimated_healthy,
         }
     }
 }
@@ -266,7 +259,8 @@ mod tests {
                 .collect();
             let tick = plane.tick(&observed, &mut cluster, &mut rng);
             assert!(tick.recovered.is_empty(), "actuation was refused");
-            if !tick.requested.is_empty() {
+            let (recovered, deferred) = plane.fleet.requests();
+            if !recovered.is_empty() || !deferred.is_empty() {
                 first_request.get_or_insert(tick_index);
                 requested_ticks += 1;
             }
@@ -372,5 +366,63 @@ mod tests {
             );
         }
         assert!(recovered, "a dense alert burst must actuate recovery");
+    }
+
+    #[test]
+    fn a_sample_and_a_one_event_stream_are_the_same_report() {
+        // `Sample(a)` is `Events(&[a])`: two planes fed the same alerts, one
+        // as samples and one as one-event streams, hold bit-identical beliefs
+        // after every tick and actuate the same recoveries, evictions and
+        // joins. Alerts 11 and 99 lie outside the support: zero likelihood
+        // in both states leaves the belief as predicted on either path.
+        let config = ControlPlaneConfig {
+            delta_r: None,
+            ..ControlPlaneConfig::default()
+        };
+        let mut sampled = ControlPlane::new(config.clone()).unwrap();
+        let mut streamed = ControlPlane::new(config).unwrap();
+        let (mut sampled_cluster, mut streamed_cluster) =
+            (FakeCluster::new(4), FakeCluster::new(4));
+        let (mut sampled_rng, mut streamed_rng) =
+            (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let alerts: Vec<u64> = (0..40u64)
+            .map(|t| [t % 11, (t * 7) % 12, 99, 10][(t % 4) as usize])
+            .collect();
+        let mut recoveries = 0;
+        for (tick_index, window) in alerts.windows(4).enumerate() {
+            let members: Vec<NodeId> = sampled_cluster.members.iter().copied().collect();
+            let alert_of = |index: usize| window[index % window.len()];
+            let samples: Vec<(NodeId, NodeReport<'_>)> = members
+                .iter()
+                .enumerate()
+                .map(|(index, &id)| (id, NodeReport::Sample(alert_of(index))))
+                .collect();
+            let events: Vec<[u64; 1]> = (0..members.len()).map(|index| [alert_of(index)]).collect();
+            let streams: Vec<(NodeId, NodeReport<'_>)> = members
+                .iter()
+                .zip(&events)
+                .map(|(&id, event)| (id, NodeReport::Events(event)))
+                .collect();
+            let sampled_tick = sampled.tick(&samples, &mut sampled_cluster, &mut sampled_rng);
+            let streamed_tick = streamed.tick(&streams, &mut streamed_cluster, &mut streamed_rng);
+            assert_eq!(sampled_tick, streamed_tick, "tick {tick_index}");
+            recoveries += sampled_tick.recovered.len();
+            for &id in &members {
+                let belief = |plane: &ControlPlane| {
+                    plane
+                        .fleet
+                        .controller_of(0, id)
+                        .and_then(NodeStrategy::belief)
+                        .map(f64::to_bits)
+                };
+                assert_eq!(
+                    belief(&sampled),
+                    belief(&streamed),
+                    "tick {tick_index} node {id}"
+                );
+            }
+        }
+        assert_eq!(sampled_cluster.recovered, streamed_cluster.recovered);
+        assert!(recoveries > 0, "the sequence must exercise a recovery");
     }
 }

@@ -7,7 +7,7 @@
 //! observation channel emits a batch of weighted alert events (sampled from
 //! the paper's [`ObservationModel`] distributions — compromised replicas
 //! draw from the compromised distribution), the node controllers fold the
-//! events through the incremental belief tracker and actuate live recovery,
+//! events through the simulator's belief filter and actuate live recovery,
 //! and the system controller evicts crashed replicas and restores `n`
 //! through JOIN — all over the running cluster's transport.
 //!

@@ -339,24 +339,45 @@ impl NodeModel {
     /// One Bayesian update of the scalar compromise belief `b = P[S = C]`
     /// (Appendix A restricted to the two operational states), given the
     /// action taken at the previous step and the number of weighted IDS
-    /// alerts observed.
+    /// alerts observed: [`NodeModel::belief_update_events`] over one event.
     pub fn belief_update(&self, belief: f64, action: NodeAction, alerts: u64) -> f64 {
-        let likelihoods = [
-            self.observations.probability(NodeState::Healthy, alerts),
-            self.observations
-                .probability(NodeState::Compromised, alerts),
-        ];
-        posterior(&self.transitions[action.index()], likelihoods, belief)
+        self.belief_update_events(belief, action, std::slice::from_ref(&alerts))
+    }
+
+    /// The belief recursion of Eq. (4) over the weighted IDS alert events
+    /// observed within one time-step: one prediction under the action taken,
+    /// then one Bayes correction per event, `O(1)` each. No events is
+    /// prediction only, and an event with zero likelihood in both states
+    /// leaves the belief unchanged.
+    pub fn belief_update_events(&self, belief: f64, action: NodeAction, events: &[u64]) -> f64 {
+        let b = belief.clamp(0.0, 1.0);
+        let Some(predicted) = predict(&self.transitions[action.index()], b) else {
+            return b;
+        };
+        let likelihoods = |alerts| {
+            [NodeState::Healthy, NodeState::Compromised]
+                .map(|state| self.observations.probability(state, alerts))
+        };
+        events.iter().fold(predicted, |belief, &alerts| {
+            correct(belief, likelihoods(alerts))
+        })[1]
     }
 }
 
-/// The belief recursion behind [`NodeModel::belief_update`], on the numbers
-/// it needs: Eq. (2) under the action taken (`[state][next]`) and the
+/// [`NodeModel::belief_update`] on the numbers it needs (the rollout's inner
+/// step): Eq. (2) under the action taken (`[state][next]`) and the
 /// likelihoods `[Z(o | H), Z(o | C)]` of the observation.
 #[inline]
 pub(crate) fn posterior(transitions: &[[f64; 3]; 3], likelihoods: [f64; 2], belief: f64) -> f64 {
     let b = belief.clamp(0.0, 1.0);
-    // Predicted distribution over {H, C}, conditioned on not crashing.
+    predict(transitions, b).map_or(b, |predicted| correct(predicted, likelihoods)[1])
+}
+
+/// The prediction half of Eq. (4): the belief `b` carried through Eq. (2),
+/// conditioned on not crashing, as `[P(H), P(C)]`; `None` when no mass
+/// survives.
+#[inline]
+fn predict(transitions: &[[f64; 3]; 3], b: f64) -> Option<[f64; 2]> {
     let mut predicted = [0.0f64; 2];
     let prior = [1.0 - b, b];
     for (si, &weight) in prior.iter().enumerate() {
@@ -366,18 +387,22 @@ pub(crate) fn posterior(transitions: &[[f64; 3]; 3], likelihoods: [f64; 2], beli
     }
     let total = predicted[0] + predicted[1];
     if total <= 0.0 {
-        return b;
+        return None;
     }
-    predicted[0] /= total;
-    predicted[1] /= total;
-    // Bayes with the observation likelihoods.
-    let [likelihood_h, likelihood_c] = likelihoods;
-    let numerator = likelihood_c * predicted[1];
-    let denominator = likelihood_h * predicted[0] + likelihood_c * predicted[1];
-    if denominator <= 0.0 {
-        predicted[1]
+    Some(predicted.map(|mass| mass / total))
+}
+
+/// The correction half of Eq. (4): Bayes with the likelihoods
+/// `[Z(o | H), Z(o | C)]` of one observation. An observation impossible in
+/// both states leaves the belief unchanged.
+#[inline]
+fn correct(belief: [f64; 2], likelihoods: [f64; 2]) -> [f64; 2] {
+    let joint = [likelihoods[0] * belief[0], likelihoods[1] * belief[1]];
+    let evidence = joint[0] + joint[1];
+    if evidence <= 0.0 {
+        belief
     } else {
-        numerator / denominator
+        joint.map(|mass| mass / evidence)
     }
 }
 
@@ -577,7 +602,10 @@ mod tests {
         let pomdp = m.to_pomdp(2.0, 0.99).unwrap();
         assert_eq!(pomdp.num_states(), 2);
         assert_eq!(pomdp.num_actions(), 2);
-        assert_eq!(pomdp.num_observations(), m.observations().support_size());
+        assert_eq!(
+            pomdp.num_observations(),
+            m.observations().healthy_distribution().len()
+        );
         assert_eq!(pomdp.cost(1, 0), 2.0);
         assert_eq!(pomdp.cost(0, 1), 1.0);
     }

@@ -106,11 +106,6 @@ impl ObservationModel {
         )
     }
 
-    /// Number of distinct observation values.
-    pub(crate) fn support_size(&self) -> usize {
-        self.healthy.len()
-    }
-
     /// The distribution of alert counts in the healthy state.
     pub fn healthy_distribution(&self) -> &[f64] {
         &self.healthy
@@ -225,7 +220,7 @@ mod tests {
     fn paper_default_satisfies_theorem1_assumptions() {
         let model = ObservationModel::paper_default();
         assert!(model.validate_theorem1().is_ok());
-        assert_eq!(model.support_size(), 11);
+        assert_eq!(model.healthy_distribution().len(), 11);
         assert!(model.mean(NodeState::Compromised) > model.mean(NodeState::Healthy));
         assert!(model.detection_divergence().unwrap() > 0.0);
     }

@@ -88,25 +88,17 @@ pub struct NodeStrategyConfig {
 /// controller or a baseline recovery schedule, behind one uniform API.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeStrategy {
-    /// The belief-threshold node controller (Theorem 1), boxed: its belief
-    /// tracker dwarfs the baseline variant.
+    /// The belief-threshold node controller (Theorem 1), boxed: its node
+    /// model dwarfs the baseline variant.
     Tolerance(Box<NodeController>),
     /// A baseline recovery schedule (Section VIII-B).
     Baseline(RecoveryStrategy),
 }
 
 impl NodeStrategy {
-    /// Processes one time-step: consumes the weighted alert count and
-    /// returns the recovery decision.
-    pub fn observe_and_decide(&mut self, weighted_alerts: u64) -> NodeAction {
-        match self {
-            NodeStrategy::Tolerance(controller) => controller.observe_and_decide(weighted_alerts),
-            NodeStrategy::Baseline(baseline) => baseline.decide(),
-        }
-    }
-
-    /// Processes one time-step observed as a stream of weighted alert
-    /// events ([`NodeController::observe_events`]); a baseline decides by
+    /// Processes one time-step observed as the weighted IDS alert events
+    /// since the last decision ([`NodeController::observe_events`]; a sample
+    /// is one event) and returns the recovery decision; a baseline decides by
     /// its schedule alone.
     pub fn observe_events(&mut self, events: &[u64]) -> NodeAction {
         match self {
@@ -201,7 +193,7 @@ mod tests {
         let mut tolerance = StrategyKind::Tolerance
             .build_node_strategy(model(), 1.0, &config(None))
             .unwrap();
-        let recovered = (0..20).any(|_| tolerance.observe_and_decide(10) == NodeAction::Recover);
+        let recovered = (0..20).any(|_| tolerance.observe_events(&[10]) == NodeAction::Recover);
         assert!(
             recovered,
             "sustained max alerts must trigger the controller"
@@ -210,7 +202,7 @@ mod tests {
         let mut periodic = StrategyKind::Baseline(BaselineKind::Periodic)
             .build_node_strategy(model(), 1.0, &config(Some(5)))
             .unwrap();
-        let decisions: Vec<NodeAction> = (0..10).map(|_| periodic.observe_and_decide(10)).collect();
+        let decisions: Vec<NodeAction> = (0..10).map(|_| periodic.observe_events(&[10])).collect();
         assert_eq!(
             decisions
                 .iter()
@@ -239,7 +231,7 @@ mod tests {
         // With quiet observations the BTR constraint forces a recovery at
         // the period boundary.
         let recoveries = (0..25)
-            .filter(|_| strategy.observe_and_decide(0) == NodeAction::Recover)
+            .filter(|_| strategy.observe_events(&[0]) == NodeAction::Recover)
             .count();
         assert!(
             recoveries >= 4,
@@ -253,7 +245,7 @@ mod tests {
             .build_node_strategy(model(), 1.0, &config(None))
             .unwrap();
         for _ in 0..5 {
-            tolerance.observe_and_decide(10);
+            tolerance.observe_events(&[10]);
         }
         tolerance.notify_recovered();
         assert!((tolerance.belief().unwrap() - 0.1).abs() < 1e-9);
@@ -261,10 +253,10 @@ mod tests {
         let mut periodic = StrategyKind::Baseline(BaselineKind::Periodic)
             .build_node_strategy(model(), 1.0, &config(Some(3)))
             .unwrap();
-        periodic.observe_and_decide(0);
+        periodic.observe_events(&[0]);
         periodic.notify_recovered();
-        assert_eq!(periodic.observe_and_decide(0), NodeAction::Wait);
-        assert_eq!(periodic.observe_and_decide(0), NodeAction::Wait);
-        assert_eq!(periodic.observe_and_decide(0), NodeAction::Recover);
+        assert_eq!(periodic.observe_events(&[0]), NodeAction::Wait);
+        assert_eq!(periodic.observe_events(&[0]), NodeAction::Wait);
+        assert_eq!(periodic.observe_events(&[0]), NodeAction::Recover);
     }
 }

@@ -331,7 +331,7 @@ impl Emulation {
     /// Hands the strategies of newly built nodes to the plane.
     fn install_fresh_strategies(&mut self) {
         for (node, strategy) in self.testbed.fresh.drain(..) {
-            *self.plane.controller(node) = strategy;
+            self.plane.install(node, strategy);
         }
     }
 }
@@ -744,23 +744,23 @@ mod tests {
             .unwrap();
         loop {
             let mut next = below.clone();
-            if next.observe_and_decide(0) == NodeAction::Recover {
+            if next.observe_events(&[0]) == NodeAction::Recover {
                 break;
             }
             below = next;
         }
         let mut deferred = below.clone();
-        deferred.observe_and_decide(0);
+        deferred.observe_events(&[0]);
         deferred.notify_deferred();
         let decides_on = |strategy: &NodeStrategy| {
             let mut next = strategy.clone();
-            assert_eq!(next.observe_and_decide(0), NodeAction::Recover);
+            assert_eq!(next.observe_events(&[0]), NodeAction::Recover);
             next.request_belief().unwrap()
         };
         let (lower, higher) = (decides_on(&below), decides_on(&deferred));
         assert!(lower < higher, "{lower} vs {higher}");
         for (node, strategy) in emulation.testbed.nodes.iter_mut().zip([below, deferred]) {
-            *emulation.plane.controller(node.replica) = strategy;
+            emulation.plane.install(node.replica, strategy);
             node.state = NodeState::Compromised;
             node.parameters.p_crash_compromised = 0.0;
         }

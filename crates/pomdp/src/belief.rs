@@ -174,222 +174,6 @@ impl Belief {
     }
 }
 
-/// An online belief tracker with the update split into its two Bayesian
-/// halves, so event-driven controllers pay the right cost per event:
-///
-/// * [`IncrementalBelief::predict`] folds the belief through the transition
-///   model — `O(|S|²)`, executed **once per control time-step** (when the
-///   previous action is known), and
-/// * [`IncrementalBelief::correct`] multiplies in one observation
-///   likelihood and renormalizes — `O(|S|)`, executed **once per event**.
-///
-/// A controller that receives a stream of IDS events between two control
-/// decisions therefore updates in `O(|S|)` per event instead of re-running
-/// the full `O(|S|²)` update (or re-solving the model) for every alert:
-/// the events are conditionally independent observations of the same
-/// hidden state, so the posterior folds them in one at a time.
-///
-/// The transition and observation tables are flattened at construction, so
-/// the per-event path performs no model lookups, allocations or index
-/// validation. A `predict` followed by a single `correct` is numerically
-/// identical to [`Belief::update`] (see the consistency tests).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalBelief {
-    num_states: usize,
-    num_actions: usize,
-    num_observations: usize,
-    /// `transitions[a][s * n + s']` = `f(s' | s, a)`.
-    transitions: Vec<Vec<f64>>,
-    /// `observations[o][s']` = `Z(o | s')`.
-    observations: Vec<Vec<f64>>,
-    belief: Vec<f64>,
-    /// Scratch buffer of the predict step (avoids per-call allocation).
-    scratch: Vec<f64>,
-}
-
-impl IncrementalBelief {
-    /// Builds a tracker over `model` starting from `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PomdpError::InvalidParameter`] if the belief dimension does
-    /// not match the model.
-    pub fn new(model: &Pomdp, initial: Belief) -> Result<Self> {
-        let n = model.num_states();
-        if initial.num_states() != n {
-            return Err(PomdpError::InvalidParameter {
-                name: "belief",
-                reason: format!(
-                    "belief has {} states but the model has {n}",
-                    initial.num_states()
-                ),
-            });
-        }
-        let transitions: Vec<Vec<f64>> = (0..model.num_actions())
-            .map(|a| {
-                let mut flat = Vec::with_capacity(n * n);
-                for s in 0..n {
-                    for s_next in 0..n {
-                        flat.push(model.transition_probability(s, a, s_next));
-                    }
-                }
-                flat
-            })
-            .collect();
-        let observations: Vec<Vec<f64>> = (0..model.num_observations())
-            .map(|o| {
-                (0..n)
-                    .map(|s| model.observation_probability(s, o))
-                    .collect()
-            })
-            .collect();
-        Ok(IncrementalBelief {
-            num_states: n,
-            num_actions: model.num_actions(),
-            num_observations: model.num_observations(),
-            transitions,
-            observations,
-            belief: initial.as_slice().to_vec(),
-            scratch: vec![0.0; n],
-        })
-    }
-
-    /// The current belief as a probability vector.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.belief
-    }
-
-    /// The current belief as a [`Belief`] (allocates).
-    pub fn belief(&self) -> Belief {
-        Belief {
-            probabilities: self.belief.clone(),
-        }
-    }
-
-    /// The probability of `state` under the current belief.
-    pub fn probability(&self, state: usize) -> f64 {
-        self.belief.get(state).copied().unwrap_or(0.0)
-    }
-
-    /// Replaces the tracked belief (e.g. after an external recovery reset).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PomdpError::InvalidParameter`] on a dimension mismatch.
-    pub fn reset(&mut self, belief: Belief) -> Result<()> {
-        if belief.num_states() != self.num_states {
-            return Err(PomdpError::InvalidParameter {
-                name: "belief",
-                reason: format!(
-                    "belief has {} states but the tracker has {}",
-                    belief.num_states(),
-                    self.num_states
-                ),
-            });
-        }
-        self.belief = belief.as_slice().to_vec();
-        Ok(())
-    }
-
-    /// The prediction half of the Bayesian update: folds the belief through
-    /// the transition model of `action`. `O(|S|²)`; call once per control
-    /// time-step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PomdpError::InvalidParameter`] if `action` is out of range.
-    pub fn predict(&mut self, action: usize) -> Result<()> {
-        let Some(transition) = self.transitions.get(action) else {
-            return Err(PomdpError::InvalidParameter {
-                name: "action",
-                reason: format!("action {action} out of range"),
-            });
-        };
-        let n = self.num_states;
-        self.scratch.fill(0.0);
-        for (s, &b) in self.belief.iter().enumerate() {
-            if b > 0.0 {
-                let row = &transition[s * n..(s + 1) * n];
-                for (s_next, &p) in row.iter().enumerate() {
-                    self.scratch[s_next] += b * p;
-                }
-            }
-        }
-        std::mem::swap(&mut self.belief, &mut self.scratch);
-        Ok(())
-    }
-
-    /// The correction half of the Bayesian update: multiplies in the
-    /// likelihood of one observation and renormalizes. `O(|S|)`; call once
-    /// per event.
-    ///
-    /// # Errors
-    ///
-    /// * [`PomdpError::InvalidParameter`] if `observation` is out of range.
-    /// * [`PomdpError::ImpossibleObservation`] if the observation has zero
-    ///   probability under the current belief (the belief is left
-    ///   unchanged).
-    pub fn correct(&mut self, observation: usize) -> Result<()> {
-        let Some(likelihood) = self.observations.get(observation) else {
-            return Err(PomdpError::InvalidParameter {
-                name: "observation",
-                reason: format!("observation {observation} out of range"),
-            });
-        };
-        self.scratch.copy_from_slice(&self.belief);
-        let mut normalizer = 0.0;
-        for (b, &z) in self.belief.iter_mut().zip(likelihood) {
-            *b *= z;
-            normalizer += *b;
-        }
-        if normalizer <= 1e-300 {
-            // The event carries no usable information: restore the
-            // pre-event belief (as documented) and report.
-            std::mem::swap(&mut self.belief, &mut self.scratch);
-            return Err(PomdpError::ImpossibleObservation { observation });
-        }
-        for b in &mut self.belief {
-            *b /= normalizer;
-        }
-        Ok(())
-    }
-
-    /// One full update (`predict` + `correct`), equivalent to
-    /// [`Belief::update`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the component errors.
-    pub fn observe(&mut self, action: usize, observation: usize) -> Result<()> {
-        self.predict(action)?;
-        self.correct(observation)
-    }
-
-    /// Folds a whole event batch observed within one control time-step: one
-    /// prediction for `action`, then an `O(|S|)` correction per event.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the component errors.
-    pub fn observe_events(&mut self, action: usize, observations: &[usize]) -> Result<()> {
-        self.predict(action)?;
-        for &observation in observations {
-            self.correct(observation)?;
-        }
-        Ok(())
-    }
-
-    /// Number of observations the tracker's model distinguishes.
-    pub fn num_observations(&self) -> usize {
-        self.num_observations
-    }
-
-    /// Number of actions the tracker's model distinguishes.
-    pub fn num_actions(&self) -> usize {
-        self.num_actions
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,83 +292,6 @@ mod tests {
             b.update(&model, 0, 1),
             Err(PomdpError::ImpossibleObservation { observation: 1 })
         );
-    }
-
-    #[test]
-    fn incremental_observe_matches_the_full_update() {
-        let model = tiger_like();
-        let mut tracker =
-            IncrementalBelief::new(&model, Belief::new(vec![0.7, 0.3]).unwrap()).unwrap();
-        let mut reference = Belief::new(vec![0.7, 0.3]).unwrap();
-        for (action, observation) in [(0, 1), (0, 0), (1, 0), (0, 1), (0, 1)] {
-            tracker.observe(action, observation).unwrap();
-            reference = reference.update(&model, action, observation).unwrap();
-            for s in 0..2 {
-                assert_close(tracker.probability(s), reference.probability(s), 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn per_event_corrections_fold_an_event_batch() {
-        // predict once + N corrections == the posterior over N conditionally
-        // independent observations of the same hidden step.
-        let model = tiger_like();
-        let mut batched =
-            IncrementalBelief::new(&model, Belief::new(vec![0.9, 0.1]).unwrap()).unwrap();
-        batched.observe_events(0, &[1, 1, 0]).unwrap();
-        let mut manual =
-            IncrementalBelief::new(&model, Belief::new(vec![0.9, 0.1]).unwrap()).unwrap();
-        manual.predict(0).unwrap();
-        for o in [1, 1, 0] {
-            manual.correct(o).unwrap();
-        }
-        assert_eq!(batched.as_slice(), manual.as_slice());
-        // Repeated alert events push the compromise belief monotonically up.
-        let mut alerts_only =
-            IncrementalBelief::new(&model, Belief::new(vec![0.9, 0.1]).unwrap()).unwrap();
-        alerts_only.predict(0).unwrap();
-        let mut previous = alerts_only.probability(1);
-        for _ in 0..4 {
-            alerts_only.correct(1).unwrap();
-            assert!(alerts_only.probability(1) >= previous - 1e-12);
-            previous = alerts_only.probability(1);
-        }
-        let total: f64 = alerts_only.as_slice().iter().sum();
-        assert_close(total, 1.0, 1e-12);
-    }
-
-    #[test]
-    fn incremental_tracker_validates_inputs() {
-        let model = tiger_like();
-        assert!(IncrementalBelief::new(&model, Belief::uniform(3)).is_err());
-        let mut tracker = IncrementalBelief::new(&model, Belief::uniform(2)).unwrap();
-        assert!(tracker.predict(9).is_err());
-        assert!(tracker.correct(9).is_err());
-        assert!(tracker.reset(Belief::uniform(3)).is_err());
-        tracker.reset(Belief::new(vec![0.2, 0.8]).unwrap()).unwrap();
-        assert_close(tracker.probability(1), 0.8, 1e-12);
-        assert_eq!(tracker.num_actions(), 2);
-        assert_eq!(tracker.num_observations(), 2);
-        assert_eq!(tracker.belief().num_states(), 2);
-    }
-
-    #[test]
-    fn impossible_event_reports_and_leaves_a_usable_belief() {
-        let model = Pomdp::new(
-            vec![vec![vec![1.0, 0.0], vec![0.0, 1.0]]],
-            vec![vec![1.0, 0.0], vec![1.0, 0.0]],
-            vec![vec![0.0], vec![0.0]],
-            0.9,
-        )
-        .unwrap();
-        let mut tracker = IncrementalBelief::new(&model, Belief::uniform(2)).unwrap();
-        assert_eq!(
-            tracker.observe(0, 1),
-            Err(PomdpError::ImpossibleObservation { observation: 1 })
-        );
-        let total: f64 = tracker.as_slice().iter().sum();
-        assert_close(total, 1.0, 1e-12);
     }
 
     #[test]

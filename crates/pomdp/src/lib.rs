@@ -15,8 +15,10 @@
 //!   occupation-measure linear program of Algorithm 2 ([`cmdp::Cmdp`]).
 //!
 //! This crate provides the generic model types ([`pomdp::Pomdp`],
-//! [`mdp::Mdp`], [`cmdp::Cmdp`]), belief-state machinery
-//! ([`belief::Belief`]), alpha-vector value functions (`alpha`), the exact
+//! [`mdp::Mdp`], [`cmdp::Cmdp`]), the general belief update
+//! ([`belief::Belief`], the reference the solvers and the properties test
+//! against; the node controllers run their own scalar filter in
+//! `tolerance-core`), alpha-vector value functions (`alpha`), the exact
 //! solvers ([`solvers`]), and structural checks used to verify the
 //! assumptions of Theorems 1–2 ([`structure`]).
 
@@ -33,7 +35,7 @@ pub mod solvers;
 pub mod structure;
 
 pub use alpha::{AlphaVector, ValueFunction};
-pub use belief::{Belief, IncrementalBelief};
+pub use belief::Belief;
 pub use error::PomdpError;
 pub use pomdp::Pomdp;
 pub use solvers::IncrementalPruning;

@@ -20,9 +20,7 @@ use tolerance::core::prelude::*;
 use tolerance::markov::dist::{BetaBinomial, DiscreteDistribution, PoissonBinomial};
 use tolerance::markov::stats::kl_divergence;
 use tolerance::optim::simplex::{Comparison, LinearProgram};
-use tolerance::pomdp::{
-    AlphaVector, Belief, IncrementalBelief, IncrementalPruning, Pomdp, ValueFunction,
-};
+use tolerance::pomdp::{AlphaVector, Belief, IncrementalPruning, Pomdp, ValueFunction};
 
 fn arbitrary_parameters() -> impl Strategy<Value = NodeParameters> {
     (1e-4..0.5f64, 1e-6..0.05f64, 0.01..0.2f64, 1e-4..0.4f64).prop_map(
@@ -349,37 +347,6 @@ proptest! {
             .map(|a| (0..3).map(|s| belief.probability(s) * model.cost(s, a)).sum::<f64>())
             .fold(f64::INFINITY, f64::min);
         prop_assert!((v1.evaluate(belief.as_slice()) - direct).abs() < 1e-8);
-    }
-
-    #[test]
-    fn incremental_belief_matches_full_updates_on_random_3_state_models(
-        transition_rows in proptest::collection::vec(
-            proptest::collection::vec(0.05..1.0f64, 3..4), 3..4),
-        observation_rows in proptest::collection::vec(
-            proptest::collection::vec(0.05..1.0f64, 2..3), 3..4),
-        observations in proptest::collection::vec(0usize..2, 1..15),
-    ) {
-        // The O(|S|)-per-event incremental tracker must agree with the
-        // validated full update for arbitrary models and event sequences.
-        let normalize = |row: &Vec<f64>| -> Vec<f64> {
-            let total: f64 = row.iter().sum();
-            row.iter().map(|v| v / total).collect()
-        };
-        let model = Pomdp::new(
-            vec![transition_rows.iter().map(normalize).collect()],
-            observation_rows.iter().map(normalize).collect(),
-            vec![vec![0.0]; 3],
-            0.9,
-        ).unwrap();
-        let mut reference = Belief::uniform(3);
-        let mut tracker = IncrementalBelief::new(&model, reference.clone()).unwrap();
-        for &obs in &observations {
-            reference = reference.update(&model, 0, obs).unwrap();
-            tracker.observe(0, obs).unwrap();
-            for s in 0..3 {
-                prop_assert!((tracker.probability(s) - reference.probability(s)).abs() < 1e-10);
-            }
-        }
     }
 
     #[test]
@@ -1400,8 +1367,10 @@ mod rollout_kernel {
     //! `ObservationModel::{sample, probability}` for Eq. 3, the belief
     //! recursion of Appendix A written out, and `ThresholdStrategy::decide`.
     //! The two must agree on every bit of the `EpisodeOutcome` and leave the
-    //! RNG in the same place, for models inside and outside Theorem 1; and
-    //! the table `NodeModel` steps with must equal the formula entry by entry.
+    //! RNG in the same place, for models inside and outside Theorem 1; the
+    //! node controller's fold of an alert-event batch must equal the
+    //! recursion's prediction followed by one Bayes step per event; and the
+    //! table `NodeModel` steps with must equal the formula entry by entry.
 
     use super::arbitrary_parameters;
     use proptest::prelude::*;
@@ -1426,14 +1395,9 @@ mod rollout_kernel {
             .transition_probability(state, action, next)
     }
 
-    fn reference_belief_update(
-        model: &NodeModel,
-        observations: &ObservationModel,
-        belief: f64,
-        action: NodeAction,
-        alerts: u64,
-    ) -> f64 {
-        let b = belief.clamp(0.0, 1.0);
+    /// The prediction half of the belief recursion: Eq. 2 over `{H, C}`,
+    /// conditioned on not crashing; `None` when no mass survives.
+    fn reference_prediction(model: &NodeModel, b: f64, action: NodeAction) -> Option<[f64; 2]> {
         let prior = [1.0 - b, b];
         let mut predicted = [0.0f64; 2];
         for (si, &state) in STATES[..2].iter().enumerate() {
@@ -1443,10 +1407,51 @@ mod rollout_kernel {
         }
         let total = predicted[0] + predicted[1];
         if total <= 0.0 {
-            return b;
+            return None;
         }
         predicted[0] /= total;
         predicted[1] /= total;
+        Some(predicted)
+    }
+
+    /// The belief recursion over the alert events of one time-step: the
+    /// prediction once, then one Bayes step per event; an event with zero
+    /// likelihood in both states is skipped.
+    fn reference_event_fold(
+        model: &NodeModel,
+        observations: &ObservationModel,
+        belief: f64,
+        action: NodeAction,
+        events: &[u64],
+    ) -> f64 {
+        let b = belief.clamp(0.0, 1.0);
+        let Some(mut predicted) = reference_prediction(model, b, action) else {
+            return b;
+        };
+        for &alerts in events {
+            let healthy = observations.probability(NodeState::Healthy, alerts) * predicted[0];
+            let compromised =
+                observations.probability(NodeState::Compromised, alerts) * predicted[1];
+            let evidence = healthy + compromised;
+            if evidence <= 0.0 {
+                continue;
+            }
+            predicted = [healthy / evidence, compromised / evidence];
+        }
+        predicted[1]
+    }
+
+    fn reference_belief_update(
+        model: &NodeModel,
+        observations: &ObservationModel,
+        belief: f64,
+        action: NodeAction,
+        alerts: u64,
+    ) -> f64 {
+        let b = belief.clamp(0.0, 1.0);
+        let Some(predicted) = reference_prediction(model, b, action) else {
+            return b;
+        };
         let likelihood_h = observations.probability(NodeState::Healthy, alerts);
         let likelihood_c = observations.probability(NodeState::Compromised, alerts);
         let numerator = likelihood_c * predicted[1];
@@ -1694,10 +1699,14 @@ mod rollout_kernel {
                 }
                 // Alert counts beyond the support have zero likelihood in
                 // both states (the `denominator <= 0` guard), which no
-                // rollout can draw.
+                // rollout can draw. The node controller's event fold is the
+                // same recursion over batches of 0, 1, 3 and 15 events.
                 let model = NodeModel::new_unchecked(parameters, observations.clone());
                 for action in [NodeAction::Wait, NodeAction::Recover] {
                     for alerts in [0, 1, 11, 99] {
+                        let batch: Vec<u64> = (0..15u64)
+                            .map(|i| if i % 3 == 0 { alerts } else { i * 5 % 12 })
+                            .collect();
                         for belief in [0.0, 0.1, 0.5, 1.0] {
                             assert_eq!(
                                 model.belief_update(belief, action, alerts).to_bits(),
@@ -1711,6 +1720,20 @@ mod rollout_kernel {
                                 .to_bits(),
                                 "{parameters:?} {action:?} alerts {alerts} belief {belief}"
                             );
+                            for events in [0, 1, 3, 15].map(|len| &batch[..len]) {
+                                assert_eq!(
+                                    model.belief_update_events(belief, action, events).to_bits(),
+                                    reference_event_fold(
+                                        &model,
+                                        &observations,
+                                        belief,
+                                        action,
+                                        events
+                                    )
+                                    .to_bits(),
+                                    "{parameters:?} {action:?} events {events:?} belief {belief}"
+                                );
+                            }
                         }
                     }
                 }
