@@ -140,7 +140,6 @@ fn fig4() {
     let solver = tolerance_pomdp::solvers::IncrementalPruning::new(
         tolerance_pomdp::solvers::IncrementalPruningConfig {
             max_vectors_per_stage: Some(32),
-            ..Default::default()
         },
     );
     let value_function = solver
@@ -151,7 +150,7 @@ fn fig4() {
         let b = i as f64 / 20.0;
         rows.push(Fig4Row {
             belief: b,
-            value: value_function.evaluate(&[1.0 - b, b]),
+            value: value_function.evaluate(b),
         });
     }
     let values: Vec<f64> = rows.iter().map(|r| r.value).collect();

@@ -201,7 +201,6 @@ impl Alg1 {
         let pomdp = problem.model().to_pomdp(problem.config().eta, discount)?;
         let solver = IncrementalPruning::new(IncrementalPruningConfig {
             max_vectors_per_stage: Some(32),
-            ..IncrementalPruningConfig::default()
         });
         let start = std::time::Instant::now();
         let value_function = match horizon {
@@ -214,7 +213,7 @@ impl Alg1 {
         let mut threshold = 1.0;
         for i in 0..=grid {
             let b = i as f64 / grid as f64;
-            if value_function.greedy_action(&[1.0 - b, b]) == Some(1) {
+            if value_function.greedy_action(b) == Some(1) {
                 threshold = b;
                 break;
             }

@@ -600,7 +600,6 @@ mod tests {
     fn pomdp_conversion_is_consistent() {
         let m = model();
         let pomdp = m.to_pomdp(2.0, 0.99).unwrap();
-        assert_eq!(pomdp.num_states(), 2);
         assert_eq!(pomdp.num_actions(), 2);
         assert_eq!(
             pomdp.num_observations(),

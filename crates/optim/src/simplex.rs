@@ -483,8 +483,10 @@ mod tests {
         assert_close(solution.objective_value, 0.9, 1e-8);
     }
 
-    /// The witness LP of incremental pruning (`pomdp::alpha`) over two-state
-    /// vectors, "v0 v1" pairs with the candidate first: the largest δ with
+    /// The witness LP incremental pruning solved per vector before its exact
+    /// prune became a lower-envelope walk (`pomdp::alpha`, which pins the
+    /// same two margins), over two-state vectors, "v0 v1" pairs with the
+    /// candidate first: the largest δ with
     /// b·(other − candidate) ≥ δ for every other vector and Σb = 1, δ⁺ capped
     /// one above the largest difference.
     fn witness_margin(vectors: &str) -> Result<f64> {

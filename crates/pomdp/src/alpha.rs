@@ -1,60 +1,55 @@
-//! Alpha-vector value functions for POMDPs with cost minimization.
+//! Alpha-vector value functions of the two-state node POMDP.
 //!
-//! The optimal finite-horizon value function of a POMDP is piecewise linear
-//! in the belief; with cost minimization it is the lower envelope (minimum)
-//! of a finite set of *alpha vectors* (Fig. 4 in the paper shows exactly this
-//! envelope for the node-recovery POMDP). This module provides the vector
-//! type, the value-function container, and the two pruning operations used by
-//! incremental pruning: pointwise-domination pruning and exact LP pruning.
+//! Theorem 1 makes the recovery problem a POMDP over two hidden states
+//! (H, C), so a belief is the scalar `b = P[C]` and an alpha vector is a line
+//! over `b ∈ [0, 1]`. With cost minimization the finite-horizon value
+//! function is the lower envelope of finitely many such lines (Fig. 4 in the
+//! paper shows exactly this envelope). This module provides the line type,
+//! the value-function container, and the two pruning operations of
+//! incremental pruning: pointwise domination, and the exact prune that keeps
+//! a line only where it wins somewhere on the belief segment.
 
-use crate::error::{PomdpError, Result};
-use tolerance_optim::simplex::{Comparison, LinearProgram};
+/// Tolerance of both pruning operations: a line must win by more than this
+/// to be kept, and a line that another one undercuts by at most this is
+/// dominated.
+const PRUNING_TOLERANCE: f64 = 1e-9;
 
-/// A single alpha vector: per-state values plus the action whose choice the
-/// vector encodes.
+/// A single alpha vector: a line over the belief `b = P[C]`, plus the action
+/// whose choice the line encodes.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct AlphaVector {
-    /// The value of the vector at each (hidden) state.
-    pub values: Vec<f64>,
+    /// The line's values at `b = 0` (healthy) and `b = 1` (compromised).
+    pub values: [f64; 2],
     /// The action associated with this vector.
     pub action: usize,
 }
 
 impl AlphaVector {
     /// Creates an alpha vector.
-    pub fn new(values: Vec<f64>, action: usize) -> Self {
+    pub fn new(values: [f64; 2], action: usize) -> Self {
         AlphaVector { values, action }
     }
 
-    /// Inner product with a belief vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    fn dot(&self, belief: &[f64]) -> f64 {
-        assert_eq!(
-            self.values.len(),
-            belief.len(),
-            "belief/alpha length mismatch"
-        );
-        self.values.iter().zip(belief).map(|(a, b)| a * b).sum()
-    }
-
     /// Whether `other` is at least as good (for minimization: no larger) in
-    /// every state, making `self` redundant.
-    fn is_pointwise_dominated_by(&self, other: &AlphaVector, tolerance: f64) -> bool {
+    /// both states, making `self` redundant.
+    fn is_pointwise_dominated_by(&self, other: &AlphaVector) -> bool {
         self.values
             .iter()
             .zip(&other.values)
-            .all(|(mine, theirs)| *theirs <= *mine + tolerance)
+            .all(|(mine, theirs)| *theirs <= *mine + PRUNING_TOLERANCE)
     }
+}
+
+/// A line's value at belief `b`: `line[0] (1 − b) + line[1] b`.
+fn line_at(line: [f64; 2], b: f64) -> f64 {
+    line[0] * (1.0 - b) + line[1] * b
 }
 
 /// A piecewise-linear value function represented as the lower envelope of a
 /// set of alpha vectors.
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct ValueFunction {
-    vectors: Vec<AlphaVector>,
+    pub(crate) vectors: Vec<AlphaVector>,
 }
 
 impl ValueFunction {
@@ -64,7 +59,7 @@ impl ValueFunction {
     }
 
     /// The vectors making up the lower envelope.
-    pub(crate) fn vectors(&self) -> &[AlphaVector] {
+    pub fn vectors(&self) -> &[AlphaVector] {
         &self.vectors
     }
 
@@ -78,160 +73,124 @@ impl ValueFunction {
         self.vectors.is_empty()
     }
 
-    /// Evaluates the value function at a belief: `min_α α·b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value function is empty.
-    pub fn evaluate(&self, belief: &[f64]) -> f64 {
+    /// Evaluates the value function at the belief `b = P[C]`: the minimum
+    /// over the lines, which is `+∞` for an empty set.
+    pub fn evaluate(&self, b: f64) -> f64 {
         self.vectors
             .iter()
-            .map(|v| v.dot(belief))
+            .map(|v| line_at(v.values, b))
             .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
     }
 
-    /// The minimizing vector at a belief, together with its value.
+    /// The greedy action at the belief `b = P[C]` (action of the minimizing
+    /// vector, the first one on a tie).
     ///
     /// Returns `None` if the value function is empty.
-    fn best_vector(&self, belief: &[f64]) -> Option<(&AlphaVector, f64)> {
+    pub fn greedy_action(&self, b: f64) -> Option<usize> {
         self.vectors
             .iter()
-            .map(|v| (v, v.dot(belief)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
-    /// The greedy action at a belief (action of the minimizing vector).
-    ///
-    /// Returns `None` if the value function is empty.
-    pub fn greedy_action(&self, belief: &[f64]) -> Option<usize> {
-        self.best_vector(belief).map(|(v, _)| v.action)
+            .map(|v| (v.action, line_at(v.values, b)))
+            .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(action, _)| action)
     }
 
     /// Removes vectors that are pointwise dominated by another vector.
-    pub fn prune_pointwise(&mut self, tolerance: f64) {
-        let mut keep: Vec<AlphaVector> = Vec::with_capacity(self.vectors.len());
-        'outer: for (i, candidate) in self.vectors.iter().enumerate() {
-            for (j, other) in self.vectors.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let dominated = candidate.is_pointwise_dominated_by(other, tolerance);
-                if dominated {
-                    // Break ties so that exactly one of two identical vectors
-                    // survives (the earlier one).
-                    let identical = other.is_pointwise_dominated_by(candidate, tolerance);
-                    if !identical || j < i {
-                        continue 'outer;
-                    }
-                }
-            }
-            keep.push(candidate.clone());
-        }
-        self.vectors = keep;
+    pub fn prune_pointwise(&mut self) {
+        let vectors = &self.vectors;
+        let keep: Vec<bool> = vectors
+            .iter()
+            .enumerate()
+            .map(|(i, candidate)| {
+                !vectors.iter().enumerate().any(|(j, other)| {
+                    // Of two identical vectors exactly one survives (the
+                    // earlier one).
+                    i != j
+                        && candidate.is_pointwise_dominated_by(other)
+                        && (j < i || !other.is_pointwise_dominated_by(candidate))
+                })
+            })
+            .collect();
+        retain_marked(&mut self.vectors, &keep);
     }
 
-    /// Exact pruning: keeps only vectors that achieve the minimum at some
-    /// belief (the "witness" LP of incremental pruning).
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP-solver failures as [`PomdpError::Lp`].
-    pub fn prune_lp(&mut self, tolerance: f64) -> Result<()> {
+    /// Exact pruning: after the pointwise pass, keeps a line iff it lies
+    /// below every other line by more than the tolerance somewhere on
+    /// `[0, 1]`, i.e. iff `max_b min_j (α_j − α)(b)` exceeds it (the witness
+    /// condition of incremental pruning). Should no line pass, the first is
+    /// kept, so the envelope never becomes empty.
+    pub fn prune(&mut self) {
+        self.prune_pointwise();
         if self.vectors.len() <= 1 {
-            return Ok(());
+            return;
         }
-        self.prune_pointwise(tolerance);
-        if self.vectors.len() <= 1 {
-            return Ok(());
+        let mut differences = Vec::with_capacity(self.vectors.len() - 1);
+        let keep: Vec<bool> = (0..self.vectors.len())
+            .map(|c| {
+                let [c0, c1] = self.vectors[c].values;
+                differences.clear();
+                differences.extend(
+                    (self.vectors.iter().enumerate())
+                        .filter(|&(j, _)| j != c)
+                        .map(|(_, other)| [other.values[0] - c0, other.values[1] - c1]),
+                );
+                envelope_maximum(&differences) > PRUNING_TOLERANCE
+            })
+            .collect();
+        if keep.contains(&true) {
+            retain_marked(&mut self.vectors, &keep);
+        } else {
+            self.vectors.truncate(1);
         }
-        let mut kept: Vec<AlphaVector> = Vec::new();
-        let all = self.vectors.clone();
-        for (i, candidate) in all.iter().enumerate() {
-            let others: Vec<&AlphaVector> = all
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, v)| v)
-                .collect();
-            if witness_belief_exists(candidate, &others, tolerance)? {
-                kept.push(candidate.clone());
-            }
-        }
-        // Safety: the envelope must never become empty.
-        if kept.is_empty() {
-            kept.push(all[0].clone());
-        }
-        self.vectors = kept;
-        Ok(())
-    }
-
-    /// Adds a vector to the set (without pruning).
-    pub fn push(&mut self, vector: AlphaVector) {
-        self.vectors.push(vector);
     }
 }
 
-/// Solves the witness LP: does a belief exist where `candidate` is strictly
-/// better (smaller) than every vector in `others` by at least `tolerance`?
+fn retain_marked(vectors: &mut Vec<AlphaVector>, keep: &[bool]) {
+    let mut marks = keep.iter();
+    vectors.retain(|_| *marks.next().expect("one mark per vector"));
+}
+
+/// `max_{b ∈ [0, 1]} min_j line_j(b)` for a non-empty set of lines given by
+/// their values at `b = 0` and `b = 1`.
 ///
-/// The LP maximizes the margin `δ` subject to
-/// `b·(other - candidate) >= δ` for every other vector, `Σ b = 1`, `b >= 0`.
-fn witness_belief_exists(
-    candidate: &AlphaVector,
-    others: &[&AlphaVector],
-    tolerance: f64,
-) -> Result<bool> {
-    if others.is_empty() {
-        return Ok(true);
-    }
-    let n = candidate.values.len();
-    // Variables: b_0..b_{n-1}, delta_plus, delta_minus (delta = plus - minus).
-    let num_variables = n + 2;
-    let mut objective = vec![0.0; num_variables];
-    objective[n] = -1.0; // maximize delta => minimize -delta_plus + delta_minus
-    objective[n + 1] = 1.0;
-    let mut lp = LinearProgram::new(num_variables, objective).map_err(PomdpError::from)?;
-
-    // Σ b = 1.
-    let mut normalization = vec![0.0; num_variables];
-    normalization[..n].fill(1.0);
-    lp.add_constraint(normalization, Comparison::Equal, 1.0)
-        .map_err(PomdpError::from)?;
-
-    // Explicit upper bound on delta_plus: the margin can never exceed the
-    // largest entry-wise difference, so this bound is inactive at any true
-    // optimum; it exists to keep the LP bounded under degenerate pivoting.
-    let max_difference = others
+/// The lower envelope is concave, so it is walked from `b = 0` to the right
+/// while it rises: from the lowest line at `b` (the flattest on a tie), step
+/// to the first crossing with a flatter line, and stop where the current line
+/// no longer rises or no crossing lies before `b = 1`. Every step moves to a
+/// strictly flatter line, so the walk ends after at most `lines.len()` steps.
+fn envelope_maximum(lines: &[[f64; 2]]) -> f64 {
+    let slope = |line: [f64; 2]| line[1] - line[0];
+    let envelope = |b: f64| {
+        lines
+            .iter()
+            .map(|&line| line_at(line, b))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let mut current = lines
         .iter()
-        .flat_map(|other| {
-            other
-                .values
-                .iter()
-                .zip(&candidate.values)
-                .map(|(o, c)| o - c)
-        })
-        .fold(0.0f64, f64::max);
-    let mut delta_bound = vec![0.0; num_variables];
-    delta_bound[n] = 1.0;
-    lp.add_constraint(delta_bound, Comparison::LessEqual, max_difference + 1.0)
-        .map_err(PomdpError::from)?;
-
-    // b·(other - candidate) - delta >= 0 for every other vector.
-    for other in others {
-        let mut row = vec![0.0; num_variables];
-        for (s, value) in row.iter_mut().enumerate().take(n) {
-            *value = other.values[s] - candidate.values[s];
+        .copied()
+        .min_by(|x, y| x[0].total_cmp(&y[0]).then(slope(*x).total_cmp(&slope(*y))))
+        .expect("at least one line");
+    let mut b = 0.0;
+    while slope(current) > 0.0 {
+        // The first line that crosses below `current` to the right.
+        let next = lines
+            .iter()
+            .copied()
+            .filter(|&line| slope(line) < slope(current))
+            .map(|line| {
+                let crossing = (line[0] - current[0]) / (slope(current) - slope(line));
+                (crossing, line)
+            })
+            .min_by(|x, y| x.0.total_cmp(&y.0).then(slope(x.1).total_cmp(&slope(y.1))));
+        match next {
+            Some((crossing, line)) if crossing < 1.0 => {
+                b = crossing.max(b);
+                current = line;
+            }
+            _ => return envelope(1.0),
         }
-        row[n] = -1.0;
-        row[n + 1] = 1.0;
-        lp.add_constraint(row, Comparison::GreaterEqual, 0.0)
-            .map_err(PomdpError::from)?;
     }
-
-    let solution = lp.solve().map_err(PomdpError::from)?;
-    let delta = solution.values[n] - solution.values[n + 1];
-    Ok(delta > tolerance)
+    envelope(b)
 }
 
 /// Computes the cross sum of two vector sets: every pairwise sum, keeping the
@@ -247,12 +206,7 @@ pub(crate) fn cross_sum(a: &[AlphaVector], b: &[AlphaVector]) -> Vec<AlphaVector
     let mut out = Vec::with_capacity(a.len() * b.len());
     for va in a {
         for vb in b {
-            let values = va
-                .values
-                .iter()
-                .zip(&vb.values)
-                .map(|(x, y)| x + y)
-                .collect();
+            let values = [va.values[0] + vb.values[0], va.values[1] + vb.values[1]];
             out.push(AlphaVector::new(values, va.action));
         }
     }
@@ -268,99 +222,153 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_domination() {
-        let a = AlphaVector::new(vec![1.0, 3.0], 0);
-        let b = AlphaVector::new(vec![0.5, 2.0], 1);
-        assert_close(a.dot(&[0.5, 0.5]), 2.0, 1e-12);
-        assert!(a.is_pointwise_dominated_by(&b, 1e-9));
-        assert!(!b.is_pointwise_dominated_by(&a, 1e-9));
+    fn line_value_and_domination() {
+        let a = AlphaVector::new([1.0, 3.0], 0);
+        let b = AlphaVector::new([0.5, 2.0], 1);
+        assert_close(line_at(a.values, 0.5), 2.0, 1e-12);
+        assert!(a.is_pointwise_dominated_by(&b));
+        assert!(!b.is_pointwise_dominated_by(&a));
     }
 
     #[test]
     fn evaluate_takes_lower_envelope() {
         let vf = ValueFunction::new(vec![
-            AlphaVector::new(vec![0.0, 2.0], 0),
-            AlphaVector::new(vec![2.0, 0.0], 1),
+            AlphaVector::new([0.0, 2.0], 0),
+            AlphaVector::new([2.0, 0.0], 1),
         ]);
-        assert_close(vf.evaluate(&[1.0, 0.0]), 0.0, 1e-12);
-        assert_close(vf.evaluate(&[0.0, 1.0]), 0.0, 1e-12);
-        assert_close(vf.evaluate(&[0.5, 0.5]), 1.0, 1e-12);
-        assert_eq!(vf.greedy_action(&[0.9, 0.1]), Some(0));
-        assert_eq!(vf.greedy_action(&[0.1, 0.9]), Some(1));
+        assert_close(vf.evaluate(0.0), 0.0, 1e-12);
+        assert_close(vf.evaluate(1.0), 0.0, 1e-12);
+        assert_close(vf.evaluate(0.5), 1.0, 1e-12);
+        assert_eq!(vf.greedy_action(0.1), Some(0));
+        assert_eq!(vf.greedy_action(0.9), Some(1));
         assert_eq!(vf.len(), 2);
         assert!(!vf.is_empty());
     }
 
     #[test]
+    fn an_empty_value_function_is_infinite_and_has_no_action() {
+        let vf = ValueFunction::default();
+        assert_eq!(vf.evaluate(0.5), f64::INFINITY);
+        assert!(vf.greedy_action(0.5).is_none());
+    }
+
+    #[test]
     fn pointwise_pruning_removes_dominated_and_keeps_one_duplicate() {
         let mut vf = ValueFunction::new(vec![
-            AlphaVector::new(vec![1.0, 1.0], 0),
-            AlphaVector::new(vec![2.0, 2.0], 1), // dominated
-            AlphaVector::new(vec![1.0, 1.0], 2), // duplicate of the first
+            AlphaVector::new([1.0, 1.0], 0),
+            AlphaVector::new([2.0, 2.0], 1), // dominated
+            AlphaVector::new([1.0, 1.0], 2), // duplicate of the first
         ]);
-        vf.prune_pointwise(1e-9);
+        vf.prune_pointwise();
         assert_eq!(vf.len(), 1);
         assert_eq!(vf.vectors()[0].action, 0);
     }
 
     #[test]
-    fn lp_pruning_removes_vectors_never_on_the_envelope() {
+    fn exact_pruning_removes_vectors_never_on_the_envelope() {
         // Vector c = (1.1, 1.1) is above the envelope of a and b everywhere
-        // on the simplex, but is not pointwise dominated by either alone.
+        // on [0, 1], but is not pointwise dominated by either alone.
         let mut vf = ValueFunction::new(vec![
-            AlphaVector::new(vec![0.0, 2.0], 0),
-            AlphaVector::new(vec![2.0, 0.0], 1),
-            AlphaVector::new(vec![1.1, 1.1], 2),
+            AlphaVector::new([0.0, 2.0], 0),
+            AlphaVector::new([2.0, 0.0], 1),
+            AlphaVector::new([1.1, 1.1], 2),
         ]);
-        vf.prune_lp(1e-9).unwrap();
+        vf.prune();
         assert_eq!(vf.len(), 2);
         assert!(vf.vectors().iter().all(|v| v.action != 2));
     }
 
     #[test]
-    fn lp_pruning_keeps_vectors_that_win_somewhere() {
-        // The middle vector wins near the center of the simplex.
+    fn exact_pruning_keeps_vectors_that_win_somewhere() {
+        // The middle vector wins near b = 1/2.
         let mut vf = ValueFunction::new(vec![
-            AlphaVector::new(vec![0.0, 2.0], 0),
-            AlphaVector::new(vec![2.0, 0.0], 1),
-            AlphaVector::new(vec![0.8, 0.8], 2),
+            AlphaVector::new([0.0, 2.0], 0),
+            AlphaVector::new([2.0, 0.0], 1),
+            AlphaVector::new([0.8, 0.8], 2),
         ]);
-        vf.prune_lp(1e-9).unwrap();
+        vf.prune();
         assert_eq!(vf.len(), 3);
     }
 
     #[test]
-    fn lp_pruning_handles_tiny_sets() {
-        let mut vf = ValueFunction::new(vec![AlphaVector::new(vec![1.0, 1.0], 0)]);
-        vf.prune_lp(1e-9).unwrap();
+    fn exact_pruning_handles_tiny_sets() {
+        let mut vf = ValueFunction::new(vec![AlphaVector::new([1.0, 1.0], 0)]);
+        vf.prune();
         assert_eq!(vf.len(), 1);
         let mut empty = ValueFunction::default();
-        empty.prune_lp(1e-9).unwrap();
+        empty.prune();
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn the_envelope_walk_finds_the_maximum_of_the_lower_envelope() {
+        // Rising, then a peak at b = 1/2, at b = 0 and at b = 1.
+        assert_close(envelope_maximum(&[[0.0, 2.0], [2.0, 0.0]]), 1.0, 1e-15);
+        assert_close(envelope_maximum(&[[1.0, 0.0], [3.0, 2.0]]), 1.0, 1e-15);
+        assert_close(envelope_maximum(&[[0.0, 1.0], [0.5, 3.0]]), 1.0, 1e-15);
+        // Three pieces: up to 1/4, flat, then down; the flat top is 0.5.
+        let lines = [[0.0, 4.0], [0.5, 0.5], [4.0, 0.0]];
+        assert_close(envelope_maximum(&lines), 0.5, 1e-15);
+        // A tie at b = 0 goes to the flatter line.
+        assert_close(envelope_maximum(&[[0.0, 5.0], [0.0, -1.0]]), 0.0, 1e-15);
+    }
+
+    /// Two witness problems of the paper's node POMDP (horizon-10 solve):
+    /// "v0 v1" pairs with the candidate first. Their margins, computed by a
+    /// breakpoint scan in rational arithmetic, are pinned next to the
+    /// LP kernel's `witness_lps_once_called_unbounded_are_solved`.
+    fn margin_of(vectors: &str) -> f64 {
+        let v: Vec<f64> = vectors
+            .split_whitespace()
+            .map(|x| x.parse().unwrap())
+            .collect();
+        let differences: Vec<[f64; 2]> = v[2..]
+            .chunks(2)
+            .map(|o| [o[0] - v[0], o[1] - v[1]])
+            .collect();
+        envelope_maximum(&differences)
+    }
+
+    #[test]
+    fn the_envelope_walk_reproduces_the_exact_witness_margins() {
+        let useful = "0.525083909269583 2.3057507425586516  \
+            0.5239937653563239 2.3063436166168354  0.523993442938339 2.3063437944846803  \
+            0.5239388118768104 2.3063745149424015  0.5231842496751457 2.306956955866184  \
+            0.5118422669436596 2.3162590616915533  0.511177411295357 2.3168875449718356  \
+            0.5035035799130816 2.3375498772367864  0.5052015422193195 2.3268389105281853  \
+            0.5033980701572089 2.3382577943447482  0.5033980401378142 2.3382580066286582  \
+            0.5033932274741326 2.338294648960755  0.5111772151460112 2.3168877334826017  \
+            0.7823894698999729 2.1734427247926247";
+        let dominated = "1.2865940585354498 4.236809780718081  \
+            1.3880297059545894 4.080438386438141  1.3874147388430507 4.081061787674568  \
+            1.5308445923299612 3.9412287963456665  1.5308461865707947 3.9412274001450225  \
+            1.5419485508644057 3.9317388152523014  1.5430512738343587 3.931145365050117  \
+            1.2930303799366563 4.226257379098183  1.2926247875102865 4.226907400938917  \
+            1.2865931940968607 4.236811237413714  1.280824328485257 4.246957493390908  \
+            1.2808235071930543 4.246958985992326  1.2808034903185204 4.247003082610599  \
+            1.2234413036032683 4.388439572845033  1.2231716398859094 4.389116816106902  \
+            1.1992974310003917 4.5159649245497215  1.1765403423496998 4.683758029289388  \
+            1.1676335260938744 4.863354417095275  1.1675982440212154 4.86415471975345  \
+            1.1764446233307642 4.684508923702059  2.1294039909512663 2.1294039909512663";
+        assert_close(margin_of(useful), 2.12498952414979e-5, 1e-12);
+        assert_close(margin_of(dominated), -1.6724769111270581e-3, 1e-12);
     }
 
     #[test]
     fn cross_sum_combines_sets() {
         let a = vec![
-            AlphaVector::new(vec![1.0, 0.0], 0),
-            AlphaVector::new(vec![0.0, 1.0], 1),
+            AlphaVector::new([1.0, 0.0], 0),
+            AlphaVector::new([0.0, 1.0], 1),
         ];
-        let b = vec![AlphaVector::new(vec![10.0, 10.0], 7)];
+        let b = vec![AlphaVector::new([10.0, 10.0], 7)];
         let sum = cross_sum(&a, &b);
         assert_eq!(sum.len(), 2);
-        assert_eq!(sum[0].values, vec![11.0, 10.0]);
+        assert_eq!(sum[0].values, [11.0, 10.0]);
         assert_eq!(
             sum[0].action, 0,
             "cross sum keeps the first operand's action"
         );
         assert_eq!(cross_sum(&[], &b).len(), 1);
         assert_eq!(cross_sum(&a, &[]).len(), 2);
-    }
-
-    #[test]
-    fn best_vector_on_empty_function_is_none() {
-        let vf = ValueFunction::default();
-        assert!(vf.best_vector(&[1.0]).is_none());
-        assert!(vf.greedy_action(&[1.0]).is_none());
     }
 }

@@ -27,12 +27,6 @@ pub enum PomdpError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// An observation had zero probability under every state of the current
-    /// belief, so the belief update is undefined.
-    ImpossibleObservation {
-        /// The observation index.
-        observation: usize,
-    },
     /// A solver failed to converge within its iteration budget.
     DidNotConverge(&'static str),
     /// The constrained MDP is infeasible for the given constraint bounds.
@@ -57,12 +51,6 @@ impl fmt::Display for PomdpError {
             }
             PomdpError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")
-            }
-            PomdpError::ImpossibleObservation { observation } => {
-                write!(
-                    f,
-                    "observation {observation} has zero probability under the current belief"
-                )
             }
             PomdpError::DidNotConverge(what) => write!(f, "{what} did not converge"),
             PomdpError::Infeasible => write!(f, "constrained mdp is infeasible"),
@@ -95,9 +83,6 @@ mod tests {
         assert!(PomdpError::DidNotConverge("value iteration")
             .to_string()
             .contains("value iteration"));
-        assert!(PomdpError::ImpossibleObservation { observation: 3 }
-            .to_string()
-            .contains("3"));
         let ns = PomdpError::NotStochastic {
             component: "transition",
             context: "action 0".into(),

@@ -14,19 +14,17 @@
 //!   *inventory replenishment problem* — solved exactly through the
 //!   occupation-measure linear program of Algorithm 2 ([`cmdp::Cmdp`]).
 //!
-//! This crate provides the generic model types ([`pomdp::Pomdp`],
-//! [`mdp::Mdp`], [`cmdp::Cmdp`]), the general belief update
-//! ([`belief::Belief`], the reference the solvers and the properties test
-//! against; the node controllers run their own scalar filter in
-//! `tolerance-core`), alpha-vector value functions (`alpha`), the exact
-//! solvers ([`solvers`]), and structural checks used to verify the
-//! assumptions of Theorems 1–2 ([`structure`]).
+//! This crate provides the model types ([`pomdp::Pomdp`], the two-state node
+//! POMDP over the belief `b = P[C]`; [`mdp::Mdp`] and [`cmdp::Cmdp`], general
+//! finite models), alpha-vector value functions (`alpha`: lines over
+//! `b ∈ [0, 1]`), the exact solvers ([`solvers`]), and structural checks used
+//! to verify the assumptions of Theorems 1–2 ([`structure`]). The node
+//! controllers run their own scalar belief filter in `tolerance-core`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod alpha;
-mod belief;
 pub mod cmdp;
 pub mod error;
 pub mod mdp;
@@ -35,7 +33,6 @@ pub mod solvers;
 pub mod structure;
 
 pub use alpha::{AlphaVector, ValueFunction};
-pub use belief::Belief;
 pub use error::PomdpError;
 pub use pomdp::Pomdp;
 pub use solvers::IncrementalPruning;

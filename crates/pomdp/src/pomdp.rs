@@ -1,19 +1,24 @@
-//! Finite partially observed Markov decision processes.
+//! The node POMDP: two hidden states, finitely many actions and
+//! observations.
 //!
-//! The observation model follows the paper's convention `Z(o | s)` — the
-//! observation depends only on the *current* state (Eq. 3), not on the
-//! action. Costs are minimized.
+//! Theorem 1 of the paper makes intrusion recovery a POMDP over the hidden
+//! states healthy (H, index 0) and compromised (C, index 1), so a belief is
+//! the scalar `b = P[C]`. The observation model follows the paper's
+//! convention `Z(o | s)` — the observation depends only on the *current*
+//! state (Eq. 3), not on the action. Costs are minimized.
 
 use crate::error::{PomdpError, Result};
-use rand::Rng;
 
 /// Tolerance used when validating probability rows.
 const STOCHASTIC_TOLERANCE: f64 = 1e-7;
 
-/// A finite POMDP with state-dependent observations and cost minimization.
+/// The number of hidden states: healthy and compromised.
+const STATES: usize = 2;
+
+/// A two-state POMDP with state-dependent observations and cost
+/// minimization.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Pomdp {
-    num_states: usize,
     num_actions: usize,
     num_observations: usize,
     /// `transition[a][s][s']`
@@ -31,7 +36,8 @@ impl Pomdp {
     ///
     /// # Errors
     ///
-    /// Returns [`PomdpError::InvalidModel`], [`PomdpError::NotStochastic`] or
+    /// Returns [`PomdpError::InvalidModel`] for a model whose state count is
+    /// not 2 or whose shapes disagree, and [`PomdpError::NotStochastic`] or
     /// [`PomdpError::InvalidParameter`] for inconsistent inputs.
     pub fn new(
         transition: Vec<Vec<Vec<f64>>>,
@@ -43,19 +49,15 @@ impl Pomdp {
         if num_actions == 0 {
             return Err(PomdpError::InvalidModel("no actions".into()));
         }
-        let num_states = transition[0].len();
-        if num_states == 0 {
-            return Err(PomdpError::InvalidModel("no states".into()));
-        }
         for (a, per_action) in transition.iter().enumerate() {
-            if per_action.len() != num_states {
+            if per_action.len() != STATES {
                 return Err(PomdpError::InvalidModel(format!(
-                    "action {a} has {} state rows, expected {num_states}",
+                    "action {a} has {} state rows; the node POMDP has {STATES} states",
                     per_action.len()
                 )));
             }
             for (s, row) in per_action.iter().enumerate() {
-                if row.len() != num_states {
+                if row.len() != STATES {
                     return Err(PomdpError::InvalidModel(format!(
                         "transition row (action {a}, state {s}) has length {}",
                         row.len()
@@ -73,9 +75,9 @@ impl Pomdp {
                 }
             }
         }
-        if observation.len() != num_states {
+        if observation.len() != STATES {
             return Err(PomdpError::InvalidModel(format!(
-                "observation matrix has {} state rows, expected {num_states}",
+                "observation matrix has {} state rows, expected {STATES}",
                 observation.len()
             )));
         }
@@ -101,7 +103,7 @@ impl Pomdp {
                 });
             }
         }
-        if cost.len() != num_states || cost.iter().any(|row| row.len() != num_actions) {
+        if cost.len() != STATES || cost.iter().any(|row| row.len() != num_actions) {
             return Err(PomdpError::InvalidModel(
                 "cost matrix must have shape [states][actions]".into(),
             ));
@@ -113,7 +115,6 @@ impl Pomdp {
             });
         }
         Ok(Pomdp {
-            num_states,
             num_actions,
             num_observations,
             transition,
@@ -121,11 +122,6 @@ impl Pomdp {
             cost,
             discount,
         })
-    }
-
-    /// Number of hidden states.
-    pub fn num_states(&self) -> usize {
-        self.num_states
     }
 
     /// Number of actions.
@@ -157,52 +153,11 @@ impl Pomdp {
     pub fn cost(&self, state: usize, action: usize) -> f64 {
         self.cost[state][action]
     }
-
-    /// Expected immediate cost of an action under a belief vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `belief` has the wrong length or `action` is out of range.
-    pub fn expected_cost(&self, belief: &[f64], action: usize) -> f64 {
-        assert_eq!(belief.len(), self.num_states, "belief length mismatch");
-        belief
-            .iter()
-            .enumerate()
-            .map(|(s, &b)| b * self.cost[s][action])
-            .sum()
-    }
-
-    /// Samples the next state from `P[· | state, action]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn sample_transition<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        state: usize,
-        action: usize,
-    ) -> usize {
-        sample_row(&self.transition[action][state], rng)
-    }
-}
-
-fn sample_row<R: Rng + ?Sized>(row: &[f64], rng: &mut R) -> usize {
-    let mut u = rng.random::<f64>();
-    for (i, &p) in row.iter().enumerate() {
-        u -= p;
-        if u <= 0.0 {
-            return i;
-        }
-    }
-    row.len() - 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn small_pomdp() -> Pomdp {
         Pomdp::new(
@@ -218,53 +173,51 @@ mod tests {
     }
 
     #[test]
-    fn accessors_and_expected_cost() {
+    fn accessors() {
         let m = small_pomdp();
-        assert_eq!(m.num_states(), 2);
         assert_eq!(m.num_actions(), 2);
         assert_eq!(m.num_observations(), 2);
         assert_eq!(m.discount(), 0.9);
         assert_eq!(m.transition_probability(0, 0, 1), 0.3);
         assert_eq!(m.observation_probability(1, 1), 0.8);
         assert_eq!(m.cost(1, 0), 2.0);
-        let c = m.expected_cost(&[0.5, 0.5], 0);
-        assert!((c - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn validation_rejects_inconsistencies() {
+        let identity = || vec![vec![vec![1.0, 0.0], vec![0.0, 1.0]]];
+        let observation = || vec![vec![1.0], vec![1.0]];
+        let cost = || vec![vec![0.0], vec![0.0]];
+        assert!(Pomdp::new(identity(), observation(), cost(), 0.9).is_ok());
         // Bad discount.
-        assert!(Pomdp::new(vec![vec![vec![1.0]]], vec![vec![1.0]], vec![vec![0.0]], 1.5).is_err());
+        assert!(Pomdp::new(identity(), observation(), cost(), 1.5).is_err());
         // Non-stochastic observation row.
-        assert!(Pomdp::new(vec![vec![vec![1.0]]], vec![vec![0.5]], vec![vec![0.0]], 0.9).is_err());
+        assert!(Pomdp::new(identity(), vec![vec![1.0], vec![0.5]], cost(), 0.9).is_err());
+        // Non-stochastic transition row.
+        let leaky = vec![vec![vec![1.0, 0.0], vec![0.0, 0.9]]];
+        assert!(Pomdp::new(leaky, observation(), cost(), 0.9).is_err());
         // Ragged observation matrix.
-        assert!(Pomdp::new(
-            vec![vec![vec![1.0, 0.0], vec![0.0, 1.0]]],
-            vec![vec![1.0, 0.0], vec![1.0]],
-            vec![vec![0.0], vec![0.0]],
-            0.9
-        )
-        .is_err());
+        let ragged = vec![vec![1.0, 0.0], vec![1.0]];
+        assert!(Pomdp::new(identity(), ragged, cost(), 0.9).is_err());
         // Wrong cost shape.
-        assert!(Pomdp::new(
-            vec![vec![vec![1.0]]],
-            vec![vec![1.0]],
-            vec![vec![0.0, 1.0]],
-            0.9
-        )
-        .is_err());
+        assert!(Pomdp::new(identity(), observation(), vec![vec![0.0, 1.0]], 0.9).is_err());
         // Empty model.
         assert!(Pomdp::new(vec![], vec![], vec![], 0.9).is_err());
     }
 
     #[test]
-    fn sampling_matches_probabilities() {
-        let m = small_pomdp();
-        let mut rng = StdRng::seed_from_u64(5);
-        let transitions_to_1 = (0..5000)
-            .filter(|_| m.sample_transition(&mut rng, 0, 0) == 1)
-            .count();
-        let fraction = transitions_to_1 as f64 / 5000.0;
-        assert!((fraction - 0.3).abs() < 0.05);
+    fn a_model_without_two_states_is_rejected() {
+        let three = vec![vec![
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+        ]];
+        let result = Pomdp::new(three, vec![vec![1.0]; 3], vec![vec![0.0]; 3], 0.9);
+        assert!(
+            matches!(result, Err(PomdpError::InvalidModel(_))),
+            "{result:?}"
+        );
+        let one = Pomdp::new(vec![vec![vec![1.0]]], vec![vec![1.0]], vec![vec![0.0]], 0.9);
+        assert!(matches!(one, Err(PomdpError::InvalidModel(_))), "{one:?}");
     }
 }

@@ -1,35 +1,24 @@
-//! Exact POMDP solvers.
+//! Exact solvers of the two-state node POMDP.
 //!
 //! [`IncrementalPruning`] is the dynamic-programming baseline of Table 2 in
 //! the paper (Cassandra, Littman & Zhang, UAI'97): it performs exact value
-//! iteration over alpha-vector sets, pruning after every cross sum. The paper
+//! iteration over alpha-vector sets, pruning after every cross sum with the
+//! lower-envelope prune of [`ValueFunction::prune`]. The paper
 //! reports that it is exact but becomes intractable as the horizon grows
 //! (`Δ_R → ∞`), which this reproduction observes as well; the bench harness
 //! therefore runs it only on bounded horizons.
 
 use crate::alpha::{cross_sum, AlphaVector, ValueFunction};
-use crate::belief::Belief;
 use crate::error::{PomdpError, Result};
 use crate::pomdp::Pomdp;
 
 /// Configuration of the [`IncrementalPruning`] solver.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IncrementalPruningConfig {
-    /// Numerical tolerance of the pruning LPs.
-    pub pruning_tolerance: f64,
     /// Hard cap on the number of alpha vectors kept per stage; `None` means
     /// exact (no cap). A cap turns the solver into a bounded-error variant,
     /// which the bench harness uses for large horizons.
     pub max_vectors_per_stage: Option<usize>,
-}
-
-impl Default for IncrementalPruningConfig {
-    fn default() -> Self {
-        IncrementalPruningConfig {
-            pruning_tolerance: 1e-9,
-            max_vectors_per_stage: None,
-        }
-    }
 }
 
 /// Exact finite-horizon POMDP value iteration with incremental pruning.
@@ -49,104 +38,73 @@ impl IncrementalPruning {
     ///
     /// # Errors
     ///
-    /// Propagates LP-pruning failures.
+    /// None: the exact prune solves no program that could fail. The
+    /// `Result` keeps the signature of every `solve_*` caller.
     pub fn backup(&self, model: &Pomdp, current: &ValueFunction) -> Result<ValueFunction> {
-        let num_states = model.num_states();
-        let num_actions = model.num_actions();
-        let num_observations = model.num_observations();
         let discount = model.discount();
 
         // Terminal stage: the value function is just the immediate costs.
-        let base_vectors: Vec<AlphaVector> = if current.is_empty() {
-            vec![AlphaVector::new(vec![0.0; num_states], 0)]
+        let base_vectors: &[AlphaVector] = if current.is_empty() {
+            &[AlphaVector::new([0.0; 2], 0)]
         } else {
-            current.vectors().to_vec()
+            current.vectors()
         };
 
         let mut all_vectors: Vec<AlphaVector> = Vec::new();
-        for action in 0..num_actions {
+        for action in 0..model.num_actions() {
             // Immediate-cost vector for this action.
-            let immediate = AlphaVector::new(
-                (0..num_states).map(|s| model.cost(s, action)).collect(),
-                action,
-            );
+            let immediate =
+                AlphaVector::new([model.cost(0, action), model.cost(1, action)], action);
 
             // Per-observation projected sets Γ_{a,o}.
             let mut combined = vec![immediate];
-            for observation in 0..num_observations {
-                let mut projected: Vec<AlphaVector> = Vec::with_capacity(base_vectors.len());
-                for alpha in &base_vectors {
-                    let values: Vec<f64> = (0..num_states)
-                        .map(|s| {
+            for observation in 0..model.num_observations() {
+                let projected = base_vectors
+                    .iter()
+                    .map(|alpha| {
+                        let values = std::array::from_fn(|s| {
                             discount
-                                * (0..num_states)
+                                * (0..2)
                                     .map(|s_next| {
                                         model.transition_probability(s, action, s_next)
                                             * model.observation_probability(s_next, observation)
                                             * alpha.values[s_next]
                                     })
                                     .sum::<f64>()
-                        })
-                        .collect();
-                    projected.push(AlphaVector::new(values, action));
-                }
-                let mut projected_vf = ValueFunction::new(projected);
-                projected_vf.prune_pointwise(self.config.pruning_tolerance);
+                        });
+                        AlphaVector::new(values, action)
+                    })
+                    .collect();
+                let mut projected = ValueFunction::new(projected);
+                projected.prune_pointwise();
 
-                // Incremental pruning: prune after every cross sum. With a
-                // vector cap configured, cheap pointwise pruning and the cap
-                // are applied first so the exact LP pruning only ever runs on
-                // a bounded set.
-                let mut summed = ValueFunction::new(cross_sum(&combined, projected_vf.vectors()));
-                summed.prune_pointwise(self.config.pruning_tolerance);
-                let mut vectors = summed.vectors().to_vec();
-                self.enforce_cap(&mut vectors);
-                let mut summed = ValueFunction::new(vectors);
-                if summed.len() <= self.lp_prune_limit() {
-                    summed.prune_lp(self.config.pruning_tolerance)?;
-                }
-                combined = summed.vectors().to_vec();
+                // Incremental pruning: prune after every cross sum.
+                combined = self.prune(cross_sum(&combined, projected.vectors()));
             }
             all_vectors.extend(combined);
         }
-
-        let mut result = ValueFunction::new(all_vectors);
-        result.prune_pointwise(self.config.pruning_tolerance);
-        let mut vectors = result.vectors().to_vec();
-        self.enforce_cap(&mut vectors);
-        let mut result = ValueFunction::new(vectors);
-        if result.len() <= self.lp_prune_limit() {
-            result.prune_lp(self.config.pruning_tolerance)?;
-        }
-        let mut vectors = result.vectors().to_vec();
-        self.enforce_cap(&mut vectors);
-        Ok(ValueFunction::new(vectors))
+        Ok(ValueFunction::new(self.prune(all_vectors)))
     }
 
-    /// Largest vector-set size on which the exact LP pruning is still run.
-    /// Without a cap the solver is exact and always prunes with the LP; with
-    /// a cap the LP pruning is skipped for sets that would make it the
-    /// bottleneck (the pointwise pruning and the cap already bound the set).
-    fn lp_prune_limit(&self) -> usize {
-        match self.config.max_vectors_per_stage {
-            None => usize::MAX,
-            Some(_) => 192,
-        }
-    }
-
-    /// Keeps at most `max_vectors_per_stage` vectors (those with the smallest
-    /// average value, which favors the lower envelope).
-    fn enforce_cap(&self, vectors: &mut Vec<AlphaVector>) {
+    /// The pointwise pass, then the cap, then the exact prune, so that the
+    /// exact prune only ever runs on a capped set.
+    fn prune(&self, vectors: Vec<AlphaVector>) -> Vec<AlphaVector> {
+        let mut value = ValueFunction::new(vectors);
+        value.prune_pointwise();
         if let Some(cap) = self.config.max_vectors_per_stage {
-            if vectors.len() > cap {
-                vectors.sort_by(|a, b| {
-                    let ma: f64 = a.values.iter().sum::<f64>() / a.values.len() as f64;
-                    let mb: f64 = b.values.iter().sum::<f64>() / b.values.len() as f64;
+            // Keep the vectors with the smallest average value, which favors
+            // the lower envelope.
+            if value.vectors.len() > cap {
+                value.vectors.sort_by(|a, b| {
+                    let ma = (a.values[0] + a.values[1]) / 2.0;
+                    let mb = (b.values[0] + b.values[1]) / 2.0;
                     ma.total_cmp(&mb)
                 });
-                vectors.truncate(cap);
+                value.vectors.truncate(cap);
             }
         }
+        value.prune();
+        value.vectors
     }
 
     /// Solves the finite-horizon problem, returning the value function at the
@@ -154,8 +112,7 @@ impl IncrementalPruning {
     ///
     /// # Errors
     ///
-    /// Returns [`PomdpError::InvalidParameter`] if `horizon` is zero, and
-    /// propagates pruning failures.
+    /// Returns [`PomdpError::InvalidParameter`] if `horizon` is zero.
     pub fn solve_finite_horizon(&self, model: &Pomdp, horizon: usize) -> Result<ValueFunction> {
         if horizon == 0 {
             return Err(PomdpError::InvalidParameter {
@@ -171,8 +128,8 @@ impl IncrementalPruning {
     }
 
     /// Solves the discounted infinite-horizon problem by iterating backups
-    /// until the value change (measured on a belief grid) drops below
-    /// `tolerance`.
+    /// until the value change on a 21-point grid over `b ∈ [0, 1]` drops
+    /// below `tolerance`.
     ///
     /// # Errors
     ///
@@ -191,12 +148,12 @@ impl IncrementalPruning {
                 reason: "infinite-horizon solving requires a discount below 1".into(),
             });
         }
-        let grid = belief_grid(model.num_states(), 21);
+        let grid: Vec<f64> = (0..=20).map(|i| i as f64 / 20.0).collect();
         let mut value = ValueFunction::default();
         let mut previous: Vec<f64> = vec![0.0; grid.len()];
         for iteration in 1..=max_iterations {
             value = self.backup(model, &value)?;
-            let current: Vec<f64> = grid.iter().map(|b| value.evaluate(b.as_slice())).collect();
+            let current: Vec<f64> = grid.iter().map(|&b| value.evaluate(b)).collect();
             let residual = current
                 .iter()
                 .zip(&previous)
@@ -208,31 +165,6 @@ impl IncrementalPruning {
             }
         }
         Err(PomdpError::DidNotConverge("incremental pruning"))
-    }
-
-    /// A short name used in experiment reports.
-    pub fn name(&self) -> &'static str {
-        "ip"
-    }
-}
-
-/// Builds a regular grid of beliefs. For two-state models this is a 1-D grid
-/// over `P[s = 1]`; for larger models it falls back to corner beliefs plus
-/// the uniform belief (sufficient as a convergence probe).
-fn belief_grid(num_states: usize, resolution: usize) -> Vec<Belief> {
-    if num_states == 2 {
-        (0..resolution)
-            .map(|i| {
-                let p = i as f64 / (resolution - 1).max(1) as f64;
-                Belief::new(vec![1.0 - p, p]).expect("valid grid belief")
-            })
-            .collect()
-    } else {
-        let mut grid: Vec<Belief> = (0..num_states)
-            .map(|s| Belief::degenerate(num_states, s))
-            .collect();
-        grid.push(Belief::uniform(num_states));
-        grid
     }
 }
 
@@ -274,9 +206,9 @@ mod tests {
         // With one step to go the optimal action is simply the cheaper one at
         // each belief corner: wait (0) when healthy, wait costs 2 vs recover 3
         // when compromised, so wait everywhere.
-        assert_close(vf.evaluate(&[1.0, 0.0]), 0.0, 1e-9);
-        assert_close(vf.evaluate(&[0.0, 1.0]), 2.0, 1e-9);
-        assert_eq!(vf.greedy_action(&[0.5, 0.5]), Some(0));
+        assert_close(vf.evaluate(0.0), 0.0, 1e-9);
+        assert_close(vf.evaluate(1.0), 2.0, 1e-9);
+        assert_eq!(vf.greedy_action(0.5), Some(0));
     }
 
     #[test]
@@ -289,7 +221,7 @@ mod tests {
             let left = (i - 1) as f64 / 20.0;
             let mid = i as f64 / 20.0;
             let right = (i + 1) as f64 / 20.0;
-            let v = |p: f64| vf.evaluate(&[1.0 - p, p]);
+            let v = |p: f64| vf.evaluate(p);
             assert!(
                 v(mid) >= 0.5 * (v(left) + v(right)) - 1e-9,
                 "value function not concave at belief {mid}"
@@ -304,8 +236,7 @@ mod tests {
         let v2 = solver.solve_finite_horizon(&model, 2).unwrap();
         let v5 = solver.solve_finite_horizon(&model, 5).unwrap();
         for p in [0.0, 0.3, 0.7, 1.0] {
-            let belief = [1.0 - p, p];
-            assert!(v5.evaluate(&belief) >= v2.evaluate(&belief) - 1e-9);
+            assert!(v5.evaluate(p) >= v2.evaluate(p) - 1e-9);
         }
     }
 
@@ -319,7 +250,7 @@ mod tests {
         let mut switches = 0usize;
         for i in 0..=100 {
             let p = i as f64 / 100.0;
-            let action = vf.greedy_action(&[1.0 - p, p]).unwrap();
+            let action = vf.greedy_action(p).unwrap();
             if i > 0 && action != last_action {
                 switches += 1;
                 assert!(
@@ -334,7 +265,7 @@ mod tests {
             "threshold policy switches at most once, saw {switches}"
         );
         // With these costs recovery must be optimal at belief 1.
-        assert_eq!(vf.greedy_action(&[0.0, 1.0]), Some(1));
+        assert_eq!(vf.greedy_action(1.0), Some(1));
     }
 
     #[test]
@@ -361,7 +292,6 @@ mod tests {
         let model = recovery_pomdp(0.95);
         let capped = IncrementalPruning::new(IncrementalPruningConfig {
             max_vectors_per_stage: Some(3),
-            ..IncrementalPruningConfig::default()
         });
         let vf = capped.solve_finite_horizon(&model, 8).unwrap();
         assert!(vf.len() <= 3);
@@ -370,22 +300,7 @@ mod tests {
             .solve_finite_horizon(&model, 8)
             .unwrap();
         for p in [0.0, 0.5, 1.0] {
-            let belief = [1.0 - p, p];
-            assert!(vf.evaluate(&belief) >= exact.evaluate(&belief) - 1e-6);
+            assert!(vf.evaluate(p) >= exact.evaluate(p) - 1e-6);
         }
-    }
-
-    #[test]
-    fn belief_grid_shapes() {
-        let grid2 = belief_grid(2, 11);
-        assert_eq!(grid2.len(), 11);
-        assert_close(grid2[5].probability(1), 0.5, 1e-12);
-        let grid3 = belief_grid(3, 11);
-        assert_eq!(grid3.len(), 4);
-    }
-
-    #[test]
-    fn name_is_ip() {
-        assert_eq!(IncrementalPruning::default().name(), "ip");
     }
 }

@@ -52,14 +52,13 @@ fn theorem1_structure_holds_for_the_exact_solution() {
     let solver = tolerance::pomdp::solvers::IncrementalPruning::new(
         tolerance::pomdp::solvers::IncrementalPruningConfig {
             max_vectors_per_stage: Some(24),
-            ..Default::default()
         },
     );
     let value_function = solver.solve_finite_horizon(&pomdp, 12).unwrap();
     let actions: Vec<usize> = (0..=100)
         .map(|i| {
             let b = i as f64 / 100.0;
-            value_function.greedy_action(&[1.0 - b, b]).unwrap()
+            value_function.greedy_action(b).unwrap()
         })
         .collect();
     let check = check_threshold_structure(&actions);
@@ -367,16 +366,17 @@ fn rollout_pins_alg1_objectives() {
     }
 }
 
-// The Algorithm 2 and incremental-pruning pins: every witness LP of
-// incremental pruning and every `SystemController`'s `s_max` 13 strategy go
-// through `optim::simplex`. The incremental-pruning table was generated by
-// commit 21fea10, before that kernel chose its pivots, and has not moved.
+// The Algorithm 2 and incremental-pruning pins: every `SystemController`'s
+// `s_max` 13 strategy goes through `optim::simplex`, and incremental pruning
+// keeps a line by the witness LP's rule, computed as a lower-envelope walk
+// over the scalar belief. The incremental-pruning table was generated by
+// commit 21fea10, when every prune still solved one LP per vector, and has
+// not moved.
 
 #[test]
 fn ip_pins_thresholds_and_objectives() {
     // The `paper-eval` incremental-pruning solve (horizon 10) and one on
-    // either side. A witness LP that fails inside `prune_lp` is an `Err`
-    // here, so this also asserts that none does.
+    // either side.
     let expected: [(usize, f64, f64); 3] = [
         (5, 0.285, 0.2879157894736842),
         (10, 0.29, 0.28911578947368416),

@@ -1,12 +1,13 @@
 //! Property-based tests (proptest) on the core invariants of the workspace:
-//! belief updates stay in the simplex, the node transition function stays
+//! the node belief update stays in [0, 1], the node transition function stays
 //! stochastic over the whole admissible parameter range, the simplex LP
 //! solver returns feasible optima and agrees with the best of every basis on
 //! random programs, metrics stay in range, threshold strategies respect the
 //! BTR constraint for arbitrary belief sequences,
-//! alpha-vector pruning preserves the value envelope, the exact solver
-//! agrees with the Bellman recursion computed through the belief update on
-//! random 3-state models, the sharded service plane's key partitioner
+//! alpha-vector pruning preserves the value envelope and keeps exactly the
+//! lines a witness LP keeps, the exact solver agrees with the Bellman
+//! recursion computed through a scalar Bayes step on random two-state
+//! models, the sharded service plane's key partitioner
 //! covers every key exactly once, stays stable under shard-count-preserving
 //! reconfiguration and keeps the owned ranges balanced, and the fleet
 //! engine's per-shard split RNG streams are pairwise non-colliding.
@@ -20,7 +21,7 @@ use tolerance::core::prelude::*;
 use tolerance::markov::dist::{BetaBinomial, DiscreteDistribution, PoissonBinomial};
 use tolerance::markov::stats::kl_divergence;
 use tolerance::optim::simplex::{Comparison, LinearProgram};
-use tolerance::pomdp::{AlphaVector, Belief, IncrementalPruning, Pomdp, ValueFunction};
+use tolerance::pomdp::{AlphaVector, IncrementalPruning, Pomdp, ValueFunction};
 
 fn arbitrary_parameters() -> impl Strategy<Value = NodeParameters> {
     (1e-4..0.5f64, 1e-6..0.05f64, 0.01..0.2f64, 1e-4..0.4f64).prop_map(
@@ -70,103 +71,6 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&current), "belief {current} escaped [0, 1]");
             prop_assert!(current.is_finite());
         }
-    }
-
-    #[test]
-    fn pomdp_belief_update_preserves_the_probability_simplex(
-        weights in proptest::collection::vec(0.05..1.0f64, 3..6),
-        stickiness in 0.3..0.95f64,
-        signal in 0.05..0.9f64,
-        observations in proptest::collection::vec(0usize..2, 1..12),
-    ) {
-        // A randomized n-state chain with a 2-symbol observation channel.
-        let n = weights.len();
-        let transition: Vec<Vec<f64>> = (0..n)
-            .map(|s| {
-                (0..n)
-                    .map(|t| {
-                        if s == t {
-                            stickiness
-                        } else {
-                            (1.0 - stickiness) / (n - 1) as f64
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let observation: Vec<Vec<f64>> = (0..n)
-            .map(|s| {
-                let p = (signal + s as f64 * 0.08).min(0.95);
-                vec![p, 1.0 - p]
-            })
-            .collect();
-        let cost = vec![vec![0.0]; n];
-        let model = Pomdp::new(
-            vec![transition],
-            observation,
-            cost,
-            0.9,
-        ).unwrap();
-        let total: f64 = weights.iter().sum();
-        let mut belief = Belief::new(weights.iter().map(|w| w / total).collect()).unwrap();
-        for &o in &observations {
-            belief = belief.update(&model, 0, o).unwrap();
-            // Simplex preservation: non-negative entries summing to one.
-            let sum: f64 = belief.as_slice().iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
-            for &p in belief.as_slice() {
-                prop_assert!((0.0..=1.0 + 1e-12).contains(&p), "entry {p}");
-                prop_assert!(p.is_finite());
-            }
-        }
-    }
-
-    #[test]
-    fn pomdp_belief_update_is_invariant_to_likelihood_rescaling(
-        prior_weights in proptest::collection::vec(0.05..1.0f64, 2..5),
-        likelihoods in proptest::collection::vec(0.05..0.45f64, 2..5),
-        scale in 0.2..2.0f64,
-    ) {
-        // Two models share the transition kernel; in the second, the
-        // likelihood of observation 0 is rescaled by the same factor in
-        // every state (observation 1 absorbs the remainder). Bayes'
-        // posterior after observing 0 only depends on likelihood *ratios*,
-        // so both models must produce the same posterior.
-        let n = prior_weights.len().min(likelihoods.len());
-        let prior_weights = &prior_weights[..n];
-        let likelihoods = &likelihoods[..n];
-        let transition: Vec<Vec<f64>> = (0..n)
-            .map(|s| (0..n).map(|t| if s == t { 0.7 } else { 0.3 / (n - 1) as f64 }).collect())
-            .collect();
-        let base: Vec<Vec<f64>> = likelihoods.iter().map(|&z| vec![z, 1.0 - z]).collect();
-        let rescaled: Vec<Vec<f64>> = likelihoods
-            .iter()
-            .map(|&z| {
-                let scaled = (z * scale).min(0.99);
-                vec![scaled, 1.0 - scaled]
-            })
-            .collect();
-        // Only exact common rescaling preserves the ratios: clamp must not
-        // have engaged for any state.
-        let exact = likelihoods.iter().all(|&z| z * scale < 0.99);
-        if !exact {
-            return Ok(());
-        }
-        let cost = vec![vec![0.0]; n];
-        let model_a =
-            Pomdp::new(vec![transition.clone()], base, cost.clone(), 0.9).unwrap();
-        let model_b = Pomdp::new(vec![transition], rescaled, cost, 0.9).unwrap();
-        let total: f64 = prior_weights.iter().sum();
-        let prior = Belief::new(prior_weights.iter().map(|w| w / total).collect()).unwrap();
-        let posterior_a = prior.update(&model_a, 0, 0).unwrap();
-        let posterior_b = prior.update(&model_b, 0, 0).unwrap();
-        for (a, b) in posterior_a.as_slice().iter().zip(posterior_b.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-9, "posteriors diverge: {a} vs {b}");
-        }
-        // The normalizers differ by exactly the scale factor.
-        let z_a = prior.observation_probability(&model_a, 0, 0).unwrap();
-        let z_b = prior.observation_probability(&model_b, 0, 0).unwrap();
-        prop_assert!((z_b - scale * z_a).abs() < 1e-9);
     }
 
     #[test]
@@ -248,11 +152,10 @@ proptest! {
 
     #[test]
     fn alpha_pruning_preserves_the_lower_envelope(
-        raw_vectors in proptest::collection::vec(
-            proptest::collection::vec(0.0..5.0f64, 3..4), 2..12),
-        probes in proptest::collection::vec(0.01..1.0f64, 4..10),
+        raw_vectors in proptest::collection::vec((0.0..5.0f64, 0.0..5.0f64), 2..12),
+        probes in proptest::collection::vec(0.0..=1.0f64, 2..10),
     ) {
-        // Value monotonicity under pruning: pointwise and LP pruning may
+        // Value monotonicity under pruning: pointwise and exact pruning may
         // only remove vectors that never achieve the minimum, so the
         // envelope value at every belief is unchanged (the pruned set is
         // never *worse*, i.e. never larger, and never *wrong*, i.e. never
@@ -260,93 +163,95 @@ proptest! {
         let vectors: Vec<AlphaVector> = raw_vectors
             .iter()
             .enumerate()
-            .map(|(action, values)| AlphaVector::new(values.clone(), action))
+            .map(|(action, &(h, c))| AlphaVector::new([h, c], action))
             .collect();
-        let original = ValueFunction::new(vectors.clone());
-        let beliefs: Vec<Vec<f64>> = probes
-            .chunks_exact(2)
-            .map(|pair| {
-                let total = pair[0] + pair[1] + 0.5;
-                vec![pair[0] / total, pair[1] / total, 0.5 / total]
-            })
-            .collect();
+        let original = ValueFunction::new(vectors);
 
         let mut pointwise = original.clone();
-        pointwise.prune_pointwise(1e-9);
+        pointwise.prune_pointwise();
         prop_assert!(pointwise.len() <= original.len());
         prop_assert!(!pointwise.is_empty());
 
         let mut exact = original.clone();
-        exact.prune_lp(1e-9).unwrap();
-        prop_assert!(exact.len() <= pointwise.len() + raw_vectors.len());
+        exact.prune();
         prop_assert!(!exact.is_empty());
 
-        for belief in &beliefs {
-            let v0 = original.evaluate(belief);
-            prop_assert!((pointwise.evaluate(belief) - v0).abs() < 1e-7,
-                "pointwise pruning changed the envelope at {belief:?}");
-            prop_assert!((exact.evaluate(belief) - v0).abs() < 1e-6,
-                "LP pruning changed the envelope at {belief:?}");
+        for &b in &probes {
+            let v0 = original.evaluate(b);
+            prop_assert!((pointwise.evaluate(b) - v0).abs() < 1e-7,
+                "pointwise pruning changed the envelope at {b}");
+            prop_assert!((exact.evaluate(b) - v0).abs() < 1e-6,
+                "exact pruning changed the envelope at {b}");
         }
+
+        // The reference: after the pointwise pass, a vector stays iff the
+        // witness LP finds a belief where it beats every other vector by
+        // more than 1e-9 (the first vector if none does).
+        let survivors = pointwise.vectors();
+        let mut kept: Vec<AlphaVector> = survivors
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| survivors.len() == 1 || witness_lp_margin(survivors, c) > 1e-9)
+            .map(|(_, v)| v.clone())
+            .collect();
+        if kept.is_empty() {
+            kept.push(survivors[0].clone());
+        }
+        prop_assert_eq!(exact.vectors(), &kept[..]);
     }
 
     #[test]
-    fn solver_backups_satisfy_the_bellman_recursion_on_random_3_state_models(
+    fn solver_backups_satisfy_the_bellman_recursion_on_random_2_state_models(
         transition_rows in proptest::collection::vec(
-            proptest::collection::vec(0.05..1.0f64, 3..4), 6..7),
+            proptest::collection::vec(0.05..1.0f64, 2..3), 4..5),
         observation_rows in proptest::collection::vec(
-            proptest::collection::vec(0.05..1.0f64, 2..3), 3..4),
-        costs in proptest::collection::vec(0.0..3.0f64, 6..7),
+            proptest::collection::vec(0.05..1.0f64, 3..4), 2..3),
+        costs in proptest::collection::vec(0.0..3.0f64, 4..5),
         discount in 0.5..0.95f64,
-        probe in proptest::collection::vec(0.05..1.0f64, 3..4),
+        b in 0.0..=1.0f64,
     ) {
         // Belief-update/solver consistency: one exact dynamic-programming
         // backup of the incremental-pruning solver must equal the Bellman
-        // operator computed independently through `Belief::update` and
-        // `observation_probability`:
-        //   V_{k+1}(b) = min_a [ b·c_a + γ Σ_o Pr(o | b, a) V_k(τ(b, a, o)) ]
+        // operator computed independently through a scalar Bayes step on
+        // b = P[C]:
+        //   V_{k+1}(b) = min_a [ c_a(b) + γ Σ_o Pr(o | b, a) V_k(τ(b, a, o)) ]
         let normalize = |row: &Vec<f64>| -> Vec<f64> {
             let total: f64 = row.iter().sum();
             row.iter().map(|v| v / total).collect()
         };
         let transition: Vec<Vec<Vec<f64>>> = (0..2)
-            .map(|a| (0..3).map(|s| normalize(&transition_rows[a * 3 + s])).collect())
+            .map(|a| (0..2).map(|s| normalize(&transition_rows[a * 2 + s])).collect())
             .collect();
-        let observation: Vec<Vec<f64>> =
-            observation_rows.iter().map(normalize).collect();
-        let cost: Vec<Vec<f64>> = (0..3)
+        let observation: Vec<Vec<f64>> = observation_rows.iter().map(normalize).collect();
+        let cost: Vec<Vec<f64>> = (0..2)
             .map(|s| (0..2).map(|a| costs[s * 2 + a]).collect())
             .collect();
-        let model = Pomdp::new(transition, observation, cost, discount).unwrap();
+        let model = Pomdp::new(transition.clone(), observation.clone(), cost.clone(), discount)
+            .unwrap();
         let solver = IncrementalPruning::default();
         let v1 = solver.solve_finite_horizon(&model, 1).unwrap();
         let v2 = solver.solve_finite_horizon(&model, 2).unwrap();
 
-        let total: f64 = probe.iter().sum();
-        let belief = Belief::new(probe.iter().map(|w| w / total).collect()).unwrap();
+        let immediate = |a: usize| (1.0 - b) * cost[0][a] + b * cost[1][a];
         let mut expected = f64::INFINITY;
-        for action in 0..2 {
-            let immediate: f64 = (0..3)
-                .map(|s| belief.probability(s) * model.cost(s, action))
-                .sum();
+        for (action, rows) in transition.iter().enumerate() {
+            let compromised = (1.0 - b) * rows[0][1] + b * rows[1][1];
             let mut continuation = 0.0;
-            for obs in 0..2 {
-                let p = belief.observation_probability(&model, action, obs).unwrap();
+            for (z_h, z_c) in observation[0].iter().zip(&observation[1]) {
+                let joint_c = compromised * z_c;
+                let p = (1.0 - compromised) * z_h + joint_c;
                 if p > 1e-12 {
-                    let next = belief.update(&model, action, obs).unwrap();
-                    continuation += p * v1.evaluate(next.as_slice());
+                    continuation += p * v1.evaluate(joint_c / p);
                 }
             }
-            expected = expected.min(immediate + discount * continuation);
+            expected = expected.min(immediate(action) + discount * continuation);
         }
-        let computed = v2.evaluate(belief.as_slice());
+        let computed = v2.evaluate(b);
         prop_assert!((computed - expected).abs() < 1e-6,
             "backup value {computed} disagrees with the Bellman recursion {expected}");
         // One-step values are the expected immediate cost of the best action.
-        let direct: f64 = (0..2)
-            .map(|a| (0..3).map(|s| belief.probability(s) * model.cost(s, a)).sum::<f64>())
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((v1.evaluate(belief.as_slice()) - direct).abs() < 1e-8);
+        let direct = immediate(0).min(immediate(1));
+        prop_assert!((v1.evaluate(b) - direct).abs() < 1e-8);
     }
 
     #[test]
@@ -412,6 +317,31 @@ proptest! {
         prop_assert!(max - min <= 1, "ranges differ by {} points", max - min);
         prop_assert!(max as f64 / min as f64 <= 1.0 + 1e-15);
     }
+}
+
+/// The witness LP of incremental pruning over two-state vectors: the largest
+/// margin δ with `b·(α_j − α_c) ≥ δ` for every other vector `j`, `b₀ + b₁ = 1`
+/// and `b ≥ 0`. δ = δ⁺ − δ⁻, with δ⁺ capped one above the largest
+/// difference (inactive at the optimum; it keeps degenerate pivoting
+/// bounded).
+fn witness_lp_margin(vectors: &[AlphaVector], candidate: usize) -> f64 {
+    let [c0, c1] = vectors[candidate].values;
+    let differences: Vec<[f64; 2]> = (vectors.iter().enumerate())
+        .filter(|&(j, _)| j != candidate)
+        .map(|(_, other)| [other.values[0] - c0, other.values[1] - c1])
+        .collect();
+    let cap = differences.iter().flatten().fold(0.0f64, |a, &d| a.max(d)) + 1.0;
+    let mut lp = LinearProgram::new(4, vec![0.0, 0.0, -1.0, 1.0]).unwrap();
+    lp.add_constraint(vec![1.0, 1.0, 0.0, 0.0], Comparison::Equal, 1.0)
+        .unwrap();
+    lp.add_constraint(vec![0.0, 0.0, 1.0, 0.0], Comparison::LessEqual, cap)
+        .unwrap();
+    for [d0, d1] in differences {
+        lp.add_constraint(vec![d0, d1, -1.0, 1.0], Comparison::GreaterEqual, 0.0)
+            .unwrap();
+    }
+    let solution = lp.solve().unwrap();
+    solution.values[2] - solution.values[3]
 }
 
 // ---------------------------------------------------------------------------
