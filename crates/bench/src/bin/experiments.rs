@@ -137,11 +137,10 @@ fn fig4() {
     println!("\n== Fig. 4: optimal value function V*(b) of Problem 1 (alpha-vector envelope) ==");
     let model = paper_model(0.01);
     let pomdp = model.to_pomdp(2.0, 0.95).expect("valid pomdp");
-    let solver = tolerance_pomdp::solvers::IncrementalPruning::new(
-        tolerance_pomdp::solvers::IncrementalPruningConfig {
-            max_vectors_per_stage: Some(32),
-        },
-    );
+    // Exact and slow: at p_A = 0.01 the envelope holds ~2.3 million lines
+    // from horizon 12 on, and the 25 backups take about 1.5 minutes and
+    // 0.8 GB.
+    let solver = tolerance_pomdp::solvers::IncrementalPruning::default();
     let value_function = solver
         .solve_finite_horizon(&pomdp, 25)
         .expect("solver succeeds");
@@ -397,8 +396,10 @@ fn table2_fig7_fig8(full: bool, runner: &Runner) {
             rows.extend(row);
         }
 
-        // Incremental pruning baseline (exact DP); only for bounded horizons,
-        // as in the paper it does not converge for Delta_R = inf.
+        // Incremental pruning baseline: exact DP over Delta_R stages. The
+        // paper reports no IP row for Delta_R = inf; `--full` gives it a
+        // 25-stage solve (the exact infinite-horizon solve takes 157 backups
+        // at gamma = 0.95).
         if delta_r.is_some() || full {
             let alg = Alg1::new(alg_config.clone());
             let horizon = delta_r.map(|d| d as usize).unwrap_or(25);

@@ -24,7 +24,7 @@ use tolerance_optim::objective::Objective;
 use tolerance_optim::optimizer::{OptimizationResult, Optimizer};
 use tolerance_optim::ppo::{EpisodicEnvironment, Ppo, PpoConfig, StepOutcome};
 use tolerance_optim::spsa::{Spsa, SpsaConfig};
-use tolerance_pomdp::solvers::{IncrementalPruning, IncrementalPruningConfig};
+use tolerance_pomdp::solvers::IncrementalPruning;
 
 /// Which black-box optimizer Algorithm 1 plugs in (Table 2 compares them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -199,9 +199,7 @@ impl Alg1 {
         horizon: Option<usize>,
     ) -> Result<Alg1Outcome> {
         let pomdp = problem.model().to_pomdp(problem.config().eta, discount)?;
-        let solver = IncrementalPruning::new(IncrementalPruningConfig {
-            max_vectors_per_stage: Some(32),
-        });
+        let solver = IncrementalPruning::default();
         let start = std::time::Instant::now();
         let value_function = match horizon {
             Some(h) => solver.solve_finite_horizon(&pomdp, h)?,

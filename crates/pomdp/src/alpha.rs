@@ -4,15 +4,21 @@
 //! (H, C), so a belief is the scalar `b = P[C]` and an alpha vector is a line
 //! over `b ∈ [0, 1]`. With cost minimization the finite-horizon value
 //! function is the lower envelope of finitely many such lines (Fig. 4 in the
-//! paper shows exactly this envelope). This module provides the line type,
-//! the value-function container, and the two pruning operations of
-//! incremental pruning: pointwise domination, and the exact prune that keeps
-//! a line only where it wins somewhere on the belief segment.
-
-/// Tolerance of both pruning operations: a line must win by more than this
-/// to be kept, and a line that another one undercuts by at most this is
-/// dominated.
-const PRUNING_TOLERANCE: f64 = 1e-9;
+//! paper shows exactly this envelope): a concave, piecewise-linear function.
+//! A [`ValueFunction`] holds only that envelope, its lines sorted left to
+//! right, so their slopes strictly decrease and line `i` is the minimum
+//! between its crossings with lines `i − 1` and `i + 1`.
+//!
+//! The sum of two concave envelopes is the concave envelope whose breakpoints
+//! are the union of theirs, so the cross sum of incremental pruning is one
+//! merge in slope order ([`ValueFunction::merge_sum`]) and needs no pruning;
+//! the union over actions is one envelope ([`ValueFunction::new`]).
+//!
+//! One tie rule holds throughout: of two lines equal at a belief, the one
+//! with the lower action index wins. It picks the line [`ValueFunction::new`]
+//! keeps of two identical ones, and the action [`ValueFunction::greedy_action`]
+//! returns on a breakpoint. A line that is minimal only at a single belief is
+//! not part of the envelope.
 
 /// A single alpha vector: a line over the belief `b = P[C]`, plus the action
 /// whose choice the line encodes.
@@ -30,187 +36,159 @@ impl AlphaVector {
         AlphaVector { values, action }
     }
 
-    /// Whether `other` is at least as good (for minimization: no larger) in
-    /// both states, making `self` redundant.
-    fn is_pointwise_dominated_by(&self, other: &AlphaVector) -> bool {
-        self.values
-            .iter()
-            .zip(&other.values)
-            .all(|(mine, theirs)| *theirs <= *mine + PRUNING_TOLERANCE)
+    /// The line's value at belief `b`: `values[0] (1 − b) + values[1] b`.
+    fn at(&self, b: f64) -> f64 {
+        self.values[0] * (1.0 - b) + self.values[1] * b
+    }
+
+    fn slope(&self) -> f64 {
+        self.values[1] - self.values[0]
     }
 }
 
-/// A line's value at belief `b`: `line[0] (1 − b) + line[1] b`.
-fn line_at(line: [f64; 2], b: f64) -> f64 {
-    line[0] * (1.0 - b) + line[1] * b
+/// The belief where `right`, the flatter line, crosses below `left`.
+fn crossing(left: &AlphaVector, right: &AlphaVector) -> f64 {
+    (right.values[0] - left.values[0]) / (left.slope() - right.slope())
 }
 
-/// A piecewise-linear value function represented as the lower envelope of a
-/// set of alpha vectors.
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+/// A piecewise-linear value function: the lower envelope of a set of alpha
+/// vectors over `b ∈ [0, 1]`, sorted left to right. The default is the empty
+/// envelope, `+∞` everywhere.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ValueFunction {
     pub(crate) vectors: Vec<AlphaVector>,
+    /// `breakpoints[i] ∈ (0, 1)` is where line `i + 1` takes over from line
+    /// `i`, increasing. They are kept, not recomputed from neighbouring
+    /// lines: the crossing of two nearly parallel sums is ill-conditioned.
+    breakpoints: Vec<f64>,
 }
 
 impl ValueFunction {
-    /// Creates a value function from a set of vectors.
-    pub fn new(vectors: Vec<AlphaVector>) -> Self {
-        ValueFunction { vectors }
+    /// The lower envelope of `vectors` over `b ∈ [0, 1]`: one sort by slope
+    /// (steepest first; of parallel lines only the lowest at `b = 0` stays),
+    /// then one hull pass that keeps a line iff it is strictly below every
+    /// other line on an interval of positive length.
+    pub fn new(mut vectors: Vec<AlphaVector>) -> Self {
+        vectors.sort_unstable_by(|x, y| {
+            (y.slope().total_cmp(&x.slope()))
+                .then(x.values[0].total_cmp(&y.values[0]))
+                .then(x.action.cmp(&y.action))
+        });
+        vectors.dedup_by(|later, kept| later.slope() == kept.slope());
+        let mut hull: Vec<AlphaVector> = Vec::with_capacity(vectors.len());
+        let mut breakpoints: Vec<f64> = Vec::with_capacity(vectors.len());
+        for line in vectors {
+            // Pop the lines `line` undercuts before they start to win.
+            while let Some(last) = hull.last() {
+                let end = crossing(last, &line);
+                if end > breakpoints.last().copied().unwrap_or(0.0) {
+                    breakpoints.push(end);
+                    break;
+                }
+                hull.pop();
+                breakpoints.pop();
+            }
+            hull.push(line);
+        }
+        // The lines that start to win only at or right of `b = 1`.
+        while breakpoints.last().is_some_and(|&start| start >= 1.0) {
+            hull.pop();
+            breakpoints.pop();
+        }
+        ValueFunction {
+            vectors: hull,
+            breakpoints,
+        }
     }
 
-    /// The vectors making up the lower envelope.
+    /// The lines of the envelope, left to right.
     pub fn vectors(&self) -> &[AlphaVector] {
         &self.vectors
     }
 
-    /// Number of alpha vectors.
+    /// Number of lines on the envelope.
     pub fn len(&self) -> usize {
         self.vectors.len()
     }
 
-    /// Whether the value function has no vectors.
+    /// Whether the envelope has no lines.
     pub fn is_empty(&self) -> bool {
         self.vectors.is_empty()
     }
 
-    /// Evaluates the value function at the belief `b = P[C]`: the minimum
-    /// over the lines, which is `+∞` for an empty set.
-    pub fn evaluate(&self, b: f64) -> f64 {
-        self.vectors
-            .iter()
-            .map(|v| line_at(v.values, b))
-            .fold(f64::INFINITY, f64::min)
+    /// The index of the line that is minimal at `b`, by bisection over the
+    /// breakpoints (the left line on a breakpoint).
+    fn active(&self, b: f64) -> usize {
+        self.breakpoints.partition_point(|&start| start < b)
     }
 
-    /// The greedy action at the belief `b = P[C]` (action of the minimizing
-    /// vector, the first one on a tie).
+    /// Evaluates the value function at the belief `b = P[C]`, in
+    /// `O(log n)`; `+∞` for the empty envelope.
+    pub fn evaluate(&self, b: f64) -> f64 {
+        (self.vectors.get(self.active(b))).map_or(f64::INFINITY, |line| line.at(b))
+    }
+
+    /// The greedy action at the belief `b = P[C]`: the minimal line's, and
+    /// on a breakpoint the lower action of the two lines that meet there.
     ///
     /// Returns `None` if the value function is empty.
     pub fn greedy_action(&self, b: f64) -> Option<usize> {
-        self.vectors
-            .iter()
-            .map(|v| (v.action, line_at(v.values, b)))
-            .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(action, _)| action)
-    }
-
-    /// Removes vectors that are pointwise dominated by another vector.
-    pub fn prune_pointwise(&mut self) {
-        let vectors = &self.vectors;
-        let keep: Vec<bool> = vectors
-            .iter()
-            .enumerate()
-            .map(|(i, candidate)| {
-                !vectors.iter().enumerate().any(|(j, other)| {
-                    // Of two identical vectors exactly one survives (the
-                    // earlier one).
-                    i != j
-                        && candidate.is_pointwise_dominated_by(other)
-                        && (j < i || !other.is_pointwise_dominated_by(candidate))
-                })
-            })
-            .collect();
-        retain_marked(&mut self.vectors, &keep);
-    }
-
-    /// Exact pruning: after the pointwise pass, keeps a line iff it lies
-    /// below every other line by more than the tolerance somewhere on
-    /// `[0, 1]`, i.e. iff `max_b min_j (α_j − α)(b)` exceeds it (the witness
-    /// condition of incremental pruning). Should no line pass, the first is
-    /// kept, so the envelope never becomes empty.
-    pub fn prune(&mut self) {
-        self.prune_pointwise();
-        if self.vectors.len() <= 1 {
-            return;
+        let index = self.active(b);
+        let action = self.vectors.get(index)?.action;
+        if self.breakpoints.get(index) == Some(&b) {
+            return Some(action.min(self.vectors[index + 1].action));
         }
-        let mut differences = Vec::with_capacity(self.vectors.len() - 1);
-        let keep: Vec<bool> = (0..self.vectors.len())
-            .map(|c| {
-                let [c0, c1] = self.vectors[c].values;
-                differences.clear();
-                differences.extend(
-                    (self.vectors.iter().enumerate())
-                        .filter(|&(j, _)| j != c)
-                        .map(|(_, other)| [other.values[0] - c0, other.values[1] - c1]),
-                );
-                envelope_maximum(&differences) > PRUNING_TOLERANCE
-            })
-            .collect();
-        if keep.contains(&true) {
-            retain_marked(&mut self.vectors, &keep);
-        } else {
-            self.vectors.truncate(1);
-        }
+        Some(action)
     }
-}
 
-fn retain_marked(vectors: &mut Vec<AlphaVector>, keep: &[bool]) {
-    let mut marks = keep.iter();
-    vectors.retain(|_| *marks.next().expect("one mark per vector"));
-}
-
-/// `max_{b ∈ [0, 1]} min_j line_j(b)` for a non-empty set of lines given by
-/// their values at `b = 0` and `b = 1`.
-///
-/// The lower envelope is concave, so it is walked from `b = 0` to the right
-/// while it rises: from the lowest line at `b` (the flattest on a tie), step
-/// to the first crossing with a flatter line, and stop where the current line
-/// no longer rises or no crossing lies before `b = 1`. Every step moves to a
-/// strictly flatter line, so the walk ends after at most `lines.len()` steps.
-fn envelope_maximum(lines: &[[f64; 2]]) -> f64 {
-    let slope = |line: [f64; 2]| line[1] - line[0];
-    let envelope = |b: f64| {
-        lines
-            .iter()
-            .map(|&line| line_at(line, b))
-            .fold(f64::INFINITY, f64::min)
-    };
-    let mut current = lines
-        .iter()
-        .copied()
-        .min_by(|x, y| x[0].total_cmp(&y[0]).then(slope(*x).total_cmp(&slope(*y))))
-        .expect("at least one line");
-    let mut b = 0.0;
-    while slope(current) > 0.0 {
-        // The first line that crosses below `current` to the right.
-        let next = lines
-            .iter()
-            .copied()
-            .filter(|&line| slope(line) < slope(current))
-            .map(|line| {
-                let crossing = (line[0] - current[0]) / (slope(current) - slope(line));
-                (crossing, line)
-            })
-            .min_by(|x, y| x.0.total_cmp(&y.0).then(slope(x.1).total_cmp(&slope(y.1))));
-        match next {
-            Some((crossing, line)) if crossing < 1.0 => {
-                b = crossing.max(b);
-                current = line;
+    /// The envelope of the cross sum `{α + β}` of two envelopes, keeping
+    /// `self`'s actions: one sum per piece of the union of both breakpoint
+    /// sets, found by one merge, so at most `m + n − 1` lines in `O(m + n)`.
+    ///
+    /// # Panics
+    ///
+    /// If either envelope is empty: an empty operand is a lost term, not an
+    /// identity.
+    pub fn merge_sum(&self, other: &ValueFunction) -> ValueFunction {
+        assert!(
+            !self.is_empty() && !other.is_empty(),
+            "merge_sum of an empty envelope"
+        );
+        let pieces = self.len() + other.len() - 1;
+        let mut vectors = Vec::with_capacity(pieces);
+        let mut breakpoints = Vec::with_capacity(pieces - 1);
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let [a, b] = [self.vectors[i].values, other.vectors[j].values];
+            let action = self.vectors[i].action;
+            vectors.push(AlphaVector::new([a[0] + b[0], a[1] + b[1]], action));
+            // Where each operand's current piece ends (`∞` on its last).
+            let x = self.breakpoints.get(i).copied().unwrap_or(f64::INFINITY);
+            let y = other.breakpoints.get(j).copied().unwrap_or(f64::INFINITY);
+            if x.min(y) == f64::INFINITY {
+                return ValueFunction {
+                    vectors,
+                    breakpoints,
+                };
             }
-            _ => return envelope(1.0),
+            breakpoints.push(x.min(y));
+            // A breakpoint both share ends both pieces at once.
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
     }
-    envelope(b)
-}
 
-/// Computes the cross sum of two vector sets: every pairwise sum, keeping the
-/// action of the first operand. Used by incremental pruning to combine the
-/// per-observation backup sets.
-pub(crate) fn cross_sum(a: &[AlphaVector], b: &[AlphaVector]) -> Vec<AlphaVector> {
-    if a.is_empty() {
-        return b.to_vec();
+    /// `max_b |V(b) − W(b)|` over `[0, 1]`, exactly: the difference of two
+    /// piecewise-linear functions is extreme at a breakpoint of either or at
+    /// an end of the segment. `+∞` if one of them is empty.
+    pub(crate) fn sup_distance(&self, other: &ValueFunction) -> f64 {
+        let distance = |&b: &f64| (self.evaluate(b) - other.evaluate(b)).abs();
+        ([0.0, 1.0].iter())
+            .chain(&self.breakpoints)
+            .chain(&other.breakpoints)
+            .map(distance)
+            .fold(0.0, f64::max)
     }
-    if b.is_empty() {
-        return a.to_vec();
-    }
-    let mut out = Vec::with_capacity(a.len() * b.len());
-    for va in a {
-        for vb in b {
-            let values = [va.values[0] + vb.values[0], va.values[1] + vb.values[1]];
-            out.push(AlphaVector::new(values, va.action));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -221,21 +199,22 @@ mod tests {
         assert!((a - b).abs() < tol, "expected {b}, got {a}");
     }
 
-    #[test]
-    fn line_value_and_domination() {
-        let a = AlphaVector::new([1.0, 3.0], 0);
-        let b = AlphaVector::new([0.5, 2.0], 1);
-        assert_close(line_at(a.values, 0.5), 2.0, 1e-12);
-        assert!(a.is_pointwise_dominated_by(&b));
-        assert!(!b.is_pointwise_dominated_by(&a));
+    fn envelope(lines: &[[f64; 2]]) -> ValueFunction {
+        let vectors = lines.iter().enumerate();
+        ValueFunction::new(
+            vectors
+                .map(|(a, &line)| AlphaVector::new(line, a))
+                .collect(),
+        )
+    }
+
+    fn actions(value: &ValueFunction) -> Vec<usize> {
+        value.vectors().iter().map(|line| line.action).collect()
     }
 
     #[test]
     fn evaluate_takes_lower_envelope() {
-        let vf = ValueFunction::new(vec![
-            AlphaVector::new([0.0, 2.0], 0),
-            AlphaVector::new([2.0, 0.0], 1),
-        ]);
+        let vf = envelope(&[[0.0, 2.0], [2.0, 0.0]]);
         assert_close(vf.evaluate(0.0), 0.0, 1e-12);
         assert_close(vf.evaluate(1.0), 0.0, 1e-12);
         assert_close(vf.evaluate(0.5), 1.0, 1e-12);
@@ -250,87 +229,99 @@ mod tests {
         let vf = ValueFunction::default();
         assert_eq!(vf.evaluate(0.5), f64::INFINITY);
         assert!(vf.greedy_action(0.5).is_none());
+        assert!(ValueFunction::new(Vec::new()).is_empty());
     }
 
     #[test]
-    fn pointwise_pruning_removes_dominated_and_keeps_one_duplicate() {
-        let mut vf = ValueFunction::new(vec![
+    fn the_envelope_keeps_the_lines_that_win_on_an_interval_left_to_right() {
+        // (1.1, 1.1) is above the envelope of the first two everywhere, but
+        // dominated by neither alone; (0.8, 0.8) wins around b = 1/2.
+        assert_eq!(
+            actions(&envelope(&[[0.0, 2.0], [2.0, 0.0], [1.1, 1.1]])),
+            [0, 1]
+        );
+        let three = [[2.0, 0.0], [0.8, 0.8], [0.0, 2.0]];
+        assert_eq!(actions(&envelope(&three)), [2, 1, 0]);
+        // Lines that win only left of 0 or right of 1, or only at a point.
+        assert_eq!(
+            actions(&envelope(&[[0.0, 1.0], [0.5, 3.0], [1.0, 1.5]])),
+            [0]
+        );
+        assert_eq!(
+            actions(&envelope(&[[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])),
+            [0, 2]
+        );
+        assert_eq!(actions(&envelope(&[[0.0, 2.0], [0.0, 1.0]])), [1]);
+    }
+
+    #[test]
+    fn of_two_equal_lines_the_lower_action_wins() {
+        // Identical lines keep the lowest action, whatever their order.
+        let vf = ValueFunction::new(vec![
+            AlphaVector::new([1.0, 1.0], 2),
+            AlphaVector::new([2.0, 2.0], 1),
             AlphaVector::new([1.0, 1.0], 0),
-            AlphaVector::new([2.0, 2.0], 1), // dominated
-            AlphaVector::new([1.0, 1.0], 2), // duplicate of the first
         ]);
-        vf.prune_pointwise();
-        assert_eq!(vf.len(), 1);
-        assert_eq!(vf.vectors()[0].action, 0);
+        assert_eq!(vf.vectors(), [AlphaVector::new([1.0, 1.0], 0)]);
+        // On a breakpoint the lower action wins, on either side of it.
+        for (left, right) in [(0, 1), (1, 0)] {
+            let vf = ValueFunction::new(vec![
+                AlphaVector::new([0.0, 2.0], left),
+                AlphaVector::new([2.0, 0.0], right),
+            ]);
+            assert_eq!(vf.greedy_action(0.5), Some(0));
+            assert_eq!(vf.greedy_action(0.25), Some(left));
+        }
     }
 
     #[test]
-    fn exact_pruning_removes_vectors_never_on_the_envelope() {
-        // Vector c = (1.1, 1.1) is above the envelope of a and b everywhere
-        // on [0, 1], but is not pointwise dominated by either alone.
-        let mut vf = ValueFunction::new(vec![
-            AlphaVector::new([0.0, 2.0], 0),
-            AlphaVector::new([2.0, 0.0], 1),
-            AlphaVector::new([1.1, 1.1], 2),
-        ]);
-        vf.prune();
-        assert_eq!(vf.len(), 2);
-        assert!(vf.vectors().iter().all(|v| v.action != 2));
+    fn merge_sum_adds_pieces_over_the_union_of_breakpoints() {
+        // Breakpoints at 1/2 and at 1/8, 7/8: four pieces.
+        let first = envelope(&[[0.0, 2.0], [2.0, 0.0]]);
+        let second = envelope(&[[0.0, 4.0], [0.5, 0.5], [4.0, 0.0]]);
+        let sum = first.merge_sum(&second);
+        let values: Vec<[f64; 2]> = sum.vectors().iter().map(|line| line.values).collect();
+        assert_eq!(values, [[0.0, 6.0], [0.5, 2.5], [2.5, 0.5], [6.0, 0.0]]);
+        assert_eq!(actions(&sum), [0, 0, 1, 1], "the first operand's actions");
+        // A shared breakpoint ends both pieces at once.
+        assert_eq!(first.merge_sum(&first).len(), 2);
+        let line = envelope(&[[10.0, 10.0]]);
+        assert_eq!(line.merge_sum(&second).len(), 3);
     }
 
     #[test]
-    fn exact_pruning_keeps_vectors_that_win_somewhere() {
-        // The middle vector wins near b = 1/2.
-        let mut vf = ValueFunction::new(vec![
-            AlphaVector::new([0.0, 2.0], 0),
-            AlphaVector::new([2.0, 0.0], 1),
-            AlphaVector::new([0.8, 0.8], 2),
-        ]);
-        vf.prune();
-        assert_eq!(vf.len(), 3);
+    #[should_panic(expected = "merge_sum of an empty envelope")]
+    fn merge_sum_refuses_an_empty_operand() {
+        envelope(&[[1.0, 0.0]]).merge_sum(&ValueFunction::default());
     }
 
     #[test]
-    fn exact_pruning_handles_tiny_sets() {
-        let mut vf = ValueFunction::new(vec![AlphaVector::new([1.0, 1.0], 0)]);
-        vf.prune();
-        assert_eq!(vf.len(), 1);
-        let mut empty = ValueFunction::default();
-        empty.prune();
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn the_envelope_walk_finds_the_maximum_of_the_lower_envelope() {
-        // Rising, then a peak at b = 1/2, at b = 0 and at b = 1.
-        assert_close(envelope_maximum(&[[0.0, 2.0], [2.0, 0.0]]), 1.0, 1e-15);
-        assert_close(envelope_maximum(&[[1.0, 0.0], [3.0, 2.0]]), 1.0, 1e-15);
-        assert_close(envelope_maximum(&[[0.0, 1.0], [0.5, 3.0]]), 1.0, 1e-15);
-        // Three pieces: up to 1/4, flat, then down; the flat top is 0.5.
-        let lines = [[0.0, 4.0], [0.5, 0.5], [4.0, 0.0]];
-        assert_close(envelope_maximum(&lines), 0.5, 1e-15);
-        // A tie at b = 0 goes to the flatter line.
-        assert_close(envelope_maximum(&[[0.0, 5.0], [0.0, -1.0]]), 0.0, 1e-15);
+    fn the_sup_distance_is_found_between_grid_points() {
+        // The difference peaks at b = 0.51, a breakpoint of the tent, where a
+        // 21-point grid reads at most 0.98.
+        let flat = envelope(&[[0.0, 0.0]]);
+        let tent = envelope(&[[0.0, 100.0 / 51.0], [100.0 / 49.0, 0.0]]);
+        assert_close(flat.sup_distance(&tent), 1.0, 1e-12);
+        assert_close(tent.sup_distance(&flat), 1.0, 1e-12);
+        assert_eq!(flat.sup_distance(&ValueFunction::default()), f64::INFINITY);
     }
 
     /// Two witness problems of the paper's node POMDP (horizon-10 solve):
-    /// "v0 v1" pairs with the candidate first. Their margins, computed by a
-    /// breakpoint scan in rational arithmetic, are pinned next to the
-    /// LP kernel's `witness_lps_once_called_unbounded_are_solved`.
-    fn margin_of(vectors: &str) -> f64 {
+    /// "v0 v1" pairs with the candidate first. Their witness margins,
+    /// 2.12e-5 and −1.67e-3 by a breakpoint scan in rational arithmetic, are
+    /// pinned next to the LP kernel's
+    /// `witness_lps_once_called_unbounded_are_solved`.
+    fn candidate_is_kept(vectors: &str) -> bool {
         let v: Vec<f64> = vectors
             .split_whitespace()
             .map(|x| x.parse().unwrap())
             .collect();
-        let differences: Vec<[f64; 2]> = v[2..]
-            .chunks(2)
-            .map(|o| [o[0] - v[0], o[1] - v[1]])
-            .collect();
-        envelope_maximum(&differences)
+        let lines: Vec<[f64; 2]> = v.chunks(2).map(|pair| [pair[0], pair[1]]).collect();
+        actions(&envelope(&lines)).contains(&0)
     }
 
     #[test]
-    fn the_envelope_walk_reproduces_the_exact_witness_margins() {
+    fn the_envelope_keeps_the_useful_witness_candidate_and_drops_the_dominated_one() {
         let useful = "0.525083909269583 2.3057507425586516  \
             0.5239937653563239 2.3063436166168354  0.523993442938339 2.3063437944846803  \
             0.5239388118768104 2.3063745149424015  0.5231842496751457 2.306956955866184  \
@@ -350,25 +341,7 @@ mod tests {
             1.1992974310003917 4.5159649245497215  1.1765403423496998 4.683758029289388  \
             1.1676335260938744 4.863354417095275  1.1675982440212154 4.86415471975345  \
             1.1764446233307642 4.684508923702059  2.1294039909512663 2.1294039909512663";
-        assert_close(margin_of(useful), 2.12498952414979e-5, 1e-12);
-        assert_close(margin_of(dominated), -1.6724769111270581e-3, 1e-12);
-    }
-
-    #[test]
-    fn cross_sum_combines_sets() {
-        let a = vec![
-            AlphaVector::new([1.0, 0.0], 0),
-            AlphaVector::new([0.0, 1.0], 1),
-        ];
-        let b = vec![AlphaVector::new([10.0, 10.0], 7)];
-        let sum = cross_sum(&a, &b);
-        assert_eq!(sum.len(), 2);
-        assert_eq!(sum[0].values, [11.0, 10.0]);
-        assert_eq!(
-            sum[0].action, 0,
-            "cross sum keeps the first operand's action"
-        );
-        assert_eq!(cross_sum(&[], &b).len(), 1);
-        assert_eq!(cross_sum(&a, &[]).len(), 2);
+        assert!(candidate_is_kept(useful));
+        assert!(!candidate_is_kept(dominated));
     }
 }

@@ -1,12 +1,14 @@
 //! Helpers shared by the integration suites: where regression inputs are
 //! read from (tracked, under `tests/fixtures/`), where run artifacts are
-//! written to (untracked, under `target/`), and the single-group smoke
-//! configurations that both the smoke suite and the golden digests drive.
+//! written to (untracked, under `target/`), the single-group smoke
+//! configurations that both the smoke suite and the golden digests drive,
+//! and the scalar Bellman step the node solver's backups are held to.
 
 // Each suite uses its own subset.
 #![allow(dead_code)]
 
 use tolerance::core::simnet::{ScheduleConfig, ShardedCounterexample, ShardedScheduleConfig};
+use tolerance::pomdp::{Pomdp, ValueFunction};
 
 /// The pinned single-group counterexamples under
 /// `tests/fixtures/counterexamples/` (one-shard fleet documents).
@@ -114,4 +116,30 @@ fn smoke_bases() -> Vec<(&'static str, ScheduleConfig)> {
             },
         ),
     ]
+}
+
+/// One step of the Bellman recursion on the scalar belief, independent of
+/// the alpha vectors: `min_a [c_a(b) + γ Σ_o Pr(o | b, a) V(τ(b, a, o))]`,
+/// with `V = 0` for the empty (terminal) value function.
+pub fn bellman_step(model: &Pomdp, discount: f64, next: &ValueFunction, b: f64) -> f64 {
+    (0..model.num_actions())
+        .map(|action| {
+            let immediate = (1.0 - b) * model.cost(0, action) + b * model.cost(1, action);
+            let compromised = (1.0 - b) * model.transition_probability(0, action, 1)
+                + b * model.transition_probability(1, action, 1);
+            let continuation: f64 = (0..model.num_observations())
+                .map(|observation| {
+                    let joint = compromised * model.observation_probability(1, observation);
+                    let p =
+                        (1.0 - compromised) * model.observation_probability(0, observation) + joint;
+                    if p > 0.0 && !next.is_empty() {
+                        p * next.evaluate(joint / p)
+                    } else {
+                        0.0
+                    }
+                })
+                .sum();
+            immediate + discount * continuation
+        })
+        .fold(f64::INFINITY, f64::min)
 }

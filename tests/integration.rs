@@ -2,13 +2,17 @@
 //! crate boundaries (core + pomdp + optim + emulation + consensus) the way a
 //! downstream user of the `tolerance` facade would.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tolerance::core::baselines::BaselineKind;
 use tolerance::core::node_model::NodeAction;
 use tolerance::core::prelude::*;
 use tolerance::emulation::{Emulation, EmulationConfig, StrategyKind};
+use tolerance::pomdp::solvers::IncrementalPruning;
 use tolerance::pomdp::structure::{check_threshold_structure, is_tp2};
+use tolerance::pomdp::ValueFunction;
 
 fn paper_problem(delta_r: Option<u32>) -> RecoveryProblem {
     let model =
@@ -46,32 +50,28 @@ fn end_to_end_alg1_threshold_beats_naive_strategies() {
 #[test]
 fn theorem1_structure_holds_for_the_exact_solution() {
     // Solve the recovery POMDP exactly and verify the greedy policy over the
-    // belief grid is a threshold policy (Theorem 1).
+    // belief grid is a threshold policy (Theorem 1): one switch, from Wait to
+    // Recover, at horizons 5, 10 and 12.
     let problem = paper_problem(None);
     let pomdp = problem.model().to_pomdp(2.0, 0.95).unwrap();
-    let solver = tolerance::pomdp::solvers::IncrementalPruning::new(
-        tolerance::pomdp::solvers::IncrementalPruningConfig {
-            max_vectors_per_stage: Some(24),
-        },
-    );
-    let value_function = solver.solve_finite_horizon(&pomdp, 12).unwrap();
-    let actions: Vec<usize> = (0..=100)
-        .map(|i| {
-            let b = i as f64 / 100.0;
-            value_function.greedy_action(b).unwrap()
-        })
-        .collect();
-    let check = check_threshold_structure(&actions);
-    // The capped solver is a bounded-error approximation of the exact DP, so
-    // allow one spurious switch near the threshold; the uncapped solver in
-    // `tolerance-pomdp`'s unit tests verifies the exact threshold structure.
-    assert!(
-        check.is_threshold || check.switches <= 2,
-        "greedy policy is far from a threshold: {} switches",
-        check.switches
-    );
-    assert_eq!(actions[0], 0, "waiting must be optimal at belief 0");
-    assert_eq!(actions[100], 1, "recovery must be optimal at belief 1");
+    let solver = IncrementalPruning::default();
+    let mut value_function = ValueFunction::default();
+    for horizon in 1..=12 {
+        value_function = solver.backup(&pomdp, &value_function).unwrap();
+        if ![5, 10, 12].contains(&horizon) {
+            continue;
+        }
+        let actions: Vec<usize> = (0..=100)
+            .map(|i| value_function.greedy_action(i as f64 / 100.0).unwrap())
+            .collect();
+        let check = check_threshold_structure(&actions);
+        assert!(
+            check.is_threshold && check.switches == 1,
+            "horizon {horizon}: {} switches in {actions:?}",
+            check.switches
+        );
+        assert_eq!(actions[0], 0, "waiting must be optimal at belief 0");
+    }
     // The observation model satisfies the TP-2 assumption the theorem needs.
     let observation = ObservationModel::paper_default();
     let matrix = vec![
@@ -79,6 +79,30 @@ fn theorem1_structure_holds_for_the_exact_solution() {
         observation.compromised_distribution().to_vec(),
     ];
     assert!(is_tp2(&matrix, 1e-9));
+}
+
+#[test]
+fn every_backup_of_the_paper_node_pomdp_is_the_bellman_step() {
+    // Uncapped and exact: the stages hold 2, 5, 13, 38, 115, 331, 963,
+    // 2,774, 8,010 and 20,655 lines, and each one equals the scalar Bellman
+    // step of the one before on a 1,001-point grid.
+    let pomdp = paper_problem(None).model().to_pomdp(2.0, 0.95).unwrap();
+    let solver = IncrementalPruning::default();
+    let mut value = ValueFunction::default();
+    for horizon in 1..=10 {
+        let backup = solver.backup(&pomdp, &value).unwrap();
+        for i in 0..=1000 {
+            let b = i as f64 / 1000.0;
+            let expected = common::bellman_step(&pomdp, 0.95, &value, b);
+            assert!(
+                (backup.evaluate(b) - expected).abs() <= 1e-12,
+                "horizon {horizon}, b = {b}: backup {} vs Bellman step {expected}",
+                backup.evaluate(b)
+            );
+        }
+        value = backup;
+    }
+    assert_eq!(value.len(), 20_655);
 }
 
 #[test]
@@ -368,10 +392,11 @@ fn rollout_pins_alg1_objectives() {
 
 // The Algorithm 2 and incremental-pruning pins: every `SystemController`'s
 // `s_max` 13 strategy goes through `optim::simplex`, and incremental pruning
-// keeps a line by the witness LP's rule, computed as a lower-envelope walk
-// over the scalar belief. The incremental-pruning table was generated by
-// commit 21fea10, when every prune still solved one LP per vector, and has
-// not moved.
+// sums concave envelopes by a merge. The incremental-pruning table moved
+// once, when the solver stopped capping a stage at 32 lines: horizons 10 and
+// 20 read threshold 0.29 and objective 0.28911578947368416 under the cap.
+// The exact solve's threshold is 0.285 at all three horizons, so its
+// objective is the horizon-5 row's (same threshold, same seed).
 
 #[test]
 fn ip_pins_thresholds_and_objectives() {
@@ -379,8 +404,8 @@ fn ip_pins_thresholds_and_objectives() {
     // either side.
     let expected: [(usize, f64, f64); 3] = [
         (5, 0.285, 0.2879157894736842),
-        (10, 0.29, 0.28911578947368416),
-        (20, 0.29, 0.28911578947368416),
+        (10, 0.285, 0.2879157894736842),
+        (20, 0.285, 0.2879157894736842),
     ];
     let problem = paper_problem(None);
     let alg1 = Alg1::new(Alg1Config {

@@ -4,8 +4,9 @@
 //! solver returns feasible optima and agrees with the best of every basis on
 //! random programs, metrics stay in range, threshold strategies respect the
 //! BTR constraint for arbitrary belief sequences,
-//! alpha-vector pruning preserves the value envelope and keeps exactly the
-//! lines a witness LP keeps, the exact solver agrees with the Bellman
+//! the alpha-vector envelope preserves the minimum and keeps exactly the
+//! lines a witness LP keeps, the merge of two envelopes is the envelope of
+//! their cross sum, every backup of the exact solver agrees with the Bellman
 //! recursion computed through a scalar Bayes step on random two-state
 //! models, the sharded service plane's key partitioner
 //! covers every key exactly once, stays stable under shard-count-preserving
@@ -152,106 +153,126 @@ proptest! {
 
     #[test]
     fn alpha_pruning_preserves_the_lower_envelope(
-        raw_vectors in proptest::collection::vec((0.0..5.0f64, 0.0..5.0f64), 2..12),
+        raw_lines in proptest::collection::vec((0.0..5.0f64, 0.0..5.0f64), 1..3000),
+        size_exponent in 0.0..11.6f64,
+        tangents in proptest::collection::vec((0.0..=1.0f64, 0.0..1.0f64), 0..48),
+        curvature in 0.5..8.0f64,
         probes in proptest::collection::vec(0.0..=1.0f64, 2..10),
     ) {
-        // Value monotonicity under pruning: pointwise and exact pruning may
-        // only remove vectors that never achieve the minimum, so the
-        // envelope value at every belief is unchanged (the pruned set is
-        // never *worse*, i.e. never larger, and never *wrong*, i.e. never
-        // smaller than the original minimum).
-        let vectors: Vec<AlphaVector> = raw_vectors
+        // Up to ~3,000 random lines (a log-uniform count), most of them far
+        // above the envelope, and up to 48 tangents of the concave parabola
+        // curvature·b(1 − b) − 1, lifted by 0.01·u⁴: some win by 1e-2, some
+        // by less than 1e-9 and some not at all.
+        let count = (size_exponent.exp2() as usize).clamp(1, raw_lines.len());
+        let mut lines: Vec<AlphaVector> = raw_lines[..count]
             .iter()
+            .map(|&(h, c)| [h, c])
+            .chain(tangents.iter().map(|&(t, u)| {
+                let (value, slope) = (curvature * t * (1.0 - t) - 1.0, curvature * (1.0 - 2.0 * t));
+                let lift = 0.01 * u.powi(4);
+                [value - slope * t + lift, value + slope * (1.0 - t) + lift]
+            }))
             .enumerate()
-            .map(|(action, &(h, c))| AlphaVector::new([h, c], action))
+            .map(|(action, values)| AlphaVector::new(values, action))
             .collect();
-        let original = ValueFunction::new(vectors);
+        lines.rotate_left(count / 2);
+        let envelope = ValueFunction::new(lines.clone());
 
-        let mut pointwise = original.clone();
-        pointwise.prune_pointwise();
-        prop_assert!(pointwise.len() <= original.len());
-        prop_assert!(!pointwise.is_empty());
+        // The envelope's value is the minimum over every line.
+        for &b in probes.iter().chain(&[0.0, 1.0]) {
+            let minimum = lines.iter().map(|line| line_at(line, b)).fold(f64::INFINITY, f64::min);
+            prop_assert!((envelope.evaluate(b) - minimum).abs() <= 1e-12,
+                "envelope {} vs minimum {minimum} at {b}", envelope.evaluate(b));
+        }
 
-        let mut exact = original.clone();
-        exact.prune();
-        prop_assert!(!exact.is_empty());
+        // The reference: a line stays iff the witness LP finds a belief where
+        // it beats every other line, judged wherever the margin is clear of
+        // ±1e-9. Each other line alone caps the margin at the larger of its
+        // two end differences, which settles most lines without an LP.
+        let front = pareto_front(&lines, None);
+        for (candidate, line) in lines.iter().enumerate() {
+            let cap = (front.iter().filter(|&&k| k != candidate))
+                .map(|&k| (lines[k].values[0] - line.values[0]).max(lines[k].values[1] - line.values[1]))
+                .fold(f64::INFINITY, f64::min);
+            let margin = if cap < -1e-9 {
+                cap
+            } else {
+                witness_lp_margin(&lines, &pareto_front(&lines, Some(candidate)), candidate)
+            };
+            let kept = envelope.vectors().contains(line);
+            prop_assert!(kept || margin <= 1e-9, "line {candidate} (margin {margin}) dropped");
+            prop_assert!(!kept || margin >= -1e-9, "line {candidate} (margin {margin}) kept");
+        }
+    }
 
+    #[test]
+    fn merge_sum_equals_the_envelope_of_the_brute_force_cross_sum(
+        first in proptest::collection::vec((0.0..5.0f64, 0.0..5.0f64), 1..12),
+        second in proptest::collection::vec((0.0..5.0f64, 0.0..5.0f64), 1..12),
+        probes in proptest::collection::vec(0.0..=1.0f64, 2..10),
+    ) {
+        let envelope = |raw: &[(f64, f64)], offset: usize| {
+            ValueFunction::new((raw.iter().enumerate())
+                .map(|(i, &(h, c))| AlphaVector::new([h, c], offset + i))
+                .collect())
+        };
+        let (first, second) = (envelope(&first, 0), envelope(&second, 100));
+        let merged = first.merge_sum(&second);
+        prop_assert!(merged.len() < first.len() + second.len());
+        let cross_sum = (first.vectors().iter())
+            .flat_map(|a| second.vectors().iter().map(move |b| {
+                AlphaVector::new([a.values[0] + b.values[0], a.values[1] + b.values[1]], a.action)
+            }))
+            .collect();
+        let brute_force = ValueFunction::new(cross_sum);
+        prop_assert_eq!(merged.vectors(), brute_force.vectors());
         for &b in &probes {
-            let v0 = original.evaluate(b);
-            prop_assert!((pointwise.evaluate(b) - v0).abs() < 1e-7,
-                "pointwise pruning changed the envelope at {b}");
-            prop_assert!((exact.evaluate(b) - v0).abs() < 1e-6,
-                "exact pruning changed the envelope at {b}");
+            prop_assert!((merged.evaluate(b) - brute_force.evaluate(b)).abs() <= 1e-12);
         }
-
-        // The reference: after the pointwise pass, a vector stays iff the
-        // witness LP finds a belief where it beats every other vector by
-        // more than 1e-9 (the first vector if none does).
-        let survivors = pointwise.vectors();
-        let mut kept: Vec<AlphaVector> = survivors
-            .iter()
-            .enumerate()
-            .filter(|&(c, _)| survivors.len() == 1 || witness_lp_margin(survivors, c) > 1e-9)
-            .map(|(_, v)| v.clone())
-            .collect();
-        if kept.is_empty() {
-            kept.push(survivors[0].clone());
-        }
-        prop_assert_eq!(exact.vectors(), &kept[..]);
     }
 
     #[test]
     fn solver_backups_satisfy_the_bellman_recursion_on_random_2_state_models(
         transition_rows in proptest::collection::vec(
             proptest::collection::vec(0.05..1.0f64, 2..3), 4..5),
-        observation_rows in proptest::collection::vec(
-            proptest::collection::vec(0.05..1.0f64, 3..4), 2..3),
+        observation_weights in proptest::collection::vec(0.05..1.0f64, 22..23),
+        observations in 2usize..12,
         costs in proptest::collection::vec(0.0..3.0f64, 4..5),
         discount in 0.5..0.95f64,
-        b in 0.0..=1.0f64,
+        probes in proptest::collection::vec(0.0..=1.0f64, 8..9),
     ) {
-        // Belief-update/solver consistency: one exact dynamic-programming
-        // backup of the incremental-pruning solver must equal the Bellman
-        // operator computed independently through a scalar Bayes step on
-        // b = P[C]:
+        // Belief-update/solver consistency: every exact dynamic-programming
+        // backup of the incremental-pruning solver, horizons 1 to 6, equals
+        // the Bellman operator computed independently through a scalar Bayes
+        // step on b = P[C]:
         //   V_{k+1}(b) = min_a [ c_a(b) + γ Σ_o Pr(o | b, a) V_k(τ(b, a, o)) ]
-        let normalize = |row: &Vec<f64>| -> Vec<f64> {
+        let normalize = |row: &[f64]| -> Vec<f64> {
             let total: f64 = row.iter().sum();
             row.iter().map(|v| v / total).collect()
         };
         let transition: Vec<Vec<Vec<f64>>> = (0..2)
             .map(|a| (0..2).map(|s| normalize(&transition_rows[a * 2 + s])).collect())
             .collect();
-        let observation: Vec<Vec<f64>> = observation_rows.iter().map(normalize).collect();
+        let observation: Vec<Vec<f64>> = observation_weights
+            .chunks(11)
+            .map(|row| normalize(&row[..observations]))
+            .collect();
         let cost: Vec<Vec<f64>> = (0..2)
             .map(|s| (0..2).map(|a| costs[s * 2 + a]).collect())
             .collect();
-        let model = Pomdp::new(transition.clone(), observation.clone(), cost.clone(), discount)
-            .unwrap();
+        let model = Pomdp::new(transition, observation, cost.clone(), discount).unwrap();
         let solver = IncrementalPruning::default();
-        let v1 = solver.solve_finite_horizon(&model, 1).unwrap();
-        let v2 = solver.solve_finite_horizon(&model, 2).unwrap();
-
-        let immediate = |a: usize| (1.0 - b) * cost[0][a] + b * cost[1][a];
-        let mut expected = f64::INFINITY;
-        for (action, rows) in transition.iter().enumerate() {
-            let compromised = (1.0 - b) * rows[0][1] + b * rows[1][1];
-            let mut continuation = 0.0;
-            for (z_h, z_c) in observation[0].iter().zip(&observation[1]) {
-                let joint_c = compromised * z_c;
-                let p = (1.0 - compromised) * z_h + joint_c;
-                if p > 1e-12 {
-                    continuation += p * v1.evaluate(joint_c / p);
-                }
+        let mut value = ValueFunction::default();
+        for horizon in 1..=6 {
+            let backup = solver.backup(&model, &value).unwrap();
+            for &b in probes.iter().chain(&[0.0, 1.0]) {
+                let expected = common::bellman_step(&model, discount, &value, b);
+                let computed = backup.evaluate(b);
+                prop_assert!((computed - expected).abs() <= 1e-12 * expected.abs().max(1.0),
+                    "horizon {horizon}, b = {b}: backup {computed} vs Bellman step {expected}");
             }
-            expected = expected.min(immediate(action) + discount * continuation);
+            value = backup;
         }
-        let computed = v2.evaluate(b);
-        prop_assert!((computed - expected).abs() < 1e-6,
-            "backup value {computed} disagrees with the Bellman recursion {expected}");
-        // One-step values are the expected immediate cost of the best action.
-        let direct = immediate(0).min(immediate(1));
-        prop_assert!((v1.evaluate(b) - direct).abs() < 1e-8);
     }
 
     #[test]
@@ -319,16 +340,38 @@ proptest! {
     }
 }
 
+/// A line's value at belief `b`.
+fn line_at(line: &AlphaVector, b: f64) -> f64 {
+    line.values[0] * (1.0 - b) + line.values[1] * b
+}
+
+/// The lines no other one is below at both ends (the first of identical
+/// ones), with `without` left out. A line that one of these dominates adds
+/// no constraint to a witness LP that one of these does not already add.
+fn pareto_front(lines: &[AlphaVector], without: Option<usize>) -> Vec<usize> {
+    let mut front: Vec<usize> = (0..lines.len()).filter(|&i| Some(i) != without).collect();
+    front.sort_by(|&i, &j| {
+        let ([i0, i1], [j0, j1]) = (lines[i].values, lines[j].values);
+        i0.total_cmp(&j0).then(i1.total_cmp(&j1)).then(i.cmp(&j))
+    });
+    let mut lowest = f64::INFINITY;
+    front.retain(|&i| {
+        let below = lines[i].values[1] < lowest;
+        lowest = lowest.min(lines[i].values[1]);
+        below
+    });
+    front
+}
+
 /// The witness LP of incremental pruning over two-state vectors: the largest
-/// margin δ with `b·(α_j − α_c) ≥ δ` for every other vector `j`, `b₀ + b₁ = 1`
-/// and `b ≥ 0`. δ = δ⁺ − δ⁻, with δ⁺ capped one above the largest
-/// difference (inactive at the optimum; it keeps degenerate pivoting
-/// bounded).
-fn witness_lp_margin(vectors: &[AlphaVector], candidate: usize) -> f64 {
-    let [c0, c1] = vectors[candidate].values;
-    let differences: Vec<[f64; 2]> = (vectors.iter().enumerate())
-        .filter(|&(j, _)| j != candidate)
-        .map(|(_, other)| [other.values[0] - c0, other.values[1] - c1])
+/// margin δ with `b·(α_j − α_c) ≥ δ` for every line `j` of `others` but the
+/// candidate, `b₀ + b₁ = 1` and `b ≥ 0`. δ = δ⁺ − δ⁻, with δ⁺ capped one
+/// above the largest difference (inactive at the optimum; it keeps
+/// degenerate pivoting bounded).
+fn witness_lp_margin(lines: &[AlphaVector], others: &[usize], candidate: usize) -> f64 {
+    let [c0, c1] = lines[candidate].values;
+    let differences: Vec<[f64; 2]> = (others.iter().filter(|&&j| j != candidate))
+        .map(|&j| [lines[j].values[0] - c0, lines[j].values[1] - c1])
         .collect();
     let cap = differences.iter().flatten().fold(0.0f64, |a, &d| a.max(d)) + 1.0;
     let mut lp = LinearProgram::new(4, vec![0.0, 0.0, -1.0, 1.0]).unwrap();
