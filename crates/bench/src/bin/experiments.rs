@@ -28,6 +28,7 @@ use serde::Serialize;
 use tolerance_bench::{sparkline, write_json};
 use tolerance_consensus::workload::{Arrival, WorkloadConfig};
 use tolerance_core::prelude::*;
+use tolerance_core::recovery::PAPER_RECOVERY_THRESHOLD;
 use tolerance_emulation::{ContainerCatalog, EvaluationGrid, IdsModel, TraceDataset};
 use tolerance_markov::stats::SummaryStatistics;
 
@@ -658,7 +659,9 @@ fn fig13() {
         .solve(&problem, OptimizerKind::Cem, &mut rng)
         .expect("alg1 succeeds");
     let threshold = outcome.strategy.threshold_at(0);
-    println!("  recovery threshold alpha* = {threshold:.2} (paper reports 0.76)");
+    println!(
+        "  recovery threshold alpha* = {threshold:.2} (paper reports {PAPER_RECOVERY_THRESHOLD})"
+    );
     save(
         "fig13_strategies",
         &Fig13Output {

@@ -117,6 +117,9 @@ impl KeyPartitioner {
     }
 }
 
+/// General-purpose routed clients per shard of a [`ShardedSimService`].
+const CLIENTS_PER_SHARD: usize = 4;
+
 /// Configuration of a [`ShardedSimService`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ShardedSimConfig {
@@ -125,8 +128,6 @@ pub struct ShardedSimConfig {
     /// The per-shard cluster template; each shard runs it with its own
     /// split-stream seed ([`shard_seed`]).
     pub cluster: MinBftConfig,
-    /// General-purpose routed clients per shard.
-    pub clients_per_shard: usize,
 }
 
 impl Default for ShardedSimConfig {
@@ -134,7 +135,6 @@ impl Default for ShardedSimConfig {
         ShardedSimConfig {
             shards: 2,
             cluster: MinBftConfig::default(),
-            clients_per_shard: 4,
         }
     }
 }
@@ -160,7 +160,7 @@ impl ShardedSimService {
                 seed: shard_seed(config.cluster.seed, shard),
                 ..config.cluster.clone()
             });
-            let pool: Vec<NodeId> = (0..config.clients_per_shard.max(1))
+            let pool: Vec<NodeId> = (0..CLIENTS_PER_SHARD)
                 .map(|_| cluster.add_client())
                 .collect();
             shards.push(cluster);
@@ -307,7 +307,6 @@ mod tests {
                 network: quiet_network(),
                 ..MinBftConfig::default()
             },
-            clients_per_shard: 4,
         })
     }
 

@@ -15,12 +15,11 @@
 //! harness and the Table-7 emulation — so it is the one caller of
 //! [`allocate_recoveries`] and [`SystemController::decide`].
 
-use crate::controller::{allocate_recoveries, NodeController, SystemController};
+use crate::controller::{allocate_recoveries, SystemController};
 use crate::controlplane::actuator::ClusterActuator;
 use crate::controlplane::runtime::{ControlPlaneConfig, NodeReport};
 use crate::error::Result;
 use crate::node_model::{NodeAction, NodeModel};
-use crate::recovery::ThresholdStrategy;
 use crate::replication::{ReplicationConfig, ReplicationProblem};
 use crate::runtime::NodeStrategy;
 use rand::Rng;
@@ -51,7 +50,6 @@ pub(crate) struct FleetControlPlane {
     /// across shards reaches this.
     max_total_replicas: usize,
     node_model: NodeModel,
-    strategy: ThresholdStrategy,
     controllers: BTreeMap<(usize, NodeId), NodeStrategy>,
     system: Option<SystemController>,
     /// The last tick's recovery requests with their deciding beliefs, the
@@ -59,8 +57,10 @@ pub(crate) struct FleetControlPlane {
     requests: Vec<Request>,
     granted: usize,
     /// The last tick's beliefs, shard-major in observation order (`None` =
-    /// silent, or a baseline's): the system controller's input, kept
-    /// between ticks for its allocation like `requests`.
+    /// silent): the system controller's input, kept between ticks for its
+    /// allocation like `requests`. A node that reported but tracks no belief
+    /// (a baseline) is alive and enters as belief 0: one healthy node in
+    /// Eq. 8's estimate and in the neediest-shard count.
     reports: Vec<Option<f64>>,
 }
 
@@ -70,13 +70,12 @@ impl FleetControlPlane {
     ///
     /// # Errors
     ///
-    /// Propagates strategy-construction and LP failures.
+    /// Propagates LP failures.
     pub(crate) fn with_model(
         config: ControlPlaneConfig,
         max_total_replicas: usize,
         node_model: NodeModel,
     ) -> Result<Self> {
-        let strategy = ThresholdStrategy::new(vec![config.recovery_threshold], config.delta_r)?;
         let system = if config.system_controller {
             let strategy = ReplicationProblem::new(ReplicationConfig {
                 s_max: max_total_replicas,
@@ -93,7 +92,6 @@ impl FleetControlPlane {
             config,
             max_total_replicas,
             node_model,
-            strategy,
             controllers: BTreeMap::new(),
             system,
             requests: Vec::new(),
@@ -115,13 +113,10 @@ impl FleetControlPlane {
     /// The strategy of `(shard, node)`, creating the plane's default belief
     /// controller on first access.
     pub fn controller(&mut self, shard: usize, node: NodeId) -> &mut NodeStrategy {
-        let (model, strategy) = (&self.node_model, &self.strategy);
-        self.controllers.entry((shard, node)).or_insert_with(|| {
-            NodeStrategy::Tolerance(Box::new(NodeController::new(
-                model.clone(),
-                strategy.clone(),
-            )))
-        })
+        let (model, delta_r) = (&self.node_model, self.config.delta_r);
+        self.controllers
+            .entry((shard, node))
+            .or_insert_with(|| NodeStrategy::tolerance(model.clone(), delta_r))
     }
 
     /// Read-only view of a node's strategy, if it exists.
@@ -160,13 +155,14 @@ impl FleetControlPlane {
             let node = self.controller(shard, *id);
             wants_node |= events.iter().any(|&e| node.wants_additional_node(e as f64));
             let action = node.observe_events(events);
-            let belief = node.belief();
+            // A reporting baseline is alive, not crashed (see `reports`).
+            let belief = node.belief().unwrap_or(0.0);
             // Priority by the *deciding* belief: `belief()` was already reset
             // to the attack prior when the decision fired. A baseline tracks
             // no belief: baselines tie and rank by key.
             let request =
                 (action == NodeAction::Recover).then(|| node.request_belief().unwrap_or(1.0));
-            self.reports.push(belief);
+            self.reports.push(Some(belief));
             if let Some(belief) = request {
                 self.requests.push(((shard, *id), belief));
             }
@@ -288,7 +284,7 @@ mod tests {
     use crate::baselines::BaselineKind;
     use crate::node_model::NodeParameters;
     use crate::observation::ObservationModel;
-    use crate::runtime::{NodeStrategyConfig, StrategyKind};
+    use crate::runtime::StrategyKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -541,14 +537,12 @@ mod tests {
     fn periodic_adaptive() -> NodeStrategy {
         let model =
             NodeModel::new(NodeParameters::default(), ObservationModel::paper_default()).unwrap();
-        let config = NodeStrategyConfig {
-            recovery_threshold: 0.76,
-            delta_r: Some(15),
-            initial_phase: 0,
-        };
-        StrategyKind::Baseline(BaselineKind::PeriodicAdaptive)
-            .build_node_strategy(model, 2.0, &config)
-            .unwrap()
+        StrategyKind::Baseline(BaselineKind::PeriodicAdaptive).build_node_strategy(
+            model,
+            2.0,
+            Some(15),
+            0,
+        )
     }
 
     /// Node 0 of every shard sees `alerts`, every other node none.

@@ -17,11 +17,12 @@ use crate::runtime::NodeStrategy;
 use rand::Rng;
 use tolerance_consensus::NodeId;
 
-/// Configuration of a [`ControlPlane`].
+/// Configuration of a [`ControlPlane`]. Its default node controllers run
+/// [`NodeStrategy::tolerance`]: the paper's threshold
+/// ([`PAPER_RECOVERY_THRESHOLD`](crate::recovery::PAPER_RECOVERY_THRESHOLD))
+/// under this `delta_r`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ControlPlaneConfig {
-    /// Belief threshold of the node controllers.
-    pub recovery_threshold: f64,
     /// BTR period `Δ_R` (maximum steps between recoveries of one node).
     pub delta_r: Option<u32>,
     /// Parallel-recovery constraint `k` of Proposition 1 (at most this
@@ -49,7 +50,6 @@ pub struct ControlPlaneConfig {
 impl Default for ControlPlaneConfig {
     fn default() -> Self {
         ControlPlaneConfig {
-            recovery_threshold: 0.76,
             delta_r: Some(12),
             parallel_recoveries: 1,
             system_controller: true,
@@ -118,15 +118,15 @@ impl ControlPlane {
     }
 
     /// The strategy of `node`, created on first access as the plane's
-    /// default belief controller (the paper's node model at
-    /// `recovery_threshold`).
+    /// default belief controller ([`NodeStrategy::tolerance`] over the
+    /// paper's node model).
     pub fn controller(&mut self, node: NodeId) -> &mut NodeStrategy {
         self.fleet.controller(0, node)
     }
 
-    /// Installs a plant's own strategy for `node`. A baseline reports no
-    /// belief, which a system controller reads as a crash: baselines run
-    /// with `system_controller: false`.
+    /// Installs a plant's own strategy for `node`. A baseline tracks no
+    /// belief; while it reports, the system controller counts it alive and
+    /// healthy (belief 0 in Eq. 8) and evicts it only once it is `Silent`.
     pub fn install(&mut self, node: NodeId, strategy: NodeStrategy) {
         self.fleet.install(0, node, strategy);
     }
@@ -153,6 +153,8 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::BaselineKind;
+    use crate::runtime::StrategyKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -328,6 +330,37 @@ mod tests {
         assert!(evicted, "the silent node must be evicted");
         assert!(joined, "the system controller must restore n via JOIN");
         assert!(cluster.replica_count() >= 4);
+    }
+
+    #[test]
+    fn a_reporting_baseline_is_alive_to_the_system_controller() {
+        // A baseline tracks no belief, but it reported: only the silent node
+        // is evicted, however low the replica floor.
+        let mut plane = ControlPlane::new(ControlPlaneConfig {
+            system_controller: true,
+            min_replicas: 0,
+            ..ControlPlaneConfig::default()
+        })
+        .unwrap();
+        let mut cluster = FakeCluster::new(5);
+        let model =
+            NodeModel::new(NodeParameters::default(), ObservationModel::paper_default()).unwrap();
+        let periodic = StrategyKind::Baseline(BaselineKind::Periodic);
+        for id in 0..5 {
+            plane.install(
+                id,
+                periodic.build_node_strategy(model.clone(), 1.0, Some(12), 0),
+            );
+        }
+        let observed: Vec<(NodeId, NodeReport<'_>)> = (0..5)
+            .map(|id| match id {
+                4 => (id, NodeReport::Silent),
+                _ => (id, NodeReport::Sample(0)),
+            })
+            .collect();
+        let tick = plane.tick(&observed, &mut cluster, &mut StdRng::seed_from_u64(6));
+        assert_eq!(tick.evicted, [4]);
+        assert!((0..4).all(|id| cluster.contains(id)));
     }
 
     #[test]

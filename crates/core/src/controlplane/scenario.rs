@@ -3,7 +3,7 @@
 //!
 //! [`run_controlled_service`] runs the **threaded** MinBFT service under
 //! a scripted intrusion schedule while the [`ControlPlane`] closes the loop
-//! in real time: every `control_interval` seconds each replica's IDS
+//! in real time: every `CONTROL_INTERVAL_S` seconds each replica's IDS
 //! observation channel emits a batch of weighted alert events (sampled from
 //! the paper's [`ObservationModel`] distributions — compromised replicas
 //! draw from the compromised distribution), the node controllers fold the
@@ -53,6 +53,13 @@ pub struct IntrusionEvent {
     pub mode: IntrusionMode,
 }
 
+/// Wall-clock seconds between control ticks of a controlled run.
+const CONTROL_INTERVAL_S: f64 = 0.02;
+
+/// IDS events sampled per replica per control tick (the observation
+/// channel's event rate).
+const EVENTS_PER_TICK: usize = 3;
+
 /// Configuration of a controlled threaded-service run.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ControlledServiceConfig {
@@ -61,12 +68,7 @@ pub struct ControlledServiceConfig {
     /// Whether the control plane runs at all (`false` = uncontrolled
     /// baseline: intrusions land and nothing repairs them).
     pub controller: bool,
-    /// Wall-clock seconds between control ticks.
-    pub control_interval: f64,
-    /// IDS events sampled per replica per tick (the observation channel's
-    /// event rate).
-    pub events_per_tick: usize,
-    /// The control-plane parameters (thresholds, `Δ_R`, `k`, system level).
+    /// The control-plane parameters (`Δ_R`, `k`, system level).
     pub control: ControlPlaneConfig,
     /// The scripted intrusion schedule.
     pub intrusions: Vec<IntrusionEvent>,
@@ -84,8 +86,6 @@ impl Default for ControlledServiceConfig {
                 ..ThreadedServiceConfig::default()
             },
             controller: true,
-            control_interval: 0.02,
-            events_per_tick: 3,
             control: ControlPlaneConfig {
                 // Wall-clock ticks are much denser than simnet steps, so
                 // the BTR clock is correspondingly longer.
@@ -190,7 +190,7 @@ pub fn run_controlled_service(
 
     let start = Instant::now();
     while start.elapsed().as_secs_f64() < duration {
-        std::thread::sleep(Duration::from_secs_f64(config.control_interval.max(1e-3)));
+        std::thread::sleep(Duration::from_secs_f64(CONTROL_INTERVAL_S));
         let now = start.elapsed().as_secs_f64();
         // Inject due intrusions (the workload generator's fault channel).
         while let Some(event) = pending.peek().copied() {
@@ -232,7 +232,7 @@ pub fn run_controlled_service(
                 } else {
                     NodeState::Healthy
                 };
-                (0..config.events_per_tick.max(1))
+                (0..EVENTS_PER_TICK)
                     .map(|_| alert_model.sample(state, &mut rng))
                     .collect()
             })

@@ -36,6 +36,11 @@ impl Default for RecoveryConfig {
     }
 }
 
+/// The belief threshold every TOLERANCE node controller runs, at every step
+/// of its recovery period: the value the paper reports for its testbed
+/// (Fig. 13b).
+pub const PAPER_RECOVERY_THRESHOLD: f64 = 0.76;
+
 /// A (possibly time-dependent) threshold recovery strategy (Theorem 1 /
 /// Algorithm 1): recover exactly when the compromise belief reaches the
 /// threshold for the current position within the recovery period.

@@ -39,5 +39,5 @@ mod summary;
 
 pub(crate) use pool::WorkerPool;
 pub use runner::{ExecutionMode, FnScenario, Runner, Scenario};
-pub use strategy::{NodeStrategy, NodeStrategyConfig, StrategyKind};
+pub use strategy::{NodeStrategy, StrategyKind};
 pub use summary::MetricSummary;

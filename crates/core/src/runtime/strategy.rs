@@ -5,9 +5,8 @@
 
 use crate::baselines::{BaselineKind, RecoveryStrategy};
 use crate::controller::NodeController;
-use crate::error::Result;
 use crate::node_model::{NodeAction, NodeModel};
-use crate::recovery::ThresholdStrategy;
+use crate::recovery::{ThresholdStrategy, PAPER_RECOVERY_THRESHOLD};
 use serde::{Deserialize, Serialize};
 
 /// Which control strategy a scenario runs.
@@ -40,48 +39,26 @@ impl StrategyKind {
     }
 
     /// Builds the per-node decision maker for this strategy over the node's
-    /// POMDP `model`; `expected_alerts`, the healthy-state mean alert count,
-    /// is PERIODIC-ADAPTIVE's burst reference.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid threshold configurations.
+    /// POMDP `model` and the BTR period `delta_r` (`None` = `Δ_R = ∞`):
+    /// TOLERANCE's is [`NodeStrategy::tolerance`]; a baseline's schedule
+    /// starts `initial_phase` steps into its period, and `expected_alerts`,
+    /// the healthy-state mean alert count, is PERIODIC-ADAPTIVE's burst
+    /// reference.
     pub fn build_node_strategy(
         self,
         model: NodeModel,
         expected_alerts: f64,
-        config: &NodeStrategyConfig,
-    ) -> Result<NodeStrategy> {
+        delta_r: Option<u32>,
+        initial_phase: u32,
+    ) -> NodeStrategy {
         match self {
-            StrategyKind::Tolerance => {
-                let thresholds = match config.delta_r {
-                    Some(period) => {
-                        vec![config.recovery_threshold; (period as usize).saturating_sub(1).max(1)]
-                    }
-                    None => vec![config.recovery_threshold],
-                };
-                let strategy = ThresholdStrategy::new(thresholds, config.delta_r)?;
-                Ok(NodeStrategy::Tolerance(Box::new(NodeController::new(
-                    model, strategy,
-                ))))
-            }
-            StrategyKind::Baseline(kind) => Ok(NodeStrategy::Baseline(
-                RecoveryStrategy::new(kind, config.delta_r, expected_alerts)
-                    .with_initial_phase(config.initial_phase),
-            )),
+            StrategyKind::Tolerance => NodeStrategy::tolerance(model, delta_r),
+            StrategyKind::Baseline(kind) => NodeStrategy::Baseline(
+                RecoveryStrategy::new(kind, delta_r, expected_alerts)
+                    .with_initial_phase(initial_phase),
+            ),
         }
     }
-}
-
-/// Node-level strategy parameters shared by all scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NodeStrategyConfig {
-    /// Belief threshold of the TOLERANCE node controllers (0.76, Fig. 13b).
-    pub recovery_threshold: f64,
-    /// BTR period `Δ_R` (`None` = ∞).
-    pub delta_r: Option<u32>,
-    /// Offset within the recovery period, staggering the periodic baselines.
-    pub initial_phase: u32,
 }
 
 /// The per-node decision maker of a scenario: either a TOLERANCE belief
@@ -96,6 +73,15 @@ pub enum NodeStrategy {
 }
 
 impl NodeStrategy {
+    /// The TOLERANCE node strategy, its one constructor: a belief controller
+    /// over `model` that recovers at [`PAPER_RECOVERY_THRESHOLD`] and at the
+    /// latest every `delta_r` steps (`None` = `Δ_R = ∞`).
+    pub fn tolerance(model: NodeModel, delta_r: Option<u32>) -> Self {
+        let strategy = ThresholdStrategy::new(vec![PAPER_RECOVERY_THRESHOLD], delta_r)
+            .expect("the paper's threshold lies in [0, 1]");
+        NodeStrategy::Tolerance(Box::new(NodeController::new(model, strategy)))
+    }
+
     /// Processes one time-step observed as the weighted IDS alert events
     /// since the last decision ([`NodeController::observe_events`]; a sample
     /// is one event) and returns the recovery decision; a baseline decides by
@@ -161,14 +147,6 @@ mod tests {
         NodeModel::new(NodeParameters::default(), ObservationModel::paper_default()).unwrap()
     }
 
-    fn config(delta_r: Option<u32>) -> NodeStrategyConfig {
-        NodeStrategyConfig {
-            recovery_threshold: 0.76,
-            delta_r,
-            initial_phase: 0,
-        }
-    }
-
     #[test]
     fn paper_set_matches_table7() {
         let names: Vec<&str> = StrategyKind::paper_set().iter().map(|s| s.name()).collect();
@@ -180,9 +158,7 @@ mod tests {
 
     #[test]
     fn tolerance_builds_a_belief_controller() {
-        let strategy = StrategyKind::Tolerance
-            .build_node_strategy(model(), 1.0, &config(None))
-            .unwrap();
+        let strategy = StrategyKind::Tolerance.build_node_strategy(model(), 1.0, None, 0);
         assert!(matches!(strategy, NodeStrategy::Tolerance(_)));
         assert!(strategy.belief().is_some());
         assert!(!strategy.wants_additional_node(100.0));
@@ -190,18 +166,19 @@ mod tests {
 
     #[test]
     fn tolerance_recovers_on_sustained_alerts_and_baseline_on_schedule() {
-        let mut tolerance = StrategyKind::Tolerance
-            .build_node_strategy(model(), 1.0, &config(None))
-            .unwrap();
+        let mut tolerance = StrategyKind::Tolerance.build_node_strategy(model(), 1.0, None, 0);
         let recovered = (0..20).any(|_| tolerance.observe_events(&[10]) == NodeAction::Recover);
         assert!(
             recovered,
             "sustained max alerts must trigger the controller"
         );
 
-        let mut periodic = StrategyKind::Baseline(BaselineKind::Periodic)
-            .build_node_strategy(model(), 1.0, &config(Some(5)))
-            .unwrap();
+        let mut periodic = StrategyKind::Baseline(BaselineKind::Periodic).build_node_strategy(
+            model(),
+            1.0,
+            Some(5),
+            0,
+        );
         let decisions: Vec<NodeAction> = (0..10).map(|_| periodic.observe_events(&[10])).collect();
         assert_eq!(
             decisions
@@ -216,18 +193,19 @@ mod tests {
 
     #[test]
     fn adaptive_baseline_wants_nodes_on_bursts() {
-        let adaptive = StrategyKind::Baseline(BaselineKind::PeriodicAdaptive)
-            .build_node_strategy(model(), 2.0, &config(Some(15)))
-            .unwrap();
+        let adaptive = StrategyKind::Baseline(BaselineKind::PeriodicAdaptive).build_node_strategy(
+            model(),
+            2.0,
+            Some(15),
+            0,
+        );
         assert!(!adaptive.wants_additional_node(3.0));
         assert!(adaptive.wants_additional_node(4.0));
     }
 
     #[test]
     fn btr_thresholds_span_the_period() {
-        let mut strategy = StrategyKind::Tolerance
-            .build_node_strategy(model(), 1.0, &config(Some(5)))
-            .unwrap();
+        let mut strategy = StrategyKind::Tolerance.build_node_strategy(model(), 1.0, Some(5), 0);
         // With quiet observations the BTR constraint forces a recovery at
         // the period boundary.
         let recoveries = (0..25)
@@ -241,18 +219,19 @@ mod tests {
 
     #[test]
     fn notify_recovered_resets_both_variants() {
-        let mut tolerance = StrategyKind::Tolerance
-            .build_node_strategy(model(), 1.0, &config(None))
-            .unwrap();
+        let mut tolerance = StrategyKind::Tolerance.build_node_strategy(model(), 1.0, None, 0);
         for _ in 0..5 {
             tolerance.observe_events(&[10]);
         }
         tolerance.notify_recovered();
         assert!((tolerance.belief().unwrap() - 0.1).abs() < 1e-9);
 
-        let mut periodic = StrategyKind::Baseline(BaselineKind::Periodic)
-            .build_node_strategy(model(), 1.0, &config(Some(3)))
-            .unwrap();
+        let mut periodic = StrategyKind::Baseline(BaselineKind::Periodic).build_node_strategy(
+            model(),
+            1.0,
+            Some(3),
+            0,
+        );
         periodic.observe_events(&[0]);
         periodic.notify_recovered();
         assert_eq!(periodic.observe_events(&[0]), NodeAction::Wait);

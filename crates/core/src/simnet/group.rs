@@ -17,7 +17,9 @@ use crate::node_model::{NodeModel, NodeParameters, NodeState};
 use crate::observation::ObservationModel;
 use crate::simnet::adversary;
 use crate::simnet::oracle::{InvariantChecker, InvariantKind, Violation};
-use crate::simnet::schedule::{FaultEvent, ScheduleConfig, ScheduledFault};
+use crate::simnet::schedule::{
+    FaultEvent, ScheduleConfig, ScheduledFault, MAX_REPLICAS, STEP_DURATION_S,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -166,9 +168,7 @@ pub(crate) fn restore_network(config: &ScheduleConfig, cluster: &mut MinBftClust
 }
 
 /// How long one settle round lets a group run before the next check.
-pub(crate) fn settle_window(config: &ScheduleConfig) -> f64 {
-    5.0_f64.max(config.step_duration * 4.0)
-}
+pub(crate) const SETTLE_WINDOW_S: f64 = 5.0_f64.max(STEP_DURATION_S * 4.0);
 
 /// Re-triggers state transfer for replicas whose transfer was lost to a
 /// storm or partition and for replicas whose log lags behind (in-flight
@@ -346,7 +346,7 @@ impl Group {
                 }
             }
             FaultEvent::AddReplica => {
-                if cluster.num_replicas() < config.max_replicas {
+                if cluster.num_replicas() < MAX_REPLICAS {
                     let id = cluster.add_replica();
                     self.supervisors.insert(id, Supervisor::default());
                     self.added_stack.push(id);

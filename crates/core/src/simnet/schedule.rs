@@ -166,6 +166,18 @@ pub struct ScheduledFault {
     pub event: FaultEvent,
 }
 
+/// Largest membership of a simulated group: generated JOINs and scheduled
+/// additions stop here.
+pub(crate) const MAX_REPLICAS: usize = 8;
+
+/// Parallel recoveries `k` of Proposition 1 in a simulated run: a fleet's
+/// global recovery budget, and the `k` of the fault threshold
+/// `f = (N - 1 - k) / 2` that bounds concurrent faults.
+pub(crate) const PARALLEL_RECOVERIES: usize = 1;
+
+/// Simulated seconds per time-step.
+pub(crate) const STEP_DURATION_S: f64 = 1.0;
+
 /// Configuration of schedule generation *and* of the run that executes the
 /// schedule (the executor reads the cluster/controller parameters from
 /// here, so a `(seed, config)` pair fully determines a run).
@@ -173,21 +185,12 @@ pub struct ScheduledFault {
 pub struct ScheduleConfig {
     /// Initial number of replicas.
     pub initial_replicas: usize,
-    /// Maximum membership size (JOINs stop here).
-    pub max_replicas: usize,
-    /// Parallel recoveries `k` of Proposition 1 (enters the fault
-    /// threshold `f = (N - 1 - k) / 2` that bounds concurrent faults).
-    pub parallel_recoveries: usize,
     /// Number of time-steps.
     pub horizon: u32,
-    /// Simulated seconds per time-step.
-    pub step_duration: f64,
     /// BTR period `Δ_R` of the node controllers: every replica is recovered
     /// at the latest `Δ_R` steps after its previous recovery, which is what
     /// bounds the time-to-recovery (checked by the recovery oracle).
     pub delta_r: u32,
-    /// Belief threshold of the node controllers.
-    pub recovery_threshold: f64,
     /// Whether the global replication controller (Algorithm 2) runs; when
     /// `false` the membership only changes through schedule events.
     pub system_controller: bool,
@@ -255,12 +258,8 @@ impl Default for ScheduleConfig {
     fn default() -> Self {
         ScheduleConfig {
             initial_replicas: 5,
-            max_replicas: 8,
-            parallel_recoveries: 1,
             horizon: 40,
-            step_duration: 1.0,
             delta_r: 12,
-            recovery_threshold: 0.76,
             system_controller: false,
             network: NetworkConfig {
                 latency: 0.002,
@@ -306,7 +305,7 @@ impl ScheduleConfig {
     /// The fault threshold `f` of the initial membership, which bounds how
     /// many replicas the generator keeps faulty at once.
     pub fn fault_threshold(&self) -> usize {
-        hybrid_fault_threshold(self.initial_replicas, self.parallel_recoveries)
+        hybrid_fault_threshold(self.initial_replicas, PARALLEL_RECOVERIES)
     }
 
     /// The cluster configuration a harness builds from this schedule
@@ -316,7 +315,7 @@ impl ScheduleConfig {
     pub(crate) fn minbft_config(&self, seed: u64) -> MinBftConfig {
         MinBftConfig {
             initial_replicas: self.initial_replicas,
-            parallel_recoveries: self.parallel_recoveries,
+            parallel_recoveries: PARALLEL_RECOVERIES,
             network: self.network,
             seed,
             checkpoint_period: self.checkpoint_period,
@@ -533,7 +532,7 @@ impl FaultSchedule {
                     faulty_until.push((node, close_step));
                 }
                 FaultKind::AddReplica => {
-                    if config.initial_replicas + added_pending >= config.max_replicas {
+                    if config.initial_replicas + added_pending >= MAX_REPLICAS {
                         continue;
                     }
                     events.push(ScheduledFault {

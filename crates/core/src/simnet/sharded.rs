@@ -73,8 +73,11 @@ use crate::error::Result;
 use crate::runtime::WorkerPool;
 use crate::simnet::group::{self, Group, IdsChannel, PlaneNote, SimnetOutcome, TraceRecord};
 use crate::simnet::oracle::{InvariantKind, RoutingChecker, Violation};
-use crate::simnet::schedule::{FaultSchedule, ScheduleConfig, ScheduledFault};
-use crate::simnet::workload::{TraceWorkload, TraceWorkloadConfig};
+use crate::simnet::schedule::{
+    FaultSchedule, ScheduleConfig, ScheduledFault, MAX_REPLICAS, PARALLEL_RECOVERIES,
+    STEP_DURATION_S,
+};
+use crate::simnet::workload::{TraceWorkload, TraceWorkloadConfig, BACKLOG_CAP};
 use serde::{Deserialize, Serialize};
 use tolerance_consensus::crypto::Digest;
 use tolerance_consensus::metrics::LatencyHistogram;
@@ -90,9 +93,9 @@ use tolerance_consensus::NodeId;
 pub struct ShardedScheduleConfig {
     /// Number of independent MinBFT groups.
     pub shards: usize,
-    /// The per-shard schedule/cluster configuration. `parallel_recoveries`
-    /// is interpreted as the fleet's **global** recovery budget and
-    /// `system_controller` enables the fleet-level controller.
+    /// The per-shard schedule/cluster configuration. `system_controller`
+    /// enables the fleet-level controller, whose recovery budget `k` is
+    /// global.
     pub base: ScheduleConfig,
     /// Key space of the routed client workload (each shard's drivers use
     /// the keys it owns within this range).
@@ -171,12 +174,11 @@ impl ShardedScheduleConfig {
 
     fn fleet_config(&self) -> ControlPlaneConfig {
         ControlPlaneConfig {
-            recovery_threshold: self.base.recovery_threshold,
             delta_r: Some(self.base.delta_r),
-            parallel_recoveries: self.base.parallel_recoveries,
+            parallel_recoveries: PARALLEL_RECOVERIES,
             system_controller: self.base.system_controller,
             min_replicas: 4,
-            max_replicas: self.base.max_replicas,
+            max_replicas: MAX_REPLICAS,
             fault_threshold: self.base.fault_threshold(),
             availability_target: 0.9,
             node_survival_probability: 0.95,
@@ -394,10 +396,9 @@ impl<'a> ShardedHarness<'a> {
         let service = ShardedSimService::new(&ShardedSimConfig {
             shards: config.shards.max(1),
             cluster: config.base.minbft_config(schedule.seed),
-            clients_per_shard: 4,
         });
         let (ids, node_model) = IdsChannel::new(schedule.seed)?;
-        let max_total = config.base.max_replicas * config.shards.max(1);
+        let max_total = MAX_REPLICAS * config.shards.max(1);
         let plane = FleetControlPlane::with_model(config.fleet_config(), max_total, node_model)?;
         let partitioner = *service.partitioner();
         let states: Vec<ShardState> = (0..service.num_shards())
@@ -620,7 +621,7 @@ impl<'a> ShardedHarness<'a> {
                     }
                 }
             }
-            state.group.pending_bursts = demand.min(workload.backlog_cap());
+            state.group.pending_bursts = demand.min(BACKLOG_CAP);
             state.workload = Some(workload);
             return;
         }
@@ -844,7 +845,7 @@ impl<'a> ShardedHarness<'a> {
                 state.group.apply_due_events(base, events, cluster, step);
                 Self::drive_shard_clients(cluster, state, step);
             }
-            cluster.run_until(f64::from(step + 1) * base.step_duration);
+            cluster.run_until(f64::from(step + 1) * STEP_DURATION_S);
             if local_checks {
                 let replicas = Self::fleet_replicas(config);
                 let group = &mut state.group;
@@ -909,7 +910,7 @@ impl<'a> ShardedHarness<'a> {
     /// Runs every shard to a barrier-computed common deadline one settle
     /// window ahead and nudges its stragglers.
     fn settle_round(&mut self) {
-        let target = self.fleet_now() + group::settle_window(&self.config.base);
+        let target = self.fleet_now() + group::SETTLE_WINDOW_S;
         self.for_each_shard(move |_, cluster, _| {
             cluster.run_until(target);
             group::catch_up_stragglers(cluster);
@@ -1187,7 +1188,6 @@ pub fn fleet_scale_config(shards: usize) -> ShardedScheduleConfig {
             horizon: 16,
             intensity: 0.15,
             initial_replicas: 6,
-            max_replicas: 8,
             ..ScheduleConfig::default()
         },
         key_space: (shards as u32).saturating_mul(8),

@@ -43,10 +43,11 @@ pub struct TraceWorkloadConfig {
     /// Zipf popularity exponent over the shard's owned keys (`0` =
     /// uniform).
     pub zipf_exponent: f64,
-    /// Maximum deferred (unsubmittable) requests retained per shard;
-    /// demand beyond the cap is shed, keeping the workload open-loop.
-    pub backlog_cap: u32,
 }
+
+/// Maximum deferred (unsubmittable) trace requests retained per shard;
+/// demand beyond the cap is shed, keeping the workload open-loop.
+pub(crate) const BACKLOG_CAP: u32 = 16;
 
 impl Default for TraceWorkloadConfig {
     fn default() -> Self {
@@ -55,7 +56,6 @@ impl Default for TraceWorkloadConfig {
             diurnal_period: 16,
             diurnal_amplitude: 0.6,
             zipf_exponent: 1.1,
-            backlog_cap: 16,
         }
     }
 }
@@ -142,11 +142,6 @@ impl TraceWorkload {
             .partition_point(|&weight| weight < point)
             .min(self.ranked_keys.len() - 1);
         self.ranked_keys[index]
-    }
-
-    /// The backlog cap of the configuration.
-    pub(crate) fn backlog_cap(&self) -> u32 {
-        self.config.backlog_cap
     }
 }
 

@@ -40,10 +40,16 @@ use tolerance_consensus::NodeId;
 use tolerance_core::controlplane::{ClusterActuator, ControlPlane, ControlPlaneConfig, NodeReport};
 use tolerance_core::metrics::{EvaluationMetrics, MetricReport};
 use tolerance_core::node_model::{NodeModel, NodeParameters, NodeState};
-use tolerance_core::runtime::{NodeStrategy, NodeStrategyConfig};
+use tolerance_core::runtime::NodeStrategy;
 use tolerance_core::Result;
 
 pub use tolerance_core::runtime::StrategyKind;
+
+/// Maximum number of parallel recoveries `k` (Proposition 1) of every run.
+const PARALLEL_RECOVERIES: usize = 1;
+
+/// Availability target `ε_A` of the replication CMDP of every run.
+const AVAILABILITY_TARGET: f64 = 0.9;
 
 /// Configuration of one emulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,16 +65,8 @@ pub struct EmulationConfig {
     pub strategy: StrategyKind,
     /// Number of time-steps (the paper's runs last 1000 steps of 60 s).
     pub horizon: u32,
-    /// Maximum number of parallel recoveries `k` (Proposition 1).
-    pub parallel_recoveries: usize,
     /// Node transition parameters (attack/crash/update probabilities).
     pub node_parameters: NodeParameters,
-    /// Availability target `ε_A` of the replication CMDP.
-    pub availability_target: f64,
-    /// Belief threshold used by the TOLERANCE node controllers. The bench
-    /// harness computes this with Algorithm 1; the default (0.76) is the
-    /// value the paper reports in Fig. 13b.
-    pub recovery_threshold: f64,
     /// How the attacker's intrusion pressure evolves over time (the paper
     /// uses [`AttackProfile::Constant`];
     /// [`bursty_attacker_config`](crate::scenarios::bursty_attacker_config)
@@ -91,10 +89,7 @@ impl Default for EmulationConfig {
             delta_r: None,
             strategy: StrategyKind::Tolerance,
             horizon: 1000,
-            parallel_recoveries: 1,
             node_parameters: NodeParameters::default(),
-            availability_target: 0.9,
-            recovery_threshold: 0.76,
             attack_profile: AttackProfile::Constant,
             parameter_jitter: 0.0,
             seed: 0,
@@ -181,21 +176,20 @@ impl Emulation {
     /// Propagates model-construction and LP failures from `tolerance-core`,
     /// and checks here, once, all a rebuild or a JOIN could fail on: the
     /// base node parameters (a jittered draw outside Theorem 1 falls back to
-    /// them) and the recovery threshold (by `ControlPlane::new`).
+    /// them).
     pub fn new(config: EmulationConfig) -> Result<Self> {
         config.node_parameters.validate_theorem1()?;
         // A system controller for TOLERANCE only, over `s_max = max_nodes`,
         // Appendix E's `f` and the per-step survival `1 − p_A / 2`.
         let plane = ControlPlane::new(ControlPlaneConfig {
-            recovery_threshold: config.recovery_threshold,
             delta_r: config.delta_r,
-            parallel_recoveries: config.parallel_recoveries,
+            parallel_recoveries: PARALLEL_RECOVERIES,
             system_controller: config.strategy == StrategyKind::Tolerance,
             // No floor: every crashed node is evicted, however few remain.
             min_replicas: 0,
             max_replicas: config.max_nodes,
             fault_threshold: config.fault_threshold(),
-            availability_target: config.availability_target,
+            availability_target: AVAILABILITY_TARGET,
             node_survival_probability: 1.0 - config.node_parameters.p_attack / 2.0,
         })?;
         let catalog = ContainerCatalog::paper_catalog();
@@ -275,7 +269,7 @@ impl Emulation {
         let config = &self.testbed.config;
         MinBftCluster::new(MinBftConfig {
             initial_replicas: config.initial_nodes,
-            parallel_recoveries: config.parallel_recoveries,
+            parallel_recoveries: PARALLEL_RECOVERIES,
             seed: config.seed,
             ..MinBftConfig::default()
         })
@@ -381,14 +375,12 @@ impl Testbed {
             }
             _ => 0,
         };
-        let node_config = NodeStrategyConfig {
-            recovery_threshold: self.config.recovery_threshold,
-            delta_r: self.config.delta_r,
+        let strategy = self.config.strategy.build_node_strategy(
+            model,
+            observations.mean(NodeState::Healthy),
+            self.config.delta_r,
             initial_phase,
-        };
-        let strategy = (self.config.strategy)
-            .build_node_strategy(model, observations.mean(NodeState::Healthy), &node_config)
-            .expect("Emulation::new validated the recovery threshold");
+        );
         self.fresh.push((replica, strategy));
         EmulatedNode {
             replica,
@@ -734,14 +726,7 @@ mod tests {
         let blind = vec![1.0 / support as f64; support];
         let blind = ObservationModel::from_distributions(blind.clone(), blind).unwrap();
         let model = NodeModel::new_unchecked(NodeParameters::default(), blind);
-        let node_config = NodeStrategyConfig {
-            recovery_threshold: 0.76,
-            delta_r: None,
-            initial_phase: 0,
-        };
-        let mut below = StrategyKind::Tolerance
-            .build_node_strategy(model, 0.0, &node_config)
-            .unwrap();
+        let mut below = NodeStrategy::tolerance(model, None);
         loop {
             let mut next = below.clone();
             if next.observe_events(&[0]) == NodeAction::Recover {

@@ -24,8 +24,6 @@ pub struct BoConfig {
     pub beta: f64,
     /// Matérn-5/2 length scale.
     pub length_scale: f64,
-    /// Observation-noise variance added to the kernel diagonal.
-    pub noise_variance: f64,
     /// Number of random candidates evaluated when maximizing the acquisition
     /// function.
     pub acquisition_candidates: usize,
@@ -38,11 +36,13 @@ impl Default for BoConfig {
             iterations: 40,
             beta: 2.5,
             length_scale: 0.2,
-            noise_variance: 1e-4,
             acquisition_candidates: 500,
         }
     }
 }
+
+/// Observation-noise variance added to the kernel diagonal.
+const NOISE_VARIANCE: f64 = 1e-4;
 
 /// Matérn-5/2 covariance between two points.
 fn matern52(a: &[f64], b: &[f64], length_scale: f64) -> f64 {
@@ -59,7 +59,6 @@ struct GaussianProcess {
     points: Vec<Vec<f64>>,
     mean_offset: f64,
     length_scale: f64,
-    noise_variance: f64,
     /// Solution of `K alpha = (y - mean)` for the posterior mean.
     alpha: Vec<f64>,
     /// The kernel matrix `K`, factorized once per fit and applied to every
@@ -74,12 +73,7 @@ impl GaussianProcess {
     ///
     /// Returns [`OptimError::Numerical`] if the kernel matrix is singular and
     /// [`OptimError::InvalidConfig`] for empty or inconsistent inputs.
-    fn fit(
-        points: Vec<Vec<f64>>,
-        values: Vec<f64>,
-        length_scale: f64,
-        noise_variance: f64,
-    ) -> Result<Self> {
+    fn fit(points: Vec<Vec<f64>>, values: Vec<f64>, length_scale: f64) -> Result<Self> {
         if points.is_empty() || points.len() != values.len() {
             return Err(OptimError::InvalidConfig {
                 name: "points",
@@ -92,7 +86,7 @@ impl GaussianProcess {
         for i in 0..n {
             for j in 0..n {
                 kernel[(i, j)] = matern52(&points[i], &points[j], length_scale)
-                    + if i == j { noise_variance } else { 0.0 };
+                    + if i == j { NOISE_VARIANCE } else { 0.0 };
             }
         }
         let centered: Vec<f64> = values.iter().map(|v| v - mean_offset).collect();
@@ -104,7 +98,6 @@ impl GaussianProcess {
             points,
             mean_offset,
             length_scale,
-            noise_variance,
             alpha,
             kernel,
         })
@@ -131,7 +124,7 @@ impl GaussianProcess {
             .kernel
             .solve(&k_star)
             .map_err(|e| OptimError::Numerical(format!("variance solve failed: {e}")))?;
-        let prior = matern52(query, query, self.length_scale) + self.noise_variance;
+        let prior = matern52(query, query, self.length_scale) + NOISE_VARIANCE;
         let variance =
             (prior - k_star.iter().zip(&v).map(|(k, vi)| k * vi).sum::<f64>()).max(1e-12);
         Ok((mean, variance))
@@ -202,12 +195,7 @@ impl Optimizer for BayesianOptimization {
         tracker.end_iteration();
 
         for _ in 0..cfg.iterations {
-            let gp = GaussianProcess::fit(
-                design.clone(),
-                observations.clone(),
-                cfg.length_scale,
-                cfg.noise_variance,
-            )?;
+            let gp = GaussianProcess::fit(design.clone(), observations.clone(), cfg.length_scale)?;
 
             // Minimize the lower confidence bound over random candidates,
             // including jittered copies of the incumbent for local refinement.
@@ -271,7 +259,7 @@ mod tests {
     fn gp_interpolates_training_points() {
         let points = vec![vec![0.1], vec![0.5], vec![0.9]];
         let values = vec![1.0, 0.2, 0.8];
-        let gp = GaussianProcess::fit(points.clone(), values.clone(), 0.2, 1e-6).unwrap();
+        let gp = GaussianProcess::fit(points.clone(), values.clone(), 0.2).unwrap();
         for (p, v) in points.iter().zip(&values) {
             let (mean, variance) = gp.predict(p).unwrap();
             assert!(
@@ -288,8 +276,8 @@ mod tests {
 
     #[test]
     fn gp_rejects_bad_inputs() {
-        assert!(GaussianProcess::fit(vec![], vec![], 0.2, 1e-6).is_err());
-        assert!(GaussianProcess::fit(vec![vec![0.1]], vec![1.0, 2.0], 0.2, 1e-6).is_err());
+        assert!(GaussianProcess::fit(vec![], vec![], 0.2).is_err());
+        assert!(GaussianProcess::fit(vec![vec![0.1]], vec![1.0, 2.0], 0.2).is_err());
     }
 
     #[test]

@@ -20,12 +20,14 @@ pub struct CemConfig {
     pub elite_fraction: f64,
     /// Number of iterations.
     pub iterations: usize,
-    /// Additive standard-deviation floor that prevents premature collapse.
-    pub noise_floor: f64,
-    /// Smoothing factor applied when updating the mean and standard
-    /// deviation (1.0 = no smoothing).
-    pub smoothing: f64,
 }
+
+/// Additive standard-deviation floor that prevents premature collapse.
+const NOISE_FLOOR: f64 = 0.01;
+
+/// Smoothing factor applied when updating the mean and standard deviation
+/// (1.0 = no smoothing).
+const SMOOTHING: f64 = 0.9;
 
 impl Default for CemConfig {
     fn default() -> Self {
@@ -33,8 +35,6 @@ impl Default for CemConfig {
             population: 100,
             elite_fraction: 0.15,
             iterations: 50,
-            noise_floor: 0.01,
-            smoothing: 0.9,
         }
     }
 }
@@ -134,9 +134,9 @@ impl Optimizer for CrossEntropyMethod {
                     .map(|(_, x)| (x[i] - elite_mean) * (x[i] - elite_mean))
                     .sum::<f64>()
                     / elite_count as f64;
-                mean[i] = cfg.smoothing * elite_mean + (1.0 - cfg.smoothing) * mean[i];
-                std_dev[i] = cfg.smoothing * (elite_var.sqrt() + cfg.noise_floor)
-                    + (1.0 - cfg.smoothing) * std_dev[i];
+                mean[i] = SMOOTHING * elite_mean + (1.0 - SMOOTHING) * mean[i];
+                std_dev[i] =
+                    SMOOTHING * (elite_var.sqrt() + NOISE_FLOOR) + (1.0 - SMOOTHING) * std_dev[i];
             }
             tracker.end_iteration();
         }

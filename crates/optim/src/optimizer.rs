@@ -126,7 +126,7 @@ impl ProgressTracker {
     }
 
     /// Current best value.
-    #[allow(dead_code)] // used by unit tests and kept for optimizer symmetry
+    #[cfg(test)]
     pub(crate) fn best_value(&self) -> f64 {
         self.best_value
     }

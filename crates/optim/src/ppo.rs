@@ -42,6 +42,15 @@ pub trait EpisodicEnvironment {
     fn step(&mut self, action: usize, rng: &mut dyn RngCore) -> StepOutcome;
 }
 
+/// Number of gradient epochs over each batch.
+const EPOCHS: usize = 4;
+
+/// GAE λ (paper: 0.95).
+const GAE_LAMBDA: f64 = 0.95;
+
+/// Entropy bonus coefficient (paper: 1e-4).
+const ENTROPY_COEFFICIENT: f64 = 1e-4;
+
 /// Configuration of the [`Ppo`] trainer.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PpoConfig {
@@ -52,16 +61,10 @@ pub struct PpoConfig {
     pub batch_size: usize,
     /// Number of policy updates.
     pub iterations: usize,
-    /// Number of gradient epochs over each batch.
-    pub epochs: usize,
     /// PPO clip parameter ε (paper: 0.2).
     pub clip: f64,
     /// Discount factor.
     pub gamma: f64,
-    /// GAE λ (paper: 0.95).
-    pub gae_lambda: f64,
-    /// Entropy bonus coefficient (paper: 1e-4).
-    pub entropy_coefficient: f64,
     /// Hidden-layer sizes of both the policy and the value network
     /// (paper: 4 layers of 64 neurons).
     pub hidden_layers: Vec<usize>,
@@ -75,11 +78,8 @@ impl Default for PpoConfig {
             learning_rate: 3e-3,
             batch_size: 1024,
             iterations: 30,
-            epochs: 4,
             clip: 0.2,
             gamma: 0.99,
-            gae_lambda: 0.95,
-            entropy_coefficient: 1e-4,
             hidden_layers: vec![64, 64],
             max_episode_length: 200,
         }
@@ -150,9 +150,9 @@ impl Ppo {
                 reason: "needs a non-empty observation and at least two actions".into(),
             });
         }
-        if self.config.batch_size == 0 || self.config.iterations == 0 || self.config.epochs == 0 {
+        if self.config.batch_size == 0 || self.config.iterations == 0 {
             return Err(OptimError::InvalidConfig {
-                name: "batch_size/iterations/epochs",
+                name: "batch_size/iterations",
                 reason: "must all be at least 1".into(),
             });
         }
@@ -263,7 +263,7 @@ impl Ppo {
                     + if transitions[t].done {
                         0.0
                     } else {
-                        cfg.gamma * cfg.gae_lambda * gae
+                        cfg.gamma * GAE_LAMBDA * gae
                     };
                 advantages[t] = gae;
                 returns[t] = advantages[t] + transitions[t].value;
@@ -282,7 +282,7 @@ impl Ppo {
             }
 
             // ---- Clipped-surrogate policy and value updates. ----
-            for _ in 0..cfg.epochs {
+            for _ in 0..EPOCHS {
                 let mut policy_gradient = policy.zero_gradient();
                 let mut value_gradient = value.zero_gradient();
                 for (t, transition) in transitions.iter().enumerate() {
@@ -311,7 +311,7 @@ impl Ppo {
                             let indicator = if j == k { 1.0 } else { 0.0 };
                             entropy_grad += -(pj.max(1e-12).ln() + 1.0) * pj * (indicator - p);
                         }
-                        logit_gradient[k] -= cfg.entropy_coefficient * entropy_grad;
+                        logit_gradient[k] -= ENTROPY_COEFFICIENT * entropy_grad;
                     }
                     policy.backward(&cache, &logit_gradient, &mut policy_gradient);
 

@@ -14,7 +14,8 @@ use rand::{Rng, RngCore};
 
 /// Configuration of the [`Spsa`] optimizer. Field names follow Spall's
 /// standard gain-sequence notation, also used in Appendix E of the paper:
-/// `a_k = a / (A + k)^alpha` and `c_k = c / k^gamma`.
+/// `a_k = a / (A + k)^alpha` and `c_k = c / k^gamma`, with the paper's
+/// `gamma = 0.101` fixed.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SpsaConfig {
     /// Numerator of the step-size sequence (paper: `a = 1`).
@@ -26,8 +27,6 @@ pub struct SpsaConfig {
     /// Numerator of the perturbation-size sequence (paper: `c = 10`,
     /// normalized to the unit cube as 0.1 here).
     pub c: f64,
-    /// Perturbation decay exponent (paper: `gamma = 0.101`).
-    pub gamma: f64,
     /// Number of iterations (paper: `N = 50`).
     pub iterations: usize,
 }
@@ -39,11 +38,14 @@ impl Default for SpsaConfig {
             big_a: 100.0,
             alpha: 0.602,
             c: 0.1,
-            gamma: 0.101,
             iterations: 50,
         }
     }
 }
+
+/// Perturbation decay exponent `gamma` of the SPSA gain sequence (paper:
+/// 0.101).
+const GAMMA: f64 = 0.101;
 
 /// The SPSA optimizer. See [`SpsaConfig`].
 #[derive(Debug, Clone)]
@@ -76,10 +78,10 @@ impl Spsa {
                 reason: "gain numerators must be positive".into(),
             });
         }
-        if self.config.alpha <= 0.0 || self.config.gamma <= 0.0 {
+        if self.config.alpha <= 0.0 {
             return Err(OptimError::InvalidConfig {
-                name: "alpha/gamma",
-                reason: "decay exponents must be positive".into(),
+                name: "alpha",
+                reason: "the step-size decay exponent must be positive".into(),
             });
         }
         Ok(())
@@ -100,7 +102,7 @@ impl Optimizer for Spsa {
         let mut theta = vec![0.5; d];
         for k in 1..=cfg.iterations {
             let ak = cfg.a / (cfg.big_a + k as f64).powf(cfg.alpha);
-            let ck = cfg.c / (k as f64).powf(cfg.gamma);
+            let ck = cfg.c / (k as f64).powf(GAMMA);
 
             // Rademacher perturbation direction.
             let delta: Vec<f64> = (0..d)

@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tolerance::core::node_model::{NodeAction, NodeState};
 use tolerance::core::prelude::*;
+use tolerance::core::recovery::PAPER_RECOVERY_THRESHOLD;
 use tolerance::emulation::{Attacker, ContainerCatalog, IdsModel};
 
 fn main() -> tolerance::core::Result<()> {
@@ -21,8 +22,10 @@ fn main() -> tolerance::core::Result<()> {
 
     let model = NodeModel::new(NodeParameters::default(), ids.observation_model().clone())?;
     let controller_model = model.clone();
-    let mut controller =
-        NodeController::new(controller_model, ThresholdStrategy::stationary(0.76)?);
+    let mut controller = NodeController::new(
+        controller_model,
+        ThresholdStrategy::stationary(PAPER_RECOVERY_THRESHOLD)?,
+    );
 
     let mut attacker = Attacker::new(0.0); // the intrusion is scripted below
     let mut state = NodeState::Healthy;

@@ -110,7 +110,6 @@ fn quiet_fleet(shards: usize) -> ShardedSimService {
             },
             ..MinBftConfig::default()
         },
-        clients_per_shard: 4,
     })
 }
 
