@@ -27,6 +27,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 use tolerance_bench::{sparkline, write_json};
 use tolerance_consensus::workload::{Arrival, WorkloadConfig};
+use tolerance_consensus::PARALLEL_RECOVERIES;
 use tolerance_core::prelude::*;
 use tolerance_core::recovery::PAPER_RECOVERY_THRESHOLD;
 use tolerance_emulation::{ContainerCatalog, EvaluationGrid, IdsModel, TraceDataset};
@@ -210,12 +211,16 @@ struct Fig6Output {
 }
 
 fn fig6() {
-    println!("\n== Fig. 6a: mean time to failure vs initial nodes N1 (f = 3, k = 1) ==");
+    println!(
+        "\n== Fig. 6a: mean time to failure vs initial nodes N1 (f = {}, k = {}) ==",
+        ReliabilityAnalysis::FAULT_THRESHOLD,
+        PARALLEL_RECOVERIES
+    );
     let mut mttf_rows = Vec::new();
     for p_attack in [0.1, 0.025, 0.01] {
         print!("p_A = {p_attack:<6}");
         for n1 in [10usize, 25, 50, 100] {
-            let analysis = ReliabilityAnalysis::new(n1, 3, 1, p_attack).expect("valid");
+            let analysis = ReliabilityAnalysis::new(n1, p_attack).expect("valid");
             let mttf = analysis.mean_time_to_failure().expect("finite");
             print!("  N1={n1}: {mttf:8.1}");
             mttf_rows.push((n1, p_attack, mttf));
@@ -225,7 +230,7 @@ fn fig6() {
     println!("\n== Fig. 6b: reliability curves R(t) for varying N1 (p_A = 0.025) ==");
     let mut reliability_rows = Vec::new();
     for n1 in [25usize, 50, 100, 200] {
-        let analysis = ReliabilityAnalysis::new(n1, 3, 1, 0.025).expect("valid");
+        let analysis = ReliabilityAnalysis::new(n1, 0.025).expect("valid");
         let curve = analysis.reliability_curve(100).expect("curve");
         println!("N1 = {n1:<4} {}", sparkline(&curve));
         reliability_rows.push((n1, curve));

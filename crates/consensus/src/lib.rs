@@ -80,6 +80,14 @@ pub type NodeId = u32;
 /// Simulated time in seconds.
 pub(crate) type SimTime = f64;
 
+/// The number of replicas that may be mid-recovery at once: the `k` of
+/// Proposition 1 (`N >= 2f + 1 + k`). The paper's testbed runs `k = 1`, and
+/// so does every plane here: the simulated cluster's commit and view-change
+/// quorums, the live replicas, the control plane's recovery slots, the fault
+/// schedules, the Table-7 emulation and the Fig. 6 MTTF analysis all read
+/// this one constant.
+pub const PARALLEL_RECOVERIES: usize = 1;
+
 /// The tolerance threshold of MinBFT under the hybrid failure model with `n`
 /// replicas and at most `k` parallel recoveries: `f = (n - 1 - k) / 2`
 /// (Proposition 1 of the paper).

@@ -368,7 +368,6 @@ mod tests {
             batch_size: 2,
             batch_delay: 0.0,
             pipeline_window: 0,
-            recoveries: 1,
         };
         let n = leader.usig.last_counter() + 1;
         let mut out = StepOutput::default();

@@ -161,7 +161,8 @@ pub(super) fn begin_rebuild(replica: &mut Replica, now: SimTime, out: &mut StepO
 /// still one of the voters every view-change ballot intersects. Wiping them
 /// would let rebuilds on consecutive control ticks erase every copy of a
 /// committed but not yet universal sequence — more amnesiacs than the
-/// `recoveries` slack of [`ProtocolParams::commit_quorum`] covers.
+/// `PARALLEL_RECOVERIES` slack of [`ProtocolParams::commit_quorum`]
+/// covers.
 ///
 /// Keeping them is sound under the adversary model, not by the USIG: an
 /// entry stores no UI and nothing re-checks it (the view change and the
@@ -313,7 +314,6 @@ mod tests {
         batch_size: 1,
         batch_delay: 0.0,
         pipeline_window: 0,
-        recoveries: 0,
     };
 
     /// Replica 0 of four, having executed sequence 1.

@@ -38,7 +38,7 @@ use crate::net::{Delivery, NetworkConfig, SimNetwork};
 use crate::threaded::CONTROL_PLANE_ID;
 use crate::transport::Transport;
 use crate::workload::{Arrival, OpStream, WorkloadConfig, WorkloadReport};
-use crate::{hybrid_fault_threshold, NodeId, SimTime};
+use crate::{hybrid_fault_threshold, NodeId, SimTime, PARALLEL_RECOVERIES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -157,7 +157,6 @@ impl MinBftCluster {
             batch_size: self.config.batch_size.max(1),
             batch_delay: self.config.batch_delay,
             pipeline_window: self.config.pipeline_window,
-            recoveries: self.config.parallel_recoveries,
         }
     }
 
@@ -173,7 +172,7 @@ impl MinBftCluster {
 
     /// The tolerance threshold `f` of the current membership.
     pub fn fault_threshold(&self) -> usize {
-        hybrid_fault_threshold(self.membership.len(), self.config.parallel_recoveries)
+        hybrid_fault_threshold(self.membership.len(), PARALLEL_RECOVERIES)
     }
 
     /// Simulated time.

@@ -2,14 +2,13 @@
 //! pipelining) the replica step functions run under.
 
 use crate::net::NetworkConfig;
+use crate::{hybrid_fault_threshold, PARALLEL_RECOVERIES};
 
 /// Configuration of a [`super::MinBftCluster`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MinBftConfig {
     /// Number of replicas at start.
     pub initial_replicas: usize,
-    /// Number of parallel recoveries allowed (the `k` of Proposition 1).
-    pub parallel_recoveries: usize,
     /// Replica-to-replica network profile.
     pub network: NetworkConfig,
     /// Per-message processing time at each node (seconds); this is the
@@ -52,7 +51,6 @@ impl Default for MinBftConfig {
     fn default() -> Self {
         MinBftConfig {
             initial_replicas: 4,
-            parallel_recoveries: 1,
             network: NetworkConfig::default(),
             processing_time: 0.0008,
             signature_time: 0.0,
@@ -180,40 +178,34 @@ pub(crate) struct ProtocolParams {
     pub batch_delay: f64,
     /// Maximum proposed-but-unexecuted sequences in flight (0 = unbounded).
     pub pipeline_window: usize,
-    /// Replicas that may be mid-recovery concurrently (the cluster's
-    /// `parallel_recoveries` knob): the `k` of Proposition 1, by which the
-    /// commit and view-change quorums are sized (see
-    /// [`ProtocolParams::commit_quorum`] and
-    /// [`ProtocolParams::view_change_quorum`]).
-    pub recoveries: usize,
 }
 
 impl ProtocolParams {
     /// Commit quorum over a membership of `n`: a sequence executes once
-    /// `f_k + recoveries + 1` replicas voted COMMIT on its certificate,
-    /// where `f_k = hybrid_fault_threshold(n, recoveries)` is the paper's
-    /// threshold with the recovery overlap accounted for. Every ballot of
-    /// [`ProtocolParams::view_change_quorum`] size then intersects the
-    /// committers in at least `recoveries + 1` voters
-    /// (`c + v >= n + recoveries + 1`), the paper's `N >= 2f + 1 + k`. Each
-    /// of those voters reports the certificate it voted for: a rebuild keeps
-    /// the replica's own prepared certificates and only merges the donor's
-    /// into them (`checkpoint::reset_for_recovery`), so no number of
-    /// rebuilds, on one control tick or across several, makes a committer
-    /// forget a committed sequence. That rests on the adversary model
+    /// `f_k + k + 1` replicas voted COMMIT on its certificate, where
+    /// `k = PARALLEL_RECOVERIES` and `f_k = hybrid_fault_threshold(n, k)` is
+    /// the paper's threshold with the recovery overlap accounted for. Every
+    /// ballot of [`ProtocolParams::view_change_quorum`] size then intersects
+    /// the committers in at least `k + 1` voters (`c + v >= n + k + 1`), the
+    /// paper's `N >= 2f + 1 + k`. Each of those voters reports the
+    /// certificate it voted for: a rebuild keeps the replica's own prepared
+    /// certificates and only merges the donor's into them
+    /// (`checkpoint::reset_for_recovery`), so no number of rebuilds, on one
+    /// control tick or across several, makes a committer forget a committed
+    /// sequence. That rests on the adversary model
     /// (an intrusion corrupts outgoing messages, not the replica's memory),
     /// not on the USIG: the kept entries carry no UI. For odd `n` this is
     /// the classic `f + 1`; for even `n` it is one vote stronger.
-    pub(crate) fn commit_quorum(&self, n: usize) -> usize {
-        (crate::hybrid_fault_threshold(n, self.recoveries) + self.recoveries + 1).min(n)
+    pub(crate) fn commit_quorum(n: usize) -> usize {
+        (hybrid_fault_threshold(n, PARALLEL_RECOVERIES) + PARALLEL_RECOVERIES + 1).min(n)
     }
 
     /// View-change quorum over a membership of `n`: `n - f_k` votes, so a
     /// new view can still form with `f_k` replicas crashed while keeping
     /// the certificate-survival intersection described at
     /// [`ProtocolParams::commit_quorum`].
-    pub(crate) fn view_change_quorum(&self, n: usize) -> usize {
-        n.saturating_sub(crate::hybrid_fault_threshold(n, self.recoveries))
+    pub(crate) fn view_change_quorum(n: usize) -> usize {
+        n.saturating_sub(hybrid_fault_threshold(n, PARALLEL_RECOVERIES))
             .max(1)
     }
 
@@ -227,5 +219,23 @@ impl ProtocolParams {
     /// own fault threshold `f`, not [`ProtocolParams::f`].
     pub(crate) fn reply_quorum(f: usize) -> usize {
         f + 1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ProtocolParams;
+    use crate::PARALLEL_RECOVERIES;
+
+    #[test]
+    fn commit_and_view_change_quorums_intersect_in_k_plus_one_voters() {
+        for n in 2..=16 {
+            let commit = ProtocolParams::commit_quorum(n);
+            let view_change = ProtocolParams::view_change_quorum(n);
+            assert_eq!(commit + view_change, n + PARALLEL_RECOVERIES + 1, "n = {n}");
+            assert!(commit <= n && view_change <= n, "n = {n}");
+        }
+        assert_eq!(ProtocolParams::commit_quorum(1), 1);
+        assert_eq!(ProtocolParams::view_change_quorum(1), 1);
     }
 }

@@ -359,7 +359,7 @@ pub(super) fn execute_ready(
             break;
         };
         let votes = replica.commit_votes.count((next, batch_digest(batch)));
-        if votes < params.commit_quorum(replica.membership.len()) {
+        if votes < ProtocolParams::commit_quorum(replica.membership.len()) {
             break;
         }
         // Cloned only once it executes: most COMMITs arrive short of a quorum.
@@ -485,7 +485,6 @@ mod tests {
         batch_size: 1,
         batch_delay: 0.0,
         pipeline_window: 0,
-        recoveries: 1,
     };
 
     /// Replica `id` of four, holding every member's key.
@@ -530,7 +529,7 @@ mod tests {
         };
         // The PREPARE alone is two votes, the leader's and the follower's
         // own, of a commit quorum of three.
-        assert_eq!(PARAMS.commit_quorum(4), 3);
+        assert_eq!(ProtocolParams::commit_quorum(4), 3);
         let mut alone = member(1);
         assert!(deliver(&mut alone, 0, prepare.clone()).is_empty());
         assert_eq!(alone.commit_votes.count((1, digest)), 2);

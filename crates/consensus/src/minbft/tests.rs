@@ -862,7 +862,6 @@ fn timer_floor_equals_a_scan_after_every_delivery() {
             batch_delay: 0.01,
             pipeline_window: 2,
             seed,
-            ..MinBftConfig::default()
         };
         let [mut floor, mut scan] = [0, 1].map(|_| MinBftCluster::new(config.clone()));
         for cluster in [&mut floor, &mut scan] {

@@ -142,7 +142,6 @@ mod tests {
         batch_size: 16,
         batch_delay: 0.002,
         pipeline_window: 0,
-        recoveries: 1,
     };
 
     /// Replica `id` of four after `message` reached it at `t0`.

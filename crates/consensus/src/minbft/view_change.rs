@@ -164,7 +164,7 @@ pub(super) fn handle_view_change(
     // the recovery keeps as the honest core wrote it. (Computed over the
     // replica's own membership view, which may briefly differ from the
     // cluster's during a reconfiguration.)
-    let quorum = params.view_change_quorum(replica.membership.len());
+    let quorum = ProtocolParams::view_change_quorum(replica.membership.len());
     if replica.view_change_votes.count(new_view) < quorum {
         return;
     }
@@ -311,7 +311,6 @@ mod tests {
         batch_size: 1,
         batch_delay: 0.0,
         pipeline_window: 0,
-        recoveries: 1,
     };
 
     /// Delivers `from`'s ballot for view 1 with high-water mark `high` and
@@ -381,7 +380,7 @@ mod tests {
     fn a_recast_ballot_replaces_the_earlier_one_and_counts_once() {
         // Replica 1 leads view 1; the ballot needs three voters.
         let mut leader = Replica::new(1, vec![0, 1, 2, 3], KeyDirectory::new(), 7);
-        assert_eq!(PARAMS.view_change_quorum(4), 3);
+        assert_eq!(ProtocolParams::view_change_quorum(4), 3);
         assert_eq!(ballot(&mut leader, 2, 5), None);
         // Voter 2 re-casts with a higher mark: still two voters.
         assert_eq!(ballot(&mut leader, 2, 9), None);

@@ -125,10 +125,6 @@ impl ThreadedServiceConfig {
             batch_size: self.batch_size.max(1),
             batch_delay: self.batch_delay,
             pipeline_window: self.pipeline_window,
-            // The live control plane recovers one replica at a time, and
-            // the message-driven path only wipes once a frontier-covering
-            // transfer is in hand.
-            recoveries: 1,
         }
     }
 }
@@ -429,7 +425,12 @@ impl MembershipView {
         self.inner.read().expect("membership lock").clone()
     }
 
-    /// The current commit-quorum parameter `f`.
+    /// The fault threshold `f` of the current membership with no recovery
+    /// slack (`hybrid_fault_threshold(n, 0)`): the live client waits for
+    /// `f + 1` matching replies. The simulated client's reply quorum reads
+    /// `MinBftCluster::fault_threshold`, which subtracts
+    /// [`crate::PARALLEL_RECOVERIES`] first, so at n = 5 or 7 the live
+    /// client waits for one more reply than the simulated one.
     pub fn fault_threshold(&self) -> usize {
         hybrid_fault_threshold(self.inner.read().expect("membership lock").len(), 0)
     }

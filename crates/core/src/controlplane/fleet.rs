@@ -25,7 +25,7 @@ use crate::runtime::NodeStrategy;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use tolerance_consensus::NodeId;
+use tolerance_consensus::{NodeId, PARALLEL_RECOVERIES};
 
 /// What one fleet tick did, nodes addressed as `(shard, node)`; the plane
 /// keeps its recovery requests ([`FleetControlPlane::requests`]).
@@ -43,8 +43,8 @@ pub(crate) type Request = ((usize, NodeId), f64);
 /// The fleet control runtime (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct FleetControlPlane {
-    /// The control laws' parameters; `parallel_recoveries` is the **global**
-    /// budget `k` and the membership bounds hold per shard.
+    /// The control laws' parameters; the membership bounds hold per shard,
+    /// and the recovery budget `k` ([`PARALLEL_RECOVERIES`]) is **global**.
     config: ControlPlaneConfig,
     /// The fleet's spare budget: JOINs stop once the total replica count
     /// across shards reaches this.
@@ -205,11 +205,10 @@ impl FleetControlPlane {
         }
         // Global budget (Proposition 1), fleet-wide; a deferred request
         // re-fires next tick.
-        let Ok(granted) = allocate_recoveries(
-            &mut self.requests,
-            self.config.parallel_recoveries,
-            |(shard, id)| Ok::<_, Infallible>(actuators[shard].recover(id)),
-        );
+        let Ok(granted) =
+            allocate_recoveries(&mut self.requests, PARALLEL_RECOVERIES, |(shard, id)| {
+                Ok::<_, Infallible>(actuators[shard].recover(id))
+            });
         self.granted = granted;
         for (index, &(key, _)) in self.requests.iter().enumerate() {
             if let Some(node) = self.controllers.get_mut(&key) {
@@ -339,9 +338,8 @@ mod tests {
         FleetControlPlane::with_model(config, max_total_replicas, model).unwrap()
     }
 
-    fn fleet(k: usize, system: bool) -> FleetControlPlane {
+    fn fleet(system: bool) -> FleetControlPlane {
         let config = ControlPlaneConfig {
-            parallel_recoveries: k,
             system_controller: system,
             delta_r: None,
             ..ControlPlaneConfig::default()
@@ -393,7 +391,7 @@ mod tests {
         // first; the deferred shard's request genuinely re-fires on the
         // next tick (the cross-shard extension of PR 4's notify_deferred
         // coverage).
-        let mut plane = fleet(1, false);
+        let mut plane = fleet(false);
         let mut shards = [FakeShard::new(4), FakeShard::new(4)];
         let mut rng = StdRng::seed_from_u64(7);
         let hot = [10u64, 10, 10, 10, 10, 10];
@@ -440,7 +438,7 @@ mod tests {
 
     #[test]
     fn refused_recoveries_do_not_consume_the_global_budget() {
-        let mut plane = fleet(1, false);
+        let mut plane = fleet(false);
         let mut shards = [FakeShard::new(4), FakeShard::new(4)];
         shards[0].refuse_recovery = true;
         let mut rng = StdRng::seed_from_u64(9);

@@ -25,10 +25,6 @@ use tolerance_consensus::NodeId;
 pub struct ControlPlaneConfig {
     /// BTR period `Δ_R` (maximum steps between recoveries of one node).
     pub delta_r: Option<u32>,
-    /// Parallel-recovery constraint `k` of Proposition 1 (at most this
-    /// many recoveries actuate per tick, across a whole fleet; the rest
-    /// re-request next tick).
-    pub parallel_recoveries: usize,
     /// Whether the global replication controller (Algorithm 2) runs; without
     /// it, the baselines' node-addition wish decides the JOINs.
     pub system_controller: bool,
@@ -51,7 +47,6 @@ impl Default for ControlPlaneConfig {
     fn default() -> Self {
         ControlPlaneConfig {
             delta_r: Some(12),
-            parallel_recoveries: 1,
             system_controller: true,
             min_replicas: 4,
             max_replicas: 8,

@@ -8,33 +8,33 @@
 //! the Chapman–Kolmogorov equation (Fig. 6b).
 
 use crate::error::{CoreError, Result};
+use tolerance_consensus::PARALLEL_RECOVERIES;
 use tolerance_markov::chain::MarkovChain;
 use tolerance_markov::dist::{Binomial, DiscreteDistribution};
 
 /// Reliability analysis of a system of `n1` initially healthy nodes whose
 /// nodes fail (compromise or crash) independently with a per-step
-/// probability, with no recoveries.
+/// probability, with no recoveries, under
+/// [`ReliabilityAnalysis::FAULT_THRESHOLD`] and [`PARALLEL_RECOVERIES`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReliabilityAnalysis {
     initial_nodes: usize,
-    fault_threshold: usize,
-    parallel_recoveries: usize,
     per_step_failure_probability: f64,
 }
 
 impl ReliabilityAnalysis {
+    /// The fault threshold `f` the analysis is run for: Fig. 6's setting.
+    /// With `k` = [`PARALLEL_RECOVERIES`] the system fails below
+    /// `2f + k + 1 = 8` healthy nodes.
+    pub const FAULT_THRESHOLD: usize = 3;
+
     /// Creates the analysis.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if the failure probability is
     /// outside `(0, 1)` or there are no nodes.
-    pub fn new(
-        initial_nodes: usize,
-        fault_threshold: usize,
-        parallel_recoveries: usize,
-        per_step_failure_probability: f64,
-    ) -> Result<Self> {
+    pub fn new(initial_nodes: usize, per_step_failure_probability: f64) -> Result<Self> {
         if initial_nodes == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "initial_nodes",
@@ -49,8 +49,6 @@ impl ReliabilityAnalysis {
         }
         Ok(ReliabilityAnalysis {
             initial_nodes,
-            fault_threshold,
-            parallel_recoveries,
             per_step_failure_probability,
         })
     }
@@ -58,7 +56,7 @@ impl ReliabilityAnalysis {
     /// The failure boundary: the system has failed once fewer than
     /// `2f + k + 1` healthy nodes remain.
     fn minimum_viable_nodes(&self) -> usize {
-        2 * self.fault_threshold + self.parallel_recoveries + 1
+        2 * Self::FAULT_THRESHOLD + PARALLEL_RECOVERIES + 1
     }
 
     /// Builds the pure-death chain over the number of healthy nodes
@@ -125,10 +123,10 @@ mod tests {
 
     #[test]
     fn construction_validates_inputs() {
-        assert!(ReliabilityAnalysis::new(0, 3, 1, 0.1).is_err());
-        assert!(ReliabilityAnalysis::new(10, 3, 1, 0.0).is_err());
-        assert!(ReliabilityAnalysis::new(10, 3, 1, 1.0).is_err());
-        let analysis = ReliabilityAnalysis::new(10, 3, 1, 0.1).unwrap();
+        assert!(ReliabilityAnalysis::new(0, 0.1).is_err());
+        assert!(ReliabilityAnalysis::new(10, 0.0).is_err());
+        assert!(ReliabilityAnalysis::new(10, 1.0).is_err());
+        let analysis = ReliabilityAnalysis::new(10, 0.1).unwrap();
         assert_eq!(analysis.minimum_viable_nodes(), 8);
     }
 
@@ -137,7 +135,7 @@ mod tests {
         // Fig. 6a: more nodes => longer time to failure.
         let mut previous = 0.0;
         for n1 in [10, 25, 50, 100] {
-            let analysis = ReliabilityAnalysis::new(n1, 3, 1, 0.1).unwrap();
+            let analysis = ReliabilityAnalysis::new(n1, 0.1).unwrap();
             let mttf = analysis.mean_time_to_failure().unwrap();
             assert!(
                 mttf > previous,
@@ -150,14 +148,14 @@ mod tests {
     #[test]
     fn mttf_decreases_with_higher_attack_rate() {
         // Fig. 6a: the p_A = 0.1 curve lies below the p_A = 0.01 curve.
-        let aggressive = ReliabilityAnalysis::new(50, 3, 1, 0.1).unwrap();
-        let mild = ReliabilityAnalysis::new(50, 3, 1, 0.01).unwrap();
+        let aggressive = ReliabilityAnalysis::new(50, 0.1).unwrap();
+        let mild = ReliabilityAnalysis::new(50, 0.01).unwrap();
         assert!(mild.mean_time_to_failure().unwrap() > aggressive.mean_time_to_failure().unwrap());
     }
 
     #[test]
     fn already_failed_system_has_zero_mttf_and_reliability() {
-        let analysis = ReliabilityAnalysis::new(5, 3, 1, 0.1).unwrap();
+        let analysis = ReliabilityAnalysis::new(5, 0.1).unwrap();
         assert_eq!(analysis.mean_time_to_failure().unwrap(), 0.0);
         let curve = analysis.reliability_curve(10).unwrap();
         assert!(curve.iter().all(|&r| r == 0.0));
@@ -166,11 +164,11 @@ mod tests {
     #[test]
     fn reliability_curve_is_monotone_and_ordered_by_n1() {
         // Fig. 6b: curves start at 1, decrease, and larger N1 dominates.
-        let small = ReliabilityAnalysis::new(25, 3, 1, 0.05)
+        let small = ReliabilityAnalysis::new(25, 0.05)
             .unwrap()
             .reliability_curve(60)
             .unwrap();
-        let large = ReliabilityAnalysis::new(50, 3, 1, 0.05)
+        let large = ReliabilityAnalysis::new(50, 0.05)
             .unwrap()
             .reliability_curve(60)
             .unwrap();
@@ -193,13 +191,9 @@ mod tests {
         // With n1 = 8, f = 3, k = 1 the system fails as soon as any node
         // fails; R(1) = (1 - p)^8.
         let p = 0.1;
-        let analysis = ReliabilityAnalysis::new(8, 3, 1, p).unwrap();
+        let analysis = ReliabilityAnalysis::new(8, p).unwrap();
         let curve = analysis.reliability_curve(1).unwrap();
-        let expected = (1.0 - p_f(p)).powi(8);
+        let expected = (1.0 - p).powi(8);
         assert!((curve[1] - expected).abs() < 1e-9);
-
-        fn p_f(p: f64) -> f64 {
-            p
-        }
     }
 }

@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tolerance_consensus::{
     hybrid_fault_threshold, AttackerKind, ByzantineMode, MinBftConfig, NetworkConfig, NodeId,
+    PARALLEL_RECOVERIES,
 };
 
 /// The kind of a [`FaultEvent`] (used for coverage reporting and for
@@ -170,11 +171,6 @@ pub struct ScheduledFault {
 /// additions stop here.
 pub(crate) const MAX_REPLICAS: usize = 8;
 
-/// Parallel recoveries `k` of Proposition 1 in a simulated run: a fleet's
-/// global recovery budget, and the `k` of the fault threshold
-/// `f = (N - 1 - k) / 2` that bounds concurrent faults.
-pub(crate) const PARALLEL_RECOVERIES: usize = 1;
-
 /// Simulated seconds per time-step.
 pub(crate) const STEP_DURATION_S: f64 = 1.0;
 
@@ -315,7 +311,6 @@ impl ScheduleConfig {
     pub(crate) fn minbft_config(&self, seed: u64) -> MinBftConfig {
         MinBftConfig {
             initial_replicas: self.initial_replicas,
-            parallel_recoveries: PARALLEL_RECOVERIES,
             network: self.network,
             seed,
             checkpoint_period: self.checkpoint_period,

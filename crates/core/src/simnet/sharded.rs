@@ -74,8 +74,7 @@ use crate::runtime::WorkerPool;
 use crate::simnet::group::{self, Group, IdsChannel, PlaneNote, SimnetOutcome, TraceRecord};
 use crate::simnet::oracle::{InvariantKind, RoutingChecker, Violation};
 use crate::simnet::schedule::{
-    FaultSchedule, ScheduleConfig, ScheduledFault, MAX_REPLICAS, PARALLEL_RECOVERIES,
-    STEP_DURATION_S,
+    FaultSchedule, ScheduleConfig, ScheduledFault, MAX_REPLICAS, STEP_DURATION_S,
 };
 use crate::simnet::workload::{TraceWorkload, TraceWorkloadConfig, BACKLOG_CAP};
 use serde::{Deserialize, Serialize};
@@ -175,7 +174,6 @@ impl ShardedScheduleConfig {
     fn fleet_config(&self) -> ControlPlaneConfig {
         ControlPlaneConfig {
             delta_r: Some(self.base.delta_r),
-            parallel_recoveries: PARALLEL_RECOVERIES,
             system_controller: self.base.system_controller,
             min_replicas: 4,
             max_replicas: MAX_REPLICAS,

@@ -45,9 +45,6 @@ use tolerance_core::Result;
 
 pub use tolerance_core::runtime::StrategyKind;
 
-/// Maximum number of parallel recoveries `k` (Proposition 1) of every run.
-const PARALLEL_RECOVERIES: usize = 1;
-
 /// Availability target `ε_A` of the replication CMDP of every run.
 const AVAILABILITY_TARGET: f64 = 0.9;
 
@@ -183,7 +180,6 @@ impl Emulation {
         // Appendix E's `f` and the per-step survival `1 − p_A / 2`.
         let plane = ControlPlane::new(ControlPlaneConfig {
             delta_r: config.delta_r,
-            parallel_recoveries: PARALLEL_RECOVERIES,
             system_controller: config.strategy == StrategyKind::Tolerance,
             // No floor: every crashed node is evicted, however few remain.
             min_replicas: 0,
@@ -269,7 +265,6 @@ impl Emulation {
         let config = &self.testbed.config;
         MinBftCluster::new(MinBftConfig {
             initial_replicas: config.initial_nodes,
-            parallel_recoveries: PARALLEL_RECOVERIES,
             seed: config.seed,
             ..MinBftConfig::default()
         })

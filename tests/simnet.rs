@@ -612,12 +612,13 @@ fn pinned_amnesiac_recovery_counterexample_cannot_regress() {
     // committer then joined a minimal view-change ballot of laggards, none
     // of whom held the committed certificate, so the new leader no-op
     // filled the sequence and re-proposed its batch under a fresh sequence
-    // number — a double execution that diverged the logs. Two fixes pin
-    // this shut: `recover_replica` now refuses transfers below the
-    // pre-recovery frontier (`recovery_floor`), and the view-change quorum
-    // grew to n - f + `parallel_recoveries` so every ballot intersects the
-    // surviving certificate holders. This replays the exact generated
-    // schedule that caught it.
+    // number — a double execution that diverged the logs. Two rules pin
+    // this shut: a recovering replica wipes only on a state transfer that
+    // covers its own frontier, and keeps its prepared certificates when it
+    // does; and the view-change quorum is n - f_k, with
+    // f_k = hybrid_fault_threshold(n, PARALLEL_RECOVERIES), so every ballot
+    // intersects the committers in k + 1 certificate holders. This replays
+    // the exact generated schedule that caught it.
     let config = ShardedScheduleConfig::single_group(adversary_config(
         AttackerKind::LyingDonor,
         NetworkCondition::Gst,
