@@ -363,7 +363,6 @@ mod tests {
         leader.prepare_hook = Some(equivocate);
         leader.pending.extend((0..4).map(request));
         let params = ProtocolParams {
-            f: 1,
             checkpoint_period: 0,
             batch_size: 2,
             batch_delay: 0.0,

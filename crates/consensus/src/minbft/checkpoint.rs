@@ -48,26 +48,22 @@ fn prune_through(replica: &mut Replica, sequence: u64) {
     (replica.checkpoint_votes).prune_through((sequence, Digest::MAX));
 }
 
-/// Stabilizes the checkpoint at `sequence` once its
-/// [`ProtocolParams::checkpoint_quorum`] announced the replica's own
-/// state digest for it.
-fn try_stabilize(replica: &mut Replica, sequence: u64, params: &ProtocolParams) {
+/// Stabilizes the checkpoint at `sequence` once the
+/// [`ProtocolParams::checkpoint_quorum`] of the replica's membership
+/// announced its own state digest for it.
+fn try_stabilize(replica: &mut Replica, sequence: u64) {
     let Some(&(log_len, own_digest)) = replica.own_checkpoints.get(&sequence) else {
         return;
     };
-    if replica.checkpoint_votes.count((sequence, own_digest)) >= params.checkpoint_quorum() {
+    let quorum = ProtocolParams::checkpoint_quorum(replica.membership.len());
+    if replica.checkpoint_votes.count((sequence, own_digest)) >= quorum {
         compact_to(replica, sequence, log_len);
     }
 }
 
 /// Announces the replica's state digest at the checkpoint `sequence` it
 /// just executed, counting its own announcement as a vote.
-pub(super) fn announce_checkpoint(
-    replica: &mut Replica,
-    sequence: u64,
-    params: &ProtocolParams,
-    out: &mut StepOutput,
-) {
+pub(super) fn announce_checkpoint(replica: &mut Replica, sequence: u64, out: &mut StepOutput) {
     let state_digest = replica.state_digest();
     let log_len = replica.executed_len();
     replica
@@ -81,7 +77,7 @@ pub(super) fn announce_checkpoint(
         state_digest,
     });
     // Votes may already have arrived from faster replicas.
-    try_stabilize(replica, sequence, params);
+    try_stabilize(replica, sequence);
 }
 
 /// Counts a peer's checkpoint announcement. Only the *own* log length
@@ -92,11 +88,10 @@ pub(super) fn handle_checkpoint(
     from: NodeId,
     sequence: u64,
     state_digest: Digest,
-    params: &ProtocolParams,
 ) {
     if sequence > replica.stable_sequence {
         (replica.checkpoint_votes).cast((sequence, state_digest), from, ());
-        try_stabilize(replica, sequence, params);
+        try_stabilize(replica, sequence);
     }
 }
 
@@ -293,11 +288,7 @@ pub(super) fn handle_state_transfer(replica: &mut Replica, transfer: Message) {
     // *last* request, so prune the backlog by the monotonic-id rule too — a
     // stale entry that survives here would be re-proposed (and re-executed)
     // the next time this replica leads.
-    let pending = std::mem::take(&mut replica.pending);
-    replica.pending = pending
-        .into_iter()
-        .filter(|r| replica.unsequenced(r))
-        .collect();
+    replica.prune_pending();
     replica.needs_state = false;
 }
 
@@ -305,20 +296,20 @@ pub(super) fn handle_state_transfer(replica: &mut Replica, transfer: Message) {
 mod tests {
     use super::*;
     use crate::crypto::KeyDirectory;
+    use crate::minbft::message::ControlMessage;
+    use crate::minbft::replica::replica_on_message;
+    use crate::threaded::CONTROL_PLANE_ID;
 
-    /// A checkpoint quorum of three: the replica's own announcement and two
-    /// matching votes.
     const PARAMS: ProtocolParams = ProtocolParams {
-        f: 2,
         checkpoint_period: 1,
         batch_size: 1,
         batch_delay: 0.0,
         pipeline_window: 0,
     };
 
-    /// Replica 0 of four, having executed sequence 1.
-    fn executed_one() -> Replica {
-        let mut replica = Replica::new(0, vec![0, 1, 2, 3], KeyDirectory::new(), 7);
+    /// Replica 0 of `members`, having executed sequence 1.
+    fn executed_one(members: Vec<NodeId>) -> Replica {
+        let mut replica = Replica::new(0, members, KeyDirectory::new(), 7);
         replica.last_executed = 1;
         replica
     }
@@ -326,28 +317,62 @@ mod tests {
     /// Announces the checkpoint at sequence 1 and returns its digest.
     fn announce(replica: &mut Replica) -> Digest {
         let mut out = StepOutput::default();
-        announce_checkpoint(replica, 1, &PARAMS, &mut out);
+        announce_checkpoint(replica, 1, &mut out);
         match out.broadcast.as_slice() {
             [Message::Checkpoint { state_digest, .. }] => *state_digest,
             other => panic!("not one checkpoint: {other:?}"),
         }
     }
 
+    /// Delivers `message` from `from` to `replica` through the step function.
+    fn step(replica: &mut Replica, from: NodeId, message: Message) {
+        let (mut out, mut trace) = (StepOutput::default(), Vec::new());
+        replica_on_message(replica, from, message, 0.0, &PARAMS, &mut trace, &mut out);
+    }
+
     #[test]
     fn a_checkpoint_stabilizes_on_its_own_digest_plus_f_matching_votes() {
-        let mut replica = executed_one();
+        // Five members: f = 2, a quorum of three (the replica's own
+        // announcement and two matching votes).
+        let mut replica = executed_one(vec![0, 1, 2, 3, 4]);
+        assert_eq!(ProtocolParams::checkpoint_quorum(5), 3);
         let own = announce(&mut replica);
         let other = Digest(own.0 ^ 1);
         // Three announcements, split across two digests: no quorum.
-        handle_checkpoint(&mut replica, 1, 1, own, &PARAMS);
-        handle_checkpoint(&mut replica, 2, 1, other, &PARAMS);
-        handle_checkpoint(&mut replica, 2, 1, other, &PARAMS);
+        handle_checkpoint(&mut replica, 1, 1, own);
+        handle_checkpoint(&mut replica, 2, 1, other);
+        handle_checkpoint(&mut replica, 2, 1, other);
         assert_eq!(replica.checkpoint_votes.count((1, own)), 2);
         assert_eq!(replica.stable_sequence, 0);
         // The f-th matching vote stabilizes it and prunes the votes.
-        handle_checkpoint(&mut replica, 3, 1, own, &PARAMS);
+        handle_checkpoint(&mut replica, 3, 1, own);
         assert_eq!(replica.stable_sequence, 1);
         assert_eq!(replica.checkpoint_votes.len(), 0);
+    }
+
+    #[test]
+    fn a_joined_replica_stabilizes_on_the_quorum_of_its_new_membership() {
+        // Spawned into four members (a quorum of two), then a JOIN makes
+        // them five (a quorum of three).
+        let mut replica = executed_one(vec![0, 1, 2, 3]);
+        assert_eq!(ProtocolParams::checkpoint_quorum(4), 2);
+        let join = ControlMessage::Reconfigure {
+            epoch: 1,
+            membership: vec![0, 1, 2, 3, 4],
+            frontier: 1,
+        };
+        step(&mut replica, CONTROL_PLANE_ID, Message::Control(join));
+        assert_eq!(replica.membership.len(), 5);
+        let own = announce(&mut replica);
+        let vote = Message::Checkpoint {
+            sequence: 1,
+            log_len: replica.executed_len(),
+            state_digest: own,
+        };
+        step(&mut replica, 1, vote.clone());
+        assert_eq!(replica.stable_sequence, 0, "two of five are no quorum");
+        step(&mut replica, 4, vote);
+        assert_eq!(replica.stable_sequence, 1);
     }
 
     #[test]
@@ -402,11 +427,11 @@ mod tests {
 
     #[test]
     fn votes_that_arrive_before_the_announcement_count_at_it() {
-        let mut reference = executed_one();
+        let mut reference = executed_one(vec![0, 1, 2, 3, 4]);
         let own = announce(&mut reference);
-        let mut replica = executed_one();
+        let mut replica = executed_one(vec![0, 1, 2, 3, 4]);
         for peer in [1, 3] {
-            handle_checkpoint(&mut replica, peer, 1, own, &PARAMS);
+            handle_checkpoint(&mut replica, peer, 1, own);
         }
         assert_eq!(replica.stable_sequence, 0);
         assert_eq!(announce(&mut replica), own);

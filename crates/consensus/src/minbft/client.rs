@@ -122,15 +122,16 @@ impl Client {
     }
 
     /// Counts `from`'s reply `value` for request `request_id`. Returns the
-    /// request once `f + 1` distinct replicas agree on one value: the
-    /// client records the latency sample, earns its retry budget and is idle
-    /// again. Replies to any other request are ignored.
+    /// request once the [`ProtocolParams::reply_quorum`] of a membership of
+    /// `members` replicas agrees on one value: the client records the
+    /// latency sample, earns its retry budget and is idle again. Replies to
+    /// any other request are ignored.
     pub(crate) fn on_reply(
         &mut self,
         from: NodeId,
         request_id: u64,
         value: u64,
-        f: usize,
+        members: usize,
         now: SimTime,
     ) -> Option<Request> {
         let outstanding = self.outstanding.as_mut()?;
@@ -138,9 +139,9 @@ impl Client {
             return None;
         }
         outstanding.votes.cast(value, from, ());
-        // Every value, not only this one: `f` may have shrunk with the
-        // membership since the last reply.
-        let quorum = ProtocolParams::reply_quorum(f);
+        // Every value, not only this one: the quorum may have shrunk with
+        // the membership since the last reply.
+        let quorum = ProtocolParams::reply_quorum(members);
         outstanding.votes.key_reaching(quorum)?;
         let Outstanding {
             request,
@@ -188,7 +189,8 @@ impl Client {
 mod tests {
     use super::*;
 
-    const F: usize = 1;
+    /// Four replicas: a reply quorum of two.
+    const N: usize = 4;
 
     fn started() -> Client {
         let mut client = Client::new(CLIENT_ID_BASE, None);
@@ -199,26 +201,26 @@ mod tests {
     #[test]
     fn a_reply_quorum_completes_the_request_once() {
         let mut client = started();
-        assert_eq!(client.on_reply(0, 0, 7, F, 1.5), None);
-        assert_eq!(client.on_reply(0, 0, 7, F, 1.7), None);
-        assert_eq!(client.on_reply(1, 0, 8, F, 1.8), None);
-        let request = client.on_reply(2, 0, 7, F, 2.0).expect("f + 1 agree");
+        assert_eq!(client.on_reply(0, 0, 7, N, 1.5), None);
+        assert_eq!(client.on_reply(0, 0, 7, N, 1.7), None);
+        assert_eq!(client.on_reply(1, 0, 8, N, 1.8), None);
+        let request = client.on_reply(2, 0, 7, N, 2.0).expect("f + 1 agree");
         assert_eq!((request.client, request.id), (CLIENT_ID_BASE, 0));
         assert_eq!(client.outstanding(), None);
         assert_eq!((client.completed(), client.latencies()), (1, &[1.0][..]));
         // A late reply to the completed request changes nothing.
-        assert_eq!(client.on_reply(3, 0, 7, F, 2.5), None);
+        assert_eq!(client.on_reply(3, 0, 7, N, 2.5), None);
         assert_eq!(client.completed(), 1);
     }
 
     #[test]
     fn a_stale_request_id_does_not_complete_the_request() {
         let mut client = started();
-        client.on_reply(0, 0, 7, F, 1.1);
-        client.on_reply(1, 0, 7, F, 1.1);
+        client.on_reply(0, 0, 7, N, 1.1);
+        client.on_reply(1, 0, 7, N, 1.1);
         client.start(Operation::Write(8), 2.0);
         for from in 0..4 {
-            assert_eq!(client.on_reply(from, 0, 7, F, 3.0), None);
+            assert_eq!(client.on_reply(from, 0, 7, N, 3.0), None);
         }
         assert_eq!(client.outstanding().map(|r| r.id), Some(1));
         assert_eq!(client.completed(), 1);
@@ -258,8 +260,8 @@ mod tests {
         ));
         // The timer re-armed at the last send; the sample starts at the first.
         assert_eq!(client.deadline(0.5), 2.5);
-        client.on_reply(0, 0, 7, F, 2.25);
-        client.on_reply(1, 0, 7, F, 2.25);
+        client.on_reply(0, 0, 7, N, 2.25);
+        client.on_reply(1, 0, 7, N, 2.25);
         assert_eq!(client.latencies(), &[1.25][..]);
     }
 

@@ -152,7 +152,6 @@ impl MinBftCluster {
     /// The protocol knobs handed to the shared replica step functions.
     fn protocol_params(&self) -> ProtocolParams {
         ProtocolParams {
-            f: hybrid_fault_threshold(self.membership.len(), 0),
             checkpoint_period: self.config.checkpoint_period,
             batch_size: self.config.batch_size.max(1),
             batch_delay: self.config.batch_delay,
@@ -812,7 +811,7 @@ impl MinBftCluster {
     }
 
     fn handle_client_message(&mut self, from: NodeId, to: NodeId, message: Message, time: SimTime) {
-        let f = self.fault_threshold();
+        let n = self.membership.len();
         let Message::Reply {
             request_id, value, ..
         } = message
@@ -822,7 +821,7 @@ impl MinBftCluster {
         let Some((client, stream)) = self.client_mut(to) else {
             return;
         };
-        if client.on_reply(from, request_id, value, f, time).is_some() {
+        if client.on_reply(from, request_id, value, n, time).is_some() {
             // A closed loop resubmits at once, before anything else is sent.
             if let Some(op) = stream.as_mut().map(OpStream::next_op) {
                 self.submit(to, op);

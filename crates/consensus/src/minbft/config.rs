@@ -36,12 +36,13 @@ pub struct MinBftConfig {
     pub batch_delay: f64,
     /// PBFT-style high-watermark window: the maximum number of
     /// proposed-but-unexecuted sequence numbers the leader keeps in flight
-    /// (`0` = unbounded, the pre-pipelining behaviour). With `W > 1` the
-    /// leader proposes up to `W` batches concurrently, so USIG signing
-    /// overlaps network round trips instead of serializing with them. The
-    /// stable checkpoint is the low watermark (compaction floor); because
-    /// execution is consecutive, proposals never run further than
-    /// `checkpoint_period + W` past it.
+    /// (`0` = unbounded). Every value runs the one proposal path: the
+    /// leader parks requests in its FIFO queue and proposes from it while
+    /// the window is open. With `W > 1` the leader proposes up to `W`
+    /// batches concurrently, so USIG signing overlaps network round trips
+    /// instead of serializing with them. The stable checkpoint is the low
+    /// watermark (compaction floor); because execution is consecutive,
+    /// proposals never run further than `checkpoint_period + W` past it.
     pub pipeline_window: usize,
     /// RNG seed for the network and the cluster.
     pub seed: u64,
@@ -166,10 +167,10 @@ impl MinBftConfig {
 /// The knobs the transport-agnostic replica step functions need (derived
 /// from [`MinBftConfig`] by the simulated cluster and from
 /// [`crate::threaded::ThreadedServiceConfig`] by the threaded service).
+/// No quorum is a knob: each is a function of the membership size `n` the
+/// deciding replica (or client) currently holds.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ProtocolParams {
-    /// Fault threshold of the checkpoint quorum (`f + 1` matching digests).
-    pub f: usize,
     /// Sequences between checkpoints (0 disables checkpoints).
     pub checkpoint_period: u64,
     /// Maximum requests per PREPARE.
@@ -209,23 +210,36 @@ impl ProtocolParams {
             .max(1)
     }
 
-    /// Checkpoint quorum: `f + 1` matching announcements, the replica's
-    /// own among them, so at least one comes from a correct replica.
-    pub(crate) fn checkpoint_quorum(&self) -> usize {
-        self.f + 1
+    /// Checkpoint quorum over a membership of `n`: `f + 1` matching
+    /// announcements, the replica's own among them, with
+    /// `f = hybrid_fault_threshold(n, 0)`, so at least one comes from a
+    /// correct replica.
+    pub(crate) fn checkpoint_quorum(n: usize) -> usize {
+        hybrid_fault_threshold(n, 0) + 1
     }
 
-    /// Reply quorum: `f + 1` matching replies. It takes the client plane's
-    /// own fault threshold `f`, not [`ProtocolParams::f`].
-    pub(crate) fn reply_quorum(f: usize) -> usize {
-        f + 1
+    /// Reply quorum over a membership of `n`: `f_k + 1` matching replies,
+    /// with `f_k` the threshold of [`ProtocolParams::commit_quorum`], so at
+    /// least one comes from a correct replica. The simulated and the live
+    /// client both wait for it.
+    pub(crate) fn reply_quorum(n: usize) -> usize {
+        hybrid_fault_threshold(n, PARALLEL_RECOVERIES) + 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::ProtocolParams;
-    use crate::PARALLEL_RECOVERIES;
+    use crate::{hybrid_fault_threshold, PARALLEL_RECOVERIES};
+
+    #[test]
+    fn the_reply_quorum_outnumbers_the_hybrid_fault_threshold() {
+        for n in 1..=16 {
+            let f = hybrid_fault_threshold(n, PARALLEL_RECOVERIES);
+            assert_eq!(ProtocolParams::reply_quorum(n), f + 1, "n = {n}");
+            assert!(ProtocolParams::reply_quorum(n) > f, "n = {n}");
+        }
+    }
 
     #[test]
     fn commit_and_view_change_quorums_intersect_in_k_plus_one_voters() {

@@ -17,12 +17,11 @@ const PARKED_PREPARE_LIMIT: usize = 64;
 const UI_LOG_LIMIT: usize = 512;
 const UI_RESEND_LIMIT: usize = 32;
 
-/// Whether the leader's proposal window is open: with pipelining enabled
-/// (`pipeline_window > 0`) at most `pipeline_window` sequences may be
-/// proposed beyond the execution frontier. In-flight count is
-/// `next_sequence - 1 - last_executed`, so the window is open while
-/// `next_sequence <= last_executed + W`. Always open when the knob is 0
-/// (the legacy unbounded pipeline).
+/// Whether the leader's proposal window is open: at most `pipeline_window`
+/// sequences may be proposed beyond the execution frontier. The in-flight
+/// count is `next_sequence - 1 - last_executed`, so the window is open while
+/// `next_sequence <= last_executed + W`. Always open when the knob is 0 (an
+/// unbounded window).
 pub(super) fn window_open(replica: &Replica, params: &ProtocolParams) -> bool {
     params.pipeline_window == 0
         || replica.next_sequence <= replica.last_executed + params.pipeline_window as u64
@@ -146,12 +145,6 @@ pub(super) fn handle_request(
         return;
     }
     replica.request_first_seen.entry(key).or_insert(time);
-    if replica.may_lead() && params.batch_size <= 1 && params.pipeline_window == 0 {
-        // Legacy unbatched path: propose immediately, bypassing the queue
-        // (kept bit-for-bit so existing seeds replay unchanged).
-        propose_batch(replica, vec![request], out);
-        return;
-    }
     // Park in FIFO order; a leader drains as far as the batch-fill
     // condition and the window allow.
     if !replica.pending.contains(&request) {
@@ -427,12 +420,7 @@ pub(super) fn execute_ready(
         // anywhere on this replica (non-leaders park requests in `pending`
         // for re-proposal after view changes; without this prune the queue
         // grows without bound).
-        if !replica.pending.is_empty() {
-            let seen = &replica.seen_requests;
-            replica
-                .pending
-                .retain(|r| !seen.contains(&(r.client, r.id)));
-        }
+        replica.prune_pending();
         let trace_digest = match executed_digests.as_slice() {
             [single] => *single,
             many => many
@@ -447,7 +435,7 @@ pub(super) fn execute_ready(
         });
         replica.last_executed = next;
         if params.checkpoint_period > 0 && next.is_multiple_of(params.checkpoint_period) {
-            announce_checkpoint(replica, next, params, out);
+            announce_checkpoint(replica, next, out);
         }
     }
 }
@@ -480,7 +468,6 @@ mod tests {
 
     const SEED: u64 = 7;
     const PARAMS: ProtocolParams = ProtocolParams {
-        f: 1,
         checkpoint_period: 0,
         batch_size: 1,
         batch_delay: 0.0,
@@ -505,6 +492,39 @@ mod tests {
         let (mut out, mut trace) = (StepOutput::default(), Vec::new());
         replica_on_message(replica, from, message, 0.0, &PARAMS, &mut trace, &mut out);
         trace
+    }
+
+    #[test]
+    fn a_batch_one_leader_proposes_parked_requests_before_a_newer_one() {
+        let request = |id| {
+            Message::Request(Request {
+                client: CLIENT_ID_BASE,
+                id,
+                operation: Operation::Write(id),
+            })
+        };
+        // The ids of the requests `message` made the leader prepare.
+        let prepared = |leader: &mut Replica, message| {
+            let (mut out, mut trace) = (StepOutput::default(), Vec::new());
+            let client = CLIENT_ID_BASE;
+            replica_on_message(leader, client, message, 0.0, &PARAMS, &mut trace, &mut out);
+            (out.broadcast.into_iter())
+                .flat_map(|message| match message {
+                    Message::Prepare { requests, .. } => requests,
+                    _ => Vec::new(),
+                })
+                .map(|r| r.id)
+                .collect::<Vec<_>>()
+        };
+        // Awaiting state, the leader parks request 1 ...
+        let mut leader = member(0);
+        leader.needs_state = true;
+        assert_eq!(prepared(&mut leader, request(1)), Vec::<u64>::new());
+        assert_eq!(leader.pending.len(), 1);
+        // ... and once it has state, proposes it before request 2.
+        leader.needs_state = false;
+        assert_eq!(prepared(&mut leader, request(2)), [1, 2]);
+        assert!(leader.pending.is_empty());
     }
 
     #[test]

@@ -80,16 +80,17 @@ mod tests {
     use super::*;
     use crate::minbft::ProtocolParams;
 
-    const F: usize = 1;
+    /// Four replicas: a reply quorum of two.
+    const N: usize = 4;
 
     #[test]
     fn f_plus_one_distinct_voters_on_one_key_reach_the_reply_quorum() {
         let mut votes: Votes<u64> = Votes::new();
         votes.cast(7, 0, ());
-        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(F)), None);
+        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(N)), None);
         votes.cast(7, 2, ());
         assert_eq!(votes.count(7), 2);
-        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(F)), Some(7));
+        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(N)), Some(7));
     }
 
     #[test]
@@ -99,7 +100,7 @@ mod tests {
             votes.cast(7, 1, ());
         }
         assert_eq!((votes.count(7), votes.len()), (1, 1));
-        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(F)), None);
+        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(N)), None);
     }
 
     #[test]
@@ -108,10 +109,10 @@ mod tests {
         votes.cast(7, 0, ());
         votes.cast(8, 1, ());
         assert_eq!((votes.count(7), votes.count(8), votes.count(9)), (1, 1, 0));
-        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(F)), None);
+        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(N)), None);
         // The third vote breaks the tie.
         votes.cast(8, 2, ());
-        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(F)), Some(8));
+        assert_eq!(votes.key_reaching(ProtocolParams::reply_quorum(N)), Some(8));
     }
 
     #[test]

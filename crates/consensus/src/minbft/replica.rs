@@ -339,6 +339,15 @@ impl Replica {
                 .is_none_or(|&(last_id, _, _)| request.id > last_id)
     }
 
+    /// Drops from `pending` every request that is no longer
+    /// [`Replica::unsequenced`]: it executed, was sequenced, or is older
+    /// than its client's last executed request.
+    pub(super) fn prune_pending(&mut self) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|r| self.unsequenced(r));
+        self.pending = pending;
+    }
+
     /// Whether the replica still participates in its current view (it has
     /// not voted to abandon it).
     pub(super) fn in_current_view(&self) -> bool {
@@ -422,7 +431,7 @@ pub(crate) fn replica_on_message(
             sequence,
             state_digest,
             ..
-        } => handle_checkpoint(replica, from, sequence, state_digest, params),
+        } => handle_checkpoint(replica, from, sequence, state_digest),
         Message::ViewChange {
             epoch,
             new_view,
@@ -455,13 +464,10 @@ pub(crate) fn replica_on_message(
         Message::Reply { .. } => {}
     }
     // Deliveries are what re-open a closed pipeline window (commits advance
-    // `last_executed` through `execute_ready`), so a pipelined leader drains
-    // its parked backlog here instead of waiting for a timer. No-op when the
-    // window is still closed, the backlog is short of a full batch (the
-    // stale-batch timer covers partials), or this replica does not lead;
-    // skipped entirely at `pipeline_window == 0` so legacy traces replay
-    // byte-identically.
-    if params.pipeline_window > 0 {
-        propose_pending(replica, params, false, out);
-    }
+    // `last_executed` through `execute_ready`) and end a state wait, so a
+    // leader drains its parked backlog here instead of waiting for a timer.
+    // No-op when the window is still closed, the backlog is short of a full
+    // batch (the stale-batch timer covers partials), or this replica does
+    // not lead.
+    propose_pending(replica, params, false, out);
 }

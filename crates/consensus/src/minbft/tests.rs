@@ -713,7 +713,7 @@ fn pipelined_window_beats_serial_at_nonzero_signature_time() {
         "window=4 must beat window=1 by >= 1.5x: serial {serial:.4}s, \
          pipelined {pipelined:.4}s"
     );
-    // And the unbounded legacy window is no slower than W = 4.
+    // And the unbounded window is no slower than the serial one.
     let unbounded = pipelined_burst_finish_time(0, 12);
     assert!(
         unbounded <= serial,

@@ -53,11 +53,7 @@ fn state_pull_deadline(replica: &Replica) -> SimTime {
 /// deliveries, not timers, re-open it, and a deadline that never becomes
 /// actionable would spin the simulated clock on it forever.
 fn batch_flush_deadline(replica: &Replica, params: &ProtocolParams, now: SimTime) -> SimTime {
-    if params.batch_size <= 1
-        || !replica.may_lead()
-        || replica.pending.is_empty()
-        || !window_open(replica, params)
-    {
+    if !replica.may_lead() || replica.pending.is_empty() || !window_open(replica, params) {
         return f64::INFINITY;
     }
     let oldest = (replica.pending.iter())
@@ -137,7 +133,6 @@ mod tests {
 
     const TIMEOUT: f64 = 0.1;
     const PARAMS: ProtocolParams = ProtocolParams {
-        f: 1,
         checkpoint_period: 0,
         batch_size: 16,
         batch_delay: 0.002,

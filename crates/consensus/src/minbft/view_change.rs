@@ -218,10 +218,7 @@ pub(super) fn handle_view_change(
         // is deliberately *not* window-gated: it re-issues sequences that
         // may already hold commit votes elsewhere, and stalling it would
         // wedge the view change. Fresh backlog proposals respect the window.)
-        let seen = &replica.seen_requests;
-        replica
-            .pending
-            .retain(|r| !seen.contains(&(r.client, r.id)));
+        replica.prune_pending();
         propose_pending(replica, params, true, out);
     }
 }
@@ -306,7 +303,6 @@ mod tests {
     use crate::crypto::KeyDirectory;
 
     const PARAMS: ProtocolParams = ProtocolParams {
-        f: 1,
         checkpoint_period: 0,
         batch_size: 1,
         batch_delay: 0.0,

@@ -617,7 +617,7 @@ impl SocketReplicaNode {
             mailbox,
             control_rx,
             transport: self.transport.handle(),
-            params: self.config.protocol_params(self.membership.len()),
+            params: self.config.protocol_params(),
             request_timeout: self.config.request_timeout,
             signature_time: self.config.signature_time,
             tuning: None,

@@ -43,7 +43,7 @@ use crate::transport::{
     Outgoing, ThreadedTransport, Transport, TransportHandle, TransportStats, WallClock,
 };
 use crate::workload::OpStream;
-use crate::{hybrid_fault_threshold, ByzantineMode, NodeId};
+use crate::{ByzantineMode, NodeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -116,11 +116,9 @@ impl Default for ThreadedServiceConfig {
 }
 
 impl ThreadedServiceConfig {
-    /// The protocol knobs of a live replica (threaded or socket-served)
-    /// in a membership of `members`.
-    pub(crate) fn protocol_params(&self, members: usize) -> ProtocolParams {
+    /// The protocol knobs of a live replica (threaded or socket-served).
+    pub(crate) fn protocol_params(&self) -> ProtocolParams {
         ProtocolParams {
-            f: hybrid_fault_threshold(members, 0),
             checkpoint_period: self.checkpoint_period,
             batch_size: self.batch_size.max(1),
             batch_delay: self.batch_delay,
@@ -425,14 +423,10 @@ impl MembershipView {
         self.inner.read().expect("membership lock").clone()
     }
 
-    /// The fault threshold `f` of the current membership with no recovery
-    /// slack (`hybrid_fault_threshold(n, 0)`): the live client waits for
-    /// `f + 1` matching replies. The simulated client's reply quorum reads
-    /// `MinBftCluster::fault_threshold`, which subtracts
-    /// [`crate::PARALLEL_RECOVERIES`] first, so at n = 5 or 7 the live
-    /// client waits for one more reply than the simulated one.
-    pub fn fault_threshold(&self) -> usize {
-        hybrid_fault_threshold(self.inner.read().expect("membership lock").len(), 0)
+    /// The size of the current membership: the live client's reply quorum,
+    /// like the simulated client's, is a function of it.
+    pub fn size(&self) -> usize {
+        self.inner.read().expect("membership lock").len()
     }
 }
 
@@ -471,7 +465,7 @@ impl ThreadedCluster {
         for &id in &membership {
             directory.register(&KeyPair::derive(id, config.seed));
         }
-        let params = config.protocol_params(membership.len());
+        let params = config.protocol_params();
         let hub: ThreadedTransport<Message> = ThreadedTransport::new(config.channel_capacity);
         let control = hub.handle();
         let tuning = Arc::new(SharedTuning::new(
@@ -883,8 +877,8 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
     /// resubmitting), runs every client's timer, and sends everything that
     /// produced as one batch. The timers run on every pump, so a stalled
     /// request is retransmitted on time however busy the mailbox is. The
-    /// quorum parameter is read and the mailbox-depth gauge lowered once per
-    /// pump.
+    /// membership size (the reply quorum's input) is read and the
+    /// mailbox-depth gauge lowered once per pump.
     fn pump(&mut self, resubmit: bool) {
         let first = self.mailbox.recv_timeout(Duration::from_millis(2));
         let now = self.transport.now();
@@ -892,15 +886,15 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
         let mut outbox = Vec::new();
         if let Ok(first) = first {
             // The membership lock also contends with reconfiguration.
-            let f = self.membership.fault_threshold();
+            let members = self.membership.size();
             let mut drained = 1;
-            self.on_delivery(first, f, now, cap, &mut outbox);
+            self.on_delivery(first, members, now, cap, &mut outbox);
             while drained < MAILBOX_BURST {
                 let Ok(delivery) = self.mailbox.try_recv() else {
                     break;
                 };
                 drained += 1;
-                self.on_delivery(delivery, f, now, cap, &mut outbox);
+                self.on_delivery(delivery, members, now, cap, &mut outbox);
             }
             self.transport.note_received(drained);
         }
@@ -914,7 +908,7 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
     fn on_delivery(
         &mut self,
         delivery: Delivery<Message>,
-        f: usize,
+        members: usize,
         now: f64,
         cap: usize,
         outbox: &mut Vec<Outgoing<Message>>,
@@ -929,7 +923,7 @@ impl<T: Transport<Message> + WallClock> ClientDriver<T> {
             return;
         };
         let (client, stream) = &mut self.clients[index];
-        let Some(request) = client.on_reply(delivery.from, request_id, value, f, now) else {
+        let Some(request) = client.on_reply(delivery.from, request_id, value, members, now) else {
             return;
         };
         self.completed_digests.push(request.digest());

@@ -346,7 +346,7 @@ fn a_burst_sends_what_per_step_flushes_send() {
         checkpoint_period: 1,
         ..ThreadedServiceConfig::default()
     }
-    .protocol_params(4);
+    .protocol_params();
     let client = CLIENT_ID_BASE;
     // The leader's PREPARE for the request, and two backups' COMMITs.
     let prepare = step(&mut live_replica(0), &params, to(0, client, write(client))).broadcast;
@@ -417,7 +417,7 @@ fn a_burst_sends_what_per_step_flushes_send() {
 fn a_silent_leader_flushes_nothing() {
     // Batches of 16 flush 2 ms after their oldest request. Leader 0 holds
     // one request, first seen at t = 0, and makes one pass at t = 10 ms.
-    let params = ThreadedServiceConfig::default().protocol_params(4);
+    let params = ThreadedServiceConfig::default().protocol_params();
     let leader = || {
         let mut leader = live_replica(0);
         step(
@@ -465,7 +465,7 @@ fn a_stalled_follower_votes_while_deliveries_flow() {
         batch_size: 1,
         ..ThreadedServiceConfig::default()
     }
-    .protocol_params(4);
+    .protocol_params();
     let [a, b] = [CLIENT_ID_BASE, CLIENT_ID_BASE + 1];
     let mut follower = live_replica(1);
     step(&mut follower, &params, to(1, a, write(a)));
@@ -567,7 +567,7 @@ fn a_stalled_request_is_retransmitted_while_replies_flow() {
 
 #[test]
 fn the_progress_gauge_reads_last_executed_and_zero_while_awaiting_state() {
-    let params = ThreadedServiceConfig::default().protocol_params(4);
+    let params = ThreadedServiceConfig::default().protocol_params();
     let mut replica = live_replica(1);
     replica.last_executed = 9;
     let (mut node, _deliveries, commands) = recorded_loop(replica, params);

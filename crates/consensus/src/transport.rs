@@ -2,14 +2,17 @@
 //!
 //! The protocol code (MinBFT replicas) is written against the
 //! [`Transport`] trait: a sender-side interface for point-to-point and
-//! broadcast delivery of protocol messages. Two implementations exist:
+//! broadcast delivery of protocol messages. Three implementations exist:
 //!
 //! * `crate::net::SimNetwork` — the deterministic discrete-event network.
 //!   Same seed → byte-identical delivery schedule, which is what the simnet
 //!   fault-injection harness replays.
 //! * [`ThreadedTransport`] — a real multi-threaded transport: one bounded
 //!   channel per node, so a full cluster runs as a concurrent service with
-//!   one OS thread per replica (see [`crate::threaded`]).
+//!   one OS thread per replica (see [`crate::threaded`]). Its nodes send
+//!   through a [`TransportHandle`].
+//! * [`crate::socket::SocketHandle`] — loopback/LAN TCP sockets, so a
+//!   cluster runs as one OS process per replica (see [`crate::socket`]).
 //!
 //! A bounded channel that fills up drops the message (backpressure surfaces
 //! as loss, which the protocols already tolerate and clients recover from by

@@ -78,9 +78,11 @@ impl Default for ControlledServiceConfig {
     fn default() -> Self {
         ControlledServiceConfig {
             service: ThreadedServiceConfig {
-                // n = 5 tolerates f = 2, so a simultaneous compromise and
-                // crash leave a serving majority while both control levels
-                // repair the damage.
+                // At n = 5 the quorums and the client tolerate f = 1 with
+                // one recovery slot (n = 2f + 1 + k), so a simultaneous
+                // compromise and crash leave a serving majority while both
+                // control levels repair the damage. The `fault_threshold: 2`
+                // below is Algorithm 2's input, not the quorums' f.
                 replicas: 5,
                 duration: 1.2,
                 ..ThreadedServiceConfig::default()

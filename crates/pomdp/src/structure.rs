@@ -114,19 +114,6 @@ pub fn check_threshold_structure(actions: &[usize]) -> ThresholdCheck {
     }
 }
 
-/// Extracts a threshold (as a fraction of the grid) from a binary action
-/// sequence over an ordered grid, i.e. the first grid position at which the
-/// high action is chosen. Returns 1.0 if the high action is never chosen.
-pub fn threshold_fraction(actions: &[usize]) -> f64 {
-    if actions.is_empty() {
-        return 1.0;
-    }
-    match actions.iter().position(|&a| a > 0) {
-        Some(index) => index as f64 / (actions.len() - 1).max(1) as f64,
-        None => 1.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,13 +201,5 @@ mod tests {
 
         let decreasing = vec![1, 0];
         assert!(!check_threshold_structure(&decreasing).is_threshold);
-    }
-
-    #[test]
-    fn threshold_fraction_positions() {
-        assert_eq!(threshold_fraction(&[0, 0, 1, 1, 1]), 0.5);
-        assert_eq!(threshold_fraction(&[1, 1, 1]), 0.0);
-        assert_eq!(threshold_fraction(&[0, 0, 0]), 1.0);
-        assert_eq!(threshold_fraction(&[]), 1.0);
     }
 }
