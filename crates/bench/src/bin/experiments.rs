@@ -466,17 +466,16 @@ fn fig9(full: bool) {
             node_survival_probability: 0.9,
         })
         .expect("valid problem");
-        let cmdp = problem.to_cmdp().expect("valid CMDP");
         let start = std::time::Instant::now();
-        match cmdp.solve() {
-            Ok(solution) => {
+        match problem.solve() {
+            Ok(strategy) => {
                 let row = Fig9Row {
                     s_max,
                     seconds: start.elapsed().as_secs_f64(),
-                    lp_pivots: solution.lp_pivots,
-                    expected_cost: solution.objective,
-                    mass_error: solution.occupation.iter().flatten().sum::<f64>() - 1.0,
-                    availability: solution.constraint_values[0],
+                    lp_pivots: strategy.lp_pivots(),
+                    expected_cost: strategy.expected_cost(),
+                    mass_error: strategy.occupation().iter().flatten().sum::<f64>() - 1.0,
+                    availability: strategy.availability(),
                 };
                 println!(
                     "  s_max = {s_max:<5} solved in {:8.3}s  ({} pivots, cost {:.5}, Σρ − 1 = {:+.1e}, availability {:.9})",

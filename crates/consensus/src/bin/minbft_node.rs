@@ -359,13 +359,7 @@ fn cluster_mode(args: &[String]) -> ! {
 
     let membership: Vec<NodeId> = (0..replicas as NodeId).collect();
     let streams: Vec<OpStream> = (0..clients)
-        .map(|i| {
-            OpStream::new(
-                config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                config.key_space,
-                config.write_ratio,
-            )
-        })
+        .map(|i| OpStream::for_client(config.seed, i, config.key_space, config.write_ratio))
         .collect();
     let mut driver = ClientDriver::over_transport(
         hub.handle(),

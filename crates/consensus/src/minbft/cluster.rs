@@ -713,8 +713,9 @@ impl MinBftCluster {
             .collect();
         let mut streams: Vec<OpStream> = (0..client_ids.len())
             .map(|index| {
-                OpStream::new(
-                    workload.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                OpStream::for_client(
+                    workload.seed,
+                    index,
                     workload.key_space,
                     workload.write_ratio,
                 )

@@ -683,13 +683,7 @@ mod tests {
         }
 
         let streams: Vec<OpStream> = (0..config.clients)
-            .map(|i| {
-                OpStream::new(
-                    config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                    config.key_space,
-                    config.write_ratio,
-                )
-            })
+            .map(|i| OpStream::for_client(config.seed, i, config.key_space, config.write_ratio))
             .collect();
         let driver = ClientDriver::over_transport(
             hub.handle(),

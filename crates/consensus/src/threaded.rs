@@ -757,11 +757,7 @@ impl ClientDriver {
         let config = cluster.config;
         let streams: Vec<OpStream> = (0..clients)
             .map(|index| {
-                OpStream::new(
-                    config.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                    config.key_space,
-                    config.write_ratio,
-                )
+                OpStream::for_client(config.seed, index, config.key_space, config.write_ratio)
             })
             .collect();
         let client_ids: Vec<NodeId> = (0..clients).map(|i| CLIENT_ID_BASE + i as NodeId).collect();

@@ -104,6 +104,17 @@ impl OpStream {
         }
     }
 
+    /// The stream of the `index`-th client of a workload seeded with `seed`:
+    /// every plane builds its clients' streams with this, so one seed replays
+    /// the same requests on each.
+    pub fn for_client(seed: u64, index: usize, key_space: u32, write_ratio: f64) -> Self {
+        OpStream::new(
+            seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            key_space,
+            write_ratio,
+        )
+    }
+
     /// The next operation of the stream.
     pub(crate) fn next_op(&mut self) -> Operation {
         self.counter += 1;

@@ -6,14 +6,13 @@
 //!   stochastic optimization over `[0, 1]^d` solved with any of the
 //!   black-box optimizers of `tolerance-optim` (CEM, DE, BO, SPSA). The PPO
 //!   and Incremental Pruning baselines of Table 2 are provided as well.
-//! * [`Alg2`] — the linear-programming solution of the replication CMDP
-//!   (Problem 2), a thin, explicitly named wrapper around
-//!   [`crate::replication::ReplicationProblem::solve`].
+//!
+//! Algorithm 2, the occupation-measure LP of the replication CMDP (Problem
+//! 2), is [`crate::replication::ReplicationProblem::solve`].
 
 use crate::error::{CoreError, Result};
 use crate::node_model::NodeAction;
 use crate::recovery::{RecoveryProblem, ThresholdStrategy};
-use crate::replication::{ReplicationProblem, ReplicationStrategy};
 use crate::runtime::WorkerPool;
 use rand::RngCore;
 use rand::SeedableRng;
@@ -399,30 +398,12 @@ impl EpisodicEnvironment for RecoveryEnvironment<'_> {
     }
 }
 
-/// Algorithm 2: the LP solution of the replication CMDP. The heavy lifting
-/// lives in [`ReplicationProblem::solve`]; this wrapper exists so the two
-/// algorithms of the paper have first-class, symmetric entry points.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Alg2;
-
-impl Alg2 {
-    /// Solves the replication problem.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures and infeasibility.
-    pub fn solve(&self, problem: &ReplicationProblem) -> Result<ReplicationStrategy> {
-        problem.solve()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node_model::{NodeModel, NodeParameters};
     use crate::observation::ObservationModel;
     use crate::recovery::RecoveryConfig;
-    use crate::replication::ReplicationConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -549,18 +530,5 @@ mod tests {
             "PPO objective {objective:?}"
         );
         assert_eq!(result.history.len(), 4);
-    }
-
-    #[test]
-    fn alg2_wrapper_solves_the_replication_problem() {
-        let problem = ReplicationProblem::new(ReplicationConfig {
-            s_max: 10,
-            fault_threshold: 2,
-            availability_target: 0.9,
-            node_survival_probability: 0.9,
-        })
-        .unwrap();
-        let strategy = Alg2.solve(&problem).unwrap();
-        assert!(strategy.availability() >= 0.9 - 1e-6);
     }
 }

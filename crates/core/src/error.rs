@@ -67,10 +67,7 @@ impl From<tolerance_optim::OptimError> for CoreError {
 
 impl From<tolerance_pomdp::PomdpError> for CoreError {
     fn from(err: tolerance_pomdp::PomdpError) -> Self {
-        match err {
-            tolerance_pomdp::PomdpError::Infeasible => CoreError::Infeasible,
-            other => CoreError::Solver(other.to_string()),
-        }
+        CoreError::Solver(err.to_string())
     }
 }
 
@@ -93,8 +90,6 @@ mod tests {
         assert!(matches!(from_markov, CoreError::Markov(_)));
         let from_optim: CoreError = tolerance_optim::OptimError::Infeasible.into();
         assert_eq!(from_optim, CoreError::Infeasible);
-        let from_pomdp: CoreError = tolerance_pomdp::PomdpError::Infeasible.into();
-        assert_eq!(from_pomdp, CoreError::Infeasible);
         let from_pomdp: CoreError = tolerance_pomdp::PomdpError::DidNotConverge("vi").into();
         assert!(matches!(from_pomdp, CoreError::Solver(_)));
     }

@@ -15,7 +15,8 @@
 //!   a system controller receives the node beliefs and adjusts the
 //!   replication factor `N_t ≥ 2f + 1 + k` (Proposition 1). The underlying
 //!   problem is the inventory replenishment CMDP of Problem 2, solved exactly
-//!   with the occupation-measure LP of Algorithm 2 ([`algorithms::Alg2`]).
+//!   with the occupation-measure LP of Algorithm 2
+//!   ([`replication::ReplicationProblem::solve`]).
 //! * **Control plane** ([`controlplane`]) — the online runtime that closes
 //!   both loops on a *running* cluster: the [`controlplane::ClusterActuator`]
 //!   actuation interface (recovery, JOIN/EVICT) implemented by the simulated
@@ -66,7 +67,7 @@ pub use error::{CoreError, Result};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::algorithms::{Alg1, Alg1Config, Alg2, OptimizerKind};
+    pub use crate::algorithms::{Alg1, Alg1Config, OptimizerKind};
     pub use crate::baselines::BaselineKind;
     pub use crate::controller::NodeController;
     pub use crate::error::Result;

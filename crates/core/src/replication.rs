@@ -12,8 +12,11 @@
 use crate::error::{CoreError, Result};
 use rand::Rng;
 use tolerance_markov::dist::{Binomial, DiscreteDistribution};
-use tolerance_pomdp::cmdp::{Cmdp, CmdpConstraint, CmdpSolution, ConstraintSense};
-use tolerance_pomdp::mdp::Mdp;
+use tolerance_optim::simplex::{Comparison, LinearProgram, LpSolution};
+
+/// How far an LP solution may be from an occupation measure before
+/// [`ReplicationProblem::solve`] refuses it.
+const OCCUPATION_TOLERANCE: f64 = 1e-7;
 
 /// Configuration of the replication problem.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -50,6 +53,7 @@ impl Default for ReplicationConfig {
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReplicationStrategy {
     add_probability: Vec<f64>,
+    occupation: Vec<[f64; 2]>,
     objective: f64,
     availability: f64,
     lp_pivots: usize,
@@ -59,6 +63,13 @@ impl ReplicationStrategy {
     /// `π(a = 1 | s)` for every state `s ∈ {0, ..., s_max}`.
     pub fn add_probabilities(&self) -> &[f64] {
         &self.add_probability
+    }
+
+    /// The occupation measure the strategy was read from: `occupation()[s]`
+    /// is `[ρ(s, wait), ρ(s, add)]`, the long-run fraction of time in `s`
+    /// taking each action.
+    pub fn occupation(&self) -> &[[f64; 2]] {
+        &self.occupation
     }
 
     /// The probability of adding a node in state `s` (0 beyond `s_max`).
@@ -111,17 +122,6 @@ impl ReplicationStrategy {
             }
         }
         true
-    }
-}
-
-impl From<CmdpSolution> for ReplicationStrategy {
-    fn from(solution: CmdpSolution) -> Self {
-        ReplicationStrategy {
-            add_probability: solution.policy.iter().map(|row| row[1]).collect(),
-            objective: solution.objective,
-            availability: solution.constraint_values.first().copied().unwrap_or(0.0),
-            lp_pivots: solution.lp_pivots,
-        }
     }
 }
 
@@ -200,54 +200,106 @@ impl ReplicationProblem {
         row
     }
 
-    /// Builds the CMDP of Algorithm 2: cost = number of nodes kept, and the
-    /// availability signal `1{s >= f + 1}` constrained to average at least
-    /// `ε_A`.
+    /// Solves the problem with Algorithm 2, the occupation-measure linear
+    /// program (14) over `ρ(s, a)`, `a ∈ {wait, add}`:
     ///
-    /// # Errors
+    /// ```text
+    /// minimize    Σ_{s,a} ρ(s,a) c(s,a)
+    /// subject to  ρ(s,a) >= 0
+    ///             Σ_{s,a} ρ(s,a) = 1
+    ///             Σ_a ρ(s,a) = Σ_{s',a} ρ(s',a) f_S(s | s', a)      ∀ s
+    ///             Σ_{s,a} ρ(s,a) 1{s >= f + 1}  >=  ε_A
+    /// ```
     ///
-    /// Propagates model-construction failures.
-    pub fn to_cmdp(&self) -> Result<Cmdp> {
-        let states = self.num_states();
-        let transition: Vec<Vec<Vec<f64>>> = (0..2)
-            .map(|a| {
-                (0..states)
-                    .map(|s| self.transition_row(s, a == 1))
-                    .collect()
-            })
-            .collect();
-        // Cost of Eq. (9): the number of nodes operated this step (adding a
-        // node is accounted for by paying for it immediately).
-        let cost: Vec<Vec<f64>> = (0..states)
-            .map(|s| vec![s as f64, (s + 1).min(self.config.s_max) as f64])
-            .collect();
-        let mdp = Mdp::new(transition, cost)?;
-        let availability_signal: Vec<Vec<f64>> = (0..states)
-            .map(|s| {
-                let available = if s > self.config.fault_threshold {
-                    1.0
-                } else {
-                    0.0
-                };
-                vec![available, available]
-            })
-            .collect();
-        let constraint = CmdpConstraint {
-            signal: availability_signal,
-            sense: ConstraintSense::AtLeast,
-            bound: self.config.availability_target,
-        };
-        Ok(Cmdp::new(mdp, vec![constraint])?)
-    }
-
-    /// Solves the problem with Algorithm 2 (the occupation-measure LP).
+    /// The cost `c(s, a)` is the number of nodes operated this step (Eq. 9:
+    /// an added node is paid for immediately), and the strategy is
+    /// `π(add | s) = ρ(s, add) / Σ_a ρ(s, a)`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Infeasible`] if no policy meets the availability
-    /// target (assumption A of Theorem 2 fails) and propagates LP failures.
+    /// target (assumption A of Theorem 2 fails), and [`CoreError::Solver`]
+    /// for any other LP failure and for a solution that is not an occupation
+    /// measure (a wrong answer becomes a missing one).
     pub fn solve(&self) -> Result<ReplicationStrategy> {
-        Ok(self.to_cmdp()?.solve()?.into())
+        let s_max = self.config.s_max;
+        let states = self.num_states();
+        // ρ(s, a) is variable 2s + a.
+        let n = 2 * states;
+        let objective = (0..states)
+            .flat_map(|s| [s as f64, (s + 1).min(s_max) as f64])
+            .collect();
+        let mut lp = LinearProgram::new(n, objective)?;
+        lp.add_constraint(vec![1.0; n], Comparison::Equal, 1.0)?;
+
+        // Flow balance for every state s:
+        //   Σ_a ρ(s,a) - Σ_{s',a} ρ(s',a) f_S(s | s', a) = 0.
+        // The rows sum to zero, so one of them is redundant. All are kept:
+        // phase 1 of the simplex ends with that row's artificial still basic
+        // at level 0 over a numerically empty row, and leaves it there.
+        let transitions = [false, true].map(|add| {
+            (0..states)
+                .map(|s| self.transition_row(s, add))
+                .collect::<Vec<_>>()
+        });
+        for s in 0..states {
+            let mut row = vec![0.0; n];
+            for a in 0..2 {
+                row[2 * s + a] += 1.0;
+            }
+            for s_prev in 0..states {
+                for (a, rows) in transitions.iter().enumerate() {
+                    row[2 * s_prev + a] -= rows[s_prev][s];
+                }
+            }
+            lp.add_constraint(row, Comparison::Equal, 0.0)?;
+        }
+
+        let available = |s: usize| {
+            if s > self.config.fault_threshold {
+                1.0
+            } else {
+                0.0
+            }
+        };
+        let availability_row = (0..states).flat_map(|s| [available(s); 2]).collect();
+        lp.add_constraint(
+            availability_row,
+            Comparison::GreaterEqual,
+            self.config.availability_target,
+        )?;
+
+        let solution = lp.solve()?;
+        check_occupation_measure(&solution)?;
+        let occupation: Vec<[f64; 2]> = solution
+            .values
+            .chunks_exact(2)
+            .map(|rho| [rho[0].max(0.0), rho[1].max(0.0)])
+            .collect();
+        let add_probability = occupation
+            .iter()
+            .map(|rho| {
+                let mass: f64 = rho.iter().sum();
+                // An unvisited state waits.
+                if mass > 1e-12 {
+                    rho[1] / mass
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let availability = occupation
+            .iter()
+            .enumerate()
+            .map(|(s, rho)| rho.iter().map(|&r| r * available(s)).sum::<f64>())
+            .sum();
+        Ok(ReplicationStrategy {
+            add_probability,
+            occupation,
+            objective: solution.objective_value,
+            availability,
+            lp_pivots: solution.pivots,
+        })
     }
 
     /// The expected number of healthy nodes implied by a set of node beliefs
@@ -260,6 +312,26 @@ impl ReplicationProblem {
             .floor()
             .max(0.0) as usize
     }
+}
+
+/// What an occupation measure must satisfy: ρ ≥ 0, and the rows of the LP as
+/// [`ReplicationProblem::solve`] wrote them — Σρ = 1, the flow balance of
+/// every state and the availability bound — each within
+/// [`OCCUPATION_TOLERANCE`].
+fn check_occupation_measure(solution: &LpSolution) -> Result<()> {
+    // Both comparisons are written so that a NaN fails them.
+    let non_negative = solution
+        .values
+        .iter()
+        .all(|rho| *rho >= -OCCUPATION_TOLERANCE);
+    if non_negative && solution.primal_residual <= OCCUPATION_TOLERANCE {
+        return Ok(());
+    }
+    Err(CoreError::Solver(format!(
+        "the solution is not an occupation measure: smallest entry {:e}, largest row violation {:e}",
+        solution.values.iter().copied().fold(f64::INFINITY, f64::min),
+        solution.primal_residual
+    )))
 }
 
 #[cfg(test)]
@@ -289,17 +361,14 @@ mod tests {
             ..ReplicationConfig::default()
         })
         .unwrap();
-        let solution = problem
-            .to_cmdp()
-            .unwrap()
+        let strategy = problem
             .solve()
             .unwrap_or_else(|e| panic!("s_max {s_max}: {e}"));
-        let mass: f64 = solution.occupation.iter().flatten().sum();
+        let mass: f64 = strategy.occupation().iter().flatten().sum();
         assert!(
             (mass - 1.0).abs() < 1e-9,
             "s_max {s_max}: the occupation measure sums to {mass}"
         );
-        let strategy = ReplicationStrategy::from(solution);
         assert!(
             (strategy.availability() - 0.9).abs() < 1e-6,
             "s_max {s_max}: availability {}",
@@ -324,11 +393,60 @@ mod tests {
         }
     }
 
+    /// The simplex pivot count depends on the order and the coefficients of
+    /// every LP row, so a rewrite of how Algorithm 2 writes its program that
+    /// moves a row shows here even when the optimum does not move.
+    #[test]
+    fn algorithm2_lp_pivot_counts_are_pinned() {
+        let pivots = |s_max, fault_threshold, node_survival_probability| {
+            ReplicationProblem::new(ReplicationConfig {
+                s_max,
+                fault_threshold,
+                availability_target: 0.9,
+                node_survival_probability,
+            })
+            .unwrap()
+            .solve()
+            .unwrap()
+            .lp_pivots()
+        };
+        for (s_max, expected) in [(13, 18), (16, 21), (64, 69), (128, 243)] {
+            assert_eq!(pivots(s_max, 3, 0.9), expected, "s_max {s_max}");
+        }
+        // `ControlPlaneConfig::default()`: the plane of one simulated shard.
+        assert_eq!(pivots(8, 1, 0.95), 12);
+    }
+
     #[test]
     #[ignore = "the last two points of Fig. 9: 1.5 s and 13 s in release"]
     fn algorithm2_occupation_measure_is_a_distribution_up_to_fig9s_2048() {
         for s_max in [1024, 2048] {
             assert_occupation_measure_is_a_distribution(s_max);
+        }
+    }
+
+    #[test]
+    fn a_solution_that_is_no_occupation_measure_is_refused() {
+        let measure = |values: Vec<f64>, primal_residual| LpSolution {
+            values,
+            objective_value: 0.0,
+            pivots: 0,
+            primal_residual,
+        };
+        assert!(check_occupation_measure(&measure(vec![0.25; 4], 1e-12)).is_ok());
+        // What the index tie-break returned at `s_max` 64: total mass 1.249.
+        let heavy = check_occupation_measure(&measure(vec![0.31225; 4], 0.249));
+        assert!(matches!(heavy, Err(CoreError::Solver(_))), "{heavy:?}");
+        let negative = check_occupation_measure(&measure(vec![0.5, 0.5, 1e-3, -1e-3], 0.0));
+        assert!(
+            matches!(negative, Err(CoreError::Solver(_))),
+            "{negative:?}"
+        );
+        for undefined in [
+            measure(vec![0.25; 4], f64::NAN),
+            measure(vec![0.5, 0.5, f64::NAN, 0.0], 0.0),
+        ] {
+            assert!(check_occupation_measure(&undefined).is_err());
         }
     }
 

@@ -29,10 +29,6 @@ pub enum PomdpError {
     },
     /// A solver failed to converge within its iteration budget.
     DidNotConverge(&'static str),
-    /// The constrained MDP is infeasible for the given constraint bounds.
-    Infeasible,
-    /// An error bubbled up from the LP solver.
-    Lp(String),
 }
 
 impl fmt::Display for PomdpError {
@@ -53,22 +49,11 @@ impl fmt::Display for PomdpError {
                 write!(f, "invalid parameter `{name}`: {reason}")
             }
             PomdpError::DidNotConverge(what) => write!(f, "{what} did not converge"),
-            PomdpError::Infeasible => write!(f, "constrained mdp is infeasible"),
-            PomdpError::Lp(why) => write!(f, "linear program failed: {why}"),
         }
     }
 }
 
 impl std::error::Error for PomdpError {}
-
-impl From<tolerance_optim::OptimError> for PomdpError {
-    fn from(err: tolerance_optim::OptimError) -> Self {
-        match err {
-            tolerance_optim::OptimError::Infeasible => PomdpError::Infeasible,
-            other => PomdpError::Lp(other.to_string()),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -79,7 +64,6 @@ mod tests {
         assert!(PomdpError::InvalidModel("bad".into())
             .to_string()
             .contains("bad"));
-        assert!(PomdpError::Infeasible.to_string().contains("infeasible"));
         assert!(PomdpError::DidNotConverge("value iteration")
             .to_string()
             .contains("value iteration"));
@@ -94,13 +78,5 @@ mod tests {
             reason: "must be in (0,1)".into(),
         };
         assert!(ip.to_string().contains("discount"));
-    }
-
-    #[test]
-    fn converts_lp_errors() {
-        let err: PomdpError = tolerance_optim::OptimError::Infeasible.into();
-        assert_eq!(err, PomdpError::Infeasible);
-        let err: PomdpError = tolerance_optim::OptimError::Unbounded.into();
-        assert!(matches!(err, PomdpError::Lp(_)));
     }
 }

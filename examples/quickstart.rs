@@ -43,7 +43,7 @@ fn main() -> tolerance::core::Result<()> {
         availability_target: 0.9,
         node_survival_probability: 0.95,
     })?;
-    let replication_strategy = Alg2.solve(&replication)?;
+    let replication_strategy = replication.solve()?;
     println!(
         "system-level strategy: expected cost {:.2} nodes, availability {:.3}",
         replication_strategy.expected_cost(),

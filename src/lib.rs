@@ -7,9 +7,9 @@
 //!   reliability/MTTF analysis, and small dense linear algebra.
 //! * [`optim`] — black-box optimizers (SPSA, CEM, DE, Bayesian
 //!   optimization, PPO) and a simplex LP solver.
-//! * [`pomdp`] — finite POMDP/MDP/CMDP models, belief updates,
-//!   exact solvers (value iteration with incremental pruning) and the
-//!   constrained-MDP occupation-measure LP.
+//! * [`pomdp`] — the two-state node POMDP of Problem 1, its exact solver
+//!   (value iteration with incremental pruning) and the structural checks
+//!   of Theorems 1–2.
 //! * [`consensus`] — a discrete-event network simulator and the
 //!   reconfigurable MinBFT protocol.
 //! * [`core`] — the paper's contribution: the node-recovery POMDP

@@ -114,7 +114,7 @@ fn theorem2_structure_holds_for_algorithm2() {
         node_survival_probability: 0.9,
     })
     .unwrap();
-    let strategy = Alg2.solve(&problem).unwrap();
+    let strategy = problem.solve().unwrap();
     assert!(strategy.has_threshold_structure(1e-6));
     assert!(strategy.availability() >= 0.9 - 1e-6);
     // The add probability is monotonically non-increasing in the number of
